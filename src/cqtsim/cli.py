@@ -30,7 +30,7 @@ from .estimation import (corrected_fidelity, correct_for_background,
 from .fock import NAMED_KETS, fidelity
 from .protocol import (InputQubit, ProtocolConfig, ProtocolError,
                        emulate_mixture, run_protocol)
-from .spdc import SourceParams, fit_source_ratio
+from .spdc import RATIO_BOUNDS, SourceParams, fit_source_ratio, heralded_fraction
 
 SCHEMA_VERSION = "cqtsim.v1"
 
@@ -256,13 +256,21 @@ def _source_from_args(args):
         raise UsageError(str(exc)) from None
 
 
+def _check_resamples(args):
+    if args.resamples and args.seed is None:
+        raise UsageError("--resamples needs an explicit --seed")
+    if args.resamples and args.resamples < 100:
+        raise UsageError("--resamples must be 0 or at least 100")
+
+
 def cmd_run(args) -> int:
     if args.reproduce:
         return _reproduce_table1(args)
     input_q = parse_input_state(args.input)
     source = _source_from_args(args)
-    if args.resamples and args.seed is None:
-        raise UsageError("--resamples needs an explicit --seed")
+    _check_resamples(args)
+    if not (math.isfinite(args.exposure) and args.exposure > 0):
+        raise UsageError("--exposure must be a positive number")
 
     def one(channel):
         cfg = ProtocolConfig(channel=channel, action=args.action, input=input_q,
@@ -354,36 +362,44 @@ def cmd_scan_werner(args) -> int:
 def cmd_fit_spdc(args) -> int:
     input_q = parse_input_state(args.input)
     eps = args.pbs_epsilon
-
-    def factory(label):
-        return {
+    try:
+        configs = {
             "uncontrolled": ProtocolConfig(channel="reference", action="none",
                                            input=input_q, pbs_epsilon=eps),
             "allowed": ProtocolConfig(channel="g1", action="allow",
                                       input=input_q, pbs_epsilon=eps),
             "denied": ProtocolConfig(channel="g1", action="deny",
                                      input=input_q, pbs_epsilon=eps),
-        }[label]
+        }
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
     if args.synthetic_ratio is not None:
-        from .spdc import heralded_fraction
-        params = SourceParams(kappa_forward=0.1,
-                              kappa_backward=0.1 * args.synthetic_ratio)
-        targets = {label: heralded_fraction(params, factory(label))["undesired"]
+        lo, hi = RATIO_BOUNDS
+        if not lo < args.synthetic_ratio <= hi:
+            raise UsageError(f"--synthetic-ratio must lie in ({lo:g}, {hi:g}]")
+        # at truncation order 2 the shares depend on the ratio alone; a forward
+        # strength of 0.05 keeps kappa_backward below 0.5 across the bounds
+        params = SourceParams(kappa_forward=0.05,
+                              kappa_backward=0.05 * args.synthetic_ratio)
+        targets = {label: heralded_fraction(params, configs[label])["undesired"]
                    for label in DEFAULT_FIT_TARGETS}
     elif args.targets is not None:
         parts = args.targets.split(",")
         if len(parts) != 3:
             raise UsageError("--targets needs three percentages: unc,allowed,denied")
         try:
-            vals = [float(p) / 100.0 for p in parts]
+            pcts = [float(p) for p in parts]
         except ValueError:
             raise UsageError(f"bad targets {args.targets!r}") from None
-        targets = dict(zip(("uncontrolled", "allowed", "denied"), vals))
+        if not all(0.0 <= v <= 100.0 for v in pcts):
+            raise UsageError("--targets must be percentages in [0, 100]")
+        targets = dict(zip(("uncontrolled", "allowed", "denied"),
+                           [v / 100.0 for v in pcts]))
     else:
         targets = dict(DEFAULT_FIT_TARGETS)
 
-    fit = fit_source_ratio(targets, factory)
+    fit = fit_source_ratio(targets, configs.__getitem__)
     rows = [[label, targets[label] * 100.0, fit.achieved[label] * 100.0,
              fit.residuals[label] * 100.0] for label in targets]
     comments = [f"fitted_ratio={fit.ratio:.6f}",
@@ -404,8 +420,7 @@ def cmd_tomo(args) -> int:
         raise UsageError(f"cannot read counts: {exc}") from None
     target_q = parse_input_state(args.target)
     target = target_q.ket()
-    if args.resamples and args.seed is None:
-        raise UsageError("--resamples needs an explicit --seed")
+    _check_resamples(args)
     if not 0.0 <= args.weight < 1.0:
         raise UsageError("--weight must lie in [0, 1)")
 

@@ -15,10 +15,10 @@ follow from applying the pair-creation operator twice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
-from scipy import optimize
+import numpy as np
 
 from .fock import H, V, PureState, occupation, spatial_counts, total_photons
 
@@ -26,6 +26,9 @@ FORWARD_MODES = (1, 2)
 BACKWARD_MODES = (3, 4)
 
 _SQ2 = math.sqrt(2.0)
+REFERENCE_KAPPA = 0.1
+RATIO_BOUNDS = (1e-3, 5.0)
+_GRID_POINTS = 401
 
 # Polarization structure of one emitted pair, as creation-operator weights.
 PAIR_KINDS = {
@@ -49,7 +52,7 @@ class SourceParams:
     def __post_init__(self):
         self.kappa_forward = complex(self.kappa_forward)
         self.kappa_backward = complex(self.kappa_backward)
-        if abs(self.kappa_forward) >= 0.5 or abs(self.kappa_backward) >= 0.5:
+        if not (abs(self.kappa_forward) < 0.5 and abs(self.kappa_backward) < 0.5):
             raise ValueError("interaction strengths must stay well below 1 "
                              "(|kappa| < 0.5)")
         if self.truncation_order < 1:
@@ -149,27 +152,35 @@ def coincidence_sectors(state: PureState, min_photons: int = 4) -> dict:
             for label, terms in sorted(sectors.items())}
 
 
-def heralded_fraction(params: SourceParams, config) -> dict:
-    """Share of four-fold coincidences caused by the double-pair terms.
+def sector_rates(params: SourceParams, config) -> dict:
+    """Four-fold rate of each coincidence sector, propagated at REFERENCE_KAPPA.
 
-    Each coincidence-capable emission term is propagated separately through
-    the configured setup (the emission terms are mutually incoherent
-    alternatives at the detection level) and its four-fold probability is
-    summed over both of the receiver's analyzer settings.
+    Sectors are incoherent alternatives at the detection level, so each is
+    propagated on its own; only the order and pair kinds of ``params`` count.
     """
-    from .protocol import per_term_fourfold
+    from .protocol import run_protocol
 
-    per_term = per_term_fourfold(params, config)
+    ref = replace(params, kappa_forward=REFERENCE_KAPPA, kappa_backward=REFERENCE_KAPPA)
+    return run_protocol(replace(config, source=ref))[0].per_term
+
+
+def sector_shares(rates: dict, kappa_forward: complex, kappa_backward: complex) -> dict:
+    """Shares at any strengths: sector "jjkk" scales as |kappa_f|^2j |kappa_b|^2k."""
+    per_term = {label: rate * abs(kappa_forward / REFERENCE_KAPPA) ** (2 * int(label[0]))
+                * abs(kappa_backward / REFERENCE_KAPPA) ** (2 * int(label[2]))
+                for label, rate in rates.items()}
     total = sum(per_term.values())
-    if total < 1e-30:
-        raise ValueError("no emission term produces a four-fold coincidence "
-                         "in this configuration")
+    if not total > 0.0:
+        raise ValueError("no emission term produces a four-fold coincidence")
     undesired = sum(p for label, p in per_term.items() if label != "1111")
-    return {
-        "desired": (total - undesired) / total,
-        "undesired": undesired / total,
-        "per_term": {label: p / total for label, p in per_term.items()},
-    }
+    return {"desired": (total - undesired) / total, "undesired": undesired / total,
+            "per_term": {label: p / total for label, p in per_term.items()}}
+
+
+def heralded_fraction(params: SourceParams, config) -> dict:
+    """Share of four-fold coincidences caused by the double-pair terms."""
+    return sector_shares(sector_rates(params, config), params.kappa_forward,
+                         params.kappa_backward)
 
 
 @dataclass
@@ -185,40 +196,41 @@ class RatioFit:
     constrained: bool = True    # False when the targets leave the ratio free
 
 
-def _undesired_vector(ratio: float, config_factory: Callable, labels) -> dict:
-    params = SourceParams(kappa_forward=0.1, kappa_backward=0.1 * ratio)
-    out = {}
-    for label in labels:
-        out[label] = heralded_fraction(params, config_factory(label))["undesired"]
-    return out
-
-
 def fit_source_ratio(targets: dict, config_factory: Callable,
-                     bounds=(1e-3, 5.0)) -> RatioFit:
+                     bounds=RATIO_BOUNDS) -> RatioFit:
     """Least-squares fit of kappa_backward/kappa_forward to target undesired shares.
 
     ``targets`` maps configuration labels to target fractions (0..1);
     ``config_factory(label)`` builds the protocol configuration for each.
-    The shares depend on the strengths only through the ratio, so the forward
-    strength is pinned internally.
+    Each configuration is propagated once; the cost, a rational function of the
+    ratio with two basins at some settings, is scanned on a log-spaced grid
+    over ``bounds`` and Brent's search refines the best grid point.
     """
+    from scipy import optimize
+
     labels = list(targets)
+    rates = {k: sector_rates(SourceParams(), config_factory(k)) for k in labels}
+
+    def undesired(ratio: float) -> dict:
+        kb = REFERENCE_KAPPA * ratio
+        return {k: sector_shares(rates[k], REFERENCE_KAPPA, kb)["undesired"] for k in labels}
 
     def cost(log_r: float) -> float:
-        achieved = _undesired_vector(math.exp(log_r), config_factory, labels)
+        achieved = undesired(math.exp(log_r))
         return sum((achieved[k] - targets[k]) ** 2 for k in labels)
 
+    grid = np.linspace(math.log(bounds[0]), math.log(bounds[1]), _GRID_POINTS)
+    costs = [cost(x) for x in grid]
+    best = int(np.argmin(costs))
     # a degenerate target set (shares insensitive to the ratio) leaves the
     # minimizer free: detect a flat cost and flag the fit as unconstrained
-    probes = [cost(math.log(r)) for r in (bounds[0], math.sqrt(bounds[0] * bounds[1]),
-                                          bounds[1])]
-    constrained = max(probes) - min(probes) > 1e-18
+    constrained = max(costs) - min(costs) > 1e-18
 
-    res = optimize.minimize_scalar(cost, bounds=(math.log(bounds[0]), math.log(bounds[1])),
-                                   method="bounded",
-                                   options={"xatol": 1e-10})
+    res = optimize.minimize_scalar(cost, bounds=(grid[max(best - 1, 0)],
+                                                 grid[min(best + 1, len(grid) - 1)]),
+                                   method="bounded", options={"xatol": 1e-10})
     ratio = float(math.exp(res.x))
-    achieved = _undesired_vector(ratio, config_factory, labels)
+    achieved = undesired(ratio)
     residuals = {k: achieved[k] - targets[k] for k in labels}
     return RatioFit(
         ratio=ratio,

@@ -227,3 +227,30 @@ def test_json_format_run(tmp_path):
     assert payload["schema"] == "cqtsim.v1"
     fid_col = payload["columns"].index("fidelity")
     assert payload["rows"][0][fid_col] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--input", "nan,1"],
+    ["run", "--input", "inf,1"],
+    ["run", "--kappa-forward", "nan"],
+    ["run", "--kappa-backward", "inf"],
+    ["run", "--ideal", "--resamples", "5", "--seed", "1"],
+    ["run", "--ideal", "--exposure", "-5", "--resamples", "200", "--seed", "1"],
+    ["run", "--ideal", "--exposure", "nan"],
+    ["fit-spdc", "--synthetic-ratio", "nan"],
+    ["fit-spdc", "--synthetic-ratio", "10"],
+    ["fit-spdc", "--synthetic-ratio", "0.001"],
+    ["fit-spdc", "--targets", "nan,50,30"],
+    ["fit-spdc", "--targets", "10,50,130"],
+    ["fit-spdc", "--pbs-epsilon", "nan"],
+    ["fit-spdc", "--input", "nan,1"],
+    ["tomo", "--counts", "COUNTS", "--resamples", "5", "--seed", "1"],
+], ids=" ".join)
+def test_bad_numeric_input_is_usage_error(argv, tmp_path, capsys):
+    counts = tmp_path / "counts.csv"
+    write_exact_counts(counts, np.eye(2) / 2)
+    argv = [str(counts) if a == "COUNTS" else a for a in argv]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err

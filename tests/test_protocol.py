@@ -15,6 +15,7 @@ from cqtsim.protocol import (AXIAL_INPUT_NAMES, InputQubit, ProtocolConfig,
                              bob_correction, emulate_mixture,
                              encoding_plate_angles, prepare_ghz, run_protocol,
                              singlet_projection, swap_roles)
+from cqtsim.spdc import SourceParams
 
 _SQ2 = math.sqrt(2.0)
 
@@ -57,6 +58,18 @@ def test_input_qubit_validation():
         InputQubit(1.0, 1.0)
     iq = InputQubit.from_components(1.0, 1.0)
     assert abs(iq.alpha) == pytest.approx(1 / _SQ2)
+
+
+def test_non_finite_parameters_rejected():
+    with pytest.raises(ValueError):
+        InputQubit(float("nan"), 1.0)
+    with pytest.raises(ValueError):
+        InputQubit.from_components(float("inf"), 1.0)
+    for kappa in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            SourceParams(kappa_forward=kappa)
+        with pytest.raises(ValueError):
+            SourceParams(kappa_backward=kappa)
 
 
 def test_reference_forces_trigger_action():
@@ -217,6 +230,22 @@ def test_zero_success_configuration_raises():
     cfg = ProtocolConfig(channel="g1", action="deny", input=InputQubit.from_name("h"))
     with pytest.raises(ProtocolError):
         run_protocol(cfg)
+
+
+@pytest.mark.parametrize("channel, action", [("g1", "allow"), ("g2", "deny"),
+                                             ("reference", "none")])
+def test_fidelity_independent_of_common_kappa_scale(channel, action):
+    # at order 2 every four-fold sector holds two pairs, so scaling both
+    # strengths alike scales every rate by the same kappa^4; the "no
+    # coincidence" checks must not trip at weak pumping
+    fids = []
+    for kappa in (0.1, 2e-4):
+        cfg = ProtocolConfig(channel=channel, action=action, pbs_epsilon=0.05,
+                             source=SourceParams(kappa_forward=kappa,
+                                                 kappa_backward=kappa))
+        rec, _ = run_protocol(cfg)
+        fids.append(rec.fidelity())
+    assert fids[1] == pytest.approx(fids[0], abs=1e-9)
 
 
 @given(st.floats(min_value=0, max_value=math.pi, allow_nan=False),

@@ -1,21 +1,32 @@
+import functools
 import math
+import os
+import subprocess
+import sys
+from dataclasses import replace
 
 import pytest
 
+import cqtsim
 from cqtsim.fock import H, V, occupation
-from cqtsim.protocol import ProtocolConfig
+from cqtsim.protocol import InputQubit, ProtocolConfig, run_protocol
 from cqtsim.spdc import (PAIR_KINDS, RatioFit, SourceParams, coincidence_sectors,
                          emission_orders, fit_source_ratio, four_mode_source,
-                         heralded_fraction, signature_label, two_mode_spdc)
+                         heralded_fraction, sector_rates, sector_shares,
+                         signature_label, two_mode_spdc)
 
 _SQ2 = math.sqrt(2.0)
 
 
-def fit_configs(label, eps=0.05):
+def fit_configs(label, eps=0.05, input_name="plus"):
+    input_q = InputQubit.from_name(input_name)
     return {
-        "uncontrolled": ProtocolConfig(channel="reference", action="none", pbs_epsilon=eps),
-        "allowed": ProtocolConfig(channel="g1", action="allow", pbs_epsilon=eps),
-        "denied": ProtocolConfig(channel="g1", action="deny", pbs_epsilon=eps),
+        "uncontrolled": ProtocolConfig(channel="reference", action="none",
+                                       input=input_q, pbs_epsilon=eps),
+        "allowed": ProtocolConfig(channel="g1", action="allow", input=input_q,
+                                  pbs_epsilon=eps),
+        "denied": ProtocolConfig(channel="g1", action="deny", input=input_q,
+                                 pbs_epsilon=eps),
     }[label]
 
 
@@ -178,3 +189,68 @@ def test_fit_flags_unconstrained_targets():
     fit = fit_source_ratio({"uncontrolled": 0.0}, fit_configs)
     assert not fit.constrained
     assert fit.sum_squared_residual == pytest.approx(0.0, abs=1e-18)
+
+
+# (kappa_f, kappa_b) with ratios 0.01 to 4; fewer at order 3, where a
+# propagation costs about ten times as much
+FACTORISATION_STRENGTHS = {2: ((0.1, 0.001), (0.05, 0.015), (0.08, 0.08), (0.1, 0.4)),
+                           3: ((0.1, 0.001), (0.08, 0.08), (0.1, 0.4))}
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("config", [
+    fit_configs("uncontrolled"), fit_configs("allowed"), fit_configs("denied"),
+    ProtocolConfig(channel="g2", action="allow", input=InputQubit.from_name("r"),
+                   pbs_epsilon=0.03),
+], ids=["uncontrolled", "allowed", "denied", "g2"])
+def test_factorised_shares_match_direct_propagation(config, order):
+    # oracle: propagate the emission at the actual strengths and normalize the
+    # per-sector rates; at order 3 the shares depend on the strengths, not
+    # only on their ratio
+    for kf, kb in FACTORISATION_STRENGTHS[order]:
+        params = SourceParams(kappa_forward=kf, kappa_backward=kb, truncation_order=order)
+        record, _ = run_protocol(replace(config, source=params))
+        total = sum(record.per_term.values())
+        got = heralded_fraction(params, config)["per_term"]
+        assert set(got) == set(record.per_term)
+        for label, rate in record.per_term.items():
+            assert got[label] == pytest.approx(rate / total, abs=1e-12)
+
+
+FIT_RATIOS = (0.05, 0.067, 0.09, 0.12, 0.17, 0.23, 0.3, 0.41, 0.55, 0.75, 1.0, 1.3,
+              1.7, 2.0, 2.9, 4.0)
+
+
+@pytest.mark.parametrize("eps", [0.001, 0.025, 0.05, 0.1])
+def test_fit_round_trip_over_whole_ratio_range(eps):
+    """Round trips over inputs plus/minus/r/l and ratios in [0.05, 4].
+
+    The cost has a second, non-zero local minimum at some settings (near
+    R = 0.13 for R = 2 at eps 0.05; above R = 0.3 for R = 0.067 and 0.09 at
+    eps 0.001), so only a search of the whole range recovers R.  Each input
+    gets four of the sixteen ratios, so every ratio is fitted once per eps.
+
+    Input h is left out: its denied share is always 1 and its uncontrolled
+    share always 0, so only the allowed share constrains the fit, and that
+    has two exact roots (at eps 0.001, R = 4 and R = 0.1769 both give a cost
+    below 1e-21).
+    """
+    for i, name in enumerate(("plus", "minus", "r", "l")):
+        factory = functools.partial(fit_configs, eps=eps, input_name=name)
+        rates = {label: sector_rates(SourceParams(), factory(label))
+                 for label in ("uncontrolled", "allowed", "denied")}
+        for ratio in FIT_RATIOS[i::4]:
+            targets = {label: sector_shares(r, 0.1, 0.1 * ratio)["undesired"]
+                       for label, r in rates.items()}
+            fit = fit_source_ratio(targets, factory)
+            assert fit.converged and fit.constrained
+            assert fit.ratio == pytest.approx(ratio, abs=5e-7)
+            assert fit.sum_squared_residual < 1e-12
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cqtsim.__file__)))
+    code = "import sys, cqtsim; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"
