@@ -7,6 +7,7 @@ with the receiver and qubit 3 with the controller.  |H> maps to basis 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -22,13 +23,6 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = {"I": PAULI_I, "X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
 
 _SQ2 = math.sqrt(2.0)
-
-
-def kron(*ops) -> np.ndarray:
-    out = np.eye(1, dtype=complex)
-    for op in ops:
-        out = np.kron(out, op)
-    return out
 
 
 def ket_outer(psi: np.ndarray) -> np.ndarray:
@@ -134,14 +128,13 @@ def condition_on_controller(channel: np.ndarray, basis="pm", outcome=None):
     With ``outcome`` given, returns a single ConditionalChannel; otherwise one
     per basis outcome.
     """
-    channel = np.asarray(channel, dtype=complex)
+    rho = np.asarray(channel, dtype=complex).reshape((2,) * 6)
     results = []
     for ket, label in _basis_pairs(basis):
-        proj = kron(PAULI_I, PAULI_I, ket_outer(ket))
-        sub = partial_trace(proj @ channel @ proj.conj().T, [2, 2, 2], [0, 1])
-        prob = float(np.real(np.trace(sub)))
         if outcome is not None and label != outcome:
             continue
+        sub = np.einsum("c,abcdef,f->abde", ket.conj(), rho, ket).reshape(4, 4)
+        prob = float(np.real(np.trace(sub)))
         if prob < 1e-14:
             if outcome is not None:
                 raise ValueError(f"controller outcome {label!r} has zero probability")
@@ -169,37 +162,39 @@ def fully_entangled_fraction(rho: np.ndarray) -> float:
     return max(float(np.real(b.conj() @ rho @ b)) for b in bell_kets().values())
 
 
-def _teleport_branches(channel: np.ndarray, psi: np.ndarray):
-    """Yield (outcome label, branch probability, receiver conditional state).
+_BELL_LABELS = tuple(bell_kets())
+# Bell kets as (outcome, input qubit, qubit 1)
+_BELL = np.array(list(bell_kets().values())).reshape(4, 2, 2)
 
-    The sender measures (input, qubit 1) in the Bell basis; ordering of the
-    joint system is (input, qubit1, qubit2).
+
+def _teleport_branches(channel: np.ndarray, psis: np.ndarray):
+    """Bell-outcome probabilities (n, 4) and receiver states (n, 4, 2, 2).
+
+    The sender measures (input, qubit 1) in the Bell basis, outcomes in the
+    order of ``bell_kets``; ``psis`` (n, 2) are the input kets.  A branch
+    with probability below 1e-14 keeps its unnormalized state.
     """
-    channel = np.asarray(channel, dtype=complex)
-    rho_tot = np.kron(ket_outer(psi), channel)
-    for label, bket in bell_kets().items():
-        proj = np.kron(ket_outer(bket), PAULI_I)
-        sub = partial_trace(proj @ rho_tot @ proj, [2, 2, 2], [2])
-        prob = float(np.real(np.trace(sub)))
-        yield label, prob, (sub / prob if prob > 1e-14 else sub)
+    rho = np.asarray(channel, dtype=complex).reshape(2, 2, 2, 2)
+    # <bell_k| on (input, qubit 1) applied to |psi> on the input
+    u = np.einsum("kac,na->nkc", _BELL.conj(), psis)
+    sub = np.einsum("nkc,cedf,nkd->nkef", u, rho, u.conj())
+    probs = np.einsum("nkee->nk", sub).real
+    states = sub / np.where(probs > 1e-14, probs, 1.0)[..., None, None]
+    return probs, states
 
 
+@functools.cache
 def standard_corrections() -> dict:
     """Pauli frame that inverts teleportation over the (|HH>+|VV>)/sqrt2 channel."""
     channel = ket_outer(bell_kets()["phi+"])
-    probes = [KET_H, KET_D, KET_R]
+    probes = np.array([KET_H, KET_D, KET_R])
+    _, states = _teleport_branches(channel, probes)
     out = {}
-    for label, _, _ in _teleport_branches(channel, KET_H):
+    for k, label in enumerate(_BELL_LABELS):
         for name, pauli in PAULIS.items():
-            ok = True
-            for probe in probes:
-                branches = dict((l, (p, s)) for l, p, s in _teleport_branches(channel, probe))
-                prob, state = branches[label]
-                fid = float(np.real(probe.conj() @ pauli @ state @ pauli.conj().T @ probe))
-                if abs(fid - 1.0) > 1e-10:
-                    ok = False
-                    break
-            if ok:
+            if all(abs(float(np.real(probe.conj() @ pauli @ state @ pauli.conj().T @ probe))
+                       - 1.0) <= 1e-10
+                   for probe, state in zip(probes, states[:, k])):
                 out[label] = pauli
                 break
         else:
@@ -207,27 +202,19 @@ def standard_corrections() -> dict:
     return out
 
 
-_STANDARD_CORRECTIONS = None
-
-
-def _corrections() -> dict:
-    global _STANDARD_CORRECTIONS
-    if _STANDARD_CORRECTIONS is None:
-        _STANDARD_CORRECTIONS = standard_corrections()
-    return _STANDARD_CORRECTIONS
-
-
 def teleport_fidelity(channel: np.ndarray, psi: np.ndarray,
                       corrections: dict | None = None) -> float:
     """Fidelity of teleporting ``psi`` with a fixed Pauli correction frame."""
-    corrections = corrections or _corrections()
+    corrections = corrections or standard_corrections()
     psi = np.asarray(psi, dtype=complex).ravel()
+    probs, states = _teleport_branches(channel, psi[None, :])
     total = 0.0
-    for label, prob, state in _teleport_branches(channel, psi):
+    for label, prob, state in zip(_BELL_LABELS, probs[0], states[0]):
         if prob < 1e-14:
             continue
         c = corrections[label]
-        total += prob * float(np.real(psi.conj() @ c @ state @ c.conj().T @ psi))
+        # Python floats throughout: the CLI prints repr() of the result
+        total += float(prob) * float(np.real(psi.conj() @ c @ state @ c.conj().T @ psi))
     return total
 
 
@@ -257,11 +244,6 @@ def avg_teleport_fidelity(channel, strategy: str = "with_feedforward") -> float:
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
-def random_qubit_ket(rng: np.random.Generator) -> np.ndarray:
-    v = rng.normal(size=2) + 1j * rng.normal(size=2)
-    return v / np.linalg.norm(v)
-
-
 def mc_avg_teleport_fidelity(channel, n_samples: int, seed: int,
                              strategy: str = "with_feedforward") -> float:
     """Monte-Carlo cross-check of avg_teleport_fidelity over Haar inputs.
@@ -274,25 +256,26 @@ def mc_avg_teleport_fidelity(channel, n_samples: int, seed: int,
     else:
         branches = list(channel)
     rng = np.random.default_rng(seed)
-    psis = [random_qubit_ket(rng) for _ in range(n_samples)]
+    # per sample: two real parts, then two imaginary parts
+    draws = rng.normal(size=(n_samples, 2, 2))
+    psis = draws[:, 0] + 1j * draws[:, 1]
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
     total_p = sum(b.probability for b in branches)
     if strategy == "without_controller_info":
         mixed = sum(b.probability * b.state for b in branches) / total_p
         branches = [ConditionalChannel("", 1.0, mixed)]
         total_p = 1.0
 
+    paulis = np.array(list(PAULIS.values()))
+    # P^dagger |psi> for every Pauli P: (n, pauli, 2)
+    rotated = np.einsum("pji,nj->npi", paulis.conj(), psis)
     grand = 0.0
     for b in branches:
-        # fid[outcome][pauli] accumulated over samples; then best pauli per outcome
-        acc = {}
-        for psi in psis:
-            for label, prob, state in _teleport_branches(b.state, psi):
-                for name, pauli in PAULIS.items():
-                    val = prob * float(np.real(
-                        psi.conj() @ pauli @ state @ pauli.conj().T @ psi))
-                    acc.setdefault(label, {}).setdefault(name, 0.0)
-                    acc[label][name] += val
-        best = sum(max(vals.values()) for vals in acc.values()) / n_samples
+        probs, states = _teleport_branches(b.state, psis)
+        fids = np.einsum("npi,nkij,npj->nkp", rotated.conj(), states, rotated).real
+        # summed over samples per (outcome, Pauli); then the best Pauli per outcome
+        acc = np.einsum("nk,nkp->kp", probs, fids)
+        best = float(acc.max(axis=1).sum()) / n_samples
         grand += b.probability * best
     return grand / total_p
 

@@ -25,8 +25,9 @@ import sys
 import numpy as np
 
 from .channels import werner_scan
-from .estimation import (corrected_fidelity, correct_for_background,
-                         ml_reconstruct, poisson_uncertainty, read_counts_csv)
+from .estimation import (NonPhysicalError, corrected_fidelity,
+                         correct_for_background, ml_reconstruct,
+                         poisson_uncertainty, read_counts_csv)
 from .fock import NAMED_KETS, fidelity
 from .protocol import (InputQubit, ProtocolConfig, ProtocolError,
                        emulate_mixture, run_protocol)
@@ -49,6 +50,14 @@ REFERENCE_TABLE = [
 ]
 
 DEFAULT_FIT_TARGETS = {"uncontrolled": 0.130, "allowed": 0.554, "denied": 0.301}
+
+# Caps on statistical work: resampling and scans hold arrays that grow
+# linearly with these sizes.
+MAX_RESAMPLES = 100_000
+MAX_Q_POINTS = 10_001
+
+# Options whose value may be an 'a,b' state with a leading '-'.
+STATE_OPTIONS = ("--input", "--target")
 
 
 class UsageError(Exception):
@@ -259,8 +268,8 @@ def _source_from_args(args):
 def _check_resamples(args):
     if args.resamples and args.seed is None:
         raise UsageError("--resamples needs an explicit --seed")
-    if args.resamples and args.resamples < 100:
-        raise UsageError("--resamples must be 0 or at least 100")
+    if args.resamples and not 100 <= args.resamples <= MAX_RESAMPLES:
+        raise UsageError(f"--resamples must be 0 or between 100 and {MAX_RESAMPLES}")
 
 
 def cmd_run(args) -> int:
@@ -326,6 +335,8 @@ def _parse_grid(args):
         items = [s for s in args.q_list.split(",") if s.strip()]
         if not items:
             raise UsageError("empty q list")
+        if len(items) > MAX_Q_POINTS:
+            raise UsageError(f"q list has more than {MAX_Q_POINTS} points")
         try:
             return [float(s) for s in items]
         except ValueError:
@@ -338,8 +349,8 @@ def _parse_grid(args):
             start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
             raise UsageError(f"bad grid {args.q_grid!r}") from None
-        if num < 1:
-            raise UsageError("grid needs at least one point")
+        if not 1 <= num <= MAX_Q_POINTS:
+            raise UsageError(f"grid needs between 1 and {MAX_Q_POINTS} points")
         return list(np.linspace(start, stop, num))
     raise UsageError("scan-werner needs --q-grid or --q-list")
 
@@ -426,7 +437,12 @@ def cmd_tomo(args) -> int:
 
     result = ml_reconstruct(counts)
     raw_fid = fidelity(result.rho, target)
-    corrected = correct_for_background(result.rho, args.weight)
+    try:
+        corrected = correct_for_background(result.rho, args.weight)
+    except NonPhysicalError as exc:
+        raise UsageError(f"--weight {args.weight!r} is too large for these counts: "
+                         f"the corrected state has eigenvalue "
+                         f"{exc.min_eigenvalue:.2e}, below -1e-3") from None
     corr_fid = fidelity(corrected, target)
 
     payload = {
@@ -442,8 +458,14 @@ def cmd_tomo(args) -> int:
         "corrected_fidelity": corr_fid,
     }
     if args.resamples:
-        est = poisson_uncertainty(counts, seed=args.seed, n_resamples=args.resamples,
-                                  background_w=args.weight, target=target)
+        try:
+            est = poisson_uncertainty(counts, seed=args.seed, n_resamples=args.resamples,
+                                      background_w=args.weight, target=target)
+        except NonPhysicalError as exc:
+            raise UsageError(f"--weight {args.weight!r} is too large for these counts: "
+                             f"{exc.n_bad} of {exc.n_states} resamples have a corrected "
+                             f"eigenvalue below -1e-3 (lowest "
+                             f"{exc.min_eigenvalue:.2e})") from None
         payload["fidelity_mean"] = est.value
         payload["fidelity_std"] = est.uncertainty
 
@@ -466,11 +488,28 @@ COMMANDS = {
 }
 
 
+def _attach_state_values(argv):
+    """Write ``--input -0.6,0.8`` as ``--input=-0.6,0.8``.
+
+    argparse reads a separate value with a leading '-' as an option.  A state
+    value can start with '-' only in the 'a,b' form, and no option contains
+    a comma, so such a value is attached to its option.
+    """
+    out = []
+    for token in argv:
+        if (out and out[-1] in STATE_OPTIONS and token.startswith("-")
+                and "," in token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        argv = _config_argv(argv)
+        argv = _attach_state_values(_config_argv(argv))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

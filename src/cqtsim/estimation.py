@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import NAMED_KETS, fidelity
+from .fock import NAMED_KETS
 
 
 @dataclass
@@ -85,6 +85,10 @@ def fidelity_from_counts(f_parallel: float, f_perp: float) -> float:
 
 # --- maximum-likelihood reconstruction ----------------------------------------
 
+ML_TOL = 1e-10
+ML_MAX_ITERATIONS = 100_000
+
+
 @dataclass
 class MLResult:
     rho: np.ndarray
@@ -105,8 +109,96 @@ def _log_likelihood(rho, projectors, counts) -> float:
     return out
 
 
-def ml_reconstruct(counts: ProjectionCounts, tol: float = 1e-10,
-                   max_iterations: int = 100_000) -> MLResult:
+def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
+               max_iterations: int, keep_trace: bool = False):
+    """Diluted R rho R iteration on a stack of count tables.
+
+    ``projectors`` (m, 2, 2) are shared by every table, ``tables`` (n, m)
+    holds the counts.  Each table runs the fixed-point update of Rehacek,
+    Hradil, Knill and Lvovsky (PRA 75, 042108): a full step is tried first
+    and its weight ``alpha`` halved, down to 1e-6, until the likelihood does
+    not fall by more than 1e-15.  A table stops when no step is accepted or
+    when the log-likelihood changes by less than ``tol * max(1, |L|)``; it
+    drops out of the arrays then, so a slow table costs only its own work.
+
+    Returns ``(rho (n, 2, 2), converged (n,), iterations (n,), traces)``;
+    ``traces`` holds each table's log-likelihood after every accepted step
+    when ``keep_trace`` is set, else None.
+    """
+    n, m = tables.shape
+    nonzero = tables > 0
+    totals = tables.sum(axis=1)
+    eye = np.eye(2, dtype=complex)
+    # the projectors' rows stacked, so that one matrix product per state
+    # gives p @ rho for every projector p
+    rows = projectors.reshape(2 * m, 2)
+
+    def probabilities(rho, idx):
+        # counts, the usable mask and the projector probabilities per table
+        probs = np.einsum("kmii->km", (rows @ rho).reshape(-1, m, 2, 2)).real
+        counts = tables[idx]
+        usable = nonzero[idx] & (probs > 1e-300)
+        return counts, usable, probs
+
+    def loglik(rho, idx):
+        counts, usable, probs = probabilities(rho, idx)
+        terms = np.where(usable, counts * np.log(np.where(usable, probs, 1.0)), 0.0)
+        out = terms.sum(axis=1)
+        out[(nonzero[idx] & ~usable).any(axis=1)] = -math.inf
+        return out
+
+    rho_all = np.broadcast_to(eye / 2.0, (n, 2, 2)).copy()
+    ll_all = loglik(rho_all, np.arange(n))
+    converged = np.zeros(n, dtype=bool)
+    iterations = np.zeros(n, dtype=int)
+    traces = [[float(v)] for v in ll_all] if keep_trace else None
+    active = np.arange(n)
+    for iteration in range(1, max_iterations + 1):
+        if active.size == 0:
+            break
+        iterations[active] = iteration
+        rho, ll = rho_all[active], ll_all[active]
+        counts, usable, probs = probabilities(rho, active)
+        weights = np.where(usable, counts / np.where(usable, probs, 1.0), 0.0)
+        r = np.einsum("km,mij->kij", weights, projectors) / totals[active, None, None]
+
+        alpha = np.ones(active.size)
+        new_rho = np.empty_like(rho)
+        new_ll = np.full(active.size, -math.inf)
+        accepted = np.zeros(active.size, dtype=bool)
+        pending = np.arange(active.size)
+        while pending.size:
+            a = alpha[pending, None, None]
+            step = (1 - a) * eye + a * r[pending]
+            cand = step @ rho[pending] @ step.conj().transpose(0, 2, 1)
+            cand = 0.5 * (cand + cand.conj().transpose(0, 2, 1))
+            cand /= np.trace(cand, axis1=1, axis2=2).real[:, None, None]
+            cand_ll = loglik(cand, active[pending])
+            ok = cand_ll >= ll[pending] - 1e-15
+            new_rho[pending[ok]] = cand[ok]
+            new_ll[pending[ok]] = cand_ll[ok]
+            accepted[pending[ok]] = True
+            pending = pending[~ok]
+            alpha[pending] /= 2.0
+            pending = pending[alpha[pending] > 1e-6]
+
+        # a table with no acceptable step stops where it is, unconverged
+        delta = np.abs(new_ll - ll)
+        ll = np.maximum(new_ll, ll)
+        done = accepted & (delta < tol * np.maximum(1.0, np.abs(ll)))
+        moved = active[accepted]
+        rho_all[moved] = new_rho[accepted]
+        ll_all[moved] = ll[accepted]
+        converged[active[done]] = True
+        if keep_trace:
+            for i, v in zip(moved, ll[accepted]):
+                traces[i].append(float(v))
+        active = active[accepted & ~done]
+    return rho_all, converged, iterations, traces
+
+
+def ml_reconstruct(counts: ProjectionCounts, tol: float = ML_TOL,
+                   max_iterations: int = ML_MAX_ITERATIONS) -> MLResult:
     """Iterative fixed-point maximum-likelihood estimate of a qubit state.
 
     Runs the R rho R update, falling back to diluted steps whenever a full
@@ -116,49 +208,14 @@ def ml_reconstruct(counts: ProjectionCounts, tol: float = 1e-10,
     """
     if not counts.is_informationally_complete():
         raise ValueError("projector set is not informationally complete")
-    projectors = counts.projectors()
     ns = counts.counts()
     if np.sum(ns) <= 0:
         raise ValueError("all counts are zero")
-    rho = np.eye(2, dtype=complex) / 2.0
-    loglik = _log_likelihood(rho, projectors, ns)
-    trace = [loglik]
-    total = float(np.sum(ns))
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        r = np.zeros((2, 2), dtype=complex)
-        for p, n in zip(projectors, ns):
-            if n == 0:
-                continue
-            prob = float(np.real(np.trace(p @ rho)))
-            if prob <= 1e-300:
-                continue
-            r += (n / prob) * p
-        r /= total
-        alpha = 1.0
-        new_rho = None
-        new_loglik = -math.inf
-        while alpha > 1e-6:
-            step = (1 - alpha) * np.eye(2, dtype=complex) + alpha * r
-            cand = step @ rho @ step.conj().T
-            cand = 0.5 * (cand + cand.conj().T)
-            cand /= np.real(np.trace(cand))
-            cand_loglik = _log_likelihood(cand, projectors, ns)
-            if cand_loglik >= loglik - 1e-15:
-                new_rho, new_loglik = cand, cand_loglik
-                break
-            alpha /= 2.0
-        if new_rho is None:
-            break
-        delta = abs(new_loglik - loglik)
-        rho, loglik = new_rho, max(new_loglik, loglik)
-        trace.append(loglik)
-        if delta < tol * max(1.0, abs(loglik)):
-            converged = True
-            break
-    return MLResult(rho=rho, converged=converged, iterations=iterations,
-                    log_likelihoods=trace)
+    rho, converged, iterations, traces = _ml_kernel(
+        np.array(counts.projectors()), ns[None, :], tol, max_iterations,
+        keep_trace=True)
+    return MLResult(rho=rho[0], converged=bool(converged[0]),
+                    iterations=int(iterations[0]), log_likelihoods=traces[0])
 
 
 def ml_oracle_bloch_search(counts: ProjectionCounts) -> np.ndarray:
@@ -205,30 +262,46 @@ def corrected_fidelity(f_raw: float, w: float) -> float:
     return (f_raw - w / 2.0) / (1.0 - w)
 
 
+class NonPhysicalError(ValueError):
+    """Background subtraction left states far outside the physical cone."""
+
+    def __init__(self, n_bad: int, n_states: int, min_eigenvalue: float):
+        self.n_bad, self.n_states, self.min_eigenvalue = n_bad, n_states, min_eigenvalue
+        where = f" in {n_bad} of {n_states} states" if n_states > 1 else ""
+        super().__init__(f"background subtraction produced a severely non-physical "
+                         f"state{where} (min eigenvalue {min_eigenvalue:.2e})")
+
+
 def correct_for_background(raw: np.ndarray, w: float) -> np.ndarray:
     """Subtract a maximally mixed admixture of weight ``w`` and renormalize.
 
+    ``raw`` is one density matrix or a stack of them, shape (..., d, d).
     Noisy inputs can push the difference slightly outside the physical cone:
-    small negative eigenvalues are clipped to zero (with a warning); a large
-    violation is a hard error.
+    small negative eigenvalues are clipped to zero (with a warning) in the
+    matrices that have them; an eigenvalue below -1e-3 in any matrix raises
+    NonPhysicalError, which counts the matrices that have one.
     """
     if not 0.0 <= w < 1.0:
         raise ValueError("background weight must lie in [0, 1)")
     raw = np.asarray(raw, dtype=complex)
-    dim = raw.shape[0]
+    dim = raw.shape[-1]
     out = (raw - w * np.eye(dim) / dim) / (1.0 - w)
-    out = 0.5 * (out + out.conj().T)
+    out = 0.5 * (out + np.swapaxes(out.conj(), -1, -2))
     eigvals, eigvecs = np.linalg.eigh(out)
-    if eigvals.min() < -1e-3:
-        raise ValueError(f"background subtraction produced a severely "
-                         f"non-physical state (min eigenvalue {eigvals.min():.2e})")
-    if eigvals.min() < -1e-9:
+    lowest = eigvals[..., 0]
+    severe = lowest < -1e-3
+    if np.any(severe):
+        raise NonPhysicalError(int(np.sum(severe)), lowest.size, float(np.min(lowest)))
+    if np.any(lowest < -1e-9):
         warnings.warn("background subtraction left slightly negative "
                       "eigenvalues; clipping to the physical cone")
-    if eigvals.min() < 0:
-        eigvals = np.clip(eigvals, 0.0, None)
-        out = (eigvecs * eigvals) @ eigvecs.conj().T
-        out /= np.real(np.trace(out))
+    clip = lowest < 0
+    if np.any(clip):
+        vals = np.clip(eigvals[clip], 0.0, None)
+        vecs = eigvecs[clip]
+        fixed = (vecs * vals[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+        fixed /= np.trace(fixed, axis1=-2, axis2=-1).real[..., None, None]
+        out[clip] = fixed
     return out
 
 
@@ -258,18 +331,17 @@ def poisson_uncertainty(data, seed: int, n_resamples: int = 10_000,
         means = data.counts()
         if means.sum() <= 0:
             raise ValueError("all counts are zero")
-        values = []
-        for _ in range(n_resamples):
-            resampled = rng.poisson(means).astype(float)
-            if resampled.sum() == 0:
-                continue
-            res = ml_reconstruct(ProjectionCounts(
-                [(k, c) for (k, _), c in zip(data.settings, resampled)]))
-            rho = res.rho
-            if background_w:
-                rho = correct_for_background(rho, background_w)
-            values.append(min(max(fidelity(rho, target), 0.0), 1.0))
-        values = np.array(values)
+        # every resample shares the projectors, so one check covers them all
+        if not data.is_informationally_complete():
+            raise ValueError("projector set is not informationally complete")
+        tables = rng.poisson(means, size=(n_resamples, means.size)).astype(float)
+        tables = tables[tables.sum(axis=1) > 0]
+        rho, _, _, _ = _ml_kernel(np.array(data.projectors()), tables,
+                                  ML_TOL, ML_MAX_ITERATIONS)
+        if background_w:
+            rho = correct_for_background(rho, background_w)
+        values = np.einsum("i,nij,j->n", target.conj(), rho, target).real
+        values = np.clip(values, 0.0, 1.0)
     else:
         f_par, f_perp = data
         if f_par + f_perp <= 0:

@@ -169,7 +169,7 @@ def encoding_plate_angles(alpha: complex, beta: complex) -> tuple:
     else:
         ratio = b / a
         if abs(ratio.real) > 1e-9:
-            raise AssertionError("quarter-wave axis solve failed")
+            raise ProtocolError("quarter-wave axis solve failed")
         delta = math.atan(ratio.imag)
     return (q + delta) / 2.0, q
 
@@ -281,7 +281,7 @@ def analyzer_frame(channel: str, roles: str = "standard") -> np.ndarray:
     scale = math.sqrt(float(np.real(gram[0, 0])))
     if scale < 1e-12 or abs(gram[0, 1]) > 1e-12 * scale ** 2 \
             or abs(gram[0, 0] - gram[1, 1]) > 1e-12:
-        raise AssertionError("analyzer calibration produced a non-unitary frame")
+        raise ProtocolError("analyzer calibration produced a non-unitary frame")
     w = w / scale
     for name in ("r", "plus"):
         probe = InputQubit.from_name(name)
@@ -289,7 +289,7 @@ def analyzer_frame(channel: str, roles: str = "standard") -> np.ndarray:
         got = got / np.linalg.norm(got)
         expect = w @ probe.ket()
         if abs(abs(np.vdot(expect, got)) - 1.0) > 1e-10:
-            raise AssertionError("analyzer calibration failed cross-check")
+            raise ProtocolError("analyzer calibration failed cross-check")
     _FRAME_CACHE[key] = w
     return w
 

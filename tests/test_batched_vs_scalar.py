@@ -1,0 +1,316 @@
+"""The batched statistical and channel kernels against the scalar loops they replaced.
+
+The oracles below are the per-table maximum-likelihood loop, the
+per-resample Poisson loop, the per-sample Monte-Carlo loop and the
+kron/partial-trace teleportation and conditioning steps, copied from the
+implementation that ran one table, one resample or one input ket at a time.
+The batched code runs the same arithmetic on whole stacks, so iteration
+counts must agree exactly and values to 1e-12.
+"""
+
+import math
+import warnings
+
+import numpy as np
+import pytest
+
+from cqtsim.channels import (PAULI_I, PAULIS, ConditionalChannel, _teleport_branches,
+                             bell_kets, condition_on_controller, ghz_ket, ket_outer,
+                             make_ghz_mixture, make_werner, mc_avg_teleport_fidelity,
+                             partial_trace)
+from cqtsim.estimation import (NonPhysicalError, ProjectionCounts, _ml_kernel,
+                               axial_counts, correct_for_background, ml_reconstruct,
+                               poisson_uncertainty)
+from cqtsim.fock import KET_A, KET_D, KET_H, KET_L, KET_R, KET_V, fidelity
+
+AXIAL = ("h", "v", "plus", "minus", "r", "l")
+
+
+# --- scalar oracles: estimation ---------------------------------------------------
+
+def _log_likelihood(rho, projectors, counts) -> float:
+    out = 0.0
+    for p, n in zip(projectors, counts):
+        if n == 0:
+            continue
+        prob = float(np.real(np.trace(p @ rho)))
+        if prob <= 1e-300:
+            return -math.inf
+        out += n * math.log(prob)
+    return out
+
+
+def scalar_ml_reconstruct(counts, tol=1e-10, max_iterations=100_000):
+    projectors = counts.projectors()
+    ns = counts.counts()
+    rho = np.eye(2, dtype=complex) / 2.0
+    loglik = _log_likelihood(rho, projectors, ns)
+    trace = [loglik]
+    total = float(np.sum(ns))
+    converged = False
+    iterations = 0
+    for iterations in range(1, max_iterations + 1):
+        r = np.zeros((2, 2), dtype=complex)
+        for p, n in zip(projectors, ns):
+            if n == 0:
+                continue
+            prob = float(np.real(np.trace(p @ rho)))
+            if prob <= 1e-300:
+                continue
+            r += (n / prob) * p
+        r /= total
+        alpha = 1.0
+        new_rho = None
+        new_loglik = -math.inf
+        while alpha > 1e-6:
+            step = (1 - alpha) * np.eye(2, dtype=complex) + alpha * r
+            cand = step @ rho @ step.conj().T
+            cand = 0.5 * (cand + cand.conj().T)
+            cand /= np.real(np.trace(cand))
+            cand_loglik = _log_likelihood(cand, projectors, ns)
+            if cand_loglik >= loglik - 1e-15:
+                new_rho, new_loglik = cand, cand_loglik
+                break
+            alpha /= 2.0
+        if new_rho is None:
+            break
+        delta = abs(new_loglik - loglik)
+        rho, loglik = new_rho, max(new_loglik, loglik)
+        trace.append(loglik)
+        if delta < tol * max(1.0, abs(loglik)):
+            converged = True
+            break
+    return rho, converged, iterations, trace
+
+
+def scalar_poisson_tomography(data, seed, n_resamples, background_w, target):
+    rng = np.random.default_rng(seed)
+    target = np.asarray(target, dtype=complex).ravel()
+    means = data.counts()
+    values = []
+    for _ in range(n_resamples):
+        resampled = rng.poisson(means).astype(float)
+        if resampled.sum() == 0:
+            continue
+        rho = scalar_ml_reconstruct(ProjectionCounts(
+            [(k, c) for (k, _), c in zip(data.settings, resampled)]))[0]
+        if background_w:
+            rho = correct_for_background(rho, background_w)
+        values.append(min(max(fidelity(rho, target), 0.0), 1.0))
+    values = np.array(values)
+    return float(np.mean(values)), float(np.std(values))
+
+
+# --- scalar oracles: channels -----------------------------------------------------
+
+def scalar_teleport_branches(channel, psi):
+    rho_tot = np.kron(ket_outer(psi), np.asarray(channel, dtype=complex))
+    for label, bket in bell_kets().items():
+        proj = np.kron(ket_outer(bket), PAULI_I)
+        sub = partial_trace(proj @ rho_tot @ proj, [2, 2, 2], [2])
+        prob = float(np.real(np.trace(sub)))
+        yield label, prob, (sub / prob if prob > 1e-14 else sub)
+
+
+def random_qubit_ket(rng):
+    v = rng.normal(size=2) + 1j * rng.normal(size=2)
+    return v / np.linalg.norm(v)
+
+
+def scalar_mc_avg_teleport_fidelity(channel, n_samples, seed,
+                                    strategy="with_feedforward"):
+    if isinstance(channel, np.ndarray):
+        branches = [ConditionalChannel("", 1.0, channel)]
+    else:
+        branches = list(channel)
+    rng = np.random.default_rng(seed)
+    psis = [random_qubit_ket(rng) for _ in range(n_samples)]
+    total_p = sum(b.probability for b in branches)
+    if strategy == "without_controller_info":
+        mixed = sum(b.probability * b.state for b in branches) / total_p
+        branches = [ConditionalChannel("", 1.0, mixed)]
+        total_p = 1.0
+    grand = 0.0
+    for b in branches:
+        acc = {}
+        for psi in psis:
+            for label, prob, state in scalar_teleport_branches(b.state, psi):
+                for name, pauli in PAULIS.items():
+                    val = prob * float(np.real(
+                        psi.conj() @ pauli @ state @ pauli.conj().T @ psi))
+                    acc.setdefault(label, {}).setdefault(name, 0.0)
+                    acc[label][name] += val
+        best = sum(max(vals.values()) for vals in acc.values()) / n_samples
+        grand += b.probability * best
+    return grand / total_p
+
+
+def scalar_condition(channel, ket):
+    proj = np.kron(np.kron(PAULI_I, PAULI_I), ket_outer(ket))
+    sub = partial_trace(proj @ channel @ proj.conj().T, [2, 2, 2], [0, 1])
+    return float(np.real(np.trace(sub))), sub
+
+
+# --- fixtures -----------------------------------------------------------------------
+
+def seeded_tables(seed, n, exposure):
+    """Axial count tables around random states, some with a zero entry."""
+    rng = np.random.default_rng(seed)
+    tables = []
+    for i in range(n):
+        bloch = rng.normal(size=3)
+        bloch *= rng.uniform(0.05, 0.98) / np.linalg.norm(bloch)
+        means = exposure * np.repeat(0.5, 6) * (1 + np.array(
+            [bloch[2], -bloch[2], bloch[0], -bloch[0], bloch[1], -bloch[1]]))
+        table = rng.poisson(means).astype(float)
+        if i % 5 == 0:
+            table[rng.integers(6)] = 0.0
+        tables.append(table)
+    return np.array(tables)
+
+
+def axial_projectors():
+    return np.array(axial_counts({name: 1.0 for name in AXIAL}).projectors())
+
+
+# --- estimation ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("exposure", [30, 400, 5000])
+def test_kernel_matches_scalar_loop_per_table(exposure):
+    tables = seeded_tables(exposure, 40, exposure)
+    rho, converged, iterations, traces = _ml_kernel(
+        axial_projectors(), tables, 1e-10, 100_000, keep_trace=True)
+    for i, table in enumerate(tables):
+        ref_rho, ref_conv, ref_iter, ref_trace = scalar_ml_reconstruct(
+            axial_counts(dict(zip(AXIAL, table))))
+        assert iterations[i] == ref_iter
+        assert converged[i] == ref_conv
+        assert np.max(np.abs(rho[i] - ref_rho)) <= 1e-12
+        assert len(traces[i]) == len(ref_trace)
+        assert np.allclose(traces[i], ref_trace, rtol=1e-12, atol=0)
+        assert all(b >= a - 1e-12 for a, b in zip(traces[i], traces[i][1:]))
+
+
+def test_kernel_respects_max_iterations_per_table():
+    tables = seeded_tables(8, 12, 1000)
+    rho, converged, iterations, _ = _ml_kernel(axial_projectors(), tables, 1e-10, 3)
+    for i, table in enumerate(tables):
+        ref_rho, ref_conv, ref_iter, _ = scalar_ml_reconstruct(
+            axial_counts(dict(zip(AXIAL, table))), max_iterations=3)
+        assert (iterations[i], converged[i]) == (ref_iter, ref_conv)
+        assert np.max(np.abs(rho[i] - ref_rho)) <= 1e-12
+
+
+def test_ml_reconstruct_is_the_single_table_case():
+    for table in seeded_tables(21, 10, 800):
+        counts = axial_counts(dict(zip(AXIAL, table)))
+        res = ml_reconstruct(counts)
+        ref_rho, ref_conv, ref_iter, ref_trace = scalar_ml_reconstruct(counts)
+        assert (res.iterations, res.converged) == (ref_iter, ref_conv)
+        assert np.max(np.abs(res.rho - ref_rho)) <= 1e-12
+        assert len(res.log_likelihoods) == len(ref_trace)
+        assert all(isinstance(v, float) for v in res.log_likelihoods)
+
+
+@pytest.mark.parametrize("weight", [0.0, 0.25])
+def test_poisson_tomography_matches_scalar_resampling(weight):
+    counts = axial_counts({"h": 1200, "v": 800, "plus": 1500, "minus": 500,
+                           "r": 1100, "l": 900})
+    target = np.array([0.6, 0.8j])
+    est = poisson_uncertainty(counts, seed=17, n_resamples=150,
+                              background_w=weight, target=target)
+    mean, std = scalar_poisson_tomography(counts, 17, 150, weight, target)
+    assert est.value == pytest.approx(mean, abs=1e-12)
+    assert est.uncertainty == pytest.approx(std, abs=1e-12)
+
+
+def test_poisson_tomography_with_empty_resamples_matches_scalar():
+    # two counts in total: a sizeable share of the resamples is empty and
+    # must be dropped by both implementations
+    counts = ProjectionCounts([(KET_H, 0.5), (KET_V, 0.3), (KET_D, 0.4),
+                               (KET_A, 0.2), (KET_R, 0.3), (KET_L, 0.3)])
+    est = poisson_uncertainty(counts, seed=3, n_resamples=200, target=KET_D)
+    mean, std = scalar_poisson_tomography(counts, 3, 200, 0.0, KET_D)
+    assert est.value == pytest.approx(mean, abs=1e-12)
+    assert est.uncertainty == pytest.approx(std, abs=1e-12)
+
+
+def test_background_correction_of_a_stack_matches_each_matrix():
+    rng = np.random.default_rng(4)
+    w = 0.4
+    states = []
+    for _ in range(30):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rho = a @ a.conj().T
+        states.append(0.5 * rho / np.trace(rho).real + 0.25 * np.eye(2))
+    # one state whose subtraction goes slightly negative and is clipped
+    states.append(np.diag([1 - 0.1999, 0.1999]).astype(complex))
+    stack = np.array(states)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        single = np.array([correct_for_background(rho, w) for rho in stack])
+    with pytest.warns(UserWarning):
+        batched = correct_for_background(stack, w)
+    assert np.array_equal(batched, single)
+
+
+def test_background_correction_counts_severe_states():
+    stack = np.array([np.diag([1.0, 0.0]), np.eye(2) / 2, np.diag([0.9, 0.1])],
+                     dtype=complex)
+    with pytest.raises(NonPhysicalError) as info:
+        correct_for_background(stack, 0.5)
+    assert (info.value.n_bad, info.value.n_states) == (2, 3)
+    assert info.value.min_eigenvalue == pytest.approx(-0.5)
+    assert "2 of 3 states" in str(info.value)
+
+
+# --- channels -----------------------------------------------------------------------
+
+CHANNELS = [make_werner(0.62), make_werner(0.2), make_ghz_mixture(0.0),
+            make_ghz_mixture(0.3)]
+
+
+@pytest.mark.parametrize("index", range(len(CHANNELS)))
+@pytest.mark.parametrize("strategy", ["with_feedforward", "without_controller_info"])
+def test_mc_matches_scalar_loop(index, strategy):
+    conds = condition_on_controller(CHANNELS[index], "pm")
+    got = mc_avg_teleport_fidelity(conds, n_samples=120, seed=11 + index,
+                                   strategy=strategy)
+    want = scalar_mc_avg_teleport_fidelity(conds, 120, 11 + index, strategy)
+    assert got == pytest.approx(want, abs=1e-12)
+
+
+def test_mc_on_a_two_qubit_channel_matches_scalar_loop():
+    rho = 0.7 * ket_outer(bell_kets()["psi-"]) + 0.3 * np.eye(4) / 4
+    got = mc_avg_teleport_fidelity(rho, n_samples=200, seed=5)
+    assert got == pytest.approx(scalar_mc_avg_teleport_fidelity(rho, 200, 5), abs=1e-12)
+
+
+def test_teleport_branches_match_kron_projection():
+    rng = np.random.default_rng(2)
+    a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    channel = a @ a.conj().T
+    channel /= np.trace(channel).real
+    psis = rng.normal(size=(6, 2)) + 1j * rng.normal(size=(6, 2))
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+    probs, states = _teleport_branches(channel, psis)
+    assert probs.shape == (6, 4) and states.shape == (6, 4, 2, 2)
+    for n, psi in enumerate(psis):
+        for k, (_, prob, state) in enumerate(scalar_teleport_branches(channel, psi)):
+            assert probs[n, k] == pytest.approx(prob, abs=1e-14)
+            assert np.max(np.abs(states[n, k] - state)) <= 1e-12
+
+
+def test_condition_on_controller_matches_kron_projector():
+    rng = np.random.default_rng(9)
+    a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    channels = [a @ a.conj().T / np.trace(a @ a.conj().T).real, ket_outer(ghz_ket(2))]
+    for channel in channels:
+        for basis, kets in (("pm", (KET_D, KET_A)), ("hv", (KET_H, KET_V)),
+                            ("rl", (KET_R, KET_L))):
+            for cond, ket in zip(condition_on_controller(channel, basis), kets):
+                prob, sub = scalar_condition(channel, ket)
+                assert cond.probability == pytest.approx(prob, abs=1e-14)
+                if prob >= 1e-14:
+                    assert np.max(np.abs(cond.state - sub / prob)) <= 1e-12
+

@@ -254,3 +254,129 @@ def test_bad_numeric_input_is_usage_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+# --- too-large background weight ---------------------------------------------------
+
+def write_counts(path, counts):
+    lines = ["label,projector,count"] + [f"{name},{name},{n}" for name, n in counts.items()]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_tomo_weight_too_large_for_resamples_is_usage_error(tmp_path, capsys):
+    # about 100 counts per projector and a raw fidelity near 0.624: the point
+    # estimate survives a 55.4 % subtraction, but two of the 1000 resamples
+    # fluctuate far enough to come out non-physical
+    counts = tmp_path / "counts.csv"
+    write_counts(counts, {"h": 100, "v": 100, "plus": 125, "minus": 75, "r": 100, "l": 100})
+    assert run_cli(["tomo", "--counts", str(counts), "--weight", "0.554"]) == 0
+    capsys.readouterr()
+    assert run_cli(["tomo", "--counts", str(counts), "--weight", "0.554",
+                    "--resamples", "1000", "--seed", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --weight 0.554 ")
+    assert "2 of 1000 resamples" in err
+    assert "Traceback" not in err
+
+
+def test_tomo_weight_too_large_for_point_estimate_is_usage_error(tmp_path, capsys):
+    counts = tmp_path / "counts.csv"
+    write_counts(counts, {"h": 100, "v": 100, "plus": 125, "minus": 75, "r": 100, "l": 100})
+    assert run_cli(["tomo", "--counts", str(counts), "--weight", "0.8"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --weight 0.8 ")
+    assert "Traceback" not in err
+
+
+# --- state values with a leading '-' --------------------------------------------------
+
+def test_state_value_with_leading_minus_parses(tmp_path, capsys):
+    assert run_cli(["run", "--ideal", "--input", "-0.6,0.8"]) == 0
+    spaced = capsys.readouterr().out
+    assert run_cli(["run", "--ideal", "--input=-0.6,0.8"]) == 0
+    assert spaced == capsys.readouterr().out
+    counts = tmp_path / "counts.csv"
+    write_exact_counts(counts, np.outer(KET_D, KET_D.conj()))
+    assert run_cli(["tomo", "--counts", str(counts), "--target", "-0.6,0.8j"]) == 0
+    spaced = capsys.readouterr().out
+    assert run_cli(["tomo", "--counts", str(counts), "--target=-0.6,0.8j"]) == 0
+    assert spaced == capsys.readouterr().out
+
+
+# --- internal consistency failures ------------------------------------------------------
+
+def _break_atan2(monkeypatch):
+    # a wrong quarter-wave axis leaves the plate solve inconsistent
+    atan2 = math.atan2
+    monkeypatch.setattr(math, "atan2", lambda y, x: atan2(y, x) + 0.3)
+
+
+def _break_frame_unitarity(monkeypatch):
+    from cqtsim import protocol
+    # an encoder that ignores its input maps |H> and |V> alike
+    monkeypatch.setattr(protocol, "_encoder_exact",
+                        lambda q: protocol.jones_element(protocol.INPUT_MODE,
+                                                         np.eye(2), "Encoder"))
+
+
+def _break_frame_cross_check(monkeypatch):
+    from cqtsim import protocol
+    # an encoder that drops the relative phase still maps |H> and |V> right
+    exact = protocol._encoder_exact
+    monkeypatch.setattr(protocol, "_encoder_exact", lambda q: exact(
+        protocol.InputQubit.from_components(abs(q.alpha), abs(q.beta))))
+
+
+@pytest.mark.parametrize("breaker, message", [
+    (_break_atan2, "quarter-wave axis solve failed"),
+    (_break_frame_unitarity, "non-unitary frame"),
+    (_break_frame_cross_check, "failed cross-check"),
+])
+def test_internal_consistency_failure_exits_1(breaker, message, monkeypatch, capsys):
+    from cqtsim import protocol
+    monkeypatch.setattr(protocol, "_FRAME_CACHE", {})
+    breaker(monkeypatch)
+    assert run_cli(["run", "--ideal", "--channel", "g1", "--input", "plus"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("simulation error: ") and message in err
+    assert "Traceback" not in err
+
+
+# --- caps on statistical work ---------------------------------------------------------------
+
+def test_resamples_cap(tmp_path, monkeypatch, capsys):
+    from cqtsim import cli
+    from cqtsim.estimation import FidelityEstimate
+
+    assert run_cli(["run", "--ideal", "--resamples", "100000", "--seed", "1"]) == 0
+    assert run_cli(["run", "--ideal", "--resamples", "100001", "--seed", "1"]) == 2
+    calls = []
+    monkeypatch.setattr(cli, "poisson_uncertainty", lambda *a, **k: (
+        calls.append(k["n_resamples"]) or FidelityEstimate(0.5, 0.1)))
+    counts = tmp_path / "counts.csv"
+    write_exact_counts(counts, np.eye(2) / 2)
+    tomo = ["tomo", "--counts", str(counts), "--seed", "1", "--resamples"]
+    assert run_cli(tomo + ["100000"]) == 0
+    assert run_cli(tomo + ["100001"]) == 2
+    assert calls == [100000]
+    assert "100000" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("form", ["grid", "list"])
+def test_q_points_cap(form, monkeypatch, capsys):
+    from cqtsim import cli
+    from cqtsim.channels import WernerScanResult
+
+    sizes = []
+    monkeypatch.setattr(cli, "werner_scan", lambda grid: (
+        sizes.append(len(grid)) or WernerScanResult([(0.5, 0.75, 0.5)], None)))
+
+    def argv(n):
+        if form == "grid":
+            return ["scan-werner", "--q-grid", f"0:1:{n}"]
+        return ["scan-werner", "--q-list", ",".join(["0.5"] * n)]
+
+    assert run_cli(argv(10001)) == 0
+    assert run_cli(argv(10002)) == 2
+    assert sizes == [10001]
+    assert "10001" in capsys.readouterr().err
