@@ -12,9 +12,9 @@ from .channels import (ChannelSpec, ConditionalChannel, avg_teleport_fidelity,
                        classical_control_baseline, condition_on_controller,
                        make_channel, make_ghz_mixture, make_werner,
                        teleport_fidelity, werner_scan)
-from .elements import (OpticalElement, apply, apply_all, balanced_bs, hwp,
-                       jones_element, measure_polarization, pbs,
-                       pbs_with_imperfection, phase_plate, polarizer, qwp)
+from .elements import (OpticalElement, apply, balanced_bs, compose, hwp,
+                       jones_element, measure_polarization, pbs, phase_plate,
+                       polarizer, qwp)
 from .estimation import (FidelityEstimate, MLResult, ProjectionCounts,
                          corrected_fidelity, correct_for_background,
                          fidelity_from_counts, ml_reconstruct,
@@ -23,8 +23,7 @@ from .fock import (H, V, PureState, fidelity, project, tensor,
                    to_qubit_density, validate_density)
 from .protocol import (CountRecord, InputQubit, ProtocolConfig, ProtocolError,
                        analyzer_frame, bob_correction, emulate_mixture,
-                       prepare_ghz, run_protocol, singlet_projection,
-                       swap_roles)
+                       prepare_ghz, run_protocol, singlet_projection)
 from .spdc import (SourceParams, fit_source_ratio, four_mode_source,
                    heralded_fraction, two_mode_spdc)
 

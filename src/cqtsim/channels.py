@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import KET_A, KET_D, KET_H, KET_L, KET_R, KET_V
+from .fock import KET_D, KET_H, KET_R, basis_pairs
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -109,19 +109,6 @@ class ConditionalChannel:
     state: np.ndarray       # 4x4 on qubits 1, 2
 
 
-_CONTROLLER_BASES = {
-    "hv": ((KET_H, "H"), (KET_V, "V")),
-    "pm": ((KET_D, "+"), (KET_A, "-")),
-    "rl": ((KET_R, "R"), (KET_L, "L")),
-}
-
-
-def _basis_pairs(basis):
-    if isinstance(basis, str):
-        return _CONTROLLER_BASES[basis.lower()]
-    return tuple((np.asarray(k, dtype=complex).ravel(), lbl) for k, lbl in basis)
-
-
 def condition_on_controller(channel: np.ndarray, basis="pm", outcome=None):
     """Measure qubit 3 and return the renormalized two-qubit conditional(s).
 
@@ -130,7 +117,7 @@ def condition_on_controller(channel: np.ndarray, basis="pm", outcome=None):
     """
     rho = np.asarray(channel, dtype=complex).reshape((2,) * 6)
     results = []
-    for ket, label in _basis_pairs(basis):
+    for ket, label in basis_pairs(basis):
         if outcome is not None and label != outcome:
             continue
         sub = np.einsum("c,abcdef,f->abde", ket.conj(), rho, ket).reshape(4, 4)

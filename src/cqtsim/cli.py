@@ -51,10 +51,11 @@ REFERENCE_TABLE = [
 
 DEFAULT_FIT_TARGETS = {"uncontrolled": 0.130, "allowed": 0.554, "denied": 0.301}
 
-# Caps on statistical work: resampling and scans hold arrays that grow
-# linearly with these sizes.
+# Caps on work: resampling and scans hold arrays that grow linearly with
+# these sizes, and propagation cost grows combinatorially with the order.
 MAX_RESAMPLES = 100_000
 MAX_Q_POINTS = 10_001
+MAX_TRUNCATION_ORDER = 5
 
 # Options whose value may be an 'a,b' state with a leading '-'.
 STATE_OPTIONS = ("--input", "--target")
@@ -252,6 +253,8 @@ def parse_input_state(text: str) -> InputQubit:
 # --- subcommands -----------------------------------------------------------------------
 
 def _source_from_args(args):
+    if not 1 <= args.truncation_order <= MAX_TRUNCATION_ORDER:
+        raise UsageError(f"--truncation-order must lie between 1 and {MAX_TRUNCATION_ORDER}")
     if args.ideal:
         return None
     if args.kappa_forward is None and args.kappa_backward is None:

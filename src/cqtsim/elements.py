@@ -1,7 +1,8 @@
 """Optical components modeled as substitution rules on photon creation operators.
 
 Each element maps the creation operator of every input mode to a linear
-combination over output modes.  Applying an element expands every term of a
+combination over output modes, and ``compose`` multiplies such maps, so a
+whole setup is one element.  Applying an element expands every term of a
 state multinomially (which reproduces bosonic enhancement and two-photon
 interference for free) and recollects amplitudes.
 
@@ -26,8 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import (H, V, KET_H, KET_V, KET_D, KET_A, KET_R, KET_L,
-                   PureState, SectorError, occupation, spatial_counts)
+from .fock import (H, PureState, SectorError, V, basis_pairs, occupation,
+                   spatial_counts)
 
 
 @dataclass
@@ -121,12 +122,31 @@ def pbs(port_a: int, port_b: int, epsilon: float = 0.0) -> OpticalElement:
     return OpticalElement("PBS", mapping, {"ports": (port_a, port_b), "epsilon": epsilon})
 
 
-def pbs_with_imperfection(epsilon: float, port_a: int = 2, port_b: int = 3) -> OpticalElement:
-    return pbs(port_a, port_b, epsilon)
+def compose(elements: Sequence[OpticalElement]) -> OpticalElement:
+    """One substitution map equal to applying ``elements`` in order.
+
+    Exact zeros are dropped: a mode that every path absorbs maps to nothing.
+    """
+    mapping: dict = {}
+    for el in elements:
+        for m, outs in mapping.items():
+            chained: dict = {}
+            for k, u in outs.items():
+                for j, w in el.mapping.get(k, {k: 1.0}).items():
+                    chained[j] = chained.get(j, 0.0j) + u * w
+            mapping[m] = chained
+        for m, outs in el.mapping.items():
+            mapping.setdefault(m, dict(outs))
+    mapping = {m: {k: u for k, u in outs.items() if u != 0} for m, outs in mapping.items()}
+    return OpticalElement("Composite", mapping)
 
 
 def _compositions(n: int, k: int):
-    """All ways to split n photons over k output slots."""
+    """All ways to split n photons over k output slots (none when k = 0 < n)."""
+    if k == 0:
+        if n == 0:
+            yield ()
+        return
     if k == 1:
         yield (n,)
         return
@@ -159,7 +179,8 @@ def apply(element: OpticalElement, state: PureState) -> PureState:
     operator replaced by its output combination; the resulting polynomial is
     expanded multinomially and re-expressed in normalized Fock kets.  Output
     modes of an element are always a subset of its input modes, so they never
-    collide with untouched modes of the state.
+    collide with untouched modes of the state.  A photon in a mode that maps
+    to no output is absorbed, and its term drops out.
     """
     sub = element.mapping
     out: dict = {}
@@ -191,19 +212,6 @@ def apply(element: OpticalElement, state: PureState) -> PureState:
     return PureState(out, n_max=state.n_max)
 
 
-def apply_all(state: PureState, elements: Sequence[OpticalElement]) -> PureState:
-    for el in elements:
-        state = apply(el, state)
-    return state
-
-
-_NAMED_BASES = {
-    "hv": ((KET_H, "H"), (KET_V, "V")),
-    "pm": ((KET_D, "+"), (KET_A, "-")),
-    "rl": ((KET_R, "R"), (KET_L, "L")),
-}
-
-
 def measure_polarization(state: PureState, spatial: int, basis) -> list:
     """Von Neumann polarization measurement on a one-photon spatial mode.
 
@@ -212,17 +220,9 @@ def measure_polarization(state: PureState, spatial: int, basis) -> list:
     conditional_state_without_the_mode), ...]``; the conditional is ``None``
     when the outcome never occurs.
     """
-    if isinstance(basis, str):
-        try:
-            pairs = _NAMED_BASES[basis.lower()]
-        except KeyError:
-            raise ValueError(f"unknown basis {basis!r}") from None
-    else:
-        pairs = tuple((np.asarray(k, dtype=complex).ravel(), lbl) for k, lbl in basis)
-
     occupied_somewhere = False
     results = []
-    for ket, label in pairs:
+    for ket, label in basis_pairs(basis):
         cond: dict = {}
         for occ, amp in state.terms.items():
             cnt = spatial_counts(occ).get(spatial, 0)

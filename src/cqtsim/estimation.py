@@ -362,13 +362,10 @@ def poisson_uncertainty(data, seed: int, n_resamples: int = 10_000,
 
 # --- CSV interfaces --------------------------------------------------------------------
 
-_PROJECTOR_NAMES = {"h", "v", "d", "a", "r", "l", "plus", "minus"}
-
-
 def parse_projector(spec: str) -> np.ndarray:
     """Projector column format: a named state or 'alpha;beta' complex pair."""
     spec = spec.strip()
-    if spec.lower() in _PROJECTOR_NAMES:
+    if spec.lower() in NAMED_KETS:
         return NAMED_KETS[spec.lower()]
     parts = spec.split(";")
     if len(parts) != 2:

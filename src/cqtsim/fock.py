@@ -42,6 +42,13 @@ NAMED_KETS = {
     "l": KET_L,
 }
 
+# Two-outcome polarization bases: (jones ket, outcome label) pairs.
+NAMED_BASES = {
+    "hv": ((KET_H, "H"), (KET_V, "V")),
+    "pm": ((KET_D, "+"), (KET_A, "-")),
+    "rl": ((KET_R, "R"), (KET_L, "L")),
+}
+
 
 class ModeOverlapError(ValueError):
     """Tensor factors share a (spatial, polarization) mode."""
@@ -49,6 +56,16 @@ class ModeOverlapError(ValueError):
 
 class SectorError(ValueError):
     """State lies outside the photon-number sector an operation expects."""
+
+
+def basis_pairs(basis) -> tuple:
+    """``(jones_ket, label)`` pairs of a named basis or of explicit pairs."""
+    if isinstance(basis, str):
+        try:
+            return NAMED_BASES[basis.lower()]
+        except KeyError:
+            raise ValueError(f"unknown basis {basis!r}") from None
+    return tuple((np.asarray(k, dtype=complex).ravel(), lbl) for k, lbl in basis)
 
 
 def mode(spatial: int, pol: str) -> tuple:
@@ -201,16 +218,6 @@ def clicks_at(spatials: Iterable[int]) -> Callable[[tuple], bool]:
     def pred(occ: tuple) -> bool:
         counts = spatial_counts(occ)
         return all(counts.get(s, 0) >= 1 for s in spatials)
-
-    return pred
-
-
-def exactly_one_at(spatials: Iterable[int]) -> Callable[[tuple], bool]:
-    spatials = tuple(spatials)
-
-    def pred(occ: tuple) -> bool:
-        counts = spatial_counts(occ)
-        return all(counts.get(s, 0) == 1 for s in spatials)
 
     return pred
 

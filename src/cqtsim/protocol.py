@@ -23,16 +23,16 @@ incoherent alternatives; their four-fold probabilities add.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
 from .channels import PAULI_X, bell_kets, ghz_ket
-from .elements import (OpticalElement, apply, apply_all, balanced_bs, hwp,
+from .elements import (OpticalElement, apply, balanced_bs, compose, hwp,
                        jones_element, pbs, phase_plate, polarizer, qwp)
-from .fock import (H, V, KET_D, KET_H, KET_R, KET_V, NAMED_KETS, PureState,
+from .fock import (H, V, KET_A, KET_D, KET_H, KET_R, KET_V, NAMED_KETS, PureState,
                    basis_state, clicks_at, occupation, project, spatial_counts,
                    tensor, to_qubit_density)
 from .spdc import SourceParams, coincidence_sectors, four_mode_source
@@ -198,19 +198,23 @@ def ideal_source_state() -> PureState:
     return tensor(out, basis_state({(4, H): 1}))
 
 
+def _ghz_elements(channel: str, pbs_epsilon: float) -> list:
+    """GHZ preparation on the polarizing splitter, then the compensation plates."""
+    els = [hwp(2, math.pi / 4.0)] if channel == "g2" else []
+    if channel != "reference":
+        els.append(pbs(2, 3, pbs_epsilon))
+    # else: uncontrolled reference run; mode 2 goes straight to the receiver
+    # and mode 3 straight to the controller's detector as a trigger
+    return els + [phase_plate(1, COMPENSATION_PHASE), phase_plate(3, COMPENSATION_PHASE)]
+
+
 def _station_elements(config: ProtocolConfig, exact_encoder: bool = False) -> list:
     wiring = WIRINGS[config.roles]
     els = []
     if config.channel != "reference":
-        # GHZ preparation: circular photon in mode 3 overlapped with mode 2
+        # circular photon in mode 3, to be overlapped with mode 2
         els.append(jones_element(3, R_PREP, "CircularPrep"))
-        if config.channel == "g2":
-            els.append(hwp(2, math.pi / 4.0))
-        els.append(pbs(2, 3, config.pbs_epsilon))
-    # else: uncontrolled reference run; mode 2 goes straight to the receiver
-    # and mode 3 straight to the controller's detector as a trigger
-    els.append(phase_plate(1, COMPENSATION_PHASE))
-    els.append(phase_plate(3, COMPENSATION_PHASE))
+    els.extend(_ghz_elements(config.channel, config.pbs_epsilon))
     if exact_encoder:
         els.append(_encoder_exact(config.input))
     else:
@@ -229,6 +233,13 @@ def _controller_element(config: ProtocolConfig):
     return polarizer(wiring.controller, ket)
 
 
+def _setup_map(config: ProtocolConfig, exact_encoder: bool = False) -> OpticalElement:
+    """The stations, then the controller's polarizer, as one substitution map."""
+    els = _station_elements(config, exact_encoder)
+    ctrl = _controller_element(config)
+    return compose(els if ctrl is None else els + [ctrl])
+
+
 def _detector_spatials(config: ProtocolConfig) -> list:
     wiring = WIRINGS[config.roles]
     return [wiring.sender_resource, INPUT_MODE, wiring.controller, wiring.receiver]
@@ -242,9 +253,6 @@ def _sectors(config: ProtocolConfig) -> dict:
 
 # --- analyzer frame calibration -------------------------------------------------
 
-_FRAME_CACHE: dict = {}
-
-
 def analyzer_frame(channel: str, roles: str = "standard") -> np.ndarray:
     """Unitary W mapping the encoded input ket to the receiver's ideal state.
 
@@ -254,19 +262,18 @@ def analyzer_frame(channel: str, roles: str = "standard") -> np.ndarray:
     analogue is aligning the analyzer on known input states.  The receiver's
     parallel setting projects onto W |psi>.
     """
-    key = (channel, roles)
-    if key in _FRAME_CACHE:
-        return _FRAME_CACHE[key]
+    return _calibrated_frame(channel, roles)
+
+
+@functools.cache
+def _calibrated_frame(channel: str, roles: str) -> np.ndarray:
     wiring = WIRINGS[roles]
     action = "none" if channel == "reference" else "allow"
 
     def receiver_ket(input_q: InputQubit) -> np.ndarray:
         cfg = ProtocolConfig(channel=channel, action=action, input=input_q,
                              source=None, pbs_epsilon=0.0, roles=roles)
-        state = apply_all(ideal_source_state(), _station_elements(cfg, exact_encoder=True))
-        ctrl = _controller_element(cfg)
-        if ctrl is not None:
-            state = apply(ctrl, state)
+        state = apply(_setup_map(cfg, exact_encoder=True), ideal_source_state())
         env = {(wiring.sender_resource, H): 1, (INPUT_MODE, V): 1,
                (wiring.controller, H): 1}
         return np.array([
@@ -290,48 +297,34 @@ def analyzer_frame(channel: str, roles: str = "standard") -> np.ndarray:
         expect = w @ probe.ket()
         if abs(abs(np.vdot(expect, got)) - 1.0) > 1e-10:
             raise ProtocolError("analyzer calibration failed cross-check")
-    _FRAME_CACHE[key] = w
     return w
 
 
 # --- main pipeline ----------------------------------------------------------------
 
-def _fourfold_prob(state: PureState, receiver: int, analyzer_ket: np.ndarray,
-                   detectors: Sequence[int]) -> float:
-    analyzed = apply(polarizer(receiver, analyzer_ket), state)
-    _, prob = project(analyzed, clicks_at(detectors))
-    return prob
-
-
 def run_protocol(config: ProtocolConfig):
     """Propagate every coincidence-capable emission term through the setup.
 
-    Returns ``(CountRecord, rho_receiver)``.  ``f_parallel`` / ``f_perp`` are
-    the four-fold probabilities with the receiver analyzing along the
-    calibrated image of the input ket and of its orthogonal complement.  The
-    receiver's conditional density operator is reported in his analyzer frame
-    (for the g2 variant that includes the pi/4 analyzer rotation) and is
-    computed over events where his arm carries exactly one photon, which at
-    the default emission truncation is every four-fold event.
+    Returns ``(CountRecord, rho_receiver)``.  Each sector is propagated once
+    through the composed setup, whose analyzer rotation takes the calibrated
+    images of the input ket and of its orthogonal complement to H and V, so
+    ``f_parallel`` / ``f_perp`` are the four-fold probabilities with no V / no
+    H photon at the receiver.  His conditional density operator is reported
+    in his analyzer frame (for g2 including the pi/4 analyzer rotation), over
+    events where his arm carries exactly one photon, which at the default
+    emission truncation is every four-fold event.
     """
     wiring = WIRINGS[config.roles]
-    stations = _station_elements(config)
-    ctrl = _controller_element(config)
-    detectors = _detector_spatials(config)
     frame = analyzer_frame(config.channel, config.roles)
-    ket_par = frame @ config.input.ket()
-    ket_perp = frame @ config.input.orthogonal_ket()
-
-    others = [d for d in detectors if d != wiring.receiver]
+    analyzer = np.array([frame @ config.input.ket(),
+                         frame @ config.input.orthogonal_ket()]).conj()
+    optics = compose([_setup_map(config), jones_element(wiring.receiver, analyzer)])
+    fourfold = clicks_at(_detector_spatials(config))
 
     def cond_pred(occ):
-        counts = spatial_counts(occ)
-        return (all(counts.get(s, 0) >= 1 for s in others)
-                and counts.get(wiring.receiver, 0) == 1)
+        return fourfold(occ) and spatial_counts(occ)[wiring.receiver] == 1
 
-    f_par = 0.0
-    f_perp = 0.0
-    success = 0.0
+    f_par = f_perp = success = 0.0
     per_term: dict = {}
     rho_acc = np.zeros((2, 2), dtype=complex)
     rho_weight = 0.0
@@ -341,20 +334,19 @@ def run_protocol(config: ProtocolConfig):
     # against the emitted weight of the sectors (1 for the ideal source)
     empty_tol = 1e-14 * sum(sector.norm_sq() for sector in sectors.values())
     for label, sector in sectors.items():
-        state = apply_all(sector, stations)
-        if ctrl is not None:
-            state = apply(ctrl, state)
-        _, p_success = project(state, clicks_at(detectors))
-        success += p_success
+        state = apply(optics, sector)
+        clicked = [(dict(occ), abs(amp) ** 2) for occ, amp in state.terms.items()
+                   if fourfold(occ)]
+        success += sum(p for _, p in clicked)
+        p_par = sum(p for modes, p in clicked if (wiring.receiver, V) not in modes)
+        p_perp = sum(p for modes, p in clicked if (wiring.receiver, H) not in modes)
+        f_par += p_par
+        f_perp += p_perp
+        per_term[label] = p_par + p_perp
         cond, p_cond = project(state, cond_pred, empty_tol)
         if cond is not None:
             rho_acc += p_cond * to_qubit_density(cond, [wiring.receiver])
             rho_weight += p_cond
-        p_par = _fourfold_prob(state, wiring.receiver, ket_par, detectors)
-        p_perp = _fourfold_prob(state, wiring.receiver, ket_perp, detectors)
-        f_par += p_par
-        f_perp += p_perp
-        per_term[label] = p_par + p_perp
 
     if not success > empty_tol:
         raise ProtocolError("no configuration of the source terms produces a "
@@ -362,7 +354,8 @@ def run_protocol(config: ProtocolConfig):
     if rho_weight <= 0.0:
         raise ProtocolError("every coincidence leaves more than one photon at "
                             "the receiver; no qubit state to report")
-    rho = rho_acc / rho_weight
+    # back from the analyzer's (parallel, orthogonal) basis to H/V
+    rho = analyzer.conj().T @ (rho_acc / rho_weight) @ analyzer
     if config.channel == "g2":
         rho = PAULI_X @ rho @ PAULI_X
     record = CountRecord(f_parallel=f_par, f_perp=f_perp,
@@ -381,15 +374,7 @@ def prepare_ghz(source_state: PureState, pbs_epsilon: float = 0.0,
     Returns ``(state, success_probability)`` with the compensation phases
     applied, so the ideal output is exactly (|HHH>+|VVV>)/sqrt2.
     """
-    els = []
-    if g2:
-        els.append(hwp(2, math.pi / 4.0))
-    els.extend([
-        pbs(2, 3, pbs_epsilon),
-        phase_plate(1, COMPENSATION_PHASE),
-        phase_plate(3, COMPENSATION_PHASE),
-    ])
-    out = apply_all(source_state, els)
+    out = apply(compose(_ghz_elements("g2" if g2 else "g1", pbs_epsilon)), source_state)
 
     def one_each(occ):
         counts = spatial_counts(occ)
@@ -435,17 +420,7 @@ def emulate_mixture(record_g1: CountRecord, record_g2: CountRecord, p: float) ->
     )
 
 
-def mixture_receiver_state(rho_g1: np.ndarray, rho_g2: np.ndarray,
-                           rec_g1: CountRecord, rec_g2: CountRecord, p: float) -> np.ndarray:
-    """Receiver state of the emulated mixture, weighted by success probabilities."""
-    w1 = (1 - p) * rec_g1.success_probability
-    w2 = p * rec_g2.success_probability
-    return (w1 * rho_g1 + w2 * rho_g2) / (w1 + w2)
-
-
 # --- feed-forward correction ------------------------------------------------------
-
-_CORRECTION_CACHE: dict = {}
 
 _BELL_FROM_PAULI = {0: "psi-", 1: "phi-", 2: "phi+", 3: "psi+"}
 # (P_k x I)|psi-> up to phase: I->psi-, X->phi-, Y->phi+, Z->psi+
@@ -468,12 +443,14 @@ def bob_correction(bell_outcome=0, charlie_outcome: str = "+") -> np.ndarray:
             raise ValueError(f"unknown Bell outcome {bell_label!r}")
     else:
         bell_label = _BELL_FROM_PAULI[int(bell_outcome) % 4]
-    key = (bell_label, charlie_outcome)
-    if key in _CORRECTION_CACHE:
-        return _CORRECTION_CACHE[key]
     if charlie_outcome not in ("+", "-"):
         raise ValueError("charlie_outcome must be '+' or '-'")
-    charlie_ket = KET_D if charlie_outcome == "+" else np.array([1, -1], dtype=complex) / _SQ2
+    return _correction(bell_label, charlie_outcome)
+
+
+@functools.cache
+def _correction(bell_label: str, charlie_outcome: str) -> np.ndarray:
+    charlie_ket = KET_D if charlie_outcome == "+" else KET_A
     bell = bell_kets()[bell_label].reshape(2, 2)
 
     ghz = ghz_ket(1).reshape(2, 2, 2)
@@ -484,14 +461,4 @@ def bob_correction(bell_outcome=0, charlie_outcome: str = "+") -> np.ndarray:
 
     w = np.column_stack([receiver_ket(KET_H), receiver_ket(KET_V)])
     w = w / math.sqrt(float(np.real((w.conj().T @ w)[0, 0])))
-    correction = w.conj().T
-    _CORRECTION_CACHE[key] = correction
-    return correction
-
-
-def swap_roles(config: ProtocolConfig):
-    """Run the protocol with permuted party roles; returns (record, joint probability)."""
-    if config.roles == "standard":
-        raise ValueError("swap_roles expects a non-standard role assignment")
-    record, _ = run_protocol(config)
-    return record, record.success_probability
+    return w.conj().T

@@ -169,3 +169,15 @@ def test_feedforward_average_matches_photonic_pipeline(p):
     rec2, _ = run_protocol(ProtocolConfig(channel="g2", action="allow"))
     fock = emulate_mixture(rec1, rec2, p).fidelity()
     assert abs(qubit_avg - fock) < 1e-10
+
+
+def test_unknown_basis_name_is_value_error():
+    from cqtsim.elements import measure_polarization
+    from cqtsim.fock import basis_pairs, single_photon
+
+    with pytest.raises(ValueError, match="unknown basis"):
+        condition_on_controller(make_werner(0.5), "xy")
+    with pytest.raises(ValueError, match="unknown basis"):
+        measure_polarization(single_photon(1, KET_H), 1, "xy")
+    with pytest.raises(ValueError, match="unknown basis"):
+        basis_pairs("xy")

@@ -334,9 +334,12 @@ def _break_frame_cross_check(monkeypatch):
 ])
 def test_internal_consistency_failure_exits_1(breaker, message, monkeypatch, capsys):
     from cqtsim import protocol
-    monkeypatch.setattr(protocol, "_FRAME_CACHE", {})
+    protocol._calibrated_frame.cache_clear()
     breaker(monkeypatch)
-    assert run_cli(["run", "--ideal", "--channel", "g1", "--input", "plus"]) == 1
+    try:
+        assert run_cli(["run", "--ideal", "--channel", "g1", "--input", "plus"]) == 1
+    finally:
+        protocol._calibrated_frame.cache_clear()
     err = capsys.readouterr().err
     assert err.startswith("simulation error: ") and message in err
     assert "Traceback" not in err
@@ -380,3 +383,57 @@ def test_q_points_cap(form, monkeypatch, capsys):
     assert run_cli(argv(10002)) == 2
     assert sizes == [10001]
     assert "10001" in capsys.readouterr().err
+
+
+def test_truncation_order_cap(monkeypatch, capsys):
+    from cqtsim import cli
+    from cqtsim.protocol import CountRecord
+
+    orders = []
+    record = CountRecord(0.75, 0.25, 1.0, {}, "g1", ())
+    monkeypatch.setattr(cli, "run_protocol", lambda cfg: (
+        orders.append(cfg.source.truncation_order) or (record, np.eye(2) / 2)))
+    argv = ["run", "--kappa-forward", "0.1", "--truncation-order"]
+    assert run_cli(argv + ["5"]) == 0
+    assert run_cli(argv + ["6"]) == 2
+    assert run_cli(["run", "--ideal", "--truncation-order", "0"]) == 2
+    assert orders == [5]
+    assert "--truncation-order must lie between 1 and 5" in capsys.readouterr().err
+
+
+# --- run output bytes at emission settings, as printed before the optics were
+# composed into one map per configuration ------------------------------------------------
+
+RUN_HEADER = ("# schema=cqtsim.v1\n"
+              "channel,action,input,f_parallel,f_perp,fidelity,success_probability,"
+              "fidelity_mean,fidelity_std\n")
+RUN_ROWS = [
+    (("g1", "allow", "standard", 2), 'g1,allow,"0.6,0.8j",6.267e-06,3.038e-06,0.6735,9.305e-06,,'),
+    (("g1", "deny", "standard", 2), 'g1,deny,"0.6,0.8j",2.872e-06,2.606e-06,0.5243,5.479e-06,,'),
+    (("g2", "allow", "standard", 2), 'g2,allow,"0.6,0.8j",4.847e-06,4.558e-06,0.5154,9.404e-06,,'),
+    (("g2", "deny", "standard", 2), 'g2,deny,"0.6,0.8j",2.268e-06,2.312e-06,0.4952,4.58e-06,,'),
+    (("mix", "allow", "standard", 2), 'mix,allow,"0.6,0.8j",5.557e-06,3.798e-06,0.594,9.355e-06,,'),
+    (("mix", "deny", "standard", 2), 'mix,deny,"0.6,0.8j",2.57e-06,2.459e-06,0.5111,5.029e-06,,'),
+    (("reference", "none", "standard", 2), 'reference,none,"0.6,0.8j",7.464e-06,0,1,7.464e-06,,'),
+    (("g1", "allow", "swapped", 2), 'g1,allow,"0.6,0.8j",1.635e-06,5.755e-08,0.966,1.692e-06,,'),
+    (("g1", "deny", "swapped", 2), 'g1,deny,"0.6,0.8j",1.743e-06,9.803e-07,0.64,2.723e-06,,'),
+    (("g1", "allow", "standard", 3), 'g1,allow,"0.6,0.8j",6.333e-06,3.069e-06,0.6736,9.432e-06,,'),
+    (("g1", "deny", "standard", 3), 'g1,deny,"0.6,0.8j",2.9e-06,2.628e-06,0.5246,5.545e-06,,'),
+    (("g2", "allow", "standard", 3), 'g2,allow,"0.6,0.8j",4.891e-06,4.609e-06,0.5149,9.531e-06,,'),
+    (("g2", "deny", "standard", 3), 'g2,deny,"0.6,0.8j",2.287e-06,2.335e-06,0.4948,4.637e-06,,'),
+    (("mix", "allow", "standard", 3), 'mix,allow,"0.6,0.8j",5.612e-06,3.839e-06,0.5938,9.481e-06,,'),
+    (("mix", "deny", "standard", 3), 'mix,deny,"0.6,0.8j",2.593e-06,2.481e-06,0.511,5.091e-06,,'),
+    (("reference", "none", "standard", 3), 'reference,none,"0.6,0.8j",7.554e-06,2.995e-08,0.9961,7.622e-06,,'),
+    (("g1", "allow", "swapped", 3), 'g1,allow,"0.6,0.8j",1.674e-06,7.703e-08,0.956,1.754e-06,,'),
+    (("g1", "deny", "swapped", 3), 'g1,deny,"0.6,0.8j",1.772e-06,9.956e-07,0.6402,2.773e-06,,'),
+]
+
+
+@pytest.mark.parametrize("settings, row", RUN_ROWS)
+def test_run_emission_bytes_pinned(settings, row, capsys):
+    channel, action, roles, order = settings
+    assert run_cli(["run", "--channel", channel, "--action", action, "--roles", roles,
+                    "--input", "0.6,0.8j", "--kappa-forward", "0.1",
+                    "--kappa-backward", "0.055", "--pbs-epsilon", "0.05",
+                    "--truncation-order", str(order)]) == 0
+    assert capsys.readouterr().out == RUN_HEADER + row + "\n"

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqtsim.elements import (apply, apply_all, balanced_bs, hwp, hwp_matrix,
-                             measure_polarization, pbs, pbs_with_imperfection,
+from cqtsim.elements import (OpticalElement, apply, balanced_bs, compose, hwp,
+                             hwp_matrix, measure_polarization, pbs,
                              phase_plate, polarizer, qwp, qwp_matrix)
 from cqtsim.fock import (H, V, KET_D, KET_H, KET_L, KET_R, KET_V,
                          PureState, SectorError, basis_state, occupation,
@@ -49,7 +49,7 @@ def test_pbs_epsilon_one_fully_reflects_h():
 
 
 def test_pbs_epsilon_reflected_port_probability():
-    out = apply(pbs_with_imperfection(0.05, 1, 2), single_photon(1, KET_H))
+    out = apply(pbs(1, 2, 0.05), single_photon(1, KET_H))
     _, p_reflected = project(out, lambda occ: spatial_counts(occ).get(2, 0) == 1)
     assert p_reflected == pytest.approx(0.05, abs=1e-12)
 
@@ -211,7 +211,56 @@ def test_measure_multiphoton_sector_raises():
         measure_polarization(basis_state({(1, H): 2}), 1, "hv")
 
 
-def test_apply_all_composes():
+def test_compose_two_hwps():
     s = single_photon(1, KET_H)
-    out = apply_all(s, [hwp(1, math.pi / 8), hwp(1, math.pi / 8)])
+    out = apply(compose([hwp(1, math.pi / 8), hwp(1, math.pi / 8)]), s)
     assert abs(overlap(out, s)) == pytest.approx(1.0, abs=1e-12)
+
+
+# --- composition ---------------------------------------------------------------
+
+MODES = st.sampled_from([1, 2, 3])
+PORTS = st.lists(MODES, min_size=2, max_size=2, unique=True)
+KETS = st.tuples(st.complex_numbers(max_magnitude=1, allow_nan=False),
+                 st.complex_numbers(max_magnitude=1, allow_nan=False)).filter(
+    lambda k: abs(k[0]) + abs(k[1]) > 0.1)
+ELEMENTS = st.one_of(
+    st.builds(hwp, MODES, ANGLES),
+    st.builds(qwp, MODES, ANGLES),
+    st.builds(phase_plate, MODES, ANGLES, st.sampled_from([H, V])),
+    st.builds(lambda m, k: polarizer(m, np.array(k)), MODES, KETS),
+    PORTS.map(lambda p: balanced_bs(*p)),
+    st.builds(lambda p, eps: pbs(p[0], p[1], eps), PORTS,
+              st.floats(min_value=0, max_value=1, allow_nan=False)),
+)
+MODE_COUNTS = st.dictionaries(st.tuples(MODES, st.sampled_from([H, V])),
+                              st.integers(1, 2), min_size=0, max_size=3)
+STATES = st.lists(st.tuples(MODE_COUNTS, KETS.map(lambda k: k[0])),
+                  min_size=1, max_size=4).map(
+    lambda terms: PureState({occupation(c): a for c, a in terms}, n_max=6))
+
+
+@given(st.lists(ELEMENTS, min_size=0, max_size=6), STATES)
+@settings(max_examples=80, deadline=None)
+def test_composed_map_equals_element_by_element(els, state):
+    composed = apply(compose(els), state)
+    sequential = state
+    for el in els:
+        sequential = apply(el, sequential)
+    for occ in set(composed.terms) | set(sequential.terms):
+        assert abs(composed.terms.get(occ, 0) - sequential.terms.get(occ, 0)) < 1e-12
+
+
+def test_photon_in_a_mode_with_no_output_is_absorbed():
+    absorber = OpticalElement("Absorber", {(1, H): {}})
+    assert apply(absorber, basis_state({(1, H): 1})).terms == {}
+    mixed = PureState({occupation({(1, H): 1}): 0.6, occupation({(2, V): 2}): 0.8})
+    out = apply(absorber, mixed)
+    assert out.terms == {occupation({(2, V): 2}): 0.8}
+
+
+def test_compose_drops_modes_every_path_absorbs():
+    # crossed polarizers absorb both polarizations of mode 1
+    crossed = compose([polarizer(1, KET_H), polarizer(1, KET_V)])
+    assert crossed.mapping == {(1, H): {}, (1, V): {}}
+    assert apply(crossed, single_photon(1, KET_D)).terms == {}

@@ -14,7 +14,7 @@ from cqtsim.protocol import (AXIAL_INPUT_NAMES, InputQubit, ProtocolConfig,
                              ProtocolError, R_PREP, analyzer_frame,
                              bob_correction, emulate_mixture,
                              encoding_plate_angles, prepare_ghz, run_protocol,
-                             singlet_projection, swap_roles)
+                             singlet_projection)
 from cqtsim.spdc import SourceParams
 
 _SQ2 = math.sqrt(2.0)
@@ -354,16 +354,11 @@ def test_bob_correction_singlet_paulis():
 # --- role swapping ---------------------------------------------------------------------
 
 def test_swapped_roles_allow_and_deny():
-    rec, joint = swap_roles(ProtocolConfig(channel="g1", action="allow", roles="swapped"))
+    rec, _ = run_protocol(ProtocolConfig(channel="g1", action="allow", roles="swapped"))
     assert rec.fidelity() == pytest.approx(1.0, abs=1e-10)
-    assert joint == pytest.approx(1 / 16, abs=1e-12)
-    rec, _ = swap_roles(ProtocolConfig(channel="g1", action="deny", roles="swapped"))
+    assert rec.success_probability == pytest.approx(1 / 16, abs=1e-12)
+    rec, _ = run_protocol(ProtocolConfig(channel="g1", action="deny", roles="swapped"))
     assert rec.fidelity() == pytest.approx(0.5, abs=1e-10)
-
-
-def test_swap_roles_requires_nonstandard_assignment():
-    with pytest.raises(ValueError):
-        swap_roles(ProtocolConfig(channel="g1", action="allow"))
 
 
 def test_chained_post_selections_do_not_conflict():
@@ -371,7 +366,7 @@ def test_chained_post_selections_do_not_conflict():
     # pattern for the ideal source: inserting it explicitly changes nothing,
     # so the singlet and GHZ post-selections chain without conflict
     from cqtsim.elements import apply as apply_el
-    from cqtsim.elements import apply_all
+    from cqtsim.elements import compose
     from cqtsim.fock import clicks_at, project, spatial_counts
     from cqtsim.protocol import (_controller_element, _detector_spatials,
                                  _station_elements, _sectors)
@@ -386,8 +381,8 @@ def test_chained_post_selections_do_not_conflict():
     ctrl = _controller_element(cfg)
     detectors = _detector_spatials(cfg)
 
-    mid = apply_all(sector, prep)
-    direct = apply_el(ctrl, apply_all(mid, rest))
+    mid = apply_el(compose(prep), sector)
+    direct = apply_el(ctrl, apply_el(compose(rest), mid))
     _, p_direct = project(direct, clicks_at(detectors))
 
     def ghz_ok(occ):
@@ -395,7 +390,7 @@ def test_chained_post_selections_do_not_conflict():
         return counts.get(2, 0) == 1 and counts.get(3, 0) == 1
 
     prepared, p_prep = project(mid, ghz_ok)
-    chained = apply_el(ctrl, apply_all(prepared, rest))
+    chained = apply_el(ctrl, apply_el(compose(rest), prepared))
     _, p_rest = project(chained, clicks_at(detectors))
 
     assert p_direct == pytest.approx(p_prep * p_rest, abs=1e-12)
@@ -405,6 +400,6 @@ def test_chained_post_selections_do_not_conflict():
     # never produce a four-fold coincidence
     failed, p_fail = project(mid, lambda occ: not ghz_ok(occ))
     assert p_fail == pytest.approx(0.5, abs=1e-12)
-    bad = apply_el(ctrl, apply_all(failed, rest))
+    bad = apply_el(ctrl, apply_el(compose(rest), failed))
     _, p_bad = project(bad, clicks_at(detectors))
     assert p_bad < 1e-14
