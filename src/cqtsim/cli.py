@@ -57,6 +57,13 @@ MAX_RESAMPLES = 100_000
 MAX_Q_POINTS = 10_001
 MAX_TRUNCATION_ORDER = 5
 
+# Default precision prints these at a fixed absolute resolution (decimal
+# places): at an exact fit or a pure state they are rounding noise, which
+# must not reach the output bytes.
+RESIDUAL_PP_DIGITS = 6      # fit residuals, percentage points
+SSR_DIGITS = 16             # their sum of squares, in squared fractions
+RHO_DIGITS = 6              # density-matrix entries
+
 # Options whose value may be an 'a,b' state with a leading '-'.
 STATE_OPTIONS = ("--input", "--target")
 
@@ -75,6 +82,18 @@ def _fmt(value, full_precision: bool) -> str:
     if value is None:
         return ""
     return str(value)
+
+
+def _fixed(value: float, digits: int, full_precision: bool) -> float:
+    if full_precision:
+        return value
+    return round(value, digits) + 0.0     # + 0.0 turns -0.0 into 0.0
+
+
+def _matrix(rho, full_precision: bool) -> list:
+    return [[[_fixed(float(v.real), RHO_DIGITS, full_precision),
+              _fixed(float(v.imag), RHO_DIGITS, full_precision)] for v in row]
+            for row in rho]
 
 
 def _resolve_out(path):
@@ -414,13 +433,18 @@ def cmd_fit_spdc(args) -> int:
         targets = dict(DEFAULT_FIT_TARGETS)
 
     fit = fit_source_ratio(targets, configs.__getitem__)
+    fp = args.full_precision
     rows = [[label, targets[label] * 100.0, fit.achieved[label] * 100.0,
-             fit.residuals[label] * 100.0] for label in targets]
+             _fixed(fit.residuals[label] * 100.0, RESIDUAL_PP_DIGITS, fp)]
+            for label in targets]
+    ssr = _fixed(fit.sum_squared_residual, SSR_DIGITS, fp)
     comments = [f"fitted_ratio={fit.ratio:.6f}",
-                f"sum_squared_residual={fit.sum_squared_residual:.6e}",
+                f"sum_squared_residual={ssr:.6e}",
                 f"converged={fit.converged}"]
     if not fit.constrained:
         comments.append("warning: targets do not constrain the ratio")
+    comments += [f"warning: ratio {root:.6f} fits the targets as well"
+                 for root in fit.other_roots]
     columns = ["config", "target_percent", "achieved_percent", "residual_pp"]
     _emit(_render_table(columns, rows, args.fmt, args.full_precision,
                         comments=comments), args.out)
@@ -452,9 +476,8 @@ def cmd_tomo(args) -> int:
         "schema": SCHEMA_VERSION,
         "converged": result.converged,
         "iterations": result.iterations,
-        "rho": [[[float(v.real), float(v.imag)] for v in row] for row in result.rho],
-        "rho_corrected": [[[float(v.real), float(v.imag)] for v in row]
-                          for row in corrected],
+        "rho": _matrix(result.rho, args.full_precision),
+        "rho_corrected": _matrix(corrected, args.full_precision),
         "target": args.target,
         "background_weight": args.weight,
         "raw_fidelity": raw_fid,
@@ -473,6 +496,7 @@ def cmd_tomo(args) -> int:
         payload["fidelity_std"] = est.uncertainty
 
     if args.fmt == "json":
+        payload = {k: _json_value(v, args.full_precision) for k, v in payload.items()}
         _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
     else:
         rows = [[k, _fmt(v, args.full_precision) if isinstance(v, float) else json.dumps(v)]

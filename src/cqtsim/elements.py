@@ -2,9 +2,10 @@
 
 Each element maps the creation operator of every input mode to a linear
 combination over output modes, and ``compose`` multiplies such maps, so a
-whole setup is one element.  Applying an element expands every term of a
-state multinomially (which reproduces bosonic enhancement and two-photon
-interference for free) and recollects amplitudes.
+whole setup is one element.  Applying an element rewrites every term of a
+state one photon at a time: each input photon is created again as its
+output combination, with the sqrt(n + 1) of a creation operator, which
+reproduces bosonic enhancement and two-photon interference for free.
 
 Conventions, fixed once for the whole package:
 
@@ -27,8 +28,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import (H, PureState, SectorError, V, basis_pairs, occupation,
-                   spatial_counts)
+from .fock import (H, PureState, SectorError, V, _create, basis_pairs,
+                   occupation, spatial_counts)
 
 
 @dataclass
@@ -141,74 +142,28 @@ def compose(elements: Sequence[OpticalElement]) -> OpticalElement:
     return OpticalElement("Composite", mapping)
 
 
-def _compositions(n: int, k: int):
-    """All ways to split n photons over k output slots (none when k = 0 < n)."""
-    if k == 0:
-        if n == 0:
-            yield ()
-        return
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
-
-
-def _expand_power(targets: Sequence, n: int):
-    """Expansion of (sum_j u_j b_j)^n: yields (coefficient, {mode: count})."""
-    modes = [m for m, _ in targets]
-    amps = [u for _, u in targets]
-    for comp in _compositions(n, len(modes)):
-        coef = math.factorial(n)
-        for k in comp:
-            coef /= math.factorial(k)
-        term = complex(coef)
-        for k, u in zip(comp, amps):
-            if k:
-                term *= u ** k
-        if term == 0:
-            continue
-        yield term, {m: k for m, k in zip(modes, comp) if k}
-
-
 def apply(element: OpticalElement, state: PureState) -> PureState:
     """Apply an element to a state by creation-operator substitution.
 
-    A term c * prod_m (a_m^dag)^{n_m} / sqrt(n_m!) |0> has every substituted
-    operator replaced by its output combination; the resulting polynomial is
-    expanded multinomially and re-expressed in normalized Fock kets.  Output
-    modes of an element are always a subset of its input modes, so they never
-    collide with untouched modes of the state.  A photon in a mode that maps
-    to no output is absorbed, and its term drops out.
+    A term c * prod_m (a_m^dag)^{n_m} / sqrt(n_m!) |0> starts as the ket of
+    its untouched modes, divided by sqrt(n_m!) for every substituted mode;
+    then each substituted photon in turn is created as its output
+    combination.  A photon sent into an occupied mode, untouched or not,
+    picks up the bosonic enhancement, and a photon in a mode that maps to no
+    output is absorbed, so its term drops out.
     """
     sub = element.mapping
     out: dict = {}
     for occ, amp in state.terms.items():
         affected = [(m, n) for m, n in occ if m in sub]
-        base = {m: n for m, n in occ if m not in sub}
-        prefactor = amp
         for _, n in affected:
-            prefactor /= math.sqrt(math.factorial(n))
-        expansions = [(prefactor, {})]
+            amp /= math.sqrt(math.factorial(n))
+        ket = {tuple(mn for mn in occ if mn[0] not in sub): amp}
         for m, n in affected:
-            targets = list(sub[m].items())
-            new_exp = []
-            for coef, outs in expansions:
-                for term_coef, add in _expand_power(targets, n):
-                    merged = dict(outs)
-                    for om, k in add.items():
-                        merged[om] = merged.get(om, 0) + k
-                    new_exp.append((coef * term_coef, merged))
-            expansions = new_exp
-        for coef, outs in expansions:
-            factor = coef
-            for k in outs.values():
-                factor *= math.sqrt(math.factorial(k))
-            merged = dict(base)
-            merged.update(outs)
-            key = occupation(merged)
-            out[key] = out.get(key, 0.0j) + factor
+            for _ in range(n):
+                ket = _create(ket, sub[m].items())
+        for key, a in ket.items():
+            out[key] = out.get(key, 0.0j) + a
     return PureState(out, n_max=state.n_max)
 
 

@@ -12,6 +12,7 @@ Qubit encoding used throughout the package: |H> -> basis 0, |V> -> basis 1.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -21,7 +22,7 @@ V = "V"
 POLARIZATIONS = (H, V)
 
 DEFAULT_N_MAX = 4
-PRUNE_THRESHOLD = 1e-15
+PRUNE_THRESHOLD = 1e-15     # relative to a state's largest amplitude
 
 # Single-qubit polarization kets (column vectors of length 2).
 KET_H = np.array([1.0, 0.0], dtype=complex)
@@ -92,6 +93,24 @@ def occupation(counts) -> tuple:
     return tuple(sorted(merged.items()))
 
 
+def _create(ket: dict, targets) -> dict:
+    """Apply sum_j u_j b_j^dag to a ket held as {canonical key: amplitude}.
+
+    ``targets`` is a sequence of ``(mode, u_j)`` pairs.  Each key has its
+    mode raised at its sorted position, so the result keeps canonical keys,
+    and the amplitude gains sqrt(n + 1) for the n photons already in the mode
+    (bosonic enhancement).  No targets (an absorbed photon) give the zero ket.
+    """
+    out: dict = {}
+    for key, amp in ket.items():
+        for m, u in targets:
+            i = bisect_left(key, (m,))
+            n = key[i][1] if i < len(key) and key[i][0] == m else 0
+            raised = key[:i] + ((m, n + 1),) + key[i + (n > 0):]
+            out[raised] = out.get(raised, 0.0j) + amp * u * math.sqrt(n + 1)
+    return out
+
+
 def total_photons(occ: tuple) -> int:
     return sum(n for _, n in occ)
 
@@ -104,7 +123,12 @@ def spatial_counts(occ: tuple) -> dict:
 
 
 class PureState:
-    """Sparse pure photonic state: canonical occupation tuple -> amplitude."""
+    """Sparse pure photonic state: canonical occupation tuple -> amplitude.
+
+    Amplitudes below ``prune`` times the largest one are dropped as rounding
+    residue.  The cut is relative, so a weak term survives at any overall
+    scale of the state; ``prune=0`` drops exact zeros only.
+    """
 
     def __init__(self, terms: Mapping, n_max: int = DEFAULT_N_MAX,
                  prune: float = PRUNE_THRESHOLD):
@@ -112,14 +136,13 @@ class PureState:
         data: dict = {}
         for occ, amp in terms.items():
             key = occupation(occ)
-            amp = complex(amp)
-            if abs(amp) < prune:
-                continue
+            data[key] = data.get(key, 0.0j) + complex(amp)
+        cut = prune * max(map(abs, data.values()), default=0.0)
+        self.terms = {k: a for k, a in data.items() if abs(a) > cut}
+        for key in self.terms:
             if total_photons(key) > self.n_max:
                 raise SectorError(
                     f"term with {total_photons(key)} photons exceeds n_max={self.n_max}")
-            data[key] = data.get(key, 0.0j) + amp
-        self.terms = {k: a for k, a in data.items() if abs(a) >= prune}
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -141,7 +164,8 @@ class PureState:
         n = math.sqrt(self.norm_sq())
         if n == 0.0:
             raise ValueError("cannot normalize the zero state")
-        return PureState({k: a / n for k, a in self.terms.items()}, n_max=self.n_max)
+        return PureState({k: a / n for k, a in self.terms.items()}, n_max=self.n_max,
+                         prune=0.0)
 
     def scaled(self, factor: complex) -> "PureState":
         return PureState({k: a * factor for k, a in self.terms.items()}, n_max=self.n_max)

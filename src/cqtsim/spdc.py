@@ -20,7 +20,8 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import H, V, PureState, occupation, spatial_counts, total_photons
+from .fock import (H, V, PureState, _create, occupation, spatial_counts,
+                   total_photons)
 
 FORWARD_MODES = (1, 2)
 BACKWARD_MODES = (3, 4)
@@ -29,6 +30,9 @@ _SQ2 = math.sqrt(2.0)
 REFERENCE_KAPPA = 0.1
 RATIO_BOUNDS = (1e-3, 5.0)
 _GRID_POINTS = 401
+# A fit cost below this is an exact root: round trips reach about 1e-19, a
+# second basin that does not fit stays above 1e-4.
+_ROOT_COST = 1e-12
 
 # Polarization structure of one emitted pair, as creation-operator weights.
 PAIR_KINDS = {
@@ -66,29 +70,16 @@ class SourceParams:
                 self.forward_pair, self.backward_pair)
 
 
-def _apply_pair_creation(terms: dict, modes: tuple, pair: dict) -> dict:
-    """Multiply a creation-operator polynomial (in ket form) by one pair operator."""
-    out: dict = {}
-    for occ, amp in terms.items():
-        occd = dict(occ)
-        for (p_s, p_i), u in pair.items():
-            d = dict(occd)
-            m_s, m_i = (modes[0], p_s), (modes[1], p_i)
-            n_s = d.get(m_s, 0)
-            n_i = d.get(m_i, 0)
-            d[m_s] = n_s + 1
-            d[m_i] = n_i + 1
-            key = occupation(d)
-            out[key] = out.get(key, 0.0j) + amp * u * math.sqrt(n_s + 1) * math.sqrt(n_i + 1)
-    return out
-
-
 def emission_orders(pair_kind: str, order: int, modes: tuple) -> list:
     """Per-pair-number terms (A+)^n / n! applied to vacuum, n = 0..order."""
     pair = PAIR_KINDS[pair_kind]
     levels = [{(): 1.0 + 0.0j}]
     for n in range(1, order + 1):
-        nxt = _apply_pair_creation(levels[-1], modes, pair)
+        nxt: dict = {}
+        for (p_s, p_i), u in pair.items():
+            one = _create(levels[-1], [((modes[0], p_s), u)])
+            for key, amp in _create(one, [((modes[1], p_i), 1.0)]).items():
+                nxt[key] = nxt.get(key, 0.0j) + amp
         levels.append({k: a / n for k, a in nxt.items()})
     return levels
 
@@ -113,7 +104,9 @@ def four_mode_source(params: SourceParams) -> PureState:
 
     Keeps every term with total pair order j + k <= truncation_order, which
     at the default order 2 is exactly the vacuum, the two single pairs, the
-    desired |1111> term and the two double-pair terms.
+    desired |1111> term and the two double-pair terms.  Nothing cancels in
+    this expansion, so no term is cut: at weak pumping the four-photon terms
+    lie many orders below the vacuum amplitude and must survive.
     """
     order = params.truncation_order
     fwd = emission_orders(params.forward_pair, order, FORWARD_MODES)
@@ -126,7 +119,7 @@ def four_mode_source(params: SourceParams) -> PureState:
                 for occ_b, amp_b in bwd[k].items():
                     key = occupation(list(occ_f) + list(occ_b))
                     terms[key] = terms.get(key, 0.0j) + weight * amp_f * amp_b
-    state = PureState(terms, n_max=2 * order)
+    state = PureState(terms, n_max=2 * order, prune=0.0)
     return state.normalized()
 
 
@@ -194,6 +187,7 @@ class RatioFit:
     sum_squared_residual: float
     converged: bool
     constrained: bool = True    # False when the targets leave the ratio free
+    other_roots: tuple = ()     # ratios in other basins that fit as exactly
 
 
 def fit_source_ratio(targets: dict, config_factory: Callable,
@@ -204,7 +198,10 @@ def fit_source_ratio(targets: dict, config_factory: Callable,
     ``config_factory(label)`` builds the protocol configuration for each.
     Each configuration is propagated once; the cost, a rational function of the
     ratio with two basins at some settings, is scanned on a log-spaced grid
-    over ``bounds`` and Brent's search refines the best grid point.
+    over ``bounds`` and Brent's search refines the best grid point.  The
+    other local minima of the grid are refined too, and those whose cost
+    also reaches zero (below ``_ROOT_COST``) are reported as ``other_roots``:
+    the targets then cannot tell those ratios apart.
     """
     from scipy import optimize
 
@@ -226,9 +223,16 @@ def fit_source_ratio(targets: dict, config_factory: Callable,
     # minimizer free: detect a flat cost and flag the fit as unconstrained
     constrained = max(costs) - min(costs) > 1e-18
 
-    res = optimize.minimize_scalar(cost, bounds=(grid[max(best - 1, 0)],
-                                                 grid[min(best + 1, len(grid) - 1)]),
-                                   method="bounded", options={"xatol": 1e-10})
+    def refine(i: int):
+        return optimize.minimize_scalar(cost, bounds=(grid[max(i - 1, 0)],
+                                                      grid[min(i + 1, len(grid) - 1)]),
+                                        method="bounded", options={"xatol": 1e-10})
+
+    res = refine(best)
+    # one index per basin: the left end of each run of equal local minima
+    minima = [i for i in range(len(grid)) if (i == 0 or costs[i] < costs[i - 1])
+              and (i == len(grid) - 1 or costs[i] <= costs[i + 1])]
+    others = [refine(i) for i in minima if i != best] if constrained else []
     ratio = float(math.exp(res.x))
     achieved = undesired(ratio)
     residuals = {k: achieved[k] - targets[k] for k in labels}
@@ -240,4 +244,5 @@ def fit_source_ratio(targets: dict, config_factory: Callable,
         sum_squared_residual=float(sum(r ** 2 for r in residuals.values())),
         converged=bool(res.success),
         constrained=constrained,
+        other_roots=tuple(float(math.exp(r.x)) for r in others if r.fun < _ROOT_COST),
     )

@@ -98,6 +98,47 @@ def test_fit_spdc_round_trip(tmp_path):
     text = read_text(out)
     ratio = float(next(l for l in text.splitlines() if "fitted_ratio" in l).split("=")[1])
     assert ratio == pytest.approx(0.8, abs=1e-3)
+    assert "warning" not in text
+
+
+def test_fit_spdc_default_precision_prints_no_rounding_noise(capsys):
+    argv = ["fit-spdc", "--synthetic-ratio", "0.8"]
+    assert run_cli(argv) == 0
+    text = capsys.readouterr().out
+    assert "# sum_squared_residual=0.000000e+00" in text
+    rows = [l.split(",") for l in text.splitlines() if not l.startswith("#")][1:]
+    assert [r[3] for r in rows] == ["0", "0", "0"]
+    assert run_cli(argv + ["--full-precision"]) == 0
+    assert "# sum_squared_residual=0.000000e+00" not in capsys.readouterr().out
+
+
+def test_tomo_default_precision_ignores_last_bit_changes(tmp_path, monkeypatch, capsys):
+    from dataclasses import replace
+
+    from cqtsim import cli
+
+    rho = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
+    counts = tmp_path / "counts.csv"
+    write_exact_counts(counts, rho)
+    argv = ["tomo", "--counts", str(counts), "--target", "plus", "--weight", "0.2"]
+    outputs = []
+    for fmt in ("csv", "json"):
+        assert run_cli(argv + ["--format", fmt]) == 0
+        outputs.append(capsys.readouterr().out)
+    ml = cli.ml_reconstruct
+    monkeypatch.setattr(cli, "ml_reconstruct",
+                        lambda c: replace(ml(c), rho=ml(c).rho * (1 + 4e-16)))
+    for fmt, before in zip(("csv", "json"), outputs):
+        assert run_cli(argv + ["--format", fmt]) == 0
+        assert capsys.readouterr().out == before
+
+
+def test_fit_spdc_warns_of_a_second_exact_root(capsys):
+    assert run_cli(["fit-spdc", "--input", "h", "--synthetic-ratio", "4",
+                    "--pbs-epsilon", "0.001"]) == 0
+    comments = [l for l in capsys.readouterr().out.splitlines() if l.startswith("#")]
+    assert "# fitted_ratio=0.176865" in comments
+    assert "# warning: ratio 4.000000 fits the targets as well" in comments
 
 
 def test_fit_spdc_reference_targets_report_residuals(tmp_path):
@@ -172,6 +213,13 @@ def test_run_determinism_with_seed(tmp_path):
 def test_degenerate_simulation_is_runtime_error():
     assert run_cli(["run", "--channel", "g1", "--action", "deny", "--input", "h",
                     "--ideal"]) == 1
+
+
+@pytest.mark.parametrize("kappa", ["3e-8", "1e-12"])
+def test_weak_pumping_still_coincides(kappa, capsys):
+    assert run_cli(["run", "--kappa-forward", kappa, "--kappa-backward", kappa]) == 0
+    row = capsys.readouterr().out.splitlines()[-1].split(",")
+    assert row[5] == "0.625"
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -259,6 +259,13 @@ def test_photon_in_a_mode_with_no_output_is_absorbed():
     assert out.terms == {occupation({(2, V): 2}): 0.8}
 
 
+def test_photon_sent_into_an_occupied_untouched_mode_bunches():
+    merge = OpticalElement("Merge", {(1, H): {(2, H): 1.0}})
+    out = apply(merge, basis_state({(1, H): 1, (2, H): 1}))
+    assert out.terms.keys() == {occupation({(2, H): 2})}
+    assert out.terms[occupation({(2, H): 2})] == pytest.approx(math.sqrt(2.0), abs=1e-15)
+
+
 def test_compose_drops_modes_every_path_absorbs():
     # crossed polarizers absorb both polarizations of mode 1
     crossed = compose([polarizer(1, KET_H), polarizer(1, KET_V)])

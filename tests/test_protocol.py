@@ -237,15 +237,16 @@ def test_zero_success_configuration_raises():
 def test_fidelity_independent_of_common_kappa_scale(channel, action):
     # at order 2 every four-fold sector holds two pairs, so scaling both
     # strengths alike scales every rate by the same kappa^4; the "no
-    # coincidence" checks must not trip at weak pumping
+    # coincidence" checks must not trip at weak pumping, nor may the source's
+    # four-photon terms be cut against its vacuum amplitude
     fids = []
-    for kappa in (0.1, 2e-4):
+    for kappa in (0.1, 2e-4, 3e-8, 1e-12):
         cfg = ProtocolConfig(channel=channel, action=action, pbs_epsilon=0.05,
                              source=SourceParams(kappa_forward=kappa,
                                                  kappa_backward=kappa))
         rec, _ = run_protocol(cfg)
         fids.append(rec.fidelity())
-    assert fids[1] == pytest.approx(fids[0], abs=1e-9)
+    assert fids[1:] == pytest.approx([fids[0]] * 3, abs=1e-9)
 
 
 @given(st.floats(min_value=0, max_value=math.pi, allow_nan=False),

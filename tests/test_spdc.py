@@ -243,9 +243,25 @@ def test_fit_round_trip_over_whole_ratio_range(eps):
             targets = {label: sector_shares(r, 0.1, 0.1 * ratio)["undesired"]
                        for label, r in rates.items()}
             fit = fit_source_ratio(targets, factory)
-            assert fit.converged and fit.constrained
+            assert fit.converged and fit.constrained and fit.other_roots == ()
             assert fit.ratio == pytest.approx(ratio, abs=5e-7)
             assert fit.sum_squared_residual < 1e-12
+
+
+@pytest.mark.parametrize("eps", [0.001, 0.05])
+def test_fit_names_the_second_exact_root(eps):
+    # with input h only the allowed share constrains the ratio, and it has
+    # two exact roots: the fit reports one and names the other
+    factory = functools.partial(fit_configs, eps=eps, input_name="h")
+    params = SourceParams(kappa_forward=0.05, kappa_backward=0.2)
+    targets = {label: heralded_fraction(params, factory(label))["undesired"]
+               for label in ("uncontrolled", "allowed", "denied")}
+    fit = fit_source_ratio(targets, factory)
+    assert len(fit.other_roots) == 1
+    assert sorted([fit.ratio, *fit.other_roots])[1] == pytest.approx(4.0, abs=5e-7)
+    other = fit_source_ratio({"allowed": targets["allowed"]}, factory,
+                             bounds=(fit.other_roots[0] / 1.5, fit.other_roots[0] * 1.5))
+    assert other.sum_squared_residual < 1e-12
 
 
 def test_import_leaves_scipy_optimize_unloaded():
