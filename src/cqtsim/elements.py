@@ -28,17 +28,27 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import (H, PureState, SectorError, V, _create, basis_pairs,
+from .fock import (H, PureState, SectorError, V, _create, basis_pairs, mode,
                    occupation, spatial_counts)
 
 
 @dataclass
 class OpticalElement:
-    """A named creation-operator substitution: mode -> {mode: amplitude}."""
+    """A named creation-operator substitution: mode -> {mode: amplitude}.
+
+    Building the element validates and normalises every input and output
+    mode with ``fock.mode``, so a bad mode raises ``ValueError`` here, and
+    turns every amplitude into a Python complex.  ``apply`` then builds
+    canonical keys and complex amplitudes without checking each term.
+    """
 
     kind: str
     mapping: dict
     params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.mapping = {mode(*m): {mode(*k): complex(u) for k, u in outs.items()}
+                        for m, outs in self.mapping.items()}
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -164,7 +174,7 @@ def apply(element: OpticalElement, state: PureState) -> PureState:
                 ket = _create(ket, sub[m].items())
         for key, a in ket.items():
             out[key] = out.get(key, 0.0j) + a
-    return PureState(out, n_max=state.n_max)
+    return PureState._canonical(out, state.n_max)
 
 
 def measure_polarization(state: PureState, spatial: int, basis) -> list:

@@ -6,14 +6,23 @@ of basis states.  Nothing in the teleportation pipeline ever exceeds a few
 dozen terms, so plain dicts keyed by canonical occupation tuples beat any
 dense representation and keep every operation exact.
 
+Keys from outside the package are canonicalised by ``occupation``: the
+public ``PureState(...)``, ``basis_state`` and ``PureState.amplitude`` do
+so.  Code whose keys are canonical by construction (``_create`` and so
+``elements.apply`` and the emission source, ``project``,
+``PureState.normalized``, ``spdc.coincidence_sectors``) builds its states
+with ``PureState._canonical``, which trusts them and skips that step.
+
 Qubit encoding used throughout the package: |H> -> basis 0, |V> -> basis 1.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
-from typing import Callable, Iterable, Mapping, Sequence
+from collections.abc import Mapping
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -70,9 +79,13 @@ def basis_pairs(basis) -> tuple:
 
 
 def mode(spatial: int, pol: str) -> tuple:
+    """Validated mode ``(spatial, pol)``: an integer index and 'H' or 'V'."""
     if pol not in POLARIZATIONS:
         raise ValueError(f"polarization must be 'H' or 'V', got {pol!r}")
-    return (int(spatial), pol)
+    try:
+        return (operator.index(spatial), pol)
+    except TypeError:
+        raise ValueError(f"spatial index must be an integer, got {spatial!r}") from None
 
 
 def occupation(counts) -> tuple:
@@ -125,18 +138,34 @@ def spatial_counts(occ: tuple) -> dict:
 class PureState:
     """Sparse pure photonic state: canonical occupation tuple -> amplitude.
 
-    Amplitudes below ``prune`` times the largest one are dropped as rounding
-    residue.  The cut is relative, so a weak term survives at any overall
-    scale of the state; ``prune=0`` drops exact zeros only.
+    ``PureState(terms)`` canonicalises every key through ``occupation``, so a
+    key may be any mode -> count mapping or pair list, and terms whose keys
+    coincide add up.  ``PureState._canonical(terms, n_max)`` is the package's
+    constructor for keys it built canonical itself: it trusts them.  Both
+    drop amplitudes below ``prune`` times the largest one as rounding residue
+    and raise ``SectorError`` for a term above ``n_max`` photons.  The cut is
+    relative, so a weak term survives at any overall scale of the state;
+    ``prune=0`` drops exact zeros only.
     """
 
     def __init__(self, terms: Mapping, n_max: int = DEFAULT_N_MAX,
                  prune: float = PRUNE_THRESHOLD):
-        self.n_max = int(n_max)
         data: dict = {}
         for occ, amp in terms.items():
             key = occupation(occ)
             data[key] = data.get(key, 0.0j) + complex(amp)
+        self._keep(data, n_max, prune)
+
+    @classmethod
+    def _canonical(cls, terms: dict, n_max: int,
+                   prune: float = PRUNE_THRESHOLD) -> "PureState":
+        """State over ``terms``: canonical keys, Python complex amplitudes."""
+        state = cls.__new__(cls)
+        state._keep(terms, n_max, prune)
+        return state
+
+    def _keep(self, data: dict, n_max: int, prune: float) -> None:
+        self.n_max = int(n_max)
         cut = prune * max(map(abs, data.values()), default=0.0)
         self.terms = {k: a for k, a in data.items() if abs(a) > cut}
         for key in self.terms:
@@ -164,11 +193,8 @@ class PureState:
         n = math.sqrt(self.norm_sq())
         if n == 0.0:
             raise ValueError("cannot normalize the zero state")
-        return PureState({k: a / n for k, a in self.terms.items()}, n_max=self.n_max,
-                         prune=0.0)
-
-    def scaled(self, factor: complex) -> "PureState":
-        return PureState({k: a * factor for k, a in self.terms.items()}, n_max=self.n_max)
+        return PureState._canonical({k: a / n for k, a in self.terms.items()},
+                                    self.n_max, prune=0.0)
 
     def modes(self) -> set:
         out: set = set()
@@ -228,11 +254,16 @@ def project(state: PureState, predicate: Callable[[tuple], bool],
     call.
     """
     kept = {occ: amp for occ, amp in state.terms.items() if predicate(occ)}
+    return _renormalized(kept, state.n_max, empty_tol)
+
+
+def _renormalized(kept: dict, n_max: int, empty_tol: float):
+    """``(kept terms scaled to unit norm, their weight)``; ``None`` below ``empty_tol``."""
     prob = float(sum(abs(a) ** 2 for a in kept.values()))
     if prob < empty_tol:
         return None, prob
     scale = 1.0 / math.sqrt(prob)
-    return PureState({k: a * scale for k, a in kept.items()}, n_max=state.n_max), prob
+    return PureState._canonical({k: a * scale for k, a in kept.items()}, n_max), prob
 
 
 def clicks_at(spatials: Iterable[int]) -> Callable[[tuple], bool]:

@@ -32,10 +32,11 @@ import numpy as np
 from .channels import PAULI_X, bell_kets, ghz_ket
 from .elements import (OpticalElement, apply, balanced_bs, compose, hwp,
                        jones_element, pbs, phase_plate, polarizer, qwp)
-from .fock import (H, V, KET_A, KET_D, KET_H, KET_R, KET_V, NAMED_KETS, PureState,
-                   basis_state, clicks_at, occupation, project, spatial_counts,
-                   tensor, to_qubit_density)
-from .spdc import SourceParams, coincidence_sectors, four_mode_source
+from .fock import (DEFAULT_N_MAX, H, V, KET_A, KET_D, KET_H, KET_R, KET_V, NAMED_KETS,
+                   PureState, _renormalized, clicks_at, project, spatial_counts,
+                   to_qubit_density)
+from .spdc import (BACKWARD_MODES, FORWARD_MODES, SourceParams, coincidence_sectors,
+                   emission_orders, four_mode_source)
 
 _SQ2 = math.sqrt(2.0)
 
@@ -190,12 +191,11 @@ def _encoder_exact(input_q: InputQubit) -> OpticalElement:
 
 def ideal_source_state() -> PureState:
     """One photon per mode: entangled forward pair, H-polarized backward pair."""
-    pair = PureState({
-        occupation({(1, H): 1, (2, H): 1}): 1.0 / _SQ2,
-        occupation({(1, V): 1, (2, V): 1}): -1.0j / _SQ2,
-    })
-    out = tensor(pair, basis_state({(3, H): 1}))
-    return tensor(out, basis_state({(4, H): 1}))
+    fwd = emission_orders("phi_plus", 1, FORWARD_MODES)[1]
+    bwd = emission_orders("hh", 1, BACKWARD_MODES)[1]
+    return PureState._canonical({occ_f + occ_b: amp_f * amp_b
+                                 for occ_f, amp_f in fwd.items()
+                                 for occ_b, amp_b in bwd.items()}, DEFAULT_N_MAX)
 
 
 def _ghz_elements(channel: str, pbs_epsilon: float) -> list:
@@ -319,10 +319,8 @@ def run_protocol(config: ProtocolConfig):
     analyzer = np.array([frame @ config.input.ket(),
                          frame @ config.input.orthogonal_ket()]).conj()
     optics = compose([_setup_map(config), jones_element(wiring.receiver, analyzer)])
-    fourfold = clicks_at(_detector_spatials(config))
-
-    def cond_pred(occ):
-        return fourfold(occ) and spatial_counts(occ)[wiring.receiver] == 1
+    detectors = _detector_spatials(config)
+    receiver_h, receiver_v = (wiring.receiver, H), (wiring.receiver, V)
 
     f_par = f_perp = success = 0.0
     per_term: dict = {}
@@ -335,15 +333,29 @@ def run_protocol(config: ProtocolConfig):
     empty_tol = 1e-14 * sum(sector.norm_sq() for sector in sectors.values())
     for label, sector in sectors.items():
         state = apply(optics, sector)
-        clicked = [(dict(occ), abs(amp) ** 2) for occ, amp in state.terms.items()
-                   if fourfold(occ)]
-        success += sum(p for _, p in clicked)
-        p_par = sum(p for modes, p in clicked if (wiring.receiver, V) not in modes)
-        p_perp = sum(p for modes, p in clicked if (wiring.receiver, H) not in modes)
+        # one pass classifies each term: a four-fold click, the receiver's
+        # polarizations, and one receiver photon for the conditional state
+        clicked, par, perp, kept = [], [], [], {}
+        for occ, amp in state.terms.items():
+            counts = spatial_counts(occ)
+            if not all(s in counts for s in detectors):
+                continue
+            p = abs(amp) ** 2
+            clicked.append(p)
+            modes = [m for m, _ in occ]
+            if receiver_v not in modes:
+                par.append(p)
+            if receiver_h not in modes:
+                perp.append(p)
+            if counts[wiring.receiver] == 1:
+                kept[occ] = amp
+        success += sum(clicked)
+        p_par = sum(par)
+        p_perp = sum(perp)
         f_par += p_par
         f_perp += p_perp
         per_term[label] = p_par + p_perp
-        cond, p_cond = project(state, cond_pred, empty_tol)
+        cond, p_cond = _renormalized(kept, state.n_max, empty_tol)
         if cond is not None:
             rho_acc += p_cond * to_qubit_density(cond, [wiring.receiver])
             rho_weight += p_cond

@@ -20,8 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .fock import (H, V, PureState, _create, occupation, spatial_counts,
-                   total_photons)
+from .fock import H, V, PureState, _create, spatial_counts, total_photons
 
 FORWARD_MODES = (1, 2)
 BACKWARD_MODES = (3, 4)
@@ -117,9 +116,11 @@ def four_mode_source(params: SourceParams) -> PureState:
             weight = (params.kappa_forward ** j) * (params.kappa_backward ** k)
             for occ_f, amp_f in fwd[j].items():
                 for occ_b, amp_b in bwd[k].items():
-                    key = occupation(list(occ_f) + list(occ_b))
+                    # every forward mode sorts before every backward mode, so
+                    # the joined key is canonical
+                    key = occ_f + occ_b
                     terms[key] = terms.get(key, 0.0j) + weight * amp_f * amp_b
-    state = PureState(terms, n_max=2 * order, prune=0.0)
+    state = PureState._canonical(terms, 2 * order, prune=0.0)
     return state.normalized()
 
 
@@ -141,7 +142,7 @@ def coincidence_sectors(state: PureState, min_photons: int = 4) -> dict:
             continue
         label = signature_label(occ)
         sectors.setdefault(label, {})[occ] = amp
-    return {label: PureState(terms, n_max=state.n_max)
+    return {label: PureState._canonical(terms, state.n_max)
             for label, terms in sorted(sectors.items())}
 
 

@@ -112,10 +112,10 @@ RUNS = [("g1", "allow", "standard"), ("g1", "deny", "standard"),
         ("g1", "allow", "swapped"), ("g1", "deny", "swapped")]
 
 
-def grid():
+def grid(orders=(None, 2, 3)):
     rng = np.random.default_rng(20260418)
     cases = []
-    for order in (None, 2, 3):
+    for order in orders:
         for channel, action, roles in RUNS:
             a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
             source = None if order is None else SourceParams(

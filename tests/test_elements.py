@@ -9,8 +9,9 @@ from cqtsim.elements import (OpticalElement, apply, balanced_bs, compose, hwp,
                              hwp_matrix, measure_polarization, pbs,
                              phase_plate, polarizer, qwp, qwp_matrix)
 from cqtsim.fock import (H, V, KET_D, KET_H, KET_L, KET_R, KET_V,
-                         PureState, SectorError, basis_state, occupation,
+                         PureState, SectorError, basis_state, clicks_at, occupation,
                          overlap, project, single_photon, spatial_counts)
+from cqtsim.spdc import coincidence_sectors
 
 
 def two_photons(mode_a, mode_b, amp=1.0):
@@ -271,3 +272,50 @@ def test_compose_drops_modes_every_path_absorbs():
     crossed = compose([polarizer(1, KET_H), polarizer(1, KET_V)])
     assert crossed.mapping == {(1, H): {}, (1, V): {}}
     assert apply(crossed, single_photon(1, KET_D)).terms == {}
+
+
+# --- modes are validated when an element is built --------------------------------
+
+@pytest.mark.parametrize("mapping", [
+    {(1, H): {(2, "Q"): 1.0}},          # bad output polarization
+    {(1, "D"): {(2, H): 1.0}},          # bad input polarization
+    {(1.5, H): {(2, H): 1.0}},          # non-integer input index
+    {(1, H): {("two", H): 1.0}},        # non-integer output index
+], ids=["output-pol", "input-pol", "input-index", "output-index"])
+def test_bad_mode_raises_when_the_element_is_built(mapping):
+    with pytest.raises(ValueError):
+        OpticalElement("X", mapping)
+
+
+def test_compose_of_valid_elements_builds_with_normalised_modes():
+    el = compose([hwp(1, 0.3), pbs(np.int64(1), 2, 0.05), polarizer(2, KET_R)])
+    assert el.kind == "Composite"
+    for m, outs in el.mapping.items():
+        for spatial, pol in [m, *outs]:
+            assert type(spatial) is int and pol in (H, V)
+        assert all(type(u) is complex for u in outs.values())
+
+
+def assert_canonical(state):
+    for occ in state.terms:
+        assert occ == occupation(occ)
+        assert all(type(spatial) is int and type(n) is int for (spatial, _), n in occ)
+
+
+@given(st.lists(ELEMENTS, min_size=0, max_size=6), STATES, MODES)
+@settings(max_examples=80, deadline=None)
+def test_trusted_constructors_keep_keys_canonical(els, state, spatial):
+    # apply, project, normalized and coincidence_sectors skip occupation: the
+    # keys they hand on must already be what occupation would make of them
+    out = apply(compose(els), state)
+    assert_canonical(out)
+    for el in els:
+        state = apply(el, state)
+        assert_canonical(state)
+    kept, _ = project(out, clicks_at([spatial]))
+    if kept is not None:
+        assert_canonical(kept)
+    if out.norm_sq() > 0.0:
+        assert_canonical(out.normalized())
+    for sector in coincidence_sectors(out, min_photons=1).values():
+        assert_canonical(sector)

@@ -1,0 +1,98 @@
+"""The one-pass tally of ``run_protocol`` against the tally it replaced.
+
+``run_protocol`` classifies every propagated term once: four-fold click,
+receiver polarizations, and one receiver photon for the conditional state.
+The oracle below is the earlier tally, kept as it was: a ``clicks_at``
+predicate for the rates and ``project`` with a second predicate for the
+conditional state, on the same composed optics.  The rates are summed in the
+same order, so they must agree exactly.
+
+The emission states and the propagated terms are built with keys the package
+made canonical itself, so nothing on that path calls ``occupation``.
+"""
+
+import sys
+
+import numpy as np
+import pytest
+
+from cqtsim import fock
+from cqtsim.channels import PAULI_X
+from cqtsim.elements import apply, compose, jones_element
+from cqtsim.fock import H, V, clicks_at, project, spatial_counts, to_qubit_density
+from cqtsim.protocol import (WIRINGS, ProtocolConfig, _detector_spatials, _sectors,
+                             _setup_map, analyzer_frame, ideal_source_state,
+                             run_protocol)
+from cqtsim.spdc import SourceParams
+from test_composed_vs_sequential import grid
+
+
+def projected_tally(config):
+    wiring = WIRINGS[config.roles]
+    frame = analyzer_frame(config.channel, config.roles)
+    analyzer = np.array([frame @ config.input.ket(),
+                         frame @ config.input.orthogonal_ket()]).conj()
+    optics = compose([_setup_map(config), jones_element(wiring.receiver, analyzer)])
+    fourfold = clicks_at(_detector_spatials(config))
+
+    def cond_pred(occ):
+        return fourfold(occ) and spatial_counts(occ)[wiring.receiver] == 1
+
+    f_par = f_perp = success = 0.0
+    per_term = {}
+    rho_acc = np.zeros((2, 2), dtype=complex)
+    rho_weight = 0.0
+    sectors = _sectors(config)
+    empty_tol = 1e-14 * sum(sector.norm_sq() for sector in sectors.values())
+    for label, sector in sectors.items():
+        state = apply(optics, sector)
+        clicked = [(dict(occ), abs(amp) ** 2) for occ, amp in state.terms.items()
+                   if fourfold(occ)]
+        success += sum(p for _, p in clicked)
+        p_par = sum(p for modes, p in clicked if (wiring.receiver, V) not in modes)
+        p_perp = sum(p for modes, p in clicked if (wiring.receiver, H) not in modes)
+        f_par += p_par
+        f_perp += p_perp
+        per_term[label] = p_par + p_perp
+        cond, p_cond = project(state, cond_pred, empty_tol)
+        if cond is not None:
+            rho_acc += p_cond * to_qubit_density(cond, [wiring.receiver])
+            rho_weight += p_cond
+    rho = analyzer.conj().T @ (rho_acc / rho_weight) @ analyzer
+    if config.channel == "g2":
+        rho = PAULI_X @ rho @ PAULI_X
+    return f_par, f_perp, success, per_term, rho
+
+
+@pytest.mark.parametrize("config", grid((None, 2, 3, 4)))
+def test_one_pass_tally_equals_projected_tally(config):
+    record, rho = run_protocol(config)
+    f_par, f_perp, success, per_term, expected_rho = projected_tally(config)
+    assert record.f_parallel == f_par
+    assert record.f_perp == f_perp
+    assert record.success_probability == success
+    assert record.per_term == per_term
+    assert np.max(np.abs(rho - expected_rho)) <= 1e-12
+
+
+def test_propagation_and_tally_never_call_occupation(monkeypatch):
+    configs = [ProtocolConfig(channel="g1", action="allow"),
+               ProtocolConfig(channel="g1", action="allow", pbs_epsilon=0.05,
+                              source=SourceParams(0.1, 0.055, truncation_order=2))]
+    optics = _setup_map(configs[0])
+    source = ideal_source_state()
+    analyzer_frame("g1", "standard")     # calibrated once per process, then cached
+
+    def forbidden(counts):
+        raise AssertionError(f"occupation({counts!r}) called")
+
+    modules = [m for name, m in sys.modules.items()
+               if name == "cqtsim" or name.startswith("cqtsim.")]
+    for module in modules:
+        for name, value in list(vars(module).items()):
+            if value is fock.occupation:
+                monkeypatch.setattr(module, name, forbidden)
+    assert apply(optics, source).norm_sq() > 0.0
+    for config in configs:
+        record, _ = run_protocol(config)
+        assert record.success_probability > 0.0
