@@ -112,8 +112,9 @@ class ConditionalChannel:
 def condition_on_controller(channel: np.ndarray, basis="pm", outcome=None):
     """Measure qubit 3 and return the renormalized two-qubit conditional(s).
 
-    With ``outcome`` given, returns a single ConditionalChannel; otherwise one
-    per basis outcome.
+    ``basis`` names one of the bases "hv", "pm" or "rl", and ``outcome`` one
+    of its labels ("H", "V", "+", "-", "R", "L").  With ``outcome`` given,
+    returns a single ConditionalChannel; otherwise one per basis outcome.
     """
     rho = np.asarray(channel, dtype=complex).reshape((2,) * 6)
     results = []
@@ -189,10 +190,9 @@ def standard_corrections() -> dict:
     return out
 
 
-def teleport_fidelity(channel: np.ndarray, psi: np.ndarray,
-                      corrections: dict | None = None) -> float:
-    """Fidelity of teleporting ``psi`` with a fixed Pauli correction frame."""
-    corrections = corrections or standard_corrections()
+def teleport_fidelity(channel: np.ndarray, psi: np.ndarray) -> float:
+    """Fidelity of teleporting ``psi`` with the ``standard_corrections`` Pauli frame."""
+    corrections = standard_corrections()
     psi = np.asarray(psi, dtype=complex).ravel()
     probs, states = _teleport_branches(channel, psi[None, :])
     total = 0.0

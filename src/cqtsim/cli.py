@@ -31,7 +31,8 @@ from .estimation import (NonPhysicalError, corrected_fidelity,
 from .fock import NAMED_KETS, fidelity
 from .protocol import (InputQubit, ProtocolConfig, ProtocolError,
                        emulate_mixture, run_protocol)
-from .spdc import RATIO_BOUNDS, SourceParams, fit_source_ratio, heralded_fraction
+from .spdc import (RATIO_BOUNDS, SourceParams, fit_source_ratio, sector_rates,
+                   sector_shares)
 
 SCHEMA_VERSION = "cqtsim.v1"
 
@@ -407,16 +408,11 @@ def cmd_fit_spdc(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
+    targets = DEFAULT_FIT_TARGETS
     if args.synthetic_ratio is not None:
         lo, hi = RATIO_BOUNDS
         if not lo < args.synthetic_ratio <= hi:
             raise UsageError(f"--synthetic-ratio must lie in ({lo:g}, {hi:g}]")
-        # at truncation order 2 the shares depend on the ratio alone; a forward
-        # strength of 0.05 keeps kappa_backward below 0.5 across the bounds
-        params = SourceParams(kappa_forward=0.05,
-                              kappa_backward=0.05 * args.synthetic_ratio)
-        targets = {label: heralded_fraction(params, configs[label])["undesired"]
-                   for label in DEFAULT_FIT_TARGETS}
     elif args.targets is not None:
         parts = args.targets.split(",")
         if len(parts) != 3:
@@ -429,10 +425,16 @@ def cmd_fit_spdc(args) -> int:
             raise UsageError("--targets must be percentages in [0, 100]")
         targets = dict(zip(("uncontrolled", "allowed", "denied"),
                            [v / 100.0 for v in pcts]))
-    else:
-        targets = dict(DEFAULT_FIT_TARGETS)
 
-    fit = fit_source_ratio(targets, configs.__getitem__)
+    # each configuration is propagated once; its rates feed the targets and the fit
+    rates = {label: sector_rates(SourceParams(), cfg) for label, cfg in configs.items()}
+    if args.synthetic_ratio is not None:
+        # at truncation order 2 the shares depend on the ratio alone, up to
+        # rounding; a forward strength of 0.05 fixes that rounding
+        targets = {label: sector_shares(rates[label], 0.05,
+                                        0.05 * args.synthetic_ratio)["undesired"]
+                   for label in DEFAULT_FIT_TARGETS}
+    fit = fit_source_ratio(targets, rates)
     fp = args.full_precision
     rows = [[label, targets[label] * 100.0, fit.achieved[label] * 100.0,
              _fixed(fit.residuals[label] * 100.0, RESIDUAL_PP_DIGITS, fp)]

@@ -23,7 +23,7 @@ in the tests reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +44,6 @@ class OpticalElement:
 
     kind: str
     mapping: dict
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.mapping = {mode(*m): {mode(*k): complex(u) for k, u in outs.items()}
@@ -74,33 +73,31 @@ def _jones_mapping(spatial: int, jones: np.ndarray) -> dict:
     }
 
 
-def jones_element(spatial: int, jones: np.ndarray, kind: str = "Jones",
-                  **params) -> OpticalElement:
+def jones_element(spatial: int, jones: np.ndarray, kind: str = "Jones") -> OpticalElement:
     """Arbitrary 2x2 polarization action on one spatial mode."""
-    return OpticalElement(kind, _jones_mapping(spatial, jones),
-                          {"spatial": spatial, **params})
+    return OpticalElement(kind, _jones_mapping(spatial, jones))
 
 
 def hwp(spatial: int, theta: float) -> OpticalElement:
-    return jones_element(spatial, hwp_matrix(theta), "HWP", theta=theta)
+    return jones_element(spatial, hwp_matrix(theta), "HWP")
 
 
 def qwp(spatial: int, theta: float) -> OpticalElement:
-    return jones_element(spatial, qwp_matrix(theta), "QWP", theta=theta)
+    return jones_element(spatial, qwp_matrix(theta), "QWP")
 
 
 def phase_plate(spatial: int, phi: float, pol: str = V) -> OpticalElement:
     """Birefringent phase: multiplies the chosen polarization by exp(i*phi)."""
     j = np.eye(2, dtype=complex)
     j[1 if pol == V else 0, 1 if pol == V else 0] = np.exp(1j * phi)
-    return jones_element(spatial, j, "PhasePlate", phi=phi, pol=pol)
+    return jones_element(spatial, j, "PhasePlate")
 
 
 def polarizer(spatial: int, jones_ket: np.ndarray) -> OpticalElement:
     """Projective polarizer: transmits the ``jones_ket`` component, absorbs the rest."""
     v = np.asarray(jones_ket, dtype=complex).ravel()
     v = v / np.linalg.norm(v)
-    return jones_element(spatial, np.outer(v, v.conj()), "Polarizer", ket=v)
+    return jones_element(spatial, np.outer(v, v.conj()), "Polarizer")
 
 
 def balanced_bs(port_a: int, port_b: int) -> OpticalElement:
@@ -111,7 +108,7 @@ def balanced_bs(port_a: int, port_b: int) -> OpticalElement:
     for p in (H, V):
         mapping[(port_a, p)] = {(port_a, p): t, (port_b, p): r}
         mapping[(port_b, p)] = {(port_a, p): r, (port_b, p): t}
-    return OpticalElement("BalancedBS", mapping, {"ports": (port_a, port_b)})
+    return OpticalElement("BalancedBS", mapping)
 
 
 def pbs(port_a: int, port_b: int, epsilon: float = 0.0) -> OpticalElement:
@@ -130,7 +127,7 @@ def pbs(port_a: int, port_b: int, epsilon: float = 0.0) -> OpticalElement:
         (port_a, V): {(port_b, V): 1.0j},
         (port_b, V): {(port_a, V): 1.0j},
     }
-    return OpticalElement("PBS", mapping, {"ports": (port_a, port_b), "epsilon": epsilon})
+    return OpticalElement("PBS", mapping)
 
 
 def compose(elements: Sequence[OpticalElement]) -> OpticalElement:
@@ -180,10 +177,9 @@ def apply(element: OpticalElement, state: PureState) -> PureState:
 def measure_polarization(state: PureState, spatial: int, basis) -> list:
     """Von Neumann polarization measurement on a one-photon spatial mode.
 
-    ``basis`` is one of the named bases ("hv", "pm", "rl") or a sequence of
-    ``(jones_ket, label)`` pairs.  Returns ``[(label, probability,
-    conditional_state_without_the_mode), ...]``; the conditional is ``None``
-    when the outcome never occurs.
+    ``basis`` names one of the bases "hv", "pm" or "rl".  Returns
+    ``[(label, probability, conditional_state_without_the_mode), ...]``; the
+    conditional is ``None`` when the outcome never occurs.
     """
     occupied_somewhere = False
     results = []

@@ -68,14 +68,11 @@ class SectorError(ValueError):
     """State lies outside the photon-number sector an operation expects."""
 
 
-def basis_pairs(basis) -> tuple:
-    """``(jones_ket, label)`` pairs of a named basis or of explicit pairs."""
-    if isinstance(basis, str):
-        try:
-            return NAMED_BASES[basis.lower()]
-        except KeyError:
-            raise ValueError(f"unknown basis {basis!r}") from None
-    return tuple((np.asarray(k, dtype=complex).ravel(), lbl) for k, lbl in basis)
+def basis_pairs(basis: str) -> tuple:
+    """``(jones_ket, label)`` pairs of the named basis "hv", "pm" or "rl"."""
+    if isinstance(basis, str) and basis.lower() in NAMED_BASES:
+        return NAMED_BASES[basis.lower()]
+    raise ValueError(f"unknown basis {basis!r}")
 
 
 def mode(spatial: int, pol: str) -> tuple:
@@ -95,13 +92,14 @@ def occupation(counts) -> tuple:
     merged: dict = {}
     for m, n in counts:
         spatial, pol = m
-        if pol not in POLARIZATIONS:
-            raise ValueError(f"bad polarization label {pol!r}")
-        n = int(n)
+        key = mode(spatial, pol)
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"photon count must be an integer, got {n!r}") from None
         if n < 0:
             raise ValueError("photon counts must be non-negative")
         if n:
-            key = (int(spatial), pol)
             merged[key] = merged.get(key, 0) + n
     return tuple(sorted(merged.items()))
 

@@ -32,6 +32,7 @@ import numpy as np
 from .channels import PAULI_X, bell_kets, ghz_ket
 from .elements import (OpticalElement, apply, balanced_bs, compose, hwp,
                        jones_element, pbs, phase_plate, polarizer, qwp)
+from .estimation import fidelity_from_counts
 from .fock import (DEFAULT_N_MAX, H, V, KET_A, KET_D, KET_H, KET_R, KET_V, NAMED_KETS,
                    PureState, _renormalized, clicks_at, project, spatial_counts,
                    to_qubit_density)
@@ -143,10 +144,7 @@ class CountRecord:
     settings: tuple
 
     def fidelity(self) -> float:
-        total = self.f_parallel + self.f_perp
-        if total <= 0:
-            raise ValueError("no coincidences in either analyzer setting")
-        return self.f_parallel / total
+        return fidelity_from_counts(self.f_parallel, self.f_perp)
 
 
 # --- input encoding -----------------------------------------------------------

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -49,8 +48,6 @@ class SourceParams:
     kappa_forward: complex = 0.1
     kappa_backward: complex = 0.1
     truncation_order: int = 2
-    forward_pair: str = "phi_plus"
-    backward_pair: str = "hh"
 
     def __post_init__(self):
         self.kappa_forward = complex(self.kappa_forward)
@@ -60,13 +57,9 @@ class SourceParams:
                              "(|kappa| < 0.5)")
         if self.truncation_order < 1:
             raise ValueError("truncation_order must be >= 1")
-        for kind in (self.forward_pair, self.backward_pair):
-            if kind not in PAIR_KINDS:
-                raise ValueError(f"unknown pair kind {kind!r}")
 
     def key(self) -> tuple:
-        return (self.kappa_forward, self.kappa_backward, self.truncation_order,
-                self.forward_pair, self.backward_pair)
+        return (self.kappa_forward, self.kappa_backward, self.truncation_order)
 
 
 def emission_orders(pair_kind: str, order: int, modes: tuple) -> list:
@@ -108,8 +101,8 @@ def four_mode_source(params: SourceParams) -> PureState:
     lie many orders below the vacuum amplitude and must survive.
     """
     order = params.truncation_order
-    fwd = emission_orders(params.forward_pair, order, FORWARD_MODES)
-    bwd = emission_orders(params.backward_pair, order, BACKWARD_MODES)
+    fwd = emission_orders("phi_plus", order, FORWARD_MODES)
+    bwd = emission_orders("hh", order, BACKWARD_MODES)
     terms: dict = {}
     for j in range(order + 1):
         for k in range(order + 1 - j):
@@ -150,7 +143,7 @@ def sector_rates(params: SourceParams, config) -> dict:
     """Four-fold rate of each coincidence sector, propagated at REFERENCE_KAPPA.
 
     Sectors are incoherent alternatives at the detection level, so each is
-    propagated on its own; only the order and pair kinds of ``params`` count.
+    propagated on its own; only the truncation order of ``params`` counts.
     """
     from .protocol import run_protocol
 
@@ -183,7 +176,6 @@ class RatioFit:
 
     ratio: float
     achieved: dict
-    targets: dict
     residuals: dict
     sum_squared_residual: float
     converged: bool
@@ -191,23 +183,21 @@ class RatioFit:
     other_roots: tuple = ()     # ratios in other basins that fit as exactly
 
 
-def fit_source_ratio(targets: dict, config_factory: Callable,
-                     bounds=RATIO_BOUNDS) -> RatioFit:
+def fit_source_ratio(targets: dict, rates: dict, bounds=RATIO_BOUNDS) -> RatioFit:
     """Least-squares fit of kappa_backward/kappa_forward to target undesired shares.
 
     ``targets`` maps configuration labels to target fractions (0..1);
-    ``config_factory(label)`` builds the protocol configuration for each.
-    Each configuration is propagated once; the cost, a rational function of the
-    ratio with two basins at some settings, is scanned on a log-spaced grid
-    over ``bounds`` and Brent's search refines the best grid point.  The
-    other local minima of the grid are refined too, and those whose cost
-    also reaches zero (below ``_ROOT_COST``) are reported as ``other_roots``:
-    the targets then cannot tell those ratios apart.
+    ``rates`` maps each of those labels to its ``sector_rates``, so the fit
+    propagates nothing itself.  The cost, a rational function of the ratio
+    with two basins at some settings, is scanned on a log-spaced grid over
+    ``bounds`` and Brent's search refines the best grid point.  The other
+    local minima of the grid are refined too, and those whose cost also
+    reaches zero (below ``_ROOT_COST``) are reported as ``other_roots``: the
+    targets then cannot tell those ratios apart.
     """
     from scipy import optimize
 
     labels = list(targets)
-    rates = {k: sector_rates(SourceParams(), config_factory(k)) for k in labels}
 
     def undesired(ratio: float) -> dict:
         kb = REFERENCE_KAPPA * ratio
@@ -240,7 +230,6 @@ def fit_source_ratio(targets: dict, config_factory: Callable,
     return RatioFit(
         ratio=ratio,
         achieved=achieved,
-        targets=dict(targets),
         residuals=residuals,
         sum_squared_residual=float(sum(r ** 2 for r in residuals.values())),
         converged=bool(res.success),

@@ -20,7 +20,7 @@ from cqtsim.fock import KET_D, NAMED_KETS, PureState, basis_state, occupation, H
 from cqtsim.protocol import (AXIAL_INPUT_NAMES, InputQubit, ProtocolConfig,
                              ProtocolError, R_PREP, prepare_ghz, run_protocol,
                              singlet_projection)
-from cqtsim.spdc import SourceParams, fit_source_ratio, heralded_fraction
+from cqtsim.spdc import SourceParams, fit_source_ratio, heralded_fraction, sector_rates
 
 _SQ2 = math.sqrt(2.0)
 CLASSICAL_LIMIT = 2.0 / 3.0
@@ -238,12 +238,13 @@ def test_criterion_08_source_ratio_fit():
     params = SourceParams(kappa_forward=0.1, kappa_backward=0.1 * truth)
     targets = {lbl: heralded_fraction(params, _fit_config(lbl))["undesired"]
                for lbl in labels}
-    fit = fit_source_ratio(targets, _fit_config)
+    rates = {lbl: sector_rates(SourceParams(), _fit_config(lbl)) for lbl in labels}
+    fit = fit_source_ratio(targets, rates)
     assert abs(fit.ratio - truth) < 1e-3
 
     # soft half: fit the published shares and report the residuals
     reference = {"uncontrolled": 0.130, "allowed": 0.554, "denied": 0.301}
-    ref_fit = fit_source_ratio(reference, _fit_config)
+    ref_fit = fit_source_ratio(reference, rates)
     assert ref_fit.converged
     residual_note = ", ".join(
         f"{lbl} {100 * ref_fit.achieved[lbl]:.1f}% vs {100 * reference[lbl]:.1f}%"

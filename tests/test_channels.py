@@ -67,7 +67,7 @@ def test_standard_corrections_invert_phi_plus():
     assert set(corr) == {"phi+", "phi-", "psi+", "psi-"}
     channel = ket_outer(bell_kets()["phi+"])
     for psi in (KET_H, KET_V, KET_D, KET_R):
-        assert teleport_fidelity(channel, psi, corr) == pytest.approx(1.0, abs=1e-12)
+        assert teleport_fidelity(channel, psi) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_avg_fidelity_trivial_channels():

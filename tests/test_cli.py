@@ -485,3 +485,73 @@ def test_run_emission_bytes_pinned(settings, row, capsys):
                     "--kappa-backward", "0.055", "--pbs-epsilon", "0.05",
                     "--truncation-order", str(order)]) == 0
     assert capsys.readouterr().out == RUN_HEADER + row + "\n"
+
+
+# --- fit-spdc: output bytes and propagation count ------------------------------------
+
+FIT_COLUMNS = "config,target_percent,achieved_percent,residual_pp\n"
+FIT_ROWS = [
+    ((),
+     ("fitted_ratio=0.554711", "sum_squared_residual=2.283408e-01", "converged=True"),
+     ("uncontrolled,13,0,-13", "allowed,55.4,81.13,25.73", "denied,30.1,68.21,38.11")),
+    (("--synthetic-ratio", "0.8"),
+     ("fitted_ratio=0.800000", "sum_squared_residual=0.000000e+00", "converged=True"),
+     ("uncontrolled,0,0,0", "allowed,75.73,75.73,0", "denied,76.82,76.82,0")),
+    (("--synthetic-ratio", "2"),
+     ("fitted_ratio=2.000000", "sum_squared_residual=0.000000e+00", "converged=True"),
+     ("uncontrolled,0,0,0", "allowed,89.83,89.83,0", "denied,94.9,94.9,0")),
+    (("--input", "h", "--synthetic-ratio", "4", "--pbs-epsilon", "0.001"),
+     ("fitted_ratio=0.176865", "sum_squared_residual=0.000000e+00", "converged=True",
+      "warning: ratio 4.000000 fits the targets as well"),
+     ("uncontrolled,0,0,0", "allowed,96.97,96.97,0", "denied,100,100,0")),
+    (("--targets", "10,50,40"),
+     ("fitted_ratio=0.600199", "sum_squared_residual=1.844477e-01", "converged=True"),
+     ("uncontrolled,10,0,-10", "allowed,50,79.51,29.51", "denied,40,69.56,29.56")),
+]
+
+
+@pytest.mark.parametrize("extra, comments, rows", FIT_ROWS)
+def test_fit_spdc_bytes_pinned(extra, comments, rows, capsys):
+    assert run_cli(["fit-spdc", *extra]) == 0
+    assert capsys.readouterr().out == (
+        "# schema=cqtsim.v1\n" + "".join(f"# {c}\n" for c in comments)
+        + FIT_COLUMNS + "".join(f"{r}\n" for r in rows))
+
+
+def test_fit_spdc_json_bytes_pinned(capsys):
+    assert run_cli(["fit-spdc", "--format", "json", "--synthetic-ratio", "0.8"]) == 0
+    expected = {
+        "columns": ["config", "target_percent", "achieved_percent", "residual_pp"],
+        "comments": ["fitted_ratio=0.800000", "sum_squared_residual=0.000000e+00",
+                     "converged=True"],
+        "rows": [["uncontrolled", 0.0, 0.0, 0.0], ["allowed", 75.73, 75.73, 0.0],
+                 ["denied", 76.82, 76.82, 0.0]],
+        "schema": "cqtsim.v1",
+    }
+    assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+def _count_propagations(monkeypatch):
+    from cqtsim import protocol
+
+    calls = []
+    propagate = protocol.run_protocol
+    monkeypatch.setattr(protocol, "run_protocol",
+                        lambda cfg: calls.append((cfg.channel, cfg.action)) or propagate(cfg))
+    return calls
+
+
+@pytest.mark.parametrize("extra", [[], ["--synthetic-ratio", "0.8"],
+                                   ["--targets", "13,55.4,30.1"]])
+def test_fit_spdc_propagates_each_configuration_once(extra, monkeypatch):
+    calls = _count_propagations(monkeypatch)
+    assert run_cli(["fit-spdc", *extra]) == 0
+    assert sorted(calls) == [("g1", "allow"), ("g1", "deny"), ("reference", "none")]
+
+
+@pytest.mark.parametrize("extra", [["--synthetic-ratio", "6"], ["--targets", "1,2"],
+                                   ["--targets", "a,b,c"]])
+def test_fit_spdc_rejects_bad_targets_before_propagating(extra, monkeypatch):
+    calls = _count_propagations(monkeypatch)
+    assert run_cli(["fit-spdc", *extra]) == 2
+    assert calls == []

@@ -26,6 +26,18 @@ def test_occupation_canonical_form():
     assert total_photons(occ) == 3
 
 
+def test_occupation_rejects_non_integer_modes_and_counts():
+    with pytest.raises(ValueError, match="spatial index"):
+        occupation({(1.5, H): 1})
+    with pytest.raises(ValueError, match="photon count"):
+        occupation({(1, H): 1.7})
+    with pytest.raises(ValueError, match="spatial index"):
+        basis_state({(2.9, V): 1})
+    with pytest.raises(ValueError, match="spatial index"):
+        PureState({(((1.5, H), 1),): 1.0})
+    assert occupation({(np.int64(1), H): np.int64(2)}) == (((1, H), 2),)
+
+
 def test_zero_counts_absent_and_prune():
     s = PureState({occupation({(1, H): 1}): 1.0, occupation({(2, H): 1}): 1e-16})
     assert len(s) == 1

@@ -1,4 +1,3 @@
-import functools
 import math
 import os
 import subprocess
@@ -30,13 +29,16 @@ def fit_configs(label, eps=0.05, input_name="plus"):
     }[label]
 
 
+def fit_rates(eps=0.05, input_name="plus"):
+    return {label: sector_rates(SourceParams(), fit_configs(label, eps, input_name))
+            for label in ("uncontrolled", "allowed", "denied")}
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         SourceParams(kappa_forward=0.7)
     with pytest.raises(ValueError):
         SourceParams(truncation_order=0)
-    with pytest.raises(ValueError):
-        SourceParams(forward_pair="nope")
 
 
 def test_two_mode_vacuum_at_zero_kappa():
@@ -168,7 +170,7 @@ def test_fit_round_trip():
     for label in ("uncontrolled", "allowed", "denied"):
         params = SourceParams(kappa_forward=0.1, kappa_backward=0.1 * truth_ratio)
         targets[label] = heralded_fraction(params, fit_configs(label))["undesired"]
-    fit = fit_source_ratio(targets, fit_configs)
+    fit = fit_source_ratio(targets, fit_rates())
     assert isinstance(fit, RatioFit)
     assert fit.ratio == pytest.approx(truth_ratio, abs=1e-3)
     assert fit.sum_squared_residual < 1e-12
@@ -176,7 +178,7 @@ def test_fit_round_trip():
 
 def test_fit_reports_residuals_for_reference_targets():
     targets = {"uncontrolled": 0.130, "allowed": 0.554, "denied": 0.301}
-    fit = fit_source_ratio(targets, fit_configs)
+    fit = fit_source_ratio(targets, fit_rates())
     assert fit.converged
     assert fit.constrained
     assert set(fit.residuals) == set(targets)
@@ -186,7 +188,7 @@ def test_fit_reports_residuals_for_reference_targets():
 def test_fit_flags_unconstrained_targets():
     # the trigger-only reference run blocks both double-pair terms, so its
     # share is ratio-independent and a zero target leaves the fit degenerate
-    fit = fit_source_ratio({"uncontrolled": 0.0}, fit_configs)
+    fit = fit_source_ratio({"uncontrolled": 0.0}, fit_rates())
     assert not fit.constrained
     assert fit.sum_squared_residual == pytest.approx(0.0, abs=1e-18)
 
@@ -236,13 +238,11 @@ def test_fit_round_trip_over_whole_ratio_range(eps):
     below 1e-21).
     """
     for i, name in enumerate(("plus", "minus", "r", "l")):
-        factory = functools.partial(fit_configs, eps=eps, input_name=name)
-        rates = {label: sector_rates(SourceParams(), factory(label))
-                 for label in ("uncontrolled", "allowed", "denied")}
+        rates = fit_rates(eps, name)
         for ratio in FIT_RATIOS[i::4]:
             targets = {label: sector_shares(r, 0.1, 0.1 * ratio)["undesired"]
                        for label, r in rates.items()}
-            fit = fit_source_ratio(targets, factory)
+            fit = fit_source_ratio(targets, rates)
             assert fit.converged and fit.constrained and fit.other_roots == ()
             assert fit.ratio == pytest.approx(ratio, abs=5e-7)
             assert fit.sum_squared_residual < 1e-12
@@ -252,14 +252,14 @@ def test_fit_round_trip_over_whole_ratio_range(eps):
 def test_fit_names_the_second_exact_root(eps):
     # with input h only the allowed share constrains the ratio, and it has
     # two exact roots: the fit reports one and names the other
-    factory = functools.partial(fit_configs, eps=eps, input_name="h")
     params = SourceParams(kappa_forward=0.05, kappa_backward=0.2)
-    targets = {label: heralded_fraction(params, factory(label))["undesired"]
+    targets = {label: heralded_fraction(params, fit_configs(label, eps, "h"))["undesired"]
                for label in ("uncontrolled", "allowed", "denied")}
-    fit = fit_source_ratio(targets, factory)
+    rates = fit_rates(eps, "h")
+    fit = fit_source_ratio(targets, rates)
     assert len(fit.other_roots) == 1
     assert sorted([fit.ratio, *fit.other_roots])[1] == pytest.approx(4.0, abs=5e-7)
-    other = fit_source_ratio({"allowed": targets["allowed"]}, factory,
+    other = fit_source_ratio({"allowed": targets["allowed"]}, rates,
                              bounds=(fit.other_roots[0] / 1.5, fit.other_roots[0] * 1.5))
     assert other.sum_squared_residual < 1e-12
 
