@@ -8,10 +8,9 @@ statistical layer (count-ratio fidelities, maximum-likelihood tomography,
 background subtraction, Poisson uncertainties).
 """
 
-from .channels import (ChannelSpec, ConditionalChannel, avg_teleport_fidelity,
+from .channels import (ConditionalChannel, avg_teleport_fidelity,
                        classical_control_baseline, condition_on_controller,
-                       make_channel, make_ghz_mixture, make_werner,
-                       teleport_fidelity, werner_scan)
+                       make_ghz_mixture, make_werner, teleport_fidelity, werner_scan)
 from .elements import (OpticalElement, apply, balanced_bs, compose, hwp,
                        jones_element, measure_polarization, pbs, phase_plate,
                        polarizer, qwp)

@@ -65,41 +65,16 @@ def chi_ket(sign: int) -> np.ndarray:
     return np.kron(pair, third)
 
 
-@dataclass(frozen=True)
-class ChannelSpec:
-    kind: str              # "ghz_mixture" | "werner" | "explicit"
-    p: float | None = None
-    q: float | None = None
-    rho: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.kind == "ghz_mixture":
-            if self.p is None or not 0.0 <= self.p <= 1.0:
-                raise ValueError("ghz_mixture needs p in [0, 1]")
-        elif self.kind == "werner":
-            if self.q is None or not 0.0 <= self.q <= 1.0:
-                raise ValueError("werner needs q in [0, 1]")
-        elif self.kind == "explicit":
-            if self.rho is None:
-                raise ValueError("explicit channel needs a density matrix")
-        else:
-            raise ValueError(f"unknown channel kind {self.kind!r}")
-
-
 def make_ghz_mixture(p: float) -> np.ndarray:
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p={p} outside [0, 1]")
     return (1 - p) * ket_outer(ghz_ket(1)) + p * ket_outer(ghz_ket(2))
 
 
 def make_werner(q: float) -> np.ndarray:
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q={q} outside [0, 1]")
     return q * ket_outer(ghz_ket(1)) + (1 - q) * np.eye(8, dtype=complex) / 8.0
-
-
-def make_channel(spec: ChannelSpec) -> np.ndarray:
-    if spec.kind == "ghz_mixture":
-        return make_ghz_mixture(spec.p)
-    if spec.kind == "werner":
-        return make_werner(spec.q)
-    return np.asarray(spec.rho, dtype=complex)
 
 
 @dataclass
@@ -205,30 +180,36 @@ def teleport_fidelity(channel: np.ndarray, psi: np.ndarray) -> float:
     return total
 
 
+def _branches(channel, strategy: str):
+    """``(branches, total probability)`` that ``strategy`` averages over; without
+    the controller's information, one branch holding their weighted mixture."""
+    if isinstance(channel, np.ndarray):
+        branches = [ConditionalChannel("", 1.0, channel)]
+    else:
+        branches = list(channel)
+    total_p = sum(b.probability for b in branches)
+    if strategy == "with_feedforward":
+        return branches, total_p
+    if strategy == "without_controller_info":
+        mixed = sum(b.probability * b.state for b in branches) / total_p
+        return [ConditionalChannel("", 1.0, mixed)], 1.0
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
 def avg_teleport_fidelity(channel, strategy: str = "with_feedforward") -> float:
     """Bloch-sphere average teleportation fidelity with Pauli-frame corrections.
 
     ``channel`` is either a two-qubit density operator or a list of
     ConditionalChannel objects (the controller's outcome branches).  With
-    feed-forward the receiver optimizes his Pauli frame per controller
-    outcome; without the controller's information he teleports over the
+    feed-forward the receiver picks the Pauli frame per controller outcome;
+    without the controller's information the receiver teleports over the
     outcome-averaged channel.  Uses the closed form (2 f + 1)/3 with f the
     channel's maximally-entangled-state overlap.
     """
-    if isinstance(channel, np.ndarray):
-        branches = [ConditionalChannel("", 1.0, channel)]
-    else:
-        branches = list(channel)
-    if strategy == "with_feedforward":
-        total_p = sum(b.probability for b in branches)
-        return sum(
-            b.probability * (2 * fully_entangled_fraction(b.state) + 1) / 3.0
-            for b in branches) / total_p
-    if strategy == "without_controller_info":
-        total_p = sum(b.probability for b in branches)
-        mixed = sum(b.probability * b.state for b in branches) / total_p
-        return (2 * fully_entangled_fraction(mixed) + 1) / 3.0
-    raise ValueError(f"unknown strategy {strategy!r}")
+    branches, total_p = _branches(channel, strategy)
+    return sum(
+        b.probability * (2 * fully_entangled_fraction(b.state) + 1) / 3.0
+        for b in branches) / total_p
 
 
 def mc_avg_teleport_fidelity(channel, n_samples: int, seed: int,
@@ -238,20 +219,12 @@ def mc_avg_teleport_fidelity(channel, n_samples: int, seed: int,
     Picks, per Bell outcome, the Pauli that maximizes the sample-averaged
     fidelity, matching the closed-form protocol.
     """
-    if isinstance(channel, np.ndarray):
-        branches = [ConditionalChannel("", 1.0, channel)]
-    else:
-        branches = list(channel)
+    branches, total_p = _branches(channel, strategy)
     rng = np.random.default_rng(seed)
     # per sample: two real parts, then two imaginary parts
     draws = rng.normal(size=(n_samples, 2, 2))
     psis = draws[:, 0] + 1j * draws[:, 1]
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
-    total_p = sum(b.probability for b in branches)
-    if strategy == "without_controller_info":
-        mixed = sum(b.probability * b.state for b in branches) / total_p
-        branches = [ConditionalChannel("", 1.0, mixed)]
-        total_p = 1.0
 
     paulis = np.array(list(PAULIS.values()))
     # P^dagger |psi> for every Pauli P: (n, pauli, 2)
@@ -271,8 +244,8 @@ def mc_avg_teleport_fidelity(channel, n_samples: int, seed: int,
 
 @dataclass
 class WernerScanResult:
-    rows: list                  # (q, F_allowed, F_denied)
-    threshold_q: float | None   # where F_allowed crosses 2/3
+    rows: list            # (q, F_allowed, F_denied)
+    threshold_q: float    # where F_allowed crosses 2/3
 
 
 def werner_point(q: float) -> tuple:
@@ -291,23 +264,13 @@ def werner_point(q: float) -> tuple:
 
 
 def werner_scan(q_grid: Sequence[float]) -> WernerScanResult:
+    """``werner_point`` rows over ``q_grid``; each +/- branch has fully entangled
+    fraction (1 + 3q)/4, so F_allowed = (1 + q)/2 crosses 2/3 at q = 1/3."""
     q_grid = list(q_grid)
     if not q_grid:
         raise ValueError("empty q grid")
-    rows = []
-    for q in q_grid:
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"q={q} outside [0, 1]")
-        fa, fd = werner_point(q)
-        rows.append((float(q), fa, fd))
-    threshold = None
-    try:
-        from scipy.optimize import brentq
-        threshold = float(brentq(lambda q: werner_point(q)[0] - 2.0 / 3.0,
-                                 1e-9, 1.0 - 1e-9, xtol=1e-12))
-    except ValueError:
-        pass
-    return WernerScanResult(rows=rows, threshold_q=threshold)
+    rows = [(float(q), *werner_point(q)) for q in q_grid]
+    return WernerScanResult(rows=rows, threshold_q=1.0 / 3.0)
 
 
 def classical_control_baseline(knowledge: str, input_ket: np.ndarray | None = None) -> float:
@@ -338,12 +301,9 @@ def conditional_teleport_output(channel: np.ndarray, input_ket: np.ndarray,
     """
     cond = condition_on_controller(channel, controller_basis, outcome=controller_outcome)
     input_ket = np.asarray(input_ket, dtype=complex).ravel()
-    rho_tot = np.kron(np.asarray(cond.state, dtype=complex), ket_outer(input_ket))
-    # ordering (qubit1, qubit2, input); the singlet lives on (qubit1, input)
-    s = bell_kets()["psi-"].reshape(2, 2)
-    t = rho_tot.reshape(2, 2, 2, 2, 2, 2)
-    rho2 = np.einsum("ac,abcdef,df->be", s.conj(), t, s)
-    branch_prob = float(np.real(np.trace(rho2)))
-    if branch_prob < 1e-14:
+    probs, states = _teleport_branches(cond.state, input_ket[None, :])
+    psi_m = _BELL_LABELS.index("psi-")
+    branch_prob = float(probs[0, psi_m])
+    if branch_prob <= 1e-14:
         raise ValueError("singlet projection never succeeds for this branch")
-    return rho2 / branch_prob, cond.probability * branch_prob
+    return states[0, psi_m], cond.probability * branch_prob

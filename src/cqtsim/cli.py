@@ -192,10 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit-spdc",
                            help="fit the backward/forward emission strength ratio")
-    p_fit.add_argument("--targets", default=None,
-                       help="undesired-share targets in percent: unc,allowed,denied")
-    p_fit.add_argument("--synthetic-ratio", type=float, default=None,
-                       help="generate the targets by simulating at this ratio")
+    p_targets = p_fit.add_mutually_exclusive_group()
+    p_targets.add_argument("--targets", default=None,
+                           help="undesired-share targets in percent: unc,allowed,denied")
+    p_targets.add_argument("--synthetic-ratio", type=float, default=None,
+                           help="generate the targets by simulating at this ratio")
     p_fit.add_argument("--pbs-epsilon", type=float, default=0.05)
     p_fit.add_argument("--input", default="plus")
     _add_common(p_fit)
@@ -384,9 +385,7 @@ def cmd_scan_werner(args) -> int:
         result = werner_scan(grid)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    comments = []
-    if result.threshold_q is not None:
-        comments.append(f"f_allowed crosses 2/3 at q={result.threshold_q:.9f}")
+    comments = [f"f_allowed crosses 2/3 at q={result.threshold_q:.9f}"]
     columns = ["q", "f_allowed", "f_denied"]
     _emit(_render_table(columns, result.rows, args.fmt, args.full_precision,
                         comments=comments), args.out)

@@ -227,11 +227,11 @@ def overlap(a: PureState, b: PureState) -> complex:
 
 
 def tensor(a: PureState, b: PureState, n_max: int | None = None) -> PureState:
-    """Compose states on disjoint mode sets; drops terms above the truncation."""
+    """Compose states on disjoint mode sets; an explicit ``n_max`` drops terms above it."""
     if a.modes() & b.modes():
         raise ModeOverlapError(f"overlapping modes: {sorted(a.modes() & b.modes())}")
     if n_max is None:
-        n_max = max(a.n_max, b.n_max)
+        n_max = a.n_max + b.n_max
     out: dict = {}
     for occ_a, amp_a in a.terms.items():
         for occ_b, amp_b in b.terms.items():

@@ -1,8 +1,9 @@
 """The batched statistical and channel kernels against the scalar loops they replaced.
 
 The oracles below are the per-table maximum-likelihood loop, the
-per-resample Poisson loop, the per-sample Monte-Carlo loop and the
-kron/partial-trace teleportation and conditioning steps, copied from the
+per-resample Poisson loop, the per-sample Monte-Carlo loop, the
+kron/partial-trace teleportation and conditioning steps and the kron/einsum
+singlet projection of ``conditional_teleport_output``, copied from the
 implementation that ran one table, one resample or one input ket at a time.
 The batched code runs the same arithmetic on whole stacks, so iteration
 counts must agree exactly and values to 1e-12.
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 
 from cqtsim.channels import (PAULI_I, PAULIS, ConditionalChannel, _teleport_branches,
-                             bell_kets, condition_on_controller, ghz_ket, ket_outer,
+                             bell_kets, condition_on_controller,
+                             conditional_teleport_output, ghz_ket, ket_outer,
                              make_ghz_mixture, make_werner, mc_avg_teleport_fidelity,
                              partial_trace)
 from cqtsim.estimation import (NonPhysicalError, ProjectionCounts, _ml_kernel,
@@ -143,6 +145,21 @@ def scalar_mc_avg_teleport_fidelity(channel, n_samples, seed,
         best = sum(max(vals.values()) for vals in acc.values()) / n_samples
         grand += b.probability * best
     return grand / total_p
+
+
+def scalar_conditional_teleport_output(channel, input_ket, controller_basis,
+                                       controller_outcome):
+    cond = condition_on_controller(channel, controller_basis, outcome=controller_outcome)
+    input_ket = np.asarray(input_ket, dtype=complex).ravel()
+    rho_tot = np.kron(np.asarray(cond.state, dtype=complex), ket_outer(input_ket))
+    # ordering (qubit1, qubit2, input); the singlet lives on (qubit1, input)
+    s = bell_kets()["psi-"].reshape(2, 2)
+    t = rho_tot.reshape(2, 2, 2, 2, 2, 2)
+    rho2 = np.einsum("ac,abcdef,df->be", s.conj(), t, s)
+    branch_prob = float(np.real(np.trace(rho2)))
+    if branch_prob < 1e-14:
+        raise ValueError("singlet projection never succeeds for this branch")
+    return rho2 / branch_prob, cond.probability * branch_prob
 
 
 def scalar_condition(channel, ket):
@@ -314,3 +331,16 @@ def test_condition_on_controller_matches_kron_projector():
                 if prob >= 1e-14:
                     assert np.max(np.abs(cond.state - sub / prob)) <= 1e-12
 
+
+@pytest.mark.parametrize("index", range(len(CHANNELS)))
+@pytest.mark.parametrize("basis", ["hv", "pm", "rl"])
+def test_conditional_teleport_output_matches_kron_projection(index, basis):
+    rng = np.random.default_rng(30 + index)
+    for label in {"hv": "HV", "pm": "+-", "rl": "RL"}[basis]:
+        for _ in range(5):
+            psi = random_qubit_ket(rng)
+            rho2, prob = conditional_teleport_output(CHANNELS[index], psi, basis, label)
+            ref_rho2, ref_prob = scalar_conditional_teleport_output(
+                CHANNELS[index], psi, basis, label)
+            assert prob == pytest.approx(ref_prob, abs=1e-12)
+            assert np.max(np.abs(rho2 - ref_rho2)) <= 1e-12

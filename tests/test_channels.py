@@ -1,32 +1,33 @@
 import numpy as np
 import pytest
 
-from cqtsim.channels import (ChannelSpec, avg_teleport_fidelity, bell_kets,
-                             chi_ket, classical_control_baseline,
-                             conditional_teleport_output, condition_on_controller,
-                             ghz_ket, ket_outer, make_channel, make_ghz_mixture,
-                             make_werner, mc_avg_teleport_fidelity, partial_trace,
-                             standard_corrections, teleport_fidelity,
+from cqtsim.channels import (avg_teleport_fidelity, bell_kets, chi_ket,
+                             classical_control_baseline, conditional_teleport_output,
+                             condition_on_controller, ghz_ket, ket_outer,
+                             make_ghz_mixture, make_werner, mc_avg_teleport_fidelity,
+                             partial_trace, standard_corrections, teleport_fidelity,
                              werner_point, werner_scan)
 from cqtsim.fock import KET_D, KET_H, KET_R, KET_V, validate_density
 
 
-def test_make_channel_pure_ghz():
-    rho = make_channel(ChannelSpec("ghz_mixture", p=0.0))
+def test_ghz_mixture_at_zero_is_pure_ghz():
+    rho = make_ghz_mixture(0.0)
     assert np.allclose(rho, ket_outer(ghz_ket(1)))
     validate_density(rho)
 
 
-def test_make_channel_werner_fully_mixed():
-    rho = make_channel(ChannelSpec("werner", q=0.0))
+def test_werner_at_zero_is_fully_mixed():
+    rho = make_werner(0.0)
     assert np.allclose(rho, np.eye(8) / 8)
 
 
 def test_spec_validation():
-    with pytest.raises(ValueError):
-        ChannelSpec("ghz_mixture", p=1.5)
-    with pytest.raises(ValueError):
-        ChannelSpec("nonsense")
+    for make, name in ((make_ghz_mixture, "p"), (make_werner, "q")):
+        for weight in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match=rf"{name}={weight} outside \[0, 1\]"):
+                make(weight)
+        validate_density(make(0.0))
+        validate_density(make(1.0))
 
 
 def test_biseparable_decomposition_identity():
@@ -122,6 +123,24 @@ def test_werner_scan_rejects_bad_grid():
         werner_scan([])
     with pytest.raises(ValueError):
         werner_scan([1.2])
+
+
+def test_werner_threshold_matches_root_search():
+    # oracle: a numerical root of the generic werner_point against the closed form
+    from scipy.optimize import brentq
+
+    root = brentq(lambda q: werner_point(q)[0] - 2.0 / 3.0, 1e-9, 1.0 - 1e-9, xtol=1e-12)
+    assert abs(werner_scan([0.5]).threshold_q - root) < 1e-9
+
+
+@pytest.mark.parametrize("average", [
+    avg_teleport_fidelity,
+    lambda channel, strategy: mc_avg_teleport_fidelity(channel, 8, 1, strategy)],
+    ids=["closed_form", "monte_carlo"])
+def test_unknown_strategy_is_value_error(average):
+    conds = condition_on_controller(make_werner(0.5), "pm")
+    with pytest.raises(ValueError, match="unknown strategy 'typo'"):
+        average(conds, "typo")
 
 
 def test_classical_baseline():

@@ -420,7 +420,7 @@ def test_q_points_cap(form, monkeypatch, capsys):
 
     sizes = []
     monkeypatch.setattr(cli, "werner_scan", lambda grid: (
-        sizes.append(len(grid)) or WernerScanResult([(0.5, 0.75, 0.5)], None)))
+        sizes.append(len(grid)) or WernerScanResult([(0.5, 0.75, 0.5)], 1.0 / 3.0)))
 
     def argv(n):
         if form == "grid":
@@ -550,7 +550,8 @@ def test_fit_spdc_propagates_each_configuration_once(extra, monkeypatch):
 
 
 @pytest.mark.parametrize("extra", [["--synthetic-ratio", "6"], ["--targets", "1,2"],
-                                   ["--targets", "a,b,c"]])
+                                   ["--targets", "a,b,c"],
+                                   ["--synthetic-ratio", "0.8", "--targets", "1,2"]])
 def test_fit_spdc_rejects_bad_targets_before_propagating(extra, monkeypatch):
     calls = _count_propagations(monkeypatch)
     assert run_cli(["fit-spdc", *extra]) == 2

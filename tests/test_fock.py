@@ -74,6 +74,15 @@ def test_tensor_truncation_drops_over_budget():
     assert len(out) == 0
 
 
+def test_tensor_default_cap_keeps_every_product_term():
+    a = single_photon(1, KET_H)
+    b = basis_state({(2, H): 4})
+    out = tensor(a, b)
+    assert out.n_max == a.n_max + b.n_max
+    assert out.norm_sq() == pytest.approx(1.0, abs=1e-14)
+    assert out.amplitude({(1, H): 1, (2, H): 4}) == pytest.approx(1.0)
+
+
 def test_project_all_terms_is_identity():
     s = single_photon(1, KET_D)
     out, prob = project(s, lambda occ: True)

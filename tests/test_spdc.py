@@ -266,7 +266,10 @@ def test_fit_names_the_second_exact_root(eps):
 
 def test_import_leaves_scipy_optimize_unloaded():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cqtsim.__file__)))
-    code = "import sys, cqtsim; print('scipy.optimize' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={**os.environ, "PYTHONPATH": src}, check=True)
-    assert out.stdout.strip() == "False"
+    scan = ("from cqtsim.cli import main; "
+            "assert main(['scan-werner', '--q-grid', '0:1:11']) == 0; ")
+    for run in ("import cqtsim; ", scan):
+        code = f"import sys; {run}print('scipy.optimize' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src}, check=True)
+        assert out.stdout.splitlines()[-1] == "False", run
