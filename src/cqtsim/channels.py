@@ -3,6 +3,13 @@
 Everything here works on dense numpy density operators with the fixed
 ordering (qubit 1, qubit 2, qubit 3): qubit 1 sits with the sender, qubit 2
 with the receiver and qubit 3 with the controller.  |H> maps to basis 0.
+
+The algebra runs in private kernels over stacks of channels: conditioning
+on the controller (``_condition``), the Bell overlaps (``_entangled_fractions``)
+and the Pauli-frame fidelity (``_frame_fidelities``).  The public functions
+on one channel are the n = 1 case of the same kernels, and ``werner_scan``
+computes all its rows in one pass through them, so a row of the scan is
+bit-identical to ``werner_point`` at the same q.
 """
 
 from __future__ import annotations
@@ -72,9 +79,17 @@ def make_ghz_mixture(p: float) -> np.ndarray:
 
 
 def make_werner(q: float) -> np.ndarray:
-    if not 0.0 <= q <= 1.0:
-        raise ValueError(f"q={q} outside [0, 1]")
-    return q * ket_outer(ghz_ket(1)) + (1 - q) * np.eye(8, dtype=complex) / 8.0
+    return _werner_channels([q])[0]
+
+
+def _werner_channels(q_grid) -> np.ndarray:
+    """Werner channels (n, 8, 8); the first weight outside [0, 1] is named."""
+    qs = np.asarray(q_grid, dtype=float)
+    outside = np.flatnonzero(~((qs >= 0.0) & (qs <= 1.0)))
+    if outside.size:
+        raise ValueError(f"q={q_grid[outside[0]]} outside [0, 1]")
+    qs = qs[:, None, None]
+    return qs * ket_outer(ghz_ket(1)) + (1 - qs) * np.eye(8, dtype=complex) / 8.0
 
 
 @dataclass
@@ -84,6 +99,23 @@ class ConditionalChannel:
     state: np.ndarray       # 4x4 on qubits 1, 2
 
 
+def _condition(channels: np.ndarray, kets) -> tuple:
+    """Measure qubit 3 of a stack of channels (n, 8, 8) onto each of ``kets``.
+
+    Returns probabilities (n, k) and renormalized conditionals (n, k, 4, 4) on
+    qubits 1, 2; a conditional of probability below 1e-14 is zero.
+    """
+    n = len(channels)
+    rho = channels.reshape((n,) + (2,) * 6)
+    sub = np.stack([np.einsum("c,nabcdef,f->nabde", ket.conj(), rho, ket)
+                    for ket in kets], axis=1).reshape(n, len(kets), 4, 4)
+    probs = np.trace(sub, axis1=2, axis2=3).real
+    tiny = probs < 1e-14
+    states = np.where(tiny[..., None, None], 0j,
+                      sub / np.where(tiny, 1.0, probs)[..., None, None])
+    return probs, states
+
+
 def condition_on_controller(channel: np.ndarray, basis="pm", outcome=None):
     """Measure qubit 3 and return the renormalized two-qubit conditional(s).
 
@@ -91,20 +123,17 @@ def condition_on_controller(channel: np.ndarray, basis="pm", outcome=None):
     of its labels ("H", "V", "+", "-", "R", "L").  With ``outcome`` given,
     returns a single ConditionalChannel; otherwise one per basis outcome.
     """
-    rho = np.asarray(channel, dtype=complex).reshape((2,) * 6)
-    results = []
-    for ket, label in basis_pairs(basis):
-        if outcome is not None and label != outcome:
-            continue
-        sub = np.einsum("c,abcdef,f->abde", ket.conj(), rho, ket).reshape(4, 4)
-        prob = float(np.real(np.trace(sub)))
-        if prob < 1e-14:
-            if outcome is not None:
-                raise ValueError(f"controller outcome {label!r} has zero probability")
-            results.append(ConditionalChannel(label, prob, np.zeros((4, 4), dtype=complex)))
-            continue
-        results.append(ConditionalChannel(label, prob, sub / prob))
+    pairs = [(ket, label) for ket, label in basis_pairs(basis)
+             if outcome is None or label == outcome]
+    if not pairs:
+        raise ValueError(f"{outcome!r} is not an outcome of basis {basis!r}")
+    probs, states = _condition(np.asarray(channel, dtype=complex)[None],
+                               [ket for ket, _ in pairs])
+    results = [ConditionalChannel(label, float(prob), state)
+               for (_, label), prob, state in zip(pairs, probs[0], states[0])]
     if outcome is not None:
+        if results[0].probability < 1e-14:
+            raise ValueError(f"controller outcome {outcome!r} has zero probability")
         return results[0]
     return results
 
@@ -119,29 +148,44 @@ def bell_kets() -> dict:
     return {"phi+": phi_p, "phi-": phi_m, "psi+": psi_p, "psi-": psi_m}
 
 
-def fully_entangled_fraction(rho: np.ndarray) -> float:
-    """Largest overlap with the four standard Bell states."""
-    rho = np.asarray(rho, dtype=complex)
-    return max(float(np.real(b.conj() @ rho @ b)) for b in bell_kets().values())
-
-
 _BELL_LABELS = tuple(bell_kets())
 # Bell kets as (outcome, input qubit, qubit 1)
 _BELL = np.array(list(bell_kets().values())).reshape(4, 2, 2)
 
+# Stacked products below keep a singleton row or column, (1, d) @ (d, d) and
+# (1, d) @ (d, 1) per matrix, so that numpy's matmul makes for each matrix the
+# BLAS gemv and dot calls of the one-matrix ``b.conj() @ rho @ b``: a row of a
+# stack is then bit-identical to one channel.  An einsum, one product over the
+# flattened stack or an elementwise sum rounds differently (BLAS fuses
+# multiply-adds), and one ulp changes the printed scan at rounding ties.
+
+
+def _entangled_fractions(rhos: np.ndarray) -> np.ndarray:
+    """Largest overlap with the four Bell states, for a stack (n, 4, 4)."""
+    bras = _BELL.reshape(4, 1, 1, 4).conj()
+    kets = _BELL.reshape(4, 1, 4, 1)
+    return ((bras @ rhos) @ kets)[..., 0, 0].real.max(axis=0)
+
+
+def fully_entangled_fraction(rho: np.ndarray) -> float:
+    """Largest overlap with the four standard Bell states."""
+    return float(_entangled_fractions(np.asarray(rho, dtype=complex)[None])[0])
+
 
 def _teleport_branches(channel: np.ndarray, psis: np.ndarray):
-    """Bell-outcome probabilities (n, 4) and receiver states (n, 4, 2, 2).
+    """Bell-outcome probabilities (..., n, 4) and receiver states (..., n, 4, 2, 2).
 
     The sender measures (input, qubit 1) in the Bell basis, outcomes in the
-    order of ``bell_kets``; ``psis`` (n, 2) are the input kets.  A branch
-    with probability below 1e-14 keeps its unnormalized state.
+    order of ``bell_kets``; ``psis`` (n, 2) are the input kets and
+    ``channel`` is one two-qubit channel (4, 4) or a stack (..., 4, 4).  A
+    branch with probability below 1e-14 keeps its unnormalized state.
     """
-    rho = np.asarray(channel, dtype=complex).reshape(2, 2, 2, 2)
+    channel = np.asarray(channel, dtype=complex)
+    rho = channel.reshape(channel.shape[:-2] + (2, 2, 2, 2))
     # <bell_k| on (input, qubit 1) applied to |psi> on the input
     u = np.einsum("kac,na->nkc", _BELL.conj(), psis)
-    sub = np.einsum("nkc,cedf,nkd->nkef", u, rho, u.conj())
-    probs = np.einsum("nkee->nk", sub).real
+    sub = np.einsum("nkc,...cedf,nkd->...nkef", u, rho, u.conj())
+    probs = np.einsum("...nkee->...nk", sub).real
     states = sub / np.where(probs > 1e-14, probs, 1.0)[..., None, None]
     return probs, states
 
@@ -165,19 +209,26 @@ def standard_corrections() -> dict:
     return out
 
 
+def _frame_fidelities(channels: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Fidelity of teleporting ``psi`` with the ``standard_corrections`` Pauli
+    frame over each channel of a stack (m, 4, 4)."""
+    corrections = standard_corrections()
+    probs, states = _teleport_branches(channels, psi[None, :])
+    total = np.zeros(len(channels))
+    for k, label in enumerate(_BELL_LABELS):
+        c = corrections[label]
+        # psi^dag c state c^dag psi, one (1, 2) row per channel (see above)
+        fids = ((psi.conj() @ c)[None, :] @ states[:, 0, k] @ c.conj().T
+                @ psi[:, None])[:, 0, 0].real
+        prob = probs[:, 0, k]
+        total = total + np.where(prob < 1e-14, 0.0, prob * fids)
+    return total
+
+
 def teleport_fidelity(channel: np.ndarray, psi: np.ndarray) -> float:
     """Fidelity of teleporting ``psi`` with the ``standard_corrections`` Pauli frame."""
-    corrections = standard_corrections()
     psi = np.asarray(psi, dtype=complex).ravel()
-    probs, states = _teleport_branches(channel, psi[None, :])
-    total = 0.0
-    for label, prob, state in zip(_BELL_LABELS, probs[0], states[0]):
-        if prob < 1e-14:
-            continue
-        c = corrections[label]
-        # Python floats throughout: the CLI prints repr() of the result
-        total += float(prob) * float(np.real(psi.conj() @ c @ state @ c.conj().T @ psi))
-    return total
+    return float(_frame_fidelities(np.asarray(channel, dtype=complex)[None], psi)[0])
 
 
 def _branches(channel, strategy: str):
@@ -207,9 +258,18 @@ def avg_teleport_fidelity(channel, strategy: str = "with_feedforward") -> float:
     channel's maximally-entangled-state overlap.
     """
     branches, total_p = _branches(channel, strategy)
-    return sum(
-        b.probability * (2 * fully_entangled_fraction(b.state) + 1) / 3.0
-        for b in branches) / total_p
+    probs = np.array([[b.probability for b in branches]])
+    states = np.array([[b.state for b in branches]], dtype=complex)
+    return float(_feedforward_sums(probs, states)[0]) / total_p
+
+
+def _feedforward_sums(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """Probability-weighted (2 f + 1)/3 summed over the branches of each row:
+    ``probs`` (n, b) and conditional states (n, b, 4, 4); divide by the total."""
+    n, b = probs.shape
+    fractions = _entangled_fractions(states.reshape(n * b, 4, 4)).reshape(n, b)
+    # sum() over the branch columns adds them in order, as for one channel
+    return sum((probs * (2 * fractions + 1) / 3.0).T)
 
 
 def mc_avg_teleport_fidelity(channel, n_samples: int, seed: int,
@@ -248,28 +308,36 @@ class WernerScanResult:
     threshold_q: float    # where F_allowed crosses 2/3
 
 
+def _werner_rows(q_grid) -> tuple:
+    """F_allowed and F_denied (n,) over ``q_grid`` in one pass of the kernels."""
+    channels = _werner_channels(q_grid)
+    probs, states = _condition(channels, [ket for ket, _ in basis_pairs("pm")])
+    allowed = _feedforward_sums(probs, states) / sum(probs.T)
+    _, denied_channels = _condition(channels, [KET_H])
+    return allowed, _frame_fidelities(denied_channels[:, 0], KET_D)
+
+
 def werner_point(q: float) -> tuple:
     """(F_allowed, F_denied) for the Werner channel of weight q.
 
     F_allowed: controller measures +/- and shares the outcome; Bloch average
     with feed-forward.  F_denied: controller measures H/V; fidelity of
     teleporting |+> over the H-conditioned channel with the standard frame.
+    One row of ``werner_scan``.
     """
-    rho = make_werner(q)
-    allowed = avg_teleport_fidelity(condition_on_controller(rho, "pm"),
-                                    "with_feedforward")
-    denied_channel = condition_on_controller(rho, "hv", outcome="H").state
-    denied = teleport_fidelity(denied_channel, KET_D)
-    return allowed, denied
+    allowed, denied = _werner_rows([q])
+    return float(allowed[0]), float(denied[0])
 
 
 def werner_scan(q_grid: Sequence[float]) -> WernerScanResult:
-    """``werner_point`` rows over ``q_grid``; each +/- branch has fully entangled
-    fraction (1 + 3q)/4, so F_allowed = (1 + q)/2 crosses 2/3 at q = 1/3."""
+    """``werner_point`` rows over ``q_grid``, computed as one stack; each +/-
+    branch has fully entangled fraction (1 + 3q)/4, so F_allowed = (1 + q)/2
+    crosses 2/3 at q = 1/3."""
     q_grid = list(q_grid)
     if not q_grid:
         raise ValueError("empty q grid")
-    rows = [(float(q), *werner_point(q)) for q in q_grid]
+    allowed, denied = _werner_rows(q_grid)
+    rows = list(zip(map(float, q_grid), allowed.tolist(), denied.tolist()))
     return WernerScanResult(rows=rows, threshold_q=1.0 / 3.0)
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import functools
 import io
 import json
 import math
@@ -215,6 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_rep)
 
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built on first use: parsing leaves it unchanged,
+    so one parser serves every call in the process."""
+    return build_parser()
 
 
 def _config_argv(argv):
@@ -535,14 +543,13 @@ def _attach_state_values(argv):
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
         argv = _attach_state_values(_config_argv(argv))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

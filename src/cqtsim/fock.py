@@ -6,12 +6,13 @@ of basis states.  Nothing in the teleportation pipeline ever exceeds a few
 dozen terms, so plain dicts keyed by canonical occupation tuples beat any
 dense representation and keep every operation exact.
 
-Keys from outside the package are canonicalised by ``occupation``: the
-public ``PureState(...)``, ``basis_state`` and ``PureState.amplitude`` do
-so.  Code whose keys are canonical by construction (``_create`` and so
-``elements.apply`` and the emission source, ``project``,
-``PureState.normalized``, ``spdc.coincidence_sectors``) builds its states
-with ``PureState._canonical``, which trusts them and skips that step.
+Keys from outside the package are canonicalised by ``occupation``, once
+each: the public ``PureState(...)``, ``basis_state``, ``single_photon``,
+``tensor`` and ``PureState.amplitude`` do so.  Code whose keys are canonical
+by construction (``_create`` and so ``elements.apply`` and the emission
+source, ``project``, ``PureState.normalized``, ``spdc.coincidence_sectors``)
+or already canonicalised builds its states with ``PureState._canonical``,
+which trusts them and skips that step.
 
 Qubit encoding used throughout the package: |H> -> basis 0, |V> -> basis 1.
 """
@@ -207,16 +208,16 @@ def vacuum(n_max: int = DEFAULT_N_MAX) -> PureState:
 
 def basis_state(counts, n_max: int = DEFAULT_N_MAX) -> PureState:
     """Single Fock basis ket with unit amplitude, e.g. basis_state({(1, H): 1})."""
-    return PureState({occupation(counts): 1.0}, n_max=n_max)
+    return PureState._canonical({occupation(counts): 1.0 + 0.0j}, n_max)
 
 
 def single_photon(spatial: int, jones: np.ndarray, n_max: int = DEFAULT_N_MAX) -> PureState:
     """One photon in the given spatial mode with polarization ket ``jones``."""
     jones = np.asarray(jones, dtype=complex)
-    return PureState({
-        occupation({(spatial, H): 1}): jones[0],
-        occupation({(spatial, V): 1}): jones[1],
-    }, n_max=n_max)
+    # 0j + as in PureState(...): a -0.0 part becomes 0.0
+    return PureState._canonical({occupation({(spatial, H): 1}): 0j + complex(jones[0]),
+                                 occupation({(spatial, V): 1}): 0j + complex(jones[1])},
+                                n_max)
 
 
 def overlap(a: PureState, b: PureState) -> complex:
@@ -239,7 +240,7 @@ def tensor(a: PureState, b: PureState, n_max: int | None = None) -> PureState:
                 continue
             key = occupation(list(occ_a) + list(occ_b))
             out[key] = out.get(key, 0.0j) + amp_a * amp_b
-    return PureState(out, n_max=n_max)
+    return PureState._canonical(out, n_max)
 
 
 def project(state: PureState, predicate: Callable[[tuple], bool],

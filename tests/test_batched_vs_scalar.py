@@ -7,6 +7,11 @@ singlet projection of ``conditional_teleport_output``, copied from the
 implementation that ran one table, one resample or one input ket at a time.
 The batched code runs the same arithmetic on whole stacks, so iteration
 counts must agree exactly and values to 1e-12.
+
+The ``rowwise_`` oracles are the channel functions as they were before
+``werner_scan`` ran as one stack, copied verbatim: one channel, one Bell ket
+and one Werner row at a time.  The stacked kernels make the same BLAS calls
+for every row, so these comparisons use ``==``, not a tolerance.
 """
 
 import math
@@ -15,15 +20,18 @@ import warnings
 import numpy as np
 import pytest
 
-from cqtsim.channels import (PAULI_I, PAULIS, ConditionalChannel, _teleport_branches,
-                             bell_kets, condition_on_controller,
-                             conditional_teleport_output, ghz_ket, ket_outer,
+from cqtsim.channels import (_BELL, _BELL_LABELS, PAULI_I, PAULIS, ConditionalChannel,
+                             _teleport_branches, avg_teleport_fidelity, bell_kets,
+                             condition_on_controller, conditional_teleport_output,
+                             fully_entangled_fraction, ghz_ket, ket_outer,
                              make_ghz_mixture, make_werner, mc_avg_teleport_fidelity,
-                             partial_trace)
+                             partial_trace, standard_corrections, teleport_fidelity,
+                             werner_point, werner_scan)
 from cqtsim.estimation import (NonPhysicalError, ProjectionCounts, _ml_kernel,
                                axial_counts, correct_for_background, ml_reconstruct,
                                poisson_uncertainty)
-from cqtsim.fock import KET_A, KET_D, KET_H, KET_L, KET_R, KET_V, fidelity
+from cqtsim.fock import (KET_A, KET_D, KET_H, KET_L, KET_R, KET_V, basis_pairs,
+                         fidelity)
 
 AXIAL = ("h", "v", "plus", "minus", "r", "l")
 
@@ -166,6 +174,115 @@ def scalar_condition(channel, ket):
     proj = np.kron(np.kron(PAULI_I, PAULI_I), ket_outer(ket))
     sub = partial_trace(proj @ channel @ proj.conj().T, [2, 2, 2], [0, 1])
     return float(np.real(np.trace(sub))), sub
+
+
+# --- row-by-row oracles: channels -------------------------------------------------
+
+def rowwise_make_werner(q: float) -> np.ndarray:
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q={q} outside [0, 1]")
+    return q * ket_outer(ghz_ket(1)) + (1 - q) * np.eye(8, dtype=complex) / 8.0
+
+
+def rowwise_condition_on_controller(channel: np.ndarray, basis="pm", outcome=None):
+    rho = np.asarray(channel, dtype=complex).reshape((2,) * 6)
+    results = []
+    for ket, label in basis_pairs(basis):
+        if outcome is not None and label != outcome:
+            continue
+        sub = np.einsum("c,abcdef,f->abde", ket.conj(), rho, ket).reshape(4, 4)
+        prob = float(np.real(np.trace(sub)))
+        if prob < 1e-14:
+            if outcome is not None:
+                raise ValueError(f"controller outcome {label!r} has zero probability")
+            results.append(ConditionalChannel(label, prob, np.zeros((4, 4), dtype=complex)))
+            continue
+        results.append(ConditionalChannel(label, prob, sub / prob))
+    if outcome is not None:
+        return results[0]
+    return results
+
+
+def rowwise_fully_entangled_fraction(rho: np.ndarray) -> float:
+    rho = np.asarray(rho, dtype=complex)
+    return max(float(np.real(b.conj() @ rho @ b)) for b in bell_kets().values())
+
+
+def rowwise_teleport_branches(channel: np.ndarray, psis: np.ndarray):
+    rho = np.asarray(channel, dtype=complex).reshape(2, 2, 2, 2)
+    # <bell_k| on (input, qubit 1) applied to |psi> on the input
+    u = np.einsum("kac,na->nkc", _BELL.conj(), psis)
+    sub = np.einsum("nkc,cedf,nkd->nkef", u, rho, u.conj())
+    probs = np.einsum("nkee->nk", sub).real
+    states = sub / np.where(probs > 1e-14, probs, 1.0)[..., None, None]
+    return probs, states
+
+
+def rowwise_teleport_fidelity(channel: np.ndarray, psi: np.ndarray) -> float:
+    corrections = standard_corrections()
+    psi = np.asarray(psi, dtype=complex).ravel()
+    probs, states = rowwise_teleport_branches(channel, psi[None, :])
+    total = 0.0
+    for label, prob, state in zip(_BELL_LABELS, probs[0], states[0]):
+        if prob < 1e-14:
+            continue
+        c = corrections[label]
+        # Python floats throughout: the CLI prints repr() of the result
+        total += float(prob) * float(np.real(psi.conj() @ c @ state @ c.conj().T @ psi))
+    return total
+
+
+def rowwise_branches(channel, strategy: str):
+    if isinstance(channel, np.ndarray):
+        branches = [ConditionalChannel("", 1.0, channel)]
+    else:
+        branches = list(channel)
+    total_p = sum(b.probability for b in branches)
+    if strategy == "with_feedforward":
+        return branches, total_p
+    if strategy == "without_controller_info":
+        mixed = sum(b.probability * b.state for b in branches) / total_p
+        return [ConditionalChannel("", 1.0, mixed)], 1.0
+    raise ValueError(f"unknown strategy {strategy!r}")
+
+
+def rowwise_avg_teleport_fidelity(channel, strategy: str = "with_feedforward") -> float:
+    branches, total_p = rowwise_branches(channel, strategy)
+    return sum(
+        b.probability * (2 * rowwise_fully_entangled_fraction(b.state) + 1) / 3.0
+        for b in branches) / total_p
+
+
+def rowwise_mc_avg_teleport_fidelity(channel, n_samples: int, seed: int,
+                                     strategy: str = "with_feedforward") -> float:
+    branches, total_p = rowwise_branches(channel, strategy)
+    rng = np.random.default_rng(seed)
+    # per sample: two real parts, then two imaginary parts
+    draws = rng.normal(size=(n_samples, 2, 2))
+    psis = draws[:, 0] + 1j * draws[:, 1]
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+
+    paulis = np.array(list(PAULIS.values()))
+    # P^dagger |psi> for every Pauli P: (n, pauli, 2)
+    rotated = np.einsum("pji,nj->npi", paulis.conj(), psis)
+    grand = 0.0
+    for b in branches:
+        probs, states = rowwise_teleport_branches(b.state, psis)
+        fids = np.einsum("npi,nkij,npj->nkp", rotated.conj(), states, rotated).real
+        # summed over samples per (outcome, Pauli); then the best Pauli per outcome
+        acc = np.einsum("nk,nkp->kp", probs, fids)
+        best = float(acc.max(axis=1).sum()) / n_samples
+        grand += b.probability * best
+    return grand / total_p
+
+
+def rowwise_werner_point(q: float) -> tuple:
+    rho = rowwise_make_werner(q)
+    allowed = rowwise_avg_teleport_fidelity(rowwise_condition_on_controller(rho, "pm"),
+                                            "with_feedforward")
+    denied_channel = rowwise_condition_on_controller(rho, "hv", outcome="H").state
+    denied = rowwise_teleport_fidelity(denied_channel, KET_D)
+    return allowed, denied
 
 
 # --- fixtures -----------------------------------------------------------------------
@@ -344,3 +461,91 @@ def test_conditional_teleport_output_matches_kron_projection(index, basis):
                 CHANNELS[index], psi, basis, label)
             assert prob == pytest.approx(ref_prob, abs=1e-12)
             assert np.max(np.abs(rho2 - ref_rho2)) <= 1e-12
+
+
+# --- the stacked Werner scan and the n = 1 kernels, bit for bit ----------------------
+
+def assert_rows_equal_rowwise(q_grid):
+    rows = werner_scan(q_grid).rows
+    assert len(rows) == len(q_grid)
+    for (q, allowed, denied), q_in in zip(rows, q_grid):
+        assert type(allowed) is float and type(denied) is float
+        assert (q, allowed, denied) == (float(q_in), *rowwise_werner_point(q_in))
+
+
+def test_werner_scan_rows_equal_rowwise_points_on_every_small_grid():
+    for n in range(1, 202):
+        assert_rows_equal_rowwise(list(np.linspace(0.0, 1.0, n)))
+
+
+def test_werner_scan_rows_equal_rowwise_points_on_the_largest_grid():
+    assert_rows_equal_rowwise(list(np.linspace(0.0, 1.0, 10001)))
+
+
+def test_werner_scan_rows_equal_rowwise_points_on_random_weights():
+    rng = np.random.default_rng(4097)
+    grid = list(rng.uniform(0.0, 1.0, 4097)) + [0.0, 1.0, 1.0 / 3.0, 3.0 / 7.0]
+    assert_rows_equal_rowwise(grid)
+    for q in grid[:50]:
+        assert werner_point(q) == rowwise_werner_point(q)
+        assert make_werner(q).tobytes() == rowwise_make_werner(q).tobytes()
+
+
+@pytest.mark.parametrize("bad", [1.2, -0.1, float("nan")])
+def test_werner_scan_names_the_first_bad_weight_like_rowwise(bad):
+    grid = [0.5, bad, 2.0]
+    with pytest.raises(ValueError) as want:
+        [rowwise_werner_point(q) for q in grid]
+    with pytest.raises(ValueError) as got:
+        werner_scan(grid)
+    assert str(got.value) == str(want.value) == f"q={bad} outside [0, 1]"
+
+
+WEIGHTS = np.linspace(0.0, 1.0, 9)
+STRATEGIES = ("with_feedforward", "without_controller_info")
+
+
+@pytest.mark.parametrize("make", [make_ghz_mixture, make_werner], ids=["ghz", "werner"])
+@pytest.mark.parametrize("basis", ["hv", "pm", "rl"])
+def test_channel_functions_equal_rowwise(make, basis):
+    psis = [KET_D, KET_H, np.array([0.6, 0.8j])]
+    for weight in WEIGHTS:
+        rho = make(weight)
+        conds = condition_on_controller(rho, basis)
+        want = rowwise_condition_on_controller(rho, basis)
+        for cond, ref in zip(conds, want):
+            assert (cond.outcome, cond.probability) == (ref.outcome, ref.probability)
+            assert cond.state.tobytes() == ref.state.tobytes()
+            assert (repr(fully_entangled_fraction(cond.state))
+                    == repr(rowwise_fully_entangled_fraction(ref.state)))
+            for psi in psis:
+                assert (repr(teleport_fidelity(cond.state, psi))
+                        == repr(rowwise_teleport_fidelity(ref.state, psi)))
+        for strategy in STRATEGIES:
+            assert (repr(avg_teleport_fidelity(conds, strategy))
+                    == repr(rowwise_avg_teleport_fidelity(want, strategy)))
+            assert (repr(mc_avg_teleport_fidelity(conds, 150, 11, strategy))
+                    == repr(rowwise_mc_avg_teleport_fidelity(want, 150, 11, strategy)))
+
+
+def test_channel_functions_equal_rowwise_on_random_channels():
+    rng = np.random.default_rng(77)
+    for _ in range(40):
+        a = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+        rho = a @ a.conj().T / np.trace(a @ a.conj().T).real
+        for basis in ("hv", "pm", "rl"):
+            conds = condition_on_controller(rho, basis)
+            want = rowwise_condition_on_controller(rho, basis)
+            for cond, ref in zip(conds, want):
+                assert cond.probability == ref.probability
+                assert cond.state.tobytes() == ref.state.tobytes()
+                psi = random_qubit_ket(rng)
+                assert teleport_fidelity(cond.state, psi) == rowwise_teleport_fidelity(
+                    ref.state, psi)
+            for strategy in STRATEGIES:
+                assert avg_teleport_fidelity(conds, strategy) == \
+                    rowwise_avg_teleport_fidelity(want, strategy)
+        two_qubit = rho[:4, :4] / np.trace(rho[:4, :4]).real
+        assert avg_teleport_fidelity(two_qubit) == rowwise_avg_teleport_fidelity(two_qubit)
+        assert mc_avg_teleport_fidelity(two_qubit, 40, 3) == \
+            rowwise_mc_avg_teleport_fidelity(two_qubit, 40, 3)

@@ -1,3 +1,7 @@
+import argparse
+import contextlib
+import hashlib
+import io
 import json
 import math
 
@@ -90,6 +94,63 @@ def test_scan_werner_single_point(tmp_path):
     rows = [l for l in read_text(out).splitlines() if not l.startswith("#")]
     assert len(rows) == 2   # header + one row
     assert float(rows[1].split(",")[1]) == pytest.approx(1.0)
+
+
+# sha256 of the stdout of ``cqtsim scan-werner`` with these flags, recorded
+# from the row-by-row implementation that the stacked scan replaced
+SCAN_Q_LIST = "0,0.05,0.2,0.3333333333333333,0.5,0.77,1e-3,1"
+SCAN_DIGESTS = {
+    ("csv", False, "--q-grid", "0:1:10001"):
+        "58c29f5e47496051c81458ab5dc42c6efb955094f3cd405564785f0a829cbeaf",
+    ("csv", False, "--q-grid", "0:1:58"):
+        "b551e5e594a7b1a965dc290e04c80bdbae680a39dd0f9b4cf175cdae4a797027",
+    ("csv", False, "--q-grid", "0:1:101"):
+        "649d9879bd70eac404ad0c6343382768a81fbada5e0ecfb33dc536b9773f605c",
+    ("csv", False, "--q-list", SCAN_Q_LIST):
+        "20b4fd0a0912e767b62259d3488ab26cd5eacd174d0efa625c41fe9673544281",
+    ("csv", True, "--q-grid", "0:1:10001"):
+        "79282cd09d71275fa4b970f35e8bcda692ac3233651b3c64bdbc390a331ce369",
+    ("csv", True, "--q-grid", "0:1:58"):
+        "ba7677332c5e80145771c31b5c1ab898afae72d9dfc884541a5feab12d2b5c8e",
+    ("csv", True, "--q-grid", "0:1:101"):
+        "a207113f51b63cf6c65147b53a92c7c5ec648d9609a9b75ced0ce53883843337",
+    ("csv", True, "--q-list", SCAN_Q_LIST):
+        "a11f693de00a32ad1bf06ca3cc8def73498af20b9ff76843e53a05603b059c7b",
+    ("json", False, "--q-grid", "0:1:10001"):
+        "982072e86297072bbd9b180e09de9eae0aaf6c4745ecbca1a7b025c4e4103f09",
+    ("json", False, "--q-grid", "0:1:58"):
+        "10045c7795ea7722f6ab35cc9a3807f3b6e041572d58e807dcd7a2a1aeb2378f",
+    ("json", False, "--q-grid", "0:1:101"):
+        "43679e65de2bdf68f81272f899ad427399e15357b7baad26b138d32e7b47de69",
+    ("json", False, "--q-list", SCAN_Q_LIST):
+        "25f4403624ecb0a76cbb74d7fd2de4e59a669b8c2de6dd26c97482644218b535",
+    ("json", True, "--q-grid", "0:1:10001"):
+        "069a2bfc850be2a87a7d192d72c6ded11d89bf3ae994d7499a3f0ef707173273",
+    ("json", True, "--q-grid", "0:1:58"):
+        "d980d3291ee55d0bf5a45e18c2034faa59950929b49480da528b62d34e4e889b",
+    ("json", True, "--q-grid", "0:1:101"):
+        "23d9f2e35075c175741304654e431547a9a4ddd78b22c9d7b17d523b77cd2b8e",
+    ("json", True, "--q-list", SCAN_Q_LIST):
+        "6586ca32fcf7227e5188f8dfb3aca73abace672c467906e73f19b8b6de19d220",
+}
+
+
+@pytest.mark.parametrize("key", list(SCAN_DIGESTS), ids=lambda key: " ".join(map(str, key)))
+def test_scan_werner_output_is_pinned(key, capsys):
+    fmt, full, option, value = key
+    argv = ["scan-werner", "--format", fmt, option, value]
+    assert run_cli(argv + ["--full-precision"] * full) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == SCAN_DIGESTS[key]
+
+
+@pytest.mark.parametrize("q_list, bad", [("0.3,1.2,-0.1", "1.2"), ("0.5,-0.1,1.2", "-0.1"),
+                                         ("0.2,nan", "nan")])
+def test_scan_werner_names_the_first_bad_q(q_list, bad, capsys):
+    assert run_cli(["scan-werner", "--q-list", q_list]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: q={bad} outside [0, 1]\n"
 
 
 def test_fit_spdc_round_trip(tmp_path):
@@ -556,3 +617,65 @@ def test_fit_spdc_rejects_bad_targets_before_propagating(extra, monkeypatch):
     calls = _count_propagations(monkeypatch)
     assert run_cli(["fit-spdc", *extra]) == 2
     assert calls == []
+
+
+# --- one parser per process -------------------------------------------------------------
+
+def _run_captured(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue().encode("utf-8"), err.getvalue().encode("utf-8")
+
+
+def test_shared_parser_matches_a_fresh_one(tmp_path):
+    from cqtsim import cli
+
+    cfg = tmp_path / "scan.ini"
+    cfg.write_text("[scan-werner]\nq_list = 0.2,0.6\nfull_precision = true\n",
+                   encoding="utf-8")
+    sequence = [
+        ["scan-werner", "--q-list", "0.25,0.75"],
+        ["run", "--bogus"],
+        ["fit-spdc", "--synthetic-ratio", "0.8", "--targets", "1,2"],
+        ["scan-werner", "--config", str(cfg), "--format", "json"],
+        ["scan-werner", "-h"],
+        ["reproduce", "table1"],
+        ["scan-werner", "--q-list", "0.25,0.75"],
+    ]
+    cli._parser.cache_clear()
+    shared = [_run_captured(argv) for argv in sequence]
+    fresh = []
+    for argv in sequence:
+        cli._parser.cache_clear()
+        fresh.append(_run_captured(argv))
+    assert [code for code, _, _ in shared] == [0, 2, 2, 0, 0, 0, 0]
+    assert shared == fresh
+    assert b"not allowed with argument" in shared[2][2]
+    assert b'"rows"' in shared[3][1] and b"0.6" in shared[3][1]
+
+
+def test_main_builds_the_parser_once(monkeypatch):
+    from cqtsim import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser()
+    per_build = len(built)
+    assert per_build > 1     # the main parser and one per subcommand
+    cli._parser.cache_clear()
+    counts = []
+    for argv in (["scan-werner", "--q-list", "0.5"], ["run", "--bogus"],
+                 ["reproduce", "table1"]):
+        built.clear()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            main(argv)
+        counts.append(len(built))
+    assert counts == [per_build, 0, 0]
