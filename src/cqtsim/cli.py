@@ -180,8 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--resamples", type=int, default=0,
                        help="number of Poisson resamples (0 disables uncertainties)")
     p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--reproduce", choices=("table1",), default=None,
-                       help="shortcut for the 'reproduce' subcommand")
     _add_common(p_run)
 
     p_scan = sub.add_parser("scan-werner", help="scan the noisy-channel family")
@@ -305,8 +303,6 @@ def _check_resamples(args):
 
 
 def cmd_run(args) -> int:
-    if args.reproduce:
-        return _reproduce_table1(args)
     input_q = parse_input_state(args.input)
     source = _source_from_args(args)
     _check_resamples(args)
@@ -346,7 +342,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-def _reproduce_table1(args) -> int:
+def cmd_reproduce(args) -> int:
     rows = []
     for channel, action, raw_pct, weight_pct, expected_pct in REFERENCE_TABLE:
         corrected = 100.0 * corrected_fidelity(raw_pct / 100.0, weight_pct / 100.0)
@@ -356,10 +352,6 @@ def _reproduce_table1(args) -> int:
                "corrected_percent", "expected_percent", "deviation_pp"]
     _emit(_render_table(columns, rows, args.fmt, args.full_precision), args.out)
     return 0
-
-
-def cmd_reproduce(args) -> int:
-    return _reproduce_table1(args)
 
 
 def _parse_grid(args):
@@ -447,12 +439,14 @@ def cmd_fit_spdc(args) -> int:
              _fixed(fit.residuals[label] * 100.0, RESIDUAL_PP_DIGITS, fp)]
             for label in targets]
     ssr = _fixed(fit.sum_squared_residual, SSR_DIGITS, fp)
-    comments = [f"fitted_ratio={fit.ratio:.6f}",
-                f"sum_squared_residual={ssr:.6e}",
+    # an empty format spec prints a float as repr does
+    ratio_spec, ssr_spec = ("", "") if fp else (".6f", ".6e")
+    comments = [f"fitted_ratio={fit.ratio:{ratio_spec}}",
+                f"sum_squared_residual={ssr:{ssr_spec}}",
                 f"converged={fit.converged}"]
     if not fit.constrained:
         comments.append("warning: targets do not constrain the ratio")
-    comments += [f"warning: ratio {root:.6f} fits the targets as well"
+    comments += [f"warning: ratio {root:{ratio_spec}} fits the targets as well"
                  for root in fit.other_roots]
     columns = ["config", "target_percent", "achieved_percent", "residual_pp"]
     _emit(_render_table(columns, rows, args.fmt, args.full_precision,

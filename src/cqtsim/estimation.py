@@ -219,7 +219,7 @@ def ml_reconstruct(counts: ProjectionCounts, tol: float = ML_TOL,
 
 
 def ml_oracle_bloch_search(counts: ProjectionCounts) -> np.ndarray:
-    """Direct likelihood maximization over the Bloch ball (reference method)."""
+    """Likelihood maximization over the Bloch ball (reference; needs the ``dev`` extra)."""
     from scipy import optimize
 
     projectors = counts.projectors()

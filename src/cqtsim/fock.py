@@ -214,6 +214,8 @@ def basis_state(counts, n_max: int = DEFAULT_N_MAX) -> PureState:
 def single_photon(spatial: int, jones: np.ndarray, n_max: int = DEFAULT_N_MAX) -> PureState:
     """One photon in the given spatial mode with polarization ket ``jones``."""
     jones = np.asarray(jones, dtype=complex)
+    if jones.shape != (2,) or not jones.any():
+        raise ValueError(f"jones must be a non-zero 2-vector, got {jones.tolist()!r}")
     # 0j + as in PureState(...): a -0.0 part becomes 0.0
     return PureState._canonical({occupation({(spatial, H): 1}): 0j + complex(jones[0]),
                                  occupation({(spatial, V): 1}): 0j + complex(jones[1])},

@@ -152,12 +152,12 @@ def sector_rates(params: SourceParams, config) -> dict:
 
 
 def sector_shares(rates: dict, kappa_forward: complex, kappa_backward: complex) -> dict:
-    """Shares at any strengths: sector "jjkk" scales as |kappa_f|^2j |kappa_b|^2k."""
+    """Shares at scalar or array strengths: "jjkk" scales as |kappa_f|^2j |kappa_b|^2k."""
     per_term = {label: rate * abs(kappa_forward / REFERENCE_KAPPA) ** (2 * int(label[0]))
                 * abs(kappa_backward / REFERENCE_KAPPA) ** (2 * int(label[2]))
                 for label, rate in rates.items()}
     total = sum(per_term.values())
-    if not total > 0.0:
+    if not np.all(total > 0.0):
         raise ValueError("no emission term produces a four-fold coincidence")
     undesired = sum(p for label, p in per_term.items() if label != "1111")
     return {"desired": (total - undesired) / total, "undesired": undesired / total,
@@ -178,7 +178,7 @@ class RatioFit:
     achieved: dict
     residuals: dict
     sum_squared_residual: float
-    converged: bool
+    converged: bool             # always True: the zoom always reaches its tolerance
     constrained: bool = True    # False when the targets leave the ratio free
     other_roots: tuple = ()     # ratios in other basins that fit as exactly
 
@@ -190,41 +190,44 @@ def fit_source_ratio(targets: dict, rates: dict, bounds=RATIO_BOUNDS) -> RatioFi
     ``rates`` maps each of those labels to its ``sector_rates``, so the fit
     propagates nothing itself.  The cost, a rational function of the ratio
     with two basins at some settings, is scanned on a log-spaced grid over
-    ``bounds`` and Brent's search refines the best grid point.  The other
-    local minima of the grid are refined too, and those whose cost also
-    reaches zero (below ``_ROOT_COST``) are reported as ``other_roots``: the
-    targets then cannot tell those ratios apart.
+    ``bounds``.  Each grid minimum is refined by zooming: a 21-point grid over
+    the bracket of its two neighbours gives the next, down to a bracket of
+    1e-12 in log R.  Other minima whose cost also reaches zero (below
+    ``_ROOT_COST``) are reported as ``other_roots``: the targets then cannot
+    tell those ratios apart.
     """
-    from scipy import optimize
-
     labels = list(targets)
 
-    def undesired(ratio: float) -> dict:
+    def undesired(ratio) -> dict:
         kb = REFERENCE_KAPPA * ratio
         return {k: sector_shares(rates[k], REFERENCE_KAPPA, kb)["undesired"] for k in labels}
 
-    def cost(log_r: float) -> float:
-        achieved = undesired(math.exp(log_r))
+    def cost(log_r: np.ndarray) -> np.ndarray:
+        achieved = undesired(np.exp(log_r))
         return sum((achieved[k] - targets[k]) ** 2 for k in labels)
 
     grid = np.linspace(math.log(bounds[0]), math.log(bounds[1]), _GRID_POINTS)
-    costs = [cost(x) for x in grid]
+    costs = cost(grid)
     best = int(np.argmin(costs))
     # a degenerate target set (shares insensitive to the ratio) leaves the
     # minimizer free: detect a flat cost and flag the fit as unconstrained
-    constrained = max(costs) - min(costs) > 1e-18
+    constrained = bool(costs.max() - costs.min() > 1e-18)
 
-    def refine(i: int):
-        return optimize.minimize_scalar(cost, bounds=(grid[max(i - 1, 0)],
-                                                      grid[min(i + 1, len(grid) - 1)]),
-                                        method="bounded", options={"xatol": 1e-10})
+    def refine(i: int) -> tuple:
+        xs, zoom = grid, costs
+        while True:
+            lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+            if hi - lo <= 1e-12:
+                return float(xs[i]), float(zoom[i])
+            xs = np.linspace(lo, hi, 21)
+            zoom = cost(xs)
+            i = int(np.argmin(zoom))
 
-    res = refine(best)
+    ratio = math.exp(refine(best)[0])
     # one index per basin: the left end of each run of equal local minima
     minima = [i for i in range(len(grid)) if (i == 0 or costs[i] < costs[i - 1])
               and (i == len(grid) - 1 or costs[i] <= costs[i + 1])]
     others = [refine(i) for i in minima if i != best] if constrained else []
-    ratio = float(math.exp(res.x))
     achieved = undesired(ratio)
     residuals = {k: achieved[k] - targets[k] for k in labels}
     return RatioFit(
@@ -232,7 +235,7 @@ def fit_source_ratio(targets: dict, rates: dict, bounds=RATIO_BOUNDS) -> RatioFi
         achieved=achieved,
         residuals=residuals,
         sum_squared_residual=float(sum(r ** 2 for r in residuals.values())),
-        converged=bool(res.success),
+        converged=True,
         constrained=constrained,
-        other_roots=tuple(float(math.exp(r.x)) for r in others if r.fun < _ROOT_COST),
+        other_roots=tuple(math.exp(x) for x, c in others if c < _ROOT_COST),
     )

@@ -62,14 +62,6 @@ def test_reproduce_table_within_tolerance(tmp_path):
         assert abs(float(row[6])) < 0.2
 
 
-def test_run_reproduce_alias(tmp_path):
-    direct = tmp_path / "a.csv"
-    alias = tmp_path / "b.csv"
-    assert run_cli(["reproduce", "table1", "--out", str(direct)]) == 0
-    assert run_cli(["run", "--reproduce", "table1", "--out", str(alias)]) == 0
-    assert read_text(direct) == read_text(alias)
-
-
 def test_scan_werner_grid_values(tmp_path):
     out = tmp_path / "scan.csv"
     assert run_cli(["scan-werner", "--q-list", "0,0.333333333333,0.428571428571,1",
@@ -200,6 +192,31 @@ def test_fit_spdc_warns_of_a_second_exact_root(capsys):
     comments = [l for l in capsys.readouterr().out.splitlines() if l.startswith("#")]
     assert "# fitted_ratio=0.176865" in comments
     assert "# warning: ratio 4.000000 fits the targets as well" in comments
+
+
+def test_fit_spdc_full_precision_prints_the_fit_unrounded(monkeypatch, capsys):
+    from cqtsim import cli
+
+    fits = []
+    fit_source_ratio = cli.fit_source_ratio
+    monkeypatch.setattr(cli, "fit_source_ratio",
+                        lambda targets, rates: fits.append(fit_source_ratio(targets, rates))
+                        or fits[-1])
+    argv = ["fit-spdc", "--input", "h", "--synthetic-ratio", "4", "--pbs-epsilon", "0.001",
+            "--full-precision"]
+    for fmt in ("csv", "json"):
+        fits.clear()
+        assert run_cli(argv + ["--format", fmt]) == 0
+        out = capsys.readouterr().out
+        comments = (json.loads(out)["comments"] if fmt == "json" else
+                    [l[2:] for l in out.splitlines() if l.startswith("# ")])
+        notes = dict(c.split("=", 1) for c in comments if "=" in c)
+        root = next(c for c in comments if c.startswith("warning: ratio "))
+        (fit,) = fits
+        assert len(fit.other_roots) == 1
+        assert float(notes["fitted_ratio"]) == fit.ratio
+        assert float(notes["sum_squared_residual"]) == fit.sum_squared_residual
+        assert float(root.split()[2]) == fit.other_roots[0]
 
 
 def test_fit_spdc_reference_targets_report_residuals(tmp_path):

@@ -58,7 +58,6 @@ OPTIONS = {
         "--exposure": ["10000", "1"] + NUMBERS,
         "--resamples": ["0", "100", "200", "99", "100001", "-5", "x"],
         "--seed": SEEDS,
-        "--reproduce": ["table1", "table2"],
     },
     "scan-werner": {
         "--q-grid": ["0:1:11", "0:1:50", "1:0:5", "0:1:0", "0:1:20000", "0:1", "a:b:c",

@@ -38,6 +38,12 @@ def test_occupation_rejects_non_integer_modes_and_counts():
     assert occupation({(np.int64(1), H): np.int64(2)}) == (((1, H), 2),)
 
 
+@pytest.mark.parametrize("jones", [[0.6, 0.8, 5.0], [0, 0], [[0.6], [0.8]], [1.0]])
+def test_single_photon_rejects_a_jones_vector_that_is_not_a_nonzero_pair(jones):
+    with pytest.raises(ValueError, match="non-zero 2-vector"):
+        single_photon(1, jones)
+
+
 def test_zero_counts_absent_and_prune():
     s = PureState({occupation({(1, H): 1}): 1.0, occupation({(2, H): 1}): 1e-16})
     assert len(s) == 1

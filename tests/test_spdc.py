@@ -4,12 +4,14 @@ import subprocess
 import sys
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 import cqtsim
 from cqtsim.fock import H, V, occupation
 from cqtsim.protocol import InputQubit, ProtocolConfig, run_protocol
-from cqtsim.spdc import (PAIR_KINDS, RatioFit, SourceParams, coincidence_sectors,
+from cqtsim.spdc import (_GRID_POINTS, _ROOT_COST, PAIR_KINDS, RATIO_BOUNDS,
+                         REFERENCE_KAPPA, RatioFit, SourceParams, coincidence_sectors,
                          emission_orders, fit_source_ratio, four_mode_source,
                          heralded_fraction, sector_rates, sector_shares,
                          signature_label, two_mode_spdc)
@@ -264,12 +266,136 @@ def test_fit_names_the_second_exact_root(eps):
     assert other.sum_squared_residual < 1e-12
 
 
-def test_import_leaves_scipy_optimize_unloaded():
+def brent_fit_source_ratio(targets: dict, rates: dict, bounds=RATIO_BOUNDS) -> RatioFit:
+    """Oracle: the grid scan refined by scipy's bounded Brent search, as the fit
+    was before its zoom refinement (scipy comes from the ``dev`` extra)."""
+    from scipy import optimize
+
+    labels = list(targets)
+
+    def undesired(ratio: float) -> dict:
+        kb = REFERENCE_KAPPA * ratio
+        return {k: sector_shares(rates[k], REFERENCE_KAPPA, kb)["undesired"] for k in labels}
+
+    def cost(log_r: float) -> float:
+        achieved = undesired(math.exp(log_r))
+        return sum((achieved[k] - targets[k]) ** 2 for k in labels)
+
+    grid = np.linspace(math.log(bounds[0]), math.log(bounds[1]), _GRID_POINTS)
+    costs = [cost(x) for x in grid]
+    best = int(np.argmin(costs))
+    # a degenerate target set (shares insensitive to the ratio) leaves the
+    # minimizer free: detect a flat cost and flag the fit as unconstrained
+    constrained = max(costs) - min(costs) > 1e-18
+
+    def refine(i: int):
+        return optimize.minimize_scalar(cost, bounds=(grid[max(i - 1, 0)],
+                                                      grid[min(i + 1, len(grid) - 1)]),
+                                        method="bounded", options={"xatol": 1e-10})
+
+    res = refine(best)
+    # one index per basin: the left end of each run of equal local minima
+    minima = [i for i in range(len(grid)) if (i == 0 or costs[i] < costs[i - 1])
+              and (i == len(grid) - 1 or costs[i] <= costs[i + 1])]
+    others = [refine(i) for i in minima if i != best] if constrained else []
+    ratio = float(math.exp(res.x))
+    achieved = undesired(ratio)
+    residuals = {k: achieved[k] - targets[k] for k in labels}
+    return RatioFit(
+        ratio=ratio,
+        achieved=achieved,
+        residuals=residuals,
+        sum_squared_residual=float(sum(r ** 2 for r in residuals.values())),
+        converged=bool(res.success),
+        constrained=constrained,
+        other_roots=tuple(float(math.exp(r.x)) for r in others if r.fun < _ROOT_COST),
+    )
+
+
+def oracle_cases():
+    """(targets, rates) of the whole-range round trips, the two input-h cases
+    and the bundled targets."""
+    for eps in (0.001, 0.025, 0.05, 0.1):
+        for i, name in enumerate(("plus", "minus", "r", "l")):
+            rates = fit_rates(eps, name)
+            for ratio in FIT_RATIOS[i::4]:
+                yield ({label: sector_shares(r, 0.1, 0.1 * ratio)["undesired"]
+                        for label, r in rates.items()}, rates)
+    for eps in (0.001, 0.05):
+        params = SourceParams(kappa_forward=0.05, kappa_backward=0.2)
+        yield ({label: heralded_fraction(params, fit_configs(label, eps, "h"))["undesired"]
+                for label in ("uncontrolled", "allowed", "denied")}, fit_rates(eps, "h"))
+    yield {"uncontrolled": 0.130, "allowed": 0.554, "denied": 0.301}, fit_rates()
+
+
+def test_zoom_fit_matches_the_brent_oracle():
+    cases = list(oracle_cases())
+    assert len(cases) == 67
+    for targets, rates in cases:
+        fit = fit_source_ratio(targets, rates)
+        oracle = brent_fit_source_ratio(targets, rates)
+        assert fit.sum_squared_residual <= oracle.sum_squared_residual * (1 + 1e-9) + 1e-30
+        assert round(fit.ratio, 6) == round(oracle.ratio, 6)
+        assert len(fit.other_roots) == len(oracle.other_roots)
+        assert fit.converged and oracle.converged
+
+
+def test_sector_shares_of_an_array_match_each_scalar():
+    ratios = np.exp(np.linspace(math.log(RATIO_BOUNDS[0]), math.log(RATIO_BOUNDS[1]),
+                                _GRID_POINTS))
+    for eps in (0.001, 0.05):
+        for name in ("plus", "h", "r"):
+            for rates in fit_rates(eps, name).values():
+                stacked = sector_shares(rates, REFERENCE_KAPPA, REFERENCE_KAPPA * ratios)
+                each = [sector_shares(rates, REFERENCE_KAPPA, REFERENCE_KAPPA * float(r))
+                        for r in ratios]
+                for key in ("desired", "undesired"):
+                    np.testing.assert_allclose(stacked[key], [e[key] for e in each],
+                                               rtol=1e-12, atol=0)
+                for label in rates:
+                    np.testing.assert_allclose(stacked["per_term"][label],
+                                               [e["per_term"][label] for e in each],
+                                               rtol=1e-12, atol=0)
+
+
+def test_fit_raises_for_a_label_without_four_fold_rate():
+    rates = {**fit_rates(), "dark": {"1111": 0.0, "2200": 0.0, "0022": 0.0}}
+    targets = {"allowed": 0.5, "dark": 0.1}
+    with pytest.raises(ValueError, match="four-fold"):
+        fit_source_ratio(targets, rates)
+
+
+# Installed first on sys.meta_path, it makes every scipy import fail.
+BLOCK_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+
+def test_import_leaves_scipy_optimize_unloaded(tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(cqtsim.__file__)))
-    scan = ("from cqtsim.cli import main; "
-            "assert main(['scan-werner', '--q-grid', '0:1:11']) == 0; ")
-    for run in ("import cqtsim; ", scan):
-        code = f"import sys; {run}print('scipy.optimize' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                             env={**os.environ, "PYTHONPATH": src}, check=True)
-        assert out.stdout.splitlines()[-1] == "False", run
+    counts = tmp_path / "counts.csv"
+    counts.write_text("label,projector,count\nh,h,700\nv,v,300\nplus,plus,650\n"
+                      "minus,minus,350\nr,r,520\nl,l,480\n", encoding="utf-8")
+    commands = [
+        ["run"],
+        ["run", "--resamples", "200", "--seed", "1"],
+        ["scan-werner", "--q-grid", "0:1:11"],
+        ["fit-spdc"],
+        ["fit-spdc", "--synthetic-ratio", "0.8"],
+        ["fit-spdc", "--targets", "10,50,40"],
+        ["tomo", "--counts", str(counts), "--resamples", "200", "--seed", "1"],
+        ["reproduce", "table1"],
+    ]
+    runs = ["import cqtsim"] + [
+        f"from cqtsim.cli import main; sys.exit(main({argv!r}))" for argv in commands]
+    for run in runs:
+        out = subprocess.run([sys.executable, "-c", BLOCK_SCIPY + run], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": src})
+        assert out.returncode == 0, (run, out.stderr)
