@@ -76,11 +76,21 @@ class UsageError(Exception):
 
 # --- formatting and output -------------------------------------------------------
 
+def _steady(value: float) -> float:
+    """``value`` rounded to 12 significant digits before a shorter format.
+
+    A value within a few ulp of a rounding tie at 4 to 6 digits would print
+    either digit depending on its last bit, which can differ between BLAS
+    kernels; 12 digits first settle the tie the same way on every machine.
+    """
+    return float(f"{value:.12g}")
+
+
 def _fmt(value, full_precision: bool) -> str:
     if isinstance(value, float):
         if full_precision:
             return repr(value)
-        return f"{value:.4g}"
+        return f"{_steady(value):.4g}"
     if value is None:
         return ""
     return str(value)
@@ -119,7 +129,7 @@ def _emit(text: str, out_path):
 
 def _json_value(value, full_precision):
     if isinstance(value, float) and not full_precision:
-        return float(f"{value:.4g}")
+        return float(f"{_steady(value):.4g}")
     return value
 
 
@@ -439,14 +449,16 @@ def cmd_fit_spdc(args) -> int:
              _fixed(fit.residuals[label] * 100.0, RESIDUAL_PP_DIGITS, fp)]
             for label in targets]
     ssr = _fixed(fit.sum_squared_residual, SSR_DIGITS, fp)
-    # an empty format spec prints a float as repr does
-    ratio_spec, ssr_spec = ("", "") if fp else (".6f", ".6e")
-    comments = [f"fitted_ratio={fit.ratio:{ratio_spec}}",
-                f"sum_squared_residual={ssr:{ssr_spec}}",
+
+    def fixed_format(value: float, spec: str) -> str:
+        return repr(value) if fp else f"{_steady(value):{spec}}"
+
+    comments = [f"fitted_ratio={fixed_format(fit.ratio, '.6f')}",
+                f"sum_squared_residual={fixed_format(ssr, '.6e')}",
                 f"converged={fit.converged}"]
     if not fit.constrained:
         comments.append("warning: targets do not constrain the ratio")
-    comments += [f"warning: ratio {root:{ratio_spec}} fits the targets as well"
+    comments += [f"warning: ratio {fixed_format(root, '.6f')} fits the targets as well"
                  for root in fit.other_roots]
     columns = ["config", "target_percent", "achieved_percent", "residual_pp"]
     _emit(_render_table(columns, rows, args.fmt, args.full_precision,

@@ -2,9 +2,16 @@
 
 A mode is a ``(spatial, polarization)`` pair, a basis state is a sparse
 occupation vector over modes, and a pure state is a complex superposition
-of basis states.  Nothing in the teleportation pipeline ever exceeds a few
-dozen terms, so plain dicts keyed by canonical occupation tuples beat any
-dense representation and keep every operation exact.
+of basis states, held as a plain dict keyed by canonical occupation tuples.
+The stage operations, the analyzer calibration and the public API work on
+these states, which take any modes and stay small.
+
+The emission sectors of a protocol run are propagated instead as dense
+photon-number vectors over a fixed list of modes (``_number_basis``): one
+complex amplitude per occupation with N photons in all, C(N + 7, 7) of them
+over eight modes.  ``_create_pairs`` applies a quadratic form of creation
+operators to such a vector in one ``np.bincount``; its index tables are
+built with numpy on first use, once per photon number.
 
 Keys from outside the package are canonicalised by ``occupation``, once
 each: the public ``PureState(...)``, ``basis_state``, ``single_photon``,
@@ -19,6 +26,8 @@ Qubit encoding used throughout the package: |H> -> basis 0, |V> -> basis 1.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import operator
 from bisect import bisect_left
@@ -121,6 +130,72 @@ def _create(ket: dict, targets) -> dict:
             raised = key[:i] + ((m, n + 1),) + key[i + (n > 0):]
             out[raised] = out.get(raised, 0.0j) + amp * u * math.sqrt(n + 1)
     return out
+
+
+_COUNT_BITS = 4     # bits per mode in an occupation code: up to 15 photons
+
+
+@functools.cache
+def _number_basis(n: int, n_modes: int) -> tuple:
+    """``(occupations, codes)`` of every way to put ``n`` photons in ``n_modes`` modes.
+
+    Stars and bars: each choice of ``n_modes - 1`` bar positions among
+    ``n + n_modes - 1`` slots gives the counts as the gaps between bars.  Row
+    i of ``occupations`` holds the counts of basis state i, and ``codes[i]``
+    packs them into one integer, ``_COUNT_BITS`` per mode with the first mode
+    most significant.  Combinations come in lexicographic order, so the codes
+    come sorted and ``np.searchsorted(codes, code)`` finds a state's index.
+    """
+    if n >= 1 << _COUNT_BITS:
+        raise SectorError(f"{n} photons exceed the {_COUNT_BITS}-bit mode counts")
+    slots = n + n_modes - 1
+    bars = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(slots), n_modes - 1)), dtype=np.int8)
+    bars = bars.reshape(-1, n_modes - 1)
+    edges = np.column_stack([np.full(len(bars), -1, dtype=np.int8), bars,
+                             np.full(len(bars), slots, dtype=np.int8)])
+    occupations = edges[:, 1:] - edges[:, :-1] - np.int8(1)
+    return occupations, occupations @ _mode_units(n_modes)
+
+
+def _mode_units(n_modes: int) -> np.ndarray:
+    """The code of one photon in each mode."""
+    return 1 << (_COUNT_BITS * np.arange(n_modes - 1, -1, -1))
+
+
+@functools.cache
+def _pair_table(n: int, n_modes: int) -> tuple:
+    """Index table of the pairs b_k^dag b_l^dag, k <= l, from ``n`` to ``n + 2`` photons.
+
+    Returns ``(k, l, slots, coef, size)``.  Source state s and pair p send
+    ``coef[s, p]`` times the amplitude to target state t, whose real and
+    imaginary parts sit at ``slots[s, p] = (2t, 2t + 1)`` of the float view of
+    a complex vector of ``size`` entries.  ``coef`` holds the bosonic factors
+    sqrt(n_k + 1) sqrt(n_l + 1), or sqrt((n_k + 1)(n_k + 2)) / 2 for k = l,
+    the 1/2 of the quadratic form's diagonal.
+    """
+    occ, codes = _number_basis(n, n_modes)
+    _, out_codes = _number_basis(n + 2, n_modes)
+    k, l = np.array(list(itertools.combinations_with_replacement(range(n_modes), 2))).T
+    unit = _mode_units(n_modes)
+    target = np.searchsorted(out_codes, codes[:, None] + (unit[k] + unit[l]))
+    same = k == l
+    coef = np.sqrt((occ[:, k] + 1.0) * (occ[:, l] + 1.0 + same)) * np.where(same, 0.5, 1.0)
+    slots = np.stack([2 * target, 2 * target + 1], axis=-1)
+    return k, l, slots.ravel(), coef, len(out_codes)
+
+
+def _create_pairs(vec: np.ndarray, n: int, q: np.ndarray) -> np.ndarray:
+    """Apply 1/2 sum_kl q[k, l] b_k^dag b_l^dag to an ``n``-photon vector.
+
+    ``vec`` is indexed by ``_number_basis(n, len(q))`` and ``q`` is symmetric;
+    the result is indexed by the basis of ``n + 2`` photons.
+    """
+    k, l, slots, coef, size = _pair_table(n, len(q))
+    terms = vec[:, None] * q[k, l]
+    terms *= coef
+    return np.bincount(slots, terms.view(np.float64).ravel(),
+                       minlength=2 * size).view(complex)
 
 
 def total_photons(occ: tuple) -> int:
@@ -255,16 +330,11 @@ def project(state: PureState, predicate: Callable[[tuple], bool],
     call.
     """
     kept = {occ: amp for occ, amp in state.terms.items() if predicate(occ)}
-    return _renormalized(kept, state.n_max, empty_tol)
-
-
-def _renormalized(kept: dict, n_max: int, empty_tol: float):
-    """``(kept terms scaled to unit norm, their weight)``; ``None`` below ``empty_tol``."""
     prob = float(sum(abs(a) ** 2 for a in kept.values()))
     if prob < empty_tol:
         return None, prob
     scale = 1.0 / math.sqrt(prob)
-    return PureState._canonical({k: a * scale for k, a in kept.items()}, n_max), prob
+    return PureState._canonical({k: a * scale for k, a in kept.items()}, state.n_max), prob
 
 
 def clicks_at(spatials: Iterable[int]) -> Callable[[tuple], bool]:

@@ -18,7 +18,13 @@ g2 run (half-wave plate at pi/4 in mode 2, receiver analyzer rotated by pi/4)
 to the bit-flipped GHZ state in the receiver's analyzer frame.
 
 Emission terms with different photon-number signatures are propagated as
-incoherent alternatives; their four-fold probabilities add.
+incoherent alternatives; their four-fold probabilities add.  ``run_protocol``
+propagates them as dense photon-number vectors: the composed optics become
+one 8x8 matrix L over the modes 1H ... 4V, each pair-creation operator
+1/2 a^T Lambda a becomes the quadratic form L Lambda L^T on the output
+modes, and a sector of j forward and k backward pairs is j + k such pair
+creations on vacuum.  The stage operations, the analyzer calibration and
+the public API keep the sparse states of ``fock`` and ``elements.apply``.
 """
 
 from __future__ import annotations
@@ -34,10 +40,10 @@ from .elements import (OpticalElement, apply, balanced_bs, compose, hwp,
                        jones_element, pbs, phase_plate, polarizer, qwp)
 from .estimation import fidelity_from_counts
 from .fock import (DEFAULT_N_MAX, H, V, KET_A, KET_D, KET_H, KET_R, KET_V, NAMED_KETS,
-                   PureState, _renormalized, clicks_at, project, spatial_counts,
-                   to_qubit_density)
-from .spdc import (BACKWARD_MODES, FORWARD_MODES, SourceParams, coincidence_sectors,
-                   emission_orders, four_mode_source)
+                   PRUNE_THRESHOLD, PureState, _create_pairs, _mode_units,
+                   _number_basis, clicks_at, project, spatial_counts)
+from .spdc import (BACKWARD_MODES, FORWARD_MODES, PAIR_KINDS, SourceParams,
+                   emission_orders)
 
 _SQ2 = math.sqrt(2.0)
 
@@ -243,12 +249,6 @@ def _detector_spatials(config: ProtocolConfig) -> list:
     return [wiring.sender_resource, INPUT_MODE, wiring.controller, wiring.receiver]
 
 
-def _sectors(config: ProtocolConfig) -> dict:
-    if config.source is None:
-        return {"1111": ideal_source_state()}
-    return coincidence_sectors(four_mode_source(config.source))
-
-
 # --- analyzer frame calibration -------------------------------------------------
 
 def analyzer_frame(channel: str, roles: str = "standard") -> np.ndarray:
@@ -298,64 +298,161 @@ def _calibrated_frame(channel: str, roles: str) -> np.ndarray:
     return w
 
 
+# --- dense propagation ----------------------------------------------------------
+
+# the modes of the dense engine, in the order of its vectors and matrices
+_DENSE_MODES = tuple((spatial, pol) for spatial in (1, 2, 3, 4) for pol in (H, V))
+_MODE_INDEX = {m: i for i, m in enumerate(_DENSE_MODES)}
+
+
+def _pair_matrix(pair_kind: str, modes: tuple) -> np.ndarray:
+    """Symmetric Lambda whose 1/2 a^T Lambda a is the pair-creation operator."""
+    lam = np.zeros((len(_DENSE_MODES),) * 2, dtype=complex)
+    for (p_s, p_i), u in PAIR_KINDS[pair_kind].items():
+        a, b = _MODE_INDEX[(modes[0], p_s)], _MODE_INDEX[(modes[1], p_i)]
+        lam[a, b] = lam[b, a] = u
+    return lam
+
+
+_LAMBDA_FORWARD = _pair_matrix("phi_plus", FORWARD_MODES)
+_LAMBDA_BACKWARD = _pair_matrix("hh", BACKWARD_MODES)
+
+
+def _linear_map(element: OpticalElement) -> np.ndarray:
+    """Matrix L of an element: a_m^dag becomes sum_k L[k, m] b_k^dag."""
+    lin = np.eye(len(_DENSE_MODES), dtype=complex)
+    for m, outs in element.mapping.items():
+        col = _MODE_INDEX[m]
+        lin[:, col] = 0.0
+        for k, u in outs.items():
+            lin[_MODE_INDEX[k], col] = u
+    return lin
+
+
+def _emitted(q_forward: np.ndarray, q_backward: np.ndarray, sectors) -> dict:
+    """(A^dag)^j (B^dag)^k |0> / (j! k!) for each (j, k) in ``sectors``.
+
+    A^dag and B^dag are the quadratic forms ``q_forward`` and ``q_backward``;
+    the sectors that share k share the B^dag steps.  Each vector is indexed
+    by the basis of 2(j + k) photons.
+    """
+    out = {}
+    backward = np.ones(1, dtype=complex)
+    for k in range(max((kk for _, kk in sectors), default=-1) + 1):
+        if k:
+            backward = _create_pairs(backward, 2 * k - 2, q_backward) / k
+        vec = backward
+        for j in range(max((jj for jj, kk in sectors if kk == k), default=-1) + 1):
+            if j:
+                vec = _create_pairs(vec, 2 * (j + k - 1), q_forward) / j
+            if (j, k) in sectors:
+                out[(j, k)] = vec
+    return out
+
+
+@functools.cache
+def _emitted_norms(order: int) -> dict:
+    """Squared norm of each sector (j, k), j + k <= order, at unit strengths."""
+    sectors = [(j, k) for j in range(order + 1) for k in range(order + 1 - j)]
+    return {jk: float((np.abs(vec) ** 2).sum())
+            for jk, vec in _emitted(_LAMBDA_FORWARD, _LAMBDA_BACKWARD, sectors).items()}
+
+
+def _sector_weights(source: SourceParams | None) -> dict:
+    """``(amplitude, squared norm)`` of each coincidence-capable sector (j, k).
+
+    The amplitude is the sector's weight in the normalized emitted state and
+    the norm that of its unit-strength vector.  Sectors with fewer than four
+    photons can never click four-fold and are left out; the normalization
+    runs over every term up to the truncation order.  The ideal source is
+    sector (1, 1) with unit weight.
+    """
+    if source is None:
+        return {(1, 1): (1.0, _emitted_norms(2)[(1, 1)])}
+    norms = _emitted_norms(source.truncation_order)
+    kf, kb = source.kappa_forward, source.kappa_backward
+    total = sum(abs(kf) ** (2 * j) * abs(kb) ** (2 * k) * n for (j, k), n in norms.items())
+    scale = 1.0 / math.sqrt(total)
+    return {(j, k): (kf ** j * kb ** k * scale, n)
+            for (j, k), n in norms.items() if j + k >= 2}
+
+
+@functools.cache
+def _tally_indices(n: int, detectors: tuple, receiver: int) -> tuple:
+    """Index arrays into the ``n``-photon basis for the four-fold tally.
+
+    Returns ``(clicked, parallel, perpendicular, h_one, v_one)``: the states
+    where every detector's spatial mode holds a photon; those among them with
+    no receiver V, and with no receiver H photon; and the clicked states with
+    one receiver photon in H, each paired with the state that moves that
+    photon to V.
+    """
+    occ, codes = _number_basis(n, len(_DENSE_MODES))
+    at = [_MODE_INDEX[(receiver, pol)] for pol in (H, V)]
+    spatial = occ.reshape(len(occ), -1, 2).sum(axis=2)     # column s - 1: spatial mode s
+    clicked = np.all(spatial[:, [s - 1 for s in detectors]] >= 1, axis=1)
+    h_one = clicked & (occ[:, at[0]] == 1) & (occ[:, at[1]] == 0)
+    unit = _mode_units(len(_DENSE_MODES))[at]
+    v_one = np.searchsorted(codes, codes[h_one] - unit[0] + unit[1])
+    return (np.flatnonzero(clicked), np.flatnonzero(clicked & (occ[:, at[1]] == 0)),
+            np.flatnonzero(clicked & (occ[:, at[0]] == 0)), np.flatnonzero(h_one), v_one)
+
+
 # --- main pipeline ----------------------------------------------------------------
 
 def run_protocol(config: ProtocolConfig):
     """Propagate every coincidence-capable emission term through the setup.
 
-    Returns ``(CountRecord, rho_receiver)``.  Each sector is propagated once
-    through the composed setup, whose analyzer rotation takes the calibrated
-    images of the input ket and of its orthogonal complement to H and V, so
-    ``f_parallel`` / ``f_perp`` are the four-fold probabilities with no V / no
-    H photon at the receiver.  His conditional density operator is reported
-    in his analyzer frame (for g2 including the pi/4 analyzer rotation), over
-    events where his arm carries exactly one photon, which at the default
-    emission truncation is every four-fold event.
+    Returns ``(CountRecord, rho_receiver)``.  The sector of j forward and k
+    backward pairs, labelled by its spatial signature "jjkk", leaves the
+    composed optics as kf^j kb^k (A'^dag)^j (B'^dag)^k |0> / (j! k!), a dense
+    photon-number vector (see the module docstring).  The analyzer rotation
+    takes the calibrated images of the input ket and of its orthogonal
+    complement to H and V, so ``f_parallel`` / ``f_perp`` are the four-fold
+    probabilities with no V / no H photon at the receiver.  His conditional
+    density operator is reported in his analyzer frame (for g2 including the
+    pi/4 analyzer rotation), over events where his arm carries exactly one
+    photon, which at the default emission truncation is every four-fold
+    event.
     """
     wiring = WIRINGS[config.roles]
     frame = analyzer_frame(config.channel, config.roles)
     analyzer = np.array([frame @ config.input.ket(),
                          frame @ config.input.orthogonal_ket()]).conj()
-    optics = compose([_setup_map(config), jones_element(wiring.receiver, analyzer)])
-    detectors = _detector_spatials(config)
-    receiver_h, receiver_v = (wiring.receiver, H), (wiring.receiver, V)
+    lin = _linear_map(compose([_setup_map(config),
+                               jones_element(wiring.receiver, analyzer)]))
+    weights = _sector_weights(config.source)
+    sectors = _emitted(lin @ _LAMBDA_FORWARD @ lin.T, lin @ _LAMBDA_BACKWARD @ lin.T,
+                       weights)
+    detectors = tuple(_detector_spatials(config))
+    # four-fold rates scale as kappa^4 or faster, so "no coincidence" is judged
+    # against the emitted weight of the sectors (1 for the ideal source)
+    empty_tol = 1e-14 * sum(abs(w) ** 2 * n for w, n in weights.values())
 
     f_par = f_perp = success = 0.0
     per_term: dict = {}
     rho_acc = np.zeros((2, 2), dtype=complex)
     rho_weight = 0.0
-
-    sectors = _sectors(config)
-    # four-fold rates scale as kappa^4 or faster, so "no coincidence" is judged
-    # against the emitted weight of the sectors (1 for the ideal source)
-    empty_tol = 1e-14 * sum(sector.norm_sq() for sector in sectors.values())
-    for label, sector in sectors.items():
-        state = apply(optics, sector)
-        # one pass classifies each term: a four-fold click, the receiver's
-        # polarizations, and one receiver photon for the conditional state
-        clicked, par, perp, kept = [], [], [], {}
-        for occ, amp in state.terms.items():
-            counts = spatial_counts(occ)
-            if not all(s in counts for s in detectors):
-                continue
-            p = abs(amp) ** 2
-            clicked.append(p)
-            modes = [m for m, _ in occ]
-            if receiver_v not in modes:
-                par.append(p)
-            if receiver_h not in modes:
-                perp.append(p)
-            if counts[wiring.receiver] == 1:
-                kept[occ] = amp
-        success += sum(clicked)
-        p_par = sum(par)
-        p_perp = sum(perp)
+    for label, (j, k) in sorted((f"{j}{j}{k}{k}", (j, k)) for j, k in weights):
+        state = weights[(j, k)][0] * sectors[(j, k)]
+        # the relative cut of the sparse states drops rounding residue
+        absolute = np.abs(state)
+        dropped = absolute <= PRUNE_THRESHOLD * absolute.max()
+        state[dropped] = absolute[dropped] = 0.0
+        prob = absolute ** 2
+        clicked, par, perp, h_one, v_one = _tally_indices(2 * (j + k), detectors,
+                                                           wiring.receiver)
+        success += float(prob[clicked].sum())
+        p_par = float(prob[par].sum())
+        p_perp = float(prob[perp].sum())
         f_par += p_par
         f_perp += p_perp
         per_term[label] = p_par + p_perp
-        cond, p_cond = _renormalized(kept, state.n_max, empty_tol)
-        if cond is not None:
-            rho_acc += p_cond * to_qubit_density(cond, [wiring.receiver])
+        kept = np.stack([state[h_one], state[v_one]])
+        block = kept @ kept.conj().T
+        p_cond = float(block.trace().real)
+        if p_cond >= empty_tol:
+            rho_acc += block
             rho_weight += p_cond
 
     if not success > empty_tol:

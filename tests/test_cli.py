@@ -88,52 +88,111 @@ def test_scan_werner_single_point(tmp_path):
     assert float(rows[1].split(",")[1]) == pytest.approx(1.0)
 
 
-# sha256 of the stdout of ``cqtsim scan-werner`` with these flags, recorded
-# from the row-by-row implementation that the stacked scan replaced
+# sha256 of the default-precision stdout of ``cqtsim scan-werner`` with these
+# flags.  Recorded from the row-by-row implementation that the stacked scan
+# replaced; the two 0:1:10001 digests were recorded again when default
+# precision began to round to 12 significant digits before ``.4g``, which
+# changed 2,123 of their 10,001 rows, the ones within a few ulp of a tie.
 SCAN_Q_LIST = "0,0.05,0.2,0.3333333333333333,0.5,0.77,1e-3,1"
 SCAN_DIGESTS = {
-    ("csv", False, "--q-grid", "0:1:10001"):
-        "58c29f5e47496051c81458ab5dc42c6efb955094f3cd405564785f0a829cbeaf",
-    ("csv", False, "--q-grid", "0:1:58"):
+    ("csv", "--q-grid", "0:1:10001"):
+        "e235b2a8154277501982327bf7eea36e82dd85d70e37c0b2956329540a7f4038",
+    ("csv", "--q-grid", "0:1:58"):
         "b551e5e594a7b1a965dc290e04c80bdbae680a39dd0f9b4cf175cdae4a797027",
-    ("csv", False, "--q-grid", "0:1:101"):
+    ("csv", "--q-grid", "0:1:101"):
         "649d9879bd70eac404ad0c6343382768a81fbada5e0ecfb33dc536b9773f605c",
-    ("csv", False, "--q-list", SCAN_Q_LIST):
+    ("csv", "--q-list", SCAN_Q_LIST):
         "20b4fd0a0912e767b62259d3488ab26cd5eacd174d0efa625c41fe9673544281",
-    ("csv", True, "--q-grid", "0:1:10001"):
-        "79282cd09d71275fa4b970f35e8bcda692ac3233651b3c64bdbc390a331ce369",
-    ("csv", True, "--q-grid", "0:1:58"):
-        "ba7677332c5e80145771c31b5c1ab898afae72d9dfc884541a5feab12d2b5c8e",
-    ("csv", True, "--q-grid", "0:1:101"):
-        "a207113f51b63cf6c65147b53a92c7c5ec648d9609a9b75ced0ce53883843337",
-    ("csv", True, "--q-list", SCAN_Q_LIST):
-        "a11f693de00a32ad1bf06ca3cc8def73498af20b9ff76843e53a05603b059c7b",
-    ("json", False, "--q-grid", "0:1:10001"):
-        "982072e86297072bbd9b180e09de9eae0aaf6c4745ecbca1a7b025c4e4103f09",
-    ("json", False, "--q-grid", "0:1:58"):
+    ("json", "--q-grid", "0:1:10001"):
+        "c5a38159733bb72451a5cd0fc3f7117ee232c5405e0f124d74277b1ccd500df8",
+    ("json", "--q-grid", "0:1:58"):
         "10045c7795ea7722f6ab35cc9a3807f3b6e041572d58e807dcd7a2a1aeb2378f",
-    ("json", False, "--q-grid", "0:1:101"):
+    ("json", "--q-grid", "0:1:101"):
         "43679e65de2bdf68f81272f899ad427399e15357b7baad26b138d32e7b47de69",
-    ("json", False, "--q-list", SCAN_Q_LIST):
+    ("json", "--q-list", SCAN_Q_LIST):
         "25f4403624ecb0a76cbb74d7fd2de4e59a669b8c2de6dd26c97482644218b535",
-    ("json", True, "--q-grid", "0:1:10001"):
-        "069a2bfc850be2a87a7d192d72c6ded11d89bf3ae994d7499a3f0ef707173273",
-    ("json", True, "--q-grid", "0:1:58"):
-        "d980d3291ee55d0bf5a45e18c2034faa59950929b49480da528b62d34e4e889b",
-    ("json", True, "--q-grid", "0:1:101"):
-        "23d9f2e35075c175741304654e431547a9a4ddd78b22c9d7b17d523b77cd2b8e",
-    ("json", True, "--q-list", SCAN_Q_LIST):
-        "6586ca32fcf7227e5188f8dfb3aca73abace672c467906e73f19b8b6de19d220",
 }
+SCAN_KEYS = [(fmt, full, option, value) for fmt in ("csv", "json") for full in (False, True)
+             for fmt_, option, value in SCAN_DIGESTS if fmt_ == fmt]
 
 
-@pytest.mark.parametrize("key", list(SCAN_DIGESTS), ids=lambda key: " ".join(map(str, key)))
+def scan_rows(out, fmt):
+    if fmt == "json":
+        return json.loads(out)["rows"]
+    lines = [line for line in out.splitlines() if not line.startswith("#")][1:]
+    return [[float(v) for v in line.split(",")] for line in lines]
+
+
+@pytest.mark.parametrize("key", SCAN_KEYS, ids=lambda key: " ".join(map(str, key)))
 def test_scan_werner_output_is_pinned(key, capsys):
     fmt, full, option, value = key
     argv = ["scan-werner", "--format", fmt, option, value]
     assert run_cli(argv + ["--full-precision"] * full) == 0
-    out = capsys.readouterr().out.encode("utf-8")
-    assert hashlib.sha256(out).hexdigest() == SCAN_DIGESTS[key]
+    out = capsys.readouterr().out
+    if not full:
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SCAN_DIGESTS[
+            (fmt, option, value)]
+        return
+    # full precision is exact on one machine only (its last bits follow the
+    # BLAS kernel), so it is checked against the scan run in this process
+    from cqtsim.channels import werner_scan
+    from cqtsim.cli import _parse_grid
+
+    args = argparse.Namespace(q_grid=None, q_list=None)
+    setattr(args, option[2:].replace("-", "_"), value)
+    expected = werner_scan(_parse_grid(args))
+    assert f"crosses 2/3 at q={expected.threshold_q:.9f}" in out
+    assert scan_rows(out, fmt) == [list(row) for row in expected.rows]
+
+
+OPENBLAS_CORE = """
+import ctypes, glob, os, numpy
+libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+names = ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+         "openblas_get_corename")
+core = None
+for path in glob.glob(os.path.join(libs, "*openblas*")):
+    lib = ctypes.CDLL(path)
+    for name in names:
+        if hasattr(lib, name):
+            getattr(lib, name).restype = ctypes.c_char_p
+            core = getattr(lib, name)().decode()
+"""
+PRESCOTT_DIGESTS = OPENBLAS_CORE + """
+import contextlib, hashlib, io, json, sys
+from cqtsim.cli import main
+digests = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        main(argv)
+    digests.append(hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest())
+print(json.dumps([core, digests]))
+"""
+
+
+def test_default_precision_digests_hold_on_a_kernel_without_fma():
+    # OpenBLAS picks its kernel at run time; Prescott has no fused multiply-add,
+    # so the scan's last bits differ from those of an FMA kernel
+    import os
+    import subprocess
+    import sys
+
+    import cqtsim
+
+    here = {}
+    exec(OPENBLAS_CORE, here)
+    src = os.path.dirname(os.path.dirname(cqtsim.__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argvs = [["scan-werner", "--format", fmt, option, value]
+             for fmt, option, value in SCAN_DIGESTS]
+    done = subprocess.run([sys.executable, "-c", PRESCOTT_DIGESTS, json.dumps(argvs)],
+                          env=env, capture_output=True, text=True, check=True)
+    core, digests = json.loads(done.stdout)
+    if here["core"] is None or core == here["core"]:
+        pytest.skip(f"numpy's BLAS does not switch kernels here (core {here['core']!r})")
+    assert digests == list(SCAN_DIGESTS.values())
 
 
 @pytest.mark.parametrize("q_list, bad", [("0.3,1.2,-0.1", "1.2"), ("0.5,-0.1,1.2", "-0.1"),
@@ -563,6 +622,36 @@ def test_run_emission_bytes_pinned(settings, row, capsys):
                     "--kappa-backward", "0.055", "--pbs-epsilon", "0.05",
                     "--truncation-order", str(order)]) == 0
     assert capsys.readouterr().out == RUN_HEADER + row + "\n"
+
+
+@pytest.mark.parametrize("extra", [
+    ("--channel", "g1", "--truncation-order", "2"),
+    ("--channel", "reference", "--action", "none", "--truncation-order", "3"),
+    ("--channel", "g1", "--roles", "swapped", "--action", "deny"),
+    ("--channel", "mix", "--resamples", "200", "--seed", "3"),
+])
+def test_run_full_precision_prints_the_record(extra, monkeypatch, capsys):
+    # a numpy scalar would print as np.float64(...): every value must be a
+    # Python float that reads back as the record's value
+    from cqtsim import cli
+
+    records = []
+    run_protocol = cli.run_protocol
+    monkeypatch.setattr(cli, "run_protocol", lambda cfg: records.append(
+        run_protocol(cfg)[0]) or (records[-1], None))
+    assert run_cli(["run", "--kappa-forward", "0.1", "--kappa-backward", "0.055",
+                    "--pbs-epsilon", "0.05", "--full-precision", *extra]) == 0
+    row = capsys.readouterr().out.splitlines()[-1].split(",")
+    values = [float(v) for v in row[3:] if v]
+    if "mix" in extra:
+        record = cli.emulate_mixture(*records, 0.5)
+    else:
+        (record,) = records
+    expected = [record.f_parallel, record.f_perp, record.fidelity(),
+                record.success_probability]
+    assert values[:4] == expected
+    assert len(values) == (6 if "--resamples" in extra else 4)
+    assert all(type(v) is float for v in expected + list(record.per_term.values()))
 
 
 # --- fit-spdc: output bytes and propagation count ------------------------------------

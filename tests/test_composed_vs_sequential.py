@@ -9,6 +9,7 @@ lossy polarizer applied to the propagated state.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -18,10 +19,17 @@ from cqtsim.elements import apply, polarizer
 from cqtsim.fock import (H, V, clicks_at, project, spatial_counts,
                          to_qubit_density)
 from cqtsim.protocol import (INPUT_MODE, WIRINGS, InputQubit, ProtocolConfig,
-                             _controller_element, _detector_spatials, _sectors,
+                             ProtocolError, _controller_element, _detector_spatials,
                              _station_elements, emulate_mixture,
                              ideal_source_state, run_protocol)
-from cqtsim.spdc import SourceParams
+from cqtsim.spdc import SourceParams, coincidence_sectors, four_mode_source
+
+
+def sectors(config):
+    """The emission sectors as sparse states, keyed by spatial signature."""
+    if config.source is None:
+        return {"1111": ideal_source_state()}
+    return coincidence_sectors(four_mode_source(config.source))
 
 
 def apply_all(state, elements):
@@ -82,9 +90,9 @@ def sequential_run(config):
     rho_acc = np.zeros((2, 2), dtype=complex)
     rho_weight = 0.0
 
-    sectors = _sectors(config)
-    empty_tol = 1e-14 * sum(sector.norm_sq() for sector in sectors.values())
-    for label, sector in sectors.items():
+    emitted = sectors(config)
+    empty_tol = 1e-14 * sum(sector.norm_sq() for sector in emitted.values())
+    for label, sector in emitted.items():
         state = apply_all(sector, stations)
         if ctrl is not None:
             state = apply(ctrl, state)
@@ -162,15 +170,30 @@ def test_composed_mix_matches_sequential(order):
     assert_record_matches(composed, None, (*mixed, per_term, None))
 
 
-def test_one_apply_per_sector(monkeypatch):
+def test_no_apply_after_calibration(monkeypatch):
     from cqtsim import elements, protocol
     cfg = ProtocolConfig(channel="g2", action="deny",
                          source=SourceParams(0.1, 0.055, truncation_order=3))
     protocol.analyzer_frame("g2", "standard")
-    calls = []
-    monkeypatch.setattr(protocol, "apply", lambda el, s: calls.append(el)
-                        or elements.apply(el, s))
-    run_protocol(cfg)
-    assert len(calls) == len(_sectors(cfg))
-    assert {el.kind for el in calls} == {"Composite"}
 
+    def forbidden(element, state):
+        raise AssertionError("run_protocol called elements.apply")
+
+    for name, module in list(sys.modules.items()):
+        if name == "cqtsim" or name.startswith("cqtsim."):
+            for attr, value in list(vars(module).items()):
+                if value is elements.apply:
+                    monkeypatch.setattr(module, attr, forbidden)
+    assert run_protocol(cfg)[0].success_probability > 0.0
+
+
+@pytest.mark.parametrize("config", grid((None, 2, 3, 4, 5)))
+def test_per_term_labels_are_the_coincidence_sectors(config):
+    assert list(run_protocol(config)[0].per_term) == list(sectors(config))
+
+
+def test_order_one_has_no_coincidence_sector():
+    cfg = ProtocolConfig(source=SourceParams(0.1, 0.055, truncation_order=1))
+    assert sectors(cfg) == {}
+    with pytest.raises(ProtocolError, match="no configuration of the source terms"):
+        run_protocol(cfg)

@@ -1,11 +1,12 @@
-"""The one-pass tally of ``run_protocol`` against the tally it replaced.
+"""The dense tally of ``run_protocol`` against the sparse-state tally.
 
-``run_protocol`` classifies every propagated term once: four-fold click,
-receiver polarizations, and one receiver photon for the conditional state.
-The oracle below is the earlier tally, kept as it was: a ``clicks_at``
-predicate for the rates and ``project`` with a second predicate for the
-conditional state, on the same composed optics.  The rates are summed in the
-same order, so they must agree exactly.
+``run_protocol`` propagates each emission sector as a dense photon-number
+vector and reads the rates and the conditional state off index masks.  The
+oracle below is the earlier tally on sparse states: ``elements.apply`` of
+the same composed optics to each sector of the emission source, a
+``clicks_at`` predicate for the rates and ``project`` with a second
+predicate for the conditional state.  The two sum different rounded terms,
+so they agree to 1e-12 relative, as in ``test_composed_vs_sequential.py``.
 
 The emission states and the propagated terms are built with keys the package
 made canonical itself, so nothing on that path calls ``occupation``.
@@ -20,11 +21,11 @@ from cqtsim import fock
 from cqtsim.channels import PAULI_X
 from cqtsim.elements import apply, compose, jones_element
 from cqtsim.fock import H, V, clicks_at, project, spatial_counts, to_qubit_density
-from cqtsim.protocol import (WIRINGS, ProtocolConfig, _detector_spatials, _sectors,
+from cqtsim.protocol import (WIRINGS, InputQubit, ProtocolConfig, _detector_spatials,
                              _setup_map, analyzer_frame, ideal_source_state,
                              run_protocol)
 from cqtsim.spdc import SourceParams
-from test_composed_vs_sequential import grid
+from test_composed_vs_sequential import assert_record_matches, grid, sectors
 
 
 def projected_tally(config):
@@ -42,9 +43,9 @@ def projected_tally(config):
     per_term = {}
     rho_acc = np.zeros((2, 2), dtype=complex)
     rho_weight = 0.0
-    sectors = _sectors(config)
-    empty_tol = 1e-14 * sum(sector.norm_sq() for sector in sectors.values())
-    for label, sector in sectors.items():
+    emitted = sectors(config)
+    empty_tol = 1e-14 * sum(sector.norm_sq() for sector in emitted.values())
+    for label, sector in emitted.items():
         state = apply(optics, sector)
         clicked = [(dict(occ), abs(amp) ** 2) for occ, amp in state.terms.items()
                    if fourfold(occ)]
@@ -64,15 +65,27 @@ def projected_tally(config):
     return f_par, f_perp, success, per_term, rho
 
 
-@pytest.mark.parametrize("config", grid((None, 2, 3, 4)))
+ORDER_5 = ProtocolConfig(channel="g1", action="deny", pbs_epsilon=0.05,
+                         input=InputQubit.from_components(0.6, 0.8j),
+                         source=SourceParams(0.1, 0.055, truncation_order=5))
+
+
+@pytest.mark.parametrize("config", grid((None, 2, 3, 4))
+                         + [pytest.param(ORDER_5, id="g1-deny-standard-5")])
 def test_one_pass_tally_equals_projected_tally(config):
     record, rho = run_protocol(config)
-    f_par, f_perp, success, per_term, expected_rho = projected_tally(config)
-    assert record.f_parallel == f_par
-    assert record.f_perp == f_perp
-    assert record.success_probability == success
-    assert record.per_term == per_term
-    assert np.max(np.abs(rho - expected_rho)) <= 1e-12
+    assert_record_matches(record, rho, projected_tally(config))
+
+
+def test_reference_double_pairs_never_click_at_order_2():
+    # the uncontrolled run leaves mode 3 empty unless a backward pair fills it,
+    # and mode 2 unless a forward one does: both double-pair rates are exact
+    # zeros, which the bundled fit-spdc row "uncontrolled,13,0,-13" shows
+    config = ProtocolConfig(channel="reference", action="none", pbs_epsilon=0.05,
+                            source=SourceParams(0.1, 0.1, truncation_order=2))
+    per_term = run_protocol(config)[0].per_term
+    assert per_term["2200"] == 0.0 and per_term["0022"] == 0.0
+    assert per_term["1111"] > 0.0
 
 
 def test_propagation_and_tally_never_call_occupation(monkeypatch):

@@ -370,10 +370,10 @@ def test_chained_post_selections_do_not_conflict():
     from cqtsim.elements import compose
     from cqtsim.fock import clicks_at, project, spatial_counts
     from cqtsim.protocol import (_controller_element, _detector_spatials,
-                                 _station_elements, _sectors)
+                                 _station_elements, ideal_source_state)
 
     cfg = ProtocolConfig(channel="g1", action="allow", roles="swapped")
-    sector = _sectors(cfg)["1111"]
+    sector = ideal_source_state()
     els = _station_elements(cfg)
     # split the pipeline after the PBS and its compensation plates: the first
     # part prepares the GHZ state, the rest is the sender/receiver optics
