@@ -274,6 +274,8 @@ def parse_input_state(text: str) -> InputQubit:
             deg = float(text.split(":", 1)[1])
         except ValueError:
             raise UsageError(f"bad linear polarization angle in {text!r}") from None
+        if not math.isfinite(deg):
+            raise UsageError(f"bad linear polarization angle in {text!r}")
         rad = math.radians(deg)
         return InputQubit.from_components(math.cos(rad), math.sin(rad))
     if "," in text:
@@ -344,7 +346,12 @@ def cmd_run(args) -> int:
         total = record.f_parallel + record.f_perp
         counts = (args.exposure * record.f_parallel / total,
                   args.exposure * record.f_perp / total)
-        est = poisson_uncertainty(counts, seed=args.seed, n_resamples=args.resamples)
+        try:
+            est = poisson_uncertainty(counts, seed=args.seed, n_resamples=args.resamples)
+        except ValueError as exc:
+            # the rates are nonzero, so only the exposure can leave no counts
+            raise UsageError(f"--exposure {args.exposure:g} is too small for these rates: "
+                             f"{exc}") from None
         row[-2], row[-1] = est.value, est.uncertainty
     columns = ["channel", "action", "input", "f_parallel", "f_perp", "fidelity",
                "success_probability", "fidelity_mean", "fidelity_std"]

@@ -7,6 +7,11 @@ state one photon at a time: each input photon is created again as its
 output combination, with the sqrt(n + 1) of a creation operator, which
 reproduces bosonic enhancement and two-photon interference for free.
 
+Every component is written once, as a local matrix over the H and V modes
+of the spatial modes it acts on (``hwp_matrix``, ``pbs_matrix``, ...);
+``port_element`` turns such a block into a substitution map, and
+``protocol`` multiplies the same blocks into one dense matrix.
+
 Conventions, fixed once for the whole package:
 
 * HWP(theta)  = [[cos 2t,  sin 2t], [sin 2t, -cos 2t]]
@@ -64,18 +69,55 @@ def qwp_matrix(theta: float) -> np.ndarray:
     return rotation(theta) @ np.diag([1.0, 1.0j]).astype(complex) @ rotation(-theta)
 
 
-def _jones_mapping(spatial: int, jones: np.ndarray) -> dict:
-    # a_dag on input basis q picks up column q of the Jones matrix.
-    jones = np.asarray(jones, dtype=complex)
-    return {
-        (spatial, H): {(spatial, H): jones[0, 0], (spatial, V): jones[1, 0]},
-        (spatial, V): {(spatial, H): jones[0, 1], (spatial, V): jones[1, 1]},
-    }
+def phase_matrix(phi: float, pol: str = V) -> np.ndarray:
+    j = np.eye(2, dtype=complex)
+    j[1 if pol == V else 0, 1 if pol == V else 0] = np.exp(1j * phi)
+    return j
+
+
+def polarizer_matrix(jones_ket: np.ndarray) -> np.ndarray:
+    v = np.asarray(jones_ket, dtype=complex).ravel()
+    v = v / np.linalg.norm(v)
+    return np.outer(v, v.conj())
+
+
+def balanced_bs_matrix() -> np.ndarray:
+    """Over (a, H), (a, V), (b, H), (b, V): ``t`` on transmission, ``r`` on reflection."""
+    t = 1.0 / math.sqrt(2.0)
+    r = 1.0j / math.sqrt(2.0)
+    return np.array([[t, 0, r, 0], [0, t, 0, r], [r, 0, t, 0], [0, r, 0, t]], dtype=complex)
+
+
+def pbs_matrix(epsilon: float = 0.0) -> np.ndarray:
+    """Over (a, H), (a, V), (b, H), (b, V); see ``pbs``."""
+    if not 0.0 <= epsilon <= 1.0:
+        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
+    t = math.sqrt(1.0 - epsilon)
+    r = 1.0j * math.sqrt(epsilon)
+    return np.array([[t, 0, r, 0], [0, 0, 0, 1j], [r, 0, t, 0], [0, 1j, 0, 0]], dtype=complex)
+
+
+def port_element(spatials: Sequence[int], matrix: np.ndarray,
+                 kind: str = "Port") -> OpticalElement:
+    """The element of a local matrix over the H and V modes of ``spatials``.
+
+    The modes are ordered (s1, H), (s1, V), (s2, H), ...; column q of
+    ``matrix`` is the image of input mode q, so its creation operator becomes
+    sum_k matrix[k, q] times that of output mode k.  Exact zeros are dropped:
+    a mode whose column vanishes is absorbed and maps to nothing.
+    """
+    modes = [(s, p) for s in spatials for p in (H, V)]
+    matrix = np.asarray(matrix, dtype=complex)
+    if matrix.shape != (len(modes), len(modes)) or len(set(spatials)) != len(spatials):
+        raise ValueError(f"a {matrix.shape} matrix does not act on spatial modes "
+                         f"{tuple(spatials)}")
+    return OpticalElement(kind, {m: {k: u for k, u in zip(modes, matrix[:, q]) if u != 0}
+                                 for q, m in enumerate(modes)})
 
 
 def jones_element(spatial: int, jones: np.ndarray, kind: str = "Jones") -> OpticalElement:
     """Arbitrary 2x2 polarization action on one spatial mode."""
-    return OpticalElement(kind, _jones_mapping(spatial, jones))
+    return port_element((spatial,), jones, kind)
 
 
 def hwp(spatial: int, theta: float) -> OpticalElement:
@@ -88,27 +130,17 @@ def qwp(spatial: int, theta: float) -> OpticalElement:
 
 def phase_plate(spatial: int, phi: float, pol: str = V) -> OpticalElement:
     """Birefringent phase: multiplies the chosen polarization by exp(i*phi)."""
-    j = np.eye(2, dtype=complex)
-    j[1 if pol == V else 0, 1 if pol == V else 0] = np.exp(1j * phi)
-    return jones_element(spatial, j, "PhasePlate")
+    return jones_element(spatial, phase_matrix(phi, pol), "PhasePlate")
 
 
 def polarizer(spatial: int, jones_ket: np.ndarray) -> OpticalElement:
     """Projective polarizer: transmits the ``jones_ket`` component, absorbs the rest."""
-    v = np.asarray(jones_ket, dtype=complex).ravel()
-    v = v / np.linalg.norm(v)
-    return jones_element(spatial, np.outer(v, v.conj()), "Polarizer")
+    return jones_element(spatial, polarizer_matrix(jones_ket), "Polarizer")
 
 
 def balanced_bs(port_a: int, port_b: int) -> OpticalElement:
     """50/50 beam splitter, polarization preserving, ``i`` on reflection."""
-    t = 1.0 / math.sqrt(2.0)
-    r = 1.0j / math.sqrt(2.0)
-    mapping = {}
-    for p in (H, V):
-        mapping[(port_a, p)] = {(port_a, p): t, (port_b, p): r}
-        mapping[(port_b, p)] = {(port_a, p): r, (port_b, p): t}
-    return OpticalElement("BalancedBS", mapping)
+    return port_element((port_a, port_b), balanced_bs_matrix(), "BalancedBS")
 
 
 def pbs(port_a: int, port_b: int, epsilon: float = 0.0) -> OpticalElement:
@@ -117,17 +149,7 @@ def pbs(port_a: int, port_b: int, epsilon: float = 0.0) -> OpticalElement:
     H transmits with sqrt(1-eps) and leaks into the reflected port with
     i*sqrt(eps); V reflects ideally with ``i``.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
-    t = math.sqrt(1.0 - epsilon)
-    r = 1.0j * math.sqrt(epsilon)
-    mapping = {
-        (port_a, H): {(port_a, H): t, (port_b, H): r},
-        (port_b, H): {(port_b, H): t, (port_a, H): r},
-        (port_a, V): {(port_b, V): 1.0j},
-        (port_b, V): {(port_a, V): 1.0j},
-    }
-    return OpticalElement("PBS", mapping)
+    return port_element((port_a, port_b), pbs_matrix(epsilon), "PBS")
 
 
 def compose(elements: Sequence[OpticalElement]) -> OpticalElement:

@@ -346,10 +346,14 @@ def poisson_uncertainty(data, seed: int, n_resamples: int = 10_000,
         f_par, f_perp = data
         if f_par + f_perp <= 0:
             raise ValueError("all counts are zero")
-        draws = rng.poisson((f_par, f_perp), size=(n_resamples, 2)).astype(float)
-        totals = draws.sum(axis=1)
-        keep = totals > 0
-        values = draws[keep, 0] / totals[keep]
+        draws = rng.poisson((f_par, f_perp), size=(n_resamples, 2))
+        # exact integer totals; only a run with empty resamples needs a mask
+        totals = draws[:, 0] + draws[:, 1]
+        if totals.all():
+            values = draws[:, 0] / totals
+        else:
+            keep = totals > 0
+            values = draws[keep, 0] / totals[keep]
         if background_w:
             values = (values - background_w / 2.0) / (1.0 - background_w)
         values = np.clip(values, 0.0, 1.0)

@@ -18,13 +18,22 @@ g2 run (half-wave plate at pi/4 in mode 2, receiver analyzer rotated by pi/4)
 to the bit-flipped GHZ state in the receiver's analyzer frame.
 
 Emission terms with different photon-number signatures are propagated as
-incoherent alternatives; their four-fold probabilities add.  ``run_protocol``
-propagates them as dense photon-number vectors: the composed optics become
-one 8x8 matrix L over the modes 1H ... 4V, each pair-creation operator
+incoherent alternatives; their four-fold probabilities add.
+
+The optics are described once, as a list of ``(spatial modes, local
+matrix)`` blocks (``_station_blocks``): the circular preparation, the g2
+half-wave plate, the PBS, the compensation plates, the encoder, the fiber
+beam splitter and the controller's polarizer.  ``run_protocol`` multiplies
+them, and the receiver's analyzer rotation, into one 8x8 matrix L over the
+modes 1H ... 4V, starting from the identity and replacing the rows of each
+block's modes by the block times those rows.  It then propagates the
+emission as dense photon-number vectors: each pair-creation operator
 1/2 a^T Lambda a becomes the quadratic form L Lambda L^T on the output
 modes, and a sector of j forward and k backward pairs is j + k such pair
-creations on vacuum.  The stage operations, the analyzer calibration and
-the public API keep the sparse states of ``fock`` and ``elements.apply``.
+creations on vacuum.  The analyzer calibration, the stage operations and
+the public API turn the same blocks into elements with
+``elements.port_element`` and keep the sparse states of ``fock`` and
+``elements.apply``.
 """
 
 from __future__ import annotations
@@ -36,8 +45,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import PAULI_X, bell_kets, ghz_ket
-from .elements import (OpticalElement, apply, balanced_bs, compose, hwp,
-                       jones_element, pbs, phase_plate, polarizer, qwp)
+from .elements import (apply, balanced_bs, balanced_bs_matrix, compose, hwp_matrix,
+                       pbs_matrix, phase_matrix, polarizer_matrix, port_element,
+                       qwp_matrix)
 from .estimation import fidelity_from_counts
 from .fock import (DEFAULT_N_MAX, H, V, KET_A, KET_D, KET_H, KET_R, KET_V, NAMED_KETS,
                    PRUNE_THRESHOLD, PureState, _create_pairs, _mode_units,
@@ -53,6 +63,14 @@ INPUT_MODE = 4
 R_PREP = np.array([[1.0, 1.0j], [1.0j, 1.0]], dtype=complex) / _SQ2
 
 COMPENSATION_PHASE = math.pi / 2.0   # diag(1, i) plates on modes 1 and 3
+
+# the blocks that no setting changes
+_G2_HWP = hwp_matrix(math.pi / 4.0)
+_COMPENSATION = phase_matrix(COMPENSATION_PHASE)
+_FIBER_BS = balanced_bs_matrix()
+# the controller's polarizer: H on deny; on allow R in mode 3 and + in mode 1
+_DENY_POLARIZER = polarizer_matrix(KET_H)
+_ALLOW_POLARIZER = {3: polarizer_matrix(KET_R), 1: polarizer_matrix(KET_D)}
 
 
 class ProtocolError(RuntimeError):
@@ -93,10 +111,18 @@ class InputQubit:
 
     @classmethod
     def from_components(cls, alpha, beta) -> "InputQubit":
-        norm = math.sqrt(abs(alpha) ** 2 + abs(beta) ** 2)
-        if norm == 0:
+        alpha, beta = complex(alpha), complex(beta)
+        parts = (alpha.real, alpha.imag, beta.real, beta.imag)
+        if not all(map(math.isfinite, parts)):
+            raise ValueError("input amplitudes must be finite")
+        # divided by the largest part first, so the norm neither overflows nor
+        # underflows however large or small the components are
+        scale = max(map(abs, parts))
+        if scale == 0:
             raise ValueError("zero input vector")
-        return cls(complex(alpha) / norm, complex(beta) / norm)
+        alpha, beta = alpha / scale, beta / scale
+        norm = math.hypot(abs(alpha), abs(beta))
+        return cls(alpha / norm, beta / norm)
 
     def ket(self) -> np.ndarray:
         return np.array([self.alpha, self.beta], dtype=complex)
@@ -179,16 +205,10 @@ def encoding_plate_angles(alpha: complex, beta: complex) -> tuple:
     return (q + delta) / 2.0, q
 
 
-def encoder_plates(input_q: InputQubit) -> list:
-    theta_h, theta_q = encoding_plate_angles(input_q.alpha, input_q.beta)
-    return [hwp(INPUT_MODE, theta_h), qwp(INPUT_MODE, theta_q)]
-
-
-def _encoder_exact(input_q: InputQubit) -> OpticalElement:
+def _encoder_exact(input_q: InputQubit) -> np.ndarray:
     # phase-free unitary taking |H> to the input ket; used for calibration
-    u = np.array([[input_q.alpha, -np.conj(input_q.beta)],
-                  [input_q.beta, np.conj(input_q.alpha)]], dtype=complex)
-    return jones_element(INPUT_MODE, u, "Encoder")
+    return np.array([[input_q.alpha, -np.conj(input_q.beta)],
+                     [input_q.beta, np.conj(input_q.alpha)]], dtype=complex)
 
 
 # --- stations ------------------------------------------------------------------
@@ -202,46 +222,45 @@ def ideal_source_state() -> PureState:
                                  for occ_b, amp_b in bwd.items()}, DEFAULT_N_MAX)
 
 
-def _ghz_elements(channel: str, pbs_epsilon: float) -> list:
+def _ghz_blocks(channel: str, pbs_epsilon: float) -> list:
     """GHZ preparation on the polarizing splitter, then the compensation plates."""
-    els = [hwp(2, math.pi / 4.0)] if channel == "g2" else []
+    blocks = [((2,), _G2_HWP)] if channel == "g2" else []
     if channel != "reference":
-        els.append(pbs(2, 3, pbs_epsilon))
+        blocks.append(((2, 3), pbs_matrix(pbs_epsilon)))
     # else: uncontrolled reference run; mode 2 goes straight to the receiver
     # and mode 3 straight to the controller's detector as a trigger
-    return els + [phase_plate(1, COMPENSATION_PHASE), phase_plate(3, COMPENSATION_PHASE)]
+    return blocks + [((1,), _COMPENSATION), ((3,), _COMPENSATION)]
 
 
-def _station_elements(config: ProtocolConfig, exact_encoder: bool = False) -> list:
+def _station_blocks(config: ProtocolConfig, exact_encoder: bool = False) -> list:
+    """The optics of one run, in order, as ``(spatial modes, local matrix)`` blocks.
+
+    A block's matrix acts on the H and V modes of its spatial modes, ordered
+    (s1, H), (s1, V), (s2, H), ... as in ``elements.port_element``.  The
+    encoder is the pair of wave plates, or with ``exact_encoder`` the
+    phase-free unitary of ``_encoder_exact``; the controller's polarizer
+    comes last unless the action is "none".
+    """
     wiring = WIRINGS[config.roles]
-    els = []
-    if config.channel != "reference":
-        # circular photon in mode 3, to be overlapped with mode 2
-        els.append(jones_element(3, R_PREP, "CircularPrep"))
-    els.extend(_ghz_elements(config.channel, config.pbs_epsilon))
+    # circular photon in mode 3, to be overlapped with mode 2
+    blocks = [] if config.channel == "reference" else [((3,), R_PREP)]
+    blocks += _ghz_blocks(config.channel, config.pbs_epsilon)
     if exact_encoder:
-        els.append(_encoder_exact(config.input))
+        blocks.append(((INPUT_MODE,), _encoder_exact(config.input)))
     else:
-        els.extend(encoder_plates(config.input))
-    els.append(balanced_bs(wiring.sender_resource, INPUT_MODE))
-    return els
-
-
-def _controller_element(config: ProtocolConfig):
-    wiring = WIRINGS[config.roles]
-    if config.action == "none":
-        return None
+        theta_h, theta_q = encoding_plate_angles(config.input.alpha, config.input.beta)
+        blocks += [((INPUT_MODE,), hwp_matrix(theta_h)), ((INPUT_MODE,), qwp_matrix(theta_q))]
+    blocks.append(((wiring.sender_resource, INPUT_MODE), _FIBER_BS))
     if config.action == "deny":
-        return polarizer(wiring.controller, KET_H)
-    ket = KET_R if wiring.controller == 3 else KET_D
-    return polarizer(wiring.controller, ket)
+        blocks.append(((wiring.controller,), _DENY_POLARIZER))
+    elif config.action == "allow":
+        blocks.append(((wiring.controller,), _ALLOW_POLARIZER[wiring.controller]))
+    return blocks
 
 
-def _setup_map(config: ProtocolConfig, exact_encoder: bool = False) -> OpticalElement:
-    """The stations, then the controller's polarizer, as one substitution map."""
-    els = _station_elements(config, exact_encoder)
-    ctrl = _controller_element(config)
-    return compose(els if ctrl is None else els + [ctrl])
+def _elements(blocks) -> list:
+    """The blocks as sparse substitution elements, in the same order."""
+    return [port_element(spatials, matrix) for spatials, matrix in blocks]
 
 
 def _detector_spatials(config: ProtocolConfig) -> list:
@@ -271,7 +290,8 @@ def _calibrated_frame(channel: str, roles: str) -> np.ndarray:
     def receiver_ket(input_q: InputQubit) -> np.ndarray:
         cfg = ProtocolConfig(channel=channel, action=action, input=input_q,
                              source=None, pbs_epsilon=0.0, roles=roles)
-        state = apply(_setup_map(cfg, exact_encoder=True), ideal_source_state())
+        optics = compose(_elements(_station_blocks(cfg, exact_encoder=True)))
+        state = apply(optics, ideal_source_state())
         env = {(wiring.sender_resource, H): 1, (INPUT_MODE, V): 1,
                (wiring.controller, H): 1}
         return np.array([
@@ -318,14 +338,21 @@ _LAMBDA_FORWARD = _pair_matrix("phi_plus", FORWARD_MODES)
 _LAMBDA_BACKWARD = _pair_matrix("hh", BACKWARD_MODES)
 
 
-def _linear_map(element: OpticalElement) -> np.ndarray:
-    """Matrix L of an element: a_m^dag becomes sum_k L[k, m] b_k^dag."""
+@functools.cache
+def _block_rows(spatials: tuple):
+    """The rows of L that a block on ``spatials`` acts on, as a slice if contiguous."""
+    rows = [_MODE_INDEX[(s, pol)] for s in spatials for pol in (H, V)]
+    if rows == list(range(rows[0], rows[0] + len(rows))):
+        return slice(rows[0], rows[0] + len(rows))
+    return np.array(rows)
+
+
+def _optics_matrix(blocks) -> np.ndarray:
+    """Matrix L of the blocks applied in order: a_m^dag becomes sum_k L[k, m] b_k^dag."""
     lin = np.eye(len(_DENSE_MODES), dtype=complex)
-    for m, outs in element.mapping.items():
-        col = _MODE_INDEX[m]
-        lin[:, col] = 0.0
-        for k, u in outs.items():
-            lin[_MODE_INDEX[k], col] = u
+    for spatials, block in blocks:
+        rows = _block_rows(spatials)
+        lin[rows] = block @ lin[rows]
     return lin
 
 
@@ -419,8 +446,7 @@ def run_protocol(config: ProtocolConfig):
     frame = analyzer_frame(config.channel, config.roles)
     analyzer = np.array([frame @ config.input.ket(),
                          frame @ config.input.orthogonal_ket()]).conj()
-    lin = _linear_map(compose([_setup_map(config),
-                               jones_element(wiring.receiver, analyzer)]))
+    lin = _optics_matrix(_station_blocks(config) + [((wiring.receiver,), analyzer)])
     weights = _sector_weights(config.source)
     sectors = _emitted(lin @ _LAMBDA_FORWARD @ lin.T, lin @ _LAMBDA_BACKWARD @ lin.T,
                        weights)
@@ -481,7 +507,8 @@ def prepare_ghz(source_state: PureState, pbs_epsilon: float = 0.0,
     Returns ``(state, success_probability)`` with the compensation phases
     applied, so the ideal output is exactly (|HHH>+|VVV>)/sqrt2.
     """
-    out = apply(compose(_ghz_elements("g2" if g2 else "g1", pbs_epsilon)), source_state)
+    out = apply(compose(_elements(_ghz_blocks("g2" if g2 else "g1", pbs_epsilon))),
+                source_state)
 
     def one_each(occ):
         counts = spatial_counts(occ)

@@ -12,6 +12,10 @@ The ``rowwise_`` oracles are the channel functions as they were before
 ``werner_scan`` ran as one stack, copied verbatim: one channel, one Bell ket
 and one Werner row at a time.  The stacked kernels make the same BLAS calls
 for every row, so these comparisons use ``==``, not a tolerance.
+
+``float_count_pair`` is the count-pair resampling as it was before its
+totals became integer sums, copied verbatim; the draws and every division
+are the same, so that comparison uses ``==`` too.
 """
 
 import math
@@ -367,6 +371,37 @@ def test_poisson_tomography_with_empty_resamples_matches_scalar():
     mean, std = scalar_poisson_tomography(counts, 3, 200, 0.0, KET_D)
     assert est.value == pytest.approx(mean, abs=1e-12)
     assert est.uncertainty == pytest.approx(std, abs=1e-12)
+
+
+def float_count_pair(data, seed, n_resamples, background_w=0.0):
+    rng = np.random.default_rng(seed)
+    f_par, f_perp = data
+    draws = rng.poisson((f_par, f_perp), size=(n_resamples, 2)).astype(float)
+    totals = draws.sum(axis=1)
+    keep = totals > 0
+    values = draws[keep, 0] / totals[keep]
+    if background_w:
+        values = (values - background_w / 2.0) / (1.0 - background_w)
+    values = np.clip(values, 0.0, 1.0)
+    return float(np.mean(values)), float(np.std(values))
+
+
+@pytest.mark.parametrize("seed", [1, 7, 42, 2026])
+@pytest.mark.parametrize("means", [(6000.0, 4000.0), (80.0, 20.0), (0.5, 0.3),
+                                   (0.02, 0.01)])
+@pytest.mark.parametrize("weight", [0.0, 0.2])
+def test_count_pair_resampling_is_bit_identical(means, seed, weight):
+    rng = np.random.default_rng(seed)
+    empty = int((rng.poisson(means, size=(2000, 2)).sum(axis=1) == 0).sum())
+    # the two small means leave empty resamples, so the masked branch runs
+    assert (empty > 0) == (sum(means) < 1.0)
+    est = poisson_uncertainty(means, seed=seed, n_resamples=2000, background_w=weight)
+    assert (est.value, est.uncertainty) == float_count_pair(means, seed, 2000, weight)
+
+
+def test_count_pair_resampling_with_every_resample_empty_raises():
+    with pytest.raises(ValueError, match="every resample was empty"):
+        poisson_uncertainty((1e-300, 1e-300), seed=1, n_resamples=200)
 
 
 def test_background_correction_of_a_stack_matches_each_matrix():

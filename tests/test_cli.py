@@ -499,9 +499,7 @@ def _break_atan2(monkeypatch):
 def _break_frame_unitarity(monkeypatch):
     from cqtsim import protocol
     # an encoder that ignores its input maps |H> and |V> alike
-    monkeypatch.setattr(protocol, "_encoder_exact",
-                        lambda q: protocol.jones_element(protocol.INPUT_MODE,
-                                                         np.eye(2), "Encoder"))
+    monkeypatch.setattr(protocol, "_encoder_exact", lambda q: np.eye(2, dtype=complex))
 
 
 def _break_frame_cross_check(monkeypatch):

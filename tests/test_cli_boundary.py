@@ -26,6 +26,7 @@ import io
 import json
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -34,7 +35,7 @@ from cqtsim.fock import validate_density
 
 NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e300", "x", ""]
 STATES = ["plus", "h", "r", "0.6,0.8j", "-0.6,0.8", "linear:30", "linear:x", "0,0",
-          "1,2,3", "nan,1", "foo"]
+          "1,2,3", "nan,1", "foo", "1e200,1e200", "3e-160,4e-160", "linear:inf"]
 EPSILONS = ["0", "0.05", "1", "1.5", "-0.1", "nan"]
 SEEDS = ["1", "12345", "-3", "x"]
 
@@ -145,3 +146,67 @@ def test_any_argv_exits_cleanly(tmp_path, argv):
         tol = 1e-12 if "--full-precision" in argv else 4 * 10.0 ** -RHO_DIGITS
         for rho in density_matrices(out.getvalue()) if argv[0] == "tomo" else []:
             validate_density(rho, trace_tol=tol, eig_tol=tol)
+
+
+# --- state inputs at the edges of the floating-point range ----------------------------------
+
+def run_main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def without_echo(out, key):
+    """The printed lines, less the one that echoes the state as it was typed."""
+    lines = out.splitlines()
+    if key == "input":      # run: one table row; drop the input column
+        header, row = (next(csv.reader([line])) for line in lines[1:])
+        return [value for name, value in zip(header, row) if name != "input"]
+    return [line for line in lines if not line.startswith(f"{key},")]
+
+
+EMISSION_RUN = ["run", "--channel", "g1", "--action", "deny", "--pbs-epsilon", "0.05",
+                "--kappa-forward", "0.1"]
+
+
+@pytest.mark.parametrize("extreme, plain", [
+    ("1e200,1e200", "plus"),            # |a|^2 overflowed
+    ("1e308,-1e308", "minus"),          # so did |a| of the complex component
+    ("3e-160,4e-160", "0.6,0.8"),       # |a|^2 + |b|^2 underflowed to 0
+])
+def test_run_input_scale_does_not_matter(extreme, plain):
+    code, out, err = run_main(EMISSION_RUN + [f"--input={extreme}"])
+    assert (code, err) == (0, "")
+    assert without_echo(out, "input") == without_echo(
+        run_main(EMISSION_RUN + [f"--input={plain}"])[1], "input")
+
+
+def test_tomo_target_scale_does_not_matter(tmp_path):
+    counts = tmp_path / "counts.csv"
+    counts.write_text(FILES["GOOD"], encoding="utf-8")
+    tomo = ["tomo", "--counts", str(counts)]
+    code, out, err = run_main(tomo + ["--target=1e200,1"])
+    assert (code, err) == (0, "")
+    assert without_echo(out, "target") == without_echo(run_main(tomo + ["--target=h"])[1],
+                                                       "target")
+
+
+@pytest.mark.parametrize("state", ["inf,1", "1,nanj", "1e400,1", "linear:inf",
+                                   "linear:-inf", "linear:nan"])
+def test_non_finite_state_is_a_usage_error(state, tmp_path):
+    counts = tmp_path / "counts.csv"
+    counts.write_text(FILES["GOOD"], encoding="utf-8")
+    for argv in (["run", "--ideal", f"--input={state}"],
+                 ["tomo", "--counts", str(counts), f"--target={state}"]):
+        code, out, err = run_main(argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: bad ") and state in err
+
+
+@pytest.mark.parametrize("exposure", ["1e-300", "1e-320"])
+def test_exposure_too_small_for_any_count_is_a_usage_error(exposure):
+    code, out, err = run_main(["run", "--kappa-forward", "0.1", "--exposure", exposure,
+                               "--resamples", "200", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --exposure {float(exposure):g} is too small")

@@ -1,11 +1,12 @@
-"""The composed propagation against the element-by-element one it replaced.
+"""The one-matrix propagation against the element-by-element one it replaced.
 
-``run_protocol`` composes the stations, the controller's polarizer and the
-analyzer rotation into one substitution map and propagates each emission
+``run_protocol`` multiplies the station blocks, the controller's polarizer
+and the analyzer rotation into one matrix and propagates each emission
 sector once.  The oracle below is the earlier pipeline, kept as it was (less
-the frame calibration's consistency checks): every element applied in turn,
-the analyzer frame calibrated the same way, and each analyzer setting as a
-lossy polarizer applied to the propagated state.
+the frame calibration's consistency checks): every block turned into a
+sparse element and applied in turn, the analyzer frame calibrated the same
+way, and each analyzer setting as a lossy polarizer applied to the
+propagated state.
 """
 
 import math
@@ -19,9 +20,9 @@ from cqtsim.elements import apply, polarizer
 from cqtsim.fock import (H, V, clicks_at, project, spatial_counts,
                          to_qubit_density)
 from cqtsim.protocol import (INPUT_MODE, WIRINGS, InputQubit, ProtocolConfig,
-                             ProtocolError, _controller_element, _detector_spatials,
-                             _station_elements, emulate_mixture,
-                             ideal_source_state, run_protocol)
+                             ProtocolError, _detector_spatials, _elements,
+                             _station_blocks, emulate_mixture, ideal_source_state,
+                             run_protocol)
 from cqtsim.spdc import SourceParams, coincidence_sectors, four_mode_source
 
 
@@ -30,6 +31,11 @@ def sectors(config):
     if config.source is None:
         return {"1111": ideal_source_state()}
     return coincidence_sectors(four_mode_source(config.source))
+
+
+def station_elements(config, exact_encoder=False):
+    """The stations and the controller's polarizer as sparse elements, in order."""
+    return _elements(_station_blocks(config, exact_encoder))
 
 
 def apply_all(state, elements):
@@ -45,10 +51,7 @@ def sequential_frame(channel, roles="standard"):
     def receiver_ket(input_q):
         cfg = ProtocolConfig(channel=channel, action=action, input=input_q,
                              source=None, pbs_epsilon=0.0, roles=roles)
-        state = apply_all(ideal_source_state(), _station_elements(cfg, exact_encoder=True))
-        ctrl = _controller_element(cfg)
-        if ctrl is not None:
-            state = apply(ctrl, state)
+        state = apply_all(ideal_source_state(), station_elements(cfg, exact_encoder=True))
         env = {(wiring.sender_resource, H): 1, (INPUT_MODE, V): 1,
                (wiring.controller, H): 1}
         return np.array([
@@ -69,8 +72,7 @@ def _fourfold_prob(state, receiver, analyzer_ket, detectors):
 
 def sequential_run(config):
     wiring = WIRINGS[config.roles]
-    stations = _station_elements(config)
-    ctrl = _controller_element(config)
+    stations = station_elements(config)
     detectors = _detector_spatials(config)
     frame = sequential_frame(config.channel, config.roles)
     ket_par = frame @ config.input.ket()
@@ -94,8 +96,6 @@ def sequential_run(config):
     empty_tol = 1e-14 * sum(sector.norm_sq() for sector in emitted.values())
     for label, sector in emitted.items():
         state = apply_all(sector, stations)
-        if ctrl is not None:
-            state = apply(ctrl, state)
         _, p_success = project(state, clicks_at(detectors))
         success += p_success
         cond, p_cond = project(state, cond_pred, empty_tol)
@@ -179,11 +179,38 @@ def test_no_apply_after_calibration(monkeypatch):
     def forbidden(element, state):
         raise AssertionError("run_protocol called elements.apply")
 
+    original = elements.apply       # read once: the loop rebinds elements.apply too
     for name, module in list(sys.modules.items()):
         if name == "cqtsim" or name.startswith("cqtsim."):
             for attr, value in list(vars(module).items()):
-                if value is elements.apply:
+                if value is original:
                     monkeypatch.setattr(module, attr, forbidden)
+    assert run_protocol(cfg)[0].success_probability > 0.0
+
+
+def test_no_compose_after_calibration(monkeypatch):
+    # the optics of a run are one matrix of blocks: no substitution map is
+    # built or composed once the analyzer frame is calibrated
+    from cqtsim import elements, protocol
+    cfg = ProtocolConfig(channel="g2", action="deny", pbs_epsilon=0.05,
+                         source=SourceParams(0.1, 0.055, truncation_order=2))
+    protocol.analyzer_frame("g2", "standard")
+
+    def forbidden_compose(els):
+        raise AssertionError("run_protocol called elements.compose")
+
+    def forbidden_element(self):
+        raise AssertionError("run_protocol built an OpticalElement")
+
+    original = elements.compose     # read once: the loop rebinds elements.compose too
+    for name, module in list(sys.modules.items()):
+        if name == "cqtsim" or name.startswith("cqtsim."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, forbidden_compose)
+    monkeypatch.setattr(elements.OpticalElement, "__post_init__", forbidden_element)
+    with pytest.raises(AssertionError, match="built an OpticalElement"):
+        elements.port_element((1,), np.eye(2))
     assert run_protocol(cfg)[0].success_probability > 0.0
 
 

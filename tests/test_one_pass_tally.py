@@ -19,11 +19,11 @@ import pytest
 
 from cqtsim import fock
 from cqtsim.channels import PAULI_X
-from cqtsim.elements import apply, compose, jones_element
+from cqtsim.elements import apply, compose
 from cqtsim.fock import H, V, clicks_at, project, spatial_counts, to_qubit_density
 from cqtsim.protocol import (WIRINGS, InputQubit, ProtocolConfig, _detector_spatials,
-                             _setup_map, analyzer_frame, ideal_source_state,
-                             run_protocol)
+                             _elements, _station_blocks, analyzer_frame,
+                             ideal_source_state, run_protocol)
 from cqtsim.spdc import SourceParams
 from test_composed_vs_sequential import assert_record_matches, grid, sectors
 
@@ -33,7 +33,7 @@ def projected_tally(config):
     frame = analyzer_frame(config.channel, config.roles)
     analyzer = np.array([frame @ config.input.ket(),
                          frame @ config.input.orthogonal_ket()]).conj()
-    optics = compose([_setup_map(config), jones_element(wiring.receiver, analyzer)])
+    optics = compose(_elements(_station_blocks(config) + [((wiring.receiver,), analyzer)]))
     fourfold = clicks_at(_detector_spatials(config))
 
     def cond_pred(occ):
@@ -92,18 +92,19 @@ def test_propagation_and_tally_never_call_occupation(monkeypatch):
     configs = [ProtocolConfig(channel="g1", action="allow"),
                ProtocolConfig(channel="g1", action="allow", pbs_epsilon=0.05,
                               source=SourceParams(0.1, 0.055, truncation_order=2))]
-    optics = _setup_map(configs[0])
+    optics = compose(_elements(_station_blocks(configs[0])))
     source = ideal_source_state()
     analyzer_frame("g1", "standard")     # calibrated once per process, then cached
 
     def forbidden(counts):
         raise AssertionError(f"occupation({counts!r}) called")
 
+    original = fock.occupation      # read once: the loop rebinds fock.occupation too
     modules = [m for name, m in sys.modules.items()
                if name == "cqtsim" or name.startswith("cqtsim.")]
     for module in modules:
         for name, value in list(vars(module).items()):
-            if value is fock.occupation:
+            if value is original:
                 monkeypatch.setattr(module, name, forbidden)
     assert apply(optics, source).norm_sq() > 0.0
     for config in configs:

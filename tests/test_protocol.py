@@ -369,17 +369,19 @@ def test_chained_post_selections_do_not_conflict():
     from cqtsim.elements import apply as apply_el
     from cqtsim.elements import compose
     from cqtsim.fock import clicks_at, project, spatial_counts
-    from cqtsim.protocol import (_controller_element, _detector_spatials,
-                                 _station_elements, ideal_source_state)
+    from cqtsim.protocol import (_detector_spatials, _elements, _station_blocks,
+                                 ideal_source_state)
 
     cfg = ProtocolConfig(channel="g1", action="allow", roles="swapped")
     sector = ideal_source_state()
-    els = _station_elements(cfg)
+    blocks = _station_blocks(cfg)
     # split the pipeline after the PBS and its compensation plates: the first
-    # part prepares the GHZ state, the rest is the sender/receiver optics
-    pbs_index = next(i for i, el in enumerate(els) if el.kind == "PBS")
+    # part prepares the GHZ state, the rest is the sender/receiver optics; the
+    # controller's polarizer is the last block
+    pbs_index = next(i for i, (spatials, _) in enumerate(blocks) if spatials == (2, 3))
+    els = _elements(blocks[:-1])
     prep, rest = els[:pbs_index + 3], els[pbs_index + 3:]
-    ctrl = _controller_element(cfg)
+    ctrl, = _elements(blocks[-1:])
     detectors = _detector_spatials(cfg)
 
     mid = apply_el(compose(prep), sector)
