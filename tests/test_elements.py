@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cqtsim.elements import (OpticalElement, apply, balanced_bs, compose, hwp,
                              hwp_matrix, measure_polarization, pbs,
-                             phase_plate, polarizer, qwp, qwp_matrix)
+                             phase_plate, polarizer, port_element, qwp, qwp_matrix)
 from cqtsim.fock import (H, V, KET_D, KET_H, KET_L, KET_R, KET_V,
                          PureState, SectorError, basis_state, clicks_at, occupation,
                          overlap, project, single_photon, spatial_counts)
@@ -285,6 +285,18 @@ def test_compose_drops_modes_every_path_absorbs():
 def test_bad_mode_raises_when_the_element_is_built(mapping):
     with pytest.raises(ValueError):
         OpticalElement("X", mapping)
+
+
+def test_port_element_drops_exact_zeros_so_absorbed_modes_map_to_nothing():
+    assert polarizer(1, KET_H).mapping == {(1, H): {(1, H): 1.0}, (1, V): {}}
+    assert pbs(1, 2, 0.0).mapping[(1, H)] == {(1, H): 1.0}
+
+
+@pytest.mark.parametrize("spatials, size", [((1,), 4), ((1, 2), 2), ((1, 1), 4)],
+                         ids=["too-large", "too-small", "repeated-mode"])
+def test_port_element_rejects_a_matrix_that_does_not_fit_its_modes(spatials, size):
+    with pytest.raises(ValueError, match="does not act on spatial modes"):
+        port_element(spatials, np.eye(size))
 
 
 def test_compose_of_valid_elements_builds_with_normalised_modes():
