@@ -432,7 +432,7 @@ def run_protocol(config: ProtocolConfig):
 
     Returns ``(CountRecord, rho_receiver)``.  The sector of j forward and k
     backward pairs, labelled by its spatial signature "jjkk", leaves the
-    composed optics as kf^j kb^k (A'^dag)^j (B'^dag)^k |0> / (j! k!), a dense
+    optics matrix L as kf^j kb^k (A'^dag)^j (B'^dag)^k |0> / (j! k!), a dense
     photon-number vector (see the module docstring).  The analyzer rotation
     takes the calibrated images of the input ket and of its orthogonal
     complement to H and V, so ``f_parallel`` / ``f_perp`` are the four-fold
