@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from .channels import werner_scan
-from .estimation import (NonPhysicalError, corrected_fidelity,
+from .estimation import (POISSON_MAX_MEAN, NonPhysicalError, corrected_fidelity,
                          correct_for_background, ml_reconstruct,
                          poisson_uncertainty, read_counts_csv)
 from .fock import NAMED_KETS, fidelity
@@ -350,8 +350,10 @@ def cmd_run(args) -> int:
             est = poisson_uncertainty(counts, seed=args.seed, n_resamples=args.resamples)
         except ValueError as exc:
             # the rates are nonzero, so only the exposure can leave no counts
-            raise UsageError(f"--exposure {args.exposure:g} is too small for these rates: "
-                             f"{exc}") from None
+            # or make a mean count too large for the sampler
+            size = "large" if max(counts) > POISSON_MAX_MEAN else "small"
+            raise UsageError(f"--exposure {args.exposure:g} is too {size} for these "
+                             f"rates: {exc}") from None
         row[-2], row[-1] = est.value, est.uncertainty
     columns = ["channel", "action", "input", "f_parallel", "f_perp", "fidelity",
                "success_probability", "fidelity_mean", "fidelity_std"]
@@ -514,6 +516,8 @@ def cmd_tomo(args) -> int:
                              f"{exc.n_bad} of {exc.n_states} resamples have a corrected "
                              f"eigenvalue below -1e-3 (lowest "
                              f"{exc.min_eigenvalue:.2e})") from None
+        except ValueError as exc:
+            raise UsageError(f"cannot resample these counts: {exc}") from None
         payload["fidelity_mean"] = est.value
         payload["fidelity_std"] = est.uncertainty
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import NAMED_KETS
+from .fock import NAMED_KETS, unit_pair
 
 
 @dataclass
@@ -33,12 +33,12 @@ class ProjectionCounts:
             ket = np.asarray(ket, dtype=complex).ravel()
             if ket.shape != (2,):
                 raise ValueError("projector kets must be single-qubit")
-            norm = np.linalg.norm(ket)
-            if norm == 0:
-                raise ValueError("zero projector ket")
+            count = float(count)
+            if not math.isfinite(count):
+                raise ValueError(f"counts must be finite, got {count!r}")
             if count < 0:
                 raise ValueError("counts must be non-negative")
-            cleaned.append((ket / norm, float(count)))
+            cleaned.append((np.array(unit_pair(*ket, "projector")), count))
         self.settings = cleaned
         if self.labels is None:
             self.labels = [f"s{i}" for i in range(len(cleaned))]
@@ -109,6 +109,17 @@ def _log_likelihood(rho, projectors, counts) -> float:
     return out
 
 
+def _mul2(a, b):
+    """``a @ b`` for two stacks of 2x2 matrices, on component arrays.
+
+    Entry (i, j) is ``a[:, i, 0] b[:, 0, j] + a[:, i, 1] b[:, 1, j]``: the
+    columns of ``a`` times the rows of ``b``, all four entries at once by
+    broadcasting.  numpy's stacked ``@`` costs one BLAS call per matrix;
+    these three elementwise calls cover the whole stack.
+    """
+    return a[:, :, :1] * b[:, None, 0, :] + a[:, :, 1:] * b[:, None, 1, :]
+
+
 def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
                max_iterations: int, keep_trace: bool = False):
     """Diluted R rho R iteration on a stack of count tables.
@@ -129,13 +140,14 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
     nonzero = tables > 0
     totals = tables.sum(axis=1)
     eye = np.eye(2, dtype=complex)
-    # the projectors' rows stacked, so that one matrix product per state
-    # gives p @ rho for every projector p
-    rows = projectors.reshape(2 * m, 2)
+    # tr(p rho) = sum_ij p_ji rho_ij: one (k, 4) @ (4, m) product against the
+    # transposed, flattened projectors gives every probability of every table
+    columns = np.ascontiguousarray(projectors.transpose(0, 2, 1).reshape(m, 4).T)
+    flat = projectors.reshape(m, 4)
 
     def probabilities(rho, idx):
         # counts, the usable mask and the projector probabilities per table
-        probs = np.einsum("kmii->km", (rows @ rho).reshape(-1, m, 2, 2)).real
+        probs = (rho.reshape(-1, 4) @ columns).real
         counts = tables[idx]
         usable = nonzero[idx] & (probs > 1e-300)
         return counts, usable, probs
@@ -160,7 +172,7 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
         rho, ll = rho_all[active], ll_all[active]
         counts, usable, probs = probabilities(rho, active)
         weights = np.where(usable, counts / np.where(usable, probs, 1.0), 0.0)
-        r = np.einsum("km,mij->kij", weights, projectors) / totals[active, None, None]
+        r = (weights @ flat).reshape(-1, 2, 2) / totals[active, None, None]
 
         alpha = np.ones(active.size)
         new_rho = np.empty_like(rho)
@@ -170,7 +182,7 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
         while pending.size:
             a = alpha[pending, None, None]
             step = (1 - a) * eye + a * r[pending]
-            cand = step @ rho[pending] @ step.conj().transpose(0, 2, 1)
+            cand = _mul2(_mul2(step, rho[pending]), step.conj().transpose(0, 2, 1))
             cand = 0.5 * (cand + cand.conj().transpose(0, 2, 1))
             cand /= np.trace(cand, axis1=1, axis2=2).real[:, None, None]
             cand_ll = loglik(cand, active[pending])
@@ -307,6 +319,17 @@ def correct_for_background(raw: np.ndarray, w: float) -> np.ndarray:
 
 # --- Poisson resampling --------------------------------------------------------------
 
+# The largest mean numpy's Generator.poisson accepts (its POISSON_LAM_MAX);
+# a larger one raises "lam value too large".
+POISSON_MAX_MEAN = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
+
+
+def _check_poisson_mean(largest: float) -> None:
+    if largest > POISSON_MAX_MEAN:
+        raise ValueError(f"a count of {largest:.4g} is too large to resample: numpy's "
+                         f"Poisson sampler accepts means up to {POISSON_MAX_MEAN:.4g}")
+
+
 def poisson_uncertainty(data, seed: int, n_resamples: int = 10_000,
                         background_w: float = 0.0,
                         target=None) -> FidelityEstimate:
@@ -334,6 +357,7 @@ def poisson_uncertainty(data, seed: int, n_resamples: int = 10_000,
         # every resample shares the projectors, so one check covers them all
         if not data.is_informationally_complete():
             raise ValueError("projector set is not informationally complete")
+        _check_poisson_mean(means.max())
         tables = rng.poisson(means, size=(n_resamples, means.size)).astype(float)
         tables = tables[tables.sum(axis=1) > 0]
         rho, _, _, _ = _ml_kernel(np.array(data.projectors()), tables,
@@ -346,6 +370,7 @@ def poisson_uncertainty(data, seed: int, n_resamples: int = 10_000,
         f_par, f_perp = data
         if f_par + f_perp <= 0:
             raise ValueError("all counts are zero")
+        _check_poisson_mean(max(f_par, f_perp))
         draws = rng.poisson((f_par, f_perp), size=(n_resamples, 2))
         # exact integer totals; only a run with empty resamples needs a mask
         totals = draws[:, 0] + draws[:, 1]
@@ -374,11 +399,7 @@ def parse_projector(spec: str) -> np.ndarray:
     parts = spec.split(";")
     if len(parts) != 2:
         raise ValueError(f"cannot parse projector spec {spec!r}")
-    ket = np.array([complex(parts[0]), complex(parts[1])])
-    norm = np.linalg.norm(ket)
-    if norm == 0:
-        raise ValueError("zero projector ket")
-    return ket / norm
+    return np.array(unit_pair(complex(parts[0]), complex(parts[1]), "projector"))
 
 
 def read_counts_csv(path) -> ProjectionCounts:

@@ -62,6 +62,27 @@ NAMED_KETS = {
     "l": KET_L,
 }
 
+
+def unit_pair(alpha, beta, what: str) -> tuple:
+    """The amplitudes ``(alpha, beta)`` scaled to unit norm, as two complex.
+
+    Divided by the largest real or imaginary part first, so the norm neither
+    overflows nor underflows however large or small the components are.
+    ``what`` names the vector in the errors: a non-finite part or a zero
+    vector raises ValueError.
+    """
+    alpha, beta = complex(alpha), complex(beta)
+    parts = (alpha.real, alpha.imag, beta.real, beta.imag)
+    if not all(map(math.isfinite, parts)):
+        raise ValueError(f"{what} amplitudes must be finite")
+    scale = max(map(abs, parts))
+    if scale == 0:
+        raise ValueError(f"zero {what} vector")
+    alpha, beta = alpha / scale, beta / scale
+    norm = math.hypot(abs(alpha), abs(beta))
+    return alpha / norm, beta / norm
+
+
 # Two-outcome polarization bases: (jones ket, outcome label) pairs.
 NAMED_BASES = {
     "hv": ((KET_H, "H"), (KET_V, "V")),

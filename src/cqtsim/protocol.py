@@ -51,7 +51,7 @@ from .elements import (apply, balanced_bs, balanced_bs_matrix, compose, hwp_matr
 from .estimation import fidelity_from_counts
 from .fock import (DEFAULT_N_MAX, H, V, KET_A, KET_D, KET_H, KET_R, KET_V, NAMED_KETS,
                    PRUNE_THRESHOLD, PureState, _create_pairs, _mode_units,
-                   _number_basis, clicks_at, project, spatial_counts)
+                   _number_basis, clicks_at, project, spatial_counts, unit_pair)
 from .spdc import (BACKWARD_MODES, FORWARD_MODES, PAIR_KINDS, SourceParams,
                    emission_orders)
 
@@ -111,18 +111,7 @@ class InputQubit:
 
     @classmethod
     def from_components(cls, alpha, beta) -> "InputQubit":
-        alpha, beta = complex(alpha), complex(beta)
-        parts = (alpha.real, alpha.imag, beta.real, beta.imag)
-        if not all(map(math.isfinite, parts)):
-            raise ValueError("input amplitudes must be finite")
-        # divided by the largest part first, so the norm neither overflows nor
-        # underflows however large or small the components are
-        scale = max(map(abs, parts))
-        if scale == 0:
-            raise ValueError("zero input vector")
-        alpha, beta = alpha / scale, beta / scale
-        norm = math.hypot(abs(alpha), abs(beta))
-        return cls(alpha / norm, beta / norm)
+        return cls(*unit_pair(alpha, beta, "input"))
 
     def ket(self) -> np.ndarray:
         return np.array([self.alpha, self.beta], dtype=complex)

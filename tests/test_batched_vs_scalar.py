@@ -31,7 +31,7 @@ from cqtsim.channels import (_BELL, _BELL_LABELS, PAULI_I, PAULIS, ConditionalCh
                              make_ghz_mixture, make_werner, mc_avg_teleport_fidelity,
                              partial_trace, standard_corrections, teleport_fidelity,
                              werner_point, werner_scan)
-from cqtsim.estimation import (NonPhysicalError, ProjectionCounts, _ml_kernel,
+from cqtsim.estimation import (NonPhysicalError, ProjectionCounts, _ml_kernel, _mul2,
                                axial_counts, correct_for_background, ml_reconstruct,
                                poisson_uncertainty)
 from cqtsim.fock import (KET_A, KET_D, KET_H, KET_L, KET_R, KET_V, basis_pairs,
@@ -327,6 +327,39 @@ def test_kernel_matches_scalar_loop_per_table(exposure):
         assert len(traces[i]) == len(ref_trace)
         assert np.allclose(traces[i], ref_trace, rtol=1e-12, atol=0)
         assert all(b >= a - 1e-12 for a, b in zip(traces[i], traces[i][1:]))
+
+
+@pytest.mark.parametrize("n", [1, 300])
+def test_2x2_helper_matches_matmul(n):
+    rng = np.random.default_rng(n)
+    a, b = (rng.uniform(-1, 1, size=(2, n, 2, 2))
+            + 1j * rng.uniform(-1, 1, size=(2, n, 2, 2)))
+    assert np.max(np.abs(_mul2(a, b) - a @ b)) <= 1e-15
+    # the kernel's use, step @ rho @ step^dagger: two roundings of products
+    # of two-term sums, so a few units of double precision of the largest entry
+    a_dagger = a.conj().transpose(0, 2, 1)
+    triple = a @ b @ a_dagger
+    assert (np.max(np.abs(_mul2(_mul2(a, b), a_dagger) - triple))
+            <= 8 * np.finfo(float).eps * np.max(np.abs(triple)))
+
+
+def test_kernel_matches_scalar_loop_at_the_benchmark_regime():
+    # 300 tables as qubit_analysis resamples them: 12,000-16,000 counts per
+    # axis around a Bloch vector of length 0.45
+    rng = np.random.default_rng(14)
+    bloch = rng.normal(size=3)
+    bloch *= 0.45 / np.linalg.norm(bloch)
+    totals = rng.integers(12000, 16000, size=3)
+    means = np.repeat(totals / 2.0, 2) * (1 + np.array(
+        [bloch[2], -bloch[2], bloch[0], -bloch[0], bloch[1], -bloch[1]]))
+    tables = rng.poisson(means, size=(300, 6)).astype(float)
+    rho, converged, iterations, _ = _ml_kernel(axial_projectors(), tables, 1e-10, 100_000)
+    assert converged.all()
+    for i, table in enumerate(tables):
+        ref_rho, ref_conv, ref_iter, _ = scalar_ml_reconstruct(
+            axial_counts(dict(zip(AXIAL, table))))
+        assert (iterations[i], converged[i]) == (ref_iter, ref_conv)
+        assert np.max(np.abs(rho[i] - ref_rho)) <= 1e-12
 
 
 def test_kernel_respects_max_iterations_per_table():

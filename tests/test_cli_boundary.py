@@ -1,15 +1,3 @@
-HEADER = "label,projector,count\n"
-FILES = {
-    "GOOD": HEADER + "h,h,700\nv,v,300\nplus,plus,650\nminus,minus,350\nr,r,520\nl,l,480\n",
-    # background-heavy table: a large --weight leaves a non-physical state
-    "NOISY": HEADER + "h,h,52\nv,v,48\nplus,plus,61\nminus,minus,39\nr,r,50\nl,l,50\n",
-    "ZEROS": HEADER + "h,h,0\nv,v,0\nplus,plus,10\nminus,minus,0\nr,r,5\nl,l,5\n",
-    "BAD": HEADER + "h,notastate,12\n",
-    "EMPTY": HEADER,
-    "CONFIG": ("[run]\ninput = linear:45\nideal = true\n[scan-werner]\nq_grid = 0:1:5\n"
-               "[tomo]\nweight = 0.3\n[fit-spdc]\ninput = r\n"),
-}
-
 """Property test at the command-line boundary.
 
 Any argument vector, valid or not, for any of the five subcommands ends in
@@ -24,6 +12,7 @@ import contextlib
 import csv
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -38,6 +27,26 @@ STATES = ["plus", "h", "r", "0.6,0.8j", "-0.6,0.8", "linear:30", "linear:x", "0,
           "1,2,3", "nan,1", "foo", "1e200,1e200", "3e-160,4e-160", "linear:inf"]
 EPSILONS = ["0", "0.05", "1", "1.5", "-0.1", "nan"]
 SEEDS = ["1", "12345", "-3", "x"]
+
+COUNTS = {
+    "GOOD": "h,h,700\nv,v,300\nplus,plus,650\nminus,minus,350\nr,r,520\nl,l,480\n",
+    # background-heavy table: a large --weight leaves a non-physical state
+    "NOISY": "h,h,52\nv,v,48\nplus,plus,61\nminus,minus,39\nr,r,50\nl,l,50\n",
+    "ZEROS": "h,h,0\nv,v,0\nplus,plus,10\nminus,minus,0\nr,r,5\nl,l,5\n",
+    "BAD": "h,notastate,12\n",
+    "EMPTY": "",
+    # GOOD with its h and plus projectors written at extreme scales
+    "SCALED": ("h,1e200;0,700\nv,v,300\nplus,3e-160;3e-160,650\nminus,minus,350\n"
+               "r,r,520\nl,l,480\n"),
+    "INFKET": "h,inf;1,700\nv,v,300\nplus,plus,650\nminus,minus,350\nr,r,520\nl,l,480\n",
+    "NANCOUNT": "h,h,nan\nv,v,300\nplus,plus,650\nminus,minus,350\nr,r,520\nl,l,480\n",
+    # beyond the largest mean numpy's Poisson sampler accepts
+    "HUGE": "h,h,1e19\nv,v,300\nplus,plus,650\nminus,minus,350\nr,r,520\nl,l,480\n",
+}
+HEADER = "label,projector,count\n"
+FILES = {name: HEADER + body for name, body in COUNTS.items()}
+FILES["CONFIG"] = ("[run]\ninput = linear:45\nideal = true\n[scan-werner]\nq_grid = 0:1:5\n"
+                   "[tomo]\nweight = 0.3\n[fit-spdc]\ninput = r\n")
 
 COMMON = {
     "--format": ["csv", "json", "xml"],
@@ -73,7 +82,7 @@ OPTIONS = {
         "--input": STATES,
     },
     "tomo": {
-        "--counts": ["GOOD", "NOISY", "ZEROS", "BAD", "EMPTY", "/nonexistent/counts.csv"],
+        "--counts": list(COUNTS) + ["/nonexistent/counts.csv"],
         "--target": STATES,
         "--weight": ["0", "0.3", "0.554", "0.9", "1", "-0.1", "nan"],
         "--resamples": ["0", "100", "150", "50", "100001", "x"],
@@ -85,15 +94,6 @@ OPTIONS = {
 # a positional value, or one of these options (its value drawn as usual).
 POSITIONAL = {"reproduce": ["table1", "table2"]}
 REQUIRED = {"scan-werner": ["--q-grid", "--q-list"], "tomo": ["--counts"]}
-
-COUNTS = {
-    "GOOD": "h,h,700\nv,v,300\nplus,plus,650\nminus,minus,350\nr,r,520\nl,l,480\n",
-    # background-heavy table: a large --weight leaves a non-physical state
-    "NOISY": "h,h,52\nv,v,48\nplus,plus,61\nminus,minus,39\nr,r,50\nl,l,50\n",
-    "ZEROS": "h,h,0\nv,v,0\nplus,plus,10\nminus,minus,0\nr,r,5\nl,l,5\n",
-    "BAD": "h,notastate,12\n",
-    "EMPTY": "",
-}
 
 
 @st.composite
@@ -210,3 +210,58 @@ def test_exposure_too_small_for_any_count_is_a_usage_error(exposure):
                                "--resamples", "200", "--seed", "1"])
     assert (code, out) == (2, "")
     assert err.startswith(f"error: --exposure {float(exposure):g} is too small")
+
+
+# --- counts tables at the edges of the floating-point range ---------------------------------
+
+def run_tomo(tmp_path, table, *options):
+    """``tomo`` on a counts table, with every warning raised as an error."""
+    path = tmp_path / "counts.csv"
+    path.write_text(HEADER + table, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run_main(["tomo", "--counts", str(path), *options])
+
+
+@pytest.mark.parametrize("resamples", [[], ["--resamples", "100", "--seed", "1"]])
+def test_tomo_projector_scale_does_not_matter(resamples, tmp_path):
+    code, out, err = run_tomo(tmp_path, COUNTS["SCALED"], *resamples)
+    assert (code, err) == (0, "")
+    assert out == run_tomo(tmp_path, COUNTS["GOOD"], *resamples)[1]
+
+
+@pytest.mark.parametrize("ket", ["inf;1", "1;nanj", "1e400;0"])
+def test_non_finite_projector_is_a_usage_error(ket, tmp_path):
+    table = COUNTS["INFKET"].replace("inf;1", ket)
+    code, out, err = run_tomo(tmp_path, table)
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read counts: projector amplitudes must be finite\n"
+
+
+@pytest.mark.parametrize("count", ["nan", "inf", "1e400", "-inf"])
+@pytest.mark.parametrize("resamples", [[], ["--resamples", "100", "--seed", "1"]])
+def test_non_finite_count_is_a_usage_error(count, resamples, tmp_path):
+    table = COUNTS["NANCOUNT"].replace("nan", count)
+    code, out, err = run_tomo(tmp_path, table, *resamples)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot read counts: counts must be finite")
+
+
+@pytest.mark.parametrize("count", ["1e19", "9.3e18", "1e300"])
+def test_count_too_large_to_resample_is_a_usage_error(count, tmp_path):
+    table = COUNTS["HUGE"].replace("1e19", count)
+    code, out, err = run_tomo(tmp_path, table, "--resamples", "100", "--seed", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot resample these counts: ")
+    assert "9.223e+18" in err
+    # the point estimate needs no sampler
+    code, out, err = run_tomo(tmp_path, table)
+    assert (code, err) == (0, "")
+
+
+def test_exposure_too_large_to_resample_is_a_usage_error():
+    code, out, err = run_main(["run", "--kappa-forward", "0.1", "--exposure", "1e300",
+                               "--resamples", "200", "--seed", "1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: --exposure 1e+300 is too large for these rates: ")
+    assert "9.223e+18" in err

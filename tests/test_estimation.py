@@ -1,11 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqtsim.estimation import (MLResult, ProjectionCounts,
+from cqtsim.estimation import (POISSON_MAX_MEAN, MLResult, ProjectionCounts,
                                axial_counts, corrected_fidelity,
                                correct_for_background, fidelity_from_counts,
                                ml_oracle_bloch_search, ml_reconstruct,
@@ -197,6 +198,56 @@ def test_parse_projector_forms():
     assert np.allclose(ket, np.array([0.6, 0.8j]))
     with pytest.raises(ValueError):
         parse_projector("junk-spec")
+
+
+@pytest.mark.parametrize("spec, ket", [
+    ("1e200;0", [1.0, 0.0]),            # the norm overflowed to inf: "zero ket"
+    ("3e-160;4e-160", [0.6, 0.8]),      # the squares underflowed: (0.6000033, ...)
+    ("1e308;-1e308j", [2 ** -0.5, -1j * 2 ** -0.5]),
+])
+def test_parse_projector_scale_does_not_matter(spec, ket):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.max(np.abs(parse_projector(spec) - np.array(ket))) <= 1e-15
+        counts = ProjectionCounts([(parse_projector(spec), 1.0)])
+    assert np.max(np.abs(counts.settings[0][0] - np.array(ket))) <= 1e-15
+
+
+@pytest.mark.parametrize("spec", ["inf;1", "1;nanj", "-inf;0", "0;0"])
+def test_parse_projector_rejects_non_finite_and_zero_kets(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="must be finite|zero projector"):
+            parse_projector(spec)
+
+
+@pytest.mark.parametrize("ket, unit", [([1e200, 1e200], KET_D),
+                                       ([3e-160, 4e-160j], [0.6, 0.8j])])
+def test_projection_counts_normalise_at_any_scale(ket, unit):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (normalised, _), = ProjectionCounts([(ket, 5.0)]).settings
+    assert np.max(np.abs(normalised - np.array(unit))) <= 1e-15
+
+
+@pytest.mark.parametrize("count", [math.nan, math.inf, -math.inf])
+def test_projection_counts_reject_non_finite_counts(count):
+    with pytest.raises(ValueError, match="counts must be finite"):
+        ProjectionCounts([(KET_H, count)])
+    with pytest.raises(ValueError, match="projector amplitudes must be finite"):
+        ProjectionCounts([([math.inf, 1.0], 1.0)])
+
+
+def test_poisson_rejects_means_beyond_the_sampler_limit():
+    # numpy's own limit: the largest mean is drawn, the next float raises
+    rng = np.random.default_rng(0)
+    rng.poisson(POISSON_MAX_MEAN)
+    with pytest.raises(ValueError, match="lam value too large"):
+        rng.poisson(np.nextafter(POISSON_MAX_MEAN, math.inf))
+    counts = axial_counts({"h": 1e19, "v": 10, "plus": 10, "minus": 10, "r": 10, "l": 10})
+    for data in (counts, (1e19, 1.0)):
+        with pytest.raises(ValueError, match="too large to resample.*9.223e\\+18"):
+            poisson_uncertainty(data, seed=1, n_resamples=100, target=KET_H)
 
 
 def test_read_counts_csv(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cqtsim.fock import (H, V, KET_D, KET_H, KET_R, ModeOverlapError, PureState,
                          SectorError, basis_state, clicks_at, fidelity, occupation,
                          overlap, project, single_photon, to_qubit_density,
-                         total_photons, tensor, vacuum, validate_density)
+                         total_photons, tensor, unit_pair, vacuum, validate_density)
 
 
 def ghz_fock():
@@ -36,6 +36,23 @@ def test_occupation_rejects_non_integer_modes_and_counts():
     with pytest.raises(ValueError, match="spatial index"):
         PureState({(((1.5, H), 1),): 1.0})
     assert occupation({(np.int64(1), H): np.int64(2)}) == (((1, H), 2),)
+
+
+@pytest.mark.parametrize("scale", [1e-300, 3e-160, 1.0, 1e200, 1e308])
+def test_unit_pair_does_not_depend_on_scale(scale):
+    alpha, beta = unit_pair(0.6 * scale, -0.8j * scale, "test")
+    assert abs(alpha - 0.6) <= 1e-15 and abs(beta + 0.8j) <= 1e-15
+    assert unit_pair(scale, scale, "test") == unit_pair(1.0, 1.0, "test")
+
+
+@pytest.mark.parametrize("alpha, beta, message", [
+    (math.inf, 1.0, "test amplitudes must be finite"),
+    (1.0, complex(0.0, math.nan), "test amplitudes must be finite"),
+    (0.0, -0.0, "zero test vector"),
+])
+def test_unit_pair_rejects_non_finite_and_zero_pairs(alpha, beta, message):
+    with pytest.raises(ValueError, match=message):
+        unit_pair(alpha, beta, "test")
 
 
 @pytest.mark.parametrize("jones", [[0.6, 0.8, 5.0], [0, 0], [[0.6], [0.8]], [1.0]])
