@@ -308,6 +308,8 @@ def _source_from_args(args):
 
 
 def _check_resamples(args):
+    if args.seed is not None and args.seed < 0:
+        raise UsageError("--seed must be a non-negative integer")
     if args.resamples and args.seed is None:
         raise UsageError("--resamples needs an explicit --seed")
     if args.resamples and not 100 <= args.resamples <= MAX_RESAMPLES:

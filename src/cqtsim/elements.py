@@ -43,8 +43,8 @@ class OpticalElement:
 
     Building the element validates and normalises every input and output
     mode with ``fock.mode``, so a bad mode raises ``ValueError`` here, and
-    turns every amplitude into a Python complex.  ``apply`` then builds
-    canonical keys and complex amplitudes without checking each term.
+    turns every amplitude into a Python complex.  ``apply`` hands the terms
+    it creates to ``PureState``, which canonicalises their keys.
     """
 
     kind: str
@@ -193,7 +193,7 @@ def apply(element: OpticalElement, state: PureState) -> PureState:
                 ket = _create(ket, sub[m].items())
         for key, a in ket.items():
             out[key] = out.get(key, 0.0j) + a
-    return PureState._canonical(out, state.n_max)
+    return PureState(out, state.n_max)
 
 
 def measure_polarization(state: PureState, spatial: int, basis) -> list:

@@ -39,6 +39,9 @@ class ProjectionCounts:
             if count < 0:
                 raise ValueError("counts must be non-negative")
             cleaned.append((np.array(unit_pair(*ket, "projector")), count))
+        # the ML iteration works with the total count, which must stay finite
+        if not math.isfinite(sum(c for _, c in cleaned)):
+            raise ValueError("counts must sum to a finite number")
         self.settings = cleaned
         if self.labels is None:
             self.labels = [f"s{i}" for i in range(len(cleaned))]

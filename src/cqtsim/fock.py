@@ -3,8 +3,8 @@
 A mode is a ``(spatial, polarization)`` pair, a basis state is a sparse
 occupation vector over modes, and a pure state is a complex superposition
 of basis states, held as a plain dict keyed by canonical occupation tuples.
-The stage operations, the analyzer calibration and the public API work on
-these states, which take any modes and stay small.
+The stage operations, the public API and the tests' oracles for the dense
+engine work on these states, which take any modes and stay small.
 
 The emission sectors of a protocol run are propagated instead as dense
 photon-number vectors over a fixed list of modes (``_number_basis``): one
@@ -13,13 +13,10 @@ over eight modes.  ``_create_pairs`` applies a quadratic form of creation
 operators to such a vector in one ``np.bincount``; its index tables are
 built with numpy on first use, once per photon number.
 
-Keys from outside the package are canonicalised by ``occupation``, once
-each: the public ``PureState(...)``, ``basis_state``, ``single_photon``,
-``tensor`` and ``PureState.amplitude`` do so.  Code whose keys are canonical
-by construction (``_create`` and so ``elements.apply`` and the emission
-source, ``project``, ``PureState.normalized``, ``spdc.coincidence_sectors``)
-or already canonicalised builds its states with ``PureState._canonical``,
-which trusts them and skips that step.
+Every sparse state is built by ``PureState(...)``, which canonicalises its
+keys through ``occupation``, so no code outside this module needs to know
+what a canonical key is.  A protocol run, its analyzer calibration included,
+builds no sparse state.
 
 Qubit encoding used throughout the package: |H> -> basis 0, |V> -> basis 1.
 """
@@ -235,12 +232,10 @@ class PureState:
 
     ``PureState(terms)`` canonicalises every key through ``occupation``, so a
     key may be any mode -> count mapping or pair list, and terms whose keys
-    coincide add up.  ``PureState._canonical(terms, n_max)`` is the package's
-    constructor for keys it built canonical itself: it trusts them.  Both
-    drop amplitudes below ``prune`` times the largest one as rounding residue
-    and raise ``SectorError`` for a term above ``n_max`` photons.  The cut is
-    relative, so a weak term survives at any overall scale of the state;
-    ``prune=0`` drops exact zeros only.
+    coincide add up.  It drops amplitudes below ``prune`` times the largest
+    one as rounding residue and raises ``SectorError`` for a term above
+    ``n_max`` photons.  The cut is relative, so a weak term survives at any
+    overall scale of the state; ``prune=0`` drops exact zeros only.
     """
 
     def __init__(self, terms: Mapping, n_max: int = DEFAULT_N_MAX,
@@ -249,17 +244,6 @@ class PureState:
         for occ, amp in terms.items():
             key = occupation(occ)
             data[key] = data.get(key, 0.0j) + complex(amp)
-        self._keep(data, n_max, prune)
-
-    @classmethod
-    def _canonical(cls, terms: dict, n_max: int,
-                   prune: float = PRUNE_THRESHOLD) -> "PureState":
-        """State over ``terms``: canonical keys, Python complex amplitudes."""
-        state = cls.__new__(cls)
-        state._keep(terms, n_max, prune)
-        return state
-
-    def _keep(self, data: dict, n_max: int, prune: float) -> None:
         self.n_max = int(n_max)
         cut = prune * max(map(abs, data.values()), default=0.0)
         self.terms = {k: a for k, a in data.items() if abs(a) > cut}
@@ -288,8 +272,7 @@ class PureState:
         n = math.sqrt(self.norm_sq())
         if n == 0.0:
             raise ValueError("cannot normalize the zero state")
-        return PureState._canonical({k: a / n for k, a in self.terms.items()},
-                                    self.n_max, prune=0.0)
+        return PureState({k: a / n for k, a in self.terms.items()}, self.n_max, prune=0.0)
 
     def modes(self) -> set:
         out: set = set()
@@ -304,7 +287,7 @@ def vacuum(n_max: int = DEFAULT_N_MAX) -> PureState:
 
 def basis_state(counts, n_max: int = DEFAULT_N_MAX) -> PureState:
     """Single Fock basis ket with unit amplitude, e.g. basis_state({(1, H): 1})."""
-    return PureState._canonical({occupation(counts): 1.0 + 0.0j}, n_max)
+    return PureState({occupation(counts): 1.0}, n_max)
 
 
 def single_photon(spatial: int, jones: np.ndarray, n_max: int = DEFAULT_N_MAX) -> PureState:
@@ -312,10 +295,7 @@ def single_photon(spatial: int, jones: np.ndarray, n_max: int = DEFAULT_N_MAX) -
     jones = np.asarray(jones, dtype=complex)
     if jones.shape != (2,) or not jones.any():
         raise ValueError(f"jones must be a non-zero 2-vector, got {jones.tolist()!r}")
-    # 0j + as in PureState(...): a -0.0 part becomes 0.0
-    return PureState._canonical({occupation({(spatial, H): 1}): 0j + complex(jones[0]),
-                                 occupation({(spatial, V): 1}): 0j + complex(jones[1])},
-                                n_max)
+    return PureState({(((spatial, H), 1),): jones[0], (((spatial, V), 1),): jones[1]}, n_max)
 
 
 def overlap(a: PureState, b: PureState) -> complex:
@@ -336,9 +316,8 @@ def tensor(a: PureState, b: PureState, n_max: int | None = None) -> PureState:
         for occ_b, amp_b in b.terms.items():
             if total_photons(occ_a) + total_photons(occ_b) > n_max:
                 continue
-            key = occupation(list(occ_a) + list(occ_b))
-            out[key] = out.get(key, 0.0j) + amp_a * amp_b
-    return PureState._canonical(out, n_max)
+            out[occ_a + occ_b] = amp_a * amp_b
+    return PureState(out, n_max)
 
 
 def project(state: PureState, predicate: Callable[[tuple], bool],
@@ -355,7 +334,7 @@ def project(state: PureState, predicate: Callable[[tuple], bool],
     if prob < empty_tol:
         return None, prob
     scale = 1.0 / math.sqrt(prob)
-    return PureState._canonical({k: a * scale for k, a in kept.items()}, state.n_max), prob
+    return PureState({k: a * scale for k, a in kept.items()}, state.n_max), prob
 
 
 def clicks_at(spatials: Iterable[int]) -> Callable[[tuple], bool]:

@@ -30,10 +30,11 @@ block's modes by the block times those rows.  It then propagates the
 emission as dense photon-number vectors: each pair-creation operator
 1/2 a^T Lambda a becomes the quadratic form L Lambda L^T on the output
 modes, and a sector of j forward and k backward pairs is j + k such pair
-creations on vacuum.  The analyzer calibration, the stage operations and
-the public API turn the same blocks into elements with
-``elements.port_element`` and keep the sparse states of ``fock`` and
-``elements.apply``.
+creations on vacuum.  The analyzer calibration propagates the ideal source,
+sector (1, 1), through the same matrix and reads two amplitudes off it, so
+a run builds no sparse state.  The stage operations and the public API turn
+the same blocks into elements with ``elements.port_element`` and keep the
+sparse states of ``fock`` and ``elements.apply``.
 """
 
 from __future__ import annotations
@@ -206,9 +207,8 @@ def ideal_source_state() -> PureState:
     """One photon per mode: entangled forward pair, H-polarized backward pair."""
     fwd = emission_orders("phi_plus", 1, FORWARD_MODES)[1]
     bwd = emission_orders("hh", 1, BACKWARD_MODES)[1]
-    return PureState._canonical({occ_f + occ_b: amp_f * amp_b
-                                 for occ_f, amp_f in fwd.items()
-                                 for occ_b, amp_b in bwd.items()}, DEFAULT_N_MAX)
+    return PureState({occ_f + occ_b: amp_f * amp_b for occ_f, amp_f in fwd.items()
+                      for occ_b, amp_b in bwd.items()}, DEFAULT_N_MAX)
 
 
 def _ghz_blocks(channel: str, pbs_epsilon: float) -> list:
@@ -263,10 +263,10 @@ def analyzer_frame(channel: str, roles: str = "standard") -> np.ndarray:
     """Unitary W mapping the encoded input ket to the receiver's ideal state.
 
     Calibrated once per (channel, roles) by propagating ideal single photons
-    with basis-probe inputs through the lossless pipeline and reading the
-    receiver amplitudes off a fixed detection pattern; the experiment's
-    analogue is aligning the analyzer on known input states.  The receiver's
-    parallel setting projects onto W |psi>.
+    (the dense sector (1, 1)) with basis-probe inputs through the lossless
+    pipeline and reading the receiver amplitudes off a fixed detection
+    pattern; the experiment's analogue is aligning the analyzer on known
+    input states.  The receiver's parallel setting projects onto W |psi>.
     """
     return _calibrated_frame(channel, roles)
 
@@ -275,18 +275,20 @@ def analyzer_frame(channel: str, roles: str = "standard") -> np.ndarray:
 def _calibrated_frame(channel: str, roles: str) -> np.ndarray:
     wiring = WIRINGS[roles]
     action = "none" if channel == "reference" else "allow"
+    # the detection pattern: sender H, input-mode V, controller H, and the
+    # receiver's photon in H or in V, as indices into the 4-photon basis
+    unit = dict(zip(_DENSE_MODES, _mode_units(len(_DENSE_MODES))))
+    env = unit[(wiring.sender_resource, H)] + unit[(INPUT_MODE, V)] + unit[(wiring.controller, H)]
+    pattern = np.searchsorted(_number_basis(4, len(_DENSE_MODES))[1],
+                              [env + unit[(wiring.receiver, pol)] for pol in (H, V)])
 
     def receiver_ket(input_q: InputQubit) -> np.ndarray:
         cfg = ProtocolConfig(channel=channel, action=action, input=input_q,
                              source=None, pbs_epsilon=0.0, roles=roles)
-        optics = compose(_elements(_station_blocks(cfg, exact_encoder=True)))
-        state = apply(optics, ideal_source_state())
-        env = {(wiring.sender_resource, H): 1, (INPUT_MODE, V): 1,
-               (wiring.controller, H): 1}
-        return np.array([
-            state.amplitude({**env, (wiring.receiver, H): 1}),
-            state.amplitude({**env, (wiring.receiver, V): 1}),
-        ])
+        lin = _optics_matrix(_station_blocks(cfg, exact_encoder=True))
+        state = _emitted(lin @ _LAMBDA_FORWARD @ lin.T, lin @ _LAMBDA_BACKWARD @ lin.T,
+                         {(1, 1)})[(1, 1)]
+        return state[pattern]
 
     col_h = receiver_ket(InputQubit.from_name("h"))
     col_v = receiver_ket(InputQubit.from_name("v"))

@@ -109,12 +109,8 @@ def four_mode_source(params: SourceParams) -> PureState:
             weight = (params.kappa_forward ** j) * (params.kappa_backward ** k)
             for occ_f, amp_f in fwd[j].items():
                 for occ_b, amp_b in bwd[k].items():
-                    # every forward mode sorts before every backward mode, so
-                    # the joined key is canonical
-                    key = occ_f + occ_b
-                    terms[key] = terms.get(key, 0.0j) + weight * amp_f * amp_b
-    state = PureState._canonical(terms, 2 * order, prune=0.0)
-    return state.normalized()
+                    terms[occ_f + occ_b] = weight * amp_f * amp_b
+    return PureState(terms, 2 * order, prune=0.0).normalized()
 
 
 def signature_label(occ: tuple, spatials=(1, 2, 3, 4)) -> str:
@@ -135,7 +131,7 @@ def coincidence_sectors(state: PureState, min_photons: int = 4) -> dict:
             continue
         label = signature_label(occ)
         sectors.setdefault(label, {})[occ] = amp
-    return {label: PureState._canonical(terms, state.n_max)
+    return {label: PureState(terms, state.n_max)
             for label, terms in sorted(sectors.items())}
 
 

@@ -42,6 +42,9 @@ COUNTS = {
     "NANCOUNT": "h,h,nan\nv,v,300\nplus,plus,650\nminus,minus,350\nr,r,520\nl,l,480\n",
     # beyond the largest mean numpy's Poisson sampler accepts
     "HUGE": "h,h,1e19\nv,v,300\nplus,plus,650\nminus,minus,350\nr,r,520\nl,l,480\n",
+    # every count finite, their sum not
+    "OVERFLOW": "h,h,1e308\nv,v,1e308\nplus,plus,1e308\nminus,minus,1e308\nr,r,1e308\n"
+                "l,l,1e308\n",
 }
 HEADER = "label,projector,count\n"
 FILES = {name: HEADER + body for name, body in COUNTS.items()}
@@ -247,6 +250,18 @@ def test_non_finite_count_is_a_usage_error(count, resamples, tmp_path):
     assert err.startswith("error: cannot read counts: counts must be finite")
 
 
+def test_counts_whose_sum_overflows_are_a_usage_error(tmp_path):
+    code, out, err = run_tomo(tmp_path, COUNTS["OVERFLOW"])
+    assert (code, out) == (2, "")
+    assert err == "error: cannot read counts: counts must sum to a finite number\n"
+    # a sum just inside the float range still gives a density matrix
+    code, out, err = run_tomo(tmp_path, COUNTS["OVERFLOW"].replace("1e308", "2e307"),
+                              "--full-precision")
+    assert (code, err) == (0, "")
+    for rho in density_matrices(out):
+        validate_density(rho)
+
+
 @pytest.mark.parametrize("count", ["1e19", "9.3e18", "1e300"])
 def test_count_too_large_to_resample_is_a_usage_error(count, tmp_path):
     table = COUNTS["HUGE"].replace("1e19", count)
@@ -265,3 +280,12 @@ def test_exposure_too_large_to_resample_is_a_usage_error():
     assert (code, out) == (2, "")
     assert err.startswith("error: --exposure 1e+300 is too large for these rates: ")
     assert "9.223e+18" in err
+
+
+@pytest.mark.parametrize("seed", ["-1", "-3"])
+def test_negative_seed_is_a_usage_error(seed, tmp_path):
+    counts = tmp_path / "counts.csv"
+    counts.write_text(FILES["GOOD"], encoding="utf-8")
+    for argv in (["run", "--kappa-forward", "0.1", "--resamples", "100", "--seed", seed],
+                 ["tomo", "--counts", str(counts), "--resamples", "100", "--seed", seed]):
+        assert run_main(argv) == (2, "", "error: --seed must be a non-negative integer\n")

@@ -170,11 +170,26 @@ def test_composed_mix_matches_sequential(order):
     assert_record_matches(composed, None, (*mixed, per_term, None))
 
 
+def forbid_sparse_builds(monkeypatch):
+    """Make building a ``PureState`` or an ``OpticalElement`` raise; clear the frame cache."""
+    from cqtsim import elements, fock, protocol
+
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError(f"built {type(self).__name__}")
+
+    monkeypatch.setattr(fock.PureState, "__init__", forbidden)
+    monkeypatch.setattr(elements.OpticalElement, "__post_init__", forbidden)
+    protocol._calibrated_frame.cache_clear()
+    with pytest.raises(AssertionError, match="built PureState"):
+        fock.vacuum()
+    with pytest.raises(AssertionError, match="built OpticalElement"):
+        elements.port_element((1,), np.eye(2))
+
+
 def test_no_apply_after_calibration(monkeypatch):
-    from cqtsim import elements, protocol
+    from cqtsim import elements
     cfg = ProtocolConfig(channel="g2", action="deny",
                          source=SourceParams(0.1, 0.055, truncation_order=3))
-    protocol.analyzer_frame("g2", "standard")
 
     def forbidden(element, state):
         raise AssertionError("run_protocol called elements.apply")
@@ -185,22 +200,19 @@ def test_no_apply_after_calibration(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, forbidden)
+    forbid_sparse_builds(monkeypatch)
     assert run_protocol(cfg)[0].success_probability > 0.0
 
 
 def test_no_compose_after_calibration(monkeypatch):
-    # the optics of a run are one matrix of blocks: no substitution map is
-    # built or composed once the analyzer frame is calibrated
-    from cqtsim import elements, protocol
+    # the optics of a run, and of its analyzer calibration, are one matrix of
+    # blocks: no substitution map is built or composed
+    from cqtsim import elements
     cfg = ProtocolConfig(channel="g2", action="deny", pbs_epsilon=0.05,
                          source=SourceParams(0.1, 0.055, truncation_order=2))
-    protocol.analyzer_frame("g2", "standard")
 
     def forbidden_compose(els):
         raise AssertionError("run_protocol called elements.compose")
-
-    def forbidden_element(self):
-        raise AssertionError("run_protocol built an OpticalElement")
 
     original = elements.compose     # read once: the loop rebinds elements.compose too
     for name, module in list(sys.modules.items()):
@@ -208,10 +220,26 @@ def test_no_compose_after_calibration(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, forbidden_compose)
-    monkeypatch.setattr(elements.OpticalElement, "__post_init__", forbidden_element)
-    with pytest.raises(AssertionError, match="built an OpticalElement"):
-        elements.port_element((1,), np.eye(2))
+    forbid_sparse_builds(monkeypatch)
     assert run_protocol(cfg)[0].success_probability > 0.0
+
+
+CLI_RUNS = ([["run", "--channel", channel, "--action", action]
+             for channel in ("g1", "g2", "mix") for action in ("allow", "deny")]
+            + [["run", "--channel", "reference", "--action", "none"]]
+            + [["run", "--roles", "swapped", "--action", action] for action in ("allow", "deny")])
+
+
+@pytest.mark.parametrize("argv", [argv + source for argv in CLI_RUNS
+                                  for source in (["--ideal"], ["--kappa-forward", "0.1",
+                                                               "--pbs-epsilon", "0.05"])]
+                         + [["fit-spdc"], ["fit-spdc", "--synthetic-ratio", "0.8"]],
+                         ids=" ".join)
+def test_cli_builds_no_sparse_state_or_element(argv, monkeypatch, capsys):
+    from cqtsim.cli import main
+
+    forbid_sparse_builds(monkeypatch)
+    assert main(argv) == 0, capsys.readouterr().err
 
 
 @pytest.mark.parametrize("config", grid((None, 2, 3, 4, 5)))

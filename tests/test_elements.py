@@ -316,9 +316,9 @@ def assert_canonical(state):
 
 @given(st.lists(ELEMENTS, min_size=0, max_size=6), STATES, MODES)
 @settings(max_examples=80, deadline=None)
-def test_trusted_constructors_keep_keys_canonical(els, state, spatial):
-    # apply, project, normalized and coincidence_sectors skip occupation: the
-    # keys they hand on must already be what occupation would make of them
+def test_derived_states_keep_keys_canonical(els, state, spatial):
+    # the states apply, project, normalized and coincidence_sectors hand on
+    # hold keys that occupation leaves as they are
     out = apply(compose(els), state)
     assert_canonical(out)
     for el in els:

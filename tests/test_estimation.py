@@ -12,7 +12,7 @@ from cqtsim.estimation import (POISSON_MAX_MEAN, MLResult, ProjectionCounts,
                                ml_oracle_bloch_search, ml_reconstruct,
                                parse_projector, poisson_uncertainty,
                                read_counts_csv)
-from cqtsim.fock import KET_D, KET_H, KET_R, NAMED_KETS, fidelity, validate_density
+from cqtsim.fock import KET_D, KET_H, KET_R, KET_V, NAMED_KETS, fidelity, validate_density
 
 AXIAL = ("h", "v", "plus", "minus", "r", "l")
 
@@ -236,6 +236,12 @@ def test_projection_counts_reject_non_finite_counts(count):
         ProjectionCounts([(KET_H, count)])
     with pytest.raises(ValueError, match="projector amplitudes must be finite"):
         ProjectionCounts([([math.inf, 1.0], 1.0)])
+
+
+def test_projection_counts_reject_an_overflowing_total():
+    with pytest.raises(ValueError, match="counts must sum to a finite number"):
+        ProjectionCounts([(KET_H, 1e308), (KET_V, 1e308)])
+    assert ProjectionCounts([(KET_H, 1e308), (KET_V, 7e307)]).counts().sum() < math.inf
 
 
 def test_poisson_rejects_means_beyond_the_sampler_limit():

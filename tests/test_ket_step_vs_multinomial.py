@@ -23,6 +23,7 @@ from cqtsim.fock import H, V, PureState, occupation, total_photons
 from cqtsim.protocol import InputQubit, ProtocolConfig, run_protocol
 from cqtsim.spdc import PAIR_KINDS, SourceParams, four_mode_source
 
+import test_composed_vs_sequential as sequential
 from test_composed_vs_sequential import RUNS, assert_record_matches
 
 
@@ -182,16 +183,13 @@ def grid():
 
 
 def multinomial_run(config, monkeypatch):
+    # run_protocol builds no sparse state, so the oracle is the sequential
+    # sparse pipeline, frame calibration included, on the multinomial engine
     with monkeypatch.context() as patch:
-        patch.setattr(protocol, "apply", multinomial_apply)
+        patch.setattr(sequential, "apply", multinomial_apply)
         patch.setattr(spdc, "emission_orders", multinomial_emission_orders)
-        protocol._calibrated_frame.cache_clear()
-        try:
-            record, rho = run_protocol(config)
-        finally:
-            protocol._calibrated_frame.cache_clear()
-    return (record.f_parallel, record.f_perp, record.success_probability,
-            record.per_term, rho)
+        patch.setattr(protocol, "emission_orders", multinomial_emission_orders)
+        return sequential.sequential_run(config)
 
 
 @pytest.mark.parametrize("config", grid())

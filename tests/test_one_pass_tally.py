@@ -8,8 +8,8 @@ the same composed optics to each sector of the emission source, a
 predicate for the conditional state.  The two sum different rounded terms,
 so they agree to 1e-12 relative, as in ``test_composed_vs_sequential.py``.
 
-The emission states and the propagated terms are built with keys the package
-made canonical itself, so nothing on that path calls ``occupation``.
+``run_protocol``, its analyzer calibration included, builds no sparse state,
+so nothing on that path calls ``occupation``.
 """
 
 import sys
@@ -17,13 +17,12 @@ import sys
 import numpy as np
 import pytest
 
-from cqtsim import fock
+from cqtsim import fock, protocol
 from cqtsim.channels import PAULI_X
 from cqtsim.elements import apply, compose
 from cqtsim.fock import H, V, clicks_at, project, spatial_counts, to_qubit_density
 from cqtsim.protocol import (WIRINGS, InputQubit, ProtocolConfig, _detector_spatials,
-                             _elements, _station_blocks, analyzer_frame,
-                             ideal_source_state, run_protocol)
+                             _elements, _station_blocks, analyzer_frame, run_protocol)
 from cqtsim.spdc import SourceParams
 from test_composed_vs_sequential import assert_record_matches, grid, sectors
 
@@ -92,9 +91,7 @@ def test_propagation_and_tally_never_call_occupation(monkeypatch):
     configs = [ProtocolConfig(channel="g1", action="allow"),
                ProtocolConfig(channel="g1", action="allow", pbs_epsilon=0.05,
                               source=SourceParams(0.1, 0.055, truncation_order=2))]
-    optics = compose(_elements(_station_blocks(configs[0])))
-    source = ideal_source_state()
-    analyzer_frame("g1", "standard")     # calibrated once per process, then cached
+    protocol._calibrated_frame.cache_clear()     # the calibration runs below
 
     def forbidden(counts):
         raise AssertionError(f"occupation({counts!r}) called")
@@ -106,7 +103,6 @@ def test_propagation_and_tally_never_call_occupation(monkeypatch):
         for name, value in list(vars(module).items()):
             if value is original:
                 monkeypatch.setattr(module, name, forbidden)
-    assert apply(optics, source).norm_sq() > 0.0
     for config in configs:
         record, _ = run_protocol(config)
         assert record.success_probability > 0.0
