@@ -8,12 +8,9 @@ statistical layer (count-ratio fidelities, maximum-likelihood tomography,
 background subtraction, Poisson uncertainties).
 """
 
-from .channels import (ConditionalChannel, avg_teleport_fidelity,
-                       classical_control_baseline, condition_on_controller,
+from .channels import (ConditionalChannel, avg_teleport_fidelity, condition_on_controller,
                        make_ghz_mixture, make_werner, teleport_fidelity, werner_scan)
-from .elements import (OpticalElement, apply, balanced_bs, compose, hwp,
-                       jones_element, measure_polarization, pbs, phase_plate,
-                       polarizer, qwp)
+from .elements import OpticalElement, apply, compose, port_element
 from .estimation import (FidelityEstimate, MLResult, ProjectionCounts,
                          corrected_fidelity, correct_for_background,
                          fidelity_from_counts, ml_reconstruct,
@@ -21,8 +18,8 @@ from .estimation import (FidelityEstimate, MLResult, ProjectionCounts,
 from .fock import (H, V, PureState, fidelity, project, tensor,
                    to_qubit_density, validate_density)
 from .protocol import (CountRecord, InputQubit, ProtocolConfig, ProtocolError,
-                       analyzer_frame, bob_correction, emulate_mixture,
-                       prepare_ghz, run_protocol, singlet_projection)
+                       analyzer_frame, emulate_mixture, prepare_ghz, run_protocol,
+                       singlet_projection)
 from .spdc import (SourceParams, fit_source_ratio, four_mode_source,
                    heralded_fraction, two_mode_spdc)
 

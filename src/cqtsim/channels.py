@@ -300,7 +300,7 @@ def mc_avg_teleport_fidelity(channel, n_samples: int, seed: int,
     return grand / total_p
 
 
-# --- scans and baselines -----------------------------------------------------
+# --- scans and the qubit-level reference ------------------------------------
 
 @dataclass
 class WernerScanResult:
@@ -339,24 +339,6 @@ def werner_scan(q_grid: Sequence[float]) -> WernerScanResult:
     allowed, denied = _werner_rows(q_grid)
     rows = list(zip(map(float, q_grid), allowed.tolist(), denied.tolist()))
     return WernerScanResult(rows=rows, threshold_q=1.0 / 3.0)
-
-
-def classical_control_baseline(knowledge: str, input_ket: np.ndarray | None = None) -> float:
-    """Teleportation through an even phi+/phi- mixture with/without the which-state bit.
-
-    With the bit shared the receiver compensates exactly (fidelity 1); with it
-    withheld he teleports through the mixture in the phi+ frame.  ``input_ket``
-    gives a single-state fidelity, otherwise the Bloch average is returned.
-    """
-    if knowledge == "shared":
-        return 1.0
-    if knowledge != "withheld":
-        raise ValueError("knowledge must be 'shared' or 'withheld'")
-    bells = bell_kets()
-    mixed = 0.5 * ket_outer(bells["phi+"]) + 0.5 * ket_outer(bells["phi-"])
-    if input_ket is None:
-        return avg_teleport_fidelity(mixed, "with_feedforward")
-    return teleport_fidelity(mixed, input_ket)
 
 
 def conditional_teleport_output(channel: np.ndarray, input_ket: np.ndarray,

@@ -9,7 +9,7 @@ reproduces bosonic enhancement and two-photon interference for free.
 
 Every component is written once, as a local matrix over the H and V modes
 of the spatial modes it acts on (``hwp_matrix``, ``pbs_matrix``, ...);
-``port_element`` turns such a block into a substitution map, and
+``port_element(spatials, matrix)`` turns such a block into an element, and
 ``protocol`` multiplies the same blocks into one dense matrix.
 
 Conventions, fixed once for the whole package:
@@ -33,13 +33,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import (H, PureState, SectorError, V, _create, basis_pairs, mode,
-                   occupation, spatial_counts)
+from .fock import H, PureState, V, _create, mode
 
 
 @dataclass
 class OpticalElement:
-    """A named creation-operator substitution: mode -> {mode: amplitude}.
+    """A creation-operator substitution: mode -> {mode: amplitude}.
 
     Building the element validates and normalises every input and output
     mode with ``fock.mode``, so a bad mode raises ``ValueError`` here, and
@@ -47,7 +46,6 @@ class OpticalElement:
     it creates to ``PureState``, which canonicalises their keys.
     """
 
-    kind: str
     mapping: dict
 
     def __post_init__(self):
@@ -70,12 +68,14 @@ def qwp_matrix(theta: float) -> np.ndarray:
 
 
 def phase_matrix(phi: float, pol: str = V) -> np.ndarray:
+    """Birefringent phase plate: multiplies the ``pol`` component by exp(i*phi)."""
     j = np.eye(2, dtype=complex)
     j[1 if pol == V else 0, 1 if pol == V else 0] = np.exp(1j * phi)
     return j
 
 
 def polarizer_matrix(jones_ket: np.ndarray) -> np.ndarray:
+    """Projective polarizer: transmits the ``jones_ket`` component, absorbs the rest."""
     v = np.asarray(jones_ket, dtype=complex).ravel()
     v = v / np.linalg.norm(v)
     return np.outer(v, v.conj())
@@ -89,7 +89,11 @@ def balanced_bs_matrix() -> np.ndarray:
 
 
 def pbs_matrix(epsilon: float = 0.0) -> np.ndarray:
-    """Over (a, H), (a, V), (b, H), (b, V); see ``pbs``."""
+    """Over (a, H), (a, V), (b, H), (b, V), with H-reflection intensity ``epsilon``.
+
+    H transmits with sqrt(1-eps) and leaks into the reflected port with
+    i*sqrt(eps); V reflects ideally with ``i``.
+    """
     if not 0.0 <= epsilon <= 1.0:
         raise ValueError(f"epsilon must lie in [0, 1], got {epsilon}")
     t = math.sqrt(1.0 - epsilon)
@@ -97,8 +101,7 @@ def pbs_matrix(epsilon: float = 0.0) -> np.ndarray:
     return np.array([[t, 0, r, 0], [0, 0, 0, 1j], [r, 0, t, 0], [0, 1j, 0, 0]], dtype=complex)
 
 
-def port_element(spatials: Sequence[int], matrix: np.ndarray,
-                 kind: str = "Port") -> OpticalElement:
+def port_element(spatials: Sequence[int], matrix: np.ndarray) -> OpticalElement:
     """The element of a local matrix over the H and V modes of ``spatials``.
 
     The modes are ordered (s1, H), (s1, V), (s2, H), ...; column q of
@@ -111,45 +114,8 @@ def port_element(spatials: Sequence[int], matrix: np.ndarray,
     if matrix.shape != (len(modes), len(modes)) or len(set(spatials)) != len(spatials):
         raise ValueError(f"a {matrix.shape} matrix does not act on spatial modes "
                          f"{tuple(spatials)}")
-    return OpticalElement(kind, {m: {k: u for k, u in zip(modes, matrix[:, q]) if u != 0}
-                                 for q, m in enumerate(modes)})
-
-
-def jones_element(spatial: int, jones: np.ndarray, kind: str = "Jones") -> OpticalElement:
-    """Arbitrary 2x2 polarization action on one spatial mode."""
-    return port_element((spatial,), jones, kind)
-
-
-def hwp(spatial: int, theta: float) -> OpticalElement:
-    return jones_element(spatial, hwp_matrix(theta), "HWP")
-
-
-def qwp(spatial: int, theta: float) -> OpticalElement:
-    return jones_element(spatial, qwp_matrix(theta), "QWP")
-
-
-def phase_plate(spatial: int, phi: float, pol: str = V) -> OpticalElement:
-    """Birefringent phase: multiplies the chosen polarization by exp(i*phi)."""
-    return jones_element(spatial, phase_matrix(phi, pol), "PhasePlate")
-
-
-def polarizer(spatial: int, jones_ket: np.ndarray) -> OpticalElement:
-    """Projective polarizer: transmits the ``jones_ket`` component, absorbs the rest."""
-    return jones_element(spatial, polarizer_matrix(jones_ket), "Polarizer")
-
-
-def balanced_bs(port_a: int, port_b: int) -> OpticalElement:
-    """50/50 beam splitter, polarization preserving, ``i`` on reflection."""
-    return port_element((port_a, port_b), balanced_bs_matrix(), "BalancedBS")
-
-
-def pbs(port_a: int, port_b: int, epsilon: float = 0.0) -> OpticalElement:
-    """Polarizing beam splitter with H-reflection intensity ``epsilon``.
-
-    H transmits with sqrt(1-eps) and leaks into the reflected port with
-    i*sqrt(eps); V reflects ideally with ``i``.
-    """
-    return port_element((port_a, port_b), pbs_matrix(epsilon), "PBS")
+    return OpticalElement({m: {k: u for k, u in zip(modes, matrix[:, q]) if u != 0}
+                           for q, m in enumerate(modes)})
 
 
 def compose(elements: Sequence[OpticalElement]) -> OpticalElement:
@@ -168,7 +134,7 @@ def compose(elements: Sequence[OpticalElement]) -> OpticalElement:
         for m, outs in el.mapping.items():
             mapping.setdefault(m, dict(outs))
     mapping = {m: {k: u for k, u in outs.items() if u != 0} for m, outs in mapping.items()}
-    return OpticalElement("Composite", mapping)
+    return OpticalElement(mapping)
 
 
 def apply(element: OpticalElement, state: PureState) -> PureState:
@@ -194,44 +160,3 @@ def apply(element: OpticalElement, state: PureState) -> PureState:
         for key, a in ket.items():
             out[key] = out.get(key, 0.0j) + a
     return PureState(out, state.n_max)
-
-
-def measure_polarization(state: PureState, spatial: int, basis) -> list:
-    """Von Neumann polarization measurement on a one-photon spatial mode.
-
-    ``basis`` names one of the bases "hv", "pm" or "rl".  Returns
-    ``[(label, probability, conditional_state_without_the_mode), ...]``; the
-    conditional is ``None`` when the outcome never occurs.
-    """
-    occupied_somewhere = False
-    results = []
-    for ket, label in basis_pairs(basis):
-        cond: dict = {}
-        for occ, amp in state.terms.items():
-            cnt = spatial_counts(occ).get(spatial, 0)
-            if cnt == 0:
-                continue
-            if cnt > 1:
-                raise SectorError(
-                    f"mode {spatial} carries {cnt} photons; measurement defined on the "
-                    "one-photon sector only")
-            occupied_somewhere = True
-            if ((spatial, H), 1) in occ:
-                comp = np.conj(ket[0])
-            else:
-                comp = np.conj(ket[1])
-            if comp == 0:
-                continue
-            rest = occupation([(m, n) for m, n in occ if m[0] != spatial])
-            cond[rest] = cond.get(rest, 0.0j) + amp * comp
-        prob = float(sum(abs(a) ** 2 for a in cond.values()))
-        if prob < 1e-14:
-            results.append((label, prob, None))
-        else:
-            scale = 1.0 / math.sqrt(prob)
-            results.append(
-                (label, prob,
-                 PureState({k: a * scale for k, a in cond.items()}, n_max=state.n_max)))
-    if not occupied_somewhere:
-        raise SectorError(f"mode {spatial} is unoccupied in every term")
-    return results

@@ -25,7 +25,6 @@ class ProjectionCounts:
     """Measured counts behind a set of polarization projectors."""
 
     settings: list                      # [(jones ket (2,), count >= 0), ...]
-    labels: list | None = None
 
     def __post_init__(self):
         cleaned = []
@@ -43,8 +42,6 @@ class ProjectionCounts:
         if not math.isfinite(sum(c for _, c in cleaned)):
             raise ValueError("counts must sum to a finite number")
         self.settings = cleaned
-        if self.labels is None:
-            self.labels = [f"s{i}" for i in range(len(cleaned))]
 
     def projectors(self) -> list:
         return [np.outer(k, k.conj()) for k, _ in self.settings]
@@ -61,7 +58,7 @@ class ProjectionCounts:
 def axial_counts(counts_by_name: dict) -> ProjectionCounts:
     """Counts over the six axial settings, keyed h/v/plus/minus/r/l."""
     settings = [(NAMED_KETS[name], counts_by_name[name]) for name in counts_by_name]
-    return ProjectionCounts(settings, labels=list(counts_by_name))
+    return ProjectionCounts(settings)
 
 
 @dataclass
@@ -90,6 +87,9 @@ def fidelity_from_counts(f_parallel: float, f_perp: float) -> float:
 
 ML_TOL = 1e-10
 ML_MAX_ITERATIONS = 100_000
+# a table whose largest count exceeds this is beyond any measurement; it is
+# divided by that count so that counts over probabilities stay finite
+ML_RESCALE_ABOVE = 1e150
 
 
 @dataclass
@@ -219,13 +219,17 @@ def ml_reconstruct(counts: ProjectionCounts, tol: float = ML_TOL,
     Runs the R rho R update, falling back to diluted steps whenever a full
     step would lower the likelihood, so the likelihood trace is monotone by
     construction.  Stops when the relative log-likelihood change drops below
-    ``tol``; non-convergence is flagged on the result, never raised.
+    ``tol``; non-convergence is flagged on the result, never raised.  A table
+    with a count above ``ML_RESCALE_ABOVE`` is iterated, and its likelihoods
+    reported, divided by its largest count.
     """
     if not counts.is_informationally_complete():
         raise ValueError("projector set is not informationally complete")
     ns = counts.counts()
     if np.sum(ns) <= 0:
         raise ValueError("all counts are zero")
+    if ns.max() > ML_RESCALE_ABOVE:
+        ns = ns / ns.max()
     rho, converged, iterations, traces = _ml_kernel(
         np.array(counts.projectors()), ns[None, :], tol, max_iterations,
         keep_trace=True)
@@ -408,7 +412,6 @@ def parse_projector(spec: str) -> np.ndarray:
 def read_counts_csv(path) -> ProjectionCounts:
     """Counts table: columns ``label, projector, count`` with a header row."""
     settings = []
-    labels = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(row for row in fh if not row.startswith("#"))
         header = next(reader, None)
@@ -419,8 +422,7 @@ def read_counts_csv(path) -> ProjectionCounts:
                 continue
             if len(row) < 3:
                 raise ValueError(f"malformed counts row: {row}")
-            labels.append(row[0].strip())
             settings.append((parse_projector(row[1]), float(row[2])))
     if not settings:
         raise ValueError("no counts rows found")
-    return ProjectionCounts(settings, labels=labels)
+    return ProjectionCounts(settings)

@@ -3,8 +3,9 @@
 A mode is a ``(spatial, polarization)`` pair, a basis state is a sparse
 occupation vector over modes, and a pure state is a complex superposition
 of basis states, held as a plain dict keyed by canonical occupation tuples.
-The stage operations, the public API and the tests' oracles for the dense
-engine work on these states, which take any modes and stay small.
+The stage operations ``protocol.prepare_ghz`` and ``singlet_projection`` and
+the tests' oracles for the dense engine work on these states, which take any
+modes and stay small.
 
 The emission sectors of a protocol run are propagated instead as dense
 photon-number vectors over a fixed list of modes (``_number_basis``): one

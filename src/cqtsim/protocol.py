@@ -32,9 +32,9 @@ emission as dense photon-number vectors: each pair-creation operator
 modes, and a sector of j forward and k backward pairs is j + k such pair
 creations on vacuum.  The analyzer calibration propagates the ideal source,
 sector (1, 1), through the same matrix and reads two amplitudes off it, so
-a run builds no sparse state.  The stage operations and the public API turn
-the same blocks into elements with ``elements.port_element`` and keep the
-sparse states of ``fock`` and ``elements.apply``.
+a run builds no sparse state.  The stage operations ``prepare_ghz`` and
+``singlet_projection`` turn the same blocks into elements with
+``elements.port_element`` and apply them to the sparse states of ``fock``.
 """
 
 from __future__ import annotations
@@ -45,14 +45,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channels import PAULI_X, bell_kets, ghz_ket
-from .elements import (apply, balanced_bs, balanced_bs_matrix, compose, hwp_matrix,
-                       pbs_matrix, phase_matrix, polarizer_matrix, port_element,
-                       qwp_matrix)
+from .channels import PAULI_X
+from .elements import (apply, balanced_bs_matrix, compose, hwp_matrix, pbs_matrix,
+                       phase_matrix, polarizer_matrix, port_element, qwp_matrix)
 from .estimation import fidelity_from_counts
-from .fock import (DEFAULT_N_MAX, H, V, KET_A, KET_D, KET_H, KET_R, KET_V, NAMED_KETS,
-                   PRUNE_THRESHOLD, PureState, _create_pairs, _mode_units,
-                   _number_basis, clicks_at, project, spatial_counts, unit_pair)
+from .fock import (DEFAULT_N_MAX, H, V, KET_D, KET_H, KET_R, NAMED_KETS, PRUNE_THRESHOLD,
+                   PureState, _create_pairs, _mode_units, _number_basis, clicks_at,
+                   project, spatial_counts, unit_pair)
 from .spdc import (BACKWARD_MODES, FORWARD_MODES, PAIR_KINDS, SourceParams,
                    emission_orders)
 
@@ -473,8 +472,10 @@ def run_protocol(config: ProtocolConfig):
             rho_weight += p_cond
 
     if not success > empty_tol:
-        raise ProtocolError("no configuration of the source terms produces a "
-                            "four-fold coincidence")
+        raise ProtocolError(
+            f"channel {config.channel}, action {config.action}, input ({config.input.alpha:.4g}, "
+            f"{config.input.beta:.4g}), roles {config.roles}: cannot produce a four-fold "
+            "coincidence; no configuration of the source terms clicks all four detectors")
     if rho_weight <= 0.0:
         raise ProtocolError("every coincidence leaves more than one photon at "
                             "the receiver; no qubit state to report")
@@ -517,7 +518,7 @@ def singlet_projection(state: PureState, mode_a: int = 1, mode_b: int = INPUT_MO
     Returns ``(conditional_state, probability)``; the conditional is ``None``
     when anti-bunching never occurs (bunching-only inputs).
     """
-    out = apply(balanced_bs(mode_a, mode_b), state)
+    out = apply(port_element((mode_a, mode_b), _FIBER_BS), state)
     return project(out, clicks_at([mode_a, mode_b]))
 
 
@@ -543,47 +544,3 @@ def emulate_mixture(record_g1: CountRecord, record_g2: CountRecord, p: float) ->
         channel=f"mixture(p={p:g})",
         settings=record_g1.settings,
     )
-
-
-# --- feed-forward correction ------------------------------------------------------
-
-_BELL_FROM_PAULI = {0: "psi-", 1: "phi-", 2: "phi+", 3: "psi+"}
-# (P_k x I)|psi-> up to phase: I->psi-, X->phi-, Y->phi+, Z->psi+
-
-
-def bob_correction(bell_outcome=0, charlie_outcome: str = "+") -> np.ndarray:
-    """Unitary the receiver applies to undo the GHZ teleportation frame.
-
-    ``bell_outcome`` indexes the sender's Bell result as the Pauli k in the
-    (I, X, Y, Z) ordering, the measured state being (P_k x I)|psi->; the
-    default k = 0 is the singlet itself, the only outcome the anti-bunching
-    measurement post-selects.  A Bell label ("psi-", ...) is accepted too.
-    ``charlie_outcome`` is "+" or "-".  Derived by solving the conceptual
-    protocol on the exact GHZ channel; satisfies F = 1 for every input on
-    the ideal channel.
-    """
-    if isinstance(bell_outcome, str):
-        bell_label = bell_outcome
-        if bell_label not in bell_kets():
-            raise ValueError(f"unknown Bell outcome {bell_label!r}")
-    else:
-        bell_label = _BELL_FROM_PAULI[int(bell_outcome) % 4]
-    if charlie_outcome not in ("+", "-"):
-        raise ValueError("charlie_outcome must be '+' or '-'")
-    return _correction(bell_label, charlie_outcome)
-
-
-@functools.cache
-def _correction(bell_label: str, charlie_outcome: str) -> np.ndarray:
-    charlie_ket = KET_D if charlie_outcome == "+" else KET_A
-    bell = bell_kets()[bell_label].reshape(2, 2)
-
-    ghz = ghz_ket(1).reshape(2, 2, 2)
-
-    def receiver_ket(psi):
-        total = np.einsum("abg,c->abgc", ghz, psi)
-        return np.einsum("ac,g,abgc->b", bell.conj(), charlie_ket.conj(), total)
-
-    w = np.column_stack([receiver_ket(KET_H), receiver_ket(KET_V)])
-    w = w / math.sqrt(float(np.real((w.conj().T @ w)[0, 0])))
-    return w.conj().T

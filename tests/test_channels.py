@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from cqtsim.channels import (avg_teleport_fidelity, bell_kets, chi_ket,
-                             classical_control_baseline, conditional_teleport_output,
-                             condition_on_controller, ghz_ket, ket_outer,
-                             make_ghz_mixture, make_werner, mc_avg_teleport_fidelity,
-                             partial_trace, standard_corrections, teleport_fidelity,
-                             werner_point, werner_scan)
+                             conditional_teleport_output, condition_on_controller,
+                             ghz_ket, ket_outer, make_ghz_mixture, make_werner,
+                             mc_avg_teleport_fidelity, partial_trace, standard_corrections,
+                             teleport_fidelity, werner_point, werner_scan)
 from cqtsim.fock import KET_D, KET_H, KET_R, KET_V, validate_density
 
 
@@ -144,12 +143,14 @@ def test_unknown_strategy_is_value_error(average):
 
 
 def test_classical_baseline():
-    assert classical_control_baseline("shared") == 1.0
-    assert classical_control_baseline("withheld", KET_D) == pytest.approx(0.5, abs=1e-12)
+    # the even phi+/phi- mixture left when the which-state bit is withheld
+    bells = bell_kets()
+    mixed = 0.5 * ket_outer(bells["phi+"]) + 0.5 * ket_outer(bells["phi-"])
+    assert teleport_fidelity(mixed, KET_D) == pytest.approx(0.5, abs=1e-12)
     # both Bell states teleport the logical basis faithfully: the average,
     # not one state, defines the bound
-    assert classical_control_baseline("withheld", KET_H) == pytest.approx(1.0, abs=1e-12)
-    assert classical_control_baseline("withheld") == pytest.approx(2 / 3, abs=1e-12)
+    assert teleport_fidelity(mixed, KET_H) == pytest.approx(1.0, abs=1e-12)
+    assert avg_teleport_fidelity(mixed) == pytest.approx(2 / 3, abs=1e-12)
 
 
 def test_partial_trace_consistency():
@@ -191,12 +192,9 @@ def test_feedforward_average_matches_photonic_pipeline(p):
 
 
 def test_unknown_basis_name_is_value_error():
-    from cqtsim.elements import measure_polarization
-    from cqtsim.fock import basis_pairs, single_photon
+    from cqtsim.fock import basis_pairs
 
     with pytest.raises(ValueError, match="unknown basis"):
         condition_on_controller(make_werner(0.5), "xy")
-    with pytest.raises(ValueError, match="unknown basis"):
-        measure_polarization(single_photon(1, KET_H), 1, "xy")
     with pytest.raises(ValueError, match="unknown basis"):
         basis_pairs("xy")

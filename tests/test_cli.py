@@ -352,6 +352,17 @@ def test_degenerate_simulation_is_runtime_error():
                     "--ideal"]) == 1
 
 
+@pytest.mark.parametrize("channel, name, ket", [("g1", "h", "(1+0j, 0+0j)"),
+                                                ("g2", "v", "(0+0j, 1+0j)")])
+def test_configuration_without_coincidence_is_named(channel, name, ket, capsys):
+    assert run_cli(["run", "--channel", channel, "--action", "deny", "--input", name,
+                    "--ideal"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"channel {channel}, action deny, input {ket}, roles standard: " \
+           "cannot produce a four-fold coincidence" in captured.err
+
+
 @pytest.mark.parametrize("kappa", ["3e-8", "1e-12"])
 def test_weak_pumping_still_coincides(kappa, capsys):
     assert run_cli(["run", "--kappa-forward", kappa, "--kappa-backward", kappa]) == 0

@@ -262,6 +262,16 @@ def test_counts_whose_sum_overflows_are_a_usage_error(tmp_path):
         validate_density(rho)
 
 
+def test_count_near_the_float_limit_gives_the_ml_state(tmp_path):
+    # the sum is finite, but 1e308 over the first probability of 1/2 was not
+    table = "h,h,1e308\nv,v,1e-300\nplus,plus,0\nminus,minus,0\nr,r,0\nl,l,0\n"
+    code, out, err = run_tomo(tmp_path, table, "--target", "h", "--full-precision")
+    assert (code, err) == (0, "")
+    assert "converged,true\n" in out
+    for rho in density_matrices(out):
+        assert np.max(np.abs(rho - np.diag([1.0, 0.0]))) < 1e-12
+
+
 @pytest.mark.parametrize("count", ["1e19", "9.3e18", "1e300"])
 def test_count_too_large_to_resample_is_a_usage_error(count, tmp_path):
     table = COUNTS["HUGE"].replace("1e19", count)

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from cqtsim.channels import PAULI_X
-from cqtsim.elements import apply, polarizer
+from cqtsim.elements import apply, polarizer_matrix, port_element
 from cqtsim.fock import (H, V, clicks_at, project, spatial_counts,
                          to_qubit_density)
 from cqtsim.protocol import (INPUT_MODE, WIRINGS, InputQubit, ProtocolConfig,
@@ -65,7 +65,7 @@ def sequential_frame(channel, roles="standard"):
 
 
 def _fourfold_prob(state, receiver, analyzer_ket, detectors):
-    analyzed = apply(polarizer(receiver, analyzer_ket), state)
+    analyzed = apply(port_element((receiver,), polarizer_matrix(analyzer_ket)), state)
     _, prob = project(analyzed, clicks_at(detectors))
     return prob
 

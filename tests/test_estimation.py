@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqtsim.estimation import (POISSON_MAX_MEAN, MLResult, ProjectionCounts,
-                               axial_counts, corrected_fidelity,
+from cqtsim.estimation import (ML_MAX_ITERATIONS, ML_RESCALE_ABOVE, ML_TOL,
+                               POISSON_MAX_MEAN, MLResult, ProjectionCounts,
+                               _ml_kernel, axial_counts, corrected_fidelity,
                                correct_for_background, fidelity_from_counts,
                                ml_oracle_bloch_search, ml_reconstruct,
                                parse_projector, poisson_uncertainty,
@@ -244,6 +245,20 @@ def test_projection_counts_reject_an_overflowing_total():
     assert ProjectionCounts([(KET_H, 1e308), (KET_V, 7e307)]).counts().sum() < math.inf
 
 
+@pytest.mark.parametrize("largest", [1e3, ML_RESCALE_ABOVE, 1e200])
+def test_ml_rescales_only_a_table_beyond_any_measurement(largest):
+    ns = largest * np.array([1.0, 0.43, 0.93, 0.5, 0.74, 0.69])
+    counts = axial_counts(dict(zip(AXIAL, ns)))
+    # up to ML_RESCALE_ABOVE the table is iterated as it is, so its estimate
+    # keeps every bit; above, it is divided by its largest count
+    as_run = ns if largest <= ML_RESCALE_ABOVE else ns / largest
+    rho, _, iterations, _ = _ml_kernel(np.array(counts.projectors()), as_run[None],
+                                       ML_TOL, ML_MAX_ITERATIONS)
+    res = ml_reconstruct(counts)
+    assert np.array_equal(res.rho, rho[0])
+    assert res.iterations == iterations[0]
+
+
 def test_poisson_rejects_means_beyond_the_sampler_limit():
     # numpy's own limit: the largest mean is drawn, the next float raises
     rng = np.random.default_rng(0)
@@ -269,7 +284,6 @@ def test_read_counts_csv(tmp_path):
         "l,l,508\n",
         encoding="utf-8")
     counts = read_counts_csv(path)
-    assert counts.labels[0] == "h"
     assert counts.is_informationally_complete()
     res = ml_reconstruct(counts)
     assert res.converged

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqtsim import protocol, spdc
-from cqtsim.elements import (apply, balanced_bs, compose, hwp, pbs, phase_plate,
-                             polarizer, qwp)
+from cqtsim.elements import (apply, balanced_bs_matrix, compose, hwp_matrix, pbs_matrix,
+                             phase_matrix, polarizer_matrix, port_element, qwp_matrix)
 from cqtsim.fock import H, V, PureState, occupation, total_photons
 from cqtsim.protocol import InputQubit, ProtocolConfig, run_protocol
 from cqtsim.spdc import PAIR_KINDS, SourceParams, four_mode_source
@@ -126,12 +126,13 @@ KETS = st.tuples(st.complex_numbers(max_magnitude=1, allow_nan=False),
                  st.complex_numbers(max_magnitude=1, allow_nan=False)).filter(
     lambda k: abs(k[0]) + abs(k[1]) > 0.1)
 ELEMENTS = st.one_of(
-    st.builds(hwp, MODES, ANGLES),
-    st.builds(qwp, MODES, ANGLES),
-    st.builds(phase_plate, MODES, ANGLES, st.sampled_from([H, V])),
-    st.builds(lambda m, k: polarizer(m, np.array(k)), MODES, KETS),
-    PORTS.map(lambda p: balanced_bs(*p)),
-    st.builds(lambda p, eps: pbs(p[0], p[1], eps), PORTS,
+    st.builds(lambda m, t: port_element((m,), hwp_matrix(t)), MODES, ANGLES),
+    st.builds(lambda m, t: port_element((m,), qwp_matrix(t)), MODES, ANGLES),
+    st.builds(lambda m, phi, pol: port_element((m,), phase_matrix(phi, pol)),
+              MODES, ANGLES, st.sampled_from([H, V])),
+    st.builds(lambda m, k: port_element((m,), polarizer_matrix(np.array(k))), MODES, KETS),
+    PORTS.map(lambda p: port_element(p, balanced_bs_matrix())),
+    st.builds(lambda p, eps: port_element(p, pbs_matrix(eps)), PORTS,
               st.floats(min_value=0, max_value=1, allow_nan=False)),
 )
 # up to six photons in a term, up to three in one mode

@@ -28,9 +28,9 @@ MODE_INDEX = {m: i for i, m in enumerate(DENSE_MODES)}
 
 # --- the elements as substitution dicts ----------------------------------------------------
 
-def jones_element(spatial, jones, kind="Jones"):
+def jones_element(spatial, jones):
     jones = np.asarray(jones, dtype=complex)
-    return OpticalElement(kind, {
+    return OpticalElement({
         (spatial, H): {(spatial, H): jones[0, 0], (spatial, V): jones[1, 0]},
         (spatial, V): {(spatial, H): jones[0, 1], (spatial, V): jones[1, 1]},
     })
@@ -39,13 +39,13 @@ def jones_element(spatial, jones, kind="Jones"):
 def phase_plate(spatial, phi, pol=V):
     j = np.eye(2, dtype=complex)
     j[1 if pol == V else 0, 1 if pol == V else 0] = np.exp(1j * phi)
-    return jones_element(spatial, j, "PhasePlate")
+    return jones_element(spatial, j)
 
 
 def polarizer(spatial, jones_ket):
     v = np.asarray(jones_ket, dtype=complex).ravel()
     v = v / np.linalg.norm(v)
-    return jones_element(spatial, np.outer(v, v.conj()), "Polarizer")
+    return jones_element(spatial, np.outer(v, v.conj()))
 
 
 def balanced_bs(port_a, port_b):
@@ -55,13 +55,13 @@ def balanced_bs(port_a, port_b):
     for p in (H, V):
         mapping[(port_a, p)] = {(port_a, p): t, (port_b, p): r}
         mapping[(port_b, p)] = {(port_a, p): r, (port_b, p): t}
-    return OpticalElement("BalancedBS", mapping)
+    return OpticalElement(mapping)
 
 
 def pbs(port_a, port_b, epsilon):
     t = math.sqrt(1.0 - epsilon)
     r = 1.0j * math.sqrt(epsilon)
-    return OpticalElement("PBS", {
+    return OpticalElement({
         (port_a, H): {(port_a, H): t, (port_b, H): r},
         (port_b, H): {(port_b, H): t, (port_a, H): r},
         (port_a, V): {(port_b, V): 1.0j},
@@ -74,20 +74,20 @@ def setup_elements(config, exact_encoder=False):
     wiring = WIRINGS[config.roles]
     els = []
     if config.channel != "reference":
-        els.append(jones_element(3, R_PREP, "CircularPrep"))
+        els.append(jones_element(3, R_PREP))
     if config.channel == "g2":
-        els.append(jones_element(2, hwp_matrix(math.pi / 4.0), "HWP"))
+        els.append(jones_element(2, hwp_matrix(math.pi / 4.0)))
     if config.channel != "reference":
         els.append(pbs(2, 3, config.pbs_epsilon))
     els += [phase_plate(1, COMPENSATION_PHASE), phase_plate(3, COMPENSATION_PHASE)]
     q = config.input
     if exact_encoder:
         els.append(jones_element(INPUT_MODE, [[q.alpha, -np.conj(q.beta)],
-                                              [q.beta, np.conj(q.alpha)]], "Encoder"))
+                                              [q.beta, np.conj(q.alpha)]]))
     else:
         theta_h, theta_q = encoding_plate_angles(q.alpha, q.beta)
-        els += [jones_element(INPUT_MODE, hwp_matrix(theta_h), "HWP"),
-                jones_element(INPUT_MODE, qwp_matrix(theta_q), "QWP")]
+        els += [jones_element(INPUT_MODE, hwp_matrix(theta_h)),
+                jones_element(INPUT_MODE, qwp_matrix(theta_q))]
     els.append(balanced_bs(wiring.sender_resource, INPUT_MODE))
     if config.action == "deny":
         els.append(polarizer(wiring.controller, KET_H))

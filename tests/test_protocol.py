@@ -5,14 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqtsim.channels import (PAULIS, bell_kets, conditional_teleport_output,
-                             ghz_ket, make_ghz_mixture)
-from cqtsim.elements import apply, jones_element
-from cqtsim.fock import (H, V, NAMED_KETS, PureState, basis_state, fidelity,
-                         occupation, overlap, tensor)
+from cqtsim.channels import conditional_teleport_output, make_ghz_mixture
+from cqtsim.elements import apply, port_element
+from cqtsim.fock import (H, V, PureState, basis_state, fidelity, occupation, overlap,
+                         tensor)
 from cqtsim.protocol import (AXIAL_INPUT_NAMES, InputQubit, ProtocolConfig,
-                             ProtocolError, R_PREP, analyzer_frame,
-                             bob_correction, emulate_mixture,
+                             ProtocolError, R_PREP, analyzer_frame, emulate_mixture,
                              encoding_plate_angles, prepare_ghz, run_protocol,
                              singlet_projection)
 from cqtsim.spdc import SourceParams
@@ -26,7 +24,7 @@ def phi_pair_with_circular_third():
         occupation({(1, V): 1, (2, V): 1}): -1j / _SQ2,
     })
     src = tensor(pair, basis_state({(3, H): 1}))
-    return apply(jones_element(3, R_PREP), src)
+    return apply(port_element((3,), R_PREP), src)
 
 
 def ghz_fock_target():
@@ -321,35 +319,6 @@ def test_fock_pipeline_matches_qubit_model(p, action, basis, outcome, name):
     assert (rho_fock is None) == (rho_qubit is None)
     if rho_fock is not None:
         assert np.max(np.abs(rho_fock - rho_qubit)) < 1e-10
-
-
-# --- feed-forward correction ---------------------------------------------------------
-
-def test_bob_correction_restores_every_input_on_ideal_channel():
-    from cqtsim.protocol import _BELL_FROM_PAULI
-    ghz = ghz_ket(1).reshape(2, 2, 2)
-    kets = {"+": NAMED_KETS["plus"], "-": NAMED_KETS["minus"]}
-    for k in range(4):
-        bell = bell_kets()[_BELL_FROM_PAULI[k]].reshape(2, 2)
-        for sign, cket in kets.items():
-            u = bob_correction(k, sign)
-            assert np.allclose(u.conj().T @ u, np.eye(2), atol=1e-12)
-            for name in AXIAL_INPUT_NAMES:
-                psi = NAMED_KETS[name]
-                total = np.einsum("abg,c->abgc", ghz, psi)
-                v = np.einsum("ac,g,abgc->b", bell.conj(), cket.conj(), total)
-                if np.linalg.norm(v) < 1e-12:
-                    continue
-                v = v / np.linalg.norm(v)
-                assert abs(np.vdot(psi, u @ v)) ** 2 == pytest.approx(1.0, abs=1e-12)
-
-
-def test_bob_correction_singlet_paulis():
-    # solved from the exact GHZ decomposition: "+" needs a Y-type frame and
-    # "-" an X-type frame (up to global phase)
-    for sign, pauli in (("+", PAULIS["Y"]), ("-", PAULIS["X"])):
-        u = bob_correction(0, sign)
-        assert abs(abs(np.trace(u.conj().T @ pauli)) - 2.0) < 1e-9
 
 
 # --- role swapping ---------------------------------------------------------------------
