@@ -30,7 +30,7 @@ from .estimation import (POISSON_MAX_MEAN, NonPhysicalError, corrected_fidelity,
                          correct_for_background, ml_reconstruct,
                          poisson_uncertainty, read_counts_csv)
 from .fock import NAMED_KETS, fidelity
-from .protocol import (InputQubit, ProtocolConfig, ProtocolError,
+from .protocol import (CountRecord, InputQubit, NoCoincidenceError, ProtocolConfig,
                        emulate_mixture, run_protocol)
 from .spdc import (RATIO_BOUNDS, SourceParams, fit_source_ratio, sector_rates,
                    sector_shares)
@@ -86,11 +86,11 @@ def _steady(value: float) -> float:
     return float(f"{value:.12g}")
 
 
-def _fmt(value, full_precision: bool) -> str:
+def _fmt(value, full_precision: bool, spec: str = ".4g") -> str:
     if isinstance(value, float):
         if full_precision:
             return repr(value)
-        return f"{_steady(value):.4g}"
+        return f"{_steady(value):{spec}}"
     if value is None:
         return ""
     return str(value)
@@ -129,7 +129,7 @@ def _emit(text: str, out_path):
 
 def _json_value(value, full_precision):
     if isinstance(value, float) and not full_precision:
-        return float(f"{_steady(value):.4g}")
+        return float(_fmt(value, False))
     return value
 
 
@@ -300,11 +300,8 @@ def _source_from_args(args):
         return None
     kf = args.kappa_forward if args.kappa_forward is not None else 0.1
     kb = args.kappa_backward if args.kappa_backward is not None else 0.1
-    try:
-        return SourceParams(kappa_forward=kf, kappa_backward=kb,
-                            truncation_order=args.truncation_order)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    return SourceParams(kappa_forward=kf, kappa_backward=kb,
+                        truncation_order=args.truncation_order)
 
 
 def _check_resamples(args):
@@ -323,22 +320,29 @@ def cmd_run(args) -> int:
     if not (math.isfinite(args.exposure) and args.exposure > 0):
         raise UsageError("--exposure must be a positive number")
 
+    empty = []
+
     def one(channel):
         cfg = ProtocolConfig(channel=channel, action=args.action, input=input_q,
                              source=source, pbs_epsilon=args.pbs_epsilon,
                              roles=args.roles)
-        record, _ = run_protocol(cfg)
-        return record
+        try:
+            return run_protocol(cfg)[0]
+        except NoCoincidenceError as exc:
+            if args.channel != "mix":
+                raise
+            # a half of the mixture that never coincides adds no events to it
+            empty.append(exc)
+            return CountRecord(0.0, 0.0, 0.0, {}, channel, cfg.settings_key())
 
-    try:
-        if args.channel == "mix":
-            record = emulate_mixture(one("g1"), one("g2"), args.mix_p)
-        else:
-            if args.channel == "reference" and args.action != "none":
-                raise UsageError("--channel reference requires --action none")
-            record = one(args.channel)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    if args.channel == "mix":
+        record = emulate_mixture(one("g1"), one("g2"), args.mix_p)
+        if not record.success_probability > 0.0:
+            raise empty[0]
+    else:
+        if args.channel == "reference" and args.action != "none":
+            raise UsageError("--channel reference requires --action none")
+        record = one(args.channel)
 
     fid = record.fidelity()
     row = [args.channel, args.action, args.input,
@@ -402,10 +406,7 @@ def _parse_grid(args):
 
 def cmd_scan_werner(args) -> int:
     grid = _parse_grid(args)
-    try:
-        result = werner_scan(grid)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    result = werner_scan(grid)
     comments = [f"f_allowed crosses 2/3 at q={result.threshold_q:.9f}"]
     columns = ["q", "f_allowed", "f_denied"]
     _emit(_render_table(columns, result.rows, args.fmt, args.full_precision,
@@ -416,17 +417,14 @@ def cmd_scan_werner(args) -> int:
 def cmd_fit_spdc(args) -> int:
     input_q = parse_input_state(args.input)
     eps = args.pbs_epsilon
-    try:
-        configs = {
-            "uncontrolled": ProtocolConfig(channel="reference", action="none",
-                                           input=input_q, pbs_epsilon=eps),
-            "allowed": ProtocolConfig(channel="g1", action="allow",
-                                      input=input_q, pbs_epsilon=eps),
-            "denied": ProtocolConfig(channel="g1", action="deny",
-                                     input=input_q, pbs_epsilon=eps),
-        }
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    configs = {
+        "uncontrolled": ProtocolConfig(channel="reference", action="none",
+                                       input=input_q, pbs_epsilon=eps),
+        "allowed": ProtocolConfig(channel="g1", action="allow",
+                                  input=input_q, pbs_epsilon=eps),
+        "denied": ProtocolConfig(channel="g1", action="deny",
+                                 input=input_q, pbs_epsilon=eps),
+    }
 
     targets = DEFAULT_FIT_TARGETS
     if args.synthetic_ratio is not None:
@@ -461,15 +459,12 @@ def cmd_fit_spdc(args) -> int:
             for label in targets]
     ssr = _fixed(fit.sum_squared_residual, SSR_DIGITS, fp)
 
-    def fixed_format(value: float, spec: str) -> str:
-        return repr(value) if fp else f"{_steady(value):{spec}}"
-
-    comments = [f"fitted_ratio={fixed_format(fit.ratio, '.6f')}",
-                f"sum_squared_residual={fixed_format(ssr, '.6e')}",
+    comments = [f"fitted_ratio={_fmt(fit.ratio, fp, '.6f')}",
+                f"sum_squared_residual={_fmt(ssr, fp, '.6e')}",
                 f"converged={fit.converged}"]
     if not fit.constrained:
         comments.append("warning: targets do not constrain the ratio")
-    comments += [f"warning: ratio {fixed_format(root, '.6f')} fits the targets as well"
+    comments += [f"warning: ratio {_fmt(root, fp, '.6f')} fits the targets as well"
                  for root in fit.other_roots]
     columns = ["config", "target_percent", "achieved_percent", "residual_pp"]
     _emit(_render_table(columns, rows, args.fmt, args.full_precision,
@@ -573,10 +568,10 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return COMMANDS[args.command](args)
-    except UsageError as exc:
+    except (UsageError, ValueError) as exc:     # a ValueError is bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ProtocolError, ValueError, RuntimeError) as exc:
+    except RuntimeError as exc:          # ProtocolError among them
         print(f"simulation error: {exc}", file=sys.stderr)
         return 1
 

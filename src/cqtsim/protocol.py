@@ -31,7 +31,7 @@ emission as dense photon-number vectors: each pair-creation operator
 1/2 a^T Lambda a becomes the quadratic form L Lambda L^T on the output
 modes, and a sector of j forward and k backward pairs is j + k such pair
 creations on vacuum.  The analyzer calibration propagates the ideal source,
-sector (1, 1), through the same matrix and reads two amplitudes off it, so
+sector (1, 1), through the same blocks and reads two amplitudes off it, so
 a run builds no sparse state.  The stage operations ``prepare_ghz`` and
 ``singlet_projection`` turn the same blocks into elements with
 ``elements.port_element`` and apply them to the sparse states of ``fock``.
@@ -47,7 +47,7 @@ import numpy as np
 
 from .channels import PAULI_X
 from .elements import (apply, balanced_bs_matrix, compose, hwp_matrix, pbs_matrix,
-                       phase_matrix, polarizer_matrix, port_element, qwp_matrix)
+                       phase_matrix, polarizer_matrix, port_element)
 from .estimation import fidelity_from_counts
 from .fock import (DEFAULT_N_MAX, H, V, KET_D, KET_H, KET_R, NAMED_KETS, PRUNE_THRESHOLD,
                    PureState, _create_pairs, _mode_units, _number_basis, clicks_at,
@@ -75,6 +75,10 @@ _ALLOW_POLARIZER = {3: polarizer_matrix(KET_R), 1: polarizer_matrix(KET_D)}
 
 class ProtocolError(RuntimeError):
     """The configured pipeline cannot produce any successful event."""
+
+
+class NoCoincidenceError(ProtocolError):
+    """No term of the configured emission clicks all four detectors."""
 
 
 @dataclass(frozen=True)
@@ -168,38 +172,6 @@ class CountRecord:
         return fidelity_from_counts(self.f_parallel, self.f_perp)
 
 
-# --- input encoding -----------------------------------------------------------
-
-def encoding_plate_angles(alpha: complex, beta: complex) -> tuple:
-    """Half- and quarter-wave plate angles preparing alpha|H> + beta|V> from |H>.
-
-    Closed form: the QWP axis bisects the target's equatorial azimuth on the
-    Poincare sphere; the preceding HWP supplies the linear state whose
-    latitude the QWP rotates onto the target.  QWP(q) HWP(h) |H> equals the
-    target up to a global phase.
-    """
-    alpha, beta = complex(alpha), complex(beta)
-    s1 = abs(alpha) ** 2 - abs(beta) ** 2
-    s2 = 2.0 * (np.conj(alpha) * beta).real
-    q = 0.5 * math.atan2(s2, s1)
-    a = math.cos(q) * alpha + math.sin(q) * beta
-    b = -math.sin(q) * alpha + math.cos(q) * beta
-    if abs(a) < 1e-12:
-        delta = math.pi / 2.0
-    else:
-        ratio = b / a
-        if abs(ratio.real) > 1e-9:
-            raise ProtocolError("quarter-wave axis solve failed")
-        delta = math.atan(ratio.imag)
-    return (q + delta) / 2.0, q
-
-
-def _encoder_exact(input_q: InputQubit) -> np.ndarray:
-    # phase-free unitary taking |H> to the input ket; used for calibration
-    return np.array([[input_q.alpha, -np.conj(input_q.beta)],
-                     [input_q.beta, np.conj(input_q.alpha)]], dtype=complex)
-
-
 # --- stations ------------------------------------------------------------------
 
 def ideal_source_state() -> PureState:
@@ -208,6 +180,11 @@ def ideal_source_state() -> PureState:
     bwd = emission_orders("hh", 1, BACKWARD_MODES)[1]
     return PureState({occ_f + occ_b: amp_f * amp_b for occ_f, amp_f in fwd.items()
                       for occ_b, amp_b in bwd.items()}, DEFAULT_N_MAX)
+
+
+def _encoder_exact(input_q: InputQubit) -> np.ndarray:
+    # phase-free unitary taking |H> to the input ket
+    return np.column_stack([input_q.ket(), input_q.orthogonal_ket()])
 
 
 def _ghz_blocks(channel: str, pbs_epsilon: float) -> list:
@@ -220,24 +197,20 @@ def _ghz_blocks(channel: str, pbs_epsilon: float) -> list:
     return blocks + [((1,), _COMPENSATION), ((3,), _COMPENSATION)]
 
 
-def _station_blocks(config: ProtocolConfig, exact_encoder: bool = False) -> list:
+def _station_blocks(config: ProtocolConfig) -> list:
     """The optics of one run, in order, as ``(spatial modes, local matrix)`` blocks.
 
     A block's matrix acts on the H and V modes of its spatial modes, ordered
     (s1, H), (s1, V), (s2, H), ... as in ``elements.port_element``.  The
-    encoder is the pair of wave plates, or with ``exact_encoder`` the
-    phase-free unitary of ``_encoder_exact``; the controller's polarizer
-    comes last unless the action is "none".
+    encoder ``_encoder_exact`` takes the input mode's H, which no earlier block
+    touches, to the input ket; the controller's polarizer comes last unless
+    the action is "none".
     """
     wiring = WIRINGS[config.roles]
     # circular photon in mode 3, to be overlapped with mode 2
     blocks = [] if config.channel == "reference" else [((3,), R_PREP)]
     blocks += _ghz_blocks(config.channel, config.pbs_epsilon)
-    if exact_encoder:
-        blocks.append(((INPUT_MODE,), _encoder_exact(config.input)))
-    else:
-        theta_h, theta_q = encoding_plate_angles(config.input.alpha, config.input.beta)
-        blocks += [((INPUT_MODE,), hwp_matrix(theta_h)), ((INPUT_MODE,), qwp_matrix(theta_q))]
+    blocks.append(((INPUT_MODE,), _encoder_exact(config.input)))
     blocks.append(((wiring.sender_resource, INPUT_MODE), _FIBER_BS))
     if config.action == "deny":
         blocks.append(((wiring.controller,), _DENY_POLARIZER))
@@ -284,7 +257,7 @@ def _calibrated_frame(channel: str, roles: str) -> np.ndarray:
     def receiver_ket(input_q: InputQubit) -> np.ndarray:
         cfg = ProtocolConfig(channel=channel, action=action, input=input_q,
                              source=None, pbs_epsilon=0.0, roles=roles)
-        lin = _optics_matrix(_station_blocks(cfg, exact_encoder=True))
+        lin = _optics_matrix(_station_blocks(cfg))
         state = _emitted(lin @ _LAMBDA_FORWARD @ lin.T, lin @ _LAMBDA_BACKWARD @ lin.T,
                          {(1, 1)})[(1, 1)]
         return state[pattern]
@@ -472,7 +445,7 @@ def run_protocol(config: ProtocolConfig):
             rho_weight += p_cond
 
     if not success > empty_tol:
-        raise ProtocolError(
+        raise NoCoincidenceError(
             f"channel {config.channel}, action {config.action}, input ({config.input.alpha:.4g}, "
             f"{config.input.beta:.4g}), roles {config.roles}: cannot produce a four-fold "
             "coincidence; no configuration of the source terms clicks all four detectors")

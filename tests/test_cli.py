@@ -363,6 +363,22 @@ def test_configuration_without_coincidence_is_named(channel, name, ket, capsys):
            "cannot produce a four-fold coincidence" in captured.err
 
 
+@pytest.mark.parametrize("name", ["h", "v"])
+def test_mixture_half_without_coincidence_adds_no_events(name, capsys):
+    # g1 deny never coincides for h, g2 deny never for v; the other half
+    # coincides with success 0.125 and F = 1, so the p = 0.5 mixture has half that
+    assert run_cli(["run", "--channel", "mix", "--action", "deny", "--input", name,
+                    "--ideal"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == f"mix,deny,{name},0.0625,0,1,0.0625,,"
+    # with all the weight on the empty half the mixture has no events either
+    p = "0" if name == "h" else "1"
+    assert run_cli(["run", "--channel", "mix", "--action", "deny", "--input", name,
+                    "--ideal", "--mix-p", p]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "cannot produce a four-fold coincidence" in captured.err
+
+
 @pytest.mark.parametrize("kappa", ["3e-8", "1e-12"])
 def test_weak_pumping_still_coincides(kappa, capsys):
     assert run_cli(["run", "--kappa-forward", kappa, "--kappa-backward", kappa]) == 0
@@ -452,12 +468,27 @@ def test_bad_numeric_input_is_usage_error(argv, tmp_path, capsys):
     assert "Traceback" not in err
 
 
-# --- too-large background weight ---------------------------------------------------
-
 def write_counts(path, counts):
     lines = ["label,projector,count"] + [f"{name},{name},{n}" for name, n in counts.items()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
+
+@pytest.mark.parametrize("resamples", [[], ["--resamples", "100", "--seed", "1"]],
+                         ids=["point", "resampled"])
+@pytest.mark.parametrize("table, message", [
+    ({"h": 10, "v": 5}, "projector set is not informationally complete"),
+    (dict.fromkeys(AXIAL, 0), "all counts are zero"),
+], ids=["incomplete", "zeros"])
+def test_tomo_degenerate_table_is_usage_error(table, message, resamples, tmp_path, capsys):
+    counts = tmp_path / "counts.csv"
+    write_counts(counts, table)
+    assert run_cli(["tomo", "--counts", str(counts)] + resamples) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+# --- too-large background weight ---------------------------------------------------
 
 def test_tomo_weight_too_large_for_resamples_is_usage_error(tmp_path, capsys):
     # about 100 counts per projector and a raw fidelity near 0.624: the point
@@ -501,12 +532,6 @@ def test_state_value_with_leading_minus_parses(tmp_path, capsys):
 
 # --- internal consistency failures ------------------------------------------------------
 
-def _break_atan2(monkeypatch):
-    # a wrong quarter-wave axis leaves the plate solve inconsistent
-    atan2 = math.atan2
-    monkeypatch.setattr(math, "atan2", lambda y, x: atan2(y, x) + 0.3)
-
-
 def _break_frame_unitarity(monkeypatch):
     from cqtsim import protocol
     # an encoder that ignores its input maps |H> and |V> alike
@@ -522,7 +547,6 @@ def _break_frame_cross_check(monkeypatch):
 
 
 @pytest.mark.parametrize("breaker, message", [
-    (_break_atan2, "quarter-wave axis solve failed"),
     (_break_frame_unitarity, "non-unitary frame"),
     (_break_frame_cross_check, "failed cross-check"),
 ])

@@ -33,9 +33,9 @@ def sectors(config):
     return coincidence_sectors(four_mode_source(config.source))
 
 
-def station_elements(config, exact_encoder=False):
+def station_elements(config):
     """The stations and the controller's polarizer as sparse elements, in order."""
-    return _elements(_station_blocks(config, exact_encoder))
+    return _elements(_station_blocks(config))
 
 
 def apply_all(state, elements):
@@ -51,7 +51,7 @@ def sequential_frame(channel, roles="standard"):
     def receiver_ket(input_q):
         cfg = ProtocolConfig(channel=channel, action=action, input=input_q,
                              source=None, pbs_epsilon=0.0, roles=roles)
-        state = apply_all(ideal_source_state(), station_elements(cfg, exact_encoder=True))
+        state = apply_all(ideal_source_state(), station_elements(cfg))
         env = {(wiring.sender_resource, H): 1, (INPUT_MODE, V): 1,
                (wiring.controller, H): 1}
         return np.array([

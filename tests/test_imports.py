@@ -1,10 +1,13 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+every private module-level name it defines is used somewhere in the package.
 
-The package's ``__init__`` is exempt: it imports names to re-export them.
-The check reads the source with ``ast`` alone, so it needs no linter.
+The package's ``__init__`` is exempt from the first check: it imports names
+to re-export them.  The checks read the source with ``ast`` alone, so they
+need no linter.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -36,3 +39,55 @@ def test_module_uses_every_name_it_imports(path):
 def test_unused_import_is_reported():
     source = "import math\nfrom os import path, sep as s\nprint(path.join('a'))\n"
     assert unused_imports(source) == [(1, "math"), (2, "s")]
+
+
+def references(tree):
+    """Every name ``tree`` reads: bare names, attributes and names imported from a module."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.ImportFrom):
+            yield from (alias.name for alias in node.names)
+
+
+def private_definitions(tree):
+    """``(name, node)`` of each module-level function, class or assignment named
+    ``_name``, dunders excluded."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield name, node
+
+
+def unused_private_names(sources: dict) -> list:
+    """``(file, name)`` of the private definitions in ``sources`` (file name to
+    source) that no code outside the definition itself refers to."""
+    trees = {file: ast.parse(source) for file, source in sources.items()}
+    used = Counter(name for tree in trees.values() for name in references(tree))
+    return sorted((file, name) for file, tree in trees.items()
+                  for name, node in private_definitions(tree)
+                  if used[name] <= Counter(references(node))[name])
+
+
+def test_package_uses_every_private_name_it_defines():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert unused_private_names(sources) == []
+
+
+def test_unused_private_name_is_reported():
+    sources = {
+        "a.py": ("_kept = 1\n_dead: int = 2\n__dunder__ = 3\n"
+                 "def _recursive(n):\n    return _recursive(n - 1)\n"
+                 "class _Used:\n    pass\n"),
+        "b.py": "from .a import _kept\nimport a\nprint(_kept, a._Used)\n",
+    }
+    assert unused_private_names(sources) == [("a.py", "_dead"), ("a.py", "_recursive")]

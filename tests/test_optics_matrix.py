@@ -15,11 +15,10 @@ import numpy as np
 import pytest
 
 from cqtsim import protocol
-from cqtsim.elements import OpticalElement, compose, hwp_matrix, qwp_matrix
+from cqtsim.elements import OpticalElement, compose, hwp_matrix
 from cqtsim.fock import H, V, KET_D, KET_H, KET_R
 from cqtsim.protocol import (COMPENSATION_PHASE, INPUT_MODE, R_PREP, WIRINGS,
-                             InputQubit, ProtocolConfig, ProtocolError,
-                             encoding_plate_angles, run_protocol)
+                             InputQubit, ProtocolConfig, ProtocolError, run_protocol)
 from test_composed_vs_sequential import RUNS
 
 DENSE_MODES = tuple((spatial, pol) for spatial in (1, 2, 3, 4) for pol in (H, V))
@@ -69,7 +68,7 @@ def pbs(port_a, port_b, epsilon):
     })
 
 
-def setup_elements(config, exact_encoder=False):
+def setup_elements(config):
     """Stations, encoder, fiber BS and controller's polarizer, element by element."""
     wiring = WIRINGS[config.roles]
     els = []
@@ -81,13 +80,8 @@ def setup_elements(config, exact_encoder=False):
         els.append(pbs(2, 3, config.pbs_epsilon))
     els += [phase_plate(1, COMPENSATION_PHASE), phase_plate(3, COMPENSATION_PHASE)]
     q = config.input
-    if exact_encoder:
-        els.append(jones_element(INPUT_MODE, [[q.alpha, -np.conj(q.beta)],
-                                              [q.beta, np.conj(q.alpha)]]))
-    else:
-        theta_h, theta_q = encoding_plate_angles(q.alpha, q.beta)
-        els += [jones_element(INPUT_MODE, hwp_matrix(theta_h)),
-                jones_element(INPUT_MODE, qwp_matrix(theta_q))]
+    els.append(jones_element(INPUT_MODE, [[q.alpha, -np.conj(q.beta)],
+                                          [q.beta, np.conj(q.alpha)]]))
     els.append(balanced_bs(wiring.sender_resource, INPUT_MODE))
     if config.action == "deny":
         els.append(polarizer(wiring.controller, KET_H))
@@ -143,10 +137,10 @@ def test_run_matrix_equals_composed_map(channel, action, roles, epsilon, monkeyp
         oracle = linear_map(compose(setup_elements(config)
                                     + [jones_element(wiring.receiver, analyzer)]))
         assert np.max(np.abs(run_matrix(config, monkeypatch) - oracle)) <= 1e-15
-        # the calibration's optics, exact encoder and no analyzer, from the same blocks
-        exact = protocol._optics_matrix(protocol._station_blocks(config, exact_encoder=True))
-        oracle = linear_map(compose(setup_elements(config, exact_encoder=True)))
-        assert np.max(np.abs(exact - oracle)) <= 1e-15
+        # the calibration's optics, the same blocks without the analyzer
+        stations = protocol._optics_matrix(protocol._station_blocks(config))
+        oracle = linear_map(compose(setup_elements(config)))
+        assert np.max(np.abs(stations - oracle)) <= 1e-15
 
 
 @pytest.mark.parametrize("channel, action, roles", RUNS)

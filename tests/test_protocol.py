@@ -5,15 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cqtsim import protocol
 from cqtsim.channels import conditional_teleport_output, make_ghz_mixture
 from cqtsim.elements import apply, port_element
 from cqtsim.fock import (H, V, PureState, basis_state, fidelity, occupation, overlap,
                          tensor)
-from cqtsim.protocol import (AXIAL_INPUT_NAMES, InputQubit, ProtocolConfig,
+from cqtsim.protocol import (AXIAL_INPUT_NAMES, INPUT_MODE, InputQubit, ProtocolConfig,
                              ProtocolError, R_PREP, analyzer_frame, emulate_mixture,
-                             encoding_plate_angles, prepare_ghz, run_protocol,
-                             singlet_projection)
+                             prepare_ghz, run_protocol, singlet_projection)
 from cqtsim.spdc import SourceParams
+from test_composed_vs_sequential import RUNS
 
 _SQ2 = math.sqrt(2.0)
 
@@ -82,21 +83,31 @@ def test_swapped_roles_limited_to_g1():
 
 # --- encoding -------------------------------------------------------------------
 
-@pytest.mark.parametrize("name", AXIAL_INPUT_NAMES)
-def test_encoding_plates_reach_axial_states(name):
-    from cqtsim.elements import hwp_matrix, qwp_matrix
-    iq = InputQubit.from_name(name)
-    th, tq = encoding_plate_angles(iq.alpha, iq.beta)
-    out = qwp_matrix(tq) @ hwp_matrix(th) @ np.array([1, 0], dtype=complex)
-    assert abs(np.vdot(iq.ket(), out)) ** 2 == pytest.approx(1.0, abs=1e-12)
+@pytest.mark.parametrize("channel, action, roles", RUNS)
+def test_encoder_phase_changes_no_rate(channel, action, roles, monkeypatch):
+    # wave plates preparing the input ket from H differ from the phase-free
+    # encoder by a global phase: a sector of k backward pairs holds k photons
+    # in the input mode and gains e^{ik phi}, which no incoherent rate sees
+    config = ProtocolConfig(channel=channel, action=action, roles=roles,
+                            input=InputQubit.from_components(0.6, 0.8j * np.exp(0.3j)),
+                            source=SourceParams(kappa_forward=0.1, kappa_backward=0.055,
+                                                truncation_order=3))
+    blocks = protocol._station_blocks(config)
+    at = next(i for i, (spatials, matrix) in enumerate(blocks) if spatials == (INPUT_MODE,)
+              and np.array_equal(matrix, protocol._encoder_exact(config.input)))
+    # so the input-mode photon is still H when it reaches the encoder
+    assert all(INPUT_MODE not in spatials for spatials, _ in blocks[:at])
 
-
-def test_encoding_plates_reach_generic_state():
-    from cqtsim.elements import hwp_matrix, qwp_matrix
-    iq = InputQubit.from_components(0.6, 0.8j * np.exp(0.3j))
-    th, tq = encoding_plate_angles(iq.alpha, iq.beta)
-    out = qwp_matrix(tq) @ hwp_matrix(th) @ np.array([1, 0], dtype=complex)
-    assert abs(np.vdot(iq.ket(), out)) ** 2 == pytest.approx(1.0, abs=1e-12)
+    record, rho = run_protocol(config)      # calibrates the frame, which stays cached
+    exact = protocol._encoder_exact
+    monkeypatch.setattr(protocol, "_encoder_exact", lambda q: np.exp(0.7j) * exact(q))
+    phased, phased_rho = run_protocol(config)
+    for name in ("f_parallel", "f_perp", "success_probability"):
+        assert getattr(phased, name) == pytest.approx(getattr(record, name), rel=1e-15)
+    assert phased.per_term.keys() == record.per_term.keys()
+    for label, rate in record.per_term.items():
+        assert phased.per_term[label] == pytest.approx(rate, rel=1e-15)
+    assert np.max(np.abs(phased_rho - rho)) <= 1e-15
 
 
 # --- GHZ preparation -------------------------------------------------------------
