@@ -14,14 +14,13 @@ bit-identical to ``werner_point`` at the same q.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .fock import KET_D, KET_H, KET_R, basis_pairs
+from .fock import KET_D, KET_H, basis_pairs
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -190,33 +189,18 @@ def _teleport_branches(channel: np.ndarray, psis: np.ndarray):
     return probs, states
 
 
-@functools.cache
-def standard_corrections() -> dict:
-    """Pauli frame that inverts teleportation over the (|HH>+|VV>)/sqrt2 channel."""
-    channel = ket_outer(bell_kets()["phi+"])
-    probes = np.array([KET_H, KET_D, KET_R])
-    _, states = _teleport_branches(channel, probes)
-    out = {}
-    for k, label in enumerate(_BELL_LABELS):
-        for name, pauli in PAULIS.items():
-            if all(abs(float(np.real(probe.conj() @ pauli @ state @ pauli.conj().T @ probe))
-                       - 1.0) <= 1e-10
-                   for probe, state in zip(probes, states[:, k])):
-                out[label] = pauli
-                break
-        else:
-            raise RuntimeError(f"no Pauli inverts outcome {label}")
-    return out
+# Pauli frame that inverts teleportation over the (|HH>+|VV>)/sqrt2 channel,
+# one correction per Bell outcome
+STANDARD_CORRECTIONS = {"phi+": PAULI_I, "phi-": PAULI_Z, "psi+": PAULI_X, "psi-": PAULI_Y}
 
 
 def _frame_fidelities(channels: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Fidelity of teleporting ``psi`` with the ``standard_corrections`` Pauli
+    """Fidelity of teleporting ``psi`` with the ``STANDARD_CORRECTIONS`` Pauli
     frame over each channel of a stack (m, 4, 4)."""
-    corrections = standard_corrections()
     probs, states = _teleport_branches(channels, psi[None, :])
     total = np.zeros(len(channels))
     for k, label in enumerate(_BELL_LABELS):
-        c = corrections[label]
+        c = STANDARD_CORRECTIONS[label]
         # psi^dag c state c^dag psi, one (1, 2) row per channel (see above)
         fids = ((psi.conj() @ c)[None, :] @ states[:, 0, k] @ c.conj().T
                 @ psi[:, None])[:, 0, 0].real
@@ -226,7 +210,7 @@ def _frame_fidelities(channels: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def teleport_fidelity(channel: np.ndarray, psi: np.ndarray) -> float:
-    """Fidelity of teleporting ``psi`` with the ``standard_corrections`` Pauli frame."""
+    """Fidelity of teleporting ``psi`` with the ``STANDARD_CORRECTIONS`` Pauli frame."""
     psi = np.asarray(psi, dtype=complex).ravel()
     return float(_frame_fidelities(np.asarray(channel, dtype=complex)[None], psi)[0])
 

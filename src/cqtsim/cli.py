@@ -70,10 +70,6 @@ RHO_DIGITS = 6              # density-matrix entries
 STATE_OPTIONS = ("--input", "--target")
 
 
-class UsageError(Exception):
-    """Bad flags, bad config values, malformed input files."""
-
-
 # --- formatting and output -------------------------------------------------------
 
 def _steady(value: float) -> float:
@@ -241,7 +237,7 @@ def _config_argv(argv):
     try:
         path = argv[idx + 1]
     except IndexError:
-        raise UsageError("--config needs a path") from None
+        raise ValueError("--config needs a path") from None
     command = argv[0] if argv and not argv[0].startswith("-") else None
     if command is None:
         return argv
@@ -250,7 +246,7 @@ def _config_argv(argv):
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
     except (OSError, configparser.Error) as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from None
+        raise ValueError(f"cannot read config {path}: {exc}") from None
     if not cp.has_section(command):
         return argv
     prefix = []
@@ -273,27 +269,27 @@ def parse_input_state(text: str) -> InputQubit:
         try:
             deg = float(text.split(":", 1)[1])
         except ValueError:
-            raise UsageError(f"bad linear polarization angle in {text!r}") from None
+            raise ValueError(f"bad linear polarization angle in {text!r}") from None
         if not math.isfinite(deg):
-            raise UsageError(f"bad linear polarization angle in {text!r}")
+            raise ValueError(f"bad linear polarization angle in {text!r}")
         rad = math.radians(deg)
         return InputQubit.from_components(math.cos(rad), math.sin(rad))
     if "," in text:
         parts = text.split(",")
         if len(parts) != 2:
-            raise UsageError(f"bad input state {text!r}")
+            raise ValueError(f"bad input state {text!r}")
         try:
             return InputQubit.from_components(complex(parts[0]), complex(parts[1]))
         except ValueError:
-            raise UsageError(f"bad input state {text!r}") from None
-    raise UsageError(f"unknown input state {text!r}")
+            raise ValueError(f"bad input state {text!r}") from None
+    raise ValueError(f"unknown input state {text!r}")
 
 
 # --- subcommands -----------------------------------------------------------------------
 
 def _source_from_args(args):
     if not 1 <= args.truncation_order <= MAX_TRUNCATION_ORDER:
-        raise UsageError(f"--truncation-order must lie between 1 and {MAX_TRUNCATION_ORDER}")
+        raise ValueError(f"--truncation-order must lie between 1 and {MAX_TRUNCATION_ORDER}")
     if args.ideal:
         return None
     if args.kappa_forward is None and args.kappa_backward is None:
@@ -306,11 +302,11 @@ def _source_from_args(args):
 
 def _check_resamples(args):
     if args.seed is not None and args.seed < 0:
-        raise UsageError("--seed must be a non-negative integer")
+        raise ValueError("--seed must be a non-negative integer")
     if args.resamples and args.seed is None:
-        raise UsageError("--resamples needs an explicit --seed")
+        raise ValueError("--resamples needs an explicit --seed")
     if args.resamples and not 100 <= args.resamples <= MAX_RESAMPLES:
-        raise UsageError(f"--resamples must be 0 or between 100 and {MAX_RESAMPLES}")
+        raise ValueError(f"--resamples must be 0 or between 100 and {MAX_RESAMPLES}")
 
 
 def cmd_run(args) -> int:
@@ -318,7 +314,7 @@ def cmd_run(args) -> int:
     source = _source_from_args(args)
     _check_resamples(args)
     if not (math.isfinite(args.exposure) and args.exposure > 0):
-        raise UsageError("--exposure must be a positive number")
+        raise ValueError("--exposure must be a positive number")
 
     empty = []
 
@@ -333,15 +329,17 @@ def cmd_run(args) -> int:
                 raise
             # a half of the mixture that never coincides adds no events to it
             empty.append(exc)
-            return CountRecord(0.0, 0.0, 0.0, {}, channel, cfg.settings_key())
+            return CountRecord(0.0, 0.0, 0.0, {}, cfg.settings_key())
 
     if args.channel == "mix":
+        if not 0.0 <= args.mix_p <= 1.0:
+            raise ValueError("--mix-p must lie in [0, 1]")
         record = emulate_mixture(one("g1"), one("g2"), args.mix_p)
         if not record.success_probability > 0.0:
             raise empty[0]
     else:
         if args.channel == "reference" and args.action != "none":
-            raise UsageError("--channel reference requires --action none")
+            raise ValueError("--channel reference requires --action none")
         record = one(args.channel)
 
     fid = record.fidelity()
@@ -358,7 +356,7 @@ def cmd_run(args) -> int:
             # the rates are nonzero, so only the exposure can leave no counts
             # or make a mean count too large for the sampler
             size = "large" if max(counts) > POISSON_MAX_MEAN else "small"
-            raise UsageError(f"--exposure {args.exposure:g} is too {size} for these "
+            raise ValueError(f"--exposure {args.exposure:g} is too {size} for these "
                              f"rates: {exc}") from None
         row[-2], row[-1] = est.value, est.uncertainty
     columns = ["channel", "action", "input", "f_parallel", "f_perp", "fidelity",
@@ -383,25 +381,25 @@ def _parse_grid(args):
     if args.q_list is not None:
         items = [s for s in args.q_list.split(",") if s.strip()]
         if not items:
-            raise UsageError("empty q list")
+            raise ValueError("empty q list")
         if len(items) > MAX_Q_POINTS:
-            raise UsageError(f"q list has more than {MAX_Q_POINTS} points")
+            raise ValueError(f"q list has more than {MAX_Q_POINTS} points")
         try:
             return [float(s) for s in items]
         except ValueError:
-            raise UsageError(f"bad q list {args.q_list!r}") from None
+            raise ValueError(f"bad q list {args.q_list!r}") from None
     if args.q_grid is not None:
         parts = args.q_grid.split(":")
         if len(parts) != 3:
-            raise UsageError("grid must be start:stop:num")
+            raise ValueError("grid must be start:stop:num")
         try:
             start, stop, num = float(parts[0]), float(parts[1]), int(parts[2])
         except ValueError:
-            raise UsageError(f"bad grid {args.q_grid!r}") from None
+            raise ValueError(f"bad grid {args.q_grid!r}") from None
         if not 1 <= num <= MAX_Q_POINTS:
-            raise UsageError(f"grid needs between 1 and {MAX_Q_POINTS} points")
+            raise ValueError(f"grid needs between 1 and {MAX_Q_POINTS} points")
         return list(np.linspace(start, stop, num))
-    raise UsageError("scan-werner needs --q-grid or --q-list")
+    raise ValueError("scan-werner needs --q-grid or --q-list")
 
 
 def cmd_scan_werner(args) -> int:
@@ -430,17 +428,17 @@ def cmd_fit_spdc(args) -> int:
     if args.synthetic_ratio is not None:
         lo, hi = RATIO_BOUNDS
         if not lo < args.synthetic_ratio <= hi:
-            raise UsageError(f"--synthetic-ratio must lie in ({lo:g}, {hi:g}]")
+            raise ValueError(f"--synthetic-ratio must lie in ({lo:g}, {hi:g}]")
     elif args.targets is not None:
         parts = args.targets.split(",")
         if len(parts) != 3:
-            raise UsageError("--targets needs three percentages: unc,allowed,denied")
+            raise ValueError("--targets needs three percentages: unc,allowed,denied")
         try:
             pcts = [float(p) for p in parts]
         except ValueError:
-            raise UsageError(f"bad targets {args.targets!r}") from None
+            raise ValueError(f"bad targets {args.targets!r}") from None
         if not all(0.0 <= v <= 100.0 for v in pcts):
-            raise UsageError("--targets must be percentages in [0, 100]")
+            raise ValueError("--targets must be percentages in [0, 100]")
         targets = dict(zip(("uncontrolled", "allowed", "denied"),
                            [v / 100.0 for v in pcts]))
 
@@ -476,19 +474,19 @@ def cmd_tomo(args) -> int:
     try:
         counts = read_counts_csv(args.counts)
     except (OSError, ValueError) as exc:
-        raise UsageError(f"cannot read counts: {exc}") from None
+        raise ValueError(f"cannot read counts: {exc}") from None
     target_q = parse_input_state(args.target)
     target = target_q.ket()
     _check_resamples(args)
     if not 0.0 <= args.weight < 1.0:
-        raise UsageError("--weight must lie in [0, 1)")
+        raise ValueError("--weight must lie in [0, 1)")
 
     result = ml_reconstruct(counts)
     raw_fid = fidelity(result.rho, target)
     try:
         corrected = correct_for_background(result.rho, args.weight)
     except NonPhysicalError as exc:
-        raise UsageError(f"--weight {args.weight!r} is too large for these counts: "
+        raise ValueError(f"--weight {args.weight!r} is too large for these counts: "
                          f"the corrected state has eigenvalue "
                          f"{exc.min_eigenvalue:.2e}, below -1e-3") from None
     corr_fid = fidelity(corrected, target)
@@ -509,12 +507,12 @@ def cmd_tomo(args) -> int:
             est = poisson_uncertainty(counts, seed=args.seed, n_resamples=args.resamples,
                                       background_w=args.weight, target=target)
         except NonPhysicalError as exc:
-            raise UsageError(f"--weight {args.weight!r} is too large for these counts: "
+            raise ValueError(f"--weight {args.weight!r} is too large for these counts: "
                              f"{exc.n_bad} of {exc.n_states} resamples have a corrected "
                              f"eigenvalue below -1e-3 (lowest "
                              f"{exc.min_eigenvalue:.2e})") from None
         except ValueError as exc:
-            raise UsageError(f"cannot resample these counts: {exc}") from None
+            raise ValueError(f"cannot resample these counts: {exc}") from None
         payload["fidelity_mean"] = est.value
         payload["fidelity_std"] = est.uncertainty
 
@@ -559,7 +557,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _attach_state_values(_config_argv(argv))
-    except UsageError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
@@ -568,7 +566,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return COMMANDS[args.command](args)
-    except (UsageError, ValueError) as exc:     # a ValueError is bad input
+    except ValueError as exc:            # bad input
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RuntimeError as exc:          # ProtocolError among them

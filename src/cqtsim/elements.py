@@ -159,4 +159,4 @@ def apply(element: OpticalElement, state: PureState) -> PureState:
                 ket = _create(ket, sub[m].items())
         for key, a in ket.items():
             out[key] = out.get(key, 0.0j) + a
-    return PureState(out, state.n_max)
+    return PureState(out)

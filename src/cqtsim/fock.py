@@ -38,7 +38,6 @@ H = "H"
 V = "V"
 POLARIZATIONS = (H, V)
 
-DEFAULT_N_MAX = 4
 PRUNE_THRESHOLD = 1e-15     # relative to a state's largest amplitude
 
 # Single-qubit polarization kets (column vectors of length 2).
@@ -234,24 +233,19 @@ class PureState:
     ``PureState(terms)`` canonicalises every key through ``occupation``, so a
     key may be any mode -> count mapping or pair list, and terms whose keys
     coincide add up.  It drops amplitudes below ``prune`` times the largest
-    one as rounding residue and raises ``SectorError`` for a term above
-    ``n_max`` photons.  The cut is relative, so a weak term survives at any
-    overall scale of the state; ``prune=0`` drops exact zeros only.
+    one as rounding residue.  The cut is relative, so a weak term survives at
+    any overall scale of the state; ``prune=0`` drops exact zeros only.  No
+    photon number is capped: the elements are passive, so applying one never
+    adds photons.
     """
 
-    def __init__(self, terms: Mapping, n_max: int = DEFAULT_N_MAX,
-                 prune: float = PRUNE_THRESHOLD):
+    def __init__(self, terms: Mapping, prune: float = PRUNE_THRESHOLD):
         data: dict = {}
         for occ, amp in terms.items():
             key = occupation(occ)
             data[key] = data.get(key, 0.0j) + complex(amp)
-        self.n_max = int(n_max)
         cut = prune * max(map(abs, data.values()), default=0.0)
         self.terms = {k: a for k, a in data.items() if abs(a) > cut}
-        for key in self.terms:
-            if total_photons(key) > self.n_max:
-                raise SectorError(
-                    f"term with {total_photons(key)} photons exceeds n_max={self.n_max}")
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -273,7 +267,7 @@ class PureState:
         n = math.sqrt(self.norm_sq())
         if n == 0.0:
             raise ValueError("cannot normalize the zero state")
-        return PureState({k: a / n for k, a in self.terms.items()}, self.n_max, prune=0.0)
+        return PureState({k: a / n for k, a in self.terms.items()}, prune=0.0)
 
     def modes(self) -> set:
         out: set = set()
@@ -282,21 +276,17 @@ class PureState:
         return out
 
 
-def vacuum(n_max: int = DEFAULT_N_MAX) -> PureState:
-    return PureState({(): 1.0}, n_max=n_max)
-
-
-def basis_state(counts, n_max: int = DEFAULT_N_MAX) -> PureState:
+def basis_state(counts) -> PureState:
     """Single Fock basis ket with unit amplitude, e.g. basis_state({(1, H): 1})."""
-    return PureState({occupation(counts): 1.0}, n_max)
+    return PureState({occupation(counts): 1.0})
 
 
-def single_photon(spatial: int, jones: np.ndarray, n_max: int = DEFAULT_N_MAX) -> PureState:
+def single_photon(spatial: int, jones: np.ndarray) -> PureState:
     """One photon in the given spatial mode with polarization ket ``jones``."""
     jones = np.asarray(jones, dtype=complex)
     if jones.shape != (2,) or not jones.any():
         raise ValueError(f"jones must be a non-zero 2-vector, got {jones.tolist()!r}")
-    return PureState({(((spatial, H), 1),): jones[0], (((spatial, V), 1),): jones[1]}, n_max)
+    return PureState({(((spatial, H), 1),): jones[0], (((spatial, V), 1),): jones[1]})
 
 
 def overlap(a: PureState, b: PureState) -> complex:
@@ -306,19 +296,15 @@ def overlap(a: PureState, b: PureState) -> complex:
     return sum(np.conj(amp) * b.terms.get(occ, 0.0j) for occ, amp in a.terms.items())
 
 
-def tensor(a: PureState, b: PureState, n_max: int | None = None) -> PureState:
-    """Compose states on disjoint mode sets; an explicit ``n_max`` drops terms above it."""
+def tensor(a: PureState, b: PureState) -> PureState:
+    """Compose states on disjoint mode sets, keeping every product term."""
     if a.modes() & b.modes():
         raise ModeOverlapError(f"overlapping modes: {sorted(a.modes() & b.modes())}")
-    if n_max is None:
-        n_max = a.n_max + b.n_max
     out: dict = {}
     for occ_a, amp_a in a.terms.items():
         for occ_b, amp_b in b.terms.items():
-            if total_photons(occ_a) + total_photons(occ_b) > n_max:
-                continue
             out[occ_a + occ_b] = amp_a * amp_b
-    return PureState(out, n_max)
+    return PureState(out)
 
 
 def project(state: PureState, predicate: Callable[[tuple], bool],
@@ -335,7 +321,7 @@ def project(state: PureState, predicate: Callable[[tuple], bool],
     if prob < empty_tol:
         return None, prob
     scale = 1.0 / math.sqrt(prob)
-    return PureState({k: a * scale for k, a in kept.items()}, state.n_max), prob
+    return PureState({k: a * scale for k, a in kept.items()}), prob
 
 
 def clicks_at(spatials: Iterable[int]) -> Callable[[tuple], bool]:

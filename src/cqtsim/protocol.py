@@ -49,7 +49,7 @@ from .channels import PAULI_X
 from .elements import (apply, balanced_bs_matrix, compose, hwp_matrix, pbs_matrix,
                        phase_matrix, polarizer_matrix, port_element)
 from .estimation import fidelity_from_counts
-from .fock import (DEFAULT_N_MAX, H, V, KET_D, KET_H, KET_R, NAMED_KETS, PRUNE_THRESHOLD,
+from .fock import (H, V, KET_D, KET_H, KET_R, NAMED_KETS, PRUNE_THRESHOLD,
                    PureState, _create_pairs, _mode_units, _number_basis, clicks_at,
                    project, spatial_counts, unit_pair)
 from .spdc import (BACKWARD_MODES, FORWARD_MODES, PAIR_KINDS, SourceParams,
@@ -165,7 +165,6 @@ class CountRecord:
     f_perp: float
     success_probability: float
     per_term: dict
-    channel: str
     settings: tuple
 
     def fidelity(self) -> float:
@@ -179,7 +178,7 @@ def ideal_source_state() -> PureState:
     fwd = emission_orders("phi_plus", 1, FORWARD_MODES)[1]
     bwd = emission_orders("hh", 1, BACKWARD_MODES)[1]
     return PureState({occ_f + occ_b: amp_f * amp_b for occ_f, amp_f in fwd.items()
-                      for occ_b, amp_b in bwd.items()}, DEFAULT_N_MAX)
+                      for occ_b, amp_b in bwd.items()})
 
 
 def _encoder_exact(input_q: InputQubit) -> np.ndarray:
@@ -458,7 +457,7 @@ def run_protocol(config: ProtocolConfig):
         rho = PAULI_X @ rho @ PAULI_X
     record = CountRecord(f_parallel=f_par, f_perp=f_perp,
                          success_probability=success, per_term=per_term,
-                         channel=config.channel, settings=config.settings_key())
+                         settings=config.settings_key())
     return record, rho
 
 
@@ -485,14 +484,15 @@ def prepare_ghz(source_state: PureState, pbs_epsilon: float = 0.0,
     return state, prob
 
 
-def singlet_projection(state: PureState, mode_a: int = 1, mode_b: int = INPUT_MODE):
-    """Balanced-BS overlap of two modes, post-selected on anti-bunching.
+def singlet_projection(state: PureState):
+    """Balanced-BS overlap of modes 1 and ``INPUT_MODE``, post-selected on
+    anti-bunching: a click in each of the two.
 
     Returns ``(conditional_state, probability)``; the conditional is ``None``
     when anti-bunching never occurs (bunching-only inputs).
     """
-    out = apply(port_element((mode_a, mode_b), _FIBER_BS), state)
-    return project(out, clicks_at([mode_a, mode_b]))
+    out = apply(port_element((1, INPUT_MODE), _FIBER_BS), state)
+    return project(out, clicks_at([1, INPUT_MODE]))
 
 
 def emulate_mixture(record_g1: CountRecord, record_g2: CountRecord, p: float) -> CountRecord:
@@ -514,6 +514,5 @@ def emulate_mixture(record_g1: CountRecord, record_g2: CountRecord, p: float) ->
         success_probability=(1 - p) * record_g1.success_probability
         + p * record_g2.success_probability,
         per_term=per_term,
-        channel=f"mixture(p={p:g})",
         settings=record_g1.settings,
     )

@@ -87,8 +87,7 @@ def two_mode_spdc(kappa: complex, truncation_order: int = 2,
     for n, level in enumerate(levels):
         for occ, amp in level.items():
             terms[occ] = terms.get(occ, 0.0j) + (kappa ** n) * amp
-    state = PureState(terms, n_max=2 * truncation_order)
-    return state.normalized()
+    return PureState(terms).normalized()
 
 
 def four_mode_source(params: SourceParams) -> PureState:
@@ -110,12 +109,12 @@ def four_mode_source(params: SourceParams) -> PureState:
             for occ_f, amp_f in fwd[j].items():
                 for occ_b, amp_b in bwd[k].items():
                     terms[occ_f + occ_b] = weight * amp_f * amp_b
-    return PureState(terms, 2 * order, prune=0.0).normalized()
+    return PureState(terms, prune=0.0).normalized()
 
 
-def signature_label(occ: tuple, spatials=(1, 2, 3, 4)) -> str:
+def signature_label(occ: tuple) -> str:
     counts = spatial_counts(occ)
-    return "".join(str(counts.get(s, 0)) for s in spatials)
+    return "".join(str(counts.get(s, 0)) for s in (1, 2, 3, 4))
 
 
 def coincidence_sectors(state: PureState, min_photons: int = 4) -> dict:
@@ -131,8 +130,7 @@ def coincidence_sectors(state: PureState, min_photons: int = 4) -> dict:
             continue
         label = signature_label(occ)
         sectors.setdefault(label, {})[occ] = amp
-    return {label: PureState(terms, state.n_max)
-            for label, terms in sorted(sectors.items())}
+    return {label: PureState(terms) for label, terms in sorted(sectors.items())}
 
 
 def sector_rates(params: SourceParams, config) -> dict:

@@ -24,12 +24,12 @@ import warnings
 import numpy as np
 import pytest
 
-from cqtsim.channels import (_BELL, _BELL_LABELS, PAULI_I, PAULIS, ConditionalChannel,
-                             _teleport_branches, avg_teleport_fidelity, bell_kets,
-                             condition_on_controller, conditional_teleport_output,
+from cqtsim.channels import (_BELL, _BELL_LABELS, PAULI_I, PAULIS, STANDARD_CORRECTIONS,
+                             ConditionalChannel, _teleport_branches, avg_teleport_fidelity,
+                             bell_kets, condition_on_controller, conditional_teleport_output,
                              fully_entangled_fraction, ghz_ket, ket_outer,
                              make_ghz_mixture, make_werner, mc_avg_teleport_fidelity,
-                             partial_trace, standard_corrections, teleport_fidelity,
+                             partial_trace, teleport_fidelity,
                              werner_point, werner_scan)
 from cqtsim.estimation import (NonPhysicalError, ProjectionCounts, _ml_kernel, _mul2,
                                axial_counts, correct_for_background, ml_reconstruct,
@@ -223,14 +223,13 @@ def rowwise_teleport_branches(channel: np.ndarray, psis: np.ndarray):
 
 
 def rowwise_teleport_fidelity(channel: np.ndarray, psi: np.ndarray) -> float:
-    corrections = standard_corrections()
     psi = np.asarray(psi, dtype=complex).ravel()
     probs, states = rowwise_teleport_branches(channel, psi[None, :])
     total = 0.0
     for label, prob, state in zip(_BELL_LABELS, probs[0], states[0]):
         if prob < 1e-14:
             continue
-        c = corrections[label]
+        c = STANDARD_CORRECTIONS[label]
         # Python floats throughout: the CLI prints repr() of the result
         total += float(prob) * float(np.real(psi.conj() @ c @ state @ c.conj().T @ psi))
     return total

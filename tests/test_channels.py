@@ -1,11 +1,11 @@
 import numpy as np
 import pytest
 
-from cqtsim.channels import (avg_teleport_fidelity, bell_kets, chi_ket,
-                             conditional_teleport_output, condition_on_controller,
+from cqtsim.channels import (STANDARD_CORRECTIONS, avg_teleport_fidelity, bell_kets,
+                             chi_ket, conditional_teleport_output, condition_on_controller,
                              ghz_ket, ket_outer, make_ghz_mixture, make_werner,
-                             mc_avg_teleport_fidelity, partial_trace, standard_corrections,
-                             teleport_fidelity, werner_point, werner_scan)
+                             mc_avg_teleport_fidelity, partial_trace, teleport_fidelity,
+                             werner_point, werner_scan)
 from cqtsim.fock import KET_D, KET_H, KET_R, KET_V, validate_density
 
 
@@ -63,8 +63,7 @@ def test_outcome_completeness():
 
 
 def test_standard_corrections_invert_phi_plus():
-    corr = standard_corrections()
-    assert set(corr) == {"phi+", "phi-", "psi+", "psi-"}
+    assert set(STANDARD_CORRECTIONS) == {"phi+", "phi-", "psi+", "psi-"}
     channel = ket_outer(bell_kets()["phi+"])
     for psi in (KET_H, KET_V, KET_D, KET_R):
         assert teleport_fidelity(channel, psi) == pytest.approx(1.0, abs=1e-12)

@@ -379,6 +379,21 @@ def test_mixture_half_without_coincidence_adds_no_events(name, capsys):
     assert "cannot produce a four-fold coincidence" in captured.err
 
 
+@pytest.mark.parametrize("p", ["2", "-1", "nan"])
+def test_bad_mix_p_exits_2_before_propagating(p, monkeypatch, capsys):
+    from cqtsim import cli
+
+    def forbidden(cfg):
+        raise AssertionError("propagated before checking --mix-p")
+
+    monkeypatch.setattr(cli, "run_protocol", forbidden)
+    assert run_cli(["run", "--channel", "mix", "--mix-p", p, "--kappa-forward", "0.1",
+                    "--truncation-order", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --mix-p must lie in [0, 1]\n"
+
+
 @pytest.mark.parametrize("kappa", ["3e-8", "1e-12"])
 def test_weak_pumping_still_coincides(kappa, capsys):
     assert run_cli(["run", "--kappa-forward", kappa, "--kappa-backward", kappa]) == 0
@@ -608,7 +623,7 @@ def test_truncation_order_cap(monkeypatch, capsys):
     from cqtsim.protocol import CountRecord
 
     orders = []
-    record = CountRecord(0.75, 0.25, 1.0, {}, "g1", ())
+    record = CountRecord(0.75, 0.25, 1.0, {}, ())
     monkeypatch.setattr(cli, "run_protocol", lambda cfg: (
         orders.append(cfg.source.truncation_order) or (record, np.eye(2) / 2)))
     argv = ["run", "--kappa-forward", "0.1", "--truncation-order"]

@@ -181,7 +181,7 @@ def forbid_sparse_builds(monkeypatch):
     monkeypatch.setattr(elements.OpticalElement, "__post_init__", forbidden)
     protocol._calibrated_frame.cache_clear()
     with pytest.raises(AssertionError, match="built PureState"):
-        fock.vacuum()
+        fock.PureState({(): 1.0})
     with pytest.raises(AssertionError, match="built OpticalElement"):
         elements.port_element((1,), np.eye(2))
 

@@ -183,7 +183,7 @@ MODE_COUNTS = st.dictionaries(st.tuples(MODES, st.sampled_from([H, V])),
                               st.integers(1, 2), min_size=0, max_size=3)
 STATES = st.lists(st.tuples(MODE_COUNTS, KETS.map(lambda k: k[0])),
                   min_size=1, max_size=4).map(
-    lambda terms: PureState({occupation(c): a for c, a in terms}, n_max=6))
+    lambda terms: PureState({occupation(c): a for c, a in terms}))
 
 
 @given(st.lists(ELEMENTS, min_size=0, max_size=6), STATES)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cqtsim.fock import (H, V, KET_D, KET_H, KET_R, ModeOverlapError, PureState,
                          SectorError, basis_state, clicks_at, fidelity, occupation,
                          overlap, project, single_photon, to_qubit_density,
-                         total_photons, tensor, unit_pair, vacuum, validate_density)
+                         total_photons, tensor, unit_pair, validate_density)
 
 
 def ghz_fock():
@@ -66,14 +66,9 @@ def test_zero_counts_absent_and_prune():
     assert len(s) == 1
 
 
-def test_n_max_enforced():
-    with pytest.raises(SectorError):
-        PureState({occupation({(1, H): 5}): 1.0}, n_max=4)
-
-
 def test_tensor_vacuum_identity():
-    out = tensor(vacuum(), vacuum())
-    assert out.terms == vacuum().terms
+    out = tensor(PureState({(): 1.0}), PureState({(): 1.0}))
+    assert out.terms == PureState({(): 1.0}).terms
 
 
 def test_tensor_two_single_photons():
@@ -90,18 +85,10 @@ def test_tensor_rejects_overlap():
         tensor(a, a)
 
 
-def test_tensor_truncation_drops_over_budget():
-    a = basis_state({(1, H): 3})
-    b = basis_state({(2, H): 3})
-    out = tensor(a, b, n_max=4)
-    assert len(out) == 0
-
-
 def test_tensor_default_cap_keeps_every_product_term():
     a = single_photon(1, KET_H)
     b = basis_state({(2, H): 4})
     out = tensor(a, b)
-    assert out.n_max == a.n_max + b.n_max
     assert out.norm_sq() == pytest.approx(1.0, abs=1e-14)
     assert out.amplitude({(1, H): 1, (2, H): 4}) == pytest.approx(1.0)
 
@@ -113,26 +100,20 @@ def _exact_terms(state):
 
 def test_builders_match_the_public_constructor():
     jones = np.array([0.6 - 0.0j, -0.8j])
-    a = single_photon(1, jones, n_max=3)
+    a = single_photon(1, jones)
     b = PureState({occupation({(2, H): 1}): 0.3, occupation({(2, V): 2}): -0.0 + 0.7j})
     cases = [
-        (lambda: basis_state({(2, V): 1, (1, H): 2}, n_max=4),
-         PureState({occupation({(2, V): 1, (1, H): 2}): 1.0}, n_max=4)),
-        (lambda: single_photon(1, jones, n_max=3),
+        (lambda: basis_state({(2, V): 1, (1, H): 2}),
+         PureState({occupation({(2, V): 1, (1, H): 2}): 1.0})),
+        (lambda: single_photon(1, jones),
          PureState({occupation({(1, H): 1}): jones[0],
-                    occupation({(1, V): 1}): jones[1]}, n_max=3)),
+                    occupation({(1, V): 1}): jones[1]})),
         (lambda: tensor(a, b),
          PureState({occupation(list(ka) + list(kb)): va * vb
-                    for ka, va in a.items() for kb, vb in b.items()},
-                   n_max=a.n_max + b.n_max)),
-        (lambda: tensor(a, b, n_max=2),
-         PureState({occupation(list(ka) + list(kb)): va * vb
-                    for ka, va in a.items() for kb, vb in b.items()
-                    if total_photons(ka) + total_photons(kb) <= 2}, n_max=2)),
+                    for ka, va in a.items() for kb, vb in b.items()})),
     ]
     for build, public in cases:
         state = build()
-        assert state.n_max == public.n_max
         assert _exact_terms(state) == _exact_terms(public)
         assert all(type(amp) is complex for amp in state.terms.values())
 
@@ -244,10 +225,10 @@ def test_normalize_property(state):
 @settings(max_examples=30, deadline=None)
 def test_tensor_associative(state):
     a = state
-    b = basis_state({(7, H): 1}, n_max=8)
-    c = basis_state({(8, V): 1}, n_max=8)
-    left = tensor(tensor(a, b, n_max=8), c, n_max=8)
-    right = tensor(a, tensor(b, c, n_max=8), n_max=8)
+    b = basis_state({(7, H): 1})
+    c = basis_state({(8, V): 1})
+    left = tensor(tensor(a, b), c)
+    right = tensor(a, tensor(b, c))
     assert set(left.terms) == set(right.terms)
     for occ, amp in left.terms.items():
         assert abs(amp - right.terms[occ]) < 1e-14

@@ -88,7 +88,7 @@ def multinomial_apply(element, state: PureState) -> PureState:
             merged.update(outs)
             key = occupation(merged)
             out[key] = out.get(key, 0.0j) + factor
-    return PureState(out, n_max=state.n_max)
+    return PureState(out)
 
 
 def _apply_pair_creation(terms: dict, modes: tuple, pair: dict) -> dict:
@@ -142,7 +142,7 @@ MODE_COUNTS = st.dictionaries(st.tuples(MODES, st.sampled_from([H, V])),
 STATES = st.lists(st.tuples(MODE_COUNTS, st.complex_numbers(max_magnitude=1,
                                                             allow_nan=False)),
                   min_size=1, max_size=4).map(
-    lambda terms: PureState({occupation(c): a for c, a in terms}, n_max=6))
+    lambda terms: PureState({occupation(c): a for c, a in terms}))
 OPTICS = st.one_of(ELEMENTS, st.lists(ELEMENTS, max_size=6).map(compose))
 
 

@@ -91,12 +91,15 @@ def test_four_mode_term_set_matches_emission_structure():
 def test_four_mode_source_equals_truncated_tensor_of_passes():
     # composing the separately expanded forward and backward emissions with a
     # four-photon truncation reproduces the joint expansion term by term
-    from cqtsim.fock import tensor
+    from cqtsim.fock import PureState, tensor, total_photons
 
     kf, kb = 0.11, 0.07
     fwd = two_mode_spdc(kf, 2, "phi_plus", modes=(1, 2))
     bwd = two_mode_spdc(kb, 2, "hh", modes=(3, 4))
-    combined = tensor(fwd, bwd, n_max=4).normalized()
+    # the oracle keeps the product terms of at most four photons itself
+    product = tensor(fwd, bwd)
+    combined = PureState({occ: amp for occ, amp in product.items()
+                          if total_photons(occ) <= 4}).normalized()
     direct = four_mode_source(SourceParams(kappa_forward=kf, kappa_backward=kb))
     assert set(combined.terms) == set(direct.terms)
     for occ, amp in direct.terms.items():
