@@ -15,12 +15,10 @@ from .estimation import (FidelityEstimate, MLResult, ProjectionCounts,
                          corrected_fidelity, correct_for_background,
                          fidelity_from_counts, ml_reconstruct,
                          poisson_uncertainty, read_counts_csv)
-from .fock import (H, V, PureState, fidelity, project, tensor,
-                   to_qubit_density, validate_density)
+from .fock import H, V, PureState, fidelity, project, tensor, to_qubit_density
 from .protocol import (CountRecord, InputQubit, ProtocolConfig, ProtocolError,
                        analyzer_frame, emulate_mixture, prepare_ghz, run_protocol,
                        singlet_projection)
-from .spdc import (SourceParams, fit_source_ratio, four_mode_source,
-                   heralded_fraction, two_mode_spdc)
+from .spdc import SourceParams, fit_source_ratio, four_mode_source, heralded_fraction
 
 __version__ = "0.1.0"

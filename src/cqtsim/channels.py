@@ -166,11 +166,6 @@ def _entangled_fractions(rhos: np.ndarray) -> np.ndarray:
     return ((bras @ rhos) @ kets)[..., 0, 0].real.max(axis=0)
 
 
-def fully_entangled_fraction(rho: np.ndarray) -> float:
-    """Largest overlap with the four standard Bell states."""
-    return float(_entangled_fractions(np.asarray(rho, dtype=complex)[None])[0])
-
-
 def _teleport_branches(channel: np.ndarray, psis: np.ndarray):
     """Bell-outcome probabilities (..., n, 4) and receiver states (..., n, 4, 2, 2).
 

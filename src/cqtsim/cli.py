@@ -230,18 +230,23 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _config_argv(argv):
-    """Expand --config sections into a argv prefix so flags still override."""
-    if "--config" not in argv:
+    """Expand --config sections into a argv prefix so flags still override.
+
+    ``--config=PATH`` reads as ``--config PATH``, as in argparse, and values
+    are literal: a ``%`` does not interpolate."""
+    tokens = [part for tok in argv
+              for part in (tok.split("=", 1) if tok.startswith("--config=") else [tok])]
+    if "--config" not in tokens:
         return argv
-    idx = argv.index("--config")
+    idx = tokens.index("--config")
     try:
-        path = argv[idx + 1]
+        path = tokens[idx + 1]
     except IndexError:
         raise ValueError("--config needs a path") from None
     command = argv[0] if argv and not argv[0].startswith("-") else None
     if command is None:
         return argv
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)

@@ -7,13 +7,6 @@ The stage operations ``protocol.prepare_ghz`` and ``singlet_projection`` and
 the tests' oracles for the dense engine work on these states, which take any
 modes and stay small.
 
-The emission sectors of a protocol run are propagated instead as dense
-photon-number vectors over a fixed list of modes (``_number_basis``): one
-complex amplitude per occupation with N photons in all, C(N + 7, 7) of them
-over eight modes.  ``_create_pairs`` applies a quadratic form of creation
-operators to such a vector in one ``np.bincount``; its index tables are
-built with numpy on first use, once per photon number.
-
 Every sparse state is built by ``PureState(...)``, which canonicalises its
 keys through ``occupation``, so no code outside this module needs to know
 what a canonical key is.  A protocol run, its analyzer calibration included,
@@ -24,8 +17,6 @@ Qubit encoding used throughout the package: |H> -> basis 0, |V> -> basis 1.
 
 from __future__ import annotations
 
-import functools
-import itertools
 import math
 import operator
 from bisect import bisect_left
@@ -150,72 +141,6 @@ def _create(ket: dict, targets) -> dict:
     return out
 
 
-_COUNT_BITS = 4     # bits per mode in an occupation code: up to 15 photons
-
-
-@functools.cache
-def _number_basis(n: int, n_modes: int) -> tuple:
-    """``(occupations, codes)`` of every way to put ``n`` photons in ``n_modes`` modes.
-
-    Stars and bars: each choice of ``n_modes - 1`` bar positions among
-    ``n + n_modes - 1`` slots gives the counts as the gaps between bars.  Row
-    i of ``occupations`` holds the counts of basis state i, and ``codes[i]``
-    packs them into one integer, ``_COUNT_BITS`` per mode with the first mode
-    most significant.  Combinations come in lexicographic order, so the codes
-    come sorted and ``np.searchsorted(codes, code)`` finds a state's index.
-    """
-    if n >= 1 << _COUNT_BITS:
-        raise SectorError(f"{n} photons exceed the {_COUNT_BITS}-bit mode counts")
-    slots = n + n_modes - 1
-    bars = np.fromiter(itertools.chain.from_iterable(
-        itertools.combinations(range(slots), n_modes - 1)), dtype=np.int8)
-    bars = bars.reshape(-1, n_modes - 1)
-    edges = np.column_stack([np.full(len(bars), -1, dtype=np.int8), bars,
-                             np.full(len(bars), slots, dtype=np.int8)])
-    occupations = edges[:, 1:] - edges[:, :-1] - np.int8(1)
-    return occupations, occupations @ _mode_units(n_modes)
-
-
-def _mode_units(n_modes: int) -> np.ndarray:
-    """The code of one photon in each mode."""
-    return 1 << (_COUNT_BITS * np.arange(n_modes - 1, -1, -1))
-
-
-@functools.cache
-def _pair_table(n: int, n_modes: int) -> tuple:
-    """Index table of the pairs b_k^dag b_l^dag, k <= l, from ``n`` to ``n + 2`` photons.
-
-    Returns ``(k, l, slots, coef, size)``.  Source state s and pair p send
-    ``coef[s, p]`` times the amplitude to target state t, whose real and
-    imaginary parts sit at ``slots[s, p] = (2t, 2t + 1)`` of the float view of
-    a complex vector of ``size`` entries.  ``coef`` holds the bosonic factors
-    sqrt(n_k + 1) sqrt(n_l + 1), or sqrt((n_k + 1)(n_k + 2)) / 2 for k = l,
-    the 1/2 of the quadratic form's diagonal.
-    """
-    occ, codes = _number_basis(n, n_modes)
-    _, out_codes = _number_basis(n + 2, n_modes)
-    k, l = np.array(list(itertools.combinations_with_replacement(range(n_modes), 2))).T
-    unit = _mode_units(n_modes)
-    target = np.searchsorted(out_codes, codes[:, None] + (unit[k] + unit[l]))
-    same = k == l
-    coef = np.sqrt((occ[:, k] + 1.0) * (occ[:, l] + 1.0 + same)) * np.where(same, 0.5, 1.0)
-    slots = np.stack([2 * target, 2 * target + 1], axis=-1)
-    return k, l, slots.ravel(), coef, len(out_codes)
-
-
-def _create_pairs(vec: np.ndarray, n: int, q: np.ndarray) -> np.ndarray:
-    """Apply 1/2 sum_kl q[k, l] b_k^dag b_l^dag to an ``n``-photon vector.
-
-    ``vec`` is indexed by ``_number_basis(n, len(q))`` and ``q`` is symmetric;
-    the result is indexed by the basis of ``n + 2`` photons.
-    """
-    k, l, slots, coef, size = _pair_table(n, len(q))
-    terms = vec[:, None] * q[k, l]
-    terms *= coef
-    return np.bincount(slots, terms.view(np.float64).ravel(),
-                       minlength=2 * size).view(complex)
-
-
 def total_photons(occ: tuple) -> int:
     return sum(n for _, n in occ)
 
@@ -279,14 +204,6 @@ class PureState:
 def basis_state(counts) -> PureState:
     """Single Fock basis ket with unit amplitude, e.g. basis_state({(1, H): 1})."""
     return PureState({occupation(counts): 1.0})
-
-
-def single_photon(spatial: int, jones: np.ndarray) -> PureState:
-    """One photon in the given spatial mode with polarization ket ``jones``."""
-    jones = np.asarray(jones, dtype=complex)
-    if jones.shape != (2,) or not jones.any():
-        raise ValueError(f"jones must be a non-zero 2-vector, got {jones.tolist()!r}")
-    return PureState({(((spatial, H), 1),): jones[0], (((spatial, V), 1),): jones[1]})
 
 
 def overlap(a: PureState, b: PureState) -> complex:
@@ -384,17 +301,3 @@ def fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
     if abs(val.imag) > 1e-12:
         raise ValueError(f"fidelity has non-negligible imaginary part {val.imag:g}")
     return float(val.real)
-
-
-def validate_density(rho: np.ndarray, herm_tol: float = 1e-12,
-                     trace_tol: float = 1e-12, eig_tol: float = 1e-10) -> None:
-    """Raise unless ``rho`` is a Hermitian, unit-trace, PSD matrix (up to slack)."""
-    rho = np.asarray(rho)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
-        raise ValueError("density operator must be square")
-    if np.max(np.abs(rho - rho.conj().T)) > herm_tol:
-        raise ValueError("density operator is not Hermitian")
-    if abs(np.trace(rho).real - 1.0) > trace_tol:
-        raise ValueError("density operator trace differs from 1")
-    if np.min(np.linalg.eigvalsh(rho)) < -eig_tol:
-        raise ValueError("density operator has a significantly negative eigenvalue")

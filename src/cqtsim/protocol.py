@@ -30,16 +30,22 @@ block's modes by the block times those rows.  It then propagates the
 emission as dense photon-number vectors: each pair-creation operator
 1/2 a^T Lambda a becomes the quadratic form L Lambda L^T on the output
 modes, and a sector of j forward and k backward pairs is j + k such pair
-creations on vacuum.  The analyzer calibration propagates the ideal source,
-sector (1, 1), through the same blocks and reads two amplitudes off it, so
-a run builds no sparse state.  The stage operations ``prepare_ghz`` and
-``singlet_projection`` turn the same blocks into elements with
+creations on vacuum.  A dense vector holds one complex amplitude per
+occupation of the eight modes with N photons in all, C(N + 7, 7) of them
+(``_number_basis``, whose occupation codes no other module reads), and
+``_create_pairs`` applies a quadratic form of creation operators to it in
+one ``np.bincount``; its index tables are built with numpy on first use,
+once per photon number.  The analyzer calibration propagates the ideal
+source, sector (1, 1), through the same blocks and reads two amplitudes off
+it, so a run builds no sparse state.  The stage operations ``prepare_ghz``
+and ``singlet_projection`` turn the same blocks into elements with
 ``elements.port_element`` and apply them to the sparse states of ``fock``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -50,10 +56,9 @@ from .elements import (apply, balanced_bs_matrix, compose, hwp_matrix, pbs_matri
                        phase_matrix, polarizer_matrix, port_element)
 from .estimation import fidelity_from_counts
 from .fock import (H, V, KET_D, KET_H, KET_R, NAMED_KETS, PRUNE_THRESHOLD,
-                   PureState, _create_pairs, _mode_units, _number_basis, clicks_at,
-                   project, spatial_counts, unit_pair)
-from .spdc import (BACKWARD_MODES, FORWARD_MODES, PAIR_KINDS, SourceParams,
-                   emission_orders)
+                   PureState, SectorError, clicks_at, project, spatial_counts,
+                   unit_pair)
+from .spdc import BACKWARD_MODES, FORWARD_MODES, PAIR_KINDS, SourceParams
 
 _SQ2 = math.sqrt(2.0)
 
@@ -173,14 +178,6 @@ class CountRecord:
 
 # --- stations ------------------------------------------------------------------
 
-def ideal_source_state() -> PureState:
-    """One photon per mode: entangled forward pair, H-polarized backward pair."""
-    fwd = emission_orders("phi_plus", 1, FORWARD_MODES)[1]
-    bwd = emission_orders("hh", 1, BACKWARD_MODES)[1]
-    return PureState({occ_f + occ_b: amp_f * amp_b for occ_f, amp_f in fwd.items()
-                      for occ_b, amp_b in bwd.items()})
-
-
 def _encoder_exact(input_q: InputQubit) -> np.ndarray:
     # phase-free unitary taking |H> to the input ket
     return np.column_stack([input_q.ket(), input_q.orthogonal_ket()])
@@ -248,9 +245,9 @@ def _calibrated_frame(channel: str, roles: str) -> np.ndarray:
     action = "none" if channel == "reference" else "allow"
     # the detection pattern: sender H, input-mode V, controller H, and the
     # receiver's photon in H or in V, as indices into the 4-photon basis
-    unit = dict(zip(_DENSE_MODES, _mode_units(len(_DENSE_MODES))))
+    unit = dict(zip(_DENSE_MODES, _UNITS))
     env = unit[(wiring.sender_resource, H)] + unit[(INPUT_MODE, V)] + unit[(wiring.controller, H)]
-    pattern = np.searchsorted(_number_basis(4, len(_DENSE_MODES))[1],
+    pattern = np.searchsorted(_number_basis(4)[1],
                               [env + unit[(wiring.receiver, pol)] for pol in (H, V)])
 
     def receiver_ket(input_q: InputQubit) -> np.ndarray:
@@ -285,6 +282,70 @@ def _calibrated_frame(channel: str, roles: str) -> np.ndarray:
 # the modes of the dense engine, in the order of its vectors and matrices
 _DENSE_MODES = tuple((spatial, pol) for spatial in (1, 2, 3, 4) for pol in (H, V))
 _MODE_INDEX = {m: i for i, m in enumerate(_DENSE_MODES)}
+
+
+_COUNT_BITS = 4     # bits per mode in an occupation code: up to 15 photons
+# the code of one photon in each mode, the first mode most significant
+_UNITS = 1 << (_COUNT_BITS * np.arange(len(_DENSE_MODES) - 1, -1, -1))
+
+
+@functools.cache
+def _number_basis(n: int) -> tuple:
+    """``(occupations, codes)`` of every way to put ``n`` photons in the dense modes.
+
+    Stars and bars: each choice of ``n_modes - 1`` bar positions among
+    ``n + n_modes - 1`` slots gives the counts as the gaps between bars.  Row
+    i of ``occupations`` holds the counts of basis state i, and ``codes[i]``
+    packs them into one integer, ``_COUNT_BITS`` per mode with the first mode
+    most significant.  Combinations come in lexicographic order, so the codes
+    come sorted and ``np.searchsorted(codes, code)`` finds a state's index.
+    """
+    if n >= 1 << _COUNT_BITS:
+        raise SectorError(f"{n} photons exceed the {_COUNT_BITS}-bit mode counts")
+    n_modes = len(_DENSE_MODES)
+    slots = n + n_modes - 1
+    bars = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(slots), n_modes - 1)), dtype=np.int8)
+    bars = bars.reshape(-1, n_modes - 1)
+    edges = np.column_stack([np.full(len(bars), -1, dtype=np.int8), bars,
+                             np.full(len(bars), slots, dtype=np.int8)])
+    occupations = edges[:, 1:] - edges[:, :-1] - np.int8(1)
+    return occupations, occupations @ _UNITS
+
+
+@functools.cache
+def _pair_table(n: int) -> tuple:
+    """Index table of the pairs b_k^dag b_l^dag, k <= l, from ``n`` to ``n + 2`` photons.
+
+    Returns ``(k, l, slots, coef, size)``.  Source state s and pair p send
+    ``coef[s, p]`` times the amplitude to target state t, whose real and
+    imaginary parts sit at ``slots[s, p] = (2t, 2t + 1)`` of the float view of
+    a complex vector of ``size`` entries.  ``coef`` holds the bosonic factors
+    sqrt(n_k + 1) sqrt(n_l + 1), or sqrt((n_k + 1)(n_k + 2)) / 2 for k = l,
+    the 1/2 of the quadratic form's diagonal.
+    """
+    occ, codes = _number_basis(n)
+    _, out_codes = _number_basis(n + 2)
+    k, l = np.array(list(itertools.combinations_with_replacement(
+        range(len(_DENSE_MODES)), 2))).T
+    target = np.searchsorted(out_codes, codes[:, None] + (_UNITS[k] + _UNITS[l]))
+    same = k == l
+    coef = np.sqrt((occ[:, k] + 1.0) * (occ[:, l] + 1.0 + same)) * np.where(same, 0.5, 1.0)
+    slots = np.stack([2 * target, 2 * target + 1], axis=-1)
+    return k, l, slots.ravel(), coef, len(out_codes)
+
+
+def _create_pairs(vec: np.ndarray, n: int, q: np.ndarray) -> np.ndarray:
+    """Apply 1/2 sum_kl q[k, l] b_k^dag b_l^dag to an ``n``-photon vector.
+
+    ``vec`` is indexed by ``_number_basis(n)`` and ``q`` is symmetric; the
+    result is indexed by the basis of ``n + 2`` photons.
+    """
+    k, l, slots, coef, size = _pair_table(n)
+    terms = vec[:, None] * q[k, l]
+    terms *= coef
+    return np.bincount(slots, terms.view(np.float64).ravel(),
+                       minlength=2 * size).view(complex)
 
 
 def _pair_matrix(pair_kind: str, modes: tuple) -> np.ndarray:
@@ -376,12 +437,12 @@ def _tally_indices(n: int, detectors: tuple, receiver: int) -> tuple:
     one receiver photon in H, each paired with the state that moves that
     photon to V.
     """
-    occ, codes = _number_basis(n, len(_DENSE_MODES))
+    occ, codes = _number_basis(n)
     at = [_MODE_INDEX[(receiver, pol)] for pol in (H, V)]
     spatial = occ.reshape(len(occ), -1, 2).sum(axis=2)     # column s - 1: spatial mode s
     clicked = np.all(spatial[:, [s - 1 for s in detectors]] >= 1, axis=1)
     h_one = clicked & (occ[:, at[0]] == 1) & (occ[:, at[1]] == 0)
-    unit = _mode_units(len(_DENSE_MODES))[at]
+    unit = _UNITS[at]
     v_one = np.searchsorted(codes, codes[h_one] - unit[0] + unit[1])
     return (np.flatnonzero(clicked), np.flatnonzero(clicked & (occ[:, at[1]] == 0)),
             np.flatnonzero(clicked & (occ[:, at[0]] == 0)), np.flatnonzero(h_one), v_one)

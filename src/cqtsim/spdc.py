@@ -76,20 +76,6 @@ def emission_orders(pair_kind: str, order: int, modes: tuple) -> list:
     return levels
 
 
-def two_mode_spdc(kappa: complex, truncation_order: int = 2,
-                  pair: str = "hh", modes: tuple = (1, 2)) -> PureState:
-    """Normalized two-mode emission: vacuum + kappa|11> + kappa^2|22> + ..."""
-    if truncation_order < 1:
-        raise ValueError("truncation_order must be >= 1")
-    kappa = complex(kappa)
-    levels = emission_orders(pair, truncation_order, modes)
-    terms: dict = {}
-    for n, level in enumerate(levels):
-        for occ, amp in level.items():
-            terms[occ] = terms.get(occ, 0.0j) + (kappa ** n) * amp
-    return PureState(terms).normalized()
-
-
 def four_mode_source(params: SourceParams) -> PureState:
     """Normalized joint state of the forward and backward passes.
 

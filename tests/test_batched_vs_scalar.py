@@ -27,7 +27,7 @@ import pytest
 from cqtsim.channels import (_BELL, _BELL_LABELS, PAULI_I, PAULIS, STANDARD_CORRECTIONS,
                              ConditionalChannel, _teleport_branches, avg_teleport_fidelity,
                              bell_kets, condition_on_controller, conditional_teleport_output,
-                             fully_entangled_fraction, ghz_ket, ket_outer,
+                             _entangled_fractions, ghz_ket, ket_outer,
                              make_ghz_mixture, make_werner, mc_avg_teleport_fidelity,
                              partial_trace, teleport_fidelity,
                              werner_point, werner_scan)
@@ -583,7 +583,7 @@ def test_channel_functions_equal_rowwise(make, basis):
         for cond, ref in zip(conds, want):
             assert (cond.outcome, cond.probability) == (ref.outcome, ref.probability)
             assert cond.state.tobytes() == ref.state.tobytes()
-            assert (repr(fully_entangled_fraction(cond.state))
+            assert (repr(float(_entangled_fractions(cond.state[None])[0]))
                     == repr(rowwise_fully_entangled_fraction(ref.state)))
             for psi in psis:
                 assert (repr(teleport_fidelity(cond.state, psi))

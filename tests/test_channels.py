@@ -6,7 +6,9 @@ from cqtsim.channels import (STANDARD_CORRECTIONS, avg_teleport_fidelity, bell_k
                              ghz_ket, ket_outer, make_ghz_mixture, make_werner,
                              mc_avg_teleport_fidelity, partial_trace, teleport_fidelity,
                              werner_point, werner_scan)
-from cqtsim.fock import KET_D, KET_H, KET_R, KET_V, validate_density
+from cqtsim.fock import KET_D, KET_H, KET_R, KET_V
+
+from helpers import validate_density
 
 
 def test_ghz_mixture_at_zero_is_pure_ghz():

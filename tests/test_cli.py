@@ -430,6 +430,25 @@ def test_missing_config_is_usage_error(tmp_path):
     assert run_cli(["run", "--config", str(tmp_path / "nope.ini")]) == 2
 
 
+def test_config_equals_form_reads_like_the_spaced_form(tmp_path, capsys):
+    cfg = tmp_path / "g2.ini"
+    cfg.write_text("[run]\nchannel = g2\naction = deny\nideal = true\n", encoding="utf-8")
+    assert run_cli(["run", "--config", str(cfg)]) == 0
+    spaced = capsys.readouterr().out
+    assert run_cli(["run", f"--config={cfg}"]) == 0
+    assert capsys.readouterr().out == spaced
+    assert spaced.splitlines()[-1].startswith("g2,deny,")
+    assert run_cli(["run", "--ideal", f"--config={tmp_path / 'nope.ini'}"]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
+def test_config_value_with_percent_is_taken_literally(tmp_path, capsys):
+    cfg = tmp_path / "fit.ini"
+    cfg.write_text("[fit-spdc]\ntargets = 13%,55,30\n", encoding="utf-8")
+    assert run_cli(["fit-spdc", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: bad targets '13%,55,30'\n"
+
+
 def test_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("CQTSIM_OUT_DIR", str(tmp_path))
     assert run_cli(["reproduce", "table1", "--out", "deep/table.csv"]) == 0

@@ -20,7 +20,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cqtsim.cli import RHO_DIGITS, main
-from cqtsim.fock import validate_density
+
+from helpers import validate_density
 
 NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e300", "x", ""]
 STATES = ["plus", "h", "r", "0.6,0.8j", "-0.6,0.8", "linear:30", "linear:x", "0,0",

@@ -21,9 +21,10 @@ from cqtsim.fock import (H, V, clicks_at, project, spatial_counts,
                          to_qubit_density)
 from cqtsim.protocol import (INPUT_MODE, WIRINGS, InputQubit, ProtocolConfig,
                              ProtocolError, _detector_spatials, _elements,
-                             _station_blocks, emulate_mixture, ideal_source_state,
-                             run_protocol)
+                             _station_blocks, emulate_mixture, run_protocol)
 from cqtsim.spdc import SourceParams, coincidence_sectors, four_mode_source
+
+from helpers import ideal_source_state
 
 
 def sectors(config):

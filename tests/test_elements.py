@@ -9,9 +9,10 @@ from cqtsim.elements import (OpticalElement, apply, balanced_bs_matrix, compose,
                              hwp_matrix, pbs_matrix, phase_matrix, polarizer_matrix,
                              port_element, qwp_matrix)
 from cqtsim.fock import (H, V, KET_D, KET_H, KET_R, KET_V, PureState, basis_state,
-                         clicks_at, occupation, overlap, project, single_photon,
-                         spatial_counts)
+                         clicks_at, occupation, overlap, project, spatial_counts)
 from cqtsim.spdc import coincidence_sectors
+
+from helpers import single_photon
 
 
 def two_photons(mode_a, mode_b, amp=1.0):

@@ -13,7 +13,9 @@ from cqtsim.estimation import (ML_MAX_ITERATIONS, ML_RESCALE_ABOVE, ML_TOL,
                                ml_oracle_bloch_search, ml_reconstruct,
                                parse_projector, poisson_uncertainty,
                                read_counts_csv)
-from cqtsim.fock import KET_D, KET_H, KET_R, KET_V, NAMED_KETS, fidelity, validate_density
+from cqtsim.fock import KET_D, KET_H, KET_R, KET_V, NAMED_KETS, fidelity
+
+from helpers import validate_density
 
 AXIAL = ("h", "v", "plus", "minus", "r", "l")
 

@@ -7,8 +7,10 @@ from hypothesis import strategies as st
 
 from cqtsim.fock import (H, V, KET_D, KET_H, KET_R, ModeOverlapError, PureState,
                          SectorError, basis_state, clicks_at, fidelity, occupation,
-                         overlap, project, single_photon, to_qubit_density,
-                         total_photons, tensor, unit_pair, validate_density)
+                         overlap, project, to_qubit_density, total_photons, tensor,
+                         unit_pair)
+
+from helpers import single_photon, validate_density
 
 
 def ghz_fock():

@@ -1,18 +1,21 @@
-"""Every name a module of the package imports is used in that module, and
-every private module-level name it defines is used somewhere in the package.
+"""Every name a module of the package imports is used in that module, every
+private module-level name it defines is used somewhere in the package, and
+every public function and class it defines has a user outside the tests.
 
-The package's ``__init__`` is exempt from the first check: it imports names
-to re-export them.  The checks read the source with ``ast`` alone, so they
-need no linter.
+The package's ``__init__`` is exempt from the first check, as it imports
+names to re-export them, and its re-exports do not count as uses in the
+third.  The checks read the source with ``ast`` alone, so they need no linter.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "cqtsim"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "cqtsim"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -91,3 +94,60 @@ def test_unused_private_name_is_reported():
         "b.py": "from .a import _kept\nimport a\nprint(_kept, a._Used)\n",
     }
     assert unused_private_names(sources) == [("a.py", "_dead"), ("a.py", "_recursive")]
+
+
+def mentions(tree):
+    """``references`` of ``tree`` and every word of its string constants, such
+    as the dotted ``"module.function.ms"`` metric names of the benchmark."""
+    yield from references(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield from re.findall(r"\w+", node.value)
+
+
+def unreferenced_public_names(sources: dict, users: dict, readme: str) -> list:
+    """``(file, name)`` of the public module-level functions and classes in
+    ``sources`` (file name to package source) that nothing refers to outside
+    the definition itself.
+
+    A reference counts from another part of the package, from ``users``
+    (file name to the source of a documented caller: the acceptance tests and
+    the benchmark) or by name in ``readme``.  The re-exports of ``__init__.py``
+    do not count.
+    """
+    trees = {file: ast.parse(source) for file, source in sources.items()
+             if file != "__init__.py"}
+    used = Counter(name for tree in trees.values() for name in references(tree))
+    used.update(name for source in users.values() for name in mentions(ast.parse(source)))
+    return sorted((file, node.name) for file, tree in trees.items() for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and not node.name.startswith("_")
+                  and used[node.name] <= Counter(references(node))[node.name]
+                  and not re.search(rf"\b{node.name}\b", readme))
+
+
+def test_package_has_a_user_for_every_public_name_it_defines():
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    users = {p.name: p.read_text(encoding="utf-8")
+             for p in [ROOT / "tests" / "test_acceptance.py", *ROOT.glob("cqtbench/*.py")]}
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    assert unreferenced_public_names(sources, users, readme) == []
+
+
+def test_unreferenced_public_name_is_reported():
+    sources = {
+        "__init__.py": "from .a import exported\n",
+        "a.py": ("def called():\n    pass\n"
+                 "def recursive(n):\n    return recursive(n - 1)\n"
+                 "def exported():\n    pass\n"
+                 "class Documented:\n    pass\n"
+                 "def timed():\n    pass\n"
+                 "def accepted():\n    pass\n"
+                 "def _private():\n    pass\n"),
+        "b.py": "from .a import called\ncalled()\n",
+    }
+    users = {"bench.py": 'METRICS = ("a.timed.ms",)\n',
+             "test_acceptance.py": "from cqtsim.a import accepted\n"}
+    readme = "Build a `Documented` state; recursive_builder is another name.\n"
+    assert unreferenced_public_names(sources, users, readme) == [
+        ("a.py", "exported"), ("a.py", "recursive")]

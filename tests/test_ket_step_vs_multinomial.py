@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqtsim import protocol, spdc
+from cqtsim import spdc
 from cqtsim.elements import (apply, balanced_bs_matrix, compose, hwp_matrix, pbs_matrix,
                              phase_matrix, polarizer_matrix, port_element, qwp_matrix)
 from cqtsim.fock import H, V, PureState, occupation, total_photons
 from cqtsim.protocol import InputQubit, ProtocolConfig, run_protocol
 from cqtsim.spdc import PAIR_KINDS, SourceParams, four_mode_source
 
+import helpers
 import test_composed_vs_sequential as sequential
 from test_composed_vs_sequential import RUNS, assert_record_matches
 
@@ -189,7 +190,7 @@ def multinomial_run(config, monkeypatch):
     with monkeypatch.context() as patch:
         patch.setattr(sequential, "apply", multinomial_apply)
         patch.setattr(spdc, "emission_orders", multinomial_emission_orders)
-        patch.setattr(protocol, "emission_orders", multinomial_emission_orders)
+        patch.setattr(helpers, "emission_orders", multinomial_emission_orders)
         return sequential.sequential_run(config)
 
 

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from cqtsim import protocol
 from cqtsim.channels import conditional_teleport_output, make_ghz_mixture
 from cqtsim.elements import apply, port_element
-from cqtsim.fock import (H, V, PureState, basis_state, fidelity, occupation, overlap,
-                         tensor)
+from cqtsim.fock import (H, V, PureState, SectorError, basis_state, fidelity, occupation,
+                         overlap, tensor)
 from cqtsim.protocol import (AXIAL_INPUT_NAMES, INPUT_MODE, InputQubit, ProtocolConfig,
                              ProtocolError, R_PREP, analyzer_frame, emulate_mixture,
                              prepare_ghz, run_protocol, singlet_projection)
@@ -184,6 +184,22 @@ def test_analyzer_frame_g1_matches_derivation():
     assert abs(abs(ratio[0]) - 1.0) < 1e-12
 
 
+# --- dense photon-number basis -----------------------------------------------------
+
+@pytest.mark.parametrize("n", range(11))
+def test_number_basis_lists_every_occupation_once_in_code_order(n):
+    occ, codes = protocol._number_basis(n)
+    # C(n + 7, 7) rows: 330 at order 2 (n = 4) and 19,448 at order 5 (n = 10)
+    assert occ.shape == (math.comb(n + 7, 7), 8)
+    assert np.all(occ.sum(axis=1) == n)
+    assert np.all(np.diff(codes) > 0)
+
+
+def test_number_basis_rejects_counts_beyond_four_bits():
+    with pytest.raises(SectorError, match="16 photons"):
+        protocol._number_basis(16)
+
+
 # --- full protocol ---------------------------------------------------------------
 
 def test_ideal_allow_teleports_perfectly():
@@ -349,8 +365,8 @@ def test_chained_post_selections_do_not_conflict():
     from cqtsim.elements import apply as apply_el
     from cqtsim.elements import compose
     from cqtsim.fock import clicks_at, project, spatial_counts
-    from cqtsim.protocol import (_detector_spatials, _elements, _station_blocks,
-                                 ideal_source_state)
+    from cqtsim.protocol import _detector_spatials, _elements, _station_blocks
+    from helpers import ideal_source_state
 
     cfg = ProtocolConfig(channel="g1", action="allow", roles="swapped")
     sector = ideal_source_state()

@@ -14,7 +14,9 @@ from cqtsim.spdc import (_GRID_POINTS, _ROOT_COST, PAIR_KINDS, RATIO_BOUNDS,
                          REFERENCE_KAPPA, RatioFit, SourceParams, coincidence_sectors,
                          emission_orders, fit_source_ratio, four_mode_source,
                          heralded_fraction, sector_rates, sector_shares,
-                         signature_label, two_mode_spdc)
+                         signature_label)
+
+from helpers import two_mode_spdc
 
 _SQ2 = math.sqrt(2.0)
 
