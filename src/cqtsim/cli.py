@@ -64,6 +64,9 @@ MAX_TRUNCATION_ORDER = 5
 # must not reach the output bytes.
 RESIDUAL_PP_DIGITS = 6      # fit residuals, percentage points
 SSR_DIGITS = 16             # their sum of squares, in squared fractions
+# A fit target further than this (a share, 0..1) outside the shares the
+# ratio can reach gets a warning; a round trip reaches its targets to ~1e-9.
+REACH_TOLERANCE = 1e-6
 RHO_DIGITS = 6              # density-matrix entries
 
 # Options whose value may be an 'a,b' state with a leading '-'.
@@ -151,8 +154,22 @@ def _render_table(columns, rows, fmt, full_precision, comments=()):
 
 # --- shared argument plumbing -------------------------------------------------------
 
-def _add_common(parser):
-    parser.add_argument("--config", help="INI config file with per-command sections")
+class _ConfigFound(Exception):
+    """A subcommand's parser met ``--config PATH``, in a spelling it accepts;
+    the path is ``args[0]``."""
+
+
+class _StopAtConfig(argparse.Action):
+    """Ends the parse at ``--config``, before any check of required options,
+    so that ``main`` can parse again with the file's section in front."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        raise _ConfigFound(values)
+
+
+def _add_common(parser, config_action):
+    parser.add_argument("--config", action=config_action,
+                        help="INI config file with per-command sections")
     parser.add_argument("--out", help="output file (default: stdout)")
     parser.add_argument("--format", choices=("csv", "json"), default="csv",
                         dest="fmt", help="output format")
@@ -160,7 +177,7 @@ def _add_common(parser):
                         help="print full float precision instead of 4 significant digits")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(config_action="store") -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cqtsim",
         description="Linear-optical simulation of controlled quantum teleportation")
@@ -186,14 +203,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--resamples", type=int, default=0,
                        help="number of Poisson resamples (0 disables uncertainties)")
     p_run.add_argument("--seed", type=int, default=None)
-    _add_common(p_run)
+    _add_common(p_run, config_action)
 
     p_scan = sub.add_parser("scan-werner", help="scan the noisy-channel family")
     p_scan.add_argument("--q-grid", default=None,
                         help="grid as start:stop:num, e.g. 0:1:101")
     p_scan.add_argument("--q-list", default=None,
                         help="comma-separated q values")
-    _add_common(p_scan)
+    _add_common(p_scan, config_action)
 
     p_fit = sub.add_parser("fit-spdc",
                            help="fit the backward/forward emission strength ratio")
@@ -204,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="generate the targets by simulating at this ratio")
     p_fit.add_argument("--pbs-epsilon", type=float, default=0.05)
     p_fit.add_argument("--input", default="plus")
-    _add_common(p_fit)
+    _add_common(p_fit, config_action)
 
     p_tomo = sub.add_parser("tomo", help="maximum-likelihood tomography from counts")
     p_tomo.add_argument("--counts", required=True, help="counts CSV: label,projector,count")
@@ -213,39 +230,26 @@ def build_parser() -> argparse.ArgumentParser:
                         help="background weight subtracted before the fidelity")
     p_tomo.add_argument("--resamples", type=int, default=0)
     p_tomo.add_argument("--seed", type=int, default=None)
-    _add_common(p_tomo)
+    _add_common(p_tomo, config_action)
 
     p_rep = sub.add_parser("reproduce", help="recompute bundled reference tables")
     p_rep.add_argument("dataset", choices=("table1",))
-    _add_common(p_rep)
+    _add_common(p_rep, config_action)
 
     return parser
 
 
 @functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of ``main``, built on first use: parsing leaves it unchanged,
-    so one parser serves every call in the process."""
-    return build_parser()
+def _parser(stop_at_config: bool) -> argparse.ArgumentParser:
+    """A parser of ``main``, built on first use: parsing leaves it unchanged,
+    so one parser of each kind serves every call in the process."""
+    return build_parser(_StopAtConfig if stop_at_config else "store")
 
 
-def _config_argv(argv):
-    """Expand --config sections into a argv prefix so flags still override.
+def _config_prefix(command: str, path: str) -> list:
+    """The ``[command]`` section of the INI file at ``path`` as arguments.
 
-    ``--config=PATH`` reads as ``--config PATH``, as in argparse, and values
-    are literal: a ``%`` does not interpolate."""
-    tokens = [part for tok in argv
-              for part in (tok.split("=", 1) if tok.startswith("--config=") else [tok])]
-    if "--config" not in tokens:
-        return argv
-    idx = tokens.index("--config")
-    try:
-        path = tokens[idx + 1]
-    except IndexError:
-        raise ValueError("--config needs a path") from None
-    command = argv[0] if argv and not argv[0].startswith("-") else None
-    if command is None:
-        return argv
+    Values are literal: a ``%`` does not interpolate."""
     cp = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -253,7 +257,7 @@ def _config_argv(argv):
     except (OSError, configparser.Error) as exc:
         raise ValueError(f"cannot read config {path}: {exc}") from None
     if not cp.has_section(command):
-        return argv
+        return []
     prefix = []
     for key, value in cp.items(command):
         flag = "--" + key.replace("_", "-")
@@ -263,7 +267,17 @@ def _config_argv(argv):
             continue
         else:
             prefix.extend([flag, value.strip()])
-    return [command] + prefix + argv[1:]
+    return prefix
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """Parse ``argv``, with the section of a ``--config`` file, in any spelling
+    the subcommand's parser accepts, put in front so that flags still override."""
+    try:
+        return _parser(True).parse_args(argv)
+    except _ConfigFound as found:
+        prefix = _config_prefix(argv[0], found.args[0])
+    return _parser(False).parse_args(_attach_state_values([argv[0], *prefix]) + argv[1:])
 
 
 def parse_input_state(text: str) -> InputQubit:
@@ -469,6 +483,16 @@ def cmd_fit_spdc(args) -> int:
         comments.append("warning: targets do not constrain the ratio")
     comments += [f"warning: ratio {_fmt(root, fp, '.6f')} fits the targets as well"
                  for root in fit.other_roots]
+    for label, target in targets.items():
+        lo, hi = fit.reachable[label]
+        if target < lo - REACH_TOLERANCE:
+            bound = f"never falls below {_fmt(lo * 100.0, fp)}"
+        elif target > hi + REACH_TOLERANCE:
+            bound = f"never rises above {_fmt(hi * 100.0, fp)}"
+        else:
+            continue
+        comments.append(f"warning: the {label} share {bound} % "
+                        f"(target {_fmt(target * 100.0, fp)} %)")
     columns = ["config", "target_percent", "achieved_percent", "residual_pp"]
     _emit(_render_table(columns, rows, args.fmt, args.full_precision,
                         comments=comments), args.out)
@@ -559,14 +583,12 @@ def _attach_state_values(argv):
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
+    argv = _attach_state_values(list(sys.argv[1:] if argv is None else argv))
     try:
-        argv = _attach_state_values(_config_argv(argv))
-    except ValueError as exc:
+        args = _parse(argv)
+    except ValueError as exc:            # a config file that cannot be read
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

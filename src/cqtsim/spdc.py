@@ -15,7 +15,7 @@ follow from applying the pair-creation operator twice.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -161,6 +161,48 @@ class RatioFit:
     converged: bool             # always True: the zoom always reaches its tolerance
     constrained: bool = True    # False when the targets leave the ratio free
     other_roots: tuple = ()     # ratios in other basins that fit as exactly
+    reachable: dict = field(default_factory=dict)   # label -> (min, max) share
+
+
+def _undesired_shares(rates: list):
+    """The undesired share of each of ``rates`` (``sector_rates`` of one
+    configuration each) as one function of log R, R = kappa_b/kappa_f.
+
+    ``shares(log_r)`` returns a (configuration, point) array.  Every element
+    comes from the same float operations, in the same order, as
+    ``sector_shares(rates[i], REFERENCE_KAPPA, REFERENCE_KAPPA * exp(log_r))``:
+    at kappa_f = REFERENCE_KAPPA the forward factor is 1.0, so sector "jjkk"
+    contributes rate * x ** 2k, summed from 0 in label order.  A label that a
+    configuration lacks contributes 0.0; ``sector_rates`` gives every
+    configuration the same labels in the same order.
+    """
+    labels = list(dict.fromkeys(label for r in rates for label in r))
+    coeffs = np.array([[r.get(label, 0.0) for label in labels] for r in rates])
+    powers = [2 * int(label[2]) for label in labels]
+
+    def shares(log_r: np.ndarray) -> np.ndarray:
+        x = abs(REFERENCE_KAPPA * np.exp(log_r) / REFERENCE_KAPPA)
+        # one power call per exponent, with an int exponent: numpy takes
+        # x ** 2 as x * x, which an array of exponents would not
+        x_to = {p: x ** p for p in set(powers)}
+        total = undesired = 0
+        for j, (label, p) in enumerate(zip(labels, powers)):
+            term = coeffs[:, j, None] * x_to[p]
+            total = total + term
+            if label != "1111":
+                undesired = undesired + term
+        if not np.all(total > 0.0):
+            raise ValueError("no emission term produces a four-fold coincidence")
+        return undesired / total
+
+    return shares
+
+
+def _local_minima(costs: np.ndarray) -> np.ndarray:
+    """One index per basin: the left end of each run of equal local minima."""
+    falls = np.concatenate(([True], costs[1:] < costs[:-1]))
+    holds = np.concatenate((costs[:-1] <= costs[1:], [True]))
+    return np.flatnonzero(falls & holds)
 
 
 def fit_source_ratio(targets: dict, rates: dict, bounds=RATIO_BOUNDS) -> RatioFit:
@@ -170,24 +212,26 @@ def fit_source_ratio(targets: dict, rates: dict, bounds=RATIO_BOUNDS) -> RatioFi
     ``rates`` maps each of those labels to its ``sector_rates``, so the fit
     propagates nothing itself.  The cost, a rational function of the ratio
     with two basins at some settings, is scanned on a log-spaced grid over
-    ``bounds``.  Each grid minimum is refined by zooming: a 21-point grid over
-    the bracket of its two neighbours gives the next, down to a bracket of
-    1e-12 in log R.  Other minima whose cost also reaches zero (below
-    ``_ROOT_COST``) are reported as ``other_roots``: the targets then cannot
-    tell those ratios apart.
+    ``bounds``; each evaluation computes the share of every configuration as
+    one stacked array, with the same bits as ``sector_shares``.  Each grid
+    minimum is refined by zooming: a 21-point grid over the bracket of its
+    two neighbours gives the next, down to a bracket of 1e-12 in log R.
+    Other minima whose cost also reaches zero (below ``_ROOT_COST``) are
+    reported as ``other_roots``: the targets then cannot tell those ratios
+    apart.  ``reachable`` gives, per label, the smallest and largest share
+    over the grid and the fitted ratio; a target outside it is one that no
+    ratio in ``bounds`` reaches.
     """
     labels = list(targets)
-
-    def undesired(ratio) -> dict:
-        kb = REFERENCE_KAPPA * ratio
-        return {k: sector_shares(rates[k], REFERENCE_KAPPA, kb)["undesired"] for k in labels}
+    shares = _undesired_shares([rates[k] for k in labels])
+    goal = np.array([targets[k] for k in labels])[:, None]
 
     def cost(log_r: np.ndarray) -> np.ndarray:
-        achieved = undesired(np.exp(log_r))
-        return sum((achieved[k] - targets[k]) ** 2 for k in labels)
+        return sum((shares(log_r) - goal) ** 2)
 
     grid = np.linspace(math.log(bounds[0]), math.log(bounds[1]), _GRID_POINTS)
-    costs = cost(grid)
+    grid_shares = shares(grid)
+    costs = sum((grid_shares - goal) ** 2)
     best = int(np.argmin(costs))
     # a degenerate target set (shares insensitive to the ratio) leaves the
     # minimizer free: detect a flat cost and flag the fit as unconstrained
@@ -204,11 +248,9 @@ def fit_source_ratio(targets: dict, rates: dict, bounds=RATIO_BOUNDS) -> RatioFi
             i = int(np.argmin(zoom))
 
     ratio = math.exp(refine(best)[0])
-    # one index per basin: the left end of each run of equal local minima
-    minima = [i for i in range(len(grid)) if (i == 0 or costs[i] < costs[i - 1])
-              and (i == len(grid) - 1 or costs[i] <= costs[i + 1])]
-    others = [refine(i) for i in minima if i != best] if constrained else []
-    achieved = undesired(ratio)
+    others = [refine(i) for i in _local_minima(costs) if i != best] if constrained else []
+    achieved = {k: sector_shares(rates[k], REFERENCE_KAPPA, REFERENCE_KAPPA * ratio)["undesired"]
+                for k in labels}
     residuals = {k: achieved[k] - targets[k] for k in labels}
     return RatioFit(
         ratio=ratio,
@@ -218,4 +260,6 @@ def fit_source_ratio(targets: dict, rates: dict, bounds=RATIO_BOUNDS) -> RatioFi
         converged=True,
         constrained=constrained,
         other_roots=tuple(math.exp(x) for x, c in others if c < _ROOT_COST),
+        reachable={k: (min(float(row.min()), achieved[k]), max(float(row.max()), achieved[k]))
+                   for k, row in zip(labels, grid_shares)},
     )

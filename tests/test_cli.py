@@ -442,6 +442,37 @@ def test_config_equals_form_reads_like_the_spaced_form(tmp_path, capsys):
     assert "cannot read config" in capsys.readouterr().err
 
 
+def test_config_abbreviation_reads_like_the_full_option(tmp_path, capsys):
+    cfg = tmp_path / "g2.ini"
+    cfg.write_text("[run]\nchannel = g2\naction = deny\nideal = true\n", encoding="utf-8")
+    assert run_cli(["run", "--config", str(cfg)]) == 0
+    full = capsys.readouterr().out
+    assert full.splitlines()[-1].startswith("g2,deny,")
+    for argv in (["run", "--ideal", "--conf", str(cfg)], ["run", "--co", str(cfg)],
+                 ["run", "--ideal", f"--conf={cfg}"]):
+        assert run_cli(argv) == 0
+        assert capsys.readouterr().out == full
+    assert run_cli(["run", "--ideal", "--conf=/nonexistent.ini"]) == 2
+    assert "cannot read config" in capsys.readouterr().err
+
+
+def test_config_abbreviation_that_matches_two_options_is_usage_error(tmp_path, capsys):
+    assert run_cli(["tomo", "--co", str(tmp_path / "x.csv")]) == 2
+    assert "ambiguous option: --co could match --counts, --config" in capsys.readouterr().err
+
+
+def test_config_supplies_a_required_option(tmp_path, capsys):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("label,projector,count\nh,h,700\nv,v,300\nplus,plus,650\n"
+                      "minus,minus,350\nr,r,520\nl,l,480\n", encoding="utf-8")
+    cfg = tmp_path / "tomo.ini"
+    cfg.write_text(f"[tomo]\ncounts = {counts}\n", encoding="utf-8")
+    assert run_cli(["tomo", "--counts", str(counts)]) == 0
+    direct = capsys.readouterr().out
+    assert run_cli(["tomo", "--conf", str(cfg)]) == 0
+    assert capsys.readouterr().out == direct
+
+
 def test_config_value_with_percent_is_taken_literally(tmp_path, capsys):
     cfg = tmp_path / "fit.ini"
     cfg.write_text("[fit-spdc]\ntargets = 13%,55,30\n", encoding="utf-8")
@@ -726,7 +757,10 @@ def test_run_full_precision_prints_the_record(extra, monkeypatch, capsys):
 FIT_COLUMNS = "config,target_percent,achieved_percent,residual_pp\n"
 FIT_ROWS = [
     ((),
-     ("fitted_ratio=0.554711", "sum_squared_residual=2.283408e-01", "converged=True"),
+     ("fitted_ratio=0.554711", "sum_squared_residual=2.283408e-01", "converged=True",
+      "warning: the uncontrolled share never rises above 0 % (target 13 %)",
+      "warning: the allowed share never falls below 75.59 % (target 55.4 %)",
+      "warning: the denied share never falls below 66.94 % (target 30.1 %)"),
      ("uncontrolled,13,0,-13", "allowed,55.4,81.13,25.73", "denied,30.1,68.21,38.11")),
     (("--synthetic-ratio", "0.8"),
      ("fitted_ratio=0.800000", "sum_squared_residual=0.000000e+00", "converged=True"),
@@ -739,7 +773,10 @@ FIT_ROWS = [
       "warning: ratio 4.000000 fits the targets as well"),
      ("uncontrolled,0,0,0", "allowed,96.97,96.97,0", "denied,100,100,0")),
     (("--targets", "10,50,40"),
-     ("fitted_ratio=0.600199", "sum_squared_residual=1.844477e-01", "converged=True"),
+     ("fitted_ratio=0.600199", "sum_squared_residual=1.844477e-01", "converged=True",
+      "warning: the uncontrolled share never rises above 0 % (target 10 %)",
+      "warning: the allowed share never falls below 75.59 % (target 50 %)",
+      "warning: the denied share never falls below 66.94 % (target 40 %)"),
      ("uncontrolled,10,0,-10", "allowed,50,79.51,29.51", "denied,40,69.56,29.56")),
 ]
 
@@ -750,6 +787,31 @@ def test_fit_spdc_bytes_pinned(extra, comments, rows, capsys):
     assert capsys.readouterr().out == (
         "# schema=cqtsim.v1\n" + "".join(f"# {c}\n" for c in comments)
         + FIT_COLUMNS + "".join(f"{r}\n" for r in rows))
+
+
+@pytest.mark.parametrize("extra", [
+    ["--synthetic-ratio", "5"],
+    ["--synthetic-ratio", "0.001001"],
+    ["--input", "h", "--synthetic-ratio", "0.8"],
+    # near the ratio where the allowed share is smallest, between grid points
+    ["--input", "h", "--pbs-epsilon", "0.025", "--synthetic-ratio", "0.846"],
+])
+def test_fit_spdc_round_trip_does_not_warn(extra, capsys):
+    assert run_cli(["fit-spdc", "--full-precision", *extra]) == 0
+    assert "# warning: the" not in capsys.readouterr().out
+
+
+def test_fit_spdc_warns_of_a_target_above_reach(capsys):
+    # input h: the denied configuration blocks the desired term, so its share
+    # is always 100 %, and the uncontrolled share is always 0
+    assert run_cli(["fit-spdc", "--input", "h", "--targets", "0,90,99"]) == 0
+    comments = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("# warning: the")]
+    assert comments == ["# warning: the denied share never falls below 100 % (target 99 %)"]
+    assert run_cli(["fit-spdc", "--input", "h", "--targets", "1,90,100"]) == 0
+    comments = [line for line in capsys.readouterr().out.splitlines()
+                if line.startswith("# warning: the")]
+    assert comments == ["# warning: the uncontrolled share never rises above 0 % (target 1 %)"]
 
 
 def test_fit_spdc_json_bytes_pinned(capsys):

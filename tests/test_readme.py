@@ -50,10 +50,13 @@ def test_run_protocol_example_prints_its_commented_values():
 
 
 def test_ratio_fit_example_fits_both_targets():
-    (line,) = printed_lines(BLOCKS[1])
+    line, reachable = printed_lines(BLOCKS[1])
     ratio, residuals = line.split(" ", 1)
     assert 0.001 < float(ratio) <= 5
     assert residuals.startswith("{'allowed': ") and "'denied': " in residuals
+    assert "# about (0.756, 1.0): 55.4 % is out of reach" in BLOCKS[1]
+    lo, hi = (float(v) for v in reachable.strip("()").split(", "))
+    assert lo == pytest.approx(0.756, abs=5e-4) and hi == pytest.approx(1.0, abs=5e-4)
 
 
 @pytest.fixture

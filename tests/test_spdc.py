@@ -11,6 +11,7 @@ import cqtsim
 from cqtsim.fock import H, V, occupation
 from cqtsim.protocol import InputQubit, ProtocolConfig, run_protocol
 from cqtsim.spdc import (_GRID_POINTS, _ROOT_COST, PAIR_KINDS, RATIO_BOUNDS,
+                         _local_minima, _undesired_shares,
                          REFERENCE_KAPPA, RatioFit, SourceParams, coincidence_sectors,
                          emission_orders, fit_source_ratio, four_mode_source,
                          heralded_fraction, sector_rates, sector_shares,
@@ -361,6 +362,80 @@ def test_sector_shares_of_an_array_match_each_scalar():
                     np.testing.assert_allclose(stacked["per_term"][label],
                                                [e["per_term"][label] for e in each],
                                                rtol=1e-12, atol=0)
+
+
+def test_stacked_shares_have_the_bits_of_sector_shares():
+    grid = np.linspace(math.log(RATIO_BOUNDS[0]), math.log(RATIO_BOUNDS[1]), _GRID_POINTS)
+    for eps in (0.0, 0.025, 0.1):
+        for name in ("plus", "h", "v", "r"):
+            rates = fit_rates(eps, name)
+            stacked = _undesired_shares(list(rates.values()))(grid)
+            assert stacked.shape == (len(rates), _GRID_POINTS)
+            for row, r in zip(stacked, rates.values()):
+                each = sector_shares(r, REFERENCE_KAPPA, REFERENCE_KAPPA * np.exp(grid))
+                assert np.array_equal(row, each["undesired"])
+
+
+def test_stacked_shares_fill_a_missing_label_with_zero():
+    rates = fit_rates()
+    short = {label: rate for label, rate in rates["allowed"].items() if label != "2200"}
+    grid = np.linspace(-2.0, 1.0, 7)
+    stacked = _undesired_shares([rates["denied"], short])(grid)
+    assert np.array_equal(stacked[1], sector_shares(short, REFERENCE_KAPPA,
+                                                    REFERENCE_KAPPA * np.exp(grid))["undesired"])
+
+
+def listed_minima(costs) -> list:
+    """The grid minima as a loop over the points: the left end of each run of
+    equal local minima."""
+    return [i for i in range(len(costs)) if (i == 0 or costs[i] < costs[i - 1])
+            and (i == len(costs) - 1 or costs[i] <= costs[i + 1])]
+
+
+@pytest.mark.parametrize("costs", [
+    [3.0, 1.0, 2.0, 0.5, 4.0],              # two basins
+    [1.0, 2.0, 3.0],                        # minimum at the left end
+    [3.0, 2.0, 1.0],                        # minimum at the right end
+    [2.0, 1.0, 1.0, 1.0, 3.0, 0.0, 0.0],    # plateaus, one at the right end
+    [1.0, 1.0, 2.0, 1.0, 1.0],              # plateaus at both ends
+    [5.0, 5.0, 5.0, 5.0],                   # flat
+    [0.0],
+])
+def test_local_minima_match_the_loop_over_points(costs):
+    assert _local_minima(np.array(costs)).tolist() == listed_minima(costs)
+
+
+def test_local_minima_match_the_loop_over_a_rounded_random_walk():
+    rng = np.random.default_rng(3)
+    for _ in range(50):
+        costs = np.round(np.cumsum(rng.normal(size=int(rng.integers(2, 60)))), 0)
+        assert _local_minima(costs).tolist() == listed_minima(costs)
+
+
+def test_fit_reports_the_reachable_shares():
+    # the bundled targets lie outside what the model reaches at order 2: the
+    # reference run's double pairs never click four-fold, and no ratio brings
+    # the allowed or denied share down to its target
+    fit = fit_source_ratio({"uncontrolled": 0.130, "allowed": 0.554, "denied": 0.301},
+                           fit_rates())
+    assert fit.reachable["uncontrolled"] == (0.0, 0.0)
+    assert fit.reachable["allowed"][0] == pytest.approx(0.7559, abs=5e-5)
+    assert fit.reachable["denied"][0] == pytest.approx(0.6694, abs=5e-5)
+    for label, (lo, hi) in fit.reachable.items():
+        assert lo <= fit.achieved[label] <= hi
+
+
+def test_reachable_shares_contain_every_round_trip_target():
+    # a share's extremum can lie between grid points, so the interval also
+    # holds the share at the fitted ratio
+    for eps in (0.025, 0.05):
+        rates = fit_rates(eps, "h")
+        for ratio in np.exp(np.linspace(math.log(0.5), math.log(1.5), 41)):
+            targets = {label: sector_shares(r, 0.05, 0.05 * ratio)["undesired"]
+                       for label, r in rates.items()}
+            fit = fit_source_ratio(targets, rates)
+            for label, (lo, hi) in fit.reachable.items():
+                assert lo - 1e-9 <= targets[label] <= hi + 1e-9
 
 
 def test_fit_raises_for_a_label_without_four_fold_rate():
