@@ -10,7 +10,7 @@ background subtraction, Poisson uncertainties).
 
 from .channels import (ConditionalChannel, avg_teleport_fidelity, condition_on_controller,
                        make_ghz_mixture, make_werner, teleport_fidelity, werner_scan)
-from .elements import OpticalElement, apply, compose, port_element
+from .elements import OpticalElement, apply, port_element
 from .estimation import (FidelityEstimate, MLResult, ProjectionCounts,
                          corrected_fidelity, correct_for_background,
                          fidelity_from_counts, ml_reconstruct,

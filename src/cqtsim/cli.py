@@ -570,12 +570,13 @@ def _attach_state_values(argv):
 
     argparse reads a separate value with a leading '-' as an option.  A state
     value can start with '-' only in the 'a,b' form, and no option contains
-    a comma, so such a value is attached to its option.
+    a comma, so such a value is attached to its option, or to any prefix of
+    it from ``--i`` on, which argparse then resolves or reports as ambiguous.
     """
     out = []
     for token in argv:
-        if (out and out[-1] in STATE_OPTIONS and token.startswith("-")
-                and "," in token):
+        if (out and len(out[-1]) > 2 and any(opt.startswith(out[-1]) for opt in STATE_OPTIONS)
+                and token.startswith("-") and "," in token):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)

@@ -1,16 +1,16 @@
 """Optical components modeled as substitution rules on photon creation operators.
 
 Each element maps the creation operator of every input mode to a linear
-combination over output modes, and ``compose`` multiplies such maps, so a
-whole setup is one element.  Applying an element rewrites every term of a
-state one photon at a time: each input photon is created again as its
+combination over output modes.  Applying an element rewrites every term of
+a state one photon at a time: each input photon is created again as its
 output combination, with the sqrt(n + 1) of a creation operator, which
 reproduces bosonic enhancement and two-photon interference for free.
 
 Every component is written once, as a local matrix over the H and V modes
-of the spatial modes it acts on (``hwp_matrix``, ``pbs_matrix``, ...);
-``port_element(spatials, matrix)`` turns such a block into an element, and
-``protocol`` multiplies the same blocks into one dense matrix.
+of the spatial modes it acts on (``hwp_matrix``, ``pbs_matrix``, ...).
+``protocol`` multiplies such blocks into one dense matrix, the only
+composition of optics in the package, and ``port_element(spatials,
+matrix)`` turns a block of it into an element.
 
 Conventions, fixed once for the whole package:
 
@@ -67,11 +67,9 @@ def qwp_matrix(theta: float) -> np.ndarray:
     return rotation(theta) @ np.diag([1.0, 1.0j]).astype(complex) @ rotation(-theta)
 
 
-def phase_matrix(phi: float, pol: str = V) -> np.ndarray:
-    """Birefringent phase plate: multiplies the ``pol`` component by exp(i*phi)."""
-    j = np.eye(2, dtype=complex)
-    j[1 if pol == V else 0, 1 if pol == V else 0] = np.exp(1j * phi)
-    return j
+def phase_matrix(phi: float) -> np.ndarray:
+    """Birefringent phase plate: multiplies the V component by exp(i*phi)."""
+    return np.diag([1.0, np.exp(1j * phi)])
 
 
 def polarizer_matrix(jones_ket: np.ndarray) -> np.ndarray:
@@ -116,25 +114,6 @@ def port_element(spatials: Sequence[int], matrix: np.ndarray) -> OpticalElement:
                          f"{tuple(spatials)}")
     return OpticalElement({m: {k: u for k, u in zip(modes, matrix[:, q]) if u != 0}
                            for q, m in enumerate(modes)})
-
-
-def compose(elements: Sequence[OpticalElement]) -> OpticalElement:
-    """One substitution map equal to applying ``elements`` in order.
-
-    Exact zeros are dropped: a mode that every path absorbs maps to nothing.
-    """
-    mapping: dict = {}
-    for el in elements:
-        for m, outs in mapping.items():
-            chained: dict = {}
-            for k, u in outs.items():
-                for j, w in el.mapping.get(k, {k: 1.0}).items():
-                    chained[j] = chained.get(j, 0.0j) + u * w
-            mapping[m] = chained
-        for m, outs in el.mapping.items():
-            mapping.setdefault(m, dict(outs))
-    mapping = {m: {k: u for k, u in outs.items() if u != 0} for m, outs in mapping.items()}
-    return OpticalElement(mapping)
 
 
 def apply(element: OpticalElement, state: PureState) -> PureState:

@@ -387,7 +387,7 @@ def poisson_uncertainty(data, seed: int, n_resamples: int = 10_000,
             keep = totals > 0
             values = draws[keep, 0] / totals[keep]
         if background_w:
-            values = (values - background_w / 2.0) / (1.0 - background_w)
+            values = corrected_fidelity(values, background_w)
         values = np.clip(values, 0.0, 1.0)
 
     if values.size == 0:

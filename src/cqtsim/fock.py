@@ -5,7 +5,8 @@ occupation vector over modes, and a pure state is a complex superposition
 of basis states, held as a plain dict keyed by canonical occupation tuples.
 The stage operations ``protocol.prepare_ghz`` and ``singlet_projection`` and
 the tests' oracles for the dense engine work on these states, which take any
-modes and stay small.
+modes and stay small.  ``project`` post-selects a state with any predicate on
+its occupation keys; each stage operation writes its own.
 
 Every sparse state is built by ``PureState(...)``, which canonicalises its
 keys through ``occupation``, so no code outside this module needs to know
@@ -21,7 +22,7 @@ import math
 import operator
 from bisect import bisect_left
 from collections.abc import Mapping
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -239,17 +240,6 @@ def project(state: PureState, predicate: Callable[[tuple], bool],
         return None, prob
     scale = 1.0 / math.sqrt(prob)
     return PureState({k: a * scale for k, a in kept.items()}), prob
-
-
-def clicks_at(spatials: Iterable[int]) -> Callable[[tuple], bool]:
-    """Predicate: every listed spatial mode holds at least one photon (threshold click)."""
-    spatials = tuple(spatials)
-
-    def pred(occ: tuple) -> bool:
-        counts = spatial_counts(occ)
-        return all(counts.get(s, 0) >= 1 for s in spatials)
-
-    return pred
 
 
 def to_qubit_density(state: PureState, spatials: Sequence[int]) -> np.ndarray:

@@ -38,8 +38,8 @@ one ``np.bincount``; its index tables are built with numpy on first use,
 once per photon number.  The analyzer calibration propagates the ideal
 source, sector (1, 1), through the same blocks and reads two amplitudes off
 it, so a run builds no sparse state.  The stage operations ``prepare_ghz``
-and ``singlet_projection`` turn the same blocks into elements with
-``elements.port_element`` and apply them to the sparse states of ``fock``.
+and ``singlet_projection`` apply the same blocks to the sparse states of
+``fock`` as elements made with ``elements.port_element``.
 """
 
 from __future__ import annotations
@@ -52,12 +52,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channels import PAULI_X
-from .elements import (apply, balanced_bs_matrix, compose, hwp_matrix, pbs_matrix,
-                       phase_matrix, polarizer_matrix, port_element)
+from .elements import (apply, balanced_bs_matrix, hwp_matrix, pbs_matrix, phase_matrix,
+                       polarizer_matrix, port_element)
 from .estimation import fidelity_from_counts
 from .fock import (H, V, KET_D, KET_H, KET_R, NAMED_KETS, PRUNE_THRESHOLD,
-                   PureState, SectorError, clicks_at, project, spatial_counts,
-                   unit_pair)
+                   PureState, SectorError, project, spatial_counts, unit_pair)
 from .spdc import BACKWARD_MODES, FORWARD_MODES, PAIR_KINDS, SourceParams
 
 _SQ2 = math.sqrt(2.0)
@@ -213,11 +212,6 @@ def _station_blocks(config: ProtocolConfig) -> list:
     elif config.action == "allow":
         blocks.append(((wiring.controller,), _ALLOW_POLARIZER[wiring.controller]))
     return blocks
-
-
-def _elements(blocks) -> list:
-    """The blocks as sparse substitution elements, in the same order."""
-    return [port_element(spatials, matrix) for spatials, matrix in blocks]
 
 
 def _detector_spatials(config: ProtocolConfig) -> list:
@@ -530,10 +524,13 @@ def prepare_ghz(source_state: PureState, pbs_epsilon: float = 0.0,
 
     ``source_state`` must already carry the circular preparation on mode 3.
     Returns ``(state, success_probability)`` with the compensation phases
-    applied, so the ideal output is exactly (|HHH>+|VVV>)/sqrt2.
+    applied, so the ideal output is exactly (|HHH>+|VVV>)/sqrt2.  Its blocks
+    are multiplied into L as a run's are, and L's block on modes 1 to 3 is
+    applied as one element.
     """
-    out = apply(compose(_elements(_ghz_blocks("g2" if g2 else "g1", pbs_epsilon))),
-                source_state)
+    lin = _optics_matrix(_ghz_blocks("g2" if g2 else "g1", pbs_epsilon))
+    rows = _block_rows((1, 2, 3))
+    out = apply(port_element((1, 2, 3), lin[rows][:, rows]), source_state)
 
     def one_each(occ):
         counts = spatial_counts(occ)
@@ -553,7 +550,12 @@ def singlet_projection(state: PureState):
     when anti-bunching never occurs (bunching-only inputs).
     """
     out = apply(port_element((1, INPUT_MODE), _FIBER_BS), state)
-    return project(out, clicks_at([1, INPUT_MODE]))
+
+    def anti_bunched(occ):
+        counts = spatial_counts(occ)
+        return counts.get(1, 0) >= 1 and counts.get(INPUT_MODE, 0) >= 1
+
+    return project(out, anti_bunched)
 
 
 def emulate_mixture(record_g1: CountRecord, record_g2: CountRecord, p: float) -> CountRecord:
@@ -566,7 +568,7 @@ def emulate_mixture(record_g1: CountRecord, record_g2: CountRecord, p: float) ->
         raise ValueError("p must lie in [0, 1]")
     if record_g1.settings != record_g2.settings:
         raise ValueError("records were taken with different input/action settings")
-    labels = set(record_g1.per_term) | set(record_g2.per_term)
+    labels = sorted(set(record_g1.per_term) | set(record_g2.per_term))
     per_term = {k: (1 - p) * record_g1.per_term.get(k, 0.0)
                 + p * record_g2.per_term.get(k, 0.0) for k in labels}
     return CountRecord(

@@ -103,16 +103,16 @@ def signature_label(occ: tuple) -> str:
     return "".join(str(counts.get(s, 0)) for s in (1, 2, 3, 4))
 
 
-def coincidence_sectors(state: PureState, min_photons: int = 4) -> dict:
+def coincidence_sectors(state: PureState) -> dict:
     """Group terms by spatial photon signature; keep sectors that can four-fold.
 
     The returned states are unnormalized so that their squared amplitudes keep
-    the emission weights; sectors with fewer than ``min_photons`` photons can
-    never light four detectors and are dropped.
+    the emission weights; sectors with fewer than four photons can never
+    light four detectors and are dropped.
     """
     sectors: dict = {}
     for occ, amp in state.terms.items():
-        if total_photons(occ) < min_photons:
+        if total_photons(occ) < 4:
             continue
         label = signature_label(occ)
         sectors.setdefault(label, {})[occ] = amp
@@ -205,22 +205,22 @@ def _local_minima(costs: np.ndarray) -> np.ndarray:
     return np.flatnonzero(falls & holds)
 
 
-def fit_source_ratio(targets: dict, rates: dict, bounds=RATIO_BOUNDS) -> RatioFit:
+def fit_source_ratio(targets: dict, rates: dict) -> RatioFit:
     """Least-squares fit of kappa_backward/kappa_forward to target undesired shares.
 
     ``targets`` maps configuration labels to target fractions (0..1);
     ``rates`` maps each of those labels to its ``sector_rates``, so the fit
     propagates nothing itself.  The cost, a rational function of the ratio
     with two basins at some settings, is scanned on a log-spaced grid over
-    ``bounds``; each evaluation computes the share of every configuration as
-    one stacked array, with the same bits as ``sector_shares``.  Each grid
-    minimum is refined by zooming: a 21-point grid over the bracket of its
-    two neighbours gives the next, down to a bracket of 1e-12 in log R.
-    Other minima whose cost also reaches zero (below ``_ROOT_COST``) are
-    reported as ``other_roots``: the targets then cannot tell those ratios
-    apart.  ``reachable`` gives, per label, the smallest and largest share
+    ``RATIO_BOUNDS``; each evaluation computes the share of every
+    configuration as one stacked array, with the same bits as
+    ``sector_shares``.  Each grid minimum is refined by zooming: a 21-point
+    grid over the bracket of its two neighbours gives the next, down to a
+    bracket of 1e-12 in log R.  Other minima whose cost also reaches zero
+    (below ``_ROOT_COST``) are reported as ``other_roots``: the targets then
+    cannot tell those ratios apart.  ``reachable`` gives, per label, the smallest and largest share
     over the grid and the fitted ratio; a target outside it is one that no
-    ratio in ``bounds`` reaches.
+    ratio in ``RATIO_BOUNDS`` reaches.
     """
     labels = list(targets)
     shares = _undesired_shares([rates[k] for k in labels])
@@ -229,7 +229,7 @@ def fit_source_ratio(targets: dict, rates: dict, bounds=RATIO_BOUNDS) -> RatioFi
     def cost(log_r: np.ndarray) -> np.ndarray:
         return sum((shares(log_r) - goal) ** 2)
 
-    grid = np.linspace(math.log(bounds[0]), math.log(bounds[1]), _GRID_POINTS)
+    grid = np.linspace(math.log(RATIO_BOUNDS[0]), math.log(RATIO_BOUNDS[1]), _GRID_POINTS)
     grid_shares = shares(grid)
     costs = sum((grid_shares - goal) ** 2)
     best = int(np.argmin(costs))

@@ -1,15 +1,21 @@
 """Builders and checks that only the tests use, kept out of the package.
 
-Each was a public function of ``cqtsim`` with no caller in the package, its
-README or its benchmark; the tests use them as references and as builders of
-small states, unchanged.  ``ideal_source_state`` and ``two_mode_spdc`` look up
-``emission_orders`` in this module, so a test can swap in another emission
-engine with ``monkeypatch.setattr(helpers, "emission_orders", ...)``.
+Each was a function of ``cqtsim`` with no caller in the package, its README
+or its benchmark; the tests use them as references and as builders of small
+states and elements, unchanged.  ``compose`` chains elements as substitution
+maps: the tests use it as the oracle of ``protocol``'s optics matrix and of
+``protocol.prepare_ghz``.
+``ideal_source_state`` and ``two_mode_spdc`` look up ``emission_orders`` in
+this module, so a test can swap in another emission engine with
+``monkeypatch.setattr(helpers, "emission_orders", ...)``.
 """
+
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from cqtsim.fock import H, V, PureState
+from cqtsim.elements import OpticalElement, phase_matrix, port_element
+from cqtsim.fock import H, V, PureState, spatial_counts
 from cqtsim.spdc import BACKWARD_MODES, FORWARD_MODES, emission_orders
 
 
@@ -55,3 +61,44 @@ def two_mode_spdc(kappa: complex, truncation_order: int = 2,
         for occ, amp in level.items():
             terms[occ] = terms.get(occ, 0.0j) + (kappa ** n) * amp
     return PureState(terms).normalized()
+
+
+def compose(elements: Sequence[OpticalElement]) -> OpticalElement:
+    """One substitution map equal to applying ``elements`` in order.
+
+    Exact zeros are dropped: a mode that every path absorbs maps to nothing.
+    """
+    mapping: dict = {}
+    for el in elements:
+        for m, outs in mapping.items():
+            chained: dict = {}
+            for k, u in outs.items():
+                for j, w in el.mapping.get(k, {k: 1.0}).items():
+                    chained[j] = chained.get(j, 0.0j) + u * w
+            mapping[m] = chained
+        for m, outs in el.mapping.items():
+            mapping.setdefault(m, dict(outs))
+    mapping = {m: {k: u for k, u in outs.items() if u != 0} for m, outs in mapping.items()}
+    return OpticalElement(mapping)
+
+
+def block_elements(blocks) -> list:
+    """The blocks as sparse substitution elements, in the same order."""
+    return [port_element(spatials, matrix) for spatials, matrix in blocks]
+
+
+def clicks_at(spatials: Iterable[int]) -> Callable[[tuple], bool]:
+    """Predicate: every listed spatial mode holds at least one photon (threshold click)."""
+    spatials = tuple(spatials)
+
+    def pred(occ: tuple) -> bool:
+        counts = spatial_counts(occ)
+        return all(counts.get(s, 0) >= 1 for s in spatials)
+
+    return pred
+
+
+def phase_on(phi: float, pol: str) -> np.ndarray:
+    """A phase plate that multiplies the ``pol`` component by exp(i*phi):
+    ``phase_matrix`` for V, the same plate with H and V swapped for H."""
+    return phase_matrix(phi) if pol == V else phase_matrix(phi)[::-1, ::-1]

@@ -583,16 +583,30 @@ def test_tomo_weight_too_large_for_point_estimate_is_usage_error(tmp_path, capsy
 # --- state values with a leading '-' --------------------------------------------------
 
 def test_state_value_with_leading_minus_parses(tmp_path, capsys):
-    assert run_cli(["run", "--ideal", "--input", "-0.6,0.8"]) == 0
-    spaced = capsys.readouterr().out
+    # a spaced value, after the option or an abbreviation of it that argparse
+    # accepts, gives the output of the attached one
     assert run_cli(["run", "--ideal", "--input=-0.6,0.8"]) == 0
-    assert spaced == capsys.readouterr().out
+    attached = capsys.readouterr().out
+    for spelling in ("--input", "--inp", "--in"):
+        assert run_cli(["run", "--ideal", spelling, "-0.6,0.8"]) == 0
+        assert capsys.readouterr().out == attached
+    assert run_cli(["fit-spdc", "--input=-0.6,0.8"]) == 0
+    attached = capsys.readouterr().out
+    assert run_cli(["fit-spdc", "--inp", "-0.6,0.8"]) == 0
+    assert capsys.readouterr().out == attached
     counts = tmp_path / "counts.csv"
     write_exact_counts(counts, np.outer(KET_D, KET_D.conj()))
-    assert run_cli(["tomo", "--counts", str(counts), "--target", "-0.6,0.8j"]) == 0
-    spaced = capsys.readouterr().out
     assert run_cli(["tomo", "--counts", str(counts), "--target=-0.6,0.8j"]) == 0
-    assert spaced == capsys.readouterr().out
+    attached = capsys.readouterr().out
+    for spelling in ("--target", "--tar"):
+        assert run_cli(["tomo", "--counts", str(counts), spelling, "-0.6,0.8j"]) == 0
+        assert capsys.readouterr().out == attached
+
+
+def test_ambiguous_abbreviation_of_a_state_option_is_a_usage_error(capsys):
+    # --i could be --input or --ideal; argparse says so
+    assert run_cli(["run", "--i", "-0.6,0.8"]) == 2
+    assert "ambiguous option: --i=-0.6,0.8" in capsys.readouterr().err
 
 
 # --- internal consistency failures ------------------------------------------------------

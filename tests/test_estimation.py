@@ -185,6 +185,18 @@ def test_poisson_requires_seed_and_counts():
         poisson_uncertainty((0.0, 0.0), seed=1)
 
 
+@pytest.mark.parametrize("weight", [1.0, 1.5, -0.5])
+def test_poisson_count_pair_rejects_a_background_weight_outside_the_range(weight):
+    with pytest.raises(ValueError, match="background weight must lie in"):
+        poisson_uncertainty((600.0, 400.0), seed=5, n_resamples=1000, background_w=weight)
+
+
+def test_poisson_count_pair_background_correction_keeps_its_bits():
+    est = poisson_uncertainty((600.0, 400.0), seed=5, n_resamples=1000, background_w=0.3)
+    assert repr(est) == ("FidelityEstimate(value=0.6431599639920591, "
+                         "uncertainty=0.02214230430981847)")
+
+
 def test_poisson_tomography_path():
     rho = 0.9 * np.outer(KET_D, KET_D.conj()) + 0.1 * np.eye(2) / 2
     counts = exact_counts(rho, exposure=500)

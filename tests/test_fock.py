@@ -6,11 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqtsim.fock import (H, V, KET_D, KET_H, KET_R, ModeOverlapError, PureState,
-                         SectorError, basis_state, clicks_at, fidelity, occupation,
-                         overlap, project, to_qubit_density, total_photons, tensor,
-                         unit_pair)
+                         SectorError, basis_state, fidelity, occupation, overlap,
+                         project, to_qubit_density, total_photons, tensor, unit_pair)
 
-from helpers import single_photon, validate_density
+from helpers import clicks_at, single_photon, validate_density
 
 
 def ghz_fock():

@@ -17,14 +17,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cqtsim import spdc
-from cqtsim.elements import (apply, balanced_bs_matrix, compose, hwp_matrix, pbs_matrix,
-                             phase_matrix, polarizer_matrix, port_element, qwp_matrix)
+from cqtsim.elements import (apply, balanced_bs_matrix, hwp_matrix, pbs_matrix,
+                             polarizer_matrix, port_element, qwp_matrix)
 from cqtsim.fock import H, V, PureState, occupation, total_photons
 from cqtsim.protocol import InputQubit, ProtocolConfig, run_protocol
 from cqtsim.spdc import PAIR_KINDS, SourceParams, four_mode_source
 
 import helpers
 import test_composed_vs_sequential as sequential
+from helpers import compose, phase_on
 from test_composed_vs_sequential import RUNS, assert_record_matches
 
 
@@ -129,7 +130,7 @@ KETS = st.tuples(st.complex_numbers(max_magnitude=1, allow_nan=False),
 ELEMENTS = st.one_of(
     st.builds(lambda m, t: port_element((m,), hwp_matrix(t)), MODES, ANGLES),
     st.builds(lambda m, t: port_element((m,), qwp_matrix(t)), MODES, ANGLES),
-    st.builds(lambda m, phi, pol: port_element((m,), phase_matrix(phi, pol)),
+    st.builds(lambda m, phi, pol: port_element((m,), phase_on(phi, pol)),
               MODES, ANGLES, st.sampled_from([H, V])),
     st.builds(lambda m, k: port_element((m,), polarizer_matrix(np.array(k))), MODES, KETS),
     PORTS.map(lambda p: port_element(p, balanced_bs_matrix())),

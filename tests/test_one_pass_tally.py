@@ -19,11 +19,12 @@ import pytest
 
 from cqtsim import fock, protocol
 from cqtsim.channels import PAULI_X
-from cqtsim.elements import apply, compose
-from cqtsim.fock import H, V, clicks_at, project, spatial_counts, to_qubit_density
+from cqtsim.elements import apply
+from cqtsim.fock import H, V, project, spatial_counts, to_qubit_density
 from cqtsim.protocol import (WIRINGS, InputQubit, ProtocolConfig, _detector_spatials,
-                             _elements, _station_blocks, analyzer_frame, run_protocol)
+                             _station_blocks, analyzer_frame, run_protocol)
 from cqtsim.spdc import SourceParams
+from helpers import block_elements, clicks_at, compose
 from test_composed_vs_sequential import assert_record_matches, grid, sectors
 
 
@@ -32,7 +33,7 @@ def projected_tally(config):
     frame = analyzer_frame(config.channel, config.roles)
     analyzer = np.array([frame @ config.input.ket(),
                          frame @ config.input.orthogonal_ket()]).conj()
-    optics = compose(_elements(_station_blocks(config) + [((wiring.receiver,), analyzer)]))
+    optics = compose(block_elements(_station_blocks(config) + [((wiring.receiver,), analyzer)]))
     fourfold = clicks_at(_detector_spatials(config))
 
     def cond_pred(occ):

@@ -5,7 +5,7 @@ station blocks, and the receiver's analyzer rotation, into the identity
 block by block.  The oracle is the construction it replaced: every element
 built as a substitution dict, as the constructors built them before they
 became ``port_element`` of a matrix, the elements composed by
-``elements.compose``, and the composite read back into a matrix by
+``helpers.compose``, and the composite read back into a matrix by
 ``linear_map``.
 """
 
@@ -15,10 +15,11 @@ import numpy as np
 import pytest
 
 from cqtsim import protocol
-from cqtsim.elements import OpticalElement, compose, hwp_matrix
+from cqtsim.elements import OpticalElement, hwp_matrix
 from cqtsim.fock import H, V, KET_D, KET_H, KET_R
 from cqtsim.protocol import (COMPENSATION_PHASE, INPUT_MODE, R_PREP, WIRINGS,
                              InputQubit, ProtocolConfig, ProtocolError, run_protocol)
+from helpers import block_elements, compose
 from test_composed_vs_sequential import RUNS
 
 DENSE_MODES = tuple((spatial, pol) for spatial in (1, 2, 3, 4) for pol in (H, V))
@@ -148,7 +149,7 @@ def test_sparse_elements_of_the_blocks_equal_the_substitution_dicts(channel, act
     # port_element drops the exact zeros the dicts keep; nothing else differs
     config = ProtocolConfig(channel=channel, action=action, roles=roles,
                             input=inputs()[-1], pbs_epsilon=0.05)
-    blocks = protocol._elements(protocol._station_blocks(config))
+    blocks = block_elements(protocol._station_blocks(config))
     dicts = setup_elements(config)
     assert len(blocks) == len(dicts)
     for got, want in zip(blocks, dicts):

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,11 +12,12 @@ from cqtsim import protocol
 from cqtsim.channels import conditional_teleport_output, make_ghz_mixture
 from cqtsim.elements import apply, port_element
 from cqtsim.fock import (H, V, PureState, SectorError, basis_state, fidelity, occupation,
-                         overlap, tensor)
+                         overlap, project, spatial_counts, tensor)
 from cqtsim.protocol import (AXIAL_INPUT_NAMES, INPUT_MODE, InputQubit, ProtocolConfig,
                              ProtocolError, R_PREP, analyzer_frame, emulate_mixture,
                              prepare_ghz, run_protocol, singlet_projection)
 from cqtsim.spdc import SourceParams
+from helpers import block_elements, compose
 from test_composed_vs_sequential import RUNS
 
 _SQ2 = math.sqrt(2.0)
@@ -139,6 +143,54 @@ def test_prepare_ghz_g2_variant_gives_flipped_state_in_analyzer_frame():
         occupation({(1, V): 1, (2, H): 1, (3, H): 1}): 1 / _SQ2,
     })
     assert abs(overlap(state, target)) ** 2 == pytest.approx(1.0, abs=1e-12)
+
+
+def composed_prepare_ghz(source_state, pbs_epsilon, g2):
+    """``prepare_ghz`` as it was: its blocks composed as substitution maps."""
+    blocks = protocol._ghz_blocks("g2" if g2 else "g1", pbs_epsilon)
+    out = apply(compose(block_elements(blocks)), source_state)
+    return project(out, lambda occ: (spatial_counts(occ).get(2, 0),
+                                     spatial_counts(occ).get(3, 0)) == (1, 1))
+
+
+def random_few_photon_states(count=30, seed=20261018):
+    """``count`` states of 2 to 4 photons over modes 1 to 4, up to six terms each.
+
+    Every term has a photon in mode 2 and one in mode 3, the others anywhere,
+    so most states pass the GHZ post-selection.
+    """
+    rng = np.random.default_rng(seed)
+    modes = [(spatial, pol) for spatial in (1, 2, 3, 4) for pol in (H, V)]
+    states = []
+    for _ in range(count):
+        n = int(rng.integers(2, 5))
+        terms = {}
+        for _ in range(int(rng.integers(1, 7))):
+            placed = [rng.integers(2, 4), rng.integers(4, 6), *rng.integers(0, 8, size=n - 2)]
+            counts = np.bincount(placed, minlength=len(modes))
+            terms[occupation(zip(modes, counts.tolist()))] = complex(*rng.normal(size=2))
+        states.append(PureState(terms))
+    return states
+
+
+GHZ_SOURCES = [phi_pair_with_circular_third()] + random_few_photon_states()
+
+
+@pytest.mark.parametrize("index", range(len(GHZ_SOURCES)))
+@pytest.mark.parametrize("eps", [0.0, 0.05, 0.3])
+@pytest.mark.parametrize("g2", [False, True], ids=["g1", "g2"])
+def test_prepare_ghz_keeps_the_bits_of_the_composed_map(g2, eps, index):
+    # the block of the optics matrix on modes 1 to 3, applied as one element,
+    # gives the composed map's terms in the same order, bit for bit
+    source = GHZ_SOURCES[index]
+    want, want_prob = composed_prepare_ghz(source, eps, g2)
+    if want is None:
+        with pytest.raises(ProtocolError):
+            prepare_ghz(source, pbs_epsilon=eps, g2=g2)
+        return
+    got, prob = prepare_ghz(source, pbs_epsilon=eps, g2=g2)
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert prob == want_prob
 
 
 # --- singlet projection ------------------------------------------------------------
@@ -306,6 +358,22 @@ def test_emulate_mixture_endpoints():
     assert mhalf.fidelity() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_emulate_mixture_orders_its_labels_whatever_the_hash_seed():
+    code = ("from cqtsim.protocol import ProtocolConfig, emulate_mixture, run_protocol\n"
+            "from cqtsim.spdc import SourceParams\n"
+            "recs = [run_protocol(ProtocolConfig(channel=c, action='deny', source=SourceParams()))[0]\n"
+            "        for c in ('g1', 'g2')]\n"
+            "print(list(emulate_mixture(*recs, 0.3).per_term))\n")
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    orders = set()
+    for seed in ("1", "2", "3"):
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                             env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed})
+        assert out.returncode == 0, out.stderr
+        orders.add(out.stdout)
+    assert orders == {"['0022', '1111', '2200']\n"}
+
+
 def test_emulate_mixture_rejects_mismatched_settings():
     r1, _ = run_protocol(ProtocolConfig(channel="g1", action="allow"))
     r2, _ = run_protocol(ProtocolConfig(channel="g2", action="deny"))
@@ -363,10 +431,9 @@ def test_chained_post_selections_do_not_conflict():
     # pattern for the ideal source: inserting it explicitly changes nothing,
     # so the singlet and GHZ post-selections chain without conflict
     from cqtsim.elements import apply as apply_el
-    from cqtsim.elements import compose
-    from cqtsim.fock import clicks_at, project, spatial_counts
-    from cqtsim.protocol import _detector_spatials, _elements, _station_blocks
-    from helpers import ideal_source_state
+    from cqtsim.fock import project, spatial_counts
+    from cqtsim.protocol import _detector_spatials, _station_blocks
+    from helpers import block_elements, clicks_at, compose, ideal_source_state
 
     cfg = ProtocolConfig(channel="g1", action="allow", roles="swapped")
     sector = ideal_source_state()
@@ -375,9 +442,9 @@ def test_chained_post_selections_do_not_conflict():
     # part prepares the GHZ state, the rest is the sender/receiver optics; the
     # controller's polarizer is the last block
     pbs_index = next(i for i, (spatials, _) in enumerate(blocks) if spatials == (2, 3))
-    els = _elements(blocks[:-1])
+    els = block_elements(blocks[:-1])
     prep, rest = els[:pbs_index + 3], els[pbs_index + 3:]
-    ctrl, = _elements(blocks[-1:])
+    ctrl, = block_elements(blocks[-1:])
     detectors = _detector_spatials(cfg)
 
     mid = apply_el(compose(prep), sector)

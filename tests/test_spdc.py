@@ -267,9 +267,9 @@ def test_fit_names_the_second_exact_root(eps):
     fit = fit_source_ratio(targets, rates)
     assert len(fit.other_roots) == 1
     assert sorted([fit.ratio, *fit.other_roots])[1] == pytest.approx(4.0, abs=5e-7)
-    other = fit_source_ratio({"allowed": targets["allowed"]}, rates,
-                             bounds=(fit.other_roots[0] / 1.5, fit.other_roots[0] * 1.5))
-    assert other.sum_squared_residual < 1e-12
+    other = sector_shares(rates["allowed"], REFERENCE_KAPPA,
+                          REFERENCE_KAPPA * fit.other_roots[0])["undesired"]
+    assert (other - targets["allowed"]) ** 2 < 1e-12
 
 
 def brent_fit_source_ratio(targets: dict, rates: dict, bounds=RATIO_BOUNDS) -> RatioFit:
