@@ -87,8 +87,9 @@ def fidelity_from_counts(f_parallel: float, f_perp: float) -> float:
 
 ML_TOL = 1e-10
 ML_MAX_ITERATIONS = 100_000
-# a table whose largest count exceeds this is beyond any measurement; it is
-# divided by that count so that counts over probabilities stay finite
+# a table whose largest count lies outside [1, ML_RESCALE_ABOVE] is divided by
+# that count: above, so that counts over probabilities stay finite; below, so
+# that the stopping test, absolute for |L| < 1, does not scale with the counts
 ML_RESCALE_ABOVE = 1e150
 
 
@@ -132,84 +133,98 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
     Hradil, Knill and Lvovsky (PRA 75, 042108): a full step is tried first
     and its weight ``alpha`` halved, down to 1e-6, until the likelihood does
     not fall by more than 1e-15.  A table stops when no step is accepted or
-    when the log-likelihood changes by less than ``tol * max(1, |L|)``; it
-    drops out of the arrays then, so a slow table costs only its own work.
+    when the log-likelihood changes by less than ``tol * max(1, |L|)``.
+
+    The running tables are packed into rows (state, likelihood, counts and
+    probabilities), re-packed only when one stops.  When all take the full
+    step and none stops, the candidates are the next state as they are;
+    otherwise the probabilities are recomputed, because the BLAS product
+    rounds differently on a different number of rows.
 
     Returns ``(rho (n, 2, 2), converged (n,), iterations (n,), traces)``;
     ``traces`` holds each table's log-likelihood after every accepted step
     when ``keep_trace`` is set, else None.
     """
     n, m = tables.shape
-    nonzero = tables > 0
-    totals = tables.sum(axis=1)
     eye = np.eye(2, dtype=complex)
     # tr(p rho) = sum_ij p_ji rho_ij: one (k, 4) @ (4, m) product against the
     # transposed, flattened projectors gives every probability of every table
     columns = np.ascontiguousarray(projectors.transpose(0, 2, 1).reshape(m, 4).T)
     flat = projectors.reshape(m, 4)
 
-    def probabilities(rho, idx):
-        # counts, the usable mask and the projector probabilities per table
+    def evaluate(rho, counts, nonzero):
+        # log-likelihoods and the probabilities, 1.0 where unusable; a masked
+        # entry adds counts * log(1.0) = +0.0
         probs = (rho.reshape(-1, 4) @ columns).real
-        counts = tables[idx]
-        usable = nonzero[idx] & (probs > 1e-300)
-        return counts, usable, probs
+        usable = nonzero & (probs > 1e-300)
+        safe = np.where(usable, probs, 1.0)
+        out = (counts * np.log(safe)).sum(axis=1)
+        bad = nonzero & ~usable
+        if bad.any():
+            out[bad.any(axis=1)] = -math.inf
+        return out, safe
 
-    def loglik(rho, idx):
-        counts, usable, probs = probabilities(rho, idx)
-        terms = np.where(usable, counts * np.log(np.where(usable, probs, 1.0)), 0.0)
-        out = terms.sum(axis=1)
-        out[(nonzero[idx] & ~usable).any(axis=1)] = -math.inf
-        return out
+    def candidate(rho, r, alpha):
+        a = alpha[:, None, None]
+        step = (1 - a) * eye + a * r
+        cand = _mul2(_mul2(step, rho), step.conj().transpose(0, 2, 1))
+        cand = 0.5 * (cand + cand.conj().transpose(0, 2, 1))
+        cand /= (cand[:, 0, 0].real + cand[:, 1, 1].real)[:, None, None]
+        return cand
 
-    rho_all = np.broadcast_to(eye / 2.0, (n, 2, 2)).copy()
-    ll_all = loglik(rho_all, np.arange(n))
-    converged = np.zeros(n, dtype=bool)
-    iterations = np.zeros(n, dtype=int)
-    traces = [[float(v)] for v in ll_all] if keep_trace else None
-    active = np.arange(n)
+    rho_out = np.broadcast_to(eye / 2.0, (n, 2, 2)).copy()
+    converged, iterations = np.zeros(n, dtype=bool), np.zeros(n, dtype=int)
+    active, rho, counts = np.arange(n), rho_out.copy(), tables
+    nonzero, totals = counts > 0, counts.sum(axis=1)
+    ll, safe = evaluate(rho, counts, nonzero)
+    traces = [[float(v)] for v in ll] if keep_trace else None
     for iteration in range(1, max_iterations + 1):
         if active.size == 0:
             break
         iterations[active] = iteration
-        rho, ll = rho_all[active], ll_all[active]
-        counts, usable, probs = probabilities(rho, active)
-        weights = np.where(usable, counts / np.where(usable, probs, 1.0), 0.0)
-        r = (weights @ flat).reshape(-1, 2, 2) / totals[active, None, None]
-
+        if safe is None:
+            _, safe = evaluate(rho, counts, nonzero)
+        # an active table's likelihood is finite, so its masked entries have
+        # count 0 and weight 0 / 1.0
+        r = ((counts / safe) @ flat).reshape(-1, 2, 2) / totals[:, None, None]
         alpha = np.ones(active.size)
-        new_rho = np.empty_like(rho)
-        new_ll = np.full(active.size, -math.inf)
-        accepted = np.zeros(active.size, dtype=bool)
-        pending = np.arange(active.size)
-        while pending.size:
-            a = alpha[pending, None, None]
-            step = (1 - a) * eye + a * r[pending]
-            cand = _mul2(_mul2(step, rho[pending]), step.conj().transpose(0, 2, 1))
-            cand = 0.5 * (cand + cand.conj().transpose(0, 2, 1))
-            cand /= np.trace(cand, axis1=1, axis2=2).real[:, None, None]
-            cand_ll = loglik(cand, active[pending])
-            ok = cand_ll >= ll[pending] - 1e-15
-            new_rho[pending[ok]] = cand[ok]
-            new_ll[pending[ok]] = cand_ll[ok]
-            accepted[pending[ok]] = True
-            pending = pending[~ok]
-            alpha[pending] /= 2.0
-            pending = pending[alpha[pending] > 1e-6]
+        new_rho = candidate(rho, r, alpha)
+        new_ll, safe = evaluate(new_rho, counts, nonzero)
+        accepted = new_ll >= ll - 1e-15
+        if not accepted.all():
+            # the rejected tables halve their step until one is accepted
+            safe = None
+            new_rho[~accepted] = rho[~accepted]
+            pending = np.flatnonzero(~accepted)
+            while True:
+                alpha[pending] /= 2.0
+                pending = pending[alpha[pending] > 1e-6]
+                if pending.size == 0:
+                    break
+                cand = candidate(rho[pending], r[pending], alpha[pending])
+                cand_ll, _ = evaluate(cand, counts[pending], nonzero[pending])
+                ok = cand_ll >= ll[pending] - 1e-15
+                new_rho[pending[ok]] = cand[ok]
+                new_ll[pending[ok]] = cand_ll[ok]
+                accepted[pending[ok]] = True
+                pending = pending[~ok]
 
         # a table with no acceptable step stops where it is, unconverged
         delta = np.abs(new_ll - ll)
-        ll = np.maximum(new_ll, ll)
+        rho, ll = new_rho, np.maximum(new_ll, ll)
         done = accepted & (delta < tol * np.maximum(1.0, np.abs(ll)))
-        moved = active[accepted]
-        rho_all[moved] = new_rho[accepted]
-        ll_all[moved] = ll[accepted]
         converged[active[done]] = True
         if keep_trace:
-            for i, v in zip(moved, ll[accepted]):
+            for i, v in zip(active[accepted], ll[accepted]):
                 traces[i].append(float(v))
-        active = active[accepted & ~done]
-    return rho_all, converged, iterations, traces
+        stay = accepted & ~done
+        if not stay.all():
+            rho_out[active[~stay]] = rho[~stay]
+            active, rho, ll = active[stay], rho[stay], ll[stay]
+            counts, nonzero, totals = counts[stay], nonzero[stay], totals[stay]
+            safe = None
+    rho_out[active] = rho
+    return rho_out, converged, iterations, traces
 
 
 def ml_reconstruct(counts: ProjectionCounts, tol: float = ML_TOL,
@@ -220,15 +235,15 @@ def ml_reconstruct(counts: ProjectionCounts, tol: float = ML_TOL,
     step would lower the likelihood, so the likelihood trace is monotone by
     construction.  Stops when the relative log-likelihood change drops below
     ``tol``; non-convergence is flagged on the result, never raised.  A table
-    with a count above ``ML_RESCALE_ABOVE`` is iterated, and its likelihoods
-    reported, divided by its largest count.
+    whose largest count is below 1 or above ``ML_RESCALE_ABOVE`` is iterated,
+    and its likelihoods reported, divided by that count.
     """
     if not counts.is_informationally_complete():
         raise ValueError("projector set is not informationally complete")
     ns = counts.counts()
     if np.sum(ns) <= 0:
         raise ValueError("all counts are zero")
-    if ns.max() > ML_RESCALE_ABOVE:
+    if not 1.0 <= ns.max() <= ML_RESCALE_ABOVE:
         ns = ns / ns.max()
     rho, converged, iterations, traces = _ml_kernel(
         np.array(counts.projectors()), ns[None, :], tol, max_iterations,

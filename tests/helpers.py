@@ -4,17 +4,21 @@ Each was a function of ``cqtsim`` with no caller in the package, its README
 or its benchmark; the tests use them as references and as builders of small
 states and elements, unchanged.  ``compose`` chains elements as substitution
 maps: the tests use it as the oracle of ``protocol``'s optics matrix and of
-``protocol.prepare_ghz``.
+``protocol.prepare_ghz``.  ``reference_ml_kernel`` is
+``estimation._ml_kernel`` as it was before it kept each table's state
+between steps, copied verbatim: the bit-for-bit oracle of the kernel.
 ``ideal_source_state`` and ``two_mode_spdc`` look up ``emission_orders`` in
 this module, so a test can swap in another emission engine with
 ``monkeypatch.setattr(helpers, "emission_orders", ...)``.
 """
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from cqtsim.elements import OpticalElement, phase_matrix, port_element
+from cqtsim.estimation import _mul2
 from cqtsim.fock import H, V, PureState, spatial_counts
 from cqtsim.spdc import BACKWARD_MODES, FORWARD_MODES, emission_orders
 
@@ -102,3 +106,92 @@ def phase_on(phi: float, pol: str) -> np.ndarray:
     """A phase plate that multiplies the ``pol`` component by exp(i*phi):
     ``phase_matrix`` for V, the same plate with H and V swapped for H."""
     return phase_matrix(phi) if pol == V else phase_matrix(phi)[::-1, ::-1]
+
+
+def reference_ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
+               max_iterations: int, keep_trace: bool = False):
+    """Diluted R rho R iteration on a stack of count tables.
+
+    ``projectors`` (m, 2, 2) are shared by every table, ``tables`` (n, m)
+    holds the counts.  Each table runs the fixed-point update of Rehacek,
+    Hradil, Knill and Lvovsky (PRA 75, 042108): a full step is tried first
+    and its weight ``alpha`` halved, down to 1e-6, until the likelihood does
+    not fall by more than 1e-15.  A table stops when no step is accepted or
+    when the log-likelihood changes by less than ``tol * max(1, |L|)``; it
+    drops out of the arrays then, so a slow table costs only its own work.
+
+    Returns ``(rho (n, 2, 2), converged (n,), iterations (n,), traces)``;
+    ``traces`` holds each table's log-likelihood after every accepted step
+    when ``keep_trace`` is set, else None.
+    """
+    n, m = tables.shape
+    nonzero = tables > 0
+    totals = tables.sum(axis=1)
+    eye = np.eye(2, dtype=complex)
+    # tr(p rho) = sum_ij p_ji rho_ij: one (k, 4) @ (4, m) product against the
+    # transposed, flattened projectors gives every probability of every table
+    columns = np.ascontiguousarray(projectors.transpose(0, 2, 1).reshape(m, 4).T)
+    flat = projectors.reshape(m, 4)
+
+    def probabilities(rho, idx):
+        # counts, the usable mask and the projector probabilities per table
+        probs = (rho.reshape(-1, 4) @ columns).real
+        counts = tables[idx]
+        usable = nonzero[idx] & (probs > 1e-300)
+        return counts, usable, probs
+
+    def loglik(rho, idx):
+        counts, usable, probs = probabilities(rho, idx)
+        terms = np.where(usable, counts * np.log(np.where(usable, probs, 1.0)), 0.0)
+        out = terms.sum(axis=1)
+        out[(nonzero[idx] & ~usable).any(axis=1)] = -math.inf
+        return out
+
+    rho_all = np.broadcast_to(eye / 2.0, (n, 2, 2)).copy()
+    ll_all = loglik(rho_all, np.arange(n))
+    converged = np.zeros(n, dtype=bool)
+    iterations = np.zeros(n, dtype=int)
+    traces = [[float(v)] for v in ll_all] if keep_trace else None
+    active = np.arange(n)
+    for iteration in range(1, max_iterations + 1):
+        if active.size == 0:
+            break
+        iterations[active] = iteration
+        rho, ll = rho_all[active], ll_all[active]
+        counts, usable, probs = probabilities(rho, active)
+        weights = np.where(usable, counts / np.where(usable, probs, 1.0), 0.0)
+        r = (weights @ flat).reshape(-1, 2, 2) / totals[active, None, None]
+
+        alpha = np.ones(active.size)
+        new_rho = np.empty_like(rho)
+        new_ll = np.full(active.size, -math.inf)
+        accepted = np.zeros(active.size, dtype=bool)
+        pending = np.arange(active.size)
+        while pending.size:
+            a = alpha[pending, None, None]
+            step = (1 - a) * eye + a * r[pending]
+            cand = _mul2(_mul2(step, rho[pending]), step.conj().transpose(0, 2, 1))
+            cand = 0.5 * (cand + cand.conj().transpose(0, 2, 1))
+            cand /= np.trace(cand, axis1=1, axis2=2).real[:, None, None]
+            cand_ll = loglik(cand, active[pending])
+            ok = cand_ll >= ll[pending] - 1e-15
+            new_rho[pending[ok]] = cand[ok]
+            new_ll[pending[ok]] = cand_ll[ok]
+            accepted[pending[ok]] = True
+            pending = pending[~ok]
+            alpha[pending] /= 2.0
+            pending = pending[alpha[pending] > 1e-6]
+
+        # a table with no acceptable step stops where it is, unconverged
+        delta = np.abs(new_ll - ll)
+        ll = np.maximum(new_ll, ll)
+        done = accepted & (delta < tol * np.maximum(1.0, np.abs(ll)))
+        moved = active[accepted]
+        rho_all[moved] = new_rho[accepted]
+        ll_all[moved] = ll[accepted]
+        converged[active[done]] = True
+        if keep_trace:
+            for i, v in zip(moved, ll[accepted]):
+                traces[i].append(float(v))
+        active = active[accepted & ~done]
+    return rho_all, converged, iterations, traces

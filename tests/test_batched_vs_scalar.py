@@ -16,6 +16,11 @@ for every row, so these comparisons use ``==``, not a tolerance.
 ``float_count_pair`` is the count-pair resampling as it was before its
 totals became integer sums, copied verbatim; the draws and every division
 are the same, so that comparison uses ``==`` too.
+
+``helpers.reference_ml_kernel`` is the stacked ML kernel as it was before it
+kept each table's state between steps, copied verbatim.  The kernel makes the
+same floating-point operations on the same rows, so states, flags, iteration
+counts and traces must agree bit for bit.
 """
 
 import math
@@ -36,6 +41,9 @@ from cqtsim.estimation import (NonPhysicalError, ProjectionCounts, _ml_kernel, _
                                poisson_uncertainty)
 from cqtsim.fock import (KET_A, KET_D, KET_H, KET_L, KET_R, KET_V, basis_pairs,
                          fidelity)
+
+import cqtsim.estimation as estimation
+from helpers import reference_ml_kernel
 
 AXIAL = ("h", "v", "plus", "minus", "r", "l")
 
@@ -310,6 +318,57 @@ def axial_projectors():
     return np.array(axial_counts({name: 1.0 for name in AXIAL}).projectors())
 
 
+def sparse_projector_tables(seed):
+    """4 to 8 random projector kets and 1 to 3 tables over them, each count
+    zero with probability 1/2: the estimates lie near the surface of the Bloch
+    ball, where a full step can lower the likelihood."""
+    rng = np.random.default_rng([5, seed])
+    m = int(rng.integers(4, 9))
+    kets = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+    n = int(rng.integers(1, 4))
+    means = rng.uniform(0, 50, size=(n, m)) * (rng.random((n, m)) < 0.5)
+    tables = rng.poisson(means).astype(float)
+    return list(kets), tables[tables.sum(axis=1) > 0]
+
+
+def axial_stacks():
+    """Seeded axial stacks of 1, 2, 7 and 300 tables, one count zeroed in
+    every fifth table; some capped at 3 iterations, most with traces."""
+    for seed in range(24):
+        n = (1, 2, 7, 300)[seed % 4]
+        tables = seeded_tables(seed, n, (30, 400, 14000)[seed % 3])
+        yield axial_projectors(), tables, (3 if seed % 5 == 3 else 100_000), seed % 6 > 0
+
+
+def sparse_stacks():
+    for seed in range(60):
+        kets, tables = sparse_projector_tables(seed)
+        if tables.size:
+            projectors = np.array(ProjectionCounts([(k, 1.0) for k in kets]).projectors())
+            yield kets, projectors, tables
+
+
+def count_diluted_steps(monkeypatch):
+    """Patch ``_mul2`` to count kernel passes; returns a function of a
+    kernel run's iteration counts that gives the passes beyond one per
+    iteration, which are the diluted steps."""
+    calls = [0]
+
+    def counted(a, b):
+        calls[0] += 1
+        return _mul2(a, b)
+
+    monkeypatch.setattr(estimation, "_mul2", counted)
+
+    def diluted(iterations):
+        # two products per pass, one full pass per iteration of the longest table
+        extra = calls[0] // 2 - int(iterations.max())
+        calls[0] = 0
+        return extra
+
+    return diluted
+
+
 # --- estimation ---------------------------------------------------------------------
 
 @pytest.mark.parametrize("exposure", [30, 400, 5000])
@@ -326,6 +385,53 @@ def test_kernel_matches_scalar_loop_per_table(exposure):
         assert len(traces[i]) == len(ref_trace)
         assert np.allclose(traces[i], ref_trace, rtol=1e-12, atol=0)
         assert all(b >= a - 1e-12 for a, b in zip(traces[i], traces[i][1:]))
+
+
+def test_kernel_matches_scalar_loop_on_diluted_steps(monkeypatch):
+    diluted = count_diluted_steps(monkeypatch)
+    steps = 0
+    for kets, projectors, tables in sparse_stacks():
+        rho, converged, iterations, traces = _ml_kernel(
+            projectors, tables, 1e-10, 2000, keep_trace=True)
+        steps += diluted(iterations)
+        for i, table in enumerate(tables):
+            ref_rho, ref_conv, ref_iter, ref_trace = scalar_ml_reconstruct(
+                ProjectionCounts(list(zip(kets, table))), max_iterations=2000)
+            assert (iterations[i], converged[i]) == (ref_iter, ref_conv)
+            assert np.max(np.abs(rho[i] - ref_rho)) <= 1e-12
+            # some estimates are pure, with a log-likelihood of 0
+            assert np.allclose(traces[i], ref_trace, rtol=1e-12, atol=1e-12)
+    # the corpus must reach the alpha-halving branch
+    assert steps > 0
+
+
+def test_kernel_is_bit_identical_to_the_reference_kernel(monkeypatch):
+    diluted = count_diluted_steps(monkeypatch)
+    runs = list(axial_stacks())
+    runs += [(p, t, 2000, True) for _, p, t in sparse_stacks()]
+    steps = 0
+    for projectors, tables, cap, keep_trace in runs:
+        rho, converged, iterations, traces = _ml_kernel(projectors, tables, 1e-10, cap,
+                                                        keep_trace)
+        steps += diluted(iterations)
+        ref_rho, ref_conv, ref_iter, ref_traces = reference_ml_kernel(
+            projectors, tables, 1e-10, cap, keep_trace)
+        assert rho.tobytes() == ref_rho.tobytes()
+        assert np.array_equal(converged, ref_conv)
+        assert np.array_equal(iterations, ref_iter)
+        assert traces == ref_traces
+    assert steps > 0
+
+
+def test_ml_reconstruct_keeps_the_bytes_of_integer_tables():
+    for table in seeded_tables(22, 20, 3000):
+        counts = axial_counts(dict(zip(AXIAL, table)))
+        ref_rho, ref_conv, ref_iter, ref_traces = reference_ml_kernel(
+            axial_projectors(), table[None], 1e-10, 100_000, True)
+        res = ml_reconstruct(counts)
+        assert res.rho.tobytes() == ref_rho[0].tobytes()
+        assert (res.converged, res.iterations) == (ref_conv[0], ref_iter[0])
+        assert res.log_likelihoods == ref_traces[0]
 
 
 @pytest.mark.parametrize("n", [1, 300])

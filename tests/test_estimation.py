@@ -259,18 +259,32 @@ def test_projection_counts_reject_an_overflowing_total():
     assert ProjectionCounts([(KET_H, 1e308), (KET_V, 7e307)]).counts().sum() < math.inf
 
 
-@pytest.mark.parametrize("largest", [1e3, ML_RESCALE_ABOVE, 1e200])
+@pytest.mark.parametrize("largest", [1e-3, 1.0, 1e3, ML_RESCALE_ABOVE, 1e200])
 def test_ml_rescales_only_a_table_beyond_any_measurement(largest):
     ns = largest * np.array([1.0, 0.43, 0.93, 0.5, 0.74, 0.69])
     counts = axial_counts(dict(zip(AXIAL, ns)))
-    # up to ML_RESCALE_ABOVE the table is iterated as it is, so its estimate
-    # keeps every bit; above, it is divided by its largest count
-    as_run = ns if largest <= ML_RESCALE_ABOVE else ns / largest
+    # from 1 to ML_RESCALE_ABOVE the table is iterated as it is, so its
+    # estimate keeps every bit; outside, it is divided by its largest count
+    as_run = ns if 1.0 <= largest <= ML_RESCALE_ABOVE else ns / largest
     rho, _, iterations, _ = _ml_kernel(np.array(counts.projectors()), as_run[None],
                                        ML_TOL, ML_MAX_ITERATIONS)
     res = ml_reconstruct(counts)
     assert np.array_equal(res.rho, rho[0])
     assert res.iterations == iterations[0]
+
+
+@pytest.mark.parametrize("scale, tolerance", [(1e-8, 1e-6), (1e-300, 1e-6), (1e-320, 1e-3)])
+def test_ml_estimate_does_not_depend_on_the_scale_of_the_counts(scale, tolerance):
+    # a table whose counts are all below 1 is divided by its largest count, so
+    # the stopping test, absolute for |L| < 1, sees the likelihood of a table
+    # in [1, ML_RESCALE_ABOVE]; subnormal counts carry about 12 bits
+    ns = np.array([3.0, 1.0, 2.0, 2.0, 1.0, 3.0])
+    ref = ml_reconstruct(axial_counts(dict(zip(AXIAL, ns))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = ml_reconstruct(axial_counts(dict(zip(AXIAL, scale * ns))))
+    assert res.converged and ref.converged
+    assert np.max(np.abs(res.rho - ref.rho)) <= tolerance
 
 
 def test_poisson_rejects_means_beyond_the_sampler_limit():
