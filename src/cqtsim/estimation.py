@@ -75,6 +75,8 @@ class FidelityEstimate:
 
 def fidelity_from_counts(f_parallel: float, f_perp: float) -> float:
     """Fidelity as the parallel share of parallel-plus-orthogonal rates."""
+    if not (math.isfinite(f_parallel) and math.isfinite(f_perp)):
+        raise ValueError(f"rates must be finite, got ({f_parallel!r}, {f_perp!r})")
     if f_parallel < 0 or f_perp < 0:
         raise ValueError("rates must be non-negative")
     total = f_parallel + f_perp
@@ -136,10 +138,11 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
     when the log-likelihood changes by less than ``tol * max(1, |L|)``.
 
     The running tables are packed into rows (state, likelihood, counts and
-    probabilities), re-packed only when one stops.  When all take the full
-    step and none stops, the candidates are the next state as they are;
-    otherwise the probabilities are recomputed, because the BLAS product
-    rounds differently on a different number of rows.
+    probabilities), re-packed only when one stops.  The full step is ``r``
+    itself; only the diluted passes build ``alpha`` and mix in the identity.
+    When all take the full step and none stops, the candidates are the next
+    state as they are; otherwise the probabilities are recomputed, because
+    the BLAS product rounds differently on a different number of rows.
 
     Returns ``(rho (n, 2, 2), converged (n,), iterations (n,), traces)``;
     ``traces`` holds each table's log-likelihood after every accepted step
@@ -164,9 +167,7 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
             out[bad.any(axis=1)] = -math.inf
         return out, safe
 
-    def candidate(rho, r, alpha):
-        a = alpha[:, None, None]
-        step = (1 - a) * eye + a * r
+    def candidate(rho, step):
         cand = _mul2(_mul2(step, rho), step.conj().transpose(0, 2, 1))
         cand = 0.5 * (cand + cand.conj().transpose(0, 2, 1))
         cand /= (cand[:, 0, 0].real + cand[:, 1, 1].real)[:, None, None]
@@ -187,21 +188,23 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
         # an active table's likelihood is finite, so its masked entries have
         # count 0 and weight 0 / 1.0
         r = ((counts / safe) @ flat).reshape(-1, 2, 2) / totals[:, None, None]
-        alpha = np.ones(active.size)
-        new_rho = candidate(rho, r, alpha)
+        # the full step (1 - alpha) eye + alpha r at alpha = 1 is r with its
+        # zeros made +0.0, which is what + 0.0 does
+        new_rho = candidate(rho, r + 0.0)
         new_ll, safe = evaluate(new_rho, counts, nonzero)
         accepted = new_ll >= ll - 1e-15
         if not accepted.all():
             # the rejected tables halve their step until one is accepted
             safe = None
             new_rho[~accepted] = rho[~accepted]
-            pending = np.flatnonzero(~accepted)
+            alpha, pending = np.ones(active.size), np.flatnonzero(~accepted)
             while True:
                 alpha[pending] /= 2.0
                 pending = pending[alpha[pending] > 1e-6]
                 if pending.size == 0:
                     break
-                cand = candidate(rho[pending], r[pending], alpha[pending])
+                a = alpha[pending, None, None]
+                cand = candidate(rho[pending], (1 - a) * eye + a * r[pending])
                 cand_ll, _ = evaluate(cand, counts[pending], nonzero[pending])
                 ok = cand_ll >= ll[pending] - 1e-15
                 new_rho[pending[ok]] = cand[ok]
@@ -313,14 +316,28 @@ def correct_for_background(raw: np.ndarray, w: float) -> np.ndarray:
     Noisy inputs can push the difference slightly outside the physical cone:
     small negative eigenvalues are clipped to zero (with a warning) in the
     matrices that have them; an eigenvalue below -1e-3 in any matrix raises
-    NonPhysicalError, which counts the matrices that have one.
+    NonPhysicalError, which counts the matrices that have one.  A non-finite
+    entry raises ValueError.
+
+    Only a matrix with a negative eigenvalue changes.  For d = 2 the lowest
+    eigenvalue has a closed form, good to a few units of double precision of
+    the entries; when it exceeds 1e-9 of them in every matrix, the stack is
+    returned with no eigendecomposition.
     """
     if not 0.0 <= w < 1.0:
         raise ValueError("background weight must lie in [0, 1)")
     raw = np.asarray(raw, dtype=complex)
+    if not np.isfinite(raw).all():
+        raise ValueError("density matrices must be finite")
     dim = raw.shape[-1]
     out = (raw - w * np.eye(dim) / dim) / (1.0 - w)
     out = 0.5 * (out + np.swapaxes(out.conj(), -1, -2))
+    if dim == 2:
+        a, d, b = out[..., 0, 0].real, out[..., 1, 1].real, np.abs(out[..., 0, 1])
+        # hypot, not the root of the squares, which underflow or overflow
+        low = (a + d) / 2 - np.hypot((a - d) / 2, b)
+        if np.all(low > 1e-9 * (np.abs(a) + np.abs(d) + b)):
+            return out
     eigvals, eigvecs = np.linalg.eigh(out)
     lowest = eigvals[..., 0]
     severe = lowest < -1e-3
@@ -373,6 +390,11 @@ def poisson_uncertainty(data, seed: int, n_resamples: int = 10_000,
         if target is None:
             raise ValueError("tomography resampling needs a target ket")
         target = np.asarray(target, dtype=complex).ravel()
+        # InputQubit's rule, without renormalising, so a unit ket keeps its bits
+        if (target.size != 2 or not np.isfinite(target).all()
+                or not abs(abs(target[0]) ** 2 + abs(target[1]) ** 2 - 1.0) <= 1e-12):
+            raise ValueError(f"target must be a unit ket of two finite components, "
+                             f"got {target.tolist()!r}")
         means = data.counts()
         if means.sum() <= 0:
             raise ValueError("all counts are zero")

@@ -7,18 +7,22 @@ maps: the tests use it as the oracle of ``protocol``'s optics matrix and of
 ``protocol.prepare_ghz``.  ``reference_ml_kernel`` is
 ``estimation._ml_kernel`` as it was before it kept each table's state
 between steps, copied verbatim: the bit-for-bit oracle of the kernel.
+``reference_correct_for_background`` is ``estimation.correct_for_background``
+as it was before it screened 2x2 states in closed form, copied verbatim: it
+diagonalises every matrix.
 ``ideal_source_state`` and ``two_mode_spdc`` look up ``emission_orders`` in
 this module, so a test can swap in another emission engine with
 ``monkeypatch.setattr(helpers, "emission_orders", ...)``.
 """
 
 import math
+import warnings
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from cqtsim.elements import OpticalElement, phase_matrix, port_element
-from cqtsim.estimation import _mul2
+from cqtsim.estimation import NonPhysicalError, _mul2
 from cqtsim.fock import H, V, PureState, spatial_counts
 from cqtsim.spdc import BACKWARD_MODES, FORWARD_MODES, emission_orders
 
@@ -195,3 +199,36 @@ def reference_ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
                 traces[i].append(float(v))
         active = active[accepted & ~done]
     return rho_all, converged, iterations, traces
+
+
+def reference_correct_for_background(raw: np.ndarray, w: float) -> np.ndarray:
+    """Subtract a maximally mixed admixture of weight ``w`` and renormalize.
+
+    ``raw`` is one density matrix or a stack of them, shape (..., d, d).
+    Noisy inputs can push the difference slightly outside the physical cone:
+    small negative eigenvalues are clipped to zero (with a warning) in the
+    matrices that have them; an eigenvalue below -1e-3 in any matrix raises
+    NonPhysicalError, which counts the matrices that have one.
+    """
+    if not 0.0 <= w < 1.0:
+        raise ValueError("background weight must lie in [0, 1)")
+    raw = np.asarray(raw, dtype=complex)
+    dim = raw.shape[-1]
+    out = (raw - w * np.eye(dim) / dim) / (1.0 - w)
+    out = 0.5 * (out + np.swapaxes(out.conj(), -1, -2))
+    eigvals, eigvecs = np.linalg.eigh(out)
+    lowest = eigvals[..., 0]
+    severe = lowest < -1e-3
+    if np.any(severe):
+        raise NonPhysicalError(int(np.sum(severe)), lowest.size, float(np.min(lowest)))
+    if np.any(lowest < -1e-9):
+        warnings.warn("background subtraction left slightly negative "
+                      "eigenvalues; clipping to the physical cone")
+    clip = lowest < 0
+    if np.any(clip):
+        vals = np.clip(eigvals[clip], 0.0, None)
+        vecs = eigvecs[clip]
+        fixed = (vecs * vals[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+        fixed /= np.trace(fixed, axis1=-2, axis2=-1).real[..., None, None]
+        out[clip] = fixed
+    return out

@@ -21,6 +21,11 @@ are the same, so that comparison uses ``==`` too.
 kept each table's state between steps, copied verbatim.  The kernel makes the
 same floating-point operations on the same rows, so states, flags, iteration
 counts and traces must agree bit for bit.
+
+``helpers.reference_correct_for_background`` is the background subtraction
+as it was before its closed-form screen, copied verbatim: it diagonalises
+every matrix.  A stack the screen passes is returned as the reference returns
+it, so bytes, warnings and errors must agree.
 """
 
 import math
@@ -43,7 +48,7 @@ from cqtsim.fock import (KET_A, KET_D, KET_H, KET_L, KET_R, KET_V, basis_pairs,
                          fidelity)
 
 import cqtsim.estimation as estimation
-from helpers import reference_ml_kernel
+from helpers import reference_correct_for_background, reference_ml_kernel
 
 AXIAL = ("h", "v", "plus", "minus", "r", "l")
 
@@ -569,6 +574,122 @@ def test_background_correction_counts_severe_states():
     assert (info.value.n_bad, info.value.n_states) == (2, 3)
     assert info.value.min_eigenvalue == pytest.approx(-0.5)
     assert "2 of 3 states" in str(info.value)
+
+
+BOUNDARY_KINDS = ("pure", "near", "mixed", "margin", "edge")
+
+
+def boundary_states(rng, kind, n, d, w):
+    """n random d x d states of one kind: pure, within 1e-16 to 1e-6 of pure,
+    mixed, or with the lowest eigenvalue after subtracting weight ``w``
+    within 1e-7 of 0 ("margin", either sign) or of 1e-9 ("edge", the
+    screen's margin, from above)."""
+    a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
+    u, _ = np.linalg.qr(a)
+    top = np.zeros((n, d))
+    top[:, -1] = 1.0
+    if kind == "pure":
+        spec = top
+    elif kind == "near":
+        eps = 10.0 ** rng.uniform(-16, -6, size=(n, 1))
+        spec = (1 - eps) * top + eps / d
+    elif kind == "mixed":
+        spec = rng.dirichlet(np.ones(d), size=n)
+    else:
+        mu = 10.0 ** rng.uniform(-10.5, -7.5, size=n)
+        if kind == "margin":
+            mu *= rng.choice([-1, 0, 1], size=n) * 10.0 ** rng.uniform(-6, 0, size=n)
+        low = w / d + (1 - w) * mu
+        spec = np.empty((n, d))
+        spec[:, 0] = low
+        spec[:, 1:] = (1 - low)[:, None] * rng.dirichlet(np.ones(d - 1), size=n)
+    return (u * spec[:, None, :]) @ u.conj().transpose(0, 2, 1)
+
+
+def boundary_case(seed):
+    """Stacks of 1, 2, 7 and 300 states of one kind or of mixed kinds, at
+    w = 0, 1e-9, U(0, 0.2), U(0, 0.6) and 0.44; one case in 13 is 3 x 3, and
+    half the single states come as a bare matrix."""
+    rng = np.random.default_rng([23, seed])
+    w = [0.0, 1e-9, rng.uniform(0, 0.2), rng.uniform(0, 0.6), 0.44][seed % 5]
+    n = (1, 2, 7, 300)[(seed // 5) % 4]
+    d = 3 if seed % 13 == 0 else 2
+    kind = (BOUNDARY_KINDS + ("any",))[(seed // 20) % 6]
+    if kind == "any":
+        every = np.array([boundary_states(rng, k, n, d, w) for k in BOUNDARY_KINDS])
+        stack = every[rng.integers(len(BOUNDARY_KINDS), size=n), np.arange(n)]
+    else:
+        stack = boundary_states(rng, kind, n, d, w)
+    return (stack[0] if n == 1 and seed % 2 else stack), w
+
+
+def correction_outcome(correct, stack, w):
+    """The bytes or the NonPhysicalError fields, and every warning given."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = correct(stack, w).tobytes()
+        except NonPhysicalError as exc:
+            result = (exc.n_bad, exc.n_states, exc.min_eigenvalue)
+    return result, [(c.category, str(c.message)) for c in caught]
+
+
+def count_eigh_calls(monkeypatch):
+    calls = [0]
+    eigh = np.linalg.eigh
+
+    def counted(a):
+        calls[0] += 1
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def test_background_screen_is_bit_identical_to_the_reference(monkeypatch):
+    calls = count_eigh_calls(monkeypatch)
+    n_cases, screened, seen = 720, 0, set()
+    for seed in range(n_cases):
+        stack, w = boundary_case(seed)
+        ref = correction_outcome(reference_correct_for_background, stack, w)
+        before = calls[0]
+        assert correction_outcome(correct_for_background, stack, w) == ref, seed
+        screened += calls[0] == before
+        seen.add("raised" if isinstance(ref[0], tuple) else ("warned" if ref[1] else "ok"))
+    # the corpus takes both paths and reaches every outcome
+    assert 0 < screened < n_cases
+    assert seen == {"ok", "warned", "raised"}
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e-200, 1e150, 1e300])
+def test_background_screen_matches_the_reference_at_extreme_scales(scale):
+    # squares of entries near 1e-200 underflow and near 1e300 overflow; at
+    # w = 0 the subtraction keeps the scale
+    rng = np.random.default_rng(31)
+    stacks = [boundary_states(rng, kind, 7, 2, 0.0) for kind in BOUNDARY_KINDS]
+    stacks.append(np.array([[[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.5], [0.5, 1.0]]]))
+    for stack in stacks:
+        for rows in (stack, stack[1:2]):
+            assert (correction_outcome(correct_for_background, scale * rows, 0.0)
+                    == correction_outcome(reference_correct_for_background,
+                                          scale * rows, 0.0))
+
+
+def test_background_screen_diagonalises_only_near_the_boundary(monkeypatch):
+    calls = count_eigh_calls(monkeypatch)
+    rng = np.random.default_rng(8)
+    bloch = rng.normal(size=(300, 3))
+    bloch *= rng.uniform(0.1, 0.6, size=(300, 1)) / np.linalg.norm(bloch, axis=1)[:, None]
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    stack = 0.5 * (np.eye(2) + np.einsum("nk,kij->nij", bloch, paulis))
+    correct_for_background(stack, 0.2)
+    correct_for_background(stack[0], 0.2)
+    assert calls[0] == 0
+    # one state that the subtraction takes to the boundary: 0.1 - w / 2 = 0
+    stack[17] = np.diag([0.9, 0.1])
+    out = correct_for_background(stack, 0.2)
+    assert calls[0] == 1
+    assert out.tobytes() == reference_correct_for_background(stack, 0.2).tobytes()
 
 
 # --- channels -----------------------------------------------------------------------

@@ -14,6 +14,7 @@ from cqtsim.estimation import (ML_MAX_ITERATIONS, ML_RESCALE_ABOVE, ML_TOL,
                                parse_projector, poisson_uncertainty,
                                read_counts_csv)
 from cqtsim.fock import KET_D, KET_H, KET_R, KET_V, NAMED_KETS, fidelity
+from cqtsim.protocol import CountRecord
 
 from helpers import validate_density
 
@@ -41,6 +42,15 @@ def test_fidelity_from_counts_basics():
     assert fidelity_from_counts(83.1, 16.9) == pytest.approx(0.831)
     with pytest.raises(ValueError):
         fidelity_from_counts(0.0, 0.0)
+
+
+@pytest.mark.parametrize("rates", [(math.nan, 1.0), (1.0, math.nan),
+                                   (math.inf, math.inf), (math.inf, 1.0)])
+def test_fidelity_from_counts_rejects_non_finite_rates(rates):
+    with pytest.raises(ValueError, match="rates must be finite"):
+        fidelity_from_counts(*rates)
+    with pytest.raises(ValueError, match="rates must be finite"):
+        CountRecord(*rates, 1.0, {}, ()).fidelity()
 
 
 @given(st.floats(min_value=0, max_value=1e6), st.floats(min_value=0, max_value=1e6))
@@ -80,6 +90,28 @@ def test_correction_clips_small_negativity():
     with pytest.warns(UserWarning):
         out = correct_for_background(rho, w)
     validate_density(out)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0, -math.inf)])
+def test_correction_rejects_a_non_finite_matrix(bad):
+    rho = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
+    rho[0, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="density matrices must be finite"):
+            correct_for_background(rho, 0.1)
+
+
+def test_correction_rejects_a_stack_with_one_non_finite_matrix():
+    stack = np.array([np.eye(2) / 2] * 5, dtype=complex)
+    stack[3, 0, 1] = math.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="density matrices must be finite"):
+            correct_for_background(stack, 0.0)
+        # the same check holds where the closed-form screen does not apply
+        with pytest.raises(ValueError, match="density matrices must be finite"):
+            correct_for_background(np.full((3, 3), math.inf), 0.2)
 
 
 @given(st.floats(min_value=0, max_value=0.8),
@@ -203,6 +235,24 @@ def test_poisson_tomography_path():
     est = poisson_uncertainty(counts, seed=5, n_resamples=120, target=KET_D)
     assert est.value == pytest.approx(fidelity(rho, KET_D), abs=0.02)
     assert est.uncertainty > 0
+
+
+@pytest.mark.parametrize("target", [[0, 0], [6, 8j], [math.nan, 1], [1, 0, 0]])
+def test_poisson_tomography_rejects_a_target_that_is_not_a_unit_ket(target):
+    counts = exact_counts(np.eye(2) / 2, exposure=500)
+    with pytest.raises(ValueError, match="target must be a unit ket.*got \\["):
+        poisson_uncertainty(counts, seed=5, n_resamples=100, target=target)
+
+
+def test_poisson_tomography_takes_a_unit_target_as_given():
+    # within 1e-12 of unit norm the target is used as it is, not renormalised
+    rho = 0.9 * np.outer(KET_D, KET_D.conj()) + 0.1 * np.eye(2) / 2
+    counts = exact_counts(rho, exposure=500)
+    est = poisson_uncertainty(counts, seed=5, n_resamples=100, target=KET_D)
+    nudged = poisson_uncertainty(counts, seed=5, n_resamples=100,
+                                 target=KET_D * (1 + 4e-13))
+    assert nudged.value != est.value
+    assert nudged.value == pytest.approx(est.value, rel=1e-11)
 
 
 # --- CSV round trip -----------------------------------------------------------------
