@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import functools
 import io
@@ -22,6 +23,7 @@ import json
 import math
 import os
 import sys
+import warnings
 
 import numpy as np
 
@@ -462,7 +464,15 @@ def cmd_fit_spdc(args) -> int:
                            [v / 100.0 for v in pcts]))
 
     # each configuration is propagated once; its rates feed the targets and the fit
-    rates = {label: sector_rates(SourceParams(), cfg) for label, cfg in configs.items()}
+    rates = {}
+    for label, cfg in configs.items():
+        try:
+            rates[label] = sector_rates(SourceParams(), cfg)
+        except NoCoincidenceError:
+            raise NoCoincidenceError(
+                f"the {label} configuration ({cfg.channel} {cfg.action}) cannot produce a "
+                f"four-fold coincidence at --pbs-epsilon {eps:g} and input {args.input}"
+            ) from None
     if args.synthetic_ratio is not None:
         # at truncation order 2 the shares depend on the ratio alone, up to
         # rounding; a forward strength of 0.05 fixes that rounding
@@ -499,6 +509,19 @@ def cmd_fit_spdc(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _warnings_to_stderr():
+    """Print each distinct warning raised inside as one ``warning:`` line on
+    stderr, in place of Python's format with the source file and line."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            yield
+        finally:
+            for text in dict.fromkeys(str(w.message) for w in caught):
+                print(f"warning: {text}", file=sys.stderr)
+
+
 def cmd_tomo(args) -> int:
     try:
         counts = read_counts_csv(args.counts)
@@ -511,14 +534,24 @@ def cmd_tomo(args) -> int:
         raise ValueError("--weight must lie in [0, 1)")
 
     result = ml_reconstruct(counts)
-    raw_fid = fidelity(result.rho, target)
-    try:
-        corrected = correct_for_background(result.rho, args.weight)
-    except NonPhysicalError as exc:
-        raise ValueError(f"--weight {args.weight!r} is too large for these counts: "
-                         f"the corrected state has eigenvalue "
-                         f"{exc.min_eigenvalue:.2e}, below -1e-3") from None
-    corr_fid = fidelity(corrected, target)
+    with _warnings_to_stderr():
+        try:
+            corrected = correct_for_background(result.rho, args.weight)
+        except NonPhysicalError as exc:
+            raise ValueError(f"--weight {args.weight!r} is too large for these counts: "
+                             f"the corrected state has eigenvalue "
+                             f"{exc.min_eigenvalue:.2e}, below -1e-3") from None
+        if args.resamples:
+            try:
+                est = poisson_uncertainty(counts, seed=args.seed, n_resamples=args.resamples,
+                                          background_w=args.weight, target=target)
+            except NonPhysicalError as exc:
+                raise ValueError(f"--weight {args.weight!r} is too large for these counts: "
+                                 f"{exc.n_bad} of {exc.n_states} resamples have a corrected "
+                                 f"eigenvalue below -1e-3 (lowest "
+                                 f"{exc.min_eigenvalue:.2e})") from None
+            except ValueError as exc:
+                raise ValueError(f"cannot resample these counts: {exc}") from None
 
     payload = {
         "schema": SCHEMA_VERSION,
@@ -528,20 +561,10 @@ def cmd_tomo(args) -> int:
         "rho_corrected": _matrix(corrected, args.full_precision),
         "target": args.target,
         "background_weight": args.weight,
-        "raw_fidelity": raw_fid,
-        "corrected_fidelity": corr_fid,
+        "raw_fidelity": fidelity(result.rho, target),
+        "corrected_fidelity": fidelity(corrected, target),
     }
     if args.resamples:
-        try:
-            est = poisson_uncertainty(counts, seed=args.seed, n_resamples=args.resamples,
-                                      background_w=args.weight, target=target)
-        except NonPhysicalError as exc:
-            raise ValueError(f"--weight {args.weight!r} is too large for these counts: "
-                             f"{exc.n_bad} of {exc.n_states} resamples have a corrected "
-                             f"eigenvalue below -1e-3 (lowest "
-                             f"{exc.min_eigenvalue:.2e})") from None
-        except ValueError as exc:
-            raise ValueError(f"cannot resample these counts: {exc}") from None
         payload["fidelity_mean"] = est.value
         payload["fidelity_std"] = est.uncertainty
 

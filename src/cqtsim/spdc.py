@@ -15,6 +15,7 @@ follow from applying the pair-creation operator twice.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,6 +32,7 @@ _GRID_POINTS = 401
 # A fit cost below this is an exact root: round trips reach about 1e-19, a
 # second basin that does not fit stays above 1e-4.
 _ROOT_COST = 1e-12
+_ZOOM_STEPS = np.arange(21.0)
 
 # Polarization structure of one emitted pair, as creation-operator weights.
 PAIR_KINDS = {
@@ -169,31 +171,33 @@ def _undesired_shares(rates: list):
     configuration each) as one function of log R, R = kappa_b/kappa_f.
 
     ``shares(log_r)`` returns a (configuration, point) array.  Every element
-    comes from the same float operations, in the same order, as
+    has the bits of
     ``sector_shares(rates[i], REFERENCE_KAPPA, REFERENCE_KAPPA * exp(log_r))``:
     at kappa_f = REFERENCE_KAPPA the forward factor is 1.0, so sector "jjkk"
-    contributes rate * x ** 2k, summed from 0 in label order.  A label that a
-    configuration lacks contributes 0.0; ``sector_rates`` gives every
-    configuration the same labels in the same order.
+    contributes rate * x ** 2k, summed in label order.  Left out are only the
+    operations that cannot change a bit: the abs of a positive x, the factor
+    x ** 0 = 1.0 and the sums' start at 0.  A label that a configuration lacks
+    contributes 0.0; ``sector_rates`` gives every configuration the same
+    labels in the same order.
     """
     labels = list(dict.fromkeys(label for r in rates for label in r))
-    coeffs = np.array([[r.get(label, 0.0) for label in labels] for r in rates])
+    if not labels:      # the sums below start at their first term
+        raise ValueError("no emission term produces a four-fold coincidence")
+    # + 0.0 makes a rate of -0.0 the +0.0 that a sum from 0 would give
+    columns = [np.array([[r.get(label, 0.0)] for r in rates]) + 0.0 for label in labels]
     powers = [2 * int(label[2]) for label in labels]
+    # with no k > 0 term, x ** 0 still gives the shares a column per point
+    scaled = [p > 0 or not any(powers) for p in powers]
 
     def shares(log_r: np.ndarray) -> np.ndarray:
-        x = abs(REFERENCE_KAPPA * np.exp(log_r) / REFERENCE_KAPPA)
-        # one power call per exponent, with an int exponent: numpy takes
-        # x ** 2 as x * x, which an array of exponents would not
-        x_to = {p: x ** p for p in set(powers)}
-        total = undesired = 0
-        for j, (label, p) in enumerate(zip(labels, powers)):
-            term = coeffs[:, j, None] * x_to[p]
-            total = total + term
-            if label != "1111":
-                undesired = undesired + term
-        if not np.all(total > 0.0):
+        x = REFERENCE_KAPPA * np.exp(log_r) / REFERENCE_KAPPA
+        # an int exponent: numpy takes x ** 2 as x * x
+        terms = [c * x ** p if s else c for c, p, s in zip(columns, powers, scaled)]
+        total = sum(terms[1:], terms[0])
+        if not (total > 0.0).all():
             raise ValueError("no emission term produces a four-fold coincidence")
-        return undesired / total
+        bad = [t for t, label in zip(terms, labels) if label != "1111"]
+        return (sum(bad[1:], bad[0]) if bad else 0) / total
 
     return shares
 
@@ -220,18 +224,29 @@ def fit_source_ratio(targets: dict, rates: dict) -> RatioFit:
     (below ``_ROOT_COST``) are reported as ``other_roots``: the targets then
     cannot tell those ratios apart.  ``reachable`` gives, per label, the smallest and largest share
     over the grid and the fitted ratio; a target outside it is one that no
-    ratio in ``RATIO_BOUNDS`` reaches.
+    ratio in ``RATIO_BOUNDS`` reaches.  A target set that is empty, or a
+    target that has no rates or is not a real number in [0, 1], raises
+    ValueError.
     """
+    if not targets:
+        raise ValueError("the fit needs at least one target")
+    for label, target in targets.items():
+        if label not in rates:
+            raise ValueError(f"target {label!r} has no sector rates")
+        if not (isinstance(target, numbers.Real) and 0.0 <= target <= 1.0):
+            raise ValueError(f"target {label!r} must be a share in [0, 1], got {target!r}")
     labels = list(targets)
     shares = _undesired_shares([rates[k] for k in labels])
     goal = np.array([targets[k] for k in labels])[:, None]
 
-    def cost(log_r: np.ndarray) -> np.ndarray:
-        return sum((shares(log_r) - goal) ** 2)
+    def cost(shares_: np.ndarray) -> np.ndarray:
+        squares = shares_ - goal
+        squares *= squares
+        return sum(squares[1:], squares[0])
 
     grid = np.linspace(math.log(RATIO_BOUNDS[0]), math.log(RATIO_BOUNDS[1]), _GRID_POINTS)
     grid_shares = shares(grid)
-    costs = sum((grid_shares - goal) ** 2)
+    costs = cost(grid_shares)
     best = int(np.argmin(costs))
     # a degenerate target set (shares insensitive to the ratio) leaves the
     # minimizer free: detect a flat cost and flag the fit as unconstrained
@@ -240,12 +255,14 @@ def fit_source_ratio(targets: dict, rates: dict) -> RatioFit:
     def refine(i: int) -> tuple:
         xs, zoom = grid, costs
         while True:
-            lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+            lo, hi = xs.item(max(i - 1, 0)), xs.item(min(i + 1, xs.size - 1))
             if hi - lo <= 1e-12:
-                return float(xs[i]), float(zoom[i])
-            xs = np.linspace(lo, hi, 21)
-            zoom = cost(xs)
-            i = int(np.argmin(zoom))
+                return xs.item(i), zoom.item(i)
+            # the points of np.linspace(lo, hi, 21), with Python float ends
+            xs = _ZOOM_STEPS * ((hi - lo) / 20) + lo
+            xs[-1] = hi
+            zoom = cost(shares(xs))
+            i = int(zoom.argmin())
 
     ratio = math.exp(refine(best)[0])
     others = [refine(i) for i in _local_minima(costs) if i != best] if constrained else []

@@ -10,6 +10,11 @@ between steps, copied verbatim: the bit-for-bit oracle of the kernel.
 ``reference_correct_for_background`` is ``estimation.correct_for_background``
 as it was before it screened 2x2 states in closed form, copied verbatim: it
 diagonalises every matrix.
+``reference_undesired_shares`` and ``reference_fit_source_ratio`` are
+``spdc._undesired_shares`` and ``spdc.fit_source_ratio`` as they were before
+the zoom kept its bracket in Python floats and the shares skipped the
+operations that cannot change a bit, copied verbatim: the bit-for-bit oracle
+of the fit.
 ``ideal_source_state`` and ``two_mode_spdc`` look up ``emission_orders`` in
 this module, so a test can swap in another emission engine with
 ``monkeypatch.setattr(helpers, "emission_orders", ...)``.
@@ -24,7 +29,9 @@ import numpy as np
 from cqtsim.elements import OpticalElement, phase_matrix, port_element
 from cqtsim.estimation import NonPhysicalError, _mul2
 from cqtsim.fock import H, V, PureState, spatial_counts
-from cqtsim.spdc import BACKWARD_MODES, FORWARD_MODES, emission_orders
+from cqtsim.spdc import (_GRID_POINTS, _ROOT_COST, BACKWARD_MODES, FORWARD_MODES,
+                         RATIO_BOUNDS, REFERENCE_KAPPA, RatioFit, _local_minima,
+                         emission_orders, sector_shares)
 
 
 def single_photon(spatial: int, jones: np.ndarray) -> PureState:
@@ -232,3 +239,97 @@ def reference_correct_for_background(raw: np.ndarray, w: float) -> np.ndarray:
         fixed /= np.trace(fixed, axis1=-2, axis2=-1).real[..., None, None]
         out[clip] = fixed
     return out
+
+
+def reference_undesired_shares(rates: list):
+    """The undesired share of each of ``rates`` (``sector_rates`` of one
+    configuration each) as one function of log R, R = kappa_b/kappa_f.
+
+    ``shares(log_r)`` returns a (configuration, point) array.  Every element
+    comes from the same float operations, in the same order, as
+    ``sector_shares(rates[i], REFERENCE_KAPPA, REFERENCE_KAPPA * exp(log_r))``:
+    at kappa_f = REFERENCE_KAPPA the forward factor is 1.0, so sector "jjkk"
+    contributes rate * x ** 2k, summed from 0 in label order.  A label that a
+    configuration lacks contributes 0.0; ``sector_rates`` gives every
+    configuration the same labels in the same order.
+    """
+    labels = list(dict.fromkeys(label for r in rates for label in r))
+    coeffs = np.array([[r.get(label, 0.0) for label in labels] for r in rates])
+    powers = [2 * int(label[2]) for label in labels]
+
+    def shares(log_r: np.ndarray) -> np.ndarray:
+        x = abs(REFERENCE_KAPPA * np.exp(log_r) / REFERENCE_KAPPA)
+        # one power call per exponent, with an int exponent: numpy takes
+        # x ** 2 as x * x, which an array of exponents would not
+        x_to = {p: x ** p for p in set(powers)}
+        total = undesired = 0
+        for j, (label, p) in enumerate(zip(labels, powers)):
+            term = coeffs[:, j, None] * x_to[p]
+            total = total + term
+            if label != "1111":
+                undesired = undesired + term
+        if not np.all(total > 0.0):
+            raise ValueError("no emission term produces a four-fold coincidence")
+        return undesired / total
+
+    return shares
+
+
+def reference_fit_source_ratio(targets: dict, rates: dict) -> RatioFit:
+    """Least-squares fit of kappa_backward/kappa_forward to target undesired shares.
+
+    ``targets`` maps configuration labels to target fractions (0..1);
+    ``rates`` maps each of those labels to its ``sector_rates``, so the fit
+    propagates nothing itself.  The cost, a rational function of the ratio
+    with two basins at some settings, is scanned on a log-spaced grid over
+    ``RATIO_BOUNDS``; each evaluation computes the share of every
+    configuration as one stacked array, with the same bits as
+    ``sector_shares``.  Each grid minimum is refined by zooming: a 21-point
+    grid over the bracket of its two neighbours gives the next, down to a
+    bracket of 1e-12 in log R.  Other minima whose cost also reaches zero
+    (below ``_ROOT_COST``) are reported as ``other_roots``: the targets then
+    cannot tell those ratios apart.  ``reachable`` gives, per label, the smallest and largest share
+    over the grid and the fitted ratio; a target outside it is one that no
+    ratio in ``RATIO_BOUNDS`` reaches.
+    """
+    labels = list(targets)
+    shares = reference_undesired_shares([rates[k] for k in labels])
+    goal = np.array([targets[k] for k in labels])[:, None]
+
+    def cost(log_r: np.ndarray) -> np.ndarray:
+        return sum((shares(log_r) - goal) ** 2)
+
+    grid = np.linspace(math.log(RATIO_BOUNDS[0]), math.log(RATIO_BOUNDS[1]), _GRID_POINTS)
+    grid_shares = shares(grid)
+    costs = sum((grid_shares - goal) ** 2)
+    best = int(np.argmin(costs))
+    # a degenerate target set (shares insensitive to the ratio) leaves the
+    # minimizer free: detect a flat cost and flag the fit as unconstrained
+    constrained = bool(costs.max() - costs.min() > 1e-18)
+
+    def refine(i: int) -> tuple:
+        xs, zoom = grid, costs
+        while True:
+            lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
+            if hi - lo <= 1e-12:
+                return float(xs[i]), float(zoom[i])
+            xs = np.linspace(lo, hi, 21)
+            zoom = cost(xs)
+            i = int(np.argmin(zoom))
+
+    ratio = math.exp(refine(best)[0])
+    others = [refine(i) for i in _local_minima(costs) if i != best] if constrained else []
+    achieved = {k: sector_shares(rates[k], REFERENCE_KAPPA, REFERENCE_KAPPA * ratio)["undesired"]
+                for k in labels}
+    residuals = {k: achieved[k] - targets[k] for k in labels}
+    return RatioFit(
+        ratio=ratio,
+        achieved=achieved,
+        residuals=residuals,
+        sum_squared_residual=float(sum(r ** 2 for r in residuals.values())),
+        converged=True,
+        constrained=constrained,
+        other_roots=tuple(math.exp(x) for x, c in others if c < _ROOT_COST),
+        reachable={k: (min(float(row.min()), achieved[k]), max(float(row.max()), achieved[k]))
+                   for k, row in zip(labels, grid_shares)},
+    )

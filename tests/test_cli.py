@@ -580,6 +580,37 @@ def test_tomo_weight_too_large_for_point_estimate_is_usage_error(tmp_path, capsy
     assert "Traceback" not in err
 
 
+CLIP_WARNING = ("warning: background subtraction left slightly negative eigenvalues; "
+                "clipping to the physical cone\n")
+
+
+def test_tomo_reports_clipping_in_one_stable_line(tmp_path, capsys):
+    # Bloch vector (0, 0, 0.9002), exact counts: a 10 % subtraction leaves the
+    # state just outside the physical cone, so it is clipped with a warning
+    counts = tmp_path / "counts.csv"
+    write_counts(counts, {"h": 95010, "v": 4990, "plus": 50000, "minus": 50000,
+                          "r": 50000, "l": 50000})
+    argv = ["tomo", "--counts", str(counts), "--weight", "0.1"]
+    assert run_cli(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == CLIP_WARNING
+    assert "rho_corrected,\"[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]\"" in captured.out
+    # some resamples fall below -1e-3: the warning still comes first
+    assert run_cli(argv + ["--resamples", "200", "--seed", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == CLIP_WARNING + (
+        "error: --weight 0.1 is too large for these counts: 30 of 200 resamples have a "
+        "corrected eigenvalue below -1e-3 (lowest -2.15e-03)\n")
+    # ten times the counts: the point estimate and the resamples both clip,
+    # and the warning is printed once
+    write_counts(counts, {"h": 950100, "v": 49900, "plus": 500000, "minus": 500000,
+                          "r": 500000, "l": 500000})
+    assert run_cli(["tomo", "--counts", str(counts), "--weight", "0.0999",
+                    "--resamples", "200", "--seed", "3"]) == 0
+    assert capsys.readouterr().err == CLIP_WARNING
+
+
 # --- state values with a leading '-' --------------------------------------------------
 
 def test_state_value_with_leading_minus_parses(tmp_path, capsys):
@@ -839,6 +870,21 @@ def test_fit_spdc_json_bytes_pinned(capsys):
         "schema": "cqtsim.v1",
     }
     assert capsys.readouterr().out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("extra, config", [
+    ([], "the allowed configuration (g1 allow)"),
+    (["--input", "h"], "the denied configuration (g1 deny)"),
+])
+def test_fit_spdc_names_the_configuration_that_cannot_coincide(extra, config, capsys):
+    # a PBS that reflects both polarizations: the named configuration never
+    # clicks all four detectors
+    assert run_cli(["fit-spdc", "--pbs-epsilon", "1", *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"simulation error: {config} cannot produce a four-fold "
+                            f"coincidence at --pbs-epsilon 1 and input "
+                            f"{(extra or ['plus'])[-1]}\n")
 
 
 def _count_propagations(monkeypatch):

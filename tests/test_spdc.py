@@ -17,7 +17,7 @@ from cqtsim.spdc import (_GRID_POINTS, _ROOT_COST, PAIR_KINDS, RATIO_BOUNDS,
                          heralded_fraction, sector_rates, sector_shares,
                          signature_label)
 
-from helpers import two_mode_spdc
+from helpers import reference_fit_source_ratio, two_mode_spdc
 
 _SQ2 = math.sqrt(2.0)
 
@@ -385,6 +385,17 @@ def test_stacked_shares_fill_a_missing_label_with_zero():
                                                     REFERENCE_KAPPA * np.exp(grid))["undesired"])
 
 
+def test_stacked_shares_keep_a_column_per_point_without_backward_pairs():
+    # no sector holds a backward pair, so no share depends on the ratio
+    rates = [{"1111": 2e-5, "2200": 1e-6}, {"1111": 1e-5}]
+    grid = np.linspace(-2.0, 1.0, 7)
+    stacked = _undesired_shares(rates)(grid)
+    assert stacked.shape == (2, 7)
+    for row, r in zip(stacked, rates):
+        each = sector_shares(r, REFERENCE_KAPPA, REFERENCE_KAPPA * np.exp(grid))
+        assert np.array_equal(row, each["undesired"])
+
+
 def listed_minima(costs) -> list:
     """The grid minima as a loop over the points: the left end of each run of
     equal local minima."""
@@ -443,6 +454,65 @@ def test_fit_raises_for_a_label_without_four_fold_rate():
     targets = {"allowed": 0.5, "dark": 0.1}
     with pytest.raises(ValueError, match="four-fold"):
         fit_source_ratio(targets, rates)
+    with pytest.raises(ValueError, match="four-fold"):
+        fit_source_ratio({"dark": 0.1}, {"dark": {}})
+
+
+def reference_corpus():
+    """(targets, rates) of fits whose every field the zoom must keep.
+
+    Orders 2 to 4, the input-h two-root case at eps 1e-3, rates with one
+    sector zeroed or dropped, rates with no sector of k > 0 or only "1111",
+    and bundled, synthetic, random, partial and out-of-reach targets.
+    """
+    rng = np.random.default_rng(24)
+    rate_sets = [fit_rates(eps, name) for eps, name in
+                 ((0.001, "h"), (0.05, "plus"), (0.0, "v"), (0.1, "r"), (0.025, "minus"))]
+    for order in (3, 4):
+        rate_sets.append({label: sector_rates(SourceParams(truncation_order=order),
+                                              fit_configs(label, 0.05, "l"))
+                          for label in ("uncontrolled", "allowed", "denied")})
+    for rates in list(rate_sets):
+        zeroed = {label: dict(r) for label, r in rates.items()}
+        zeroed["allowed"]["2200"] = 0.0
+        dropped = {label: dict(r) for label, r in rates.items()}
+        del dropped["denied"]["0022"]
+        rate_sets += [zeroed, dropped]
+    rate_sets += [{"a": {"1111": 2e-5, "2200": 1e-6}, "b": {"1111": 1e-5, "2200": 3e-6}},
+                  {"a": {"1111": 2e-5}, "b": {"1111": 1e-5}},
+                  {"a": {"0022": -0.0, "1111": 2e-5}, "b": {"0022": 1e-6, "1111": 1e-5}}]
+    for rates in rate_sets:
+        labels = list(rates)
+        ratio = float(np.exp(rng.uniform(math.log(0.002), math.log(5.0))))
+        yield {label: sector_shares(r, 0.05, 0.05 * ratio)["undesired"]
+               for label, r in rates.items()}, rates
+        yield {label: float(rng.uniform()) for label in labels}, rates
+        yield {label: float(rng.uniform()) for label in labels[1:]}, rates
+        yield {label: float(rng.choice([0.0, 1.0])) for label in labels}, rates
+        if "uncontrolled" in rates:
+            yield {"uncontrolled": 0.130, "allowed": 0.554, "denied": 0.301}, rates
+    yield from oracle_cases()
+
+
+def test_fit_keeps_every_bit_of_the_reference_zoom():
+    cases = list(reference_corpus())
+    assert len(cases) == 184
+    for targets, rates in cases:
+        assert repr(fit_source_ratio(targets, rates)) == repr(
+            reference_fit_source_ratio(targets, rates))
+
+
+@pytest.mark.parametrize("targets, message", [
+    ({"allowed": math.nan, "denied": 0.3}, "target 'allowed' must be a share in [0, 1], got nan"),
+    ({"allowed": 0.5, "denied": math.inf}, "target 'denied' must be a share in [0, 1], got inf"),
+    ({"allowed": 55.4, "denied": 30.1}, "target 'allowed' must be a share in [0, 1], got 55.4"),
+    ({}, "the fit needs at least one target"),
+    ({"allowed": 0.5, "dark": 0.1}, "target 'dark' has no sector rates"),
+], ids=["nan", "inf", "percent", "empty", "no-rates"])
+def test_fit_rejects_targets_it_cannot_fit(targets, message):
+    with pytest.raises(ValueError) as info:
+        fit_source_ratio(targets, fit_rates())
+    assert str(info.value) == message
 
 
 # Installed first on sys.meta_path, it makes every scipy import fail.
