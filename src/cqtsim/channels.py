@@ -258,6 +258,8 @@ def mc_avg_teleport_fidelity(channel, n_samples: int, seed: int,
     Picks, per Bell outcome, the Pauli that maximizes the sample-averaged
     fidelity, matching the closed-form protocol.
     """
+    if not n_samples >= 1:
+        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
     branches, total_p = _branches(channel, strategy)
     rng = np.random.default_rng(seed)
     # per sample: two real parts, then two imaginary parts

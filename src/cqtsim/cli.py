@@ -32,8 +32,8 @@ from .estimation import (POISSON_MAX_MEAN, NonPhysicalError, corrected_fidelity,
                          correct_for_background, ml_reconstruct,
                          poisson_uncertainty, read_counts_csv)
 from .fock import NAMED_KETS, fidelity
-from .protocol import (CountRecord, InputQubit, NoCoincidenceError, ProtocolConfig,
-                       emulate_mixture, run_protocol)
+from .protocol import (InputQubit, NoCoincidenceError, ProtocolConfig, emulate_mixture,
+                       run_protocol)
 from .spdc import (RATIO_BOUNDS, SourceParams, fit_source_ratio, sector_rates,
                    sector_shares)
 
@@ -53,7 +53,9 @@ REFERENCE_TABLE = [
     ("mix", "denied", 53.5, 30.1, 55.1),
 ]
 
-DEFAULT_FIT_TARGETS = {"uncontrolled": 0.130, "allowed": 0.554, "denied": 0.301}
+# the weights of the table's first three rows, divided as --targets divides them
+DEFAULT_FIT_TARGETS = {label: row[3] / 100.0 for label, row in
+                       zip(("uncontrolled", "allowed", "denied"), REFERENCE_TABLE)}
 
 # Caps on work: resampling and scans hold arrays that grow linearly with
 # these sizes, and propagation cost grows combinatorially with the order.
@@ -336,33 +338,15 @@ def cmd_run(args) -> int:
     _check_resamples(args)
     if not (math.isfinite(args.exposure) and args.exposure > 0):
         raise ValueError("--exposure must be a positive number")
-
-    empty = []
-
-    def one(channel):
-        cfg = ProtocolConfig(channel=channel, action=args.action, input=input_q,
-                             source=source, pbs_epsilon=args.pbs_epsilon,
-                             roles=args.roles)
-        try:
-            return run_protocol(cfg)[0]
-        except NoCoincidenceError as exc:
-            if args.channel != "mix":
-                raise
-            # a half of the mixture that never coincides adds no events to it
-            empty.append(exc)
-            return CountRecord(0.0, 0.0, 0.0, {}, cfg.settings_key())
-
-    if args.channel == "mix":
-        if not 0.0 <= args.mix_p <= 1.0:
-            raise ValueError("--mix-p must lie in [0, 1]")
-        record = emulate_mixture(one("g1"), one("g2"), args.mix_p)
-        if not record.success_probability > 0.0:
-            raise empty[0]
-    else:
-        if args.channel == "reference" and args.action != "none":
-            raise ValueError("--channel reference requires --action none")
-        record = one(args.channel)
-
+    mix = args.channel == "mix"
+    if mix and not 0.0 <= args.mix_p <= 1.0:
+        raise ValueError("--mix-p must lie in [0, 1]")
+    if args.channel == "reference" and args.action != "none":
+        raise ValueError("--channel reference requires --action none")
+    cfg = ProtocolConfig(channel="g1" if mix else args.channel, action=args.action,
+                         input=input_q, source=source, pbs_epsilon=args.pbs_epsilon,
+                         roles=args.roles)
+    record = emulate_mixture(cfg, args.mix_p) if mix else run_protocol(cfg)[0]
     fid = record.fidelity()
     row = [args.channel, args.action, args.input,
            record.f_parallel, record.f_perp, fid, record.success_probability,

@@ -33,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import H, PureState, V, _create, mode
+from .fock import H, PureState, V, _create, mode, unit_pair
 
 
 @dataclass
@@ -75,7 +75,12 @@ def phase_matrix(phi: float) -> np.ndarray:
 def polarizer_matrix(jones_ket: np.ndarray) -> np.ndarray:
     """Projective polarizer: transmits the ``jones_ket`` component, absorbs the rest."""
     v = np.asarray(jones_ket, dtype=complex).ravel()
-    v = v / np.linalg.norm(v)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(v)
+    if not 0.0 < norm < math.inf:
+        # zero, non-finite or of extreme scale: unit_pair names the fault or rescales
+        v, norm = np.array(unit_pair(*v, "jones_ket")), 1.0
+    v = v / norm
     return np.outer(v, v.conj())
 
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -155,11 +155,6 @@ class ProtocolConfig:
         if not 0.0 <= self.pbs_epsilon <= 1.0:
             raise ValueError("pbs_epsilon must lie in [0, 1]")
 
-    def settings_key(self) -> tuple:
-        src = self.source.key() if self.source is not None else None
-        return (self.action, complex(self.input.alpha), complex(self.input.beta),
-                float(self.pbs_epsilon), self.roles, src)
-
 
 @dataclass
 class CountRecord:
@@ -169,7 +164,6 @@ class CountRecord:
     f_perp: float
     success_probability: float
     per_term: dict
-    settings: tuple
 
     def fidelity(self) -> float:
         return fidelity_from_counts(self.f_parallel, self.f_perp)
@@ -511,8 +505,7 @@ def run_protocol(config: ProtocolConfig):
     if config.channel == "g2":
         rho = PAULI_X @ rho @ PAULI_X
     record = CountRecord(f_parallel=f_par, f_perp=f_perp,
-                         success_probability=success, per_term=per_term,
-                         settings=config.settings_key())
+                         success_probability=success, per_term=per_term)
     return record, rho
 
 
@@ -558,24 +551,33 @@ def singlet_projection(state: PureState):
     return project(out, anti_bunched)
 
 
-def emulate_mixture(record_g1: CountRecord, record_g2: CountRecord, p: float) -> CountRecord:
-    """Convex combination of two runs' rates, emulating a mixed channel.
+def emulate_mixture(config: ProtocolConfig, p: float) -> CountRecord:
+    """Rates of the mixed channel: the g1 run of ``config`` weighted 1 - p, its g2 run p.
 
     With p = 1/2 this reproduces summing the coincidence counts of the two
-    GHZ runs (up to the irrelevant overall factor 2).
+    GHZ runs (up to the irrelevant overall factor 2).  A half that cannot
+    coincide adds no events; its ``NoCoincidenceError`` is raised only when
+    the mixture has none either, the g1 half's first.
     """
+    if config.channel != "g1":
+        raise ValueError(f"a mixture takes the g1 configuration, not {config.channel!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    if record_g1.settings != record_g2.settings:
-        raise ValueError("records were taken with different input/action settings")
-    labels = sorted(set(record_g1.per_term) | set(record_g2.per_term))
-    per_term = {k: (1 - p) * record_g1.per_term.get(k, 0.0)
-                + p * record_g2.per_term.get(k, 0.0) for k in labels}
-    return CountRecord(
-        f_parallel=(1 - p) * record_g1.f_parallel + p * record_g2.f_parallel,
-        f_perp=(1 - p) * record_g1.f_perp + p * record_g2.f_perp,
-        success_probability=(1 - p) * record_g1.success_probability
-        + p * record_g2.success_probability,
-        per_term=per_term,
-        settings=record_g1.settings,
+    halves, empty = [], []
+    for channel in ("g1", "g2"):
+        try:
+            halves.append(run_protocol(replace(config, channel=channel))[0])
+        except NoCoincidenceError as exc:
+            empty.append(exc)
+            halves.append(CountRecord(0.0, 0.0, 0.0, {}))
+    g1, g2 = halves
+    record = CountRecord(
+        f_parallel=(1 - p) * g1.f_parallel + p * g2.f_parallel,
+        f_perp=(1 - p) * g1.f_perp + p * g2.f_perp,
+        success_probability=(1 - p) * g1.success_probability + p * g2.success_probability,
+        per_term={k: (1 - p) * g1.per_term.get(k, 0.0) + p * g2.per_term.get(k, 0.0)
+                  for k in sorted(set(g1.per_term) | set(g2.per_term))},
     )
+    if not record.success_probability > 0.0:
+        raise empty[0]
+    return record

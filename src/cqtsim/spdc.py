@@ -27,6 +27,9 @@ BACKWARD_MODES = (3, 4)
 
 _SQ2 = math.sqrt(2.0)
 REFERENCE_KAPPA = 0.1
+# below it, the four-photon terms (about max|kappa|^4 of the emission) fall under
+# smallest-normal / epsilon: four-fold rates turn subnormal and the state NaN
+MIN_KAPPA = (np.finfo(float).tiny / np.finfo(float).eps) ** 0.25
 RATIO_BOUNDS = (1e-3, 5.0)
 _GRID_POINTS = 401
 # A fit cost below this is an exact root: round trips reach about 1e-19, a
@@ -54,14 +57,17 @@ class SourceParams:
     def __post_init__(self):
         self.kappa_forward = complex(self.kappa_forward)
         self.kappa_backward = complex(self.kappa_backward)
-        if not (abs(self.kappa_forward) < 0.5 and abs(self.kappa_backward) < 0.5):
+        kf, kb = abs(self.kappa_forward), abs(self.kappa_backward)
+        if not (kf < 0.5 and kb < 0.5):
             raise ValueError("interaction strengths must stay well below 1 "
                              "(|kappa| < 0.5)")
-        if self.truncation_order < 1:
-            raise ValueError("truncation_order must be >= 1")
-
-    def key(self) -> tuple:
-        return (self.kappa_forward, self.kappa_backward, self.truncation_order)
+        if 0.0 < max(kf, kb) < MIN_KAPPA:
+            raise ValueError(f"interaction strengths |kappa_forward| = {kf:.4g} and "
+                             f"|kappa_backward| = {kb:.4g} are too weak for double precision: "
+                             f"the stronger must be at least {MIN_KAPPA:.4g}, or both 0")
+        order = self.truncation_order
+        if not (isinstance(order, numbers.Integral) and order >= 1):
+            raise ValueError(f"truncation_order must be an integer >= 1, got {order!r}")
 
 
 def emission_orders(pair_kind: str, order: int, modes: tuple) -> list:

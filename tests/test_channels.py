@@ -88,6 +88,13 @@ def test_avg_fidelity_werner_closed_form_and_mc():
     assert mc == pytest.approx(closed, abs=1.5e-2)
 
 
+@pytest.mark.parametrize("n_samples", [0, -3])
+def test_mc_average_needs_a_sample(n_samples):
+    with pytest.raises(ValueError, match="n_samples must be at least 1"):
+        mc_avg_teleport_fidelity(condition_on_controller(make_werner(0.5), "pm"),
+                                 n_samples=n_samples, seed=1)
+
+
 def test_feedforward_vs_withheld_on_biseparable():
     conds = condition_on_controller(make_ghz_mixture(0.5), "pm")
     assert avg_teleport_fidelity(conds, "with_feedforward") == pytest.approx(1.0, abs=1e-12)
@@ -181,14 +188,12 @@ def test_conditional_teleport_output_denied_is_diagonal():
 def test_feedforward_average_matches_photonic_pipeline(p):
     # the qubit-level Bloch average over the +/- conditionals must agree with
     # the photonic simulation of the same channel at its ideal settings
-    from cqtsim.protocol import ProtocolConfig, emulate_mixture, run_protocol
+    from cqtsim.protocol import ProtocolConfig, emulate_mixture
 
     conds = condition_on_controller(make_ghz_mixture(p), "pm")
     qubit_avg = avg_teleport_fidelity(conds, "with_feedforward")
 
-    rec1, _ = run_protocol(ProtocolConfig(channel="g1", action="allow"))
-    rec2, _ = run_protocol(ProtocolConfig(channel="g2", action="allow"))
-    fock = emulate_mixture(rec1, rec2, p).fidelity()
+    fock = emulate_mixture(ProtocolConfig(channel="g1", action="allow"), p).fidelity()
     assert abs(qubit_avg - fock) < 1e-10
 
 

@@ -278,6 +278,17 @@ def test_fit_spdc_full_precision_prints_the_fit_unrounded(monkeypatch, capsys):
         assert float(root.split()[2]) == fit.other_roots[0]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_fit_spdc_bundled_targets_are_the_table_weights(fmt, capsys):
+    # the bundled targets and the table's weights as --targets are the same
+    # floats, so even full precision prints the same bytes
+    outs = []
+    for extra in ([], ["--targets", "13,55.4,30.1"]):
+        assert run_cli(["fit-spdc", "--format", fmt, "--full-precision", *extra]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
 def test_fit_spdc_reference_targets_report_residuals(tmp_path):
     out = tmp_path / "fit.csv"
     assert run_cli(["fit-spdc", "--out", str(out)]) == 0
@@ -381,12 +392,13 @@ def test_mixture_half_without_coincidence_adds_no_events(name, capsys):
 
 @pytest.mark.parametrize("p", ["2", "-1", "nan"])
 def test_bad_mix_p_exits_2_before_propagating(p, monkeypatch, capsys):
-    from cqtsim import cli
+    from cqtsim import cli, protocol
 
     def forbidden(cfg):
         raise AssertionError("propagated before checking --mix-p")
 
     monkeypatch.setattr(cli, "run_protocol", forbidden)
+    monkeypatch.setattr(protocol, "run_protocol", forbidden)
     assert run_cli(["run", "--channel", "mix", "--mix-p", p, "--kappa-forward", "0.1",
                     "--truncation-order", "5"]) == 2
     captured = capsys.readouterr()
@@ -394,11 +406,56 @@ def test_bad_mix_p_exits_2_before_propagating(p, monkeypatch, capsys):
     assert captured.err == "error: --mix-p must lie in [0, 1]\n"
 
 
+@pytest.mark.parametrize("action", ["allow", "deny"])
+def test_reference_action_is_checked_before_the_configuration(action, capsys):
+    assert run_cli(["run", "--channel", "reference", "--action", action]) == 2
+    assert capsys.readouterr().err == "error: --channel reference requires --action none\n"
+
+
 @pytest.mark.parametrize("kappa", ["3e-8", "1e-12"])
 def test_weak_pumping_still_coincides(kappa, capsys):
     assert run_cli(["run", "--kappa-forward", kappa, "--kappa-backward", kappa]) == 0
     row = capsys.readouterr().out.splitlines()[-1].split(",")
     assert row[5] == "0.625"
+
+
+@pytest.mark.parametrize("kappas, row", [
+    (("1e-60", "1e-60"), "1.5624999999999985e-241,9.374999999999991e-242,0.625,"
+                         "2.4999999999999976e-241"),
+    (("1e-70", "1e-70"), "1.5624999999999986e-281,9.374999999999992e-282,0.625,"
+                         "2.4999999999999978e-281"),
+    (("1e-80", "0.1"), "6.187506187506183e-06,6.187506187506183e-06,0.5,1.2375012375012366e-05"),
+    (("0", "0.1"), "6.187506187506183e-06,6.187506187506183e-06,0.5,1.2375012375012366e-05"),
+])
+def test_weak_pumping_rows_pinned(kappas, row, capsys):
+    assert run_cli(["run", "--kappa-forward", kappas[0], "--kappa-backward", kappas[1],
+                    "--full-precision"]) == 0
+    captured = capsys.readouterr()
+    assert (captured.out.splitlines()[-1], captured.err) == (f"g1,allow,plus,{row},,", "")
+
+
+@pytest.mark.parametrize("channel", ["g1", "mix"])
+@pytest.mark.parametrize("kappa", ["1e-78", "1e-200"])
+def test_pumping_too_weak_for_doubles_exits_2(kappa, channel, capsys):
+    # at 1e-78 the four-fold rates would be subnormal and the receiver's state
+    # NaN; at 1e-200 they underflow to 0, which is not "cannot coincide"
+    import warnings
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run_cli(["run", "--channel", channel, "--kappa-forward", kappa,
+                        "--kappa-backward", kappa]) == 2
+    assert caught == []
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: interaction strengths |kappa_forward| = {kappa} and "
+                            f"|kappa_backward| = {kappa} are too weak for double precision: "
+                            "the stronger must be at least 1.001e-73, or both 0\n")
+
+
+def test_no_pumping_cannot_coincide(capsys):
+    assert run_cli(["run", "--kappa-forward", "0", "--kappa-backward", "0"]) == 1
+    assert "cannot produce a four-fold coincidence" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -718,7 +775,7 @@ def test_truncation_order_cap(monkeypatch, capsys):
     from cqtsim.protocol import CountRecord
 
     orders = []
-    record = CountRecord(0.75, 0.25, 1.0, {}, ())
+    record = CountRecord(0.75, 0.25, 1.0, {})
     monkeypatch.setattr(cli, "run_protocol", lambda cfg: (
         orders.append(cfg.source.truncation_order) or (record, np.eye(2) / 2)))
     argv = ["run", "--kappa-forward", "0.1", "--truncation-order"]
@@ -777,6 +834,8 @@ def test_run_full_precision_prints_the_record(extra, monkeypatch, capsys):
     # a numpy scalar would print as np.float64(...): every value must be a
     # Python float that reads back as the record's value
     from cqtsim import cli
+    from cqtsim.protocol import ProtocolConfig
+    from cqtsim.spdc import SourceParams
 
     records = []
     run_protocol = cli.run_protocol
@@ -787,7 +846,8 @@ def test_run_full_precision_prints_the_record(extra, monkeypatch, capsys):
     row = capsys.readouterr().out.splitlines()[-1].split(",")
     values = [float(v) for v in row[3:] if v]
     if "mix" in extra:
-        record = cli.emulate_mixture(*records, 0.5)
+        record = cli.emulate_mixture(ProtocolConfig(source=SourceParams(0.1, 0.055),
+                                                    pbs_epsilon=0.05), 0.5)
     else:
         (record,) = records
     expected = [record.f_parallel, record.f_perp, record.fidelity(),
@@ -795,6 +855,41 @@ def test_run_full_precision_prints_the_record(extra, monkeypatch, capsys):
     assert values[:4] == expected
     assert len(values) == (6 if "--resamples" in extra else 4)
     assert all(type(v) is float for v in expected + list(record.per_term.values()))
+
+
+@pytest.mark.parametrize("source", ["ideal", "emission"])
+@pytest.mark.parametrize("action", ["allow", "deny", "none"])
+def test_mixture_row_is_the_library_mixture(action, source, capsys):
+    # the CLI's mix row is emulate_mixture of the g1 configuration, bit for
+    # bit; where the CLI exits 1, the library raises the same message
+    from cqtsim.protocol import (AXIAL_INPUT_NAMES, InputQubit, NoCoincidenceError,
+                                 ProtocolConfig, emulate_mixture)
+    from cqtsim.spdc import SourceParams
+
+    flags = (["--ideal"] if source == "ideal" else
+             ["--kappa-forward", "0.1", "--kappa-backward", "0.055", "--pbs-epsilon", "0.05"])
+    params = {} if source == "ideal" else {"source": SourceParams(0.1, 0.055),
+                                           "pbs_epsilon": 0.05}
+    exits = set()
+    for name in AXIAL_INPUT_NAMES:
+        cfg = ProtocolConfig(action=action, input=InputQubit.from_name(name), **params)
+        for p in ("0", "0.3", "0.5", "1"):
+            code = run_cli(["run", "--channel", "mix", "--action", action, "--input", name,
+                            "--mix-p", p, "--full-precision", *flags])
+            captured = capsys.readouterr()
+            exits.add(code)
+            if code == 1:
+                with pytest.raises(NoCoincidenceError) as caught:
+                    emulate_mixture(cfg, float(p))
+                assert captured.err == f"simulation error: {caught.value}\n"
+                continue
+            assert code == 0, captured.err
+            record = emulate_mixture(cfg, float(p))
+            expected = [record.f_parallel, record.f_perp, record.fidelity(),
+                        record.success_probability]
+            assert captured.out.splitlines()[-1] == ",".join(
+                ["mix", action, name, *map(repr, expected), "", ""])
+    assert exits == ({0, 1} if (action, source) == ("deny", "ideal") else {0})
 
 
 # --- fit-spdc: output bytes and propagation count ------------------------------------

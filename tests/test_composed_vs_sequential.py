@@ -163,7 +163,7 @@ def test_composed_mix_matches_sequential(order):
     source = None if order is None else SourceParams(0.1, 0.055, truncation_order=order)
     cfgs = [ProtocolConfig(channel=ch, action="deny", input=InputQubit.from_name("r"),
                            source=source, pbs_epsilon=0.05) for ch in ("g1", "g2")]
-    composed = emulate_mixture(*(run_protocol(c)[0] for c in cfgs), 0.3)
+    composed = emulate_mixture(cfgs[0], 0.3)
     seq = [sequential_run(c) for c in cfgs]
     mixed = [0.7 * x + 0.3 * y for x, y in zip(seq[0][:3], seq[1][:3])]
     per_term = {k: 0.7 * seq[0][3][k] + 0.3 * seq[1][3][k] for k in seq[0][3]}

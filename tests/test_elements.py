@@ -156,6 +156,20 @@ def test_polarizer_is_projective():
     assert out2.norm_sq() == pytest.approx(out.norm_sq(), abs=1e-12)
 
 
+@pytest.mark.parametrize("ket, message", [([0, 0], "zero jones_ket vector"),
+                                          ([math.inf, 0], "jones_ket amplitudes must be finite"),
+                                          ([math.nan, 1], "jones_ket amplitudes must be finite")])
+def test_polarizer_rejects_a_ket_it_cannot_normalise(ket, message):
+    with pytest.raises(ValueError, match=message):
+        polarizer_matrix(ket)
+
+
+@pytest.mark.parametrize("scale", [1e-170, 1e300])
+def test_polarizer_of_an_extreme_scale_ket_is_the_unit_ket_projector(scale):
+    assert np.max(np.abs(polarizer_matrix([scale, 1j * scale])
+                         - polarizer_matrix(KET_R))) <= 1e-15
+
+
 def test_compose_two_hwps():
     s = single_photon(1, KET_H)
     hwp = port_element((1,), hwp_matrix(math.pi / 8))

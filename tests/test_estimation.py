@@ -50,7 +50,7 @@ def test_fidelity_from_counts_rejects_non_finite_rates(rates):
     with pytest.raises(ValueError, match="rates must be finite"):
         fidelity_from_counts(*rates)
     with pytest.raises(ValueError, match="rates must be finite"):
-        CountRecord(*rates, 1.0, {}, ()).fidelity()
+        CountRecord(*rates, 1.0, {}).fidelity()
 
 
 @given(st.floats(min_value=0, max_value=1e6), st.floats(min_value=0, max_value=1e6))

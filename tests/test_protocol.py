@@ -348,22 +348,22 @@ def test_rates_never_exceed_success_probability(eps):
 # --- mixture emulation ------------------------------------------------------------
 
 def test_emulate_mixture_endpoints():
-    r1, _ = run_protocol(ProtocolConfig(channel="g1", action="allow"))
+    cfg = ProtocolConfig(channel="g1", action="allow")
+    r1, _ = run_protocol(cfg)
     r2, _ = run_protocol(ProtocolConfig(channel="g2", action="allow"))
-    m0 = emulate_mixture(r1, r2, 0.0)
-    m1 = emulate_mixture(r1, r2, 1.0)
+    m0 = emulate_mixture(cfg, 0.0)
+    m1 = emulate_mixture(cfg, 1.0)
     assert m0.f_parallel == pytest.approx(r1.f_parallel)
     assert m1.f_parallel == pytest.approx(r2.f_parallel)
-    mhalf = emulate_mixture(r1, r2, 0.5)
+    mhalf = emulate_mixture(cfg, 0.5)
     assert mhalf.fidelity() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_emulate_mixture_orders_its_labels_whatever_the_hash_seed():
-    code = ("from cqtsim.protocol import ProtocolConfig, emulate_mixture, run_protocol\n"
+    code = ("from cqtsim.protocol import ProtocolConfig, emulate_mixture\n"
             "from cqtsim.spdc import SourceParams\n"
-            "recs = [run_protocol(ProtocolConfig(channel=c, action='deny', source=SourceParams()))[0]\n"
-            "        for c in ('g1', 'g2')]\n"
-            "print(list(emulate_mixture(*recs, 0.3).per_term))\n")
+            "cfg = ProtocolConfig(channel='g1', action='deny', source=SourceParams())\n"
+            "print(list(emulate_mixture(cfg, 0.3).per_term))\n")
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     orders = set()
     for seed in ("1", "2", "3"):
@@ -374,11 +374,32 @@ def test_emulate_mixture_orders_its_labels_whatever_the_hash_seed():
     assert orders == {"['0022', '1111', '2200']\n"}
 
 
-def test_emulate_mixture_rejects_mismatched_settings():
-    r1, _ = run_protocol(ProtocolConfig(channel="g1", action="allow"))
-    r2, _ = run_protocol(ProtocolConfig(channel="g2", action="deny"))
-    with pytest.raises(ValueError):
-        emulate_mixture(r1, r2, 0.5)
+@pytest.mark.parametrize("channel, action", [("g2", "allow"), ("g2", "deny"),
+                                             ("reference", "none")])
+def test_emulate_mixture_takes_only_the_g1_configuration(channel, action):
+    with pytest.raises(ValueError, match=f"takes the g1 configuration, not '{channel}'"):
+        emulate_mixture(ProtocolConfig(channel=channel, action=action), 0.5)
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, math.nan, math.inf])
+def test_emulate_mixture_rejects_a_weight_outside_0_1(p):
+    with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
+        emulate_mixture(ProtocolConfig(), p)
+
+
+def test_emulate_mixture_adds_no_events_for_a_half_that_cannot_coincide():
+    # with input h and deny, the g1 half never coincides and the g2 half does
+    cfg = ProtocolConfig(channel="g1", action="deny", input=InputQubit.from_name("h"))
+    g2, _ = run_protocol(ProtocolConfig(channel="g2", action="deny",
+                                        input=InputQubit.from_name("h")))
+    record = emulate_mixture(cfg, 1.0)
+    assert (record.f_parallel, record.f_perp, record.success_probability) == (
+        g2.f_parallel, g2.f_perp, g2.success_probability)
+    half = emulate_mixture(cfg, 0.5)
+    assert (half.f_parallel, half.f_perp, half.success_probability) == pytest.approx(
+        (0.0625, 0.0, 0.0625), abs=1e-15)
+    with pytest.raises(protocol.NoCoincidenceError, match="channel g1, action deny"):
+        emulate_mixture(cfg, 0.0)
 
 
 # --- fock pipeline vs qubit model ---------------------------------------------------

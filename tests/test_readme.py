@@ -37,8 +37,8 @@ def printed_lines(source: str) -> list:
     return out.getvalue().splitlines()
 
 
-def test_readme_has_the_two_library_examples():
-    assert len(BLOCKS) == 2
+def test_readme_has_the_three_library_examples():
+    assert len(BLOCKS) == 3
 
 
 def test_run_protocol_example_prints_its_commented_values():
@@ -49,12 +49,20 @@ def test_run_protocol_example_prints_its_commented_values():
     assert float(success) == pytest.approx(1 / 16, abs=1e-12)
 
 
+def test_mixture_example_prints_its_commented_values():
+    block = BLOCKS[1]
+    assert "# 1.0 (allow), 0.5 (deny)" in block
+    allowed, denied = printed_lines(block)
+    assert float(allowed) == pytest.approx(1.0, abs=1e-12)
+    assert float(denied) == pytest.approx(0.5, abs=1e-12)
+
+
 def test_ratio_fit_example_fits_both_targets():
-    line, reachable = printed_lines(BLOCKS[1])
+    line, reachable = printed_lines(BLOCKS[2])
     ratio, residuals = line.split(" ", 1)
     assert 0.001 < float(ratio) <= 5
     assert residuals.startswith("{'allowed': ") and "'denied': " in residuals
-    assert "# about (0.756, 1.0): 55.4 % is out of reach" in BLOCKS[1]
+    assert "# about (0.756, 1.0): 55.4 % is out of reach" in BLOCKS[2]
     lo, hi = (float(v) for v in reachable.strip("()").split(", "))
     assert lo == pytest.approx(0.756, abs=5e-4) and hi == pytest.approx(1.0, abs=5e-4)
 

@@ -44,6 +44,10 @@ def test_params_validation():
         SourceParams(kappa_forward=0.7)
     with pytest.raises(ValueError):
         SourceParams(truncation_order=0)
+    with pytest.raises(ValueError, match="truncation_order must be an integer >= 1, got 2.5"):
+        SourceParams(truncation_order=2.5)
+    with pytest.raises(ValueError, match="kappa_forward"):
+        SourceParams(kappa_forward=1e-78, kappa_backward=0.0)
 
 
 def test_two_mode_vacuum_at_zero_kappa():
