@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import KET_D, KET_H, basis_pairs
+from .fock import KET_D, KET_H, basis_pairs, unit_ket
 
 PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -166,6 +166,29 @@ def _entangled_fractions(rhos: np.ndarray) -> np.ndarray:
     return ((bras @ rhos) @ kets)[..., 0, 0].real.max(axis=0)
 
 
+# The sums over length-2 labels below are unrolled into one reduction-free
+# einsum per term, with the points (channel, input, outcome or sample) on the
+# innermost axis, so that each loop runs over the whole stack instead of a
+# length-2 axis.  Each keeps the bits of the one einsum that sums over the
+# same labels (the tests' oracle), which forms each term in einsum's own
+# complex arithmetic and adds the terms to a zeroed output in label order, as
+# ``sum`` over the terms does from 0:
+# - numpy's complex ``*`` does not round like einsum's products: on the
+#   terms of ``_teleport_branches`` 70 % of the entries differ.
+# - One einsum on transposed, contiguous operands also loops over the points,
+#   2-6x faster than the summed one, and kept the bits on every shape tried;
+#   but the order of its additions is the loop order einsum derives from the
+#   operands' strides, which no label fixes.
+# - ``_condition``'s einsum adds its terms in pairs, (t00 + t01) + (t10 + t11),
+#   so it stays as it is.
+
+def _four_terms(spec: str, left, middle, right) -> np.ndarray:
+    """``sum_cd left[c] middle[c, d] right[d]`` over c, d in {0, 1}, each
+    term the reduction-free ``np.einsum(spec, left[c], middle[c, d], right[d])``."""
+    return sum(np.einsum(spec, left[c], middle[c, d], right[d])
+               for c in (0, 1) for d in (0, 1))
+
+
 def _teleport_branches(channel: np.ndarray, psis: np.ndarray):
     """Bell-outcome probabilities (..., n, 4) and receiver states (..., n, 4, 2, 2).
 
@@ -173,15 +196,23 @@ def _teleport_branches(channel: np.ndarray, psis: np.ndarray):
     order of ``bell_kets``; ``psis`` (n, 2) are the input kets and
     ``channel`` is one two-qubit channel (4, 4) or a stack (..., 4, 4).  A
     branch with probability below 1e-14 keeps its unnormalized state.
+
+    ``states`` is C-contiguous: with non-contiguous states, 14 % of the BLAS
+    products of ``_frame_fidelities`` round differently.  ``probs`` is the
+    real part of a C-contiguous complex array.
     """
     channel = np.asarray(channel, dtype=complex)
-    rho = channel.reshape(channel.shape[:-2] + (2, 2, 2, 2))
-    # <bell_k| on (input, qubit 1) applied to |psi> on the input
-    u = np.einsum("kac,na->nkc", _BELL.conj(), psis)
-    sub = np.einsum("nkc,...cedf,nkd->...nkef", u, rho, u.conj())
-    probs = np.einsum("...nkee->...nk", sub).real
-    states = sub / np.where(probs > 1e-14, probs, 1.0)[..., None, None]
-    return probs, states
+    stack, n = channel.shape[:-2], len(psis)
+    rho = channel.reshape((-1, 2, 2, 2, 2))
+    # <bell_k| on (input, qubit 1) applied to |psi> on the input, as (c, k n)
+    bras = _BELL.conj().transpose(1, 2, 0)
+    u = sum(np.einsum("ck,n->ckn", bras[a], psis[:, a]) for a in (0, 1)).reshape(2, -1)
+    sub = _four_terms("p,mef,p->mefp", u, rho.transpose(1, 3, 0, 2, 4), u.conj())
+    traces = np.einsum("meep->mp", sub)
+    sub /= np.where(traces.real > 1e-14, traces.real, 1.0)[:, None, None]
+    probs = np.ascontiguousarray(traces.reshape(-1, 4, n).transpose(0, 2, 1)).real
+    states = np.ascontiguousarray(sub.reshape(-1, 2, 2, 4, n).transpose(0, 4, 3, 1, 2))
+    return probs.reshape(stack + (n, 4)), states.reshape(stack + (n, 4, 2, 2))
 
 
 # Pauli frame that inverts teleportation over the (|HH>+|VV>)/sqrt2 channel,
@@ -205,18 +236,27 @@ def _frame_fidelities(channels: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def teleport_fidelity(channel: np.ndarray, psi: np.ndarray) -> float:
-    """Fidelity of teleporting ``psi`` with the ``STANDARD_CORRECTIONS`` Pauli frame."""
-    psi = np.asarray(psi, dtype=complex).ravel()
-    return float(_frame_fidelities(np.asarray(channel, dtype=complex)[None], psi)[0])
+    """Fidelity of teleporting the unit ket ``psi`` with the ``STANDARD_CORRECTIONS``
+    Pauli frame over ``channel``, a finite (4, 4) operator of unit trace."""
+    psi = unit_ket(psi, "psi")
+    channel = np.asarray(channel, dtype=complex)
+    if not np.isfinite(channel).all():
+        raise ValueError("channel must be finite")
+    if not abs(np.trace(channel).real - 1.0) <= 1e-9:
+        raise ValueError(f"channel trace must be 1 within 1e-9, got {np.trace(channel)!r}")
+    return float(_frame_fidelities(channel[None], psi)[0])
 
 
 def _branches(channel, strategy: str):
     """``(branches, total probability)`` that ``strategy`` averages over; without
-    the controller's information, one branch holding their weighted mixture."""
+    the controller's information, one branch holding their weighted mixture.
+    A non-finite branch state raises ValueError."""
     if isinstance(channel, np.ndarray):
         branches = [ConditionalChannel("", 1.0, channel)]
     else:
         branches = list(channel)
+    if not all(np.isfinite(b.state).all() for b in branches):
+        raise ValueError("branch states must be finite")
     total_p = sum(b.probability for b in branches)
     if strategy == "with_feedforward":
         return branches, total_p
@@ -251,6 +291,20 @@ def _feedforward_sums(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
     return sum((probs * (2 * fractions + 1) / 3.0).T)
 
 
+_PAULI_DAGGERS = np.array(list(PAULIS.values())).conj()
+
+
+def _pauli_fidelities(psis: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``<psi_n| P state_nk P^dagger |psi_n>`` (n, k, p) for the inputs ``psis``
+    (n, 2), their branch states (n, k, 2, 2) and the Paulis P in ``PAULIS``
+    order; the complex array's real view, laid out as the sums over n need."""
+    # P^dagger |psi> as (pauli, component, sample)
+    rotated = sum(np.einsum("pi,n->pin", _PAULI_DAGGERS[:, j], psis[:, j]) for j in (0, 1))
+    fids = _four_terms("pn,kn,pn->kpn", rotated.conj().transpose(1, 0, 2),
+                       states.transpose(2, 3, 1, 0), rotated.transpose(1, 0, 2))
+    return np.ascontiguousarray(fids.transpose(2, 0, 1)).real
+
+
 def mc_avg_teleport_fidelity(channel, n_samples: int, seed: int,
                              strategy: str = "with_feedforward") -> float:
     """Monte-Carlo cross-check of avg_teleport_fidelity over Haar inputs.
@@ -267,13 +321,10 @@ def mc_avg_teleport_fidelity(channel, n_samples: int, seed: int,
     psis = draws[:, 0] + 1j * draws[:, 1]
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
 
-    paulis = np.array(list(PAULIS.values()))
-    # P^dagger |psi> for every Pauli P: (n, pauli, 2)
-    rotated = np.einsum("pji,nj->npi", paulis.conj(), psis)
     grand = 0.0
     for b in branches:
         probs, states = _teleport_branches(b.state, psis)
-        fids = np.einsum("npi,nkij,npj->nkp", rotated.conj(), states, rotated).real
+        fids = _pauli_fidelities(psis, states)
         # summed over samples per (outcome, Pauli); then the best Pauli per outcome
         acc = np.einsum("nk,nkp->kp", probs, fids)
         best = float(acc.max(axis=1).sum()) / n_samples

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import NAMED_KETS, unit_pair
+from .fock import NAMED_KETS, unit_ket, unit_pair
 
 
 @dataclass
@@ -116,14 +117,15 @@ def _log_likelihood(rho, projectors, counts) -> float:
 
 
 def _mul2(a, b):
-    """``a @ b`` for two stacks of 2x2 matrices, on component arrays.
+    """``a @ b`` for two stacks of 2x2 matrices held as (2, 2, n) components.
 
-    Entry (i, j) is ``a[:, i, 0] b[:, 0, j] + a[:, i, 1] b[:, 1, j]``: the
-    columns of ``a`` times the rows of ``b``, all four entries at once by
-    broadcasting.  numpy's stacked ``@`` costs one BLAS call per matrix;
-    these three elementwise calls cover the whole stack.
+    Entry (i, j) is ``a[i, 0] b[0, j] + a[i, 1] b[1, j]``: the columns of ``a``
+    times the rows of ``b``, all four entries at once by broadcasting.  The
+    stack axis is innermost, so each of the three elementwise calls loops
+    over the whole stack; numpy's complex ``*`` and ``+`` round the same in
+    this layout as on (n, 2, 2) stacks.
     """
-    return a[:, :, :1] * b[:, None, 0, :] + a[:, :, 1:] * b[:, None, 1, :]
+    return a[:, :1] * b[None, 0] + a[:, 1:] * b[None, 1]
 
 
 def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
@@ -138,18 +140,30 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
     when the log-likelihood changes by less than ``tol * max(1, |L|)``.
 
     The running tables are packed into rows (state, likelihood, counts and
-    probabilities), re-packed only when one stops.  The full step is ``r``
-    itself; only the diluted passes build ``alpha`` and mix in the identity.
-    When all take the full step and none stops, the candidates are the next
-    state as they are; otherwise the probabilities are recomputed, because
-    the BLAS product rounds differently on a different number of rows.
+    probabilities), re-packed only when one stops.  States, steps and
+    candidates are (2, 2, k) stacks, table axis innermost, so that each
+    elementwise call loops over the tables; both BLAS products still take
+    C-contiguous (k, 4) rows, since the product taken the other way round,
+    (m, 4) @ (4, k), rounds 24 % of the probabilities differently.  The full
+    step is ``r`` itself; only the diluted passes build ``alpha`` and mix in
+    the identity.  When all take the full step and none stops, the
+    candidates are the next state as they are; otherwise the probabilities
+    are recomputed, because the BLAS product rounds differently on a
+    different number of rows.
 
     Returns ``(rho (n, 2, 2), converged (n,), iterations (n,), traces)``;
     ``traces`` holds each table's log-likelihood after every accepted step
-    when ``keep_trace`` is set, else None.
+    when ``keep_trace`` is set, else None.  A ``tol`` that is NaN or negative
+    or a ``max_iterations`` that is not an integer of at least 1 raises
+    ValueError.
     """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
+    if not (isinstance(max_iterations, numbers.Integral) and max_iterations >= 1):
+        raise ValueError(f"max_iterations must be an integer of at least 1, "
+                         f"got {max_iterations!r}")
     n, m = tables.shape
-    eye = np.eye(2, dtype=complex)
+    eye = np.eye(2, dtype=complex)[:, :, None]
     # tr(p rho) = sum_ij p_ji rho_ij: one (k, 4) @ (4, m) product against the
     # transposed, flattened projectors gives every probability of every table
     columns = np.ascontiguousarray(projectors.transpose(0, 2, 1).reshape(m, 4).T)
@@ -158,7 +172,7 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
     def evaluate(rho, counts, nonzero):
         # log-likelihoods and the probabilities, 1.0 where unusable; a masked
         # entry adds counts * log(1.0) = +0.0
-        probs = (rho.reshape(-1, 4) @ columns).real
+        probs = (np.ascontiguousarray(rho.reshape(4, -1).T) @ columns).real
         usable = nonzero & (probs > 1e-300)
         safe = np.where(usable, probs, 1.0)
         out = (counts * np.log(safe)).sum(axis=1)
@@ -168,12 +182,12 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
         return out, safe
 
     def candidate(rho, step):
-        cand = _mul2(_mul2(step, rho), step.conj().transpose(0, 2, 1))
-        cand = 0.5 * (cand + cand.conj().transpose(0, 2, 1))
-        cand /= (cand[:, 0, 0].real + cand[:, 1, 1].real)[:, None, None]
+        cand = _mul2(_mul2(step, rho), step.conj().transpose(1, 0, 2))
+        cand = 0.5 * (cand + cand.conj().transpose(1, 0, 2))
+        cand /= cand[0, 0].real + cand[1, 1].real
         return cand
 
-    rho_out = np.broadcast_to(eye / 2.0, (n, 2, 2)).copy()
+    rho_out = np.broadcast_to(eye / 2.0, (2, 2, n)).copy()
     converged, iterations = np.zeros(n, dtype=bool), np.zeros(n, dtype=int)
     active, rho, counts = np.arange(n), rho_out.copy(), tables
     nonzero, totals = counts > 0, counts.sum(axis=1)
@@ -187,7 +201,7 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
             _, safe = evaluate(rho, counts, nonzero)
         # an active table's likelihood is finite, so its masked entries have
         # count 0 and weight 0 / 1.0
-        r = ((counts / safe) @ flat).reshape(-1, 2, 2) / totals[:, None, None]
+        r = np.divide(((counts / safe) @ flat).T.reshape(2, 2, -1), totals, order="C")
         # the full step (1 - alpha) eye + alpha r at alpha = 1 is r with its
         # zeros made +0.0, which is what + 0.0 does
         new_rho = candidate(rho, r + 0.0)
@@ -196,18 +210,21 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
         if not accepted.all():
             # the rejected tables halve their step until one is accepted
             safe = None
-            new_rho[~accepted] = rho[~accepted]
+            new_rho[:, :, ~accepted] = rho[:, :, ~accepted]
             alpha, pending = np.ones(active.size), np.flatnonzero(~accepted)
             while True:
                 alpha[pending] /= 2.0
                 pending = pending[alpha[pending] > 1e-6]
                 if pending.size == 0:
                     break
-                a = alpha[pending, None, None]
-                cand = candidate(rho[pending], (1 - a) * eye + a * r[pending])
+                # take() and compress() keep a selection of tables C-contiguous;
+                # an index on the last axis would put that axis outermost in memory
+                a = alpha[pending]
+                cand = candidate(rho.take(pending, axis=2),
+                                 (1 - a) * eye + a * r.take(pending, axis=2))
                 cand_ll, _ = evaluate(cand, counts[pending], nonzero[pending])
                 ok = cand_ll >= ll[pending] - 1e-15
-                new_rho[pending[ok]] = cand[ok]
+                new_rho[:, :, pending[ok]] = cand[:, :, ok]
                 new_ll[pending[ok]] = cand_ll[ok]
                 accepted[pending[ok]] = True
                 pending = pending[~ok]
@@ -222,12 +239,12 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
                 traces[i].append(float(v))
         stay = accepted & ~done
         if not stay.all():
-            rho_out[active[~stay]] = rho[~stay]
-            active, rho, ll = active[stay], rho[stay], ll[stay]
+            rho_out[:, :, active[~stay]] = rho[:, :, ~stay]
+            active, rho, ll = active[stay], rho.compress(stay, axis=2), ll[stay]
             counts, nonzero, totals = counts[stay], nonzero[stay], totals[stay]
             safe = None
-    rho_out[active] = rho
-    return rho_out, converged, iterations, traces
+    rho_out[:, :, active] = rho
+    return np.ascontiguousarray(rho_out.transpose(2, 0, 1)), converged, iterations, traces
 
 
 def ml_reconstruct(counts: ProjectionCounts, tol: float = ML_TOL,
@@ -239,7 +256,9 @@ def ml_reconstruct(counts: ProjectionCounts, tol: float = ML_TOL,
     construction.  Stops when the relative log-likelihood change drops below
     ``tol``; non-convergence is flagged on the result, never raised.  A table
     whose largest count is below 1 or above ``ML_RESCALE_ABOVE`` is iterated,
-    and its likelihoods reported, divided by that count.
+    and its likelihoods reported, divided by that count.  A ``tol`` that is
+    NaN or negative or a ``max_iterations`` that is not an integer of at
+    least 1 raises ValueError.
     """
     if not counts.is_informationally_complete():
         raise ValueError("projector set is not informationally complete")
@@ -293,9 +312,15 @@ def ml_oracle_bloch_search(counts: ProjectionCounts) -> np.ndarray:
 # --- background subtraction ------------------------------------------------------
 
 def corrected_fidelity(f_raw: float, w: float) -> float:
-    """Fidelity after removing a maximally mixed admixture of weight ``w``."""
+    """Fidelity after removing a maximally mixed admixture of weight ``w``;
+    ``f_raw`` is one raw fidelity or an array of them, each in [0, 1]."""
     if not 0.0 <= w < 1.0:
         raise ValueError("background weight must lie in [0, 1)")
+    raw = np.asarray(f_raw)
+    outside = ~((raw >= 0.0) & (raw <= 1.0))
+    if outside.any():
+        raise ValueError(f"raw fidelity f_raw must be finite and lie in [0, 1], got "
+                         f"{float(raw[outside].flat[0])!r}")
     return (f_raw - w / 2.0) / (1.0 - w)
 
 
@@ -389,12 +414,7 @@ def poisson_uncertainty(data, seed: int, n_resamples: int = 10_000,
     if isinstance(data, ProjectionCounts):
         if target is None:
             raise ValueError("tomography resampling needs a target ket")
-        target = np.asarray(target, dtype=complex).ravel()
-        # InputQubit's rule, without renormalising, so a unit ket keeps its bits
-        if (target.size != 2 or not np.isfinite(target).all()
-                or not abs(abs(target[0]) ** 2 + abs(target[1]) ** 2 - 1.0) <= 1e-12):
-            raise ValueError(f"target must be a unit ket of two finite components, "
-                             f"got {target.tolist()!r}")
+        target = unit_ket(target, "target")
         means = data.counts()
         if means.sum() <= 0:
             raise ValueError("all counts are zero")

@@ -72,6 +72,18 @@ def unit_pair(alpha, beta, what: str) -> tuple:
     return alpha / norm, beta / norm
 
 
+def unit_ket(psi, what: str) -> np.ndarray:
+    """``psi`` as a complex (2,) array, not renormalised, so that a unit ket
+    keeps its bits; ValueError naming ``what`` unless it has two finite
+    components of unit norm within 1e-12."""
+    psi = np.asarray(psi, dtype=complex).ravel()
+    if (psi.size != 2 or not np.isfinite(psi).all()
+            or not abs(abs(psi[0]) ** 2 + abs(psi[1]) ** 2 - 1.0) <= 1e-12):
+        raise ValueError(f"{what} must be a unit ket of two finite components, "
+                         f"got {psi.tolist()!r}")
+    return psi
+
+
 # Two-outcome polarization bases: (jones ket, outcome label) pairs.
 NAMED_BASES = {
     "hv": ((KET_H, "H"), (KET_V, "V")),
@@ -282,11 +294,13 @@ def to_qubit_density(state: PureState, spatials: Sequence[int]) -> np.ndarray:
 
 
 def fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
-    """Overlap <psi|rho|psi> of a density operator with a pure target."""
+    """Overlap <psi|rho|psi> of a single-qubit density operator with a unit ket."""
     rho = np.asarray(rho, dtype=complex)
-    psi = np.asarray(psi, dtype=complex).ravel()
-    if rho.shape != (psi.size, psi.size):
+    psi = unit_ket(psi, "psi")
+    if rho.shape != (2, 2):
         raise ValueError(f"dimension mismatch: rho {rho.shape}, psi {psi.shape}")
+    if not np.isfinite(rho).all():
+        raise ValueError("rho must be finite")
     val = complex(psi.conj() @ rho @ psi)
     if abs(val.imag) > 1e-12:
         raise ValueError(f"fidelity has non-negligible imaginary part {val.imag:g}")

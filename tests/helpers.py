@@ -6,7 +6,9 @@ states and elements, unchanged.  ``compose`` chains elements as substitution
 maps: the tests use it as the oracle of ``protocol``'s optics matrix and of
 ``protocol.prepare_ghz``.  ``reference_ml_kernel`` is
 ``estimation._ml_kernel`` as it was before it kept each table's state
-between steps, copied verbatim: the bit-for-bit oracle of the kernel.
+between steps, copied verbatim with the (n, 2, 2) ``_mul2`` it called: the
+bit-for-bit oracle of the kernel, which now holds its states as (2, 2, n)
+stacks.
 ``reference_correct_for_background`` is ``estimation.correct_for_background``
 as it was before it screened 2x2 states in closed form, copied verbatim: it
 diagonalises every matrix.
@@ -27,7 +29,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from cqtsim.elements import OpticalElement, phase_matrix, port_element
-from cqtsim.estimation import NonPhysicalError, _mul2
+from cqtsim.estimation import NonPhysicalError
 from cqtsim.fock import H, V, PureState, spatial_counts
 from cqtsim.spdc import (_GRID_POINTS, _ROOT_COST, BACKWARD_MODES, FORWARD_MODES,
                          RATIO_BOUNDS, REFERENCE_KAPPA, RatioFit, _local_minima,
@@ -117,6 +119,17 @@ def phase_on(phi: float, pol: str) -> np.ndarray:
     """A phase plate that multiplies the ``pol`` component by exp(i*phi):
     ``phase_matrix`` for V, the same plate with H and V swapped for H."""
     return phase_matrix(phi) if pol == V else phase_matrix(phi)[::-1, ::-1]
+
+
+def _mul2(a, b):
+    """``a @ b`` for two stacks of 2x2 matrices, on component arrays.
+
+    Entry (i, j) is ``a[:, i, 0] b[:, 0, j] + a[:, i, 1] b[:, 1, j]``: the
+    columns of ``a`` times the rows of ``b``, all four entries at once by
+    broadcasting.  numpy's stacked ``@`` costs one BLAS call per matrix;
+    these three elementwise calls cover the whole stack.
+    """
+    return a[:, :, :1] * b[:, None, 0, :] + a[:, :, 1:] * b[:, None, 1, :]
 
 
 def reference_ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,

@@ -22,6 +22,12 @@ kept each table's state between steps, copied verbatim.  The kernel makes the
 same floating-point operations on the same rows, so states, flags, iteration
 counts and traces must agree bit for bit.
 
+``einsum_teleport_branches`` and ``einsum_pauli_fidelities`` are the Bell
+branches and the Monte-Carlo Pauli-frame fidelities as they were before their
+sums over length-2 labels were unrolled, copied verbatim: each one summed
+einsum.  The unrolled terms add the same einsum products in the same order,
+so those comparisons are by bytes.
+
 ``helpers.reference_correct_for_background`` is the background subtraction
 as it was before its closed-form screen, copied verbatim: it diagonalises
 every matrix.  A stack the screen passes is returned as the reference returns
@@ -35,7 +41,8 @@ import numpy as np
 import pytest
 
 from cqtsim.channels import (_BELL, _BELL_LABELS, PAULI_I, PAULIS, STANDARD_CORRECTIONS,
-                             ConditionalChannel, _teleport_branches, avg_teleport_fidelity,
+                             ConditionalChannel, _pauli_fidelities, _teleport_branches,
+                             avg_teleport_fidelity,
                              bell_kets, condition_on_controller, conditional_teleport_output,
                              _entangled_fractions, ghz_ket, ket_outer,
                              make_ghz_mixture, make_werner, mc_avg_teleport_fidelity,
@@ -48,6 +55,7 @@ from cqtsim.fock import (KET_A, KET_D, KET_H, KET_L, KET_R, KET_V, basis_pairs,
                          fidelity)
 
 import cqtsim.estimation as estimation
+from helpers import _mul2 as reference_mul2
 from helpers import reference_correct_for_background, reference_ml_kernel
 
 AXIAL = ("h", "v", "plus", "minus", "r", "l")
@@ -444,13 +452,22 @@ def test_2x2_helper_matches_matmul(n):
     rng = np.random.default_rng(n)
     a, b = (rng.uniform(-1, 1, size=(2, n, 2, 2))
             + 1j * rng.uniform(-1, 1, size=(2, n, 2, 2)))
-    assert np.max(np.abs(_mul2(a, b) - a @ b)) <= 1e-15
+
+    def stack(x):
+        # (n, 2, 2) matrices as the kernel's (2, 2, n) component stack
+        return np.ascontiguousarray(x.transpose(1, 2, 0))
+
+    sa, sb = stack(a), stack(b)
+    assert np.max(np.abs(_mul2(sa, sb) - stack(a @ b))) <= 1e-15
     # the kernel's use, step @ rho @ step^dagger: two roundings of products
     # of two-term sums, so a few units of double precision of the largest entry
     a_dagger = a.conj().transpose(0, 2, 1)
     triple = a @ b @ a_dagger
-    assert (np.max(np.abs(_mul2(_mul2(a, b), a_dagger) - triple))
+    got = _mul2(_mul2(sa, sb), sa.conj().transpose(1, 0, 2))
+    assert (np.max(np.abs(got - stack(triple)))
             <= 8 * np.finfo(float).eps * np.max(np.abs(triple)))
+    # numpy's complex * and + round the same in either layout
+    assert got.tobytes() == stack(reference_mul2(reference_mul2(a, b), a_dagger)).tobytes()
 
 
 def test_kernel_matches_scalar_loop_at_the_benchmark_regime():
@@ -712,6 +729,66 @@ def test_mc_on_a_two_qubit_channel_matches_scalar_loop():
     rho = 0.7 * ket_outer(bell_kets()["psi-"]) + 0.3 * np.eye(4) / 4
     got = mc_avg_teleport_fidelity(rho, n_samples=200, seed=5)
     assert got == pytest.approx(scalar_mc_avg_teleport_fidelity(rho, 200, 5), abs=1e-12)
+
+
+def einsum_teleport_branches(channel: np.ndarray, psis: np.ndarray):
+    channel = np.asarray(channel, dtype=complex)
+    rho = channel.reshape(channel.shape[:-2] + (2, 2, 2, 2))
+    # <bell_k| on (input, qubit 1) applied to |psi> on the input
+    u = np.einsum("kac,na->nkc", _BELL.conj(), psis)
+    sub = np.einsum("nkc,...cedf,nkd->...nkef", u, rho, u.conj())
+    probs = np.einsum("...nkee->...nk", sub).real
+    states = sub / np.where(probs > 1e-14, probs, 1.0)[..., None, None]
+    return probs, states
+
+
+def einsum_pauli_fidelities(psis: np.ndarray, states: np.ndarray) -> np.ndarray:
+    paulis = np.array(list(PAULIS.values()))
+    # P^dagger |psi> for every Pauli P: (n, pauli, 2)
+    rotated = np.einsum("pji,nj->npi", paulis.conj(), psis)
+    return np.einsum("npi,nkij,npj->nkp", rotated.conj(), states, rotated).real
+
+
+def contraction_cases():
+    """Channels (single and stacks of 1, 7 and 71) and 1-64, 150 and 257
+    inputs, drawn at random and rounded to one decimal (many zeros)."""
+    rng = np.random.default_rng(26)
+    for rounded in (False, True):
+        for stack in ((), (1,), (7,), (71,)):
+            for n in [*range(1, 65), 150, 257]:
+                channel = (rng.normal(size=stack + (4, 4))
+                           + 1j * rng.normal(size=stack + (4, 4)))
+                psis = rng.normal(size=(n, 2)) + 1j * rng.normal(size=(n, 2))
+                if rounded:
+                    channel, psis = np.round(channel, 1), np.round(psis, 1)
+                yield channel, psis
+
+
+def layout(a: np.ndarray) -> tuple:
+    # the strides of the axes longer than 1, which are the ones numpy uses
+    return tuple(st for st, size in zip(a.strides, a.shape) if size > 1)
+
+
+def test_branch_contraction_keeps_the_bytes_of_einsum():
+    cases = 0
+    for channel, psis in contraction_cases():
+        probs, states = _teleport_branches(channel, psis)
+        want_probs, want_states = einsum_teleport_branches(channel, psis)
+        assert probs.tobytes() == want_probs.tobytes()
+        assert layout(probs) == layout(want_probs)
+        assert states.tobytes() == want_states.tobytes()
+        assert states.flags.c_contiguous
+        cases += 1
+    assert cases == 528
+
+
+def test_pauli_fidelity_contraction_keeps_the_bytes_of_einsum():
+    for channel, psis in contraction_cases():
+        if channel.ndim == 2:
+            _, states = einsum_teleport_branches(channel, psis)
+            got, want = _pauli_fidelities(psis, states), einsum_pauli_fidelities(psis, states)
+            assert got.tobytes() == want.tobytes()
+            assert layout(got) == layout(want)
 
 
 def test_teleport_branches_match_kron_projection():

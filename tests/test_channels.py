@@ -95,6 +95,35 @@ def test_mc_average_needs_a_sample(n_samples):
                                  n_samples=n_samples, seed=1)
 
 
+@pytest.mark.parametrize("psi", [[3, 4], [0, 0], [np.nan, 1], [1, 0, 0]])
+def test_teleport_fidelity_rejects_a_ket_that_is_not_unit(psi):
+    with pytest.raises(ValueError, match="psi must be a unit ket of two finite components"):
+        teleport_fidelity(ket_outer(bell_kets()["phi+"]), psi)
+
+
+def test_teleport_fidelity_rejects_a_channel_that_is_not_a_state():
+    channel = ket_outer(bell_kets()["phi+"])
+    with pytest.raises(ValueError, match="channel trace must be 1 within 1e-9"):
+        teleport_fidelity(2 * channel, KET_D)
+    for bad in (np.nan, np.inf):
+        broken = channel.copy()
+        broken[0, 3] = bad
+        with pytest.raises(ValueError, match="channel must be finite"):
+            teleport_fidelity(broken, KET_D)
+    assert teleport_fidelity(channel * (1 + 1e-10), KET_D) == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("average", [
+    lambda channel: mc_avg_teleport_fidelity(channel, n_samples=10, seed=1),
+    avg_teleport_fidelity], ids=["mc", "closed_form"])
+def test_averages_reject_a_non_finite_branch_state(average):
+    conds = condition_on_controller(make_werner(0.5), "pm")
+    conds[1].state = np.full((4, 4), np.nan)
+    for channel in (conds, np.full((4, 4), np.inf)):
+        with pytest.raises(ValueError, match="branch states must be finite"):
+            average(channel)
+
+
 def test_feedforward_vs_withheld_on_biseparable():
     conds = condition_on_controller(make_ghz_mixture(0.5), "pm")
     assert avg_teleport_fidelity(conds, "with_feedforward") == pytest.approx(1.0, abs=1e-12)

@@ -78,6 +78,22 @@ def test_corrected_fidelity_reference_row():
     assert corrected_fidelity(0.647, 0.554) == pytest.approx(0.830, abs=1.5e-3)
 
 
+@pytest.mark.parametrize("f_raw, shown", [
+    (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"), (2.0, "2.0"), (-0.1, "-0.1"),
+    (np.array([0.5, math.nan, 3.0]), "nan"), (np.array([[0.2], [1.5]]), "1.5")])
+def test_corrected_fidelity_rejects_a_raw_fidelity_outside_0_1(f_raw, shown):
+    with pytest.raises(ValueError, match=f"f_raw must be finite and lie in \\[0, 1\\], "
+                                         f"got {shown}$"):
+        corrected_fidelity(f_raw, 0.1)
+
+
+def test_corrected_fidelity_keeps_its_bits_on_the_unit_interval():
+    for f_raw in (0.0, 0.624, 1.0):
+        assert repr(corrected_fidelity(f_raw, 0.554)) == repr((f_raw - 0.277) / (1.0 - 0.554))
+    values = np.linspace(0.0, 1.0, 11)
+    assert corrected_fidelity(values, 0.3).tobytes() == ((values - 0.15) / 0.7).tobytes()
+
+
 def test_correction_hard_error_on_nonphysical():
     rho = np.diag([1.0, 0.0]).astype(complex)
     with pytest.raises(ValueError):
@@ -253,6 +269,25 @@ def test_poisson_tomography_takes_a_unit_target_as_given():
                                  target=KET_D * (1 + 4e-13))
     assert nudged.value != est.value
     assert nudged.value == pytest.approx(est.value, rel=1e-11)
+
+
+@pytest.mark.parametrize("stopping, name", [
+    ({"tol": math.nan}, "tol"), ({"tol": -1.0}, "tol"), ({"tol": -math.inf}, "tol"),
+    ({"max_iterations": 0}, "max_iterations"), ({"max_iterations": -3}, "max_iterations"),
+    ({"max_iterations": 2.5}, "max_iterations")])
+def test_ml_rejects_a_stopping_rule_it_cannot_use(stopping, name):
+    counts = axial_counts(dict(h=60, v=40, plus=70, minus=30, r=55, l=45))
+    rule = {"tol": ML_TOL, "max_iterations": 50, **stopping}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        ml_reconstruct(counts, **rule)
+    # the kernel that the resampled tomography runs checks the same rule
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        _ml_kernel(np.array(counts.projectors()), counts.counts()[None], **rule)
+
+
+def test_ml_takes_a_zero_tolerance():
+    counts = axial_counts(dict(h=60, v=40, plus=70, minus=30, r=55, l=45))
+    assert ml_reconstruct(counts, tol=0.0, max_iterations=50).iterations >= 1
 
 
 # --- CSV round trip -----------------------------------------------------------------

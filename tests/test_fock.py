@@ -191,6 +191,26 @@ def test_fidelity_trivial_cases():
 def test_fidelity_dimension_mismatch():
     with pytest.raises(ValueError):
         fidelity(np.eye(2) / 2, np.array([1, 0, 0, 0]))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        fidelity(np.eye(4) / 4, KET_H)
+
+
+@pytest.mark.parametrize("psi", [[0, 0], [3, 4], [math.nan, 1], [1, math.inf], [1]])
+def test_fidelity_rejects_a_target_that_is_not_a_unit_ket(psi):
+    with pytest.raises(ValueError, match="psi must be a unit ket of two finite components"):
+        fidelity(np.eye(2) / 2, psi)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_fidelity_rejects_a_non_finite_state(bad):
+    with pytest.raises(ValueError, match="rho must be finite"):
+        fidelity(np.array([[0.5, bad], [0.0, 0.5]]), KET_H)
+
+
+def test_fidelity_takes_a_unit_target_as_given():
+    rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
+    for psi in (KET_D, KET_R, np.array([0.6, 0.8j]), KET_D * (1 + 4e-13)):
+        assert fidelity(rho, psi) == float(complex(psi.conj() @ rho @ psi).real)
 
 
 @st.composite

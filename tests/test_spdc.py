@@ -350,6 +350,15 @@ def test_zoom_fit_matches_the_brent_oracle():
         assert fit.converged and oracle.converged
 
 
+@pytest.mark.parametrize("kappas, name", [
+    ((math.inf, 0.05), "kappa_forward"), ((math.nan, 0.05), "kappa_forward"),
+    ((0.1, -math.inf), "kappa_backward"), ((0.1, math.nan), "kappa_backward"),
+    ((0.1, np.array([0.05, math.nan])), "kappa_backward")])
+def test_sector_shares_reject_a_non_finite_strength(kappas, name):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        sector_shares(fit_rates()["allowed"], *kappas)
+
+
 def test_sector_shares_of_an_array_match_each_scalar():
     ratios = np.exp(np.linspace(math.log(RATIO_BOUNDS[0]), math.log(RATIO_BOUNDS[1]),
                                 _GRID_POINTS))
