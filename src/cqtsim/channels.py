@@ -126,8 +126,10 @@ def condition_on_controller(channel: np.ndarray, basis="pm", outcome=None):
              if outcome is None or label == outcome]
     if not pairs:
         raise ValueError(f"{outcome!r} is not an outcome of basis {basis!r}")
-    probs, states = _condition(np.asarray(channel, dtype=complex)[None],
-                               [ket for ket, _ in pairs])
+    channel = np.asarray(channel, dtype=complex)
+    if not np.isfinite(channel).all():
+        raise ValueError("channel must be finite")
+    probs, states = _condition(channel[None], [ket for ket, _ in pairs])
     results = [ConditionalChannel(label, float(prob), state)
                for (_, label), prob, state in zip(pairs, probs[0], states[0])]
     if outcome is not None:
@@ -242,41 +244,42 @@ def teleport_fidelity(channel: np.ndarray, psi: np.ndarray) -> float:
     channel = np.asarray(channel, dtype=complex)
     if not np.isfinite(channel).all():
         raise ValueError("channel must be finite")
-    if not abs(np.trace(channel).real - 1.0) <= 1e-9:
-        raise ValueError(f"channel trace must be 1 within 1e-9, got {np.trace(channel)!r}")
+    _check_unit_trace(channel)
     return float(_frame_fidelities(channel[None], psi)[0])
 
 
-def _branches(channel, strategy: str):
-    """``(branches, total probability)`` that ``strategy`` averages over; without
-    the controller's information, one branch holding their weighted mixture.
-    A non-finite branch state raises ValueError."""
-    if isinstance(channel, np.ndarray):
-        branches = [ConditionalChannel("", 1.0, channel)]
-    else:
-        branches = list(channel)
+def _check_unit_trace(channel: np.ndarray) -> None:
+    trace = np.trace(channel)
+    if not abs(trace.real - 1.0) <= 1e-9:
+        raise ValueError(f"channel trace must be 1 within 1e-9, got {trace!r}")
+
+
+def _branches(channel):
+    """``(branches, total probability)``: a two-qubit channel is one branch of
+    probability 1, a list of ConditionalChannel is used as given.  A non-finite
+    branch state, or a two-qubit channel whose trace is not 1 within 1e-9,
+    raises ValueError."""
+    bare = isinstance(channel, np.ndarray)
+    branches = [ConditionalChannel("", 1.0, channel)] if bare else list(channel)
     if not all(np.isfinite(b.state).all() for b in branches):
         raise ValueError("branch states must be finite")
-    total_p = sum(b.probability for b in branches)
-    if strategy == "with_feedforward":
-        return branches, total_p
-    if strategy == "without_controller_info":
-        mixed = sum(b.probability * b.state for b in branches) / total_p
-        return [ConditionalChannel("", 1.0, mixed)], 1.0
-    raise ValueError(f"unknown strategy {strategy!r}")
+    if bare:
+        _check_unit_trace(channel)
+    return branches, sum(b.probability for b in branches)
 
 
-def avg_teleport_fidelity(channel, strategy: str = "with_feedforward") -> float:
+def avg_teleport_fidelity(channel) -> float:
     """Bloch-sphere average teleportation fidelity with Pauli-frame corrections.
 
     ``channel`` is either a two-qubit density operator or a list of
-    ConditionalChannel objects (the controller's outcome branches).  With
-    feed-forward the receiver picks the Pauli frame per controller outcome;
-    without the controller's information the receiver teleports over the
-    outcome-averaged channel.  Uses the closed form (2 f + 1)/3 with f the
-    channel's maximally-entangled-state overlap.
+    ConditionalChannel objects.  Given the controller's outcome branches, the
+    receiver picks the Pauli frame per outcome (feed-forward); a receiver
+    without the outcome teleports over the outcome-averaged channel
+    ``sum(b.probability * b.state for b in branches) / total``, passed as one
+    operator.  Uses the closed form (2 f + 1)/3 with f the channel's
+    maximally-entangled-state overlap.
     """
-    branches, total_p = _branches(channel, strategy)
+    branches, total_p = _branches(channel)
     probs = np.array([[b.probability for b in branches]])
     states = np.array([[b.state for b in branches]], dtype=complex)
     return float(_feedforward_sums(probs, states)[0]) / total_p
@@ -305,16 +308,16 @@ def _pauli_fidelities(psis: np.ndarray, states: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(fids.transpose(2, 0, 1)).real
 
 
-def mc_avg_teleport_fidelity(channel, n_samples: int, seed: int,
-                             strategy: str = "with_feedforward") -> float:
-    """Monte-Carlo cross-check of avg_teleport_fidelity over Haar inputs.
+def mc_avg_teleport_fidelity(channel, n_samples: int, seed: int) -> float:
+    """Monte-Carlo cross-check of avg_teleport_fidelity over Haar inputs, on
+    the same ``channel`` argument.
 
     Picks, per Bell outcome, the Pauli that maximizes the sample-averaged
     fidelity, matching the closed-form protocol.
     """
     if not n_samples >= 1:
         raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
-    branches, total_p = _branches(channel, strategy)
+    branches, total_p = _branches(channel)
     rng = np.random.default_rng(seed)
     # per sample: two real parts, then two imaginary parts
     draws = rng.normal(size=(n_samples, 2, 2))

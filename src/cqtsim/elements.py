@@ -117,6 +117,8 @@ def port_element(spatials: Sequence[int], matrix: np.ndarray) -> OpticalElement:
     if matrix.shape != (len(modes), len(modes)) or len(set(spatials)) != len(spatials):
         raise ValueError(f"a {matrix.shape} matrix does not act on spatial modes "
                          f"{tuple(spatials)}")
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix must be finite")
     return OpticalElement({m: {k: u for k, u in zip(modes, matrix[:, q]) if u != 0}
                            for q, m in enumerate(modes)})
 

@@ -182,7 +182,10 @@ class PureState:
         for occ, amp in terms.items():
             key = occupation(occ)
             data[key] = data.get(key, 0.0j) + complex(amp)
-        cut = prune * max(map(abs, data.values()), default=0.0)
+        sizes = [abs(a) for a in data.values()]
+        if not all(map(math.isfinite, sizes)):
+            raise ValueError("amplitudes must be finite")
+        cut = prune * max(sizes, default=0.0)
         self.terms = {k: a for k, a in data.items() if abs(a) > cut}
 
     def __len__(self) -> int:

@@ -56,7 +56,7 @@ from .elements import (apply, balanced_bs_matrix, hwp_matrix, pbs_matrix, phase_
                        polarizer_matrix, port_element)
 from .estimation import fidelity_from_counts
 from .fock import (H, V, KET_D, KET_H, KET_R, NAMED_KETS, PRUNE_THRESHOLD,
-                   PureState, SectorError, project, spatial_counts, unit_pair)
+                   PureState, SectorError, project, spatial_counts, unit_ket, unit_pair)
 from .spdc import BACKWARD_MODES, FORWARD_MODES, PAIR_KINDS, SourceParams
 
 _SQ2 = math.sqrt(2.0)
@@ -106,9 +106,7 @@ class InputQubit:
     beta: complex
 
     def __post_init__(self):
-        norm = abs(self.alpha) ** 2 + abs(self.beta) ** 2
-        if not abs(norm - 1.0) <= 1e-12:
-            raise ValueError(f"input amplitudes are not normalized: |a|^2+|b|^2={norm}")
+        unit_ket((self.alpha, self.beta), "input")
 
     @classmethod
     def from_name(cls, name: str) -> "InputQubit":
@@ -126,9 +124,6 @@ class InputQubit:
 
     def orthogonal_ket(self) -> np.ndarray:
         return np.array([-np.conj(self.beta), np.conj(self.alpha)], dtype=complex)
-
-
-AXIAL_INPUT_NAMES = ("h", "v", "plus", "minus", "r", "l")
 
 
 @dataclass(frozen=True)
@@ -224,6 +219,8 @@ def analyzer_frame(channel: str, roles: str = "standard") -> np.ndarray:
     pattern; the experiment's analogue is aligning the analyzer on known
     input states.  The receiver's parallel setting projects onto W |psi>.
     """
+    if roles not in WIRINGS:
+        raise ValueError(f"unknown role assignment {roles!r}")
     return _calibrated_frame(channel, roles)
 
 

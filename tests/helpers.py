@@ -20,6 +20,8 @@ of the fit.
 ``ideal_source_state`` and ``two_mode_spdc`` look up ``emission_orders`` in
 this module, so a test can swap in another emission engine with
 ``monkeypatch.setattr(helpers, "emission_orders", ...)``.
+``outcome_averaged`` is the channel of a receiver without the controller's
+outcome, in the expression the teleportation averages' docstring gives.
 """
 
 import math
@@ -34,6 +36,14 @@ from cqtsim.fock import H, V, PureState, spatial_counts
 from cqtsim.spdc import (_GRID_POINTS, _ROOT_COST, BACKWARD_MODES, FORWARD_MODES,
                          RATIO_BOUNDS, REFERENCE_KAPPA, RatioFit, _local_minima,
                          emission_orders, sector_shares)
+
+AXIAL_INPUT_NAMES = ("h", "v", "plus", "minus", "r", "l")
+
+
+def outcome_averaged(branches) -> np.ndarray:
+    """The controller's branches mixed with their probabilities, sum p_b rho_b / sum p_b."""
+    total = sum(b.probability for b in branches)
+    return sum(b.probability * b.state for b in branches) / total
 
 
 def single_photon(spatial: int, jones: np.ndarray) -> PureState:

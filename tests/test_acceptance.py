@@ -17,10 +17,10 @@ from cqtsim.cli import main as cli_main
 from cqtsim.estimation import (axial_counts, corrected_fidelity,
                                ml_oracle_bloch_search, ml_reconstruct)
 from cqtsim.fock import KET_D, NAMED_KETS, PureState, basis_state, occupation, H, V
-from cqtsim.protocol import (AXIAL_INPUT_NAMES, InputQubit, ProtocolConfig,
-                             ProtocolError, R_PREP, prepare_ghz, run_protocol,
-                             singlet_projection)
+from cqtsim.protocol import (InputQubit, ProtocolConfig, ProtocolError, R_PREP,
+                             prepare_ghz, run_protocol, singlet_projection)
 from cqtsim.spdc import SourceParams, fit_source_ratio, heralded_fraction, sector_rates
+from helpers import AXIAL_INPUT_NAMES
 
 _SQ2 = math.sqrt(2.0)
 CLASSICAL_LIMIT = 2.0 / 3.0
@@ -96,7 +96,7 @@ def test_criterion_03_biseparable_cqt():
     assert np.max(np.abs(rho - mix)) < 1e-14
 
     conds = condition_on_controller(rho, "pm")
-    f_allowed = avg_teleport_fidelity(conds, "with_feedforward")
+    f_allowed = avg_teleport_fidelity(conds)
     assert abs(f_allowed - 1.0) < 1e-12
 
     denied_channel = condition_on_controller(rho, "hv", outcome="H").state

@@ -11,7 +11,11 @@ counts must agree exactly and values to 1e-12.
 The ``rowwise_`` oracles are the channel functions as they were before
 ``werner_scan`` ran as one stack, copied verbatim: one channel, one Bell ket
 and one Werner row at a time.  The stacked kernels make the same BLAS calls
-for every row, so these comparisons use ``==``, not a tolerance.
+for every row, so these comparisons use ``==``, not a tolerance.  The
+averages' oracles keep the ``strategy`` argument the library took before a
+receiver without the controller's outcome was asked about through its
+channel: for ``"without_controller_info"`` the library gets
+``helpers.outcome_averaged`` of the branches, the mixture the oracles form.
 
 ``float_count_pair`` is the count-pair resampling as it was before its
 totals became integer sums, copied verbatim; the draws and every division
@@ -56,7 +60,7 @@ from cqtsim.fock import (KET_A, KET_D, KET_H, KET_L, KET_R, KET_V, basis_pairs,
 
 import cqtsim.estimation as estimation
 from helpers import _mul2 as reference_mul2
-from helpers import reference_correct_for_background, reference_ml_kernel
+from helpers import outcome_averaged, reference_correct_for_background, reference_ml_kernel
 
 AXIAL = ("h", "v", "plus", "minus", "r", "l")
 
@@ -711,6 +715,12 @@ def test_background_screen_diagonalises_only_near_the_boundary(monkeypatch):
 
 # --- channels -----------------------------------------------------------------------
 
+def library_channel(conds, strategy):
+    """What the library averages over for the oracles' ``strategy``: the
+    branches with feed-forward, their outcome-averaged channel without it."""
+    return conds if strategy == "with_feedforward" else outcome_averaged(conds)
+
+
 CHANNELS = [make_werner(0.62), make_werner(0.2), make_ghz_mixture(0.0),
             make_ghz_mixture(0.3)]
 
@@ -719,8 +729,8 @@ CHANNELS = [make_werner(0.62), make_werner(0.2), make_ghz_mixture(0.0),
 @pytest.mark.parametrize("strategy", ["with_feedforward", "without_controller_info"])
 def test_mc_matches_scalar_loop(index, strategy):
     conds = condition_on_controller(CHANNELS[index], "pm")
-    got = mc_avg_teleport_fidelity(conds, n_samples=120, seed=11 + index,
-                                   strategy=strategy)
+    got = mc_avg_teleport_fidelity(library_channel(conds, strategy), n_samples=120,
+                                   seed=11 + index)
     want = scalar_mc_avg_teleport_fidelity(conds, 120, 11 + index, strategy)
     assert got == pytest.approx(want, abs=1e-12)
 
@@ -893,9 +903,10 @@ def test_channel_functions_equal_rowwise(make, basis):
                 assert (repr(teleport_fidelity(cond.state, psi))
                         == repr(rowwise_teleport_fidelity(ref.state, psi)))
         for strategy in STRATEGIES:
-            assert (repr(avg_teleport_fidelity(conds, strategy))
+            channel = library_channel(conds, strategy)
+            assert (repr(avg_teleport_fidelity(channel))
                     == repr(rowwise_avg_teleport_fidelity(want, strategy)))
-            assert (repr(mc_avg_teleport_fidelity(conds, 150, 11, strategy))
+            assert (repr(mc_avg_teleport_fidelity(channel, 150, 11))
                     == repr(rowwise_mc_avg_teleport_fidelity(want, 150, 11, strategy)))
 
 
@@ -914,7 +925,7 @@ def test_channel_functions_equal_rowwise_on_random_channels():
                 assert teleport_fidelity(cond.state, psi) == rowwise_teleport_fidelity(
                     ref.state, psi)
             for strategy in STRATEGIES:
-                assert avg_teleport_fidelity(conds, strategy) == \
+                assert avg_teleport_fidelity(library_channel(conds, strategy)) == \
                     rowwise_avg_teleport_fidelity(want, strategy)
         two_qubit = rho[:4, :4] / np.trace(rho[:4, :4]).real
         assert avg_teleport_fidelity(two_qubit) == rowwise_avg_teleport_fidelity(two_qubit)

@@ -8,7 +8,7 @@ from cqtsim.channels import (STANDARD_CORRECTIONS, avg_teleport_fidelity, bell_k
                              werner_point, werner_scan)
 from cqtsim.fock import KET_D, KET_H, KET_R, KET_V
 
-from helpers import validate_density
+from helpers import outcome_averaged, validate_density
 
 
 def test_ghz_mixture_at_zero_is_pure_ghz():
@@ -82,7 +82,7 @@ def test_avg_fidelity_werner_closed_form_and_mc():
     # cross-checked by Monte Carlo over Haar inputs
     q = 0.62
     conds = condition_on_controller(make_werner(q), "pm")
-    closed = avg_teleport_fidelity(conds, "with_feedforward")
+    closed = avg_teleport_fidelity(conds)
     assert closed == pytest.approx((1 + q) / 2, abs=1e-12)
     mc = mc_avg_teleport_fidelity(conds, n_samples=20000, seed=7)
     assert mc == pytest.approx(closed, abs=1.5e-2)
@@ -113,9 +113,12 @@ def test_teleport_fidelity_rejects_a_channel_that_is_not_a_state():
     assert teleport_fidelity(channel * (1 + 1e-10), KET_D) == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("average", [
+EACH_AVERAGE = pytest.mark.parametrize("average", [
     lambda channel: mc_avg_teleport_fidelity(channel, n_samples=10, seed=1),
     avg_teleport_fidelity], ids=["mc", "closed_form"])
+
+
+@EACH_AVERAGE
 def test_averages_reject_a_non_finite_branch_state(average):
     conds = condition_on_controller(make_werner(0.5), "pm")
     conds[1].state = np.full((4, 4), np.nan)
@@ -124,12 +127,39 @@ def test_averages_reject_a_non_finite_branch_state(average):
             average(channel)
 
 
+@EACH_AVERAGE
+def test_averages_reject_a_bare_channel_that_is_not_a_state(average):
+    channel = ket_outer(bell_kets()["phi+"])
+    for scale in (2.0, 0.5, 1 + 2e-9):
+        with pytest.raises(ValueError, match="channel trace must be 1 within 1e-9"):
+            average(scale * channel)
+    assert average(channel * (1 + 1e-10)) == pytest.approx(1.0, abs=1e-9)
+
+
+@EACH_AVERAGE
+def test_averages_take_a_zero_probability_branch_as_given(average):
+    # |HHH> never gives the controller V: that branch has a zero state, which
+    # a branch list may hold, and adds nothing
+    conds = condition_on_controller(ket_outer(np.eye(8)[0]), "hv")
+    assert conds[1].probability == 0.0 and not conds[1].state.any()
+    assert average(conds) == average(conds[0].state)
+
+
+@pytest.mark.parametrize("outcome", [None, "+"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_conditioning_rejects_a_non_finite_channel(bad, outcome):
+    channel = make_werner(0.5)
+    channel[2, 5] = bad
+    with pytest.raises(ValueError, match="channel must be finite"):
+        condition_on_controller(channel, "pm", outcome)
+
+
 def test_feedforward_vs_withheld_on_biseparable():
     conds = condition_on_controller(make_ghz_mixture(0.5), "pm")
-    assert avg_teleport_fidelity(conds, "with_feedforward") == pytest.approx(1.0, abs=1e-12)
+    assert avg_teleport_fidelity(conds) == pytest.approx(1.0, abs=1e-12)
     # without the controller's outcome the channel collapses to a classically
     # correlated mixture, pinning the average at the classical limit
-    assert avg_teleport_fidelity(conds, "without_controller_info") == pytest.approx(
+    assert avg_teleport_fidelity(outcome_averaged(conds)) == pytest.approx(
         2.0 / 3.0, abs=1e-12)
 
 
@@ -167,16 +197,6 @@ def test_werner_threshold_matches_root_search():
 
     root = brentq(lambda q: werner_point(q)[0] - 2.0 / 3.0, 1e-9, 1.0 - 1e-9, xtol=1e-12)
     assert abs(werner_scan([0.5]).threshold_q - root) < 1e-9
-
-
-@pytest.mark.parametrize("average", [
-    avg_teleport_fidelity,
-    lambda channel, strategy: mc_avg_teleport_fidelity(channel, 8, 1, strategy)],
-    ids=["closed_form", "monte_carlo"])
-def test_unknown_strategy_is_value_error(average):
-    conds = condition_on_controller(make_werner(0.5), "pm")
-    with pytest.raises(ValueError, match="unknown strategy 'typo'"):
-        average(conds, "typo")
 
 
 def test_classical_baseline():
@@ -220,7 +240,7 @@ def test_feedforward_average_matches_photonic_pipeline(p):
     from cqtsim.protocol import ProtocolConfig, emulate_mixture
 
     conds = condition_on_controller(make_ghz_mixture(p), "pm")
-    qubit_avg = avg_teleport_fidelity(conds, "with_feedforward")
+    qubit_avg = avg_teleport_fidelity(conds)
 
     fock = emulate_mixture(ProtocolConfig(channel="g1", action="allow"), p).fidelity()
     assert abs(qubit_avg - fock) < 1e-10

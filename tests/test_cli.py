@@ -530,6 +530,28 @@ def test_config_supplies_a_required_option(tmp_path, capsys):
     assert capsys.readouterr().out == direct
 
 
+def test_config_without_a_section_for_the_subcommand_changes_nothing(tmp_path, capsys):
+    cfg = tmp_path / "tomo.ini"
+    cfg.write_text("[tomo]\nweight = 0.3\n", encoding="utf-8")
+    assert run_cli(["run", "--ideal"]) == 0
+    direct = capsys.readouterr()
+    assert run_cli(["run", "--ideal", "--config", str(cfg)]) == 0
+    assert capsys.readouterr() == direct
+    assert direct.err == ""
+
+
+def test_config_false_flag_is_left_off(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nideal = false\nkappa_forward = 0.1\n", encoding="utf-8")
+    assert run_cli(["run", "--config", str(cfg)]) == 0
+    from_config = capsys.readouterr()
+    assert from_config.err == ""
+    assert run_cli(["run", "--kappa-forward", "0.1"]) == 0
+    assert capsys.readouterr() == from_config
+    assert run_cli(["run", "--ideal", "--kappa-forward", "0.1"]) == 0
+    assert capsys.readouterr().out != from_config.out
+
+
 def test_config_value_with_percent_is_taken_literally(tmp_path, capsys):
     cfg = tmp_path / "fit.ini"
     cfg.write_text("[fit-spdc]\ntargets = 13%,55,30\n", encoding="utf-8")
@@ -588,6 +610,22 @@ def test_bad_numeric_input_is_usage_error(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["tomo", "--counts", "COUNTS", "--weight", "1"], "--weight must lie in [0, 1)"),
+    (["scan-werner", "--q-grid", "0:1"], "grid must be start:stop:num"),
+    (["scan-werner", "--q-grid", "a:b:c"], "bad grid 'a:b:c'"),
+    (["scan-werner", "--q-list", "x,y"], "bad q list 'x,y'"),
+    (["scan-werner"], "scan-werner needs --q-grid or --q-list"),
+    (["run", "--ideal", "--input=linear:x"], "bad linear polarization angle in 'linear:x'"),
+    (["run", "--ideal", "--input=1,2,3"], "bad input state '1,2,3'"),
+], ids=" ".join)
+def test_usage_error_names_the_fault(argv, message, tmp_path, capsys):
+    counts = tmp_path / "counts.csv"
+    write_exact_counts(counts, np.eye(2) / 2)
+    assert run_cli([str(counts) if a == "COUNTS" else a for a in argv]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 def write_counts(path, counts):
@@ -862,8 +900,8 @@ def test_run_full_precision_prints_the_record(extra, monkeypatch, capsys):
 def test_mixture_row_is_the_library_mixture(action, source, capsys):
     # the CLI's mix row is emulate_mixture of the g1 configuration, bit for
     # bit; where the CLI exits 1, the library raises the same message
-    from cqtsim.protocol import (AXIAL_INPUT_NAMES, InputQubit, NoCoincidenceError,
-                                 ProtocolConfig, emulate_mixture)
+    from cqtsim.protocol import (InputQubit, NoCoincidenceError, ProtocolConfig,
+                                 emulate_mixture)
     from cqtsim.spdc import SourceParams
 
     flags = (["--ideal"] if source == "ideal" else
@@ -871,7 +909,7 @@ def test_mixture_row_is_the_library_mixture(action, source, capsys):
     params = {} if source == "ideal" else {"source": SourceParams(0.1, 0.055),
                                            "pbs_epsilon": 0.05}
     exits = set()
-    for name in AXIAL_INPUT_NAMES:
+    for name in AXIAL:
         cfg = ProtocolConfig(action=action, input=InputQubit.from_name(name), **params)
         for p in ("0", "0.3", "0.5", "1"):
             code = run_cli(["run", "--channel", "mix", "--action", action, "--input", name,

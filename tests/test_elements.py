@@ -212,6 +212,14 @@ def test_composed_map_equals_element_by_element(els, state):
         assert abs(composed.terms.get(occ, 0) - sequential.terms.get(occ, 0)) < 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_port_element_rejects_a_non_finite_matrix(bad):
+    matrix = hwp_matrix(0.3)
+    matrix[1, 0] = bad
+    with pytest.raises(ValueError, match="matrix must be finite"):
+        port_element((1,), matrix)
+
+
 def test_photon_in_a_mode_with_no_output_is_absorbed():
     absorber = OpticalElement({(1, H): {}})
     assert apply(absorber, basis_state({(1, H): 1})).terms == {}

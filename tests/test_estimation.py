@@ -189,6 +189,27 @@ def test_ml_mixed_state_against_bloch_oracle():
     assert dist_true < 1e-6
 
 
+def test_bloch_oracle_scales_an_optimum_outside_the_ball_back_onto_it(monkeypatch):
+    # on this pure-state table SLSQP stops just outside the Bloch ball
+    # (|r|^2 - 1 about 4e-16); the oracle must return the state on the sphere
+    from scipy import optimize
+
+    ends = []
+    minimize = optimize.minimize
+
+    def recording(*args, **kwargs):
+        ends.append(minimize(*args, **kwargs))
+        return ends[-1]
+
+    monkeypatch.setattr(optimize, "minimize", recording)
+    rho = ml_oracle_bloch_search(axial_counts(
+        {"h": 100, "v": 0, "plus": 50, "minus": 50, "r": 50, "l": 50}))
+    best = min(ends, key=lambda res: res.fun)
+    assert np.dot(best.x, best.x) > 1.0
+    validate_density(rho, eig_tol=np.finfo(float).eps / 2)
+    assert rho[0, 0].real == pytest.approx(1.0, abs=1e-6)
+
+
 def test_ml_requires_informational_completeness():
     counts = ProjectionCounts([(KET_H, 10.0), (KET_D, 5.0)])
     with pytest.raises(ValueError):

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqtsim.fock import (H, V, KET_D, KET_H, KET_R, ModeOverlapError, PureState,
-                         SectorError, basis_state, fidelity, occupation, overlap,
+from cqtsim.fock import (H, V, KET_D, KET_H, KET_R, PRUNE_THRESHOLD, ModeOverlapError,
+                         PureState, SectorError, basis_state, fidelity, occupation, overlap,
                          project, to_qubit_density, total_photons, tensor, unit_pair)
 
 from helpers import clicks_at, single_photon, validate_density
@@ -37,6 +37,16 @@ def test_occupation_rejects_non_integer_modes_and_counts():
     with pytest.raises(ValueError, match="spatial index"):
         PureState({(((1.5, H), 1),): 1.0})
     assert occupation({(np.int64(1), H): np.int64(2)}) == (((1, H), 2),)
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex("inf"), complex(1, float("nan"))])
+def test_pure_state_rejects_a_non_finite_amplitude(bad):
+    # in either position: a NaN largest amplitude would make the prune keep nothing
+    one, two = occupation({(1, H): 1}), occupation({(2, V): 1})
+    for terms in ({one: bad, two: 1.0}, {one: 1.0, two: bad}):
+        for prune in (PRUNE_THRESHOLD, 0.0):
+            with pytest.raises(ValueError, match="amplitudes must be finite"):
+                PureState(terms, prune=prune)
 
 
 @pytest.mark.parametrize("scale", [1e-300, 3e-160, 1.0, 1e200, 1e308])

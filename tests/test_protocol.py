@@ -13,11 +13,11 @@ from cqtsim.channels import conditional_teleport_output, make_ghz_mixture
 from cqtsim.elements import apply, port_element
 from cqtsim.fock import (H, V, PureState, SectorError, basis_state, fidelity, occupation,
                          overlap, project, spatial_counts, tensor)
-from cqtsim.protocol import (AXIAL_INPUT_NAMES, INPUT_MODE, InputQubit, ProtocolConfig,
-                             ProtocolError, R_PREP, analyzer_frame, emulate_mixture,
-                             prepare_ghz, run_protocol, singlet_projection)
+from cqtsim.protocol import (INPUT_MODE, InputQubit, ProtocolConfig, ProtocolError, R_PREP,
+                             analyzer_frame, emulate_mixture, prepare_ghz, run_protocol,
+                             singlet_projection)
 from cqtsim.spdc import SourceParams
-from helpers import block_elements, compose
+from helpers import AXIAL_INPUT_NAMES, block_elements, compose
 from test_composed_vs_sequential import RUNS
 
 _SQ2 = math.sqrt(2.0)
@@ -59,6 +59,9 @@ def bell_fock(label, mode_a=1, mode_b=4):
 def test_input_qubit_validation():
     with pytest.raises(ValueError):
         InputQubit(1.0, 1.0)
+    for alpha in (1.0, float("nan")):
+        with pytest.raises(ValueError, match="input must be a unit ket of two finite"):
+            InputQubit(alpha, 1.0)
     iq = InputQubit.from_components(1.0, 1.0)
     assert abs(iq.alpha) == pytest.approx(1 / _SQ2)
 
@@ -224,6 +227,11 @@ def test_analyzer_frames_are_unitary():
     for channel in ("g1", "g2", "reference"):
         w = analyzer_frame(channel)
         assert np.allclose(w.conj().T @ w, np.eye(2), atol=1e-12)
+
+
+def test_analyzer_frame_rejects_unknown_roles():
+    with pytest.raises(ValueError, match="unknown role assignment 'bogus'"):
+        analyzer_frame("g1", "bogus")
 
 
 def test_analyzer_frame_g1_matches_derivation():
