@@ -182,11 +182,11 @@ class PureState:
         for occ, amp in terms.items():
             key = occupation(occ)
             data[key] = data.get(key, 0.0j) + complex(amp)
-        sizes = [abs(a) for a in data.values()]
-        if not all(map(math.isfinite, sizes)):
+        sizes = list(map(abs, data.values()))
+        if not math.isfinite(sum(sizes)):  # a NaN or inf modulus carries into the sum
             raise ValueError("amplitudes must be finite")
         cut = prune * max(sizes, default=0.0)
-        self.terms = {k: a for k, a in data.items() if abs(a) > cut}
+        self.terms = {k: a for (k, a), s in zip(data.items(), sizes) if s > cut}
 
     def __len__(self) -> int:
         return len(self.terms)

@@ -60,9 +60,8 @@ from cqtsim.fock import (KET_A, KET_D, KET_H, KET_L, KET_R, KET_V, basis_pairs,
 
 import cqtsim.estimation as estimation
 from helpers import _mul2 as reference_mul2
+from helpers import AXIAL_INPUT_NAMES as AXIAL
 from helpers import outcome_averaged, reference_correct_for_background, reference_ml_kernel
-
-AXIAL = ("h", "v", "plus", "minus", "r", "l")
 
 
 # --- scalar oracles: estimation ---------------------------------------------------

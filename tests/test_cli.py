@@ -11,8 +11,7 @@ import pytest
 from cqtsim.cli import main, parse_input_state
 from cqtsim.fock import KET_D, NAMED_KETS
 
-
-AXIAL = ("h", "v", "plus", "minus", "r", "l")
+from helpers import AXIAL_INPUT_NAMES as AXIAL
 
 
 def run_cli(args):

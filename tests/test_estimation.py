@@ -16,9 +16,8 @@ from cqtsim.estimation import (ML_MAX_ITERATIONS, ML_RESCALE_ABOVE, ML_TOL,
 from cqtsim.fock import KET_D, KET_H, KET_R, KET_V, NAMED_KETS, fidelity
 from cqtsim.protocol import CountRecord
 
+from helpers import AXIAL_INPUT_NAMES as AXIAL
 from helpers import validate_density
-
-AXIAL = ("h", "v", "plus", "minus", "r", "l")
 
 
 def exact_counts(rho, exposure=1.0):
