@@ -41,6 +41,8 @@ def partial_trace(rho: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> 
     dims = list(dims)
     keep = sorted(keep)
     n = len(dims)
+    if not all(0 <= i < n for i in keep) or len(set(keep)) < len(keep):
+        raise ValueError(f"keep must list distinct subsystems of 0..{n - 1}, got {keep!r}")
     rho = np.asarray(rho).reshape(dims + dims)
     traced = [i for i in range(n) if i not in keep]
     for offset, i in enumerate(traced):
@@ -248,24 +250,38 @@ def teleport_fidelity(channel: np.ndarray, psi: np.ndarray) -> float:
     return float(_frame_fidelities(channel[None], psi)[0])
 
 
-def _check_unit_trace(channel: np.ndarray) -> None:
+def _check_unit_trace(channel: np.ndarray, what: str = "channel") -> None:
     trace = np.trace(channel)
     if not abs(trace.real - 1.0) <= 1e-9:
-        raise ValueError(f"channel trace must be 1 within 1e-9, got {trace!r}")
+        raise ValueError(f"{what} trace must be 1 within 1e-9, got {trace!r}")
 
 
 def _branches(channel):
     """``(branches, total probability)``: a two-qubit channel is one branch of
-    probability 1, a list of ConditionalChannel is used as given.  A non-finite
-    branch state, or a two-qubit channel whose trace is not 1 within 1e-9,
-    raises ValueError."""
+    probability 1, a list of ConditionalChannel is used as given.
+
+    ValueError for an empty list, a non-finite branch state or probability, a
+    probability below -1e-14 or a total below 1e-14, and a state whose trace
+    is not 1 within 1e-9 in a branch of probability at least 1e-14.  A branch
+    below that keeps the zero state ``condition_on_controller`` gives it; its
+    probability may be a rounding residue just below 0.
+    """
     bare = isinstance(channel, np.ndarray)
     branches = [ConditionalChannel("", 1.0, channel)] if bare else list(channel)
+    if not branches:
+        raise ValueError("no branches to average over")
     if not all(np.isfinite(b.state).all() for b in branches):
         raise ValueError("branch states must be finite")
-    if bare:
-        _check_unit_trace(channel)
-    return branches, sum(b.probability for b in branches)
+    for b in branches:
+        if not (math.isfinite(b.probability) and b.probability >= -1e-14):
+            raise ValueError(f"branch probabilities must be finite and non-negative, "
+                             f"got {b.probability!r}")
+        if b.probability >= 1e-14:
+            _check_unit_trace(b.state, "channel" if bare else f"branch {b.outcome!r} state")
+    total = sum(b.probability for b in branches)
+    if not total >= 1e-14:
+        raise ValueError(f"branch probabilities must total at least 1e-14, got {total!r}")
+    return branches, total
 
 
 def avg_teleport_fidelity(channel) -> float:
@@ -384,8 +400,8 @@ def conditional_teleport_output(channel: np.ndarray, input_ket: np.ndarray,
     is measured first, then (qubit 1, input) are projected onto the singlet.
     Returns ``(rho_receiver, joint_probability)``.
     """
+    input_ket = unit_ket(input_ket, "input_ket")
     cond = condition_on_controller(channel, controller_basis, outcome=controller_outcome)
-    input_ket = np.asarray(input_ket, dtype=complex).ravel()
     probs, states = _teleport_branches(cond.state, input_ket[None, :])
     psi_m = _BELL_LABELS.index("psi-")
     branch_prob = float(probs[0, psi_m])

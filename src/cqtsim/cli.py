@@ -31,7 +31,7 @@ from .channels import werner_scan
 from .estimation import (POISSON_MAX_MEAN, NonPhysicalError, corrected_fidelity,
                          correct_for_background, ml_reconstruct,
                          poisson_uncertainty, read_counts_csv)
-from .fock import NAMED_KETS, fidelity
+from .fock import fidelity, parse_ket
 from .protocol import (InputQubit, NoCoincidenceError, ProtocolConfig, emulate_mixture,
                        run_protocol)
 from .spdc import (RATIO_BOUNDS, SourceParams, fit_source_ratio, sector_rates,
@@ -73,8 +73,10 @@ SSR_DIGITS = 16             # their sum of squares, in squared fractions
 REACH_TOLERANCE = 1e-6
 RHO_DIGITS = 6              # density-matrix entries
 
-# Options whose value may be an 'a,b' state with a leading '-'.
+# Options whose value is a state, which may be 'a,b' or 'a;b' with a leading '-'.
 STATE_OPTIONS = ("--input", "--target")
+STATE_HELP = ("named state (h v d a r l plus minus), 'linear:DEG' "
+              "or two complex components 'a,b' or 'a;b'")
 
 
 # --- formatting and output -------------------------------------------------------
@@ -191,8 +193,7 @@ def build_parser(config_action="store") -> argparse.ArgumentParser:
     p_run.add_argument("--channel", choices=("g1", "g2", "reference", "mix"),
                        default="g1")
     p_run.add_argument("--action", choices=("allow", "deny", "none"), default="allow")
-    p_run.add_argument("--input", default="plus",
-                       help="named state (h/v/plus/minus/r/l), 'linear:DEG', or 'a,b'")
+    p_run.add_argument("--input", default="plus", help=STATE_HELP)
     p_run.add_argument("--ideal", action="store_true",
                        help="one ideal photon per mode (no emission background)")
     p_run.add_argument("--kappa-forward", type=float, default=None)
@@ -224,12 +225,12 @@ def build_parser(config_action="store") -> argparse.ArgumentParser:
     p_targets.add_argument("--synthetic-ratio", type=float, default=None,
                            help="generate the targets by simulating at this ratio")
     p_fit.add_argument("--pbs-epsilon", type=float, default=0.05)
-    p_fit.add_argument("--input", default="plus")
+    p_fit.add_argument("--input", default="plus", help=STATE_HELP)
     _add_common(p_fit, config_action)
 
     p_tomo = sub.add_parser("tomo", help="maximum-likelihood tomography from counts")
     p_tomo.add_argument("--counts", required=True, help="counts CSV: label,projector,count")
-    p_tomo.add_argument("--target", default="plus")
+    p_tomo.add_argument("--target", default="plus", help=STATE_HELP)
     p_tomo.add_argument("--weight", type=float, default=0.0,
                         help="background weight subtracted before the fidelity")
     p_tomo.add_argument("--resamples", type=int, default=0)
@@ -284,30 +285,6 @@ def _parse(argv: list) -> argparse.Namespace:
     return _parser(False).parse_args(_attach_state_values([argv[0], *prefix]) + argv[1:])
 
 
-def parse_input_state(text: str) -> InputQubit:
-    text = text.strip()
-    if text.lower() in NAMED_KETS:
-        return InputQubit.from_name(text.lower())
-    if text.lower().startswith("linear:"):
-        try:
-            deg = float(text.split(":", 1)[1])
-        except ValueError:
-            raise ValueError(f"bad linear polarization angle in {text!r}") from None
-        if not math.isfinite(deg):
-            raise ValueError(f"bad linear polarization angle in {text!r}")
-        rad = math.radians(deg)
-        return InputQubit.from_components(math.cos(rad), math.sin(rad))
-    if "," in text:
-        parts = text.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"bad input state {text!r}")
-        try:
-            return InputQubit.from_components(complex(parts[0]), complex(parts[1]))
-        except ValueError:
-            raise ValueError(f"bad input state {text!r}") from None
-    raise ValueError(f"unknown input state {text!r}")
-
-
 # --- subcommands -----------------------------------------------------------------------
 
 def _source_from_args(args):
@@ -333,7 +310,7 @@ def _check_resamples(args):
 
 
 def cmd_run(args) -> int:
-    input_q = parse_input_state(args.input)
+    input_q = InputQubit.from_name(args.input)
     source = _source_from_args(args)
     _check_resamples(args)
     if not (math.isfinite(args.exposure) and args.exposure > 0):
@@ -418,7 +395,7 @@ def cmd_scan_werner(args) -> int:
 
 
 def cmd_fit_spdc(args) -> int:
-    input_q = parse_input_state(args.input)
+    input_q = InputQubit.from_name(args.input)
     eps = args.pbs_epsilon
     configs = {
         "uncontrolled": ProtocolConfig(channel="reference", action="none",
@@ -511,8 +488,7 @@ def cmd_tomo(args) -> int:
         counts = read_counts_csv(args.counts)
     except (OSError, ValueError) as exc:
         raise ValueError(f"cannot read counts: {exc}") from None
-    target_q = parse_input_state(args.target)
-    target = target_q.ket()
+    target = np.array(parse_ket(args.target, "target"))
     _check_resamples(args)
     if not 0.0 <= args.weight < 1.0:
         raise ValueError("--weight must lie in [0, 1)")
@@ -576,14 +552,15 @@ def _attach_state_values(argv):
     """Write ``--input -0.6,0.8`` as ``--input=-0.6,0.8``.
 
     argparse reads a separate value with a leading '-' as an option.  A state
-    value can start with '-' only in the 'a,b' form, and no option contains
-    a comma, so such a value is attached to its option, or to any prefix of
-    it from ``--i`` on, which argparse then resolves or reports as ambiguous.
+    value can start with '-' only in the 'a,b' or 'a;b' form, and no option
+    contains a comma or a semicolon, so such a value is attached to its
+    option, or to any prefix of it from ``--i`` on, which argparse then
+    resolves or reports as ambiguous.
     """
     out = []
     for token in argv:
         if (out and len(out[-1]) > 2 and any(opt.startswith(out[-1]) for opt in STATE_OPTIONS)
-                and token.startswith("-") and "," in token):
+                and token.startswith("-") and ("," in token or ";" in token)):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)

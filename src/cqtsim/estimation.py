@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import NAMED_KETS, unit_ket, unit_pair
+from .fock import parse_ket, unit_ket, unit_pair
 
 
 @dataclass
@@ -58,7 +58,7 @@ class ProjectionCounts:
 
 def axial_counts(counts_by_name: dict) -> ProjectionCounts:
     """Counts over the six axial settings, keyed h/v/plus/minus/r/l."""
-    settings = [(NAMED_KETS[name], counts_by_name[name]) for name in counts_by_name]
+    settings = [(parse_ket(name, "projector"), n) for name, n in counts_by_name.items()]
     return ProjectionCounts(settings)
 
 
@@ -455,17 +455,6 @@ def poisson_uncertainty(data, seed: int, n_resamples: int = 10_000,
 
 # --- CSV interfaces --------------------------------------------------------------------
 
-def parse_projector(spec: str) -> np.ndarray:
-    """Projector column format: a named state or 'alpha;beta' complex pair."""
-    spec = spec.strip()
-    if spec.lower() in NAMED_KETS:
-        return NAMED_KETS[spec.lower()]
-    parts = spec.split(";")
-    if len(parts) != 2:
-        raise ValueError(f"cannot parse projector spec {spec!r}")
-    return np.array(unit_pair(complex(parts[0]), complex(parts[1]), "projector"))
-
-
 def read_counts_csv(path) -> ProjectionCounts:
     """Counts table: columns ``label, projector, count`` with a header row."""
     settings = []
@@ -479,7 +468,7 @@ def read_counts_csv(path) -> ProjectionCounts:
                 continue
             if len(row) < 3:
                 raise ValueError(f"malformed counts row: {row}")
-            settings.append((parse_projector(row[1]), float(row[2])))
+            settings.append((parse_ket(row[1], "projector"), float(row[2])))
     if not settings:
         raise ValueError("no counts rows found")
     return ProjectionCounts(settings)

@@ -72,6 +72,29 @@ def unit_pair(alpha, beta, what: str) -> tuple:
     return alpha / norm, beta / norm
 
 
+def parse_ket(text: str, what: str) -> tuple:
+    """The unit ket ``(alpha, beta)``, two complex, written as ``text``: a name
+    of ``NAMED_KETS`` in any case, ``linear:DEG`` (DEG degrees from H) or two
+    complex components ``a,b`` or ``a;b`` of any scale, whitespace around it
+    ignored.  ValueError "unknown {what} state" for text of none of these
+    forms, "bad {what} state" for a malformed one."""
+    text = text.strip()
+    lower = text.lower()
+    if lower in NAMED_KETS:
+        return tuple(NAMED_KETS[lower].tolist())
+    linear = lower.startswith("linear:")
+    if not linear and "," not in text and ";" not in text:
+        raise ValueError(f"unknown {what} state {text!r}")
+    try:
+        if linear:
+            rad = math.radians(float(text[len("linear:"):]))
+            return unit_pair(math.cos(rad), math.sin(rad), what)
+        alpha, beta = text.replace(";", ",").split(",")
+        return unit_pair(complex(alpha), complex(beta), what)
+    except ValueError:      # math.cos(inf) raises it too
+        raise ValueError(f"bad {what} state {text!r}") from None
+
+
 def unit_ket(psi, what: str) -> np.ndarray:
     """``psi`` as a complex (2,) array, not renormalised, so that a unit ket
     keeps its bits; ValueError naming ``what`` unless it has two finite
@@ -179,10 +202,13 @@ class PureState:
 
     def __init__(self, terms: Mapping, prune: float = PRUNE_THRESHOLD):
         data: dict = {}
-        for occ, amp in terms.items():
-            key = occupation(occ)
-            data[key] = data.get(key, 0.0j) + complex(amp)
-        sizes = list(map(abs, data.values()))
+        try:
+            for occ, amp in terms.items():
+                key = occupation(occ)
+                data[key] = data.get(key, 0.0j) + complex(amp)
+            sizes = list(map(abs, data.values()))
+        except OverflowError:   # an int amplitude or a modulus past the float range
+            raise ValueError("amplitudes must be finite") from None
         if not math.isfinite(sum(sizes)):  # a NaN or inf modulus carries into the sum
             raise ValueError("amplitudes must be finite")
         cut = prune * max(sizes, default=0.0)

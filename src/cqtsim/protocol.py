@@ -55,8 +55,8 @@ from .channels import PAULI_X
 from .elements import (apply, balanced_bs_matrix, hwp_matrix, pbs_matrix, phase_matrix,
                        polarizer_matrix, port_element)
 from .estimation import fidelity_from_counts
-from .fock import (H, V, KET_D, KET_H, KET_R, NAMED_KETS, PRUNE_THRESHOLD,
-                   PureState, SectorError, project, spatial_counts, unit_ket, unit_pair)
+from .fock import (H, V, KET_D, KET_H, KET_R, PRUNE_THRESHOLD, PureState, SectorError,
+                   parse_ket, project, spatial_counts, unit_ket)
 from .spdc import BACKWARD_MODES, FORWARD_MODES, PAIR_KINDS, SourceParams
 
 _SQ2 = math.sqrt(2.0)
@@ -109,15 +109,10 @@ class InputQubit:
         unit_ket((self.alpha, self.beta), "input")
 
     @classmethod
-    def from_name(cls, name: str) -> "InputQubit":
-        ket = NAMED_KETS.get(name.lower())
-        if ket is None:
-            raise ValueError(f"unknown input state {name!r}")
-        return cls(complex(ket[0]), complex(ket[1]))
-
-    @classmethod
-    def from_components(cls, alpha, beta) -> "InputQubit":
-        return cls(*unit_pair(alpha, beta, "input"))
+    def from_name(cls, text: str) -> "InputQubit":
+        """The input written as ``text`` in the whole grammar of ``fock.parse_ket``:
+        a named state, ``linear:DEG`` or ``a,b`` / ``a;b``."""
+        return cls(*parse_ket(text, "input"))
 
     def ket(self) -> np.ndarray:
         return np.array([self.alpha, self.beta], dtype=complex)

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from cqtsim.channels import (STANDARD_CORRECTIONS, avg_teleport_fidelity, bell_kets,
-                             chi_ket, conditional_teleport_output, condition_on_controller,
+from cqtsim.channels import (STANDARD_CORRECTIONS, ConditionalChannel, avg_teleport_fidelity,
+                             bell_kets, chi_ket, conditional_teleport_output,
+                             condition_on_controller,
                              ghz_ket, ket_outer, make_ghz_mixture, make_werner,
                              mc_avg_teleport_fidelity, partial_trace, teleport_fidelity,
                              werner_point, werner_scan)
@@ -145,6 +146,36 @@ def test_averages_take_a_zero_probability_branch_as_given(average):
     assert average(conds) == average(conds[0].state)
 
 
+def _branch(probability, state=None):
+    return ConditionalChannel("+", probability,
+                              ket_outer(bell_kets()["phi+"]) if state is None else state)
+
+
+@EACH_AVERAGE
+@pytest.mark.parametrize("branches, message", [
+    ([], "no branches to average over"),
+    ([_branch(np.nan)], "branch probabilities must be finite and non-negative, got nan"),
+    ([_branch(np.inf)], "branch probabilities must be finite and non-negative, got inf"),
+    ([_branch(-0.5), _branch(1.5)], "must be finite and non-negative, got -0.5"),
+    ([_branch(0.0, np.zeros((4, 4)))], "branch probabilities must total at least 1e-14"),
+    ([_branch(0.5), _branch(0.5, 2 * ket_outer(bell_kets()["psi-"]))],
+     r"branch '\+' state trace must be 1 within 1e-9"),
+], ids=["empty", "nan", "inf", "negative", "zero_total", "trace_2"])
+def test_averages_reject_a_branch_list_that_is_not_a_distribution(average, branches,
+                                                                  message):
+    with pytest.raises(ValueError, match=message):
+        average(branches)
+
+
+@EACH_AVERAGE
+def test_averages_keep_a_rounding_branch_just_below_zero(average):
+    # a branch of probability below 1e-14, even a rounding residue below 0,
+    # keeps its zero state; the list's value is that of its other branch
+    conds = condition_on_controller(ket_outer(np.eye(8)[0]), "hv")
+    conds[1].probability = -1e-17
+    assert average(conds) == average(conds[0].state)
+
+
 @pytest.mark.parametrize("outcome", [None, "+"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_conditioning_rejects_a_non_finite_channel(bad, outcome):
@@ -216,6 +247,18 @@ def test_partial_trace_consistency():
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = expected[3, 3] = 0.5
     assert np.allclose(reduced, expected)
+
+
+@pytest.mark.parametrize("keep", [[5], [-1], [0, 0]])
+def test_partial_trace_rejects_a_subsystem_it_does_not_have(keep):
+    with pytest.raises(ValueError, match="keep must list distinct subsystems of 0..1"):
+        partial_trace(np.eye(4) / 4, [2, 2], keep)
+
+
+@pytest.mark.parametrize("input_ket", [[3, 4], [0, 0], [np.nan, 1], [1, 0, 0]])
+def test_conditional_teleport_output_rejects_a_ket_that_is_not_unit(input_ket):
+    with pytest.raises(ValueError, match="input_ket must be a unit ket of two finite"):
+        conditional_teleport_output(ket_outer(ghz_ket(1)), input_ket, "pm", "+")
 
 
 def test_conditional_teleport_output_ideal():

@@ -3,13 +3,12 @@ import contextlib
 import hashlib
 import io
 import json
-import math
 
 import numpy as np
 import pytest
 
-from cqtsim.cli import main, parse_input_state
-from cqtsim.fock import KET_D, NAMED_KETS
+from cqtsim.cli import main
+from cqtsim.fock import KET_D, NAMED_KETS, unit_pair
 
 from helpers import AXIAL_INPUT_NAMES as AXIAL
 
@@ -564,14 +563,23 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
     assert (tmp_path / "deep" / "table.csv").exists()
 
 
-def test_parse_input_state_forms():
-    assert parse_input_state("plus").alpha == pytest.approx(1 / math.sqrt(2))
-    lin = parse_input_state("linear:45")
-    assert lin.beta == pytest.approx(1 / math.sqrt(2))
-    custom = parse_input_state("0.6,0.8")
-    assert abs(custom.alpha) == pytest.approx(0.6)
-    with pytest.raises(Exception):
-        parse_input_state("whatever")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_semicolon_state_prints_the_bytes_of_the_comma_state(fmt, capsys):
+    # the output echoes the state as written; every other byte is the same
+    outputs = {}
+    for sep in ",;":
+        assert run_cli(["run", "--ideal", "--format", fmt, f"--input=0.6{sep}0.8"]) == 0
+        outputs[sep] = capsys.readouterr()
+    echo = {"csv": ('"0.6,0.8"', "0.6;0.8"), "json": ('"0.6,0.8"', '"0.6;0.8"')}[fmt]
+    assert echo[0] in outputs[","].out
+    assert outputs[";"] == (outputs[","].out.replace(*echo), "")
+
+
+def test_counts_row_with_a_bad_projector_is_a_usage_error(tmp_path, capsys):
+    counts = tmp_path / "counts.csv"
+    counts.write_text("label,projector,count\nh,h,10\nx,x;y,5\n", encoding="utf-8")
+    assert run_cli(["tomo", "--counts", str(counts)]) == 2
+    assert capsys.readouterr() == ("", "error: cannot read counts: bad projector state 'x;y'\n")
 
 
 def test_json_format_run(tmp_path):
@@ -617,8 +625,12 @@ def test_bad_numeric_input_is_usage_error(argv, tmp_path, capsys):
     (["scan-werner", "--q-grid", "a:b:c"], "bad grid 'a:b:c'"),
     (["scan-werner", "--q-list", "x,y"], "bad q list 'x,y'"),
     (["scan-werner"], "scan-werner needs --q-grid or --q-list"),
-    (["run", "--ideal", "--input=linear:x"], "bad linear polarization angle in 'linear:x'"),
+    (["run", "--ideal", "--input=linear:x"], "bad input state 'linear:x'"),
     (["run", "--ideal", "--input=1,2,3"], "bad input state '1,2,3'"),
+    (["run", "--ideal", "--input=whatever"], "unknown input state 'whatever'"),
+    (["fit-spdc", "--input=0;0"], "bad input state '0;0'"),
+    (["tomo", "--counts", "COUNTS", "--target", "x"], "unknown target state 'x'"),
+    (["tomo", "--counts", "COUNTS", "--target", "1,nan"], "bad target state '1,nan'"),
 ], ids=" ".join)
 def test_usage_error_names_the_fault(argv, message, tmp_path, capsys):
     counts = tmp_path / "counts.csv"
@@ -707,24 +719,26 @@ def test_tomo_reports_clipping_in_one_stable_line(tmp_path, capsys):
 
 # --- state values with a leading '-' --------------------------------------------------
 
-def test_state_value_with_leading_minus_parses(tmp_path, capsys):
+@pytest.mark.parametrize("sep", [",", ";"])
+def test_state_value_with_leading_minus_parses(sep, tmp_path, capsys):
     # a spaced value, after the option or an abbreviation of it that argparse
-    # accepts, gives the output of the attached one
-    assert run_cli(["run", "--ideal", "--input=-0.6,0.8"]) == 0
+    # accepts, gives the output of the attached one, in either form of 'a,b'
+    state = f"-0.6{sep}0.8"
+    assert run_cli(["run", "--ideal", f"--input={state}"]) == 0
     attached = capsys.readouterr().out
     for spelling in ("--input", "--inp", "--in"):
-        assert run_cli(["run", "--ideal", spelling, "-0.6,0.8"]) == 0
+        assert run_cli(["run", "--ideal", spelling, state]) == 0
         assert capsys.readouterr().out == attached
-    assert run_cli(["fit-spdc", "--input=-0.6,0.8"]) == 0
+    assert run_cli(["fit-spdc", f"--input={state}"]) == 0
     attached = capsys.readouterr().out
-    assert run_cli(["fit-spdc", "--inp", "-0.6,0.8"]) == 0
+    assert run_cli(["fit-spdc", "--inp", state]) == 0
     assert capsys.readouterr().out == attached
     counts = tmp_path / "counts.csv"
     write_exact_counts(counts, np.outer(KET_D, KET_D.conj()))
-    assert run_cli(["tomo", "--counts", str(counts), "--target=-0.6,0.8j"]) == 0
+    assert run_cli(["tomo", "--counts", str(counts), f"--target={state}j"]) == 0
     attached = capsys.readouterr().out
     for spelling in ("--target", "--tar"):
-        assert run_cli(["tomo", "--counts", str(counts), spelling, "-0.6,0.8j"]) == 0
+        assert run_cli(["tomo", "--counts", str(counts), spelling, f"{state}j"]) == 0
         assert capsys.readouterr().out == attached
 
 
@@ -747,7 +761,7 @@ def _break_frame_cross_check(monkeypatch):
     # an encoder that drops the relative phase still maps |H> and |V> right
     exact = protocol._encoder_exact
     monkeypatch.setattr(protocol, "_encoder_exact", lambda q: exact(
-        protocol.InputQubit.from_components(abs(q.alpha), abs(q.beta))))
+        protocol.InputQubit(*unit_pair(abs(q.alpha), abs(q.beta), "input"))))
 
 
 @pytest.mark.parametrize("breaker, message", [

@@ -25,7 +25,8 @@ from helpers import validate_density
 
 NUMBERS = ["0", "-1", "nan", "inf", "-inf", "1e300", "x", ""]
 STATES = ["plus", "h", "r", "0.6,0.8j", "-0.6,0.8", "linear:30", "linear:x", "0,0",
-          "1,2,3", "nan,1", "foo", "1e200,1e200", "3e-160,4e-160", "linear:inf"]
+          "1,2,3", "nan,1", "foo", "1e200,1e200", "3e-160,4e-160", "linear:inf",
+          "0.6;0.8j", "-0.6;0.8", "x;y", " MINUS "]
 EPSILONS = ["0", "0.05", "1", "1.5", "-0.1", "nan"]
 SEEDS = ["1", "12345", "-3", "x"]
 
@@ -239,7 +240,7 @@ def test_non_finite_projector_is_a_usage_error(ket, tmp_path):
     table = COUNTS["INFKET"].replace("inf;1", ket)
     code, out, err = run_tomo(tmp_path, table)
     assert (code, out) == (2, "")
-    assert err == "error: cannot read counts: projector amplitudes must be finite\n"
+    assert err == f"error: cannot read counts: bad projector state {ket!r}\n"
 
 
 @pytest.mark.parametrize("count", ["nan", "inf", "1e400", "-inf"])

@@ -17,7 +17,7 @@ import pytest
 
 from cqtsim.channels import PAULI_X
 from cqtsim.elements import apply, polarizer_matrix, port_element
-from cqtsim.fock import H, V, project, spatial_counts, to_qubit_density
+from cqtsim.fock import H, V, project, spatial_counts, to_qubit_density, unit_pair
 from cqtsim.protocol import (INPUT_MODE, WIRINGS, InputQubit, ProtocolConfig,
                              ProtocolError, _detector_spatials, _station_blocks,
                              emulate_mixture, run_protocol)
@@ -129,7 +129,7 @@ def grid(orders=(None, 2, 3)):
             source = None if order is None else SourceParams(
                 *rng.uniform(0.03, 0.2, size=2), truncation_order=order)
             cfg = ProtocolConfig(channel=channel, action=action, roles=roles,
-                                 input=InputQubit.from_components(a, b),
+                                 input=InputQubit(*unit_pair(a, b, "input")),
                                  source=source,
                                  pbs_epsilon=float(rng.uniform(0.0, 0.1)))
             cases.append(pytest.param(cfg, id=f"{channel}-{action}-{roles}-{order}"))

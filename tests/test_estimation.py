@@ -11,9 +11,8 @@ from cqtsim.estimation import (ML_MAX_ITERATIONS, ML_RESCALE_ABOVE, ML_TOL,
                                _ml_kernel, axial_counts, corrected_fidelity,
                                correct_for_background, fidelity_from_counts,
                                ml_oracle_bloch_search, ml_reconstruct,
-                               parse_projector, poisson_uncertainty,
-                               read_counts_csv)
-from cqtsim.fock import KET_D, KET_H, KET_R, KET_V, NAMED_KETS, fidelity
+                               poisson_uncertainty, read_counts_csv)
+from cqtsim.fock import KET_D, KET_H, KET_R, KET_V, NAMED_KETS, fidelity, parse_ket
 from cqtsim.protocol import CountRecord
 
 from helpers import AXIAL_INPUT_NAMES as AXIAL
@@ -312,33 +311,26 @@ def test_ml_takes_a_zero_tolerance():
 
 # --- CSV round trip -----------------------------------------------------------------
 
-def test_parse_projector_forms():
-    assert np.allclose(parse_projector("plus"), KET_D)
-    ket = parse_projector("0.6;0.8j")
-    assert np.allclose(ket, np.array([0.6, 0.8j]))
-    with pytest.raises(ValueError):
-        parse_projector("junk-spec")
-
-
 @pytest.mark.parametrize("spec, ket", [
     ("1e200;0", [1.0, 0.0]),            # the norm overflowed to inf: "zero ket"
     ("3e-160;4e-160", [0.6, 0.8]),      # the squares underflowed: (0.6000033, ...)
     ("1e308;-1e308j", [2 ** -0.5, -1j * 2 ** -0.5]),
 ])
-def test_parse_projector_scale_does_not_matter(spec, ket):
+def test_projector_scale_does_not_matter(spec, ket):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert np.max(np.abs(parse_projector(spec) - np.array(ket))) <= 1e-15
-        counts = ProjectionCounts([(parse_projector(spec), 1.0)])
+        assert np.max(np.abs(np.array(parse_ket(spec, "projector")) - np.array(ket))) <= 1e-15
+        counts = ProjectionCounts([(parse_ket(spec, "projector"), 1.0)])
     assert np.max(np.abs(counts.settings[0][0] - np.array(ket))) <= 1e-15
 
 
-@pytest.mark.parametrize("spec", ["inf;1", "1;nanj", "-inf;0", "0;0"])
-def test_parse_projector_rejects_non_finite_and_zero_kets(spec):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="must be finite|zero projector"):
-            parse_projector(spec)
+@pytest.mark.parametrize("table, message", [
+    ({"x": 1}, "unknown projector state 'x'"),
+    ({"h": 1, "x;y": 1}, "bad projector state 'x;y'"),
+])
+def test_axial_counts_rejects_a_state_it_cannot_read(table, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        axial_counts(table)
 
 
 @pytest.mark.parametrize("ket, unit", [([1e200, 1e200], KET_D),

@@ -1,13 +1,16 @@
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqtsim.fock import (H, V, KET_D, KET_H, KET_R, PRUNE_THRESHOLD, ModeOverlapError,
-                         PureState, SectorError, basis_state, fidelity, occupation, overlap,
-                         project, to_qubit_density, total_photons, tensor, unit_pair)
+from cqtsim.fock import (H, V, KET_D, KET_H, KET_R, NAMED_KETS, PRUNE_THRESHOLD,
+                         ModeOverlapError, PureState, SectorError, basis_state, fidelity,
+                         occupation, overlap, parse_ket, project, to_qubit_density,
+                         total_photons, tensor, unit_pair)
 
 from helpers import clicks_at, single_photon, validate_density
 
@@ -49,6 +52,12 @@ def test_pure_state_rejects_a_non_finite_amplitude(bad):
                 PureState(terms, prune=prune)
 
 
+@pytest.mark.parametrize("amp", [complex(1.7e308, 1.7e308), 10 ** 400])
+def test_pure_state_rejects_an_amplitude_whose_modulus_overflows(amp):
+    with pytest.raises(ValueError, match="amplitudes must be finite"):
+        PureState({occupation({(1, H): 1}): amp})
+
+
 @pytest.mark.parametrize("scale", [1e-300, 3e-160, 1.0, 1e200, 1e308])
 def test_unit_pair_does_not_depend_on_scale(scale):
     alpha, beta = unit_pair(0.6 * scale, -0.8j * scale, "test")
@@ -64,6 +73,60 @@ def test_unit_pair_does_not_depend_on_scale(scale):
 def test_unit_pair_rejects_non_finite_and_zero_pairs(alpha, beta, message):
     with pytest.raises(ValueError, match=message):
         unit_pair(alpha, beta, "test")
+
+
+_RAD30 = math.radians(30.0)
+PARSED_KETS = [
+    *((f"{pad}{spell(name)}{pad}", tuple(map(complex, ket)))
+      for name, ket in NAMED_KETS.items()
+      for spell, pad in ((str.lower, ""), (str.upper, " "), (str.title, "\t"))),
+    ("linear:30", unit_pair(math.cos(_RAD30), math.sin(_RAD30), "t")),
+    (" LINEAR:30 ", unit_pair(math.cos(_RAD30), math.sin(_RAD30), "t")),
+    ("0.6,0.8j", unit_pair(0.6, 0.8j, "t")),
+    ("0.6;0.8j", unit_pair(0.6, 0.8j, "t")),
+    (" -0.6 ; 0.8 ", unit_pair(-0.6, 0.8, "t")),
+    ("1e200,1e200", unit_pair(1.0, 1.0, "t")),
+    ("1e200;0", (1 + 0j, 0j)),
+    ("3e-160;4e-160", unit_pair(3e-160, 4e-160, "t")),
+    ("1e308;-1e308j", unit_pair(1.0, -1j, "t")),
+]
+
+
+@pytest.mark.parametrize("text, ket", PARSED_KETS, ids=[repr(t) for t, _ in PARSED_KETS])
+def test_parse_ket_reads_every_form_of_the_grammar(text, ket):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parsed = parse_ket(text, "t")
+    assert parsed == ket
+    assert all(type(x) is complex for x in parsed)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x", "unknown target state 'x'"),
+    ("  junk-spec ", "unknown target state 'junk-spec'"),
+    ("", "unknown target state ''"),
+    ("x;y", "bad target state 'x;y'"),
+    ("1,2,3", "bad target state '1,2,3'"),
+    ("1;2,3", "bad target state '1;2,3'"),
+    ("0.6,", "bad target state '0.6,'"),
+    ("0,0", "bad target state '0,0'"),
+    ("0;-0", "bad target state '0;-0'"),
+    ("inf;1", "bad target state 'inf;1'"),
+    ("1;nanj", "bad target state '1;nanj'"),
+    ("-inf;0", "bad target state '-inf;0'"),
+    ("0;0", "bad target state '0;0'"),
+    ("1e400,1", "bad target state '1e400,1'"),
+    ("linear:x", "bad target state 'linear:x'"),
+    ("linear:", "bad target state 'linear:'"),
+    ("linear:inf", "bad target state 'linear:inf'"),
+    ("linear:nan", "bad target state 'linear:nan'"),
+    ("linear:30,40", "bad target state 'linear:30,40'"),
+])
+def test_parse_ket_names_the_fault(text, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            parse_ket(text, "target")
 
 
 @pytest.mark.parametrize("jones", [[0.6, 0.8, 5.0], [0, 0], [[0.6], [0.8]], [1.0]])

@@ -151,3 +151,24 @@ def test_unreferenced_public_name_is_reported():
     readme = "Build a `Documented` state; recursive_builder is another name.\n"
     assert unreferenced_public_names(sources, users, readme) == [
         ("a.py", "exported"), ("a.py", "recursive")]
+
+
+def modules_naming(name: str, sources: dict) -> list:
+    """The files of ``sources`` (file name to source) whose code refers to ``name``."""
+    return sorted(file for file, source in sources.items()
+                  if name in references(ast.parse(source)))
+
+
+def test_only_fock_reads_the_named_state_table():
+    # fock.parse_ket is the one reader of a written state: a second lookup
+    # of NAMED_KETS would be a second parser with its own grammar and errors
+    sources = {p.name: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert modules_naming("NAMED_KETS", sources) == ["fock.py"]
+
+
+def test_module_naming_a_name_is_reported():
+    sources = {"fock.py": "NAMED_KETS = {}\nprint(NAMED_KETS)\n",
+               "cli.py": "from .fock import NAMED_KETS\n",
+               "estimation.py": "from . import fock\nfock.NAMED_KETS['h']\n",
+               "protocol.py": "named_kets = 'NAMED_KETS'\n"}
+    assert modules_naming("NAMED_KETS", sources) == ["cli.py", "estimation.py", "fock.py"]

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from cqtsim import spdc
 from cqtsim.elements import (apply, balanced_bs_matrix, hwp_matrix, pbs_matrix,
                              polarizer_matrix, port_element, qwp_matrix)
-from cqtsim.fock import H, V, PureState, occupation, total_photons
+from cqtsim.fock import H, V, PureState, occupation, total_photons, unit_pair
 from cqtsim.protocol import InputQubit, ProtocolConfig, run_protocol
 from cqtsim.spdc import PAIR_KINDS, SourceParams, four_mode_source
 
@@ -177,7 +177,7 @@ def grid():
         for channel, action, roles in RUNS:
             a, b = rng.normal(size=2) + 1j * rng.normal(size=2)
             cfg = ProtocolConfig(channel=channel, action=action, roles=roles,
-                                 input=InputQubit.from_components(a, b),
+                                 input=InputQubit(*unit_pair(a, b, "input")),
                                  source=SourceParams(*rng.uniform(0.03, 0.2, size=2),
                                                      truncation_order=order),
                                  pbs_epsilon=float(rng.uniform(0.0, 0.1)))

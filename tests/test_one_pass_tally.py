@@ -20,7 +20,7 @@ import pytest
 from cqtsim import fock, protocol
 from cqtsim.channels import PAULI_X
 from cqtsim.elements import apply
-from cqtsim.fock import H, V, project, spatial_counts, to_qubit_density
+from cqtsim.fock import H, V, project, spatial_counts, to_qubit_density, unit_pair
 from cqtsim.protocol import (WIRINGS, InputQubit, ProtocolConfig, _detector_spatials,
                              _station_blocks, analyzer_frame, run_protocol)
 from cqtsim.spdc import SourceParams
@@ -66,7 +66,7 @@ def projected_tally(config):
 
 
 ORDER_5 = ProtocolConfig(channel="g1", action="deny", pbs_epsilon=0.05,
-                         input=InputQubit.from_components(0.6, 0.8j),
+                         input=InputQubit(*unit_pair(0.6, 0.8j, "input")),
                          source=SourceParams(0.1, 0.055, truncation_order=5))
 
 

@@ -16,7 +16,7 @@ import pytest
 
 from cqtsim import protocol
 from cqtsim.elements import OpticalElement, hwp_matrix
-from cqtsim.fock import H, V, KET_D, KET_H, KET_R
+from cqtsim.fock import H, V, KET_D, KET_H, KET_R, unit_pair
 from cqtsim.protocol import (COMPENSATION_PHASE, INPUT_MODE, R_PREP, WIRINGS,
                              InputQubit, ProtocolConfig, ProtocolError, run_protocol)
 from helpers import block_elements, compose
@@ -106,7 +106,7 @@ def linear_map(element):
 
 def inputs():
     rng = np.random.default_rng(20261018)
-    haar = [InputQubit.from_components(*(rng.normal(size=2) + 1j * rng.normal(size=2)))
+    haar = [InputQubit(*unit_pair(*(rng.normal(size=2) + 1j * rng.normal(size=2)), "input"))
             for _ in range(4)]
     return [InputQubit.from_name(name) for name in ("h", "v", "plus", "r")] + haar
 

@@ -12,7 +12,7 @@ from cqtsim import protocol
 from cqtsim.channels import conditional_teleport_output, make_ghz_mixture
 from cqtsim.elements import apply, port_element
 from cqtsim.fock import (H, V, PureState, SectorError, basis_state, fidelity, occupation,
-                         overlap, project, spatial_counts, tensor)
+                         overlap, project, spatial_counts, tensor, unit_pair)
 from cqtsim.protocol import (INPUT_MODE, InputQubit, ProtocolConfig, ProtocolError, R_PREP,
                              analyzer_frame, emulate_mixture, prepare_ghz, run_protocol,
                              singlet_projection)
@@ -62,7 +62,7 @@ def test_input_qubit_validation():
     for alpha in (1.0, float("nan")):
         with pytest.raises(ValueError, match="input must be a unit ket of two finite"):
             InputQubit(alpha, 1.0)
-    iq = InputQubit.from_components(1.0, 1.0)
+    iq = InputQubit(*unit_pair(1.0, 1.0, "input"))
     assert abs(iq.alpha) == pytest.approx(1 / _SQ2)
 
 
@@ -70,7 +70,7 @@ def test_non_finite_parameters_rejected():
     with pytest.raises(ValueError):
         InputQubit(float("nan"), 1.0)
     with pytest.raises(ValueError):
-        InputQubit.from_components(float("inf"), 1.0)
+        InputQubit(*unit_pair(float("inf"), 1.0, "input"))
     for kappa in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             SourceParams(kappa_forward=kappa)
@@ -96,7 +96,7 @@ def test_encoder_phase_changes_no_rate(channel, action, roles, monkeypatch):
     # encoder by a global phase: a sector of k backward pairs holds k photons
     # in the input mode and gains e^{ik phi}, which no incoherent rate sees
     config = ProtocolConfig(channel=channel, action=action, roles=roles,
-                            input=InputQubit.from_components(0.6, 0.8j * np.exp(0.3j)),
+                            input=InputQubit(*unit_pair(0.6, 0.8j * np.exp(0.3j), "input")),
                             source=SourceParams(kappa_forward=0.1, kappa_backward=0.055,
                                                 truncation_order=3))
     blocks = protocol._station_blocks(config)
@@ -338,8 +338,8 @@ def test_fidelity_independent_of_common_kappa_scale(channel, action):
        st.floats(min_value=0, max_value=2 * math.pi, allow_nan=False))
 @settings(max_examples=25, deadline=None)
 def test_allow_perfect_for_arbitrary_inputs(theta, phi):
-    iq = InputQubit.from_components(math.cos(theta / 2),
-                                    math.sin(theta / 2) * np.exp(1j * phi))
+    iq = InputQubit(*unit_pair(math.cos(theta / 2), math.sin(theta / 2) * np.exp(1j * phi),
+                               "input"))
     rec, _ = run_protocol(ProtocolConfig(channel="g1", action="allow", input=iq))
     assert rec.fidelity() == pytest.approx(1.0, abs=1e-10)
 
