@@ -14,7 +14,7 @@ from .elements import OpticalElement, apply, port_element
 from .estimation import (FidelityEstimate, MLResult, ProjectionCounts,
                          corrected_fidelity, correct_for_background,
                          fidelity_from_counts, ml_reconstruct,
-                         poisson_uncertainty, read_counts_csv)
+                         poisson_uncertainty, read_counts_csv, resampled_tomography)
 from .fock import H, V, PureState, fidelity, project, tensor, to_qubit_density
 from .protocol import (CountRecord, InputQubit, ProtocolConfig, ProtocolError,
                        analyzer_frame, emulate_mixture, prepare_ghz, run_protocol,

@@ -30,7 +30,7 @@ import numpy as np
 from .channels import werner_scan
 from .estimation import (POISSON_MAX_MEAN, NonPhysicalError, corrected_fidelity,
                          correct_for_background, ml_reconstruct,
-                         poisson_uncertainty, read_counts_csv)
+                         poisson_uncertainty, read_counts_csv, resampled_tomography)
 from .fock import fidelity, parse_ket
 from .protocol import (InputQubit, NoCoincidenceError, ProtocolConfig, emulate_mixture,
                        run_protocol)
@@ -493,25 +493,30 @@ def cmd_tomo(args) -> int:
     if not 0.0 <= args.weight < 1.0:
         raise ValueError("--weight must lie in [0, 1)")
 
-    result = ml_reconstruct(counts)
+    failure = None
+    if not args.resamples:
+        result = ml_reconstruct(counts)
     with _warnings_to_stderr():
+        if args.resamples:
+            try:
+                result, est = resampled_tomography(counts, target, args.seed,
+                                                   args.resamples, args.weight)
+            except ValueError as exc:
+                # the observed table's own errors come first: fit it alone
+                result, failure = ml_reconstruct(counts), exc
         try:
             corrected = correct_for_background(result.rho, args.weight)
         except NonPhysicalError as exc:
             raise ValueError(f"--weight {args.weight!r} is too large for these counts: "
                              f"the corrected state has eigenvalue "
                              f"{exc.min_eigenvalue:.2e}, below -1e-3") from None
-        if args.resamples:
-            try:
-                est = poisson_uncertainty(counts, seed=args.seed, n_resamples=args.resamples,
-                                          background_w=args.weight, target=target)
-            except NonPhysicalError as exc:
-                raise ValueError(f"--weight {args.weight!r} is too large for these counts: "
-                                 f"{exc.n_bad} of {exc.n_states} resamples have a corrected "
-                                 f"eigenvalue below -1e-3 (lowest "
-                                 f"{exc.min_eigenvalue:.2e})") from None
-            except ValueError as exc:
-                raise ValueError(f"cannot resample these counts: {exc}") from None
+        if isinstance(failure, NonPhysicalError):
+            raise ValueError(f"--weight {args.weight!r} is too large for these counts: "
+                             f"{failure.n_bad} of {failure.n_states} resamples have a "
+                             f"corrected eigenvalue below -1e-3 (lowest "
+                             f"{failure.min_eigenvalue:.2e})") from None
+        if failure is not None:
+            raise ValueError(f"cannot resample these counts: {failure}") from None
 
     payload = {
         "schema": SCHEMA_VERSION,

@@ -149,13 +149,15 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
     the identity.  When all take the full step and none stops, the
     candidates are the next state as they are; otherwise the probabilities
     are recomputed, because the BLAS product rounds differently on a
-    different number of rows.
+    different number of rows.  Table 0 takes both products on its own row,
+    so it keeps the bits of a one-table call and the others those of a call
+    without it.
 
-    Returns ``(rho (n, 2, 2), converged (n,), iterations (n,), traces)``;
-    ``traces`` holds each table's log-likelihood after every accepted step
-    when ``keep_trace`` is set, else None.  A ``tol`` that is NaN or negative
-    or a ``max_iterations`` that is not an integer of at least 1 raises
-    ValueError.
+    Returns ``(rho (n, 2, 2), converged (n,), iterations (n,), trace)``;
+    ``trace`` holds table 0's log-likelihood after every accepted step when
+    ``keep_trace`` is set, else None; no other table is traced.  A ``tol``
+    that is NaN or negative or a ``max_iterations`` that is not an integer
+    of at least 1 raises ValueError.
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be a non-negative number, got {tol!r}")
@@ -169,10 +171,20 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
     columns = np.ascontiguousarray(projectors.transpose(0, 2, 1).reshape(m, 4).T)
     flat = projectors.reshape(m, 4)
 
-    def evaluate(rho, counts, nonzero):
+    def product(rows, matrix, ids):
+        # rows @ matrix for the tables ``ids``, table 0's row on its own:
+        # numpy hands a one-row product to gemv, which rounds unlike gemm
+        if len(rows) < 2 or ids[0] != 0:
+            return rows @ matrix
+        out = np.empty((len(rows), matrix.shape[1]), dtype=complex)
+        np.matmul(rows[:1], matrix, out=out[:1])
+        np.matmul(rows[1:], matrix, out=out[1:])
+        return out
+
+    def evaluate(rho, counts, nonzero, ids):
         # log-likelihoods and the probabilities, 1.0 where unusable; a masked
         # entry adds counts * log(1.0) = +0.0
-        probs = (np.ascontiguousarray(rho.reshape(4, -1).T) @ columns).real
+        probs = product(np.ascontiguousarray(rho.reshape(4, -1).T), columns, ids).real
         usable = nonzero & (probs > 1e-300)
         safe = np.where(usable, probs, 1.0)
         out = (counts * np.log(safe)).sum(axis=1)
@@ -191,21 +203,22 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
     converged, iterations = np.zeros(n, dtype=bool), np.zeros(n, dtype=int)
     active, rho, counts = np.arange(n), rho_out.copy(), tables
     nonzero, totals = counts > 0, counts.sum(axis=1)
-    ll, safe = evaluate(rho, counts, nonzero)
-    traces = [[float(v)] for v in ll] if keep_trace else None
+    ll, safe = evaluate(rho, counts, nonzero, active)
+    trace = [float(v) for v in ll[:1]] if keep_trace else None
     for iteration in range(1, max_iterations + 1):
         if active.size == 0:
             break
         iterations[active] = iteration
         if safe is None:
-            _, safe = evaluate(rho, counts, nonzero)
+            _, safe = evaluate(rho, counts, nonzero, active)
         # an active table's likelihood is finite, so its masked entries have
         # count 0 and weight 0 / 1.0
-        r = np.divide(((counts / safe) @ flat).T.reshape(2, 2, -1), totals, order="C")
+        r = np.divide(product(counts / safe, flat, active).T.reshape(2, 2, -1), totals,
+                      order="C")
         # the full step (1 - alpha) eye + alpha r at alpha = 1 is r with its
         # zeros made +0.0, which is what + 0.0 does
         new_rho = candidate(rho, r + 0.0)
-        new_ll, safe = evaluate(new_rho, counts, nonzero)
+        new_ll, safe = evaluate(new_rho, counts, nonzero, active)
         accepted = new_ll >= ll - 1e-15
         if not accepted.all():
             # the rejected tables halve their step until one is accepted
@@ -222,7 +235,8 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
                 a = alpha[pending]
                 cand = candidate(rho.take(pending, axis=2),
                                  (1 - a) * eye + a * r.take(pending, axis=2))
-                cand_ll, _ = evaluate(cand, counts[pending], nonzero[pending])
+                cand_ll, _ = evaluate(cand, counts[pending], nonzero[pending],
+                                      active[pending])
                 ok = cand_ll >= ll[pending] - 1e-15
                 new_rho[:, :, pending[ok]] = cand[:, :, ok]
                 new_ll[pending[ok]] = cand_ll[ok]
@@ -234,9 +248,8 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
         rho, ll = new_rho, np.maximum(new_ll, ll)
         done = accepted & (delta < tol * np.maximum(1.0, np.abs(ll)))
         converged[active[done]] = True
-        if keep_trace:
-            for i, v in zip(active[accepted], ll[accepted]):
-                traces[i].append(float(v))
+        if keep_trace and active[0] == 0 and accepted[0]:
+            trace.append(float(ll[0]))
         stay = accepted & ~done
         if not stay.all():
             rho_out[:, :, active[~stay]] = rho[:, :, ~stay]
@@ -244,7 +257,7 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
             counts, nonzero, totals = counts[stay], nonzero[stay], totals[stay]
             safe = None
     rho_out[:, :, active] = rho
-    return np.ascontiguousarray(rho_out.transpose(2, 0, 1)), converged, iterations, traces
+    return np.ascontiguousarray(rho_out.transpose(2, 0, 1)), converged, iterations, trace
 
 
 def ml_reconstruct(counts: ProjectionCounts, tol: float = ML_TOL,
@@ -260,6 +273,12 @@ def ml_reconstruct(counts: ProjectionCounts, tol: float = ML_TOL,
     NaN or negative or a ``max_iterations`` that is not an integer of at
     least 1 raises ValueError.
     """
+    return _ml_fit(counts, np.empty((0, len(counts.settings))), tol, max_iterations)[0]
+
+
+def _ml_fit(counts: ProjectionCounts, resamples: np.ndarray, tol, max_iterations) -> tuple:
+    """``ml_reconstruct(counts)`` and the states of the ``resamples`` (k, m),
+    from one kernel run with the observed table, rescaled, as table 0."""
     if not counts.is_informationally_complete():
         raise ValueError("projector set is not informationally complete")
     ns = counts.counts()
@@ -267,11 +286,11 @@ def ml_reconstruct(counts: ProjectionCounts, tol: float = ML_TOL,
         raise ValueError("all counts are zero")
     if not 1.0 <= ns.max() <= ML_RESCALE_ABOVE:
         ns = ns / ns.max()
-    rho, converged, iterations, traces = _ml_kernel(
-        np.array(counts.projectors()), ns[None, :], tol, max_iterations,
+    rho, converged, iterations, trace = _ml_kernel(
+        np.array(counts.projectors()), np.vstack([ns, resamples]), tol, max_iterations,
         keep_trace=True)
-    return MLResult(rho=rho[0], converged=bool(converged[0]),
-                    iterations=int(iterations[0]), log_likelihoods=traces[0])
+    return MLResult(rho=rho[0], converged=bool(converged[0]), iterations=int(iterations[0]),
+                    log_likelihoods=trace), rho[1:]
 
 
 def ml_oracle_bloch_search(counts: ProjectionCounts) -> np.ndarray:
@@ -394,63 +413,76 @@ def _check_poisson_mean(largest: float) -> None:
                          f"Poisson sampler accepts means up to {POISSON_MAX_MEAN:.4g}")
 
 
-def poisson_uncertainty(data, seed: int, n_resamples: int = 10_000,
-                        background_w: float = 0.0,
-                        target=None) -> FidelityEstimate:
-    """Poisson-resampled fidelity estimate.
+def _check_resampling(seed, n_resamples) -> None:
+    if not (isinstance(n_resamples, numbers.Integral) and n_resamples >= 100):
+        raise ValueError(f"n_resamples must be an integer of at least 100, got {n_resamples!r}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be an explicit non-negative integer, got {seed!r}")
 
-    ``data`` is either a pair of (parallel, orthogonal) counts, in which case
-    the downstream quantity is the count-ratio fidelity (optionally corrected
-    for the background weight), or a ProjectionCounts whose resamples are
-    pushed through the maximum-likelihood reconstruction against ``target``.
-    Deterministic for a fixed seed.
-    """
-    if n_resamples < 100:
-        raise ValueError("use at least 100 resamples")
-    if seed is None:
-        raise ValueError("an explicit seed is required")
-    rng = np.random.default_rng(seed)
 
-    if isinstance(data, ProjectionCounts):
-        if target is None:
-            raise ValueError("tomography resampling needs a target ket")
-        target = unit_ket(target, "target")
-        means = data.counts()
-        if means.sum() <= 0:
-            raise ValueError("all counts are zero")
-        # every resample shares the projectors, so one check covers them all
-        if not data.is_informationally_complete():
-            raise ValueError("projector set is not informationally complete")
-        _check_poisson_mean(means.max())
-        tables = rng.poisson(means, size=(n_resamples, means.size)).astype(float)
-        tables = tables[tables.sum(axis=1) > 0]
-        rho, _, _, _ = _ml_kernel(np.array(data.projectors()), tables,
-                                  ML_TOL, ML_MAX_ITERATIONS)
-        if background_w:
-            rho = correct_for_background(rho, background_w)
-        values = np.einsum("i,nij,j->n", target.conj(), rho, target).real
-        values = np.clip(values, 0.0, 1.0)
-    else:
-        f_par, f_perp = data
-        if f_par + f_perp <= 0:
-            raise ValueError("all counts are zero")
-        _check_poisson_mean(max(f_par, f_perp))
-        draws = rng.poisson((f_par, f_perp), size=(n_resamples, 2))
-        # exact integer totals; only a run with empty resamples needs a mask
-        totals = draws[:, 0] + draws[:, 1]
-        if totals.all():
-            values = draws[:, 0] / totals
-        else:
-            keep = totals > 0
-            values = draws[keep, 0] / totals[keep]
-        if background_w:
-            values = corrected_fidelity(values, background_w)
-        values = np.clip(values, 0.0, 1.0)
-
+def _estimate(values: np.ndarray) -> FidelityEstimate:
     if values.size == 0:
         raise ValueError("every resample was empty")
     return FidelityEstimate(value=float(np.mean(values)),
                             uncertainty=float(np.std(values)))
+
+
+def poisson_uncertainty(data, seed: int, n_resamples: int = 10_000,
+                        background_w: float = 0.0) -> FidelityEstimate:
+    """Poisson-resampled count-ratio fidelity of a (parallel, orthogonal)
+    pair of counts ``data``, optionally corrected for the background weight;
+    deterministic for a fixed seed.  A ``data`` that is not a pair of finite
+    non-negative numbers or is all zero, a ``seed`` that is not a non-negative
+    integer or an ``n_resamples`` that is not an integer of at least 100
+    raises ValueError.
+    """
+    _check_resampling(seed, n_resamples)
+    try:
+        f_par, f_perp = data
+        valid = 0 <= f_par < math.inf and 0 <= f_perp < math.inf
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ValueError(f"data must be a (parallel, orthogonal) pair of finite "
+                         f"non-negative counts, got {data!r}")
+    if f_par + f_perp <= 0:
+        raise ValueError("all counts are zero")
+    _check_poisson_mean(max(f_par, f_perp))
+    draws = np.random.default_rng(seed).poisson((f_par, f_perp), size=(n_resamples, 2))
+    # exact integer totals; only a run with empty resamples needs a mask
+    totals = draws[:, 0] + draws[:, 1]
+    if totals.all():
+        values = draws[:, 0] / totals
+    else:
+        keep = totals > 0
+        values = draws[keep, 0] / totals[keep]
+    if background_w:
+        values = corrected_fidelity(values, background_w)
+    return _estimate(np.clip(values, 0.0, 1.0))
+
+
+def resampled_tomography(counts: ProjectionCounts, target, seed: int, n_resamples: int,
+                         background_w: float = 0.0) -> tuple:
+    """The maximum-likelihood fit of ``counts`` and a Poisson-resampled
+    fidelity with ``target``: ``(ml_reconstruct(counts), estimate)``.
+
+    The nonempty of ``n_resamples`` tables drawn around ``counts`` are fitted
+    in one kernel run, with the observed table as table 0, and corrected for
+    ``background_w``, the observed state first.  ``seed`` and ``n_resamples``
+    are checked as ``poisson_uncertainty`` checks them.
+    """
+    _check_resampling(seed, n_resamples)
+    target = unit_ket(target, "target")
+    means = counts.counts()
+    _check_poisson_mean(means.max(initial=0.0))
+    tables = np.random.default_rng(seed).poisson(
+        means, size=(n_resamples, means.size)).astype(float)
+    result, rho = _ml_fit(counts, tables[tables.sum(axis=1) > 0], ML_TOL, ML_MAX_ITERATIONS)
+    if background_w:
+        correct_for_background(result.rho, background_w)
+        rho = correct_for_background(rho, background_w)
+    values = np.einsum("i,nij,j->n", target.conj(), rho, target).real
+    return result, _estimate(np.clip(values, 0.0, 1.0))
 
 
 # --- CSV interfaces --------------------------------------------------------------------

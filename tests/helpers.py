@@ -9,6 +9,11 @@ maps: the tests use it as the oracle of ``protocol``'s optics matrix and of
 between steps, copied verbatim with the (n, 2, 2) ``_mul2`` it called: the
 bit-for-bit oracle of the kernel, which now holds its states as (2, 2, n)
 stacks.
+``reference_poisson_tomography`` is ``estimation.poisson_uncertainty`` on a
+``ProjectionCounts`` as it was before the observed table joined its resamples
+in one kernel run, copied verbatim with ``reference_ml_kernel`` as its kernel
+(the count-pair branch is left out): the oracle of
+``estimation.resampled_tomography``'s estimate.
 ``reference_correct_for_background`` is ``estimation.correct_for_background``
 as it was before it screened 2x2 states in closed form, copied verbatim: it
 diagonalises every matrix.
@@ -31,8 +36,9 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from cqtsim.elements import OpticalElement, phase_matrix, port_element
-from cqtsim.estimation import NonPhysicalError
-from cqtsim.fock import H, V, PureState, spatial_counts
+from cqtsim.estimation import (ML_MAX_ITERATIONS, ML_TOL, FidelityEstimate, NonPhysicalError,
+                               ProjectionCounts, _check_poisson_mean, correct_for_background)
+from cqtsim.fock import H, V, PureState, spatial_counts, unit_ket
 from cqtsim.spdc import (_GRID_POINTS, _ROOT_COST, BACKWARD_MODES, FORWARD_MODES,
                          RATIO_BOUNDS, REFERENCE_KAPPA, RatioFit, _local_minima,
                          emission_orders, sector_shares)
@@ -229,6 +235,49 @@ def reference_ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
                 traces[i].append(float(v))
         active = active[accepted & ~done]
     return rho_all, converged, iterations, traces
+
+
+def reference_poisson_tomography(data, seed: int, n_resamples: int = 10_000,
+                                 background_w: float = 0.0,
+                                 target=None) -> FidelityEstimate:
+    """Poisson-resampled fidelity estimate.
+
+    ``data`` is either a pair of (parallel, orthogonal) counts, in which case
+    the downstream quantity is the count-ratio fidelity (optionally corrected
+    for the background weight), or a ProjectionCounts whose resamples are
+    pushed through the maximum-likelihood reconstruction against ``target``.
+    Deterministic for a fixed seed.
+    """
+    if n_resamples < 100:
+        raise ValueError("use at least 100 resamples")
+    if seed is None:
+        raise ValueError("an explicit seed is required")
+    rng = np.random.default_rng(seed)
+
+    if isinstance(data, ProjectionCounts):
+        if target is None:
+            raise ValueError("tomography resampling needs a target ket")
+        target = unit_ket(target, "target")
+        means = data.counts()
+        if means.sum() <= 0:
+            raise ValueError("all counts are zero")
+        # every resample shares the projectors, so one check covers them all
+        if not data.is_informationally_complete():
+            raise ValueError("projector set is not informationally complete")
+        _check_poisson_mean(means.max())
+        tables = rng.poisson(means, size=(n_resamples, means.size)).astype(float)
+        tables = tables[tables.sum(axis=1) > 0]
+        rho, _, _, _ = reference_ml_kernel(np.array(data.projectors()), tables,
+                                           ML_TOL, ML_MAX_ITERATIONS)
+        if background_w:
+            rho = correct_for_background(rho, background_w)
+        values = np.einsum("i,nij,j->n", target.conj(), rho, target).real
+        values = np.clip(values, 0.0, 1.0)
+
+    if values.size == 0:
+        raise ValueError("every resample was empty")
+    return FidelityEstimate(value=float(np.mean(values)),
+                            uncertainty=float(np.std(values)))
 
 
 def reference_correct_for_background(raw: np.ndarray, w: float) -> np.ndarray:

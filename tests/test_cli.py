@@ -143,6 +143,56 @@ def test_scan_werner_output_is_pinned(key, capsys):
     assert scan_rows(out, fmt) == [list(row) for row in expected.rows]
 
 
+TOMO_TABLES = {
+    "axial": {"h": 8601, "v": 5290, "plus": 6107, "minus": 6466, "r": 4178, "l": 8512},
+    "zero": {"h": 600, "v": 400, "plus": 0, "minus": 450, "r": 520, "l": 480},
+    "below1": {"h": 0.5, "v": 0.3, "plus": 0.4, "minus": 0.2, "r": 0.3, "l": 0.3},
+}
+# default-precision `tomo --resamples` outputs, as printed when the observed
+# table and its resamples ran in two kernel calls; keyed (table, format, resamples)
+TOMO_DIGESTS = {
+    ("axial", "csv", "100"):
+        "eed46a4368fe13fee993056fc8861f1a598426808f53334d701028c20bdd7c48",
+    ("axial", "csv", "300"):
+        "856fb6d98af93371b807d2925836fad581737a0a35c52d204708fc755b799642",
+    ("axial", "json", "100"):
+        "ec36083cf065cca6545de4d288d1ed012bf1dfa99a57a47e6361162b8ff122f2",
+    ("axial", "json", "300"):
+        "5bef9693c01776df0d0b34b2983517d67115f9c7e3c66d56853f689eb9dec294",
+    ("zero", "csv", "100"):
+        "71a6a92845236a413d23748d07d83c6642d9fdf19160d7855301d8cbbdd63bbc",
+    ("zero", "csv", "300"):
+        "a8f9c1d2cae9ab8e5a91c06af9fec329283a43276e4cd72471edeabce8bca79c",
+    ("zero", "json", "100"):
+        "23c38958164c2d69ad6f19a2a06d9d58a0240111d717df55a6456b4f7c65dc9c",
+    ("zero", "json", "300"):
+        "0411db2d334b0654aba7eb682cbdebe45f99e7a510d4218dd76dafdd657158ca",
+    ("below1", "csv", "100"):
+        "8987a2a0b5d89183ea5c2ccabd527e09cfc85cb0341ae5eaf3915d80f7185e29",
+    ("below1", "csv", "300"):
+        "2716f460fb557519d43ea701a29b1cb0a82492b3bbd9225c8747d1fb89e03536",
+    ("below1", "json", "100"):
+        "80ff99e2f97a0fa21c9e4946c0b3c498e58fe1922b524e45b3b9dbd2ff7162a6",
+    ("below1", "json", "300"):
+        "4272fed0a89feb47c8f2d4a0fd2e30b7b479db16fbfb98ed360efb60a2c3ed81",
+}
+
+
+def tomo_argv(tmp_path, table, fmt, resamples):
+    counts = tmp_path / f"{table}.csv"
+    write_counts(counts, TOMO_TABLES[table])
+    return ["tomo", "--counts", str(counts), "--target=0.6,0.8j",
+            "--weight", "0.2" if table == "axial" else "0", "--resamples", resamples,
+            "--seed", "3", "--format", fmt]
+
+
+@pytest.mark.parametrize("key", TOMO_DIGESTS, ids=" ".join)
+def test_tomo_resampled_output_is_pinned(key, tmp_path, capsys):
+    assert run_cli(tomo_argv(tmp_path, *key)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TOMO_DIGESTS[key]
+
+
 OPENBLAS_CORE = """
 import ctypes, glob, os, numpy
 libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
@@ -169,9 +219,10 @@ print(json.dumps([core, digests]))
 """
 
 
-def test_default_precision_digests_hold_on_a_kernel_without_fma():
+def test_default_precision_digests_hold_on_a_kernel_without_fma(tmp_path):
     # OpenBLAS picks its kernel at run time; Prescott has no fused multiply-add,
-    # so the scan's last bits differ from those of an FMA kernel
+    # so the scan's last bits differ from those of an FMA kernel, and so may
+    # those of the ML states that the resampled tomography fits in one stack
     import os
     import subprocess
     import sys
@@ -185,12 +236,13 @@ def test_default_precision_digests_hold_on_a_kernel_without_fma():
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argvs = [["scan-werner", "--format", fmt, option, value]
              for fmt, option, value in SCAN_DIGESTS]
+    argvs += [tomo_argv(tmp_path, *key) for key in TOMO_DIGESTS]
     done = subprocess.run([sys.executable, "-c", PRESCOTT_DIGESTS, json.dumps(argvs)],
                           env=env, capture_output=True, text=True, check=True)
     core, digests = json.loads(done.stdout)
     if here["core"] is None or core == here["core"]:
         pytest.skip(f"numpy's BLAS does not switch kernels here (core {here['core']!r})")
-    assert digests == list(SCAN_DIGESTS.values())
+    assert digests == list(SCAN_DIGESTS.values()) + list(TOMO_DIGESTS.values())
 
 
 @pytest.mark.parametrize("q_list, bad", [("0.3,1.2,-0.1", "1.2"), ("0.5,-0.1,1.2", "-0.1"),
@@ -231,15 +283,25 @@ def test_tomo_default_precision_ignores_last_bit_changes(tmp_path, monkeypatch, 
     counts = tmp_path / "counts.csv"
     write_exact_counts(counts, rho)
     argv = ["tomo", "--counts", str(counts), "--target", "plus", "--weight", "0.2"]
+    # the point estimate alone, and with the resamples it is fitted beside
+    runs = [(options, fmt) for options in (argv, argv + ["--resamples", "100", "--seed", "1"])
+            for fmt in ("csv", "json")]
     outputs = []
-    for fmt in ("csv", "json"):
-        assert run_cli(argv + ["--format", fmt]) == 0
+    for options, fmt in runs:
+        assert run_cli(options + ["--format", fmt]) == 0
         outputs.append(capsys.readouterr().out)
     ml = cli.ml_reconstruct
     monkeypatch.setattr(cli, "ml_reconstruct",
                         lambda c: replace(ml(c), rho=ml(c).rho * (1 + 4e-16)))
-    for fmt, before in zip(("csv", "json"), outputs):
-        assert run_cli(argv + ["--format", fmt]) == 0
+    tomography = cli.resampled_tomography
+
+    def nudged(*args):
+        result, estimate = tomography(*args)
+        return replace(result, rho=result.rho * (1 + 4e-16)), estimate
+
+    monkeypatch.setattr(cli, "resampled_tomography", nudged)
+    for (options, fmt), before in zip(runs, outputs):
+        assert run_cli(options + ["--format", fmt]) == 0
         assert capsys.readouterr().out == before
 
 
@@ -717,6 +779,69 @@ def test_tomo_reports_clipping_in_one_stable_line(tmp_path, capsys):
     assert capsys.readouterr().err == CLIP_WARNING
 
 
+# --- one kernel run per resampled tomography ---------------------------------------
+
+@pytest.mark.parametrize("resamples", ["0", "300"])
+def test_tomo_fits_its_table_and_resamples_in_one_kernel_run(resamples, tmp_path,
+                                                              monkeypatch, capsys):
+    import cqtsim.estimation as estimation
+
+    counts = tmp_path / "counts.csv"
+    write_counts(counts, {"h": 8601, "v": 5290, "plus": 6107, "minus": 6466, "r": 4178,
+                          "l": 8512})
+    calls, kernel = [], estimation._ml_kernel
+    monkeypatch.setattr(estimation, "_ml_kernel",
+                        lambda *a, **k: calls.append(len(a[1])) or kernel(*a, **k))
+    assert run_cli(["tomo", "--counts", str(counts), "--weight", "0.2",
+                    "--resamples", resamples, "--seed", "5"]) == 0
+    # the observed table and the nonempty resamples
+    assert calls == [1 + int(resamples)]
+    assert "fidelity_std" in capsys.readouterr().out or resamples == "0"
+
+
+W554 = {"h": 100, "v": 100, "plus": 125, "minus": 75, "r": 100, "l": 100}
+HUGE = {"h": 1e19, "v": 10, "plus": 10, "minus": 10, "r": 10, "l": 10}
+
+
+# each message as printed when the observed table and the resamples ran apart
+@pytest.mark.parametrize("table, weight, message", [
+    # the observed state fails a subtraction that many resamples fail too:
+    # the observed state's message comes first, as when it was fitted first
+    (W554, "0.8", "--weight 0.8 is too large for these counts: the corrected state has "
+                  "eigenvalue -1.25e-01, below -1e-3"),
+    # a pure state too bright to resample, and too pure for the subtraction
+    ({"h": 2e19, "v": 0, "plus": 1e19, "minus": 1e19, "r": 1e19, "l": 1e19}, "0.8",
+     "--weight 0.8 is too large for these counts: the corrected state has eigenvalue "
+     "-2.00e+00, below -1e-3"),
+    (W554, "0.554", "--weight 0.554 is too large for these counts: 1 of 300 resamples have "
+                    "a corrected eigenvalue below -1e-3 (lowest -3.06e-02)"),
+    (HUGE, "0", "cannot resample these counts: a count of 1e+19 is too large to resample: "
+                "numpy's Poisson sampler accepts means up to 9.223e+18"),
+    (dict.fromkeys(AXIAL, 1e-300), "0",
+     "cannot resample these counts: every resample was empty"),
+], ids=["observed-and-resamples", "observed-and-too-large", "resamples", "too-large", "empty"])
+def test_tomo_resampling_errors_keep_their_text_and_order(table, weight, message, tmp_path,
+                                                           capsys):
+    counts = tmp_path / "counts.csv"
+    write_counts(counts, table)
+    assert run_cli(["tomo", "--counts", str(counts), "--weight", weight,
+                    "--resamples", "300", "--seed", "27"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {message}\n")
+
+
+def test_tomo_observed_weight_error_hides_failing_resamples(tmp_path):
+    # the resamples of the first case above fail on their own as well
+    from cqtsim.estimation import NonPhysicalError, axial_counts
+    from cqtsim.fock import KET_D
+
+    from helpers import reference_poisson_tomography
+
+    with pytest.raises(NonPhysicalError) as exc:
+        reference_poisson_tomography(axial_counts(W554), 27, 300, 0.8, KET_D)
+    assert exc.value.n_bad > 100
+
+
 # --- state values with a leading '-' --------------------------------------------------
 
 @pytest.mark.parametrize("sep", [",", ";"])
@@ -790,8 +915,8 @@ def test_resamples_cap(tmp_path, monkeypatch, capsys):
     assert run_cli(["run", "--ideal", "--resamples", "100000", "--seed", "1"]) == 0
     assert run_cli(["run", "--ideal", "--resamples", "100001", "--seed", "1"]) == 2
     calls = []
-    monkeypatch.setattr(cli, "poisson_uncertainty", lambda *a, **k: (
-        calls.append(k["n_resamples"]) or FidelityEstimate(0.5, 0.1)))
+    monkeypatch.setattr(cli, "resampled_tomography", lambda counts, target, seed, n, w: (
+        calls.append(n) or (cli.ml_reconstruct(counts), FidelityEstimate(0.5, 0.1))))
     counts = tmp_path / "counts.csv"
     write_exact_counts(counts, np.eye(2) / 2)
     tomo = ["tomo", "--counts", str(counts), "--seed", "1", "--resamples"]

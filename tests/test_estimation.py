@@ -11,7 +11,7 @@ from cqtsim.estimation import (ML_MAX_ITERATIONS, ML_RESCALE_ABOVE, ML_TOL,
                                _ml_kernel, axial_counts, corrected_fidelity,
                                correct_for_background, fidelity_from_counts,
                                ml_oracle_bloch_search, ml_reconstruct,
-                               poisson_uncertainty, read_counts_csv)
+                               poisson_uncertainty, read_counts_csv, resampled_tomography)
 from cqtsim.fock import KET_D, KET_H, KET_R, KET_V, NAMED_KETS, fidelity, parse_ket
 from cqtsim.protocol import CountRecord
 
@@ -252,6 +252,34 @@ def test_poisson_requires_seed_and_counts():
         poisson_uncertainty((0.0, 0.0), seed=1)
 
 
+@pytest.mark.parametrize("call, name", [
+    ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"), ({"seed": None}, "seed"),
+    ({"n_resamples": 200.5}, "n_resamples"), ({"n_resamples": math.nan}, "n_resamples"),
+    ({"n_resamples": 99}, "n_resamples"),
+    ({"data": (math.nan, 10.0)}, "data"), ({"data": (10.0, math.inf)}, "data"),
+    ({"data": (-1.0, 10.0)}, "data"), ({"data": (10.0, 20.0, 30.0)}, "data"),
+    ({"data": (10.0,)}, "data"), ({"data": ("10", "20")}, "data"), ({"data": 10.0}, "data"),
+    ({"data": axial_counts(dict(h=60, v=40, plus=70, minus=30, r=55, l=45))}, "data"),
+], ids=lambda v: repr(v) if not isinstance(v, dict) else
+    ",".join(f"{k}={x!r}"[:40] for k, x in v.items()))
+def test_poisson_count_pair_input_contract(call, name):
+    # each bad argument is named in a ValueError, not left to numpy or to
+    # tuple unpacking
+    args = {"data": (60.0, 40.0), "seed": 5, "n_resamples": 200, **call}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        poisson_uncertainty(**args)
+
+
+@pytest.mark.parametrize("call, name", [
+    ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"),
+    ({"n_resamples": 200.5}, "n_resamples"), ({"n_resamples": math.nan}, "n_resamples")])
+def test_resampled_tomography_checks_seed_and_resamples_alike(call, name):
+    counts = axial_counts(dict(h=60, v=40, plus=70, minus=30, r=55, l=45))
+    args = {"counts": counts, "target": KET_H, "seed": 5, "n_resamples": 200, **call}
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        resampled_tomography(**args)
+
+
 @pytest.mark.parametrize("weight", [1.0, 1.5, -0.5])
 def test_poisson_count_pair_rejects_a_background_weight_outside_the_range(weight):
     with pytest.raises(ValueError, match="background weight must lie in"):
@@ -267,7 +295,7 @@ def test_poisson_count_pair_background_correction_keeps_its_bits():
 def test_poisson_tomography_path():
     rho = 0.9 * np.outer(KET_D, KET_D.conj()) + 0.1 * np.eye(2) / 2
     counts = exact_counts(rho, exposure=500)
-    est = poisson_uncertainty(counts, seed=5, n_resamples=120, target=KET_D)
+    _, est = resampled_tomography(counts, KET_D, seed=5, n_resamples=120)
     assert est.value == pytest.approx(fidelity(rho, KET_D), abs=0.02)
     assert est.uncertainty > 0
 
@@ -276,16 +304,15 @@ def test_poisson_tomography_path():
 def test_poisson_tomography_rejects_a_target_that_is_not_a_unit_ket(target):
     counts = exact_counts(np.eye(2) / 2, exposure=500)
     with pytest.raises(ValueError, match="target must be a unit ket.*got \\["):
-        poisson_uncertainty(counts, seed=5, n_resamples=100, target=target)
+        resampled_tomography(counts, target, seed=5, n_resamples=100)
 
 
 def test_poisson_tomography_takes_a_unit_target_as_given():
     # within 1e-12 of unit norm the target is used as it is, not renormalised
     rho = 0.9 * np.outer(KET_D, KET_D.conj()) + 0.1 * np.eye(2) / 2
     counts = exact_counts(rho, exposure=500)
-    est = poisson_uncertainty(counts, seed=5, n_resamples=100, target=KET_D)
-    nudged = poisson_uncertainty(counts, seed=5, n_resamples=100,
-                                 target=KET_D * (1 + 4e-13))
+    _, est = resampled_tomography(counts, KET_D, seed=5, n_resamples=100)
+    _, nudged = resampled_tomography(counts, KET_D * (1 + 4e-13), seed=5, n_resamples=100)
     assert nudged.value != est.value
     assert nudged.value == pytest.approx(est.value, rel=1e-11)
 
@@ -391,9 +418,10 @@ def test_poisson_rejects_means_beyond_the_sampler_limit():
     with pytest.raises(ValueError, match="lam value too large"):
         rng.poisson(np.nextafter(POISSON_MAX_MEAN, math.inf))
     counts = axial_counts({"h": 1e19, "v": 10, "plus": 10, "minus": 10, "r": 10, "l": 10})
-    for data in (counts, (1e19, 1.0)):
-        with pytest.raises(ValueError, match="too large to resample.*9.223e\\+18"):
-            poisson_uncertainty(data, seed=1, n_resamples=100, target=KET_H)
+    with pytest.raises(ValueError, match="too large to resample.*9.223e\\+18"):
+        resampled_tomography(counts, KET_H, seed=1, n_resamples=100)
+    with pytest.raises(ValueError, match="too large to resample.*9.223e\\+18"):
+        poisson_uncertainty((1e19, 1.0), seed=1, n_resamples=100)
 
 
 def test_read_counts_csv(tmp_path):

@@ -37,12 +37,18 @@ def printed_lines(source: str) -> list:
     return out.getvalue().splitlines()
 
 
-def test_readme_has_the_three_library_examples():
-    assert len(BLOCKS) == 3
+def test_readme_has_the_four_library_examples():
+    assert len(BLOCKS) == 4
+
+
+def test_resampled_tomography_example_prints_its_commented_values():
+    block = BLOCKS[0]
+    assert "# True 12" in block and "# 0.253 +- 0.005" in block
+    assert printed_lines(block) == ["True 12", "0.253 +- 0.005"]
 
 
 def test_run_protocol_example_prints_its_commented_values():
-    block = BLOCKS[0]
+    block = BLOCKS[1]
     assert "# 1.0" in block and "# 1/16 for the ideal allowed run" in block
     fidelity, success = printed_lines(block)
     assert float(fidelity) == pytest.approx(1.0, abs=1e-12)
@@ -50,7 +56,7 @@ def test_run_protocol_example_prints_its_commented_values():
 
 
 def test_mixture_example_prints_its_commented_values():
-    block = BLOCKS[1]
+    block = BLOCKS[2]
     assert "# 1.0 (allow), 0.5 (deny)" in block
     allowed, denied = printed_lines(block)
     assert float(allowed) == pytest.approx(1.0, abs=1e-12)
@@ -58,11 +64,11 @@ def test_mixture_example_prints_its_commented_values():
 
 
 def test_ratio_fit_example_fits_both_targets():
-    line, reachable = printed_lines(BLOCKS[2])
+    line, reachable = printed_lines(BLOCKS[3])
     ratio, residuals = line.split(" ", 1)
     assert 0.001 < float(ratio) <= 5
     assert residuals.startswith("{'allowed': ") and "'denied': " in residuals
-    assert "# about (0.756, 1.0): 55.4 % is out of reach" in BLOCKS[2]
+    assert "# about (0.756, 1.0): 55.4 % is out of reach" in BLOCKS[3]
     lo, hi = (float(v) for v in reachable.strip("()").split(", "))
     assert lo == pytest.approx(0.756, abs=5e-4) and hi == pytest.approx(1.0, abs=5e-4)
 
