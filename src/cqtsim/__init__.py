@@ -17,8 +17,8 @@ from .estimation import (FidelityEstimate, MLResult, ProjectionCounts,
                          poisson_uncertainty, read_counts_csv, resampled_tomography)
 from .fock import H, V, PureState, fidelity, project, tensor, to_qubit_density
 from .protocol import (CountRecord, InputQubit, ProtocolConfig, ProtocolError,
-                       analyzer_frame, emulate_mixture, prepare_ghz, run_protocol,
-                       singlet_projection)
+                       analyzer_frame, count_rates, emulate_mixture, prepare_ghz,
+                       run_protocol, singlet_projection)
 from .spdc import SourceParams, fit_source_ratio, four_mode_source, heralded_fraction
 
 __version__ = "0.1.0"

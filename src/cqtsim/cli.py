@@ -8,7 +8,8 @@ resolved against $CQTSIM_OUT_DIR when it is set.  Outputs carry a schema
 version line and contain nothing non-deterministic, so identical inputs and
 seeds give byte-identical files.
 
-Exit codes: 0 success, 1 simulation/runtime failure, 2 usage or config error.
+Exit codes: 0 success, 1 simulation/runtime failure, 2 usage or config error
+(an output path that cannot be written among them).
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ from .estimation import (POISSON_MAX_MEAN, NonPhysicalError, corrected_fidelity,
                          correct_for_background, ml_reconstruct,
                          poisson_uncertainty, read_counts_csv, resampled_tomography)
 from .fock import fidelity, parse_ket
-from .protocol import (InputQubit, NoCoincidenceError, ProtocolConfig, emulate_mixture,
-                       run_protocol)
+from .protocol import (InputQubit, NoCoincidenceError, ProtocolConfig, count_rates,
+                       emulate_mixture)
 from .spdc import (RATIO_BOUNDS, SourceParams, fit_source_ratio, sector_rates,
                    sector_shares)
 
@@ -72,6 +73,12 @@ SSR_DIGITS = 16             # their sum of squares, in squared fractions
 # ratio can reach gets a warning; a round trip reaches its targets to ~1e-9.
 REACH_TOLERANCE = 1e-6
 RHO_DIGITS = 6              # density-matrix entries
+# The resampled fidelity's spread: rounding noise of the ML fits is a few ulp
+# of 1, under 1e-15, and prints as 0.  A real spread is at least about
+# 1 / (2 sqrt(N)) for N counts at a fidelity away from 0 and 1, 1.6e-10 at the
+# largest mean numpy's Poisson sampler takes (POISSON_MAX_MEAN, 9.2e18), and 13
+# places keep 4 significant digits of it.
+FIDELITY_STD_DIGITS = 13
 
 # Options whose value is a state, which may be 'a,b' or 'a;b' with a leading '-'.
 STATE_OPTIONS = ("--input", "--target")
@@ -126,10 +133,13 @@ def _emit(text: str, out_path):
     out_path = _resolve_out(out_path)
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         os.makedirs(os.path.dirname(os.path.abspath(out_path)), exist_ok=True)
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ValueError(f"cannot write output {out_path}: {exc}") from None
 
 
 def _json_value(value, full_precision):
@@ -251,6 +261,16 @@ def _parser(stop_at_config: bool) -> argparse.ArgumentParser:
     return build_parser(_StopAtConfig if stop_at_config else "store")
 
 
+def _config_error(exc: Exception) -> str:
+    """Why a config file cannot be read, on one line that quotes none of its
+    text: the operating system's error, or the parser's error name and the
+    line it names."""
+    if isinstance(exc, OSError):
+        return str(exc)
+    lineno = getattr(exc, "lineno", None)
+    return type(exc).__name__ + (f" at line {lineno}" if lineno else "")
+
+
 def _config_prefix(command: str, path: str) -> list:
     """The ``[command]`` section of the INI file at ``path`` as arguments.
 
@@ -259,8 +279,8 @@ def _config_prefix(command: str, path: str) -> list:
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
-    except (OSError, configparser.Error) as exc:
-        raise ValueError(f"cannot read config {path}: {exc}") from None
+    except (OSError, UnicodeDecodeError, configparser.Error) as exc:
+        raise ValueError(f"cannot read config {path}: {_config_error(exc)}") from None
     if not cp.has_section(command):
         return []
     prefix = []
@@ -323,7 +343,7 @@ def cmd_run(args) -> int:
     cfg = ProtocolConfig(channel="g1" if mix else args.channel, action=args.action,
                          input=input_q, source=source, pbs_epsilon=args.pbs_epsilon,
                          roles=args.roles)
-    record = emulate_mixture(cfg, args.mix_p) if mix else run_protocol(cfg)[0]
+    record = emulate_mixture(cfg, args.mix_p) if mix else count_rates(cfg)
     fid = record.fidelity()
     row = [args.channel, args.action, args.input,
            record.f_parallel, record.f_perp, fid, record.success_probability,
@@ -531,7 +551,8 @@ def cmd_tomo(args) -> int:
     }
     if args.resamples:
         payload["fidelity_mean"] = est.value
-        payload["fidelity_std"] = est.uncertainty
+        payload["fidelity_std"] = _fixed(est.uncertainty, FIDELITY_STD_DIGITS,
+                                         args.full_precision)
 
     if args.fmt == "json":
         payload = {k: _json_value(v, args.full_precision) for k, v in payload.items()}

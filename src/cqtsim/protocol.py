@@ -23,9 +23,9 @@ incoherent alternatives; their four-fold probabilities add.
 The optics are described once, as a list of ``(spatial modes, local
 matrix)`` blocks (``_station_blocks``): the circular preparation, the g2
 half-wave plate, the PBS, the compensation plates, the encoder, the fiber
-beam splitter and the controller's polarizer.  ``run_protocol`` multiplies
-them, and the receiver's analyzer rotation, into one 8x8 matrix L over the
-modes 1H ... 4V, starting from the identity and replacing the rows of each
+beam splitter and the controller's polarizer.  A run multiplies them, and
+the receiver's analyzer rotation, into one 8x8 matrix L over the modes
+1H ... 4V, starting from the identity and replacing the rows of each
 block's modes by the block times those rows.  It then propagates the
 emission as dense photon-number vectors: each pair-creation operator
 1/2 a^T Lambda a becomes the quadratic form L Lambda L^T on the output
@@ -37,9 +37,19 @@ occupation of the eight modes with N photons in all, C(N + 7, 7) of them
 one ``np.bincount``; its index tables are built with numpy on first use,
 once per photon number.  The analyzer calibration propagates the ideal
 source, sector (1, 1), through the same blocks and reads two amplitudes off
-it, so a run builds no sparse state.  The stage operations ``prepare_ghz``
-and ``singlet_projection`` apply the same blocks to the sparse states of
-``fock`` as elements made with ``elements.port_element``.
+it, so a run builds no sparse state.
+
+``count_rates`` returns the four-fold rates of a run and ``run_protocol``
+those rates with the receiver's conditional state.  Both take them from one
+private propagation and tally, ``_tally``, which takes the trace of the
+receiver's 2x2 block sector by sector only until one leaves him a photon.
+``run_protocol`` alone adds up every block and rotates the sum out of his
+analyzer frame, so the callers that need only the rates (``cli``'s ``run``,
+``emulate_mixture`` and ``spdc.sector_rates``) build no receiver state.
+
+The stage operations ``prepare_ghz`` and ``singlet_projection`` apply the
+same blocks to the sparse states of ``fock`` as elements made with
+``elements.port_element``.
 """
 
 from __future__ import annotations
@@ -430,20 +440,19 @@ def _tally_indices(n: int, detectors: tuple, receiver: int) -> tuple:
 
 # --- main pipeline ----------------------------------------------------------------
 
-def run_protocol(config: ProtocolConfig):
-    """Propagate every coincidence-capable emission term through the setup.
+def _receiver_block(state: np.ndarray, h_one: np.ndarray, v_one: np.ndarray) -> np.ndarray:
+    """The receiver's unnormalized 2x2 block of a sector in his analyzer basis."""
+    kept = np.stack([state[h_one], state[v_one]])
+    return kept @ kept.conj().T
 
-    Returns ``(CountRecord, rho_receiver)``.  The sector of j forward and k
-    backward pairs, labelled by its spatial signature "jjkk", leaves the
-    optics matrix L as kf^j kb^k (A'^dag)^j (B'^dag)^k |0> / (j! k!), a dense
-    photon-number vector (see the module docstring).  The analyzer rotation
-    takes the calibrated images of the input ket and of its orthogonal
-    complement to H and V, so ``f_parallel`` / ``f_perp`` are the four-fold
-    probabilities with no V / no H photon at the receiver.  His conditional
-    density operator is reported in his analyzer frame (for g2 including the
-    pi/4 analyzer rotation), over events where his arm carries exactly one
-    photon, which at the default emission truncation is every four-fold
-    event.
+
+def _tally(config: ProtocolConfig) -> tuple:
+    """Propagate a run and tally it: ``(record, analyzer, empty_tol, receiver)``.
+
+    ``analyzer`` holds the rows of the receiver's analyzer rotation,
+    ``empty_tol`` the weight below which a probability counts as no event,
+    and ``receiver`` per sector in label order ``(state, h_one, v_one)`` for
+    ``_receiver_block``.  Raises the errors ``count_rates`` names.
     """
     wiring = WIRINGS[config.roles]
     frame = analyzer_frame(config.channel, config.roles)
@@ -460,8 +469,8 @@ def run_protocol(config: ProtocolConfig):
 
     f_par = f_perp = success = 0.0
     per_term: dict = {}
-    rho_acc = np.zeros((2, 2), dtype=complex)
-    rho_weight = 0.0
+    receiver = []
+    one_photon = False
     for label, (j, k) in sorted((f"{j}{j}{k}{k}", (j, k)) for j, k in weights):
         state = weights[(j, k)][0] * sectors[(j, k)]
         # the relative cut of the sparse states drops rounding residue
@@ -477,27 +486,63 @@ def run_protocol(config: ProtocolConfig):
         f_par += p_par
         f_perp += p_perp
         per_term[label] = p_par + p_perp
-        kept = np.stack([state[h_one], state[v_one]])
-        block = kept @ kept.conj().T
-        p_cond = float(block.trace().real)
-        if p_cond >= empty_tol:
-            rho_acc += block
-            rho_weight += p_cond
+        receiver.append((state, h_one, v_one))
+        if not one_photon:
+            # run_protocol adds a block of trace >= empty_tol to a weight that must be > 0
+            p_cond = float(_receiver_block(state, h_one, v_one).trace().real)
+            one_photon = p_cond >= empty_tol and p_cond > 0.0
 
     if not success > empty_tol:
         raise NoCoincidenceError(
             f"channel {config.channel}, action {config.action}, input ({config.input.alpha:.4g}, "
             f"{config.input.beta:.4g}), roles {config.roles}: cannot produce a four-fold "
             "coincidence; no configuration of the source terms clicks all four detectors")
-    if rho_weight <= 0.0:
+    if not one_photon:
         raise ProtocolError("every coincidence leaves more than one photon at "
                             "the receiver; no qubit state to report")
+    record = CountRecord(f_parallel=f_par, f_perp=f_perp,
+                         success_probability=success, per_term=per_term)
+    return record, analyzer, empty_tol, receiver
+
+
+def count_rates(config: ProtocolConfig) -> CountRecord:
+    """Propagate every coincidence-capable emission term through the setup.
+
+    The sector of j forward and k backward pairs, labelled by its spatial
+    signature "jjkk", leaves the optics matrix L as
+    kf^j kb^k (A'^dag)^j (B'^dag)^k |0> / (j! k!), a dense photon-number
+    vector (see the module docstring).  The analyzer rotation takes the
+    calibrated images of the input ket and of its orthogonal complement to H
+    and V, so ``f_parallel`` / ``f_perp`` are the four-fold probabilities with
+    no V / no H photon at the receiver.  A run that clicks no four-fold
+    coincidence raises ``NoCoincidenceError``, and one in which every
+    coincidence leaves the receiver more than one photon ``ProtocolError``,
+    as in ``run_protocol``; no receiver state is built.
+    """
+    return _tally(config)[0]
+
+
+def run_protocol(config: ProtocolConfig):
+    """``(count_rates(config), rho_receiver)``.
+
+    The receiver's conditional density operator is reported in his analyzer
+    frame (for g2 including the pi/4 analyzer rotation), over events where
+    his arm carries exactly one photon, which at the default emission
+    truncation is every four-fold event.
+    """
+    record, analyzer, empty_tol, receiver = _tally(config)
+    rho_acc = np.zeros((2, 2), dtype=complex)
+    rho_weight = 0.0
+    for state, h_one, v_one in receiver:
+        block = _receiver_block(state, h_one, v_one)
+        p_cond = float(block.trace().real)
+        if p_cond >= empty_tol:
+            rho_acc += block
+            rho_weight += p_cond
     # back from the analyzer's (parallel, orthogonal) basis to H/V
     rho = analyzer.conj().T @ (rho_acc / rho_weight) @ analyzer
     if config.channel == "g2":
         rho = PAULI_X @ rho @ PAULI_X
-    record = CountRecord(f_parallel=f_par, f_perp=f_perp,
-                         success_probability=success, per_term=per_term)
     return record, rho
 
 
@@ -558,7 +603,7 @@ def emulate_mixture(config: ProtocolConfig, p: float) -> CountRecord:
     halves, empty = [], []
     for channel in ("g1", "g2"):
         try:
-            halves.append(run_protocol(replace(config, channel=channel))[0])
+            halves.append(count_rates(replace(config, channel=channel)))
         except NoCoincidenceError as exc:
             empty.append(exc)
             halves.append(CountRecord(0.0, 0.0, 0.0, {}))

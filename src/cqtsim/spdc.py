@@ -133,10 +133,10 @@ def sector_rates(params: SourceParams, config) -> dict:
     Sectors are incoherent alternatives at the detection level, so each is
     propagated on its own; only the truncation order of ``params`` counts.
     """
-    from .protocol import run_protocol
+    from .protocol import count_rates
 
     ref = replace(params, kappa_forward=REFERENCE_KAPPA, kappa_backward=REFERENCE_KAPPA)
-    return run_protocol(replace(config, source=ref))[0].per_term
+    return count_rates(replace(config, source=ref)).per_term
 
 
 def sector_shares(rates: dict, kappa_forward: complex, kappa_backward: complex) -> dict:
@@ -231,11 +231,16 @@ def fit_source_ratio(targets: dict, rates: dict) -> RatioFit:
     configuration as one stacked array, with the same bits as
     ``sector_shares``.  Each grid minimum is refined by zooming: a 21-point
     grid over the bracket of its two neighbours gives the next, down to a
-    bracket of 1e-12 in log R.  Other minima whose cost also reaches zero
-    (below ``_ROOT_COST``) are reported as ``other_roots``: the targets then
-    cannot tell those ratios apart.  ``reachable`` gives, per label, the smallest and largest share
-    over the grid and the fitted ratio; a target outside it is one that no
-    ratio in ``RATIO_BOUNDS`` reaches.  A target set that is empty, or a
+    bracket of 1e-12 in log R.  The best minimum and every other local
+    minimum are zoomed together, one ``shares`` evaluation over the
+    concatenated grids of all live brackets per step, and a basin leaves
+    once its bracket is that narrow; shares and cost are computed per point,
+    so each basin ends on the bits of a zoom of its own.  Other minima whose
+    cost also reaches zero (below ``_ROOT_COST``) are reported as
+    ``other_roots``: the targets then cannot tell those ratios apart.
+    ``reachable`` gives, per label, the smallest and largest share over the
+    grid and the fitted ratio; a target outside it is one that no ratio in
+    ``RATIO_BOUNDS`` reaches.  A target set that is empty, or a
     target that has no rates or is not a real number in [0, 1], raises
     ValueError.
     """
@@ -263,20 +268,33 @@ def fit_source_ratio(targets: dict, rates: dict) -> RatioFit:
     # minimizer free: detect a flat cost and flag the fit as unconstrained
     constrained = bool(costs.max() - costs.min() > 1e-18)
 
-    def refine(i: int) -> tuple:
-        xs, zoom = grid, costs
+    def refine(starts: list) -> list:
+        """``(log R, cost)`` at the bottom of the basin of each grid index in
+        ``starts``, zoomed together: each step evaluates the 21-point grids
+        of every live bracket in one call, and a basin leaves once its
+        bracket is 1e-12 wide."""
+        found = [None] * len(starts)
+        live = [(n, grid, costs, i) for n, i in enumerate(starts)]
         while True:
-            lo, hi = xs.item(max(i - 1, 0)), xs.item(min(i + 1, xs.size - 1))
-            if hi - lo <= 1e-12:
-                return xs.item(i), zoom.item(i)
-            # the points of np.linspace(lo, hi, 21), with Python float ends
-            xs = _ZOOM_STEPS * ((hi - lo) / 20) + lo
-            xs[-1] = hi
-            zoom = cost(shares(xs))
-            i = int(zoom.argmin())
+            brackets = []
+            for n, xs, zoom, i in live:
+                lo, hi = xs.item(max(i - 1, 0)), xs.item(min(i + 1, xs.size - 1))
+                if hi - lo <= 1e-12:
+                    found[n] = xs.item(i), zoom.item(i)
+                    continue
+                # the points of np.linspace(lo, hi, 21), with Python float ends
+                xs = _ZOOM_STEPS * ((hi - lo) / 20) + lo
+                xs[-1] = hi
+                brackets.append((n, xs))
+            if not brackets:
+                return found
+            zooms = cost(shares(np.concatenate([xs for _, xs in brackets])))
+            live = [(n, xs, zoom, int(zoom.argmin()))
+                    for (n, xs), zoom in zip(brackets, zooms.reshape(len(brackets), -1))]
 
-    ratio = math.exp(refine(best)[0])
-    others = [refine(i) for i in _local_minima(costs) if i != best] if constrained else []
+    minima = [int(i) for i in _local_minima(costs) if i != best] if constrained else []
+    (log_ratio, _), *others = refine([best] + minima)
+    ratio = math.exp(log_ratio)
     achieved = {k: sector_shares(rates[k], REFERENCE_KAPPA, REFERENCE_KAPPA * ratio)["undesired"]
                 for k in labels}
     residuals = {k: achieved[k] - targets[k] for k in labels}

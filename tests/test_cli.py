@@ -457,8 +457,8 @@ def test_bad_mix_p_exits_2_before_propagating(p, monkeypatch, capsys):
     def forbidden(cfg):
         raise AssertionError("propagated before checking --mix-p")
 
-    monkeypatch.setattr(cli, "run_protocol", forbidden)
-    monkeypatch.setattr(protocol, "run_protocol", forbidden)
+    monkeypatch.setattr(cli, "count_rates", forbidden)
+    monkeypatch.setattr(protocol, "count_rates", forbidden)
     assert run_cli(["run", "--channel", "mix", "--mix-p", p, "--kappa-forward", "0.1",
                     "--truncation-order", "5"]) == 2
     captured = capsys.readouterr()
@@ -623,6 +623,75 @@ def test_out_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("CQTSIM_OUT_DIR", str(tmp_path))
     assert run_cli(["reproduce", "table1", "--out", "deep/table.csv"]) == 0
     assert (tmp_path / "deep" / "table.csv").exists()
+
+
+def test_out_path_below_a_file_is_a_usage_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n", encoding="utf-8")
+    out = blocker / "out.csv"
+    assert run_cli(["reproduce", "table1", "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write output {out}: ")
+    assert captured.err.count("\n") == 1
+    assert read_text(blocker) == "kept\n"
+
+
+def test_out_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
+    assert run_cli(["run", "--ideal", "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot write output {tmp_path}: ")
+    assert "Is a directory" in captured.err and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, reason", [
+    (b"vm\n", "MissingSectionHeaderError at line 1"),
+    (b"[run]\n" + b"# padding\n" * 1000 + b"ideal = \xff\n", "UnicodeDecodeError"),
+], ids=["no header", "not utf-8"])
+def test_unreadable_config_is_one_line_without_its_text(text, reason, tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(text)
+    assert run_cli(["run", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot read config {cfg}: {reason}\n"
+
+
+PURE_PLUS = {"h": 0, "v": 0, "plus": 100, "minus": 0, "r": 0, "l": 0}
+
+
+@pytest.mark.parametrize("fmt, line", [("csv", "fidelity_std,0"),
+                                       ("json", '  "fidelity_std": 0.0,')])
+def test_tomo_prints_a_spread_of_rounding_noise_as_zero(fmt, line, tmp_path, capsys):
+    # every resample of a pure table fits the same state, up to rounding,
+    # which printed as fidelity_std 1.11e-16 before
+    counts = tmp_path / "pure.csv"
+    write_counts(counts, PURE_PLUS)
+    argv = ["tomo", "--counts", str(counts), "--target=plus", "--weight", "0",
+            "--resamples", "100", "--seed", "6", "--format", fmt]
+    assert run_cli(argv) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
+def test_tomo_full_precision_prints_the_spread_as_computed(tmp_path, capsys):
+    from cqtsim.estimation import read_counts_csv, resampled_tomography
+
+    counts = tmp_path / "pure.csv"
+    write_counts(counts, PURE_PLUS)
+    assert run_cli(["tomo", "--counts", str(counts), "--target=plus", "--weight", "0",
+                    "--resamples", "100", "--seed", "6", "--full-precision"]) == 0
+    _, estimate = resampled_tomography(read_counts_csv(counts), KET_D, 6, 100)
+    assert 0.0 < estimate.uncertainty < 1e-15
+    assert f"fidelity_std,{estimate.uncertainty!r}" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("fmt, line", [("csv", "fidelity_std,0.004805"),
+                                       ("json", '  "fidelity_std": 0.004805,')])
+def test_tomo_prints_a_real_spread_as_before(fmt, line, tmp_path, capsys):
+    # the line as printed before the spread took a fixed resolution
+    assert run_cli(tomo_argv(tmp_path, "axial", fmt, "100")) == 0
+    assert line in capsys.readouterr().out.splitlines()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -952,8 +1021,8 @@ def test_truncation_order_cap(monkeypatch, capsys):
 
     orders = []
     record = CountRecord(0.75, 0.25, 1.0, {})
-    monkeypatch.setattr(cli, "run_protocol", lambda cfg: (
-        orders.append(cfg.source.truncation_order) or (record, np.eye(2) / 2)))
+    monkeypatch.setattr(cli, "count_rates", lambda cfg: (
+        orders.append(cfg.source.truncation_order) or record))
     argv = ["run", "--kappa-forward", "0.1", "--truncation-order"]
     assert run_cli(argv + ["5"]) == 0
     assert run_cli(argv + ["6"]) == 2
@@ -1014,9 +1083,9 @@ def test_run_full_precision_prints_the_record(extra, monkeypatch, capsys):
     from cqtsim.spdc import SourceParams
 
     records = []
-    run_protocol = cli.run_protocol
-    monkeypatch.setattr(cli, "run_protocol", lambda cfg: records.append(
-        run_protocol(cfg)[0]) or (records[-1], None))
+    count_rates = cli.count_rates
+    monkeypatch.setattr(cli, "count_rates", lambda cfg: records.append(
+        count_rates(cfg)) or records[-1])
     assert run_cli(["run", "--kappa-forward", "0.1", "--kappa-backward", "0.055",
                     "--pbs-epsilon", "0.05", "--full-precision", *extra]) == 0
     row = capsys.readouterr().out.splitlines()[-1].split(",")
@@ -1162,8 +1231,8 @@ def _count_propagations(monkeypatch):
     from cqtsim import protocol
 
     calls = []
-    propagate = protocol.run_protocol
-    monkeypatch.setattr(protocol, "run_protocol",
+    propagate = protocol.count_rates
+    monkeypatch.setattr(protocol, "count_rates",
                         lambda cfg: calls.append((cfg.channel, cfg.action)) or propagate(cfg))
     return calls
 

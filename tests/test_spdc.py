@@ -515,6 +515,60 @@ def test_fit_keeps_every_bit_of_the_reference_zoom():
             reference_fit_source_ratio(targets, rates))
 
 
+def ratio_targets(eps, input_name, ratio):
+    rates = fit_rates(eps, input_name)
+    return {label: sector_shares(r, 0.05, 0.05 * ratio)["undesired"]
+            for label, r in rates.items()}, rates
+
+
+def exact_root_targets():
+    params = SourceParams(kappa_forward=0.05, kappa_backward=0.2)
+    return ({label: heralded_fraction(params, fit_configs(label, 0.001, "h"))["undesired"]
+             for label in ("uncontrolled", "allowed", "denied")}, fit_rates(0.001, "h"))
+
+
+# target sets, the grid indices of their cost's local minima with the best
+# first, and the shares evaluations of the fit: the grid's and one per zoom
+# step of the basin that zooms longest (11 steps inside the grid, 8 at its
+# ends, where the first bracket is one grid step wide, not two)
+BASIN_CASES = {
+    "one basin": (lambda: ratio_targets(0.05, "plus", 0.3), [268], 12),
+    "two basins": (lambda: ratio_targets(0.05, "plus", 2.0), [357, 229], 12),
+    "minimum at index 400": (lambda: ratio_targets(0.05, "plus", 0.01), [108, 400], 12),
+    "minima at both ends": (lambda: ({label: 1.0 for label in fit_rates()}, fit_rates()),
+                            [0, 400], 9),
+    "second exact root": (exact_root_targets, [243, 390], 12),
+}
+
+
+@pytest.mark.parametrize("case", BASIN_CASES)
+def test_joint_zoom_keeps_every_bit_of_the_reference(case, monkeypatch):
+    make, minima, evaluations = BASIN_CASES[case]
+    targets, rates = make()
+    labels = list(targets)
+    grid = np.linspace(math.log(RATIO_BOUNDS[0]), math.log(RATIO_BOUNDS[1]), _GRID_POINTS)
+    goal = np.array([targets[k] for k in labels])[:, None]
+    costs = ((_undesired_shares([rates[k] for k in labels])(grid) - goal) ** 2).sum(axis=0)
+    best = int(costs.argmin())
+    assert [best] + [int(i) for i in _local_minima(costs) if i != best] == minima
+
+    from cqtsim import spdc
+
+    calls = []
+    undesired_shares = spdc._undesired_shares
+
+    def counted(rate_list):
+        shares = undesired_shares(rate_list)
+        return lambda log_r: calls.append(log_r.size) or shares(log_r)
+
+    monkeypatch.setattr(spdc, "_undesired_shares", counted)
+    fit = fit_source_ratio(targets, rates)
+    assert repr(fit) == repr(reference_fit_source_ratio(targets, rates))
+    assert len(calls) == evaluations
+    assert calls[0] == _GRID_POINTS and calls[1] == 21 * len(minima)
+    assert len(fit.other_roots) == (case == "second exact root")
+
+
 @pytest.mark.parametrize("targets, message", [
     ({"allowed": math.nan, "denied": 0.3}, "target 'allowed' must be a share in [0, 1], got nan"),
     ({"allowed": 0.5, "denied": math.inf}, "target 'denied' must be a share in [0, 1], got inf"),
