@@ -1,16 +1,16 @@
 """Linear-optical simulation of controlled quantum teleportation.
 
 Builds the four-photon experiment from the emission source up: Fock-level
-states, optical elements as creation-operator substitutions, the GHZ
-preparation and singlet projection, the controller's allow/deny measurement,
-qubit-level channel analysis (GHZ mixtures and noisy channels), and the
+states, optical elements as local matrices applied by creation-operator
+substitution, the GHZ preparation and singlet projection, the controller's
+allow/deny measurement, qubit-level channel analysis (GHZ mixtures and noisy channels), and the
 statistical layer (count-ratio fidelities, maximum-likelihood tomography,
 background subtraction, Poisson uncertainties).
 """
 
 from .channels import (ConditionalChannel, avg_teleport_fidelity, condition_on_controller,
                        make_ghz_mixture, make_werner, teleport_fidelity, werner_scan)
-from .elements import OpticalElement, apply, port_element
+from .elements import apply
 from .estimation import (FidelityEstimate, MLResult, ProjectionCounts,
                          corrected_fidelity, correct_for_background,
                          fidelity_from_counts, ml_reconstruct,

@@ -1,16 +1,13 @@
-"""Optical components modeled as substitution rules on photon creation operators.
-
-Each element maps the creation operator of every input mode to a linear
-combination over output modes.  Applying an element rewrites every term of
-a state one photon at a time: each input photon is created again as its
-output combination, with the sqrt(n + 1) of a creation operator, which
-reproduces bosonic enhancement and two-photon interference for free.
+"""Optical components as local matrices, applied to sparse states by
+creation-operator substitution.
 
 Every component is written once, as a local matrix over the H and V modes
-of the spatial modes it acts on (``hwp_matrix``, ``pbs_matrix``, ...).
-``protocol`` multiplies such blocks into one dense matrix, the only
-composition of optics in the package, and ``port_element(spatials,
-matrix)`` turns a block of it into an element.
+of the spatial modes it acts on (``hwp_matrix``, ``pbs_matrix``, ...), and
+an element is the block ``(spatials, matrix)``.  ``protocol`` multiplies
+blocks into one dense matrix, the only composition of optics in the
+package.  ``apply`` rewrites a sparse state one photon at a time, with the
+sqrt(n + 1) of a creation operator, which reproduces bosonic enhancement
+and two-photon interference for free.
 
 Conventions, fixed once for the whole package:
 
@@ -28,29 +25,11 @@ in the tests reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+import operator
 
 import numpy as np
 
-from .fock import H, PureState, V, _create, mode, unit_pair
-
-
-@dataclass
-class OpticalElement:
-    """A creation-operator substitution: mode -> {mode: amplitude}.
-
-    Building the element validates and normalises every input and output
-    mode with ``fock.mode``, so a bad mode raises ``ValueError`` here, and
-    turns every amplitude into a Python complex.  ``apply`` hands the terms
-    it creates to ``PureState``, which canonicalises their keys.
-    """
-
-    mapping: dict
-
-    def __post_init__(self):
-        self.mapping = {mode(*m): {mode(*k): complex(u) for k, u in outs.items()}
-                        for m, outs in self.mapping.items()}
+from .fock import H, PureState, V, _create, unit_pair
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -104,36 +83,39 @@ def pbs_matrix(epsilon: float = 0.0) -> np.ndarray:
     return np.array([[t, 0, r, 0], [0, 0, 0, 1j], [r, 0, t, 0], [0, 1j, 0, 0]], dtype=complex)
 
 
-def port_element(spatials: Sequence[int], matrix: np.ndarray) -> OpticalElement:
-    """The element of a local matrix over the H and V modes of ``spatials``.
+def apply(block: tuple, state: PureState) -> PureState:
+    """Apply the element ``block = (spatials, matrix)`` to a sparse state.
 
     The modes are ordered (s1, H), (s1, V), (s2, H), ...; column q of
     ``matrix`` is the image of input mode q, so its creation operator becomes
     sum_k matrix[k, q] times that of output mode k.  Exact zeros are dropped:
-    a mode whose column vanishes is absorbed and maps to nothing.
-    """
-    modes = [(s, p) for s in spatials for p in (H, V)]
-    matrix = np.asarray(matrix, dtype=complex)
-    if matrix.shape != (len(modes), len(modes)) or len(set(spatials)) != len(spatials):
-        raise ValueError(f"a {matrix.shape} matrix does not act on spatial modes "
-                         f"{tuple(spatials)}")
-    if not np.isfinite(matrix).all():
-        raise ValueError("matrix must be finite")
-    return OpticalElement({m: {k: u for k, u in zip(modes, matrix[:, q]) if u != 0}
-                           for q, m in enumerate(modes)})
-
-
-def apply(element: OpticalElement, state: PureState) -> PureState:
-    """Apply an element to a state by creation-operator substitution.
+    a mode whose column vanishes is absorbed and maps to nothing.  A matrix
+    that is not finite or does not fit distinct integer spatial modes raises
+    ``ValueError``.
 
     A term c * prod_m (a_m^dag)^{n_m} / sqrt(n_m!) |0> starts as the ket of
     its untouched modes, divided by sqrt(n_m!) for every substituted mode;
     then each substituted photon in turn is created as its output
-    combination.  A photon sent into an occupied mode, untouched or not,
-    picks up the bosonic enhancement, and a photon in a mode that maps to no
-    output is absorbed, so its term drops out.
+    combination.  A photon sent into an occupied mode picks up the bosonic
+    enhancement, and one in an absorbed mode drops its term.
     """
-    sub = element.mapping
+    spatials, matrix = block
+    matrix = np.asarray(matrix, dtype=complex)
+    size = 2 * len(spatials)
+    if matrix.shape != (size, size) or len(set(spatials)) != len(spatials):
+        raise ValueError(f"a {matrix.shape} matrix does not act on spatial modes "
+                         f"{tuple(spatials)}")
+    if not np.isfinite(matrix).all():
+        raise ValueError("matrix must be finite")
+    modes = []
+    for s in spatials:
+        try:
+            index = operator.index(s)
+        except TypeError:
+            raise ValueError(f"spatial index must be an integer, got {s!r}") from None
+        modes += [(index, H), (index, V)]
+    sub = {m: [(k, complex(u)) for k, u in zip(modes, matrix[:, q]) if u != 0]
+           for q, m in enumerate(modes)}
     out: dict = {}
     for occ, amp in state.terms.items():
         affected = [(m, n) for m, n in occ if m in sub]
@@ -142,7 +124,7 @@ def apply(element: OpticalElement, state: PureState) -> PureState:
         ket = {tuple(mn for mn in occ if mn[0] not in sub): amp}
         for m, n in affected:
             for _ in range(n):
-                ket = _create(ket, sub[m].items())
+                ket = _create(ket, sub[m])
         for key, a in ket.items():
             out[key] = out.get(key, 0.0j) + a
     return PureState(out)

@@ -129,7 +129,7 @@ def _mul2(a, b):
 
 
 def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
-               max_iterations: int, keep_trace: bool = False):
+               max_iterations: int):
     """Diluted R rho R iteration on a stack of count tables.
 
     ``projectors`` (m, 2, 2) are shared by every table, ``tables`` (n, m)
@@ -154,8 +154,8 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
     without it.
 
     Returns ``(rho (n, 2, 2), converged (n,), iterations (n,), trace)``;
-    ``trace`` holds table 0's log-likelihood after every accepted step when
-    ``keep_trace`` is set, else None; no other table is traced.  A ``tol``
+    ``trace`` holds table 0's log-likelihood after every accepted step; no
+    other table is traced.  A ``tol``
     that is NaN or negative or a ``max_iterations`` that is not an integer
     of at least 1 raises ValueError.
     """
@@ -204,7 +204,7 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
     active, rho, counts = np.arange(n), rho_out.copy(), tables
     nonzero, totals = counts > 0, counts.sum(axis=1)
     ll, safe = evaluate(rho, counts, nonzero, active)
-    trace = [float(v) for v in ll[:1]] if keep_trace else None
+    trace = [float(v) for v in ll[:1]]
     for iteration in range(1, max_iterations + 1):
         if active.size == 0:
             break
@@ -248,7 +248,7 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
         rho, ll = new_rho, np.maximum(new_ll, ll)
         done = accepted & (delta < tol * np.maximum(1.0, np.abs(ll)))
         converged[active[done]] = True
-        if keep_trace and active[0] == 0 and accepted[0]:
+        if active[0] == 0 and accepted[0]:
             trace.append(float(ll[0]))
         stay = accepted & ~done
         if not stay.all():
@@ -287,8 +287,7 @@ def _ml_fit(counts: ProjectionCounts, resamples: np.ndarray, tol, max_iterations
     if not 1.0 <= ns.max() <= ML_RESCALE_ABOVE:
         ns = ns / ns.max()
     rho, converged, iterations, trace = _ml_kernel(
-        np.array(counts.projectors()), np.vstack([ns, resamples]), tol, max_iterations,
-        keep_trace=True)
+        np.array(counts.projectors()), np.vstack([ns, resamples]), tol, max_iterations)
     return MLResult(rho=rho[0], converged=bool(converged[0]), iterations=int(iterations[0]),
                     log_likelihoods=trace), rho[1:]
 
@@ -361,7 +360,8 @@ def correct_for_background(raw: np.ndarray, w: float) -> np.ndarray:
     small negative eigenvalues are clipped to zero (with a warning) in the
     matrices that have them; an eigenvalue below -1e-3 in any matrix raises
     NonPhysicalError, which counts the matrices that have one.  A non-finite
-    entry raises ValueError.
+    entry or a matrix that is not Hermitian, within 1e-9 of its largest
+    entry, raises ValueError.
 
     Only a matrix with a negative eigenvalue changes.  For d = 2 the lowest
     eigenvalue has a closed form, good to a few units of double precision of
@@ -373,6 +373,9 @@ def correct_for_background(raw: np.ndarray, w: float) -> np.ndarray:
     raw = np.asarray(raw, dtype=complex)
     if not np.isfinite(raw).all():
         raise ValueError("density matrices must be finite")
+    skew = np.abs(raw - np.swapaxes(raw.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
+    if np.any(skew > 1e-9 * np.abs(raw).max(axis=(-2, -1), initial=0.0)):
+        raise ValueError("density matrices must be Hermitian")
     dim = raw.shape[-1]
     out = (raw - w * np.eye(dim) / dim) / (1.0 - w)
     out = 0.5 * (out + np.swapaxes(out.conj(), -1, -2))

@@ -1,17 +1,17 @@
 """Sparse Fock-state machinery for polarization-encoded photonic modes.
 
-A mode is a ``(spatial, polarization)`` pair, a basis state is a sparse
-occupation vector over modes, and a pure state is a complex superposition
-of basis states, held as a plain dict keyed by canonical occupation tuples.
-The stage operations ``protocol.prepare_ghz`` and ``singlet_projection`` and
-the tests' oracles for the dense engine work on these states, which take any
-modes and stay small.  ``project`` post-selects a state with any predicate on
-its occupation keys; each stage operation writes its own.
+A mode is a ``(spatial, polarization)`` pair of an integer index and 'H' or
+'V', a basis state is a sparse occupation vector over modes, and a pure
+state is a complex superposition of basis states, held as a plain dict keyed
+by canonical occupation tuples.  ``elements.apply`` rewrites these states
+one photon at a time for the stage operations ``protocol.prepare_ghz`` and
+``singlet_projection`` and the tests' sparse reference engine.  ``project``
+post-selects a state with any predicate on its occupation keys.
 
-Every sparse state is built by ``PureState(...)``, which canonicalises its
-keys through ``occupation``, so no code outside this module needs to know
-what a canonical key is.  A protocol run, its analyzer calibration included,
-builds no sparse state.
+Every sparse state is built by ``PureState(...)``, which canonicalises and
+checks its keys through ``occupation``, so no code outside this module needs
+to know what a canonical key is.  A protocol run, its analyzer calibration
+included, builds no sparse state: it propagates dense vectors.
 
 Qubit encoding used throughout the package: |H> -> basis 0, |V> -> basis 1.
 """
@@ -130,24 +130,22 @@ def basis_pairs(basis: str) -> tuple:
     raise ValueError(f"unknown basis {basis!r}")
 
 
-def mode(spatial: int, pol: str) -> tuple:
-    """Validated mode ``(spatial, pol)``: an integer index and 'H' or 'V'."""
-    if pol not in POLARIZATIONS:
-        raise ValueError(f"polarization must be 'H' or 'V', got {pol!r}")
-    try:
-        return (operator.index(spatial), pol)
-    except TypeError:
-        raise ValueError(f"spatial index must be an integer, got {spatial!r}") from None
-
-
 def occupation(counts) -> tuple:
-    """Canonical occupation key: sorted ((spatial, pol), n) pairs, zeros dropped."""
+    """Canonical occupation key: sorted ((spatial, pol), n) pairs, zeros dropped.
+
+    Every mode is validated: an integer spatial index and 'H' or 'V'.
+    """
     if isinstance(counts, Mapping):
         counts = counts.items()
     merged: dict = {}
     for m, n in counts:
         spatial, pol = m
-        key = mode(spatial, pol)
+        if pol not in POLARIZATIONS:
+            raise ValueError(f"polarization must be 'H' or 'V', got {pol!r}")
+        try:
+            key = (operator.index(spatial), pol)
+        except TypeError:
+            raise ValueError(f"spatial index must be an integer, got {spatial!r}") from None
         try:
             n = operator.index(n)
         except TypeError:
@@ -291,28 +289,19 @@ def to_qubit_density(state: PureState, spatials: Sequence[int]) -> np.ndarray:
     trace-normalized.
     """
     spatials = list(spatials)
-    n = len(spatials)
-    dim = 2 ** n
+    dim = 2 ** len(spatials)
     vectors: dict = {}
     for occ, amp in state.terms.items():
         counts = spatial_counts(occ)
         idx = 0
-        env = []
-        for (spatial, pol), cnt in occ:
-            if spatial not in spatials:
-                env.append(((spatial, pol), cnt))
         for s in spatials:
             if counts.get(s, 0) != 1:
                 raise SectorError(
                     f"spatial mode {s} carries {counts.get(s, 0)} photons in a term; "
                     "post-select the one-photon sector first")
-        for s in spatials:
-            bit = 1 if ((s, V), 1) in occ else 0
-            idx = (idx << 1) | bit
-        key = tuple(env)
-        if key not in vectors:
-            vectors[key] = np.zeros(dim, dtype=complex)
-        vectors[key][idx] += amp
+            idx = (idx << 1) | (((s, V), 1) in occ)
+        env = tuple(mn for mn in occ if mn[0][0] not in spatials)
+        vectors.setdefault(env, np.zeros(dim, dtype=complex))[idx] += amp
     rho = np.zeros((dim, dim), dtype=complex)
     for vec in vectors.values():
         rho += np.outer(vec, vec.conj())
@@ -323,14 +312,16 @@ def to_qubit_density(state: PureState, spatials: Sequence[int]) -> np.ndarray:
 
 
 def fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
-    """Overlap <psi|rho|psi> of a single-qubit density operator with a unit ket."""
+    """Overlap <psi|rho|psi> of a unit ket with ``rho``, which must be a finite,
+    Hermitian 2x2 matrix of unit trace, each within 1e-9, or ValueError."""
     rho = np.asarray(rho, dtype=complex)
     psi = unit_ket(psi, "psi")
     if rho.shape != (2, 2):
         raise ValueError(f"dimension mismatch: rho {rho.shape}, psi {psi.shape}")
     if not np.isfinite(rho).all():
         raise ValueError("rho must be finite")
-    val = complex(psi.conj() @ rho @ psi)
-    if abs(val.imag) > 1e-12:
-        raise ValueError(f"fidelity has non-negligible imaginary part {val.imag:g}")
-    return float(val.real)
+    if np.abs(rho - rho.conj().T).max() > 1e-9:
+        raise ValueError("rho must be Hermitian")
+    if abs(np.trace(rho) - 1.0) > 1e-9:
+        raise ValueError(f"rho must have unit trace, got {np.trace(rho).real:g}")
+    return float(complex(psi.conj() @ rho @ psi).real)

@@ -47,9 +47,9 @@ receiver's 2x2 block sector by sector only until one leaves him a photon.
 analyzer frame, so the callers that need only the rates (``cli``'s ``run``,
 ``emulate_mixture`` and ``spdc.sector_rates``) build no receiver state.
 
-The stage operations ``prepare_ghz`` and ``singlet_projection`` apply the
-same blocks to the sparse states of ``fock`` as elements made with
-``elements.port_element``.
+The stage operations ``prepare_ghz`` and ``singlet_projection`` hand the
+same kind of block to ``elements.apply``, which applies it to a sparse
+state of ``fock``.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ import numpy as np
 
 from .channels import PAULI_X
 from .elements import (apply, balanced_bs_matrix, hwp_matrix, pbs_matrix, phase_matrix,
-                       polarizer_matrix, port_element)
+                       polarizer_matrix)
 from .estimation import fidelity_from_counts
 from .fock import (H, V, KET_D, KET_H, KET_R, PRUNE_THRESHOLD, PureState, SectorError,
                    parse_ket, project, spatial_counts, unit_ket)
@@ -190,7 +190,7 @@ def _station_blocks(config: ProtocolConfig) -> list:
     """The optics of one run, in order, as ``(spatial modes, local matrix)`` blocks.
 
     A block's matrix acts on the H and V modes of its spatial modes, ordered
-    (s1, H), (s1, V), (s2, H), ... as in ``elements.port_element``.  The
+    (s1, H), (s1, V), (s2, H), ... as in ``elements.apply``.  The
     encoder ``_encoder_exact`` takes the input mode's H, which no earlier block
     touches, to the input ket; the controller's polarizer comes last unless
     the action is "none".
@@ -560,7 +560,7 @@ def prepare_ghz(source_state: PureState, pbs_epsilon: float = 0.0,
     """
     lin = _optics_matrix(_ghz_blocks("g2" if g2 else "g1", pbs_epsilon))
     rows = _block_rows((1, 2, 3))
-    out = apply(port_element((1, 2, 3), lin[rows][:, rows]), source_state)
+    out = apply(((1, 2, 3), lin[rows][:, rows]), source_state)
 
     def one_each(occ):
         counts = spatial_counts(occ)
@@ -579,7 +579,7 @@ def singlet_projection(state: PureState):
     Returns ``(conditional_state, probability)``; the conditional is ``None``
     when anti-bunching never occurs (bunching-only inputs).
     """
-    out = apply(port_element((1, INPUT_MODE), _FIBER_BS), state)
+    out = apply(((1, INPUT_MODE), _FIBER_BS), state)
 
     def anti_bunched(occ):
         counts = spatial_counts(occ)

@@ -2,13 +2,16 @@
 
 Each was a function of ``cqtsim`` with no caller in the package, its README
 or its benchmark; the tests use them as references and as builders of small
-states and elements, unchanged.  ``compose`` chains elements as substitution
-maps: the tests use it as the oracle of ``protocol``'s optics matrix and of
-``protocol.prepare_ghz``.  ``reference_ml_kernel`` is
-``estimation._ml_kernel`` as it was before it kept each table's state
-between steps, copied verbatim with the (n, 2, 2) ``_mul2`` it called: the
-bit-for-bit oracle of the kernel, which now holds its states as (2, 2, n)
-stacks.
+states, unchanged.  ``substitution_map`` and ``apply_map`` are the sparse
+element and ``elements.apply`` as they were before ``apply`` took the
+``(spatials, matrix)`` block itself, copied verbatim on a plain dict
+mode -> {mode: amplitude}: the bit-for-bit oracle of ``apply``.
+``compose`` chains such maps: the tests use it as the oracle of
+``protocol``'s optics matrix and of ``protocol.prepare_ghz``.
+``reference_ml_kernel`` is ``estimation._ml_kernel`` as it was before it
+kept each table's state between steps, copied verbatim with the (n, 2, 2)
+``_mul2`` it called: the bit-for-bit oracle of the kernel, which now holds
+its states as (2, 2, n) stacks.
 ``reference_poisson_tomography`` is ``estimation.poisson_uncertainty`` on a
 ``ProjectionCounts`` as it was before the observed table joined its resamples
 in one kernel run, copied verbatim with ``reference_ml_kernel`` as its kernel
@@ -36,6 +39,7 @@ outcome, in the expression the teleportation averages' docstring gives.
 """
 
 import math
+import operator
 import warnings
 from typing import Callable, Iterable, Sequence
 
@@ -43,10 +47,10 @@ import numpy as np
 
 from cqtsim import protocol
 from cqtsim.channels import PAULI_X
-from cqtsim.elements import OpticalElement, phase_matrix, port_element
+from cqtsim.elements import phase_matrix
 from cqtsim.estimation import (ML_MAX_ITERATIONS, ML_TOL, FidelityEstimate, NonPhysicalError,
                                ProjectionCounts, _check_poisson_mean, correct_for_background)
-from cqtsim.fock import H, V, PureState, spatial_counts, unit_ket
+from cqtsim.fock import H, V, PureState, _create, spatial_counts, unit_ket
 from cqtsim.spdc import (_GRID_POINTS, _ROOT_COST, BACKWARD_MODES, FORWARD_MODES,
                          RATIO_BOUNDS, REFERENCE_KAPPA, RatioFit, _local_minima,
                          emission_orders, sector_shares)
@@ -104,28 +108,64 @@ def two_mode_spdc(kappa: complex, truncation_order: int = 2,
     return PureState(terms).normalized()
 
 
-def compose(elements: Sequence[OpticalElement]) -> OpticalElement:
-    """One substitution map equal to applying ``elements`` in order.
+def substitution_map(spatials, matrix) -> dict:
+    """The map mode -> {mode: amplitude} of the block ``(spatials, matrix)``:
+    column q of ``matrix`` is the image of mode q of (s1, H), (s1, V), ...,
+    exact zeros dropped, modes and amplitudes normalised."""
+    modes = [(s, p) for s in spatials for p in (H, V)]
+    matrix = np.asarray(matrix, dtype=complex)
+    mapping = {m: {k: u for k, u in zip(modes, matrix[:, q]) if u != 0}
+               for q, m in enumerate(modes)}
+    return {(operator.index(m[0]), m[1]): {(operator.index(k[0]), k[1]): complex(u)
+                                           for k, u in outs.items()}
+            for m, outs in mapping.items()}
+
+
+def apply_map(mapping: dict, state: PureState) -> PureState:
+    """Apply a substitution map to a state, one photon at a time."""
+    sub = mapping
+    out: dict = {}
+    for occ, amp in state.terms.items():
+        affected = [(m, n) for m, n in occ if m in sub]
+        for _, n in affected:
+            amp /= math.sqrt(math.factorial(n))
+        ket = {tuple(mn for mn in occ if mn[0] not in sub): amp}
+        for m, n in affected:
+            for _ in range(n):
+                ket = _create(ket, sub[m].items())
+        for key, a in ket.items():
+            out[key] = out.get(key, 0.0j) + a
+    return PureState(out)
+
+
+def compose(maps: Sequence[dict]) -> dict:
+    """One substitution map equal to applying ``maps`` in order.
 
     Exact zeros are dropped: a mode that every path absorbs maps to nothing.
     """
     mapping: dict = {}
-    for el in elements:
+    for el in maps:
         for m, outs in mapping.items():
             chained: dict = {}
             for k, u in outs.items():
-                for j, w in el.mapping.get(k, {k: 1.0}).items():
+                for j, w in el.get(k, {k: 1.0}).items():
                     chained[j] = chained.get(j, 0.0j) + u * w
             mapping[m] = chained
-        for m, outs in el.mapping.items():
+        for m, outs in el.items():
             mapping.setdefault(m, dict(outs))
-    mapping = {m: {k: u for k, u in outs.items() if u != 0} for m, outs in mapping.items()}
-    return OpticalElement(mapping)
+    return {m: {k: complex(u) for k, u in outs.items() if u != 0}
+            for m, outs in mapping.items()}
 
 
-def block_elements(blocks) -> list:
-    """The blocks as sparse substitution elements, in the same order."""
-    return [port_element(spatials, matrix) for spatials, matrix in blocks]
+def block_maps(blocks) -> list:
+    """The ``(spatials, matrix)`` blocks as substitution maps, in the same order."""
+    return [substitution_map(spatials, matrix) for spatials, matrix in blocks]
+
+
+def assert_same_bits(got: PureState, want: PureState) -> None:
+    """The same keys with the same amplitudes, sign of zero included, in the
+    same order."""
+    assert repr(list(got.terms.items())) == repr(list(want.terms.items()))
 
 
 def clicks_at(spatials: Iterable[int]) -> Callable[[tuple], bool]:

@@ -200,14 +200,14 @@ def test_criterion_06_half_antibunching_is_not_the_singlet():
 # --- criterion 7 ---------------------------------------------------------------
 
 def test_criterion_07_ghz_preparation():
-    from cqtsim.elements import apply, port_element
+    from cqtsim.elements import apply
     from cqtsim.fock import overlap, tensor
 
     pair = PureState({
         occupation({(1, H): 1, (2, H): 1}): 1 / _SQ2,
         occupation({(1, V): 1, (2, V): 1}): -1j / _SQ2,
     })
-    src = apply(port_element((3,), R_PREP), tensor(pair, basis_state({(3, H): 1})))
+    src = apply(((3,), R_PREP), tensor(pair, basis_state({(3, H): 1})))
     state, prob = prepare_ghz(src)
     assert abs(prob - 0.5) < 1e-12
     target = PureState({

@@ -349,11 +349,11 @@ def sparse_projector_tables(seed):
 
 def axial_stacks():
     """Seeded axial stacks of 1, 2, 7 and 300 tables, one count zeroed in
-    every fifth table; some capped at 3 iterations, most with traces."""
+    every fifth table; some capped at 3 iterations."""
     for seed in range(24):
         n = (1, 2, 7, 300)[seed % 4]
         tables = seeded_tables(seed, n, (30, 400, 14000)[seed % 3])
-        yield axial_projectors(), tables, (3 if seed % 5 == 3 else 100_000), seed % 6 > 0
+        yield axial_projectors(), tables, (3 if seed % 5 == 3 else 100_000)
 
 
 def sparse_stacks():
@@ -392,14 +392,14 @@ def table_trace(projectors, tables, i, trace, cap=100_000):
     any other table comes from a one-table call."""
     if i == 0:
         return trace
-    return _ml_kernel(projectors, tables[i:i + 1], 1e-10, cap, keep_trace=True)[3]
+    return _ml_kernel(projectors, tables[i:i + 1], 1e-10, cap)[3]
 
 
 @pytest.mark.parametrize("exposure", [30, 400, 5000])
 def test_kernel_matches_scalar_loop_per_table(exposure):
     tables = seeded_tables(exposure, 40, exposure)
     rho, converged, iterations, trace = _ml_kernel(
-        axial_projectors(), tables, 1e-10, 100_000, keep_trace=True)
+        axial_projectors(), tables, 1e-10, 100_000)
     for i, table in enumerate(tables):
         ref_rho, ref_conv, ref_iter, ref_trace = scalar_ml_reconstruct(
             axial_counts(dict(zip(AXIAL, table))))
@@ -417,7 +417,7 @@ def test_kernel_matches_scalar_loop_on_diluted_steps(monkeypatch):
     steps = 0
     for kets, projectors, tables in sparse_stacks():
         rho, converged, iterations, trace = _ml_kernel(
-            projectors, tables, 1e-10, 2000, keep_trace=True)
+            projectors, tables, 1e-10, 2000)
         steps += diluted(iterations)
         for i, table in enumerate(tables):
             ref_rho, ref_conv, ref_iter, ref_trace = scalar_ml_reconstruct(
@@ -435,20 +435,19 @@ def test_kernel_matches_scalar_loop_on_diluted_steps(monkeypatch):
 def test_kernel_is_bit_identical_to_the_reference_kernel(monkeypatch):
     diluted = count_diluted_steps(monkeypatch)
     runs = list(axial_stacks())
-    runs += [(p, t, 2000, True) for _, p, t in sparse_stacks()]
+    runs += [(p, t, 2000) for _, p, t in sparse_stacks()]
     steps = 0
-    for projectors, tables, cap, keep_trace in runs:
-        rho, converged, iterations, trace = _ml_kernel(projectors, tables, 1e-10, cap,
-                                                       keep_trace)
+    for projectors, tables, cap in runs:
+        rho, converged, iterations, trace = _ml_kernel(projectors, tables, 1e-10, cap)
         steps += diluted(iterations)
         # table 0 runs as the reference runs it alone, the others as the
         # reference runs them without it
-        head = reference_ml_kernel(projectors, tables[:1], 1e-10, cap, keep_trace)
+        head = reference_ml_kernel(projectors, tables[:1], 1e-10, cap, True)
         rest = reference_ml_kernel(projectors, tables[1:], 1e-10, cap)
         assert rho.tobytes() == np.concatenate([head[0], rest[0]]).tobytes()
         assert np.array_equal(converged, np.concatenate([head[1], rest[1]]))
         assert np.array_equal(iterations, np.concatenate([head[2], rest[2]]))
-        assert trace == (head[3][0] if keep_trace else None)
+        assert trace == head[3][0]
     assert steps > 0
 
 

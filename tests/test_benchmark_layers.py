@@ -32,3 +32,23 @@ def test_layer_metrics_name_public_plain_functions():
         assert not function.startswith("_"), name
         assert inspect.isfunction(value), name
         assert value.__module__ == module.__name__, name
+
+
+def test_counters_read_the_arguments_and_results_they_name():
+    # the tracer's counters read elements.apply's state as its second
+    # positional argument, fock.project's as its first and the iterations off
+    # ml_reconstruct's result; each reads above 0 on a call that does work
+    from cqtsim import elements, estimation, fock
+
+    tracer = load_tracer().Tracer().install()
+    try:
+        out = elements.apply(((1,), elements.hwp_matrix(0.3)),
+                             fock.basis_state({(1, fock.H): 1}))
+        fock.project(out, lambda occ: True)
+        estimation.ml_reconstruct(estimation.axial_counts(
+            dict(h=60, v=40, plus=70, minus=30, r=55, l=45)))
+    finally:
+        tracer.remove()
+    for name in ("elements.apply.terms_in", "elements.apply.terms_out",
+                 "fock.project.offered", "estimation.ml_reconstruct.iterations"):
+        assert tracer.metric(name) > 0, name

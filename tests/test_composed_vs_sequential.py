@@ -3,9 +3,9 @@
 ``run_protocol`` multiplies the station blocks, the controller's polarizer
 and the analyzer rotation into one matrix and propagates each emission
 sector once.  The oracle below is the earlier pipeline, kept as it was (less
-the frame calibration's consistency checks): every block turned into a
-sparse element and applied in turn, the analyzer frame calibrated the same
-way, and each analyzer setting as a lossy polarizer applied to the
+the frame calibration's consistency checks): every block applied in turn
+to the sparse state by ``elements.apply``, the analyzer frame calibrated the
+same way, and each analyzer setting as a lossy polarizer applied to the
 propagated state.
 """
 
@@ -16,14 +16,14 @@ import numpy as np
 import pytest
 
 from cqtsim.channels import PAULI_X
-from cqtsim.elements import apply, polarizer_matrix, port_element
+from cqtsim.elements import apply, polarizer_matrix
 from cqtsim.fock import H, V, project, spatial_counts, to_qubit_density, unit_pair
 from cqtsim.protocol import (INPUT_MODE, WIRINGS, InputQubit, ProtocolConfig,
                              ProtocolError, _detector_spatials, _station_blocks,
                              emulate_mixture, run_protocol)
 from cqtsim.spdc import SourceParams, coincidence_sectors, four_mode_source
 
-from helpers import block_elements, clicks_at, ideal_source_state
+from helpers import clicks_at, ideal_source_state
 
 
 def sectors(config):
@@ -33,14 +33,9 @@ def sectors(config):
     return coincidence_sectors(four_mode_source(config.source))
 
 
-def station_elements(config):
-    """The stations and the controller's polarizer as sparse elements, in order."""
-    return block_elements(_station_blocks(config))
-
-
-def apply_all(state, elements):
-    for el in elements:
-        state = apply(el, state)
+def apply_all(state, blocks):
+    for block in blocks:
+        state = apply(block, state)
     return state
 
 
@@ -51,7 +46,7 @@ def sequential_frame(channel, roles="standard"):
     def receiver_ket(input_q):
         cfg = ProtocolConfig(channel=channel, action=action, input=input_q,
                              source=None, pbs_epsilon=0.0, roles=roles)
-        state = apply_all(ideal_source_state(), station_elements(cfg))
+        state = apply_all(ideal_source_state(), _station_blocks(cfg))
         env = {(wiring.sender_resource, H): 1, (INPUT_MODE, V): 1,
                (wiring.controller, H): 1}
         return np.array([
@@ -65,14 +60,14 @@ def sequential_frame(channel, roles="standard"):
 
 
 def _fourfold_prob(state, receiver, analyzer_ket, detectors):
-    analyzed = apply(port_element((receiver,), polarizer_matrix(analyzer_ket)), state)
+    analyzed = apply(((receiver,), polarizer_matrix(analyzer_ket)), state)
     _, prob = project(analyzed, clicks_at(detectors))
     return prob
 
 
 def sequential_run(config):
     wiring = WIRINGS[config.roles]
-    stations = station_elements(config)
+    stations = _station_blocks(config)
     detectors = _detector_spatials(config)
     frame = sequential_frame(config.channel, config.roles)
     ket_par = frame @ config.input.ket()
@@ -171,35 +166,33 @@ def test_composed_mix_matches_sequential(order):
 
 
 def forbid_sparse_builds(monkeypatch):
-    """Make building a ``PureState`` or an ``OpticalElement`` raise; clear the frame cache."""
+    """Make building a ``PureState`` or calling ``elements.apply``, under any
+    name the package binds it to, raise; clear the frame cache."""
     from cqtsim import elements, fock, protocol
 
-    def forbidden(self, *args, **kwargs):
+    def forbidden_state(self, *args, **kwargs):
         raise AssertionError(f"built {type(self).__name__}")
 
-    monkeypatch.setattr(fock.PureState, "__init__", forbidden)
-    monkeypatch.setattr(elements.OpticalElement, "__post_init__", forbidden)
-    protocol._calibrated_frame.cache_clear()
-    with pytest.raises(AssertionError, match="built PureState"):
-        fock.PureState({(): 1.0})
-    with pytest.raises(AssertionError, match="built OpticalElement"):
-        elements.port_element((1,), np.eye(2))
+    def forbidden_apply(block, state):
+        raise AssertionError("called elements.apply")
 
-
-def test_no_apply_after_calibration(monkeypatch):
-    from cqtsim import elements
-    cfg = ProtocolConfig(channel="g2", action="deny",
-                         source=SourceParams(0.1, 0.055, truncation_order=3))
-
-    def forbidden(element, state):
-        raise AssertionError("run_protocol called elements.apply")
-
+    monkeypatch.setattr(fock.PureState, "__init__", forbidden_state)
     original = elements.apply       # read once: the loop rebinds elements.apply too
     for name, module in list(sys.modules.items()):
         if name == "cqtsim" or name.startswith("cqtsim."):
             for attr, value in list(vars(module).items()):
                 if value is original:
-                    monkeypatch.setattr(module, attr, forbidden)
+                    monkeypatch.setattr(module, attr, forbidden_apply)
+    protocol._calibrated_frame.cache_clear()
+    with pytest.raises(AssertionError, match="built PureState"):
+        fock.PureState({(): 1.0})
+    with pytest.raises(AssertionError, match="called elements.apply"):
+        protocol.apply(((1,), np.eye(2)), None)
+
+
+def test_no_apply_after_calibration(monkeypatch):
+    cfg = ProtocolConfig(channel="g2", action="deny",
+                         source=SourceParams(0.1, 0.055, truncation_order=3))
     forbid_sparse_builds(monkeypatch)
     assert run_protocol(cfg)[0].success_probability > 0.0
 

@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cqtsim.elements import (OpticalElement, apply, balanced_bs_matrix, hwp_matrix,
-                             pbs_matrix, phase_matrix, polarizer_matrix, port_element,
-                             qwp_matrix)
+from cqtsim.elements import (apply, balanced_bs_matrix, hwp_matrix, pbs_matrix,
+                             phase_matrix, polarizer_matrix, qwp_matrix)
 from cqtsim.fock import (H, V, KET_D, KET_H, KET_R, KET_V, PureState, basis_state,
                          occupation, overlap, project, spatial_counts, total_photons)
 from cqtsim.spdc import coincidence_sectors, signature_label
 
-from helpers import clicks_at, compose, phase_on, single_photon
+from helpers import (apply_map, assert_same_bits, block_maps, clicks_at, compose, phase_on,
+                     single_photon, substitution_map)
 
 
 def two_photons(mode_a, mode_b, amp=1.0):
@@ -22,22 +22,22 @@ def two_photons(mode_a, mode_b, amp=1.0):
 # --- convention anchors -----------------------------------------------------
 
 def test_hwp_22p5_makes_plus():
-    out = apply(port_element((1,), hwp_matrix(math.pi / 8)), single_photon(1, KET_H))
+    out = apply(((1,), hwp_matrix(math.pi / 8)), single_photon(1, KET_H))
     assert abs(overlap(out, single_photon(1, KET_D))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_hwp_45_swaps_h_v():
-    out = apply(port_element((1,), hwp_matrix(math.pi / 4)), single_photon(1, KET_H))
+    out = apply(((1,), hwp_matrix(math.pi / 4)), single_photon(1, KET_H))
     assert out.amplitude({(1, V): 1}) == pytest.approx(1.0)
 
 
 def test_qwp_at_minus45_makes_r():
-    out = apply(port_element((1,), qwp_matrix(-math.pi / 4)), single_photon(1, KET_H))
+    out = apply(((1,), qwp_matrix(-math.pi / 4)), single_photon(1, KET_H))
     assert abs(overlap(out, single_photon(1, KET_R))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_ideal_pbs_routing():
-    el = port_element((1, 2), pbs_matrix(epsilon=0.0))
+    el = ((1, 2), pbs_matrix(epsilon=0.0))
     out_h = apply(el, single_photon(1, KET_H))
     assert out_h.amplitude({(1, H): 1}) == pytest.approx(1.0)
     out_v = apply(el, single_photon(1, KET_V))
@@ -46,19 +46,19 @@ def test_ideal_pbs_routing():
 
 
 def test_pbs_epsilon_one_fully_reflects_h():
-    out = apply(port_element((1, 2), pbs_matrix(epsilon=1.0)), single_photon(1, KET_H))
+    out = apply(((1, 2), pbs_matrix(epsilon=1.0)), single_photon(1, KET_H))
     assert abs(out.amplitude({(2, H): 1})) == pytest.approx(1.0)
 
 
 def test_pbs_epsilon_reflected_port_probability():
-    out = apply(port_element((1, 2), pbs_matrix(0.05)), single_photon(1, KET_H))
+    out = apply(((1, 2), pbs_matrix(0.05)), single_photon(1, KET_H))
     _, p_reflected = project(out, lambda occ: spatial_counts(occ).get(2, 0) == 1)
     assert p_reflected == pytest.approx(0.05, abs=1e-12)
 
 
 def test_pbs_rejects_bad_epsilon():
     with pytest.raises(ValueError):
-        port_element((1, 2), pbs_matrix(epsilon=1.5))
+        pbs_matrix(epsilon=1.5)
 
 
 # --- two-photon interference ------------------------------------------------
@@ -66,7 +66,7 @@ def test_pbs_rejects_bad_epsilon():
 def test_hom_no_coincidence():
     # oracle: expand (a+ib)(b+ia)/2 -> i(a^2 + b^2)/2, coincidence cancels
     state = two_photons((1, H), (2, H))
-    out = apply(port_element((1, 2), balanced_bs_matrix()), state)
+    out = apply(((1, 2), balanced_bs_matrix()), state)
     _, p_coinc = project(out, lambda occ: spatial_counts(occ).get(1, 0) == 1
                          and spatial_counts(occ).get(2, 0) == 1)
     assert p_coinc < 1e-14
@@ -76,7 +76,7 @@ def test_hom_no_coincidence():
 
 def test_distinguishable_polarizations_do_coincide():
     state = two_photons((1, H), (2, V))
-    out = apply(port_element((1, 2), balanced_bs_matrix()), state)
+    out = apply(((1, 2), balanced_bs_matrix()), state)
     _, p_coinc = project(out, lambda occ: spatial_counts(occ).get(1, 0) == 1
                          and spatial_counts(occ).get(2, 0) == 1)
     assert p_coinc == pytest.approx(0.5, abs=1e-12)
@@ -84,7 +84,7 @@ def test_distinguishable_polarizations_do_coincide():
 
 def test_same_port_pair_splits_half_the_time():
     state = basis_state({(1, H): 1, (1, V): 1})
-    out = apply(port_element((1, 2), balanced_bs_matrix()), state)
+    out = apply(((1, 2), balanced_bs_matrix()), state)
     _, p_split = project(out, lambda occ: spatial_counts(occ).get(1, 0) == 1
                          and spatial_counts(occ).get(2, 0) == 1)
     assert p_split == pytest.approx(0.5, abs=1e-12)
@@ -121,8 +121,7 @@ def test_lossless_elements_preserve_norm(theta, eps, phi):
     for spatials, m in (((1,), hwp_matrix(theta)), ((2,), qwp_matrix(theta)),
                         ((1, 2), balanced_bs_matrix()), ((1, 2), pbs_matrix(eps)),
                         ((1,), phase_matrix(phi))):
-        el = port_element(spatials, m)
-        out = apply(el, state)
+        out = apply((spatials, m), state)
         assert out.norm_sq() == pytest.approx(state.norm_sq(), abs=1e-12)
 
 
@@ -131,7 +130,7 @@ def test_lossless_elements_preserve_norm(theta, eps, phi):
 def test_unitary_elements_preserve_overlaps(theta):
     a = single_photon(1, KET_D)
     b = single_photon(1, KET_R)
-    el = port_element((1,), qwp_matrix(theta))
+    el = ((1,), qwp_matrix(theta))
     assert overlap(apply(el, a), apply(el, b)) == pytest.approx(overlap(a, b), abs=1e-12)
 
 
@@ -142,14 +141,14 @@ def test_pbs_conserves_photon_number(eps):
         occupation({(1, H): 2, (2, V): 1}): 1 / math.sqrt(2),
         occupation({(1, V): 1, (2, H): 2}): 1 / math.sqrt(2),
     })
-    out = apply(port_element((1, 2), pbs_matrix(eps)), state)
+    out = apply(((1, 2), pbs_matrix(eps)), state)
     for occ in out.terms:
         assert sum(spatial_counts(occ).values()) == 3
 
 
 def test_polarizer_is_projective():
     s = single_photon(1, KET_D)
-    el = port_element((1,), polarizer_matrix(KET_H))
+    el = ((1,), polarizer_matrix(KET_H))
     out = apply(el, s)
     assert out.norm_sq() == pytest.approx(0.5, abs=1e-12)
     out2 = apply(el, out)
@@ -172,8 +171,8 @@ def test_polarizer_of_an_extreme_scale_ket_is_the_unit_ket_projector(scale):
 
 def test_compose_two_hwps():
     s = single_photon(1, KET_H)
-    hwp = port_element((1,), hwp_matrix(math.pi / 8))
-    out = apply(compose([hwp, hwp]), s)
+    hwp = ((1,), hwp_matrix(math.pi / 8))
+    out = apply_map(compose(block_maps([hwp, hwp])), s)
     assert abs(overlap(out, s)) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -185,13 +184,13 @@ KETS = st.tuples(st.complex_numbers(max_magnitude=1, allow_nan=False),
                  st.complex_numbers(max_magnitude=1, allow_nan=False)).filter(
     lambda k: abs(k[0]) + abs(k[1]) > 0.1)
 ELEMENTS = st.one_of(
-    st.builds(lambda m, t: port_element((m,), hwp_matrix(t)), MODES, ANGLES),
-    st.builds(lambda m, t: port_element((m,), qwp_matrix(t)), MODES, ANGLES),
-    st.builds(lambda m, phi, pol: port_element((m,), phase_on(phi, pol)),
+    st.builds(lambda m, t: ((m,), hwp_matrix(t)), MODES, ANGLES),
+    st.builds(lambda m, t: ((m,), qwp_matrix(t)), MODES, ANGLES),
+    st.builds(lambda m, phi, pol: ((m,), phase_on(phi, pol)),
               MODES, ANGLES, st.sampled_from([H, V])),
-    st.builds(lambda m, k: port_element((m,), polarizer_matrix(np.array(k))), MODES, KETS),
-    PORTS.map(lambda p: port_element(p, balanced_bs_matrix())),
-    st.builds(lambda p, eps: port_element(p, pbs_matrix(eps)), PORTS,
+    st.builds(lambda m, k: ((m,), polarizer_matrix(np.array(k))), MODES, KETS),
+    PORTS.map(lambda p: (p, balanced_bs_matrix())),
+    st.builds(lambda p, eps: (p, pbs_matrix(eps)), PORTS,
               st.floats(min_value=0, max_value=1, allow_nan=False)),
 )
 MODE_COUNTS = st.dictionaries(st.tuples(MODES, st.sampled_from([H, V])),
@@ -204,7 +203,7 @@ STATES = st.lists(st.tuples(MODE_COUNTS, KETS.map(lambda k: k[0])),
 @given(st.lists(ELEMENTS, min_size=0, max_size=6), STATES)
 @settings(max_examples=80, deadline=None)
 def test_composed_map_equals_element_by_element(els, state):
-    composed = apply(compose(els), state)
+    composed = apply_map(compose(block_maps(els)), state)
     sequential = state
     for el in els:
         sequential = apply(el, sequential)
@@ -213,23 +212,24 @@ def test_composed_map_equals_element_by_element(els, state):
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-def test_port_element_rejects_a_non_finite_matrix(bad):
+def test_apply_rejects_a_non_finite_matrix(bad):
     matrix = hwp_matrix(0.3)
     matrix[1, 0] = bad
     with pytest.raises(ValueError, match="matrix must be finite"):
-        port_element((1,), matrix)
+        apply(((1,), matrix), basis_state({(1, H): 1}))
 
 
 def test_photon_in_a_mode_with_no_output_is_absorbed():
-    absorber = OpticalElement({(1, H): {}})
+    absorber = ((1,), np.diag([0.0, 1.0]))
     assert apply(absorber, basis_state({(1, H): 1})).terms == {}
     mixed = PureState({occupation({(1, H): 1}): 0.6, occupation({(2, V): 2}): 0.8})
     out = apply(absorber, mixed)
     assert out.terms == {occupation({(2, V): 2}): 0.8}
 
 
-def test_photon_sent_into_an_occupied_untouched_mode_bunches():
-    merge = OpticalElement({(1, H): {(2, H): 1.0}})
+def test_photon_merged_into_an_occupied_mode_bunches():
+    # (1, H) goes to (2, H); every other mode stays where it is
+    merge = ((1, 2), np.array([[0, 0, 0, 0], [0, 1, 0, 0], [1, 0, 1, 0], [0, 0, 0, 1]]))
     out = apply(merge, basis_state({(1, H): 1, (2, H): 1}))
     assert out.terms.keys() == {occupation({(2, H): 2})}
     assert out.terms[occupation({(2, H): 2})] == pytest.approx(math.sqrt(2.0), abs=1e-15)
@@ -237,46 +237,47 @@ def test_photon_sent_into_an_occupied_untouched_mode_bunches():
 
 def test_compose_drops_modes_every_path_absorbs():
     # crossed polarizers absorb both polarizations of mode 1
-    crossed = compose([port_element((1,), polarizer_matrix(KET_H)),
-                       port_element((1,), polarizer_matrix(KET_V))])
-    assert crossed.mapping == {(1, H): {}, (1, V): {}}
-    assert apply(crossed, single_photon(1, KET_D)).terms == {}
+    crossed = compose(block_maps([((1,), polarizer_matrix(KET_H)),
+                                   ((1,), polarizer_matrix(KET_V))]))
+    assert crossed == {(1, H): {}, (1, V): {}}
+    assert apply_map(crossed, single_photon(1, KET_D)).terms == {}
 
 
-# --- modes are validated when an element is built --------------------------------
+# --- apply checks the block and keeps the bits of the substitution map -------------
 
-@pytest.mark.parametrize("mapping", [
-    {(1, H): {(2, "Q"): 1.0}},          # bad output polarization
-    {(1, "D"): {(2, H): 1.0}},          # bad input polarization
-    {(1.5, H): {(2, H): 1.0}},          # non-integer input index
-    {(1, H): {("two", H): 1.0}},        # non-integer output index
-], ids=["output-pol", "input-pol", "input-index", "output-index"])
-def test_bad_mode_raises_when_the_element_is_built(mapping):
-    with pytest.raises(ValueError):
-        OpticalElement(mapping)
+@pytest.mark.parametrize("spatials, size, shown", [
+    ((1.5,), 2, "1.5"), ((1, "two"), 4, "'two'"), ((None,), 2, "None")],
+    ids=["float-index", "string-index", "none-index"])
+def test_apply_rejects_a_spatial_mode_that_is_not_an_integer(spatials, size, shown):
+    with pytest.raises(ValueError, match=f"^spatial index must be an integer, got {shown}$"):
+        apply((spatials, np.eye(size)), basis_state({(1, H): 1}))
 
 
-def test_port_element_drops_exact_zeros_so_absorbed_modes_map_to_nothing():
-    assert port_element((1,), polarizer_matrix(KET_H)).mapping == {
+def test_substitution_map_drops_exact_zeros_so_absorbed_modes_map_to_nothing():
+    assert substitution_map((1,), polarizer_matrix(KET_H)) == {
         (1, H): {(1, H): 1.0}, (1, V): {}}
-    assert port_element((1, 2), pbs_matrix(0.0)).mapping[(1, H)] == {(1, H): 1.0}
+    assert substitution_map((1, 2), pbs_matrix(0.0))[(1, H)] == {(1, H): 1.0}
 
 
 @pytest.mark.parametrize("spatials, size", [((1,), 4), ((1, 2), 2), ((1, 1), 4)],
                          ids=["too-large", "too-small", "repeated-mode"])
-def test_port_element_rejects_a_matrix_that_does_not_fit_its_modes(spatials, size):
+def test_apply_rejects_a_matrix_that_does_not_fit_its_modes(spatials, size):
     with pytest.raises(ValueError, match="does not act on spatial modes"):
-        port_element(spatials, np.eye(size))
+        apply((spatials, np.eye(size)), basis_state({(1, H): 1}))
 
 
-def test_compose_of_valid_elements_builds_with_normalised_modes():
-    el = compose([port_element((1,), hwp_matrix(0.3)),
-                  port_element((np.int64(1), 2), pbs_matrix(0.05)),
-                  port_element((2,), polarizer_matrix(KET_R))])
-    for m, outs in el.mapping.items():
-        for spatial, pol in [m, *outs]:
-            assert type(spatial) is int and pol in (H, V)
-        assert all(type(u) is complex for u in outs.values())
+def test_apply_takes_integer_like_spatial_modes():
+    state = PureState({occupation({(1, H): 1, (2, V): 1}): 0.6,
+                       occupation({(1, V): 2}): 0.8})
+    got = apply(((np.int64(1), 2), pbs_matrix(0.05)), state)
+    assert_same_bits(got, apply(((1, 2), pbs_matrix(0.05)), state))
+    assert_canonical(got)
+
+
+@given(ELEMENTS, STATES)
+@settings(max_examples=150, deadline=None)
+def test_apply_keeps_the_bits_of_the_substitution_map(block, state):
+    assert_same_bits(apply(block, state), apply_map(substitution_map(*block), state))
 
 
 def assert_canonical(state):
@@ -290,7 +291,7 @@ def assert_canonical(state):
 def test_derived_states_keep_keys_canonical(els, state, spatial):
     # the states apply, project, normalized and coincidence_sectors hand on
     # hold keys that occupation leaves as they are
-    out = apply(compose(els), state)
+    out = apply_map(compose(block_maps(els)), state)
     assert_canonical(out)
     for el in els:
         state = apply(el, state)

@@ -116,6 +116,27 @@ def test_correction_rejects_a_non_finite_matrix(bad):
             correct_for_background(rho, 0.1)
 
 
+def test_correction_rejects_a_non_hermitian_matrix():
+    # its Hermitian part is I/2, which the subtraction would return unchanged
+    with pytest.raises(ValueError, match="^density matrices must be Hermitian$"):
+        correct_for_background([[0.5, 0.5j], [0.5j, 0.5]], 0.1)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
+def test_correction_measures_hermiticity_per_matrix_against_its_largest_entry(scale):
+    # one skewed matrix in a stack of matrices of other scales is found; a
+    # skew within 1e-9 of a matrix's largest entry passes (at w = 0, which
+    # takes a matrix of any trace)
+    stack = np.array([np.diag([0.6, 0.4])] * 3, dtype=complex) * np.array(
+        [1e-200, 1.0, 1e200])[:, None, None]
+    i = [1e-200, 1.0, 1e200].index(scale)
+    stack[i, 0, 1] = 0.3e-9 * scale
+    correct_for_background(stack, 0.0)
+    stack[i, 0, 1] = 1e-9 * scale
+    with pytest.raises(ValueError, match="^density matrices must be Hermitian$"):
+        correct_for_background(stack, 0.0)
+
+
 def test_correction_rejects_a_stack_with_one_non_finite_matrix():
     stack = np.array([np.eye(2) / 2] * 5, dtype=complex)
     stack[3, 0, 1] = math.nan

@@ -280,6 +280,25 @@ def test_fidelity_rejects_a_non_finite_state(bad):
         fidelity(np.array([[0.5, bad], [0.0, 0.5]]), KET_H)
 
 
+@pytest.mark.parametrize("rho, message", [
+    (np.eye(2), "rho must have unit trace, got 2$"),
+    (np.diag([1.0, 2e-9]), "rho must have unit trace"),
+    ([[0.5, 0.5j], [0.5j, 0.5]], "rho must be Hermitian$"),
+    ([[0.5, 0.5], [0.5 + 2e-9, 0.5]], "rho must be Hermitian$"),
+    ([[0.5 + 2e-9j, 0.0], [0.0, 0.5]], "rho must be Hermitian$")],
+    ids=["identity", "trace-over", "skew", "skew-over", "complex-diagonal"])
+def test_fidelity_rejects_a_matrix_that_is_not_a_density_matrix(rho, message):
+    # the identity has trace 2: taken as a state it reads fidelity 1.0 with
+    # |H>, where I/2 reads 0.5
+    with pytest.raises(ValueError, match=message):
+        fidelity(rho, KET_H)
+
+
+def test_fidelity_takes_a_density_matrix_within_1e_9():
+    rho = np.array([[0.7 + 5e-10, 0.2 - 0.1j], [0.2 + 0.1j + 5e-10, 0.3]])
+    assert fidelity(rho, KET_H) == 0.7 + 5e-10
+
+
 def test_fidelity_takes_a_unit_target_as_given():
     rho = np.array([[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]])
     for psi in (KET_D, KET_R, np.array([0.6, 0.8j]), KET_D * (1 + 4e-13)):

@@ -4,9 +4,11 @@
 time with ``fock._create``.  The oracle below is the earlier engine, kept as it
 was: ``apply`` expanded each substituted power (sum_j u_j b_j^dag)^n
 multinomially, and the source multiplied a pair-creation operator into the
-emission polynomial.  The multinomial ``apply`` assumes that an element's
-outputs never land in a mode it leaves alone, which holds for every library
-element and every composition of them, so both engines must agree there.
+emission polynomial.  The multinomial ``apply`` takes a substitution map
+mode -> {mode: amplitude} and assumes that its outputs never land in a mode
+it leaves alone.  That holds for the map of every ``(spatials, matrix)``
+block, which substitutes both polarizations of each of its spatial modes,
+and for every composition of them, so both engines must agree there.
 """
 
 import math
@@ -18,14 +20,15 @@ from hypothesis import strategies as st
 
 from cqtsim import spdc
 from cqtsim.elements import (apply, balanced_bs_matrix, hwp_matrix, pbs_matrix,
-                             polarizer_matrix, port_element, qwp_matrix)
+                             polarizer_matrix, qwp_matrix)
 from cqtsim.fock import H, V, PureState, occupation, total_photons, unit_pair
 from cqtsim.protocol import InputQubit, ProtocolConfig, run_protocol
 from cqtsim.spdc import PAIR_KINDS, SourceParams, four_mode_source
 
 import helpers
 import test_composed_vs_sequential as sequential
-from helpers import compose, phase_on
+from helpers import (apply_map, assert_same_bits, block_maps, compose, phase_on,
+                     substitution_map)
 from test_composed_vs_sequential import RUNS, assert_record_matches
 
 
@@ -62,8 +65,7 @@ def _expand_power(targets, n: int):
         yield term, {m: k for m, k in zip(modes, comp) if k}
 
 
-def multinomial_apply(element, state: PureState) -> PureState:
-    sub = element.mapping
+def multinomial_apply(sub: dict, state: PureState) -> PureState:
     out: dict = {}
     for occ, amp in state.terms.items():
         affected = [(m, n) for m, n in occ if m in sub]
@@ -128,13 +130,13 @@ KETS = st.tuples(st.complex_numbers(max_magnitude=1, allow_nan=False),
                  st.complex_numbers(max_magnitude=1, allow_nan=False)).filter(
     lambda k: abs(k[0]) + abs(k[1]) > 0.1)
 ELEMENTS = st.one_of(
-    st.builds(lambda m, t: port_element((m,), hwp_matrix(t)), MODES, ANGLES),
-    st.builds(lambda m, t: port_element((m,), qwp_matrix(t)), MODES, ANGLES),
-    st.builds(lambda m, phi, pol: port_element((m,), phase_on(phi, pol)),
+    st.builds(lambda m, t: ((m,), hwp_matrix(t)), MODES, ANGLES),
+    st.builds(lambda m, t: ((m,), qwp_matrix(t)), MODES, ANGLES),
+    st.builds(lambda m, phi, pol: ((m,), phase_on(phi, pol)),
               MODES, ANGLES, st.sampled_from([H, V])),
-    st.builds(lambda m, k: port_element((m,), polarizer_matrix(np.array(k))), MODES, KETS),
-    PORTS.map(lambda p: port_element(p, balanced_bs_matrix())),
-    st.builds(lambda p, eps: port_element(p, pbs_matrix(eps)), PORTS,
+    st.builds(lambda m, k: ((m,), polarizer_matrix(np.array(k))), MODES, KETS),
+    PORTS.map(lambda p: (p, balanced_bs_matrix())),
+    st.builds(lambda p, eps: (p, pbs_matrix(eps)), PORTS,
               st.floats(min_value=0, max_value=1, allow_nan=False)),
 )
 # up to six photons in a term, up to three in one mode
@@ -145,16 +147,24 @@ STATES = st.lists(st.tuples(MODE_COUNTS, st.complex_numbers(max_magnitude=1,
                                                             allow_nan=False)),
                   min_size=1, max_size=4).map(
     lambda terms: PureState({occupation(c): a for c, a in terms}))
-OPTICS = st.one_of(ELEMENTS, st.lists(ELEMENTS, max_size=6).map(compose))
+OPTICS = st.one_of(ELEMENTS.map(lambda block: [block]), st.lists(ELEMENTS, max_size=6))
 
 
 @given(OPTICS, STATES)
 @settings(max_examples=150, deadline=None)
-def test_apply_matches_multinomial_engine(element, state):
-    got = apply(element, state)
-    want = multinomial_apply(element, state)
+def test_apply_matches_multinomial_engine(blocks, state):
+    # one block goes through elements.apply, a chain through its composed map
+    sub = compose(block_maps(blocks))
+    got = apply(blocks[0], state) if len(blocks) == 1 else apply_map(sub, state)
+    want = multinomial_apply(sub, state)
     for occ in set(got.terms) | set(want.terms):
         assert abs(got.terms.get(occ, 0) - want.terms.get(occ, 0)) <= 1e-12
+
+
+@given(ELEMENTS, STATES)
+@settings(max_examples=150, deadline=None)
+def test_apply_keeps_the_bits_of_the_substitution_map(block, state):
+    assert_same_bits(apply(block, state), apply_map(substitution_map(*block), state))
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
@@ -189,7 +199,8 @@ def multinomial_run(config, monkeypatch):
     # run_protocol builds no sparse state, so the oracle is the sequential
     # sparse pipeline, frame calibration included, on the multinomial engine
     with monkeypatch.context() as patch:
-        patch.setattr(sequential, "apply", multinomial_apply)
+        patch.setattr(sequential, "apply", lambda block, state: multinomial_apply(
+            substitution_map(*block), state))
         patch.setattr(spdc, "emission_orders", multinomial_emission_orders)
         patch.setattr(helpers, "emission_orders", multinomial_emission_orders)
         return sequential.sequential_run(config)

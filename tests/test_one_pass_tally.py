@@ -2,8 +2,8 @@
 
 ``run_protocol`` propagates each emission sector as a dense photon-number
 vector and reads the rates and the conditional state off index masks.  The
-oracle below is the earlier tally on sparse states: ``elements.apply`` of
-the same composed optics to each sector of the emission source, a
+oracle below is the earlier tally on sparse states: the same optics composed
+as one substitution map and applied to each sector of the emission source, a
 ``clicks_at`` predicate for the rates and ``project`` with a second
 predicate for the conditional state.  The two sum different rounded terms,
 so they agree to 1e-12 relative, as in ``test_composed_vs_sequential.py``.
@@ -19,12 +19,11 @@ import pytest
 
 from cqtsim import fock, protocol
 from cqtsim.channels import PAULI_X
-from cqtsim.elements import apply
 from cqtsim.fock import H, V, project, spatial_counts, to_qubit_density, unit_pair
 from cqtsim.protocol import (WIRINGS, InputQubit, ProtocolConfig, _detector_spatials,
                              _station_blocks, analyzer_frame, run_protocol)
 from cqtsim.spdc import SourceParams
-from helpers import block_elements, clicks_at, compose
+from helpers import apply_map, block_maps, clicks_at, compose
 from test_composed_vs_sequential import assert_record_matches, grid, sectors
 
 
@@ -33,7 +32,7 @@ def projected_tally(config):
     frame = analyzer_frame(config.channel, config.roles)
     analyzer = np.array([frame @ config.input.ket(),
                          frame @ config.input.orthogonal_ket()]).conj()
-    optics = compose(block_elements(_station_blocks(config) + [((wiring.receiver,), analyzer)]))
+    optics = compose(block_maps(_station_blocks(config) + [((wiring.receiver,), analyzer)]))
     fourfold = clicks_at(_detector_spatials(config))
 
     def cond_pred(occ):
@@ -46,7 +45,7 @@ def projected_tally(config):
     emitted = sectors(config)
     empty_tol = 1e-14 * sum(sector.norm_sq() for sector in emitted.values())
     for label, sector in emitted.items():
-        state = apply(optics, sector)
+        state = apply_map(optics, sector)
         clicked = [(dict(occ), abs(amp) ** 2) for occ, amp in state.terms.items()
                    if fourfold(occ)]
         success += sum(p for _, p in clicked)

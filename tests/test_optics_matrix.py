@@ -3,8 +3,8 @@
 ``run_protocol`` builds the 8x8 matrix L of a run by multiplying the
 station blocks, and the receiver's analyzer rotation, into the identity
 block by block.  The oracle is the construction it replaced: every element
-built as a substitution dict, as the constructors built them before they
-became ``port_element`` of a matrix, the elements composed by
+built as a substitution dict mode -> {mode: amplitude}, as the constructors
+built them before they became local matrices, the dicts composed by
 ``helpers.compose``, and the composite read back into a matrix by
 ``linear_map``.
 """
@@ -15,11 +15,11 @@ import numpy as np
 import pytest
 
 from cqtsim import protocol
-from cqtsim.elements import OpticalElement, hwp_matrix
+from cqtsim.elements import hwp_matrix
 from cqtsim.fock import H, V, KET_D, KET_H, KET_R, unit_pair
 from cqtsim.protocol import (COMPENSATION_PHASE, INPUT_MODE, R_PREP, WIRINGS,
                              InputQubit, ProtocolConfig, ProtocolError, run_protocol)
-from helpers import block_elements, compose
+from helpers import block_maps, compose
 from test_composed_vs_sequential import RUNS
 
 DENSE_MODES = tuple((spatial, pol) for spatial in (1, 2, 3, 4) for pol in (H, V))
@@ -30,10 +30,10 @@ MODE_INDEX = {m: i for i, m in enumerate(DENSE_MODES)}
 
 def jones_element(spatial, jones):
     jones = np.asarray(jones, dtype=complex)
-    return OpticalElement({
+    return {
         (spatial, H): {(spatial, H): jones[0, 0], (spatial, V): jones[1, 0]},
         (spatial, V): {(spatial, H): jones[0, 1], (spatial, V): jones[1, 1]},
-    })
+    }
 
 
 def phase_plate(spatial, phi, pol=V):
@@ -55,18 +55,18 @@ def balanced_bs(port_a, port_b):
     for p in (H, V):
         mapping[(port_a, p)] = {(port_a, p): t, (port_b, p): r}
         mapping[(port_b, p)] = {(port_a, p): r, (port_b, p): t}
-    return OpticalElement(mapping)
+    return mapping
 
 
 def pbs(port_a, port_b, epsilon):
     t = math.sqrt(1.0 - epsilon)
     r = 1.0j * math.sqrt(epsilon)
-    return OpticalElement({
+    return {
         (port_a, H): {(port_a, H): t, (port_b, H): r},
         (port_b, H): {(port_b, H): t, (port_a, H): r},
         (port_a, V): {(port_b, V): 1.0j},
         (port_b, V): {(port_a, V): 1.0j},
-    })
+    }
 
 
 def setup_elements(config):
@@ -91,10 +91,10 @@ def setup_elements(config):
     return els
 
 
-def linear_map(element):
-    """Matrix L of an element: a_m^dag becomes sum_k L[k, m] b_k^dag."""
+def linear_map(mapping):
+    """Matrix L of a substitution dict: a_m^dag becomes sum_k L[k, m] b_k^dag."""
     lin = np.eye(len(DENSE_MODES), dtype=complex)
-    for m, outs in element.mapping.items():
+    for m, outs in mapping.items():
         col = MODE_INDEX[m]
         lin[:, col] = 0.0
         for k, u in outs.items():
@@ -145,13 +145,13 @@ def test_run_matrix_equals_composed_map(channel, action, roles, epsilon, monkeyp
 
 
 @pytest.mark.parametrize("channel, action, roles", RUNS)
-def test_sparse_elements_of_the_blocks_equal_the_substitution_dicts(channel, action, roles):
-    # port_element drops the exact zeros the dicts keep; nothing else differs
+def test_substitution_maps_of_the_blocks_equal_the_substitution_dicts(channel, action, roles):
+    # the maps of the blocks drop the exact zeros the dicts keep; nothing else differs
     config = ProtocolConfig(channel=channel, action=action, roles=roles,
                             input=inputs()[-1], pbs_epsilon=0.05)
-    blocks = block_elements(protocol._station_blocks(config))
+    blocks = block_maps(protocol._station_blocks(config))
     dicts = setup_elements(config)
     assert len(blocks) == len(dicts)
     for got, want in zip(blocks, dicts):
-        assert got.mapping == {m: {k: u for k, u in outs.items() if u != 0}
-                               for m, outs in want.mapping.items()}
+        assert got == {m: {k: u for k, u in outs.items() if u != 0}
+                       for m, outs in want.items()}

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 from cqtsim import protocol
 from cqtsim.channels import conditional_teleport_output, make_ghz_mixture
-from cqtsim.elements import apply, port_element
+from cqtsim.elements import apply
 from cqtsim.fock import (H, V, PureState, SectorError, basis_state, fidelity, occupation,
                          overlap, project, spatial_counts, tensor, unit_pair)
 from cqtsim.protocol import (INPUT_MODE, InputQubit, ProtocolConfig, ProtocolError, R_PREP,
                              analyzer_frame, emulate_mixture, prepare_ghz, run_protocol,
                              singlet_projection)
 from cqtsim.spdc import SourceParams
-from helpers import AXIAL_INPUT_NAMES, block_elements, compose
+from helpers import AXIAL_INPUT_NAMES, apply_map, block_maps, compose
 from test_composed_vs_sequential import RUNS
 
 _SQ2 = math.sqrt(2.0)
@@ -29,7 +29,7 @@ def phi_pair_with_circular_third():
         occupation({(1, V): 1, (2, V): 1}): -1j / _SQ2,
     })
     src = tensor(pair, basis_state({(3, H): 1}))
-    return apply(port_element((3,), R_PREP), src)
+    return apply(((3,), R_PREP), src)
 
 
 def ghz_fock_target():
@@ -151,7 +151,7 @@ def test_prepare_ghz_g2_variant_gives_flipped_state_in_analyzer_frame():
 def composed_prepare_ghz(source_state, pbs_epsilon, g2):
     """``prepare_ghz`` as it was: its blocks composed as substitution maps."""
     blocks = protocol._ghz_blocks("g2" if g2 else "g1", pbs_epsilon)
-    out = apply(compose(block_elements(blocks)), source_state)
+    out = apply_map(compose(block_maps(blocks)), source_state)
     return project(out, lambda occ: (spatial_counts(occ).get(2, 0),
                                      spatial_counts(occ).get(3, 0)) == (1, 1))
 
@@ -459,10 +459,9 @@ def test_chained_post_selections_do_not_conflict():
     # the GHZ one-photon-per-port condition is implied by the four-fold
     # pattern for the ideal source: inserting it explicitly changes nothing,
     # so the singlet and GHZ post-selections chain without conflict
-    from cqtsim.elements import apply as apply_el
     from cqtsim.fock import project, spatial_counts
     from cqtsim.protocol import _detector_spatials, _station_blocks
-    from helpers import block_elements, clicks_at, compose, ideal_source_state
+    from helpers import clicks_at, ideal_source_state
 
     cfg = ProtocolConfig(channel="g1", action="allow", roles="swapped")
     sector = ideal_source_state()
@@ -471,13 +470,12 @@ def test_chained_post_selections_do_not_conflict():
     # part prepares the GHZ state, the rest is the sender/receiver optics; the
     # controller's polarizer is the last block
     pbs_index = next(i for i, (spatials, _) in enumerate(blocks) if spatials == (2, 3))
-    els = block_elements(blocks[:-1])
-    prep, rest = els[:pbs_index + 3], els[pbs_index + 3:]
-    ctrl, = block_elements(blocks[-1:])
+    prep, rest = blocks[:pbs_index + 3], blocks[pbs_index + 3:-1]
+    ctrl = blocks[-1]
     detectors = _detector_spatials(cfg)
 
-    mid = apply_el(compose(prep), sector)
-    direct = apply_el(ctrl, apply_el(compose(rest), mid))
+    mid = apply_map(compose(block_maps(prep)), sector)
+    direct = apply(ctrl, apply_map(compose(block_maps(rest)), mid))
     _, p_direct = project(direct, clicks_at(detectors))
 
     def ghz_ok(occ):
@@ -485,7 +483,7 @@ def test_chained_post_selections_do_not_conflict():
         return counts.get(2, 0) == 1 and counts.get(3, 0) == 1
 
     prepared, p_prep = project(mid, ghz_ok)
-    chained = apply_el(ctrl, apply_el(compose(rest), prepared))
+    chained = apply(ctrl, apply_map(compose(block_maps(rest)), prepared))
     _, p_rest = project(chained, clicks_at(detectors))
 
     assert p_direct == pytest.approx(p_prep * p_rest, abs=1e-12)
@@ -495,6 +493,6 @@ def test_chained_post_selections_do_not_conflict():
     # never produce a four-fold coincidence
     failed, p_fail = project(mid, lambda occ: not ghz_ok(occ))
     assert p_fail == pytest.approx(0.5, abs=1e-12)
-    bad = apply_el(ctrl, apply_el(compose(rest), failed))
+    bad = apply(ctrl, apply_map(compose(block_maps(rest)), failed))
     _, p_bad = project(bad, clicks_at(detectors))
     assert p_bad < 1e-14
