@@ -1,9 +1,9 @@
 """Linear-optical simulation of controlled quantum teleportation.
 
 Builds the four-photon experiment from the emission source up: Fock-level
-states, optical elements as local matrices applied by creation-operator
-substitution, the GHZ preparation and singlet projection, the controller's
-allow/deny measurement, qubit-level channel analysis (GHZ mixtures and noisy channels), and the
+states, optical elements as local matrices applied to them, the GHZ
+preparation and singlet projection, the controller's allow/deny measurement,
+qubit-level channel analysis (GHZ mixtures and noisy channels), and the
 statistical layer (count-ratio fidelities, maximum-likelihood tomography,
 background subtraction, Poisson uncertainties).
 """

@@ -361,7 +361,8 @@ def correct_for_background(raw: np.ndarray, w: float) -> np.ndarray:
     matrices that have them; an eigenvalue below -1e-3 in any matrix raises
     NonPhysicalError, which counts the matrices that have one.  A non-finite
     entry or a matrix that is not Hermitian, within 1e-9 of its largest
-    entry, raises ValueError.
+    entry, raises ValueError.  A matrix of unit trace, within 1e-12, keeps
+    it within 1e-10 however close ``w`` comes to 1.
 
     Only a matrix with a negative eigenvalue changes.  For d = 2 the lowest
     eigenvalue has a closed form, good to a few units of double precision of
@@ -379,6 +380,12 @@ def correct_for_background(raw: np.ndarray, w: float) -> np.ndarray:
     dim = raw.shape[-1]
     out = (raw - w * np.eye(dim) / dim) / (1.0 - w)
     out = 0.5 * (out + np.swapaxes(out.conj(), -1, -2))
+    # 1/(1 - w) amplifies the rounding of a unit trace; take it out where it shows
+    t_out = np.trace(out, axis1=-2, axis2=-1).real
+    drift = np.abs(t_out - 1.0) > 1e-10
+    if np.any(drift):
+        drift &= np.abs(np.trace(raw, axis1=-2, axis2=-1).real - 1.0) <= 1e-12
+        out[drift] /= t_out[drift][..., None, None]
     if dim == 2:
         a, d, b = out[..., 0, 0].real, out[..., 1, 1].real, np.abs(out[..., 0, 1])
         # hypot, not the root of the squares, which underflow or overflow

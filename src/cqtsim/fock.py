@@ -289,19 +289,28 @@ def to_qubit_density(state: PureState, spatials: Sequence[int]) -> np.ndarray:
     trace-normalized.
     """
     spatials = list(spatials)
-    dim = 2 ** len(spatials)
+    n = len(spatials)
+    dim = 2 ** n
     vectors: dict = {}
     for occ, amp in state.terms.items():
         counts = spatial_counts(occ)
         idx = 0
+        env = []
+        for (spatial, pol), cnt in occ:
+            if spatial not in spatials:
+                env.append(((spatial, pol), cnt))
         for s in spatials:
             if counts.get(s, 0) != 1:
                 raise SectorError(
                     f"spatial mode {s} carries {counts.get(s, 0)} photons in a term; "
                     "post-select the one-photon sector first")
-            idx = (idx << 1) | (((s, V), 1) in occ)
-        env = tuple(mn for mn in occ if mn[0][0] not in spatials)
-        vectors.setdefault(env, np.zeros(dim, dtype=complex))[idx] += amp
+        for s in spatials:
+            bit = 1 if ((s, V), 1) in occ else 0
+            idx = (idx << 1) | bit
+        key = tuple(env)
+        if key not in vectors:
+            vectors[key] = np.zeros(dim, dtype=complex)
+        vectors[key][idx] += amp
     rho = np.zeros((dim, dim), dtype=complex)
     for vec in vectors.values():
         rho += np.outer(vec, vec.conj())
@@ -323,5 +332,8 @@ def fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
     if np.abs(rho - rho.conj().T).max() > 1e-9:
         raise ValueError("rho must be Hermitian")
     if abs(np.trace(rho) - 1.0) > 1e-9:
-        raise ValueError(f"rho must have unit trace, got {np.trace(rho).real:g}")
-    return float(complex(psi.conj() @ rho @ psi).real)
+        raise ValueError(f"rho must have unit trace, got {float(np.trace(rho).real)!r}")
+    val = complex(psi.conj() @ rho @ psi)
+    if abs(val.imag) > 1e-12:
+        raise ValueError(f"fidelity has non-negligible imaginary part {val.imag:g}")
+    return float(val.real)

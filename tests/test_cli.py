@@ -817,6 +817,20 @@ def test_tomo_weight_too_large_for_point_estimate_is_usage_error(tmp_path, capsy
     assert "Traceback" not in err
 
 
+def test_tomo_weight_near_1_keeps_the_corrected_state_of_unit_trace(tmp_path, capsys):
+    # 1e11 counts a projector, near-mixed: the state survives a 99.99999 %
+    # subtraction, whose rounding 1 / (1 - w) lifts past fidelity's 1e-9
+    counts = tmp_path / "counts.csv"
+    write_counts(counts, {"h": 100000000002, "v": 99999999998, "plus": 99999999997,
+                          "minus": 100000000003, "r": 100000000002, "l": 99999999998})
+    assert run_cli(["tomo", "--counts", str(counts), "--weight", "0.9999999",
+                    "--format", "json", "--full-precision"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    rho = payload["rho_corrected"]
+    assert abs(rho[0][0][0] + rho[1][1][0] - 1.0) <= 1e-10
+    assert payload["corrected_fidelity"] == pytest.approx(0.4999, abs=1e-6)
+
+
 CLIP_WARNING = ("warning: background subtraction left slightly negative eigenvalues; "
                 "clipping to the physical cone\n")
 

@@ -70,6 +70,21 @@ def test_correction_identity_cases():
     assert np.allclose(correct_for_background(eye, 0.37), eye)
 
 
+@pytest.mark.parametrize("w", [1 - 1e-7, 1 - 1e-10, 1 - 1e-14])
+def test_correction_keeps_a_unit_trace_as_w_nears_1(w):
+    # states within (1 - w) / 2 of I/2 stay physical, and 1 / (1 - w) lifts
+    # the rounding of the subtraction far past the 1e-9 that fidelity allows
+    rng = np.random.default_rng(4)
+    bloch = rng.normal(size=(200, 3))
+    bloch *= 0.9 * (1 - w) / np.linalg.norm(bloch, axis=1)[:, None]
+    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    stack = 0.5 * (np.eye(2) + np.einsum("nk,kij->nij", bloch, paulis))
+    out = correct_for_background(stack, w)
+    assert np.abs(np.trace(out, axis1=1, axis2=2) - 1).max() <= 1e-10
+    for rho in (correct_for_background(stack[0], w), *out[:3]):
+        assert 0.0 <= fidelity(rho, KET_H) <= 1.0
+
+
 def test_corrected_fidelity_reference_row():
     # removing a 55.4 % mixed admixture lifts 62.4 % to 77.9 % (within rounding)
     assert corrected_fidelity(0.624, 0.554) == pytest.approx(0.779, abs=1.5e-3)

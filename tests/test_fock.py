@@ -39,6 +39,10 @@ def test_occupation_rejects_non_integer_modes_and_counts():
         basis_state({(2.9, V): 1})
     with pytest.raises(ValueError, match="spatial index"):
         PureState({(((1.5, H), 1),): 1.0})
+    with pytest.raises(ValueError, match="polarization must be 'H' or 'V', got 'D'$"):
+        occupation({(1, "D"): 1})
+    with pytest.raises(ValueError, match="polarization must be 'H' or 'V', got 'Q'$"):
+        basis_state({(2, "Q"): 1})
     assert occupation({(np.int64(1), H): np.int64(2)}) == (((1, H), 2),)
 
 
@@ -281,12 +285,15 @@ def test_fidelity_rejects_a_non_finite_state(bad):
 
 
 @pytest.mark.parametrize("rho, message", [
-    (np.eye(2), "rho must have unit trace, got 2$"),
-    (np.diag([1.0, 2e-9]), "rho must have unit trace"),
+    (np.eye(2), r"rho must have unit trace, got 2\.0$"),
+    (np.diag([1.0, 2e-9]), r"rho must have unit trace, got 1\.000000002$"),
     ([[0.5, 0.5j], [0.5j, 0.5]], "rho must be Hermitian$"),
     ([[0.5, 0.5], [0.5 + 2e-9, 0.5]], "rho must be Hermitian$"),
-    ([[0.5 + 2e-9j, 0.0], [0.0, 0.5]], "rho must be Hermitian$")],
-    ids=["identity", "trace-over", "skew", "skew-over", "complex-diagonal"])
+    ([[0.5 + 2e-9j, 0.0], [0.0, 0.5]], "rho must be Hermitian$"),
+    # Hermitian within 1e-9, but <H|rho|H> keeps an imaginary part
+    ([[0.5 + 5e-10j, 0.0], [0.0, 0.5]], "non-negligible imaginary part 5e-10$")],
+    ids=["identity", "trace-over", "skew", "skew-over", "complex-diagonal",
+         "imaginary-part"])
 def test_fidelity_rejects_a_matrix_that_is_not_a_density_matrix(rho, message):
     # the identity has trace 2: taken as a state it reads fidelity 1.0 with
     # |H>, where I/2 reads 0.5

@@ -27,8 +27,7 @@ from cqtsim.spdc import PAIR_KINDS, SourceParams, four_mode_source
 
 import helpers
 import test_composed_vs_sequential as sequential
-from helpers import (apply_map, assert_same_bits, block_maps, compose, phase_on,
-                     substitution_map)
+from helpers import apply_map, block_maps, compose, phase_on, substitution_map
 from test_composed_vs_sequential import RUNS, assert_record_matches
 
 
@@ -159,12 +158,6 @@ def test_apply_matches_multinomial_engine(blocks, state):
     want = multinomial_apply(sub, state)
     for occ in set(got.terms) | set(want.terms):
         assert abs(got.terms.get(occ, 0) - want.terms.get(occ, 0)) <= 1e-12
-
-
-@given(ELEMENTS, STATES)
-@settings(max_examples=150, deadline=None)
-def test_apply_keeps_the_bits_of_the_substitution_map(block, state):
-    assert_same_bits(apply(block, state), apply_map(substitution_map(*block), state))
 
 
 @pytest.mark.parametrize("order", [1, 2, 3, 4, 5])
