@@ -15,6 +15,7 @@ bit-identical to ``werner_point`` at the same q.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -64,15 +65,6 @@ def ghz_ket(variant: int = 1) -> np.ndarray:
     return out
 
 
-def chi_ket(sign: int) -> np.ndarray:
-    """(|HH> + sign|VV>)/sqrt2 on qubits 1,2 times (sign|H> + |V>)/sqrt2 on qubit 3."""
-    pair = np.zeros(4, dtype=complex)
-    pair[0b00] = 1 / _SQ2
-    pair[0b11] = sign / _SQ2
-    third = np.array([sign, 1.0], dtype=complex) / _SQ2
-    return np.kron(pair, third)
-
-
 def make_ghz_mixture(p: float) -> np.ndarray:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p={p} outside [0, 1]")
@@ -98,6 +90,15 @@ class ConditionalChannel:
     outcome: str
     probability: float
     state: np.ndarray       # 4x4 on qubits 1, 2
+
+
+def _operator(channel, d: int, what: str = "channel") -> np.ndarray:
+    channel = np.asarray(channel, dtype=complex)
+    if channel.shape != (d, d):
+        raise ValueError(f"{what} must have shape ({d}, {d}), got {channel.shape}")
+    if not np.isfinite(channel).all():
+        raise ValueError(f"{what} must be finite")
+    return channel
 
 
 def _condition(channels: np.ndarray, kets) -> tuple:
@@ -128,9 +129,7 @@ def condition_on_controller(channel: np.ndarray, basis="pm", outcome=None):
              if outcome is None or label == outcome]
     if not pairs:
         raise ValueError(f"{outcome!r} is not an outcome of basis {basis!r}")
-    channel = np.asarray(channel, dtype=complex)
-    if not np.isfinite(channel).all():
-        raise ValueError("channel must be finite")
+    channel = _operator(channel, 8)
     probs, states = _condition(channel[None], [ket for ket, _ in pairs])
     results = [ConditionalChannel(label, float(prob), state)
                for (_, label), prob, state in zip(pairs, probs[0], states[0])]
@@ -243,41 +242,34 @@ def teleport_fidelity(channel: np.ndarray, psi: np.ndarray) -> float:
     """Fidelity of teleporting the unit ket ``psi`` with the ``STANDARD_CORRECTIONS``
     Pauli frame over ``channel``, a finite (4, 4) operator of unit trace."""
     psi = unit_ket(psi, "psi")
-    channel = np.asarray(channel, dtype=complex)
-    if not np.isfinite(channel).all():
-        raise ValueError("channel must be finite")
-    _check_unit_trace(channel)
-    return float(_frame_fidelities(channel[None], psi)[0])
-
-
-def _check_unit_trace(channel: np.ndarray, what: str = "channel") -> None:
-    trace = np.trace(channel)
-    if not abs(trace.real - 1.0) <= 1e-9:
-        raise ValueError(f"{what} trace must be 1 within 1e-9, got {trace!r}")
+    (branch,), _ = _branches(np.asarray(channel, dtype=complex))
+    return float(_frame_fidelities(branch.state[None], psi)[0])
 
 
 def _branches(channel):
     """``(branches, total probability)``: a two-qubit channel is one branch of
     probability 1, a list of ConditionalChannel is used as given.
 
-    ValueError for an empty list, a non-finite branch state or probability, a
-    probability below -1e-14 or a total below 1e-14, and a state whose trace
-    is not 1 within 1e-9 in a branch of probability at least 1e-14.  A branch
-    below that keeps the zero state ``condition_on_controller`` gives it; its
-    probability may be a rounding residue just below 0.
+    ValueError for an empty list, a branch state that is not a finite 4x4
+    operator, a probability that is not finite or lies below -1e-14, a total
+    below 1e-14, and a state whose trace is not 1 within 1e-9 in a branch of
+    probability at least 1e-14.  A branch below that keeps the zero state
+    ``condition_on_controller`` gives it; its probability may be a rounding
+    residue just below 0.
     """
     bare = isinstance(channel, np.ndarray)
     branches = [ConditionalChannel("", 1.0, channel)] if bare else list(channel)
     if not branches:
         raise ValueError("no branches to average over")
-    if not all(np.isfinite(b.state).all() for b in branches):
-        raise ValueError("branch states must be finite")
     for b in branches:
+        what = "channel" if bare else f"branch {b.outcome!r} state"
+        _operator(b.state, 4, what)
         if not (math.isfinite(b.probability) and b.probability >= -1e-14):
             raise ValueError(f"branch probabilities must be finite and non-negative, "
                              f"got {b.probability!r}")
-        if b.probability >= 1e-14:
-            _check_unit_trace(b.state, "channel" if bare else f"branch {b.outcome!r} state")
+        trace = np.trace(b.state)
+        if b.probability >= 1e-14 and not abs(trace.real - 1.0) <= 1e-9:
+            raise ValueError(f"{what} trace must be 1 within 1e-9, got {trace!r}")
     total = sum(b.probability for b in branches)
     if not total >= 1e-14:
         raise ValueError(f"branch probabilities must total at least 1e-14, got {total!r}")
@@ -331,8 +323,10 @@ def mc_avg_teleport_fidelity(channel, n_samples: int, seed: int) -> float:
     Picks, per Bell outcome, the Pauli that maximizes the sample-averaged
     fidelity, matching the closed-form protocol.
     """
-    if not n_samples >= 1:
-        raise ValueError(f"n_samples must be at least 1, got {n_samples!r}")
+    if n_samples is True or not (isinstance(n_samples, numbers.Integral) and n_samples >= 1):
+        raise ValueError(f"n_samples must be an integer of at least 1, got {n_samples!r}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be an explicit non-negative integer, got {seed!r}")
     branches, total_p = _branches(channel)
     rng = np.random.default_rng(seed)
     # per sample: two real parts, then two imaginary parts

@@ -372,6 +372,8 @@ def correct_for_background(raw: np.ndarray, w: float) -> np.ndarray:
     if not 0.0 <= w < 1.0:
         raise ValueError("background weight must lie in [0, 1)")
     raw = np.asarray(raw, dtype=complex)
+    if raw.ndim < 2 or raw.shape[-1] != raw.shape[-2]:
+        raise ValueError(f"density matrices must have shape (..., d, d), got {raw.shape}")
     if not np.isfinite(raw).all():
         raise ValueError("density matrices must be finite")
     skew = np.abs(raw - np.swapaxes(raw.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)

@@ -154,6 +154,10 @@ class ProtocolConfig:
             raise ValueError("role swapping is implemented for the g1 channel")
         if not 0.0 <= self.pbs_epsilon <= 1.0:
             raise ValueError("pbs_epsilon must lie in [0, 1]")
+        if not isinstance(self.input, InputQubit):
+            raise ValueError(f"input must be an InputQubit, got {self.input!r}")
+        if not (self.source is None or isinstance(self.source, SourceParams)):
+            raise ValueError(f"source must be None or a SourceParams, got {self.source!r}")
 
 
 @dataclass

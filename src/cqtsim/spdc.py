@@ -36,6 +36,8 @@ _GRID_POINTS = 401
 # second basin that does not fit stays above 1e-4.
 _ROOT_COST = 1e-12
 _ZOOM_STEPS = np.arange(21.0)
+# the sector signature "jjkk" of j forward and k backward pairs -> (j, k)
+_SECTORS = {f"{j}{j}{k}{k}": (j, k) for j in range(10) for k in range(10)}
 
 # Polarization structure of one emitted pair, as creation-operator weights.
 PAIR_KINDS = {
@@ -139,22 +141,52 @@ def sector_rates(params: SourceParams, config) -> dict:
     return count_rates(replace(config, source=ref)).per_term
 
 
+def _share_terms(rates: dict, forward):
+    """``terms(x)``: the terms of ``rates`` at backward factor x in label order,
+    their total (ValueError unless positive) and their sum but for "1111".
+
+    ``rates`` maps sector signatures "jjkk" (ValueError for another label) to
+    numbers, or to (configuration, 1) columns for a stack; "jjkk" contributes
+    rate * forward ** 2j * x ** 2k, strengths in units of REFERENCE_KAPPA, the
+    first product formed once.  The sums start at their first term, and x ** 0
+    = 1.0 is left out where a k > 0 term gives the terms the shape of x.
+    """
+    columns, powers, undesired = [], [], []
+    for label, rate in rates.items():
+        if label not in _SECTORS:
+            raise ValueError(f"rate label {label!r} is not a sector signature 'jjkk'")
+        j, k = _SECTORS[label]
+        columns.append(rate * forward ** (2 * j))
+        powers.append(2 * k)
+        undesired.append((j, k) != (1, 1))
+    scaled = [p > 0 or not any(powers) for p in powers]
+
+    def terms(x) -> tuple:
+        # an int exponent: numpy takes x ** 2 as x * x
+        out = [c * x ** p if s else c for c, p, s in zip(columns, powers, scaled)]
+        total = sum(out[1:], out[0] if out else 0)
+        positive = total > 0.0      # np.all of a bool costs more than the sums
+        if not (positive.all() if isinstance(positive, np.ndarray) else positive):
+            raise ValueError("no emission term produces a four-fold coincidence")
+        bad = [t for t, u in zip(out, undesired) if u]
+        return out, total, sum(bad[1:], bad[0]) if bad else 0
+
+    return terms
+
+
 def sector_shares(rates: dict, kappa_forward: complex, kappa_backward: complex) -> dict:
-    """Shares at scalar or array strengths: "jjkk" scales as |kappa_f|^2j |kappa_b|^2k."""
+    """Shares at scalar or array strengths: "jjkk" scales as |kappa_f|^2j |kappa_b|^2k;
+    the one-configuration case of ``_share_terms``."""
     for name, kappa in (("kappa_forward", kappa_forward), ("kappa_backward", kappa_backward)):
         # math's test takes a tenth of numpy's time on the scalars the fit passes
         if not (math.isfinite(kappa.real) and math.isfinite(kappa.imag)
                 if isinstance(kappa, numbers.Number) else np.isfinite(kappa).all()):
             raise ValueError(f"{name} must be finite, got {kappa!r}")
     forward, backward = abs(kappa_forward / REFERENCE_KAPPA), abs(kappa_backward / REFERENCE_KAPPA)
-    per_term = {label: rate * forward ** (2 * int(label[0])) * backward ** (2 * int(label[2]))
-                for label, rate in rates.items()}
-    total = sum(per_term.values())
-    if not np.all(total > 0.0):
-        raise ValueError("no emission term produces a four-fold coincidence")
-    undesired = sum(p for label, p in per_term.items() if label != "1111")
+    terms, total, undesired = _share_terms(rates, forward)(backward)
+    undesired = undesired + 0.0     # a sum from 0 turns a lone -0.0 into +0.0
     return {"desired": (total - undesired) / total, "undesired": undesired / total,
-            "per_term": {label: p / total for label, p in per_term.items()}}
+            "per_term": {label: t / total for label, t in zip(rates, terms)}}
 
 
 def heralded_fraction(params: SourceParams, config) -> dict:
@@ -177,42 +209,6 @@ class RatioFit:
     reachable: dict = field(default_factory=dict)   # label -> (min, max) share
 
 
-def _undesired_shares(rates: list):
-    """The undesired share of each of ``rates`` (``sector_rates`` of one
-    configuration each) as one function of log R, R = kappa_b/kappa_f.
-
-    ``shares(log_r)`` returns a (configuration, point) array.  Every element
-    has the bits of
-    ``sector_shares(rates[i], REFERENCE_KAPPA, REFERENCE_KAPPA * exp(log_r))``:
-    at kappa_f = REFERENCE_KAPPA the forward factor is 1.0, so sector "jjkk"
-    contributes rate * x ** 2k, summed in label order.  Left out are only the
-    operations that cannot change a bit: the abs of a positive x, the factor
-    x ** 0 = 1.0 and the sums' start at 0.  A label that a configuration lacks
-    contributes 0.0; ``sector_rates`` gives every configuration the same
-    labels in the same order.
-    """
-    labels = list(dict.fromkeys(label for r in rates for label in r))
-    if not labels:      # the sums below start at their first term
-        raise ValueError("no emission term produces a four-fold coincidence")
-    # + 0.0 makes a rate of -0.0 the +0.0 that a sum from 0 would give
-    columns = [np.array([[r.get(label, 0.0)] for r in rates]) + 0.0 for label in labels]
-    powers = [2 * int(label[2]) for label in labels]
-    # with no k > 0 term, x ** 0 still gives the shares a column per point
-    scaled = [p > 0 or not any(powers) for p in powers]
-
-    def shares(log_r: np.ndarray) -> np.ndarray:
-        x = REFERENCE_KAPPA * np.exp(log_r) / REFERENCE_KAPPA
-        # an int exponent: numpy takes x ** 2 as x * x
-        terms = [c * x ** p if s else c for c, p, s in zip(columns, powers, scaled)]
-        total = sum(terms[1:], terms[0])
-        if not (total > 0.0).all():
-            raise ValueError("no emission term produces a four-fold coincidence")
-        bad = [t for t, label in zip(terms, labels) if label != "1111"]
-        return (sum(bad[1:], bad[0]) if bad else 0) / total
-
-    return shares
-
-
 def _local_minima(costs: np.ndarray) -> np.ndarray:
     """One index per basin: the left end of each run of equal local minima."""
     falls = np.concatenate(([True], costs[1:] < costs[:-1]))
@@ -228,20 +224,17 @@ def fit_source_ratio(targets: dict, rates: dict) -> RatioFit:
     propagates nothing itself.  The cost, a rational function of the ratio
     with two basins at some settings, is scanned on a log-spaced grid over
     ``RATIO_BOUNDS``; each evaluation computes the share of every
-    configuration as one stacked array, with the same bits as
+    configuration as one stacked array in ``_share_terms``, the kernel of
     ``sector_shares``.  Each grid minimum is refined by zooming: a 21-point
     grid over the bracket of its two neighbours gives the next, down to a
-    bracket of 1e-12 in log R.  The best minimum and every other local
-    minimum are zoomed together, one ``shares`` evaluation over the
-    concatenated grids of all live brackets per step, and a basin leaves
-    once its bracket is that narrow; shares and cost are computed per point,
-    so each basin ends on the bits of a zoom of its own.  Other minima whose
-    cost also reaches zero (below ``_ROOT_COST``) are reported as
-    ``other_roots``: the targets then cannot tell those ratios apart.
-    ``reachable`` gives, per label, the smallest and largest share over the
-    grid and the fitted ratio; a target outside it is one that no ratio in
-    ``RATIO_BOUNDS`` reaches.  A target set that is empty, or a
-    target that has no rates or is not a real number in [0, 1], raises
+    bracket of 1e-12 in log R, every basin at once and each on the bits of a
+    zoom of its own (``refine``).  Other minima whose cost also reaches zero
+    (below ``_ROOT_COST``) are reported as ``other_roots``: the targets then
+    cannot tell those ratios apart.  ``reachable`` gives, per label, the
+    smallest and largest share over the grid and the fitted ratio; a target
+    outside it is one that no ratio in ``RATIO_BOUNDS`` reaches.  A target
+    set that is empty, or a target that has no rates or is not a real number
+    in [0, 1], or a rate label that is not a sector signature raises
     ValueError.
     """
     if not targets:
@@ -252,7 +245,14 @@ def fit_source_ratio(targets: dict, rates: dict) -> RatioFit:
         if not (isinstance(target, numbers.Real) and 0.0 <= target <= 1.0):
             raise ValueError(f"target {label!r} must be a share in [0, 1], got {target!r}")
     labels = list(targets)
-    shares = _undesired_shares([rates[k] for k in labels])
+    # a (configuration, 1) column per sector; + 0.0 makes -0.0 the +0.0 a sum from 0 gives
+    terms = _share_terms({sector: np.array([[rates[k].get(sector, 0.0)] for k in labels]) + 0.0
+                          for sector in dict.fromkeys(s for k in labels for s in rates[k])}, 1.0)
+
+    def shares(log_r: np.ndarray) -> np.ndarray:
+        _, total, undesired = terms(REFERENCE_KAPPA * np.exp(log_r) / REFERENCE_KAPPA)
+        return undesired / total
+
     goal = np.array([targets[k] for k in labels])[:, None]
 
     def cost(shares_: np.ndarray) -> np.ndarray:

@@ -23,8 +23,11 @@ diagonalises every matrix.
 ``reference_undesired_shares`` and ``reference_fit_source_ratio`` are
 ``spdc._undesired_shares`` and ``spdc.fit_source_ratio`` as they were before
 the zoom kept its bracket in Python floats and the shares skipped the
-operations that cannot change a bit, copied verbatim: the bit-for-bit oracle
-of the fit.
+operations that cannot change a bit, copied verbatim with
+``reference_sector_shares`` for the fit's achieved shares: the bit-for-bit
+oracle of the fit.  ``reference_sector_shares`` is ``spdc.sector_shares`` as
+it was before it became the one-configuration case of ``spdc._share_terms``,
+copied verbatim: the bit-for-bit oracle of the shares.
 ``reference_run_protocol`` is ``protocol.run_protocol`` as it was before the
 rates and the receiver state were split over one private tally, copied
 verbatim with the module's private names read off ``protocol`` at call time
@@ -36,9 +39,12 @@ this module, so a test can swap in another emission engine with
 ``monkeypatch.setattr(helpers, "emission_orders", ...)``.
 ``outcome_averaged`` is the channel of a receiver without the controller's
 outcome, in the expression the teleportation averages' docstring gives.
+``chi_ket`` is the three-qubit ket that ``cqtsim.channels`` built for the
+tests alone, moved here unchanged.
 """
 
 import math
+import numbers
 import operator
 import warnings
 from typing import Callable, Iterable, Sequence
@@ -53,9 +59,18 @@ from cqtsim.estimation import (ML_MAX_ITERATIONS, ML_TOL, FidelityEstimate, NonP
 from cqtsim.fock import H, V, PureState, _create, spatial_counts, unit_ket
 from cqtsim.spdc import (_GRID_POINTS, _ROOT_COST, BACKWARD_MODES, FORWARD_MODES,
                          RATIO_BOUNDS, REFERENCE_KAPPA, RatioFit, _local_minima,
-                         emission_orders, sector_shares)
+                         emission_orders)
 
 AXIAL_INPUT_NAMES = ("h", "v", "plus", "minus", "r", "l")
+
+
+def chi_ket(sign: int) -> np.ndarray:
+    """(|HH> + sign|VV>)/sqrt2 on qubits 1,2 times (sign|H> + |V>)/sqrt2 on qubit 3."""
+    pair = np.zeros(4, dtype=complex)
+    pair[0b00] = 1 / math.sqrt(2.0)
+    pair[0b11] = sign / math.sqrt(2.0)
+    third = np.array([sign, 1.0], dtype=complex) / math.sqrt(2.0)
+    return np.kron(pair, third)
 
 
 def outcome_averaged(branches) -> np.ndarray:
@@ -361,6 +376,24 @@ def reference_correct_for_background(raw: np.ndarray, w: float) -> np.ndarray:
     return out
 
 
+def reference_sector_shares(rates: dict, kappa_forward: complex, kappa_backward: complex) -> dict:
+    """Shares at scalar or array strengths: "jjkk" scales as |kappa_f|^2j |kappa_b|^2k."""
+    for name, kappa in (("kappa_forward", kappa_forward), ("kappa_backward", kappa_backward)):
+        # math's test takes a tenth of numpy's time on the scalars the fit passes
+        if not (math.isfinite(kappa.real) and math.isfinite(kappa.imag)
+                if isinstance(kappa, numbers.Number) else np.isfinite(kappa).all()):
+            raise ValueError(f"{name} must be finite, got {kappa!r}")
+    forward, backward = abs(kappa_forward / REFERENCE_KAPPA), abs(kappa_backward / REFERENCE_KAPPA)
+    per_term = {label: rate * forward ** (2 * int(label[0])) * backward ** (2 * int(label[2]))
+                for label, rate in rates.items()}
+    total = sum(per_term.values())
+    if not np.all(total > 0.0):
+        raise ValueError("no emission term produces a four-fold coincidence")
+    undesired = sum(p for label, p in per_term.items() if label != "1111")
+    return {"desired": (total - undesired) / total, "undesired": undesired / total,
+            "per_term": {label: p / total for label, p in per_term.items()}}
+
+
 def reference_undesired_shares(rates: list):
     """The undesired share of each of ``rates`` (``sector_rates`` of one
     configuration each) as one function of log R, R = kappa_b/kappa_f.
@@ -439,7 +472,8 @@ def reference_fit_source_ratio(targets: dict, rates: dict) -> RatioFit:
 
     ratio = math.exp(refine(best)[0])
     others = [refine(i) for i in _local_minima(costs) if i != best] if constrained else []
-    achieved = {k: sector_shares(rates[k], REFERENCE_KAPPA, REFERENCE_KAPPA * ratio)["undesired"]
+    achieved = {k: reference_sector_shares(rates[k], REFERENCE_KAPPA,
+                                           REFERENCE_KAPPA * ratio)["undesired"]
                 for k in labels}
     residuals = {k: achieved[k] - targets[k] for k in labels}
     return RatioFit(

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from cqtsim.channels import (avg_teleport_fidelity, chi_ket,
+from cqtsim.channels import (avg_teleport_fidelity,
                              conditional_teleport_output, condition_on_controller,
                              ket_outer, make_ghz_mixture,
                              teleport_fidelity, werner_point, werner_scan)
@@ -20,7 +20,7 @@ from cqtsim.fock import KET_D, NAMED_KETS, PureState, basis_state, occupation, H
 from cqtsim.protocol import (InputQubit, ProtocolConfig, ProtocolError, R_PREP,
                              prepare_ghz, run_protocol, singlet_projection)
 from cqtsim.spdc import SourceParams, fit_source_ratio, heralded_fraction, sector_rates
-from helpers import AXIAL_INPUT_NAMES
+from helpers import AXIAL_INPUT_NAMES, chi_ket
 
 _SQ2 = math.sqrt(2.0)
 CLASSICAL_LIMIT = 2.0 / 3.0

@@ -1,15 +1,17 @@
+import re
+
 import numpy as np
 import pytest
 
 from cqtsim.channels import (STANDARD_CORRECTIONS, ConditionalChannel, avg_teleport_fidelity,
-                             bell_kets, chi_ket, conditional_teleport_output,
+                             bell_kets, conditional_teleport_output,
                              condition_on_controller,
                              ghz_ket, ket_outer, make_ghz_mixture, make_werner,
                              mc_avg_teleport_fidelity, partial_trace, teleport_fidelity,
                              werner_point, werner_scan)
 from cqtsim.fock import KET_D, KET_H, KET_R, KET_V
 
-from helpers import outcome_averaged, validate_density
+from helpers import chi_ket, outcome_averaged, validate_density
 
 
 def test_ghz_mixture_at_zero_is_pure_ghz():
@@ -89,11 +91,18 @@ def test_avg_fidelity_werner_closed_form_and_mc():
     assert mc == pytest.approx(closed, abs=1.5e-2)
 
 
-@pytest.mark.parametrize("n_samples", [0, -3])
+@pytest.mark.parametrize("n_samples", [0, -3, 2.5, True])
 def test_mc_average_needs_a_sample(n_samples):
-    with pytest.raises(ValueError, match="n_samples must be at least 1"):
+    with pytest.raises(ValueError, match="^n_samples must be an integer of at least 1, got "):
         mc_avg_teleport_fidelity(condition_on_controller(make_werner(0.5), "pm"),
                                  n_samples=n_samples, seed=1)
+
+
+@pytest.mark.parametrize("seed", [1.5, None, -1])
+def test_mc_average_needs_an_explicit_seed(seed):
+    with pytest.raises(ValueError, match="^seed must be an explicit non-negative integer, got "):
+        mc_avg_teleport_fidelity(condition_on_controller(make_werner(0.5), "pm"),
+                                 n_samples=10, seed=seed)
 
 
 @pytest.mark.parametrize("psi", [[3, 4], [0, 0], [np.nan, 1], [1, 0, 0]])
@@ -123,9 +132,35 @@ EACH_AVERAGE = pytest.mark.parametrize("average", [
 def test_averages_reject_a_non_finite_branch_state(average):
     conds = condition_on_controller(make_werner(0.5), "pm")
     conds[1].state = np.full((4, 4), np.nan)
-    for channel in (conds, np.full((4, 4), np.inf)):
-        with pytest.raises(ValueError, match="branch states must be finite"):
+    for channel, message in ((conds, "branch '-' state must be finite"),
+                             (np.full((4, 4), np.inf), "channel must be finite")):
+        with pytest.raises(ValueError, match=message):
             average(channel)
+
+
+@pytest.mark.parametrize("call, d", [
+    (lambda op: condition_on_controller(op, "pm"), 8),
+    (lambda op: condition_on_controller(op, "pm", "+"), 8),
+    (lambda op: teleport_fidelity(op, KET_D), 4),
+    (avg_teleport_fidelity, 4),
+    (lambda op: mc_avg_teleport_fidelity(op, n_samples=10, seed=1), 4),
+], ids=["condition", "condition_outcome", "teleport", "closed_form", "mc"])
+def test_qubit_operators_name_the_shape_they_need(call, d):
+    # the other qubit operator (4x4 where 8x8 is needed, and back), a flat
+    # operator and a non-square one
+    other = 12 - d
+    for op in (np.eye(other) / other, np.full(d * d, 1.0 / d), np.ones((d, 3))):
+        message = f"channel must have shape ({d}, {d}), got {op.shape}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call(op)
+
+
+@EACH_AVERAGE
+def test_averages_name_a_branch_state_of_the_wrong_shape(average):
+    conds = condition_on_controller(make_werner(0.5), "pm")
+    conds[0].state = np.eye(2) / 2
+    with pytest.raises(ValueError, match=r"^branch '\+' state must have shape \(4, 4\), got "):
+        average(conds)
 
 
 @EACH_AVERAGE

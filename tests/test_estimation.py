@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -129,6 +130,13 @@ def test_correction_rejects_a_non_finite_matrix(bad):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="density matrices must be finite"):
             correct_for_background(rho, 0.1)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (), (4, 2, 3)])
+def test_correction_names_the_shape_it_needs(shape):
+    with pytest.raises(ValueError, match=re.escape(
+            f"density matrices must have shape (..., d, d), got {shape}")):
+        correct_for_background(np.ones(shape), 0.1)
 
 
 def test_correction_rejects_a_non_hermitian_matrix():

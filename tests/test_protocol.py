@@ -88,6 +88,17 @@ def test_swapped_roles_limited_to_g1():
         ProtocolConfig(channel="g2", roles="swapped")
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("input", "plus", "input must be an InputQubit, got 'plus'"),
+    ("input", (1.0, 0.0), r"input must be an InputQubit, got \(1.0, 0.0\)"),
+    ("source", {"kappa_forward": 0.1},
+     "source must be None or a SourceParams, got {'kappa_forward"),
+], ids=["input-name", "input-pair", "source-dict"])
+def test_config_rejects_an_input_or_source_of_the_wrong_type(field, value, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        ProtocolConfig(**{field: value})
+
+
 # --- encoding -------------------------------------------------------------------
 
 @pytest.mark.parametrize("channel, action, roles", RUNS)

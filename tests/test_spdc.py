@@ -11,13 +11,14 @@ import cqtsim
 from cqtsim.fock import H, V, occupation
 from cqtsim.protocol import InputQubit, ProtocolConfig, run_protocol
 from cqtsim.spdc import (_GRID_POINTS, _ROOT_COST, PAIR_KINDS, RATIO_BOUNDS,
-                         _local_minima, _undesired_shares,
+                         _local_minima, _share_terms,
                          REFERENCE_KAPPA, RatioFit, SourceParams, coincidence_sectors,
                          emission_orders, fit_source_ratio, four_mode_source,
                          heralded_fraction, sector_rates, sector_shares,
                          signature_label)
 
-from helpers import reference_fit_source_ratio, two_mode_spdc
+from helpers import (reference_fit_source_ratio, reference_sector_shares,
+                     reference_undesired_shares, two_mode_spdc)
 
 _SQ2 = math.sqrt(2.0)
 
@@ -377,15 +378,25 @@ def test_sector_shares_of_an_array_match_each_scalar():
                                                rtol=1e-12, atol=0)
 
 
+def stacked_undesired(rate_list: list, log_r: np.ndarray) -> np.ndarray:
+    """The fit's (configuration, point) undesired shares: ``_share_terms`` on
+    a (configuration, 1) column per sector, at kappa_f = REFERENCE_KAPPA."""
+    sectors = dict.fromkeys(label for r in rate_list for label in r)
+    terms = _share_terms({s: np.array([[r.get(s, 0.0)] for r in rate_list]) + 0.0
+                          for s in sectors}, 1.0)
+    _, total, undesired = terms(REFERENCE_KAPPA * np.exp(log_r) / REFERENCE_KAPPA)
+    return undesired / total
+
+
 def test_stacked_shares_have_the_bits_of_sector_shares():
     grid = np.linspace(math.log(RATIO_BOUNDS[0]), math.log(RATIO_BOUNDS[1]), _GRID_POINTS)
     for eps in (0.0, 0.025, 0.1):
         for name in ("plus", "h", "v", "r"):
             rates = fit_rates(eps, name)
-            stacked = _undesired_shares(list(rates.values()))(grid)
+            stacked = stacked_undesired(list(rates.values()), grid)
             assert stacked.shape == (len(rates), _GRID_POINTS)
             for row, r in zip(stacked, rates.values()):
-                each = sector_shares(r, REFERENCE_KAPPA, REFERENCE_KAPPA * np.exp(grid))
+                each = reference_sector_shares(r, REFERENCE_KAPPA, REFERENCE_KAPPA * np.exp(grid))
                 assert np.array_equal(row, each["undesired"])
 
 
@@ -393,20 +404,70 @@ def test_stacked_shares_fill_a_missing_label_with_zero():
     rates = fit_rates()
     short = {label: rate for label, rate in rates["allowed"].items() if label != "2200"}
     grid = np.linspace(-2.0, 1.0, 7)
-    stacked = _undesired_shares([rates["denied"], short])(grid)
-    assert np.array_equal(stacked[1], sector_shares(short, REFERENCE_KAPPA,
-                                                    REFERENCE_KAPPA * np.exp(grid))["undesired"])
+    stacked = stacked_undesired([rates["denied"], short], grid)
+    assert np.array_equal(stacked[1], reference_sector_shares(
+        short, REFERENCE_KAPPA, REFERENCE_KAPPA * np.exp(grid))["undesired"])
 
 
 def test_stacked_shares_keep_a_column_per_point_without_backward_pairs():
     # no sector holds a backward pair, so no share depends on the ratio
-    rates = [{"1111": 2e-5, "2200": 1e-6}, {"1111": 1e-5}]
+    rates = [{"2200": 1e-6}, {"2200": 3e-6, "0000": 0.0}]
     grid = np.linspace(-2.0, 1.0, 7)
-    stacked = _undesired_shares(rates)(grid)
+    stacked = stacked_undesired(rates, grid)
     assert stacked.shape == (2, 7)
     for row, r in zip(stacked, rates):
-        each = sector_shares(r, REFERENCE_KAPPA, REFERENCE_KAPPA * np.exp(grid))
+        each = reference_sector_shares(r, REFERENCE_KAPPA, REFERENCE_KAPPA * np.exp(grid))
         assert np.array_equal(row, each["undesired"])
+
+
+def bits(value) -> tuple:
+    """Type, shape, dtype and bytes: equal only for the same bits, signs of zero included."""
+    array = np.asarray(value)
+    return type(value), array.shape, array.dtype, array.tobytes()
+
+
+def share_bits(rates, kappa_forward, kappa_backward, shares=sector_shares):
+    try:
+        out = shares(rates, kappa_forward, kappa_backward)
+    except ValueError as error:
+        return str(error)
+    return (bits(out["desired"]), bits(out["undesired"]),
+            [(label, bits(v)) for label, v in out["per_term"].items()])
+
+
+STRENGTHS = [(0.1, 0.1), (0.05, 0.2), (0.2j, 0.03 + 0.04j), (np.float64(0.07), 0.0),
+             (0.0, 0.1), (0.0, 0.0), (np.array([0.02, 0.1, 0.3]), 0.05),
+             (np.array([[0.02], [0.3]]), np.array([0.01, 0.1, 0.4])),
+             (0.1, REFERENCE_KAPPA * np.exp(np.linspace(math.log(RATIO_BOUNDS[0]),
+                                                        math.log(RATIO_BOUNDS[1]),
+                                                        _GRID_POINTS)))]
+
+
+def test_sector_shares_keep_every_bit_of_the_reference():
+    # rates of orders 2 and 3, and rates with -0.0, a zero, no "1111", only
+    # "1111" and no sector of k > 0, at scalar, complex and array strengths
+    rate_sets = [r for eps, name in ((0.0, "h"), (0.05, "plus"), (0.1, "r"))
+                 for r in fit_rates(eps, name).values()]
+    rate_sets += [sector_rates(SourceParams(truncation_order=3), fit_configs(label, 0.025, "l"))
+                  for label in ("allowed", "denied")]
+    rate_sets += [{"0022": -0.0, "1111": 2e-5}, {"0022": 1e-6, "1111": 0.0, "2200": -0.0},
+                  {"0022": 1e-6, "2200": 3e-6}, {"1111": 1e-5}, {"1111": 2e-5, "2200": 1e-6},
+                  {"2200": 3e-6}, {"2200": -0.0, "4400": 1e-7},
+                  {"2200": -0.0, "0022": -0.0, "1111": 1e-5}, {}]
+    for rates in rate_sets:
+        for kappas in STRENGTHS:
+            assert share_bits(rates, *kappas) == share_bits(rates, *kappas,
+                                                            shares=reference_sector_shares)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: sector_shares({"11": 1.0}, 0.1, 0.1),
+    lambda: sector_shares({"x": 1.0}, 0.1, 0.1),
+    lambda: fit_source_ratio({"a": 0.5}, {"a": {"11": 1.0, "2200": 1.0}}),
+], ids=["short", "letter", "fit"])
+def test_a_rate_label_that_is_not_a_sector_signature_raises(call):
+    with pytest.raises(ValueError, match=r"^rate label '(11|x)' is not a sector signature"):
+        call()
 
 
 def listed_minima(costs) -> list:
@@ -548,24 +609,27 @@ def test_joint_zoom_keeps_every_bit_of_the_reference(case, monkeypatch):
     labels = list(targets)
     grid = np.linspace(math.log(RATIO_BOUNDS[0]), math.log(RATIO_BOUNDS[1]), _GRID_POINTS)
     goal = np.array([targets[k] for k in labels])[:, None]
-    costs = ((_undesired_shares([rates[k] for k in labels])(grid) - goal) ** 2).sum(axis=0)
+    costs = ((reference_undesired_shares([rates[k] for k in labels])(grid) - goal) ** 2
+             ).sum(axis=0)
     best = int(costs.argmin())
     assert [best] + [int(i) for i in _local_minima(costs) if i != best] == minima
 
     from cqtsim import spdc
 
     calls = []
-    undesired_shares = spdc._undesired_shares
+    share_terms = spdc._share_terms
 
-    def counted(rate_list):
-        shares = undesired_shares(rate_list)
-        return lambda log_r: calls.append(log_r.size) or shares(log_r)
+    def counted(rates_, forward):
+        terms = share_terms(rates_, forward)
+        return lambda x: calls.append(np.size(x)) or terms(x)
 
-    monkeypatch.setattr(spdc, "_undesired_shares", counted)
+    monkeypatch.setattr(spdc, "_share_terms", counted)
     fit = fit_source_ratio(targets, rates)
     assert repr(fit) == repr(reference_fit_source_ratio(targets, rates))
-    assert len(calls) == evaluations
+    # the fit's evaluations, then one scalar ``sector_shares`` per achieved share
+    assert len(calls) == evaluations + len(labels)
     assert calls[0] == _GRID_POINTS and calls[1] == 21 * len(minima)
+    assert calls[evaluations:] == [1] * len(labels)
     assert len(fit.other_roots) == (case == "second exact root")
 
 
