@@ -247,22 +247,28 @@ def teleport_fidelity(channel: np.ndarray, psi: np.ndarray) -> float:
 
 
 def _branches(channel):
-    """``(branches, total probability)``: a two-qubit channel is one branch of
-    probability 1, a list of ConditionalChannel is used as given.
+    """``(branches, total probability)``: a list or tuple of ConditionalChannel
+    is used as given, and anything else is a two-qubit channel, one branch of
+    probability 1.
 
-    ValueError for an empty list, a branch state that is not a finite 4x4
+    ValueError for an empty list, a list that mixes ConditionalChannel with
+    other entries, a channel or branch state that is not a finite 4x4
     operator, a probability that is not finite or lies below -1e-14, a total
     below 1e-14, and a state whose trace is not 1 within 1e-9 in a branch of
     probability at least 1e-14.  A branch below that keeps the zero state
     ``condition_on_controller`` gives it; its probability may be a rounding
     residue just below 0.
     """
-    bare = isinstance(channel, np.ndarray)
-    branches = [ConditionalChannel("", 1.0, channel)] if bare else list(channel)
+    listed = isinstance(channel, (list, tuple)) and (
+        not channel or any(isinstance(b, ConditionalChannel) for b in channel))
+    if listed and not all(isinstance(b, ConditionalChannel) for b in channel):
+        raise ValueError("a branch list must hold ConditionalChannel entries only")
+    branches = list(channel) if listed else [
+        ConditionalChannel("", 1.0, np.asarray(channel, dtype=complex))]
     if not branches:
         raise ValueError("no branches to average over")
     for b in branches:
-        what = "channel" if bare else f"branch {b.outcome!r} state"
+        what = f"branch {b.outcome!r} state" if listed else "channel"
         _operator(b.state, 4, what)
         if not (math.isfinite(b.probability) and b.probability >= -1e-14):
             raise ValueError(f"branch probabilities must be finite and non-negative, "

@@ -444,16 +444,16 @@ def cmd_fit_spdc(args) -> int:
         targets = dict(zip(("uncontrolled", "allowed", "denied"),
                            [v / 100.0 for v in pcts]))
 
-    # each configuration is propagated once; its rates feed the targets and the fit
-    rates = {}
-    for label, cfg in configs.items():
-        try:
-            rates[label] = sector_rates(SourceParams(), cfg)
-        except NoCoincidenceError:
-            raise NoCoincidenceError(
-                f"the {label} configuration ({cfg.channel} {cfg.action}) cannot produce a "
-                f"four-fold coincidence at --pbs-epsilon {eps:g} and input {args.input}"
-            ) from None
+    # the three configurations are propagated together; their rates feed the
+    # targets and the fit
+    try:
+        rates = sector_rates(SourceParams(), configs)
+    except NoCoincidenceError as exc:
+        cfg = configs[exc.label]
+        raise NoCoincidenceError(
+            f"the {exc.label} configuration ({cfg.channel} {cfg.action}) cannot produce a "
+            f"four-fold coincidence at --pbs-epsilon {eps:g} and input {args.input}"
+        ) from None
     if args.synthetic_ratio is not None:
         # at truncation order 2 the shares depend on the ratio alone, up to
         # rounding; a forward strength of 0.05 fixes that rounding
@@ -585,8 +585,9 @@ def _attach_state_values(argv):
     """
     out = []
     for token in argv:
-        if (out and len(out[-1]) > 2 and any(opt.startswith(out[-1]) for opt in STATE_OPTIONS)
-                and token.startswith("-") and ("," in token or ";" in token)):
+        # the cheap token test first: most tokens are no such value
+        if (token.startswith("-") and ("," in token or ";" in token) and out
+                and len(out[-1]) > 2 and any(opt.startswith(out[-1]) for opt in STATE_OPTIONS)):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)

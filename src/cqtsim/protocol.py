@@ -35,17 +35,22 @@ occupation of the eight modes with N photons in all, C(N + 7, 7) of them
 (``_number_basis``, whose occupation codes no other module reads), and
 ``_create_pairs`` applies a quadratic form of creation operators to it in
 one ``np.bincount``; its index tables are built with numpy on first use,
-once per photon number.  The analyzer calibration propagates the ideal
-source, sector (1, 1), through the same blocks and reads two amplitudes off
-it, so a run builds no sparse state.
+once per photon number and stack height.  The engine has a leading
+configuration axis: runs that share the source and the roles go through
+it as one stack of L, of forms and of vectors, and every row keeps the
+bits of a stack of its own.  The analyzer calibration propagates the ideal source, sector
+(1, 1), through the same blocks for its four probe inputs in one stack and
+reads two amplitudes off each, so a run builds no sparse state.
 
 ``count_rates`` returns the four-fold rates of a run and ``run_protocol``
 those rates with the receiver's conditional state.  Both take them from one
-private propagation and tally, ``_tally``, which takes the trace of the
-receiver's 2x2 block sector by sector only until one leaves him a photon.
-``run_protocol`` alone adds up every block and rotates the sum out of his
-analyzer frame, so the callers that need only the rates (``cli``'s ``run``,
-``emulate_mixture`` and ``spdc.sector_rates``) build no receiver state.
+private propagation and tally, ``_tally``, which takes a list of
+configurations and, per configuration, the trace of the receiver's 2x2
+block sector by sector only until one leaves him a photon.  The callers
+that need only the rates build no receiver state; ``emulate_mixture``
+passes its g1 and g2 halves to one ``_tally`` and ``spdc.sector_rates``
+every configuration it is given (``fit-spdc``'s three), and ``run_protocol``
+alone adds up every block and rotates the sum out of his analyzer frame.
 
 The stage operations ``prepare_ghz`` and ``singlet_projection`` hand the
 same kind of block to ``elements.apply``, which applies it to a sparse
@@ -244,16 +249,11 @@ def _calibrated_frame(channel: str, roles: str) -> np.ndarray:
     pattern = np.searchsorted(_number_basis(4)[1],
                               [env + unit[(wiring.receiver, pol)] for pol in (H, V)])
 
-    def receiver_ket(input_q: InputQubit) -> np.ndarray:
-        cfg = ProtocolConfig(channel=channel, action=action, input=input_q,
-                             source=None, pbs_epsilon=0.0, roles=roles)
-        lin = _optics_matrix(_station_blocks(cfg))
-        state = _emitted(lin @ _LAMBDA_FORWARD @ lin.T, lin @ _LAMBDA_BACKWARD @ lin.T,
-                         {(1, 1)})[(1, 1)]
-        return state[pattern]
-
-    col_h = receiver_ket(InputQubit.from_name("h"))
-    col_v = receiver_ket(InputQubit.from_name("v"))
+    cfgs = [ProtocolConfig(channel=channel, action=action, input=InputQubit.from_name(name),
+                           source=None, pbs_epsilon=0.0, roles=roles)
+            for name in ("h", "v", "r", "plus")]
+    lin = np.array([_optics_matrix(_station_blocks(cfg)) for cfg in cfgs])
+    col_h, col_v, *probes = _emitted(lin, {(1, 1)})[(1, 1)][:, pattern]
     w = np.column_stack([col_h, col_v])
     gram = w.conj().T @ w
     scale = math.sqrt(float(np.real(gram[0, 0])))
@@ -261,11 +261,9 @@ def _calibrated_frame(channel: str, roles: str) -> np.ndarray:
             or abs(gram[0, 0] - gram[1, 1]) > 1e-12:
         raise ProtocolError("analyzer calibration produced a non-unitary frame")
     w = w / scale
-    for name in ("r", "plus"):
-        probe = InputQubit.from_name(name)
-        got = receiver_ket(probe)
+    for cfg, got in zip(cfgs[2:], probes):
         got = got / np.linalg.norm(got)
-        expect = w @ probe.ket()
+        expect = w @ cfg.input.ket()
         if abs(abs(np.vdot(expect, got)) - 1.0) > 1e-10:
             raise ProtocolError("analyzer calibration failed cross-check")
     return w
@@ -308,13 +306,15 @@ def _number_basis(n: int) -> tuple:
 
 
 @functools.cache
-def _pair_table(n: int) -> tuple:
+def _pair_table(n: int, rows: int) -> tuple:
     """Index table of the pairs b_k^dag b_l^dag, k <= l, from ``n`` to ``n + 2`` photons.
 
-    Returns ``(k, l, slots, coef, size)``.  Source state s and pair p send
-    ``coef[s, p]`` times the amplitude to target state t, whose real and
-    imaginary parts sit at ``slots[s, p] = (2t, 2t + 1)`` of the float view of
-    a complex vector of ``size`` entries.  ``coef`` holds the bosonic factors
+    Returns ``(pairs, slots, coef, size)`` for a stack of ``rows`` vectors,
+    ``pairs`` the flat indices 8k + l of the pairs into an 8x8 matrix.
+    Source state s and pair p of row r send ``coef[s, p]`` times the
+    amplitude to target state t, whose real and imaginary parts sit at
+    ``slots[r, s, p] = (2t, 2t + 1)`` of the float view of row r of a
+    complex (rows, ``size``) stack.  ``coef`` holds the bosonic factors
     sqrt(n_k + 1) sqrt(n_l + 1), or sqrt((n_k + 1)(n_k + 2)) / 2 for k = l,
     the 1/2 of the quadratic form's diagonal.
     """
@@ -326,20 +326,24 @@ def _pair_table(n: int) -> tuple:
     same = k == l
     coef = np.sqrt((occ[:, k] + 1.0) * (occ[:, l] + 1.0 + same)) * np.where(same, 0.5, 1.0)
     slots = np.stack([2 * target, 2 * target + 1], axis=-1)
-    return k, l, slots.ravel(), coef, len(out_codes)
+    slots = slots + 2 * len(out_codes) * np.arange(rows)[:, None, None, None]
+    return k * len(_DENSE_MODES) + l, slots.ravel(), coef, len(out_codes)
 
 
-def _create_pairs(vec: np.ndarray, n: int, q: np.ndarray) -> np.ndarray:
-    """Apply 1/2 sum_kl q[k, l] b_k^dag b_l^dag to an ``n``-photon vector.
+def _create_pairs(vecs: np.ndarray, n: int, q: np.ndarray) -> np.ndarray:
+    """Apply 1/2 sum_kl q[r, k, l] b_k^dag b_l^dag to row r of ``n``-photon vectors.
 
-    ``vec`` is indexed by ``_number_basis(n)`` and ``q`` is symmetric; the
-    result is indexed by the basis of ``n + 2`` photons.
+    Each row of the stack ``vecs`` is indexed by ``_number_basis(n)``, and
+    each ``q[r]`` is symmetric; the result is indexed by the basis of
+    ``n + 2`` photons.  One ``np.bincount`` serves every row, and each bin
+    adds its terms in the order of a row of its own.
     """
-    k, l, slots, coef, size = _pair_table(n)
-    terms = vec[:, None] * q[k, l]
+    rows = len(vecs)
+    pairs, slots, coef, size = _pair_table(n, rows)
+    terms = vecs[:, :, None] * q.reshape(rows, -1).take(pairs, axis=1)[:, None]
     terms *= coef
     return np.bincount(slots, terms.view(np.float64).ravel(),
-                       minlength=2 * size).view(complex)
+                       minlength=2 * size * rows).view(complex).reshape(rows, size)
 
 
 def _pair_matrix(pair_kind: str, modes: tuple) -> np.ndarray:
@@ -373,15 +377,19 @@ def _optics_matrix(blocks) -> np.ndarray:
     return lin
 
 
-def _emitted(q_forward: np.ndarray, q_backward: np.ndarray, sectors) -> dict:
-    """(A^dag)^j (B^dag)^k |0> / (j! k!) for each (j, k) in ``sectors``.
+def _emitted(lin: np.ndarray, sectors) -> dict:
+    """(A^dag)^j (B^dag)^k |0> / (j! k!) for each (j, k) in ``sectors``, behind
+    each optics matrix L of the (c, 8, 8) stack ``lin``.
 
-    A^dag and B^dag are the quadratic forms ``q_forward`` and ``q_backward``;
-    the sectors that share k share the B^dag steps.  Each vector is indexed
-    by the basis of 2(j + k) photons.
+    A^dag and B^dag leave L as the quadratic forms L Lambda L^T, formed for
+    the whole stack at once; the sectors that share k share the B^dag steps.
+    Each value is a (c, size) stack of vectors, one row per L, indexed by
+    the basis of 2(j + k) photons.
     """
+    lin_t = lin.transpose(0, 2, 1)
+    q_forward, q_backward = lin @ _LAMBDA_FORWARD @ lin_t, lin @ _LAMBDA_BACKWARD @ lin_t
     out = {}
-    backward = np.ones(1, dtype=complex)
+    backward = np.ones((len(lin), 1), dtype=complex)
     for k in range(max((kk for _, kk in sectors), default=-1) + 1):
         if k:
             backward = _create_pairs(backward, 2 * k - 2, q_backward) / k
@@ -398,8 +406,8 @@ def _emitted(q_forward: np.ndarray, q_backward: np.ndarray, sectors) -> dict:
 def _emitted_norms(order: int) -> dict:
     """Squared norm of each sector (j, k), j + k <= order, at unit strengths."""
     sectors = [(j, k) for j in range(order + 1) for k in range(order + 1 - j)]
-    return {jk: float((np.abs(vec) ** 2).sum())
-            for jk, vec in _emitted(_LAMBDA_FORWARD, _LAMBDA_BACKWARD, sectors).items()}
+    return {jk: float((np.abs(vec[0]) ** 2).sum())
+            for jk, vec in _emitted(np.eye(len(_DENSE_MODES))[None], sectors).items()}
 
 
 def _sector_weights(source: SourceParams | None) -> dict:
@@ -450,63 +458,79 @@ def _receiver_block(state: np.ndarray, h_one: np.ndarray, v_one: np.ndarray) -> 
     return kept @ kept.conj().T
 
 
-def _tally(config: ProtocolConfig) -> tuple:
-    """Propagate a run and tally it: ``(record, analyzer, empty_tol, receiver)``.
+def _tally(configs) -> list:
+    """Propagate runs that share ``source`` and ``roles`` as one stack and tally each.
 
-    ``analyzer`` holds the rows of the receiver's analyzer rotation,
-    ``empty_tol`` the weight below which a probability counts as no event,
-    and ``receiver`` per sector in label order ``(state, h_one, v_one)`` for
-    ``_receiver_block``.  Raises the errors ``count_rates`` names.
+    Returns, per configuration, ``(record, analyzer, empty_tol, receiver)`` or
+    the error ``count_rates`` names for it.  ``analyzer`` holds the rows of the
+    receiver's analyzer rotation, ``empty_tol`` the weight below which a
+    probability counts as no event, and ``receiver`` per sector in label order
+    ``(state, h_one, v_one)`` for ``_receiver_block``.  The rows share each
+    step up to the pruned probabilities; the sums and the receiver blocks are
+    taken row by row, so each row keeps the bits of a stack of its own.
     """
-    wiring = WIRINGS[config.roles]
-    frame = analyzer_frame(config.channel, config.roles)
-    analyzer = np.array([frame @ config.input.ket(),
-                         frame @ config.input.orthogonal_ket()]).conj()
-    lin = _optics_matrix(_station_blocks(config) + [((wiring.receiver,), analyzer)])
-    weights = _sector_weights(config.source)
-    sectors = _emitted(lin @ _LAMBDA_FORWARD @ lin.T, lin @ _LAMBDA_BACKWARD @ lin.T,
-                       weights)
-    detectors = tuple(_detector_spatials(config))
+    wiring = WIRINGS[configs[0].roles]
+    analyzers, lins = [], []
+    for config in configs:
+        frame = analyzer_frame(config.channel, config.roles)
+        analyzers.append(np.array([frame @ config.input.ket(),
+                                   frame @ config.input.orthogonal_ket()]).conj())
+        lins.append(_optics_matrix(_station_blocks(config)
+                                   + [((wiring.receiver,), analyzers[-1])]))
+    weights = _sector_weights(configs[0].source)
+    sectors = _emitted(np.array(lins), weights)
+    detectors = tuple(_detector_spatials(configs[0]))
     # four-fold rates scale as kappa^4 or faster, so "no coincidence" is judged
     # against the emitted weight of the sectors (1 for the ideal source)
     empty_tol = 1e-14 * sum(abs(w) ** 2 * n for w, n in weights.values())
 
-    f_par = f_perp = success = 0.0
-    per_term: dict = {}
-    receiver = []
-    one_photon = False
+    tallied = []
     for label, (j, k) in sorted((f"{j}{j}{k}{k}", (j, k)) for j, k in weights):
-        state = weights[(j, k)][0] * sectors[(j, k)]
+        states = weights[(j, k)][0] * sectors[(j, k)]
         # the relative cut of the sparse states drops rounding residue
-        absolute = np.abs(state)
-        dropped = absolute <= PRUNE_THRESHOLD * absolute.max()
-        state[dropped] = absolute[dropped] = 0.0
-        prob = absolute ** 2
-        clicked, par, perp, h_one, v_one = _tally_indices(2 * (j + k), detectors,
-                                                           wiring.receiver)
-        success += float(prob[clicked].sum())
-        p_par = float(prob[par].sum())
-        p_perp = float(prob[perp].sum())
-        f_par += p_par
-        f_perp += p_perp
-        per_term[label] = p_par + p_perp
-        receiver.append((state, h_one, v_one))
-        if not one_photon:
-            # run_protocol adds a block of trace >= empty_tol to a weight that must be > 0
-            p_cond = float(_receiver_block(state, h_one, v_one).trace().real)
-            one_photon = p_cond >= empty_tol and p_cond > 0.0
+        absolute = np.abs(states)
+        dropped = absolute <= PRUNE_THRESHOLD * absolute.max(axis=1, keepdims=True)
+        states[dropped] = absolute[dropped] = 0.0
+        tallied.append((label, states, absolute ** 2,
+                        _tally_indices(2 * (j + k), detectors, wiring.receiver)))
 
-    if not success > empty_tol:
-        raise NoCoincidenceError(
-            f"channel {config.channel}, action {config.action}, input ({config.input.alpha:.4g}, "
-            f"{config.input.beta:.4g}), roles {config.roles}: cannot produce a four-fold "
-            "coincidence; no configuration of the source terms clicks all four detectors")
-    if not one_photon:
-        raise ProtocolError("every coincidence leaves more than one photon at "
-                            "the receiver; no qubit state to report")
-    record = CountRecord(f_parallel=f_par, f_perp=f_perp,
-                         success_probability=success, per_term=per_term)
-    return record, analyzer, empty_tol, receiver
+    rows = []
+    for r, (config, analyzer) in enumerate(zip(configs, analyzers)):
+        f_par = f_perp = success = 0.0
+        per_term, receiver, one_photon = {}, [], False
+        for label, states, probs, (clicked, par, perp, h_one, v_one) in tallied:
+            state, prob = states[r], probs[r]
+            success += float(prob[clicked].sum())
+            p_par = float(prob[par].sum())
+            p_perp = float(prob[perp].sum())
+            f_par += p_par
+            f_perp += p_perp
+            per_term[label] = p_par + p_perp
+            receiver.append((state, h_one, v_one))
+            if not one_photon:
+                # run_protocol adds a block of trace >= empty_tol to a weight that must be > 0
+                p_cond = float(_receiver_block(state, h_one, v_one).trace().real)
+                one_photon = p_cond >= empty_tol and p_cond > 0.0
+        if not success > empty_tol:
+            rows.append(NoCoincidenceError(
+                f"channel {config.channel}, action {config.action}, input "
+                f"({config.input.alpha:.4g}, {config.input.beta:.4g}), roles {config.roles}: "
+                "cannot produce a four-fold coincidence; no configuration of the source "
+                "terms clicks all four detectors"))
+        elif not one_photon:
+            rows.append(ProtocolError("every coincidence leaves more than one photon at "
+                                      "the receiver; no qubit state to report"))
+        else:
+            rows.append((CountRecord(f_parallel=f_par, f_perp=f_perp, success_probability=success,
+                                     per_term=per_term), analyzer, empty_tol, receiver))
+    return rows
+
+
+def _raise(row, *tolerated):
+    """A row of ``_tally``; raises it if it is an error of no type in ``tolerated``."""
+    if isinstance(row, ProtocolError) and not isinstance(row, tolerated):
+        raise row
+    return row
 
 
 def count_rates(config: ProtocolConfig) -> CountRecord:
@@ -523,7 +547,7 @@ def count_rates(config: ProtocolConfig) -> CountRecord:
     coincidence leaves the receiver more than one photon ``ProtocolError``,
     as in ``run_protocol``; no receiver state is built.
     """
-    return _tally(config)[0]
+    return _raise(_tally([config])[0])[0]
 
 
 def run_protocol(config: ProtocolConfig):
@@ -534,7 +558,7 @@ def run_protocol(config: ProtocolConfig):
     his arm carries exactly one photon, which at the default emission
     truncation is every four-fold event.
     """
-    record, analyzer, empty_tol, receiver = _tally(config)
+    record, analyzer, empty_tol, receiver = _raise(_tally([config])[0])
     rho_acc = np.zeros((2, 2), dtype=complex)
     rho_weight = 0.0
     for state, h_one, v_one in receiver:
@@ -604,14 +628,14 @@ def emulate_mixture(config: ProtocolConfig, p: float) -> CountRecord:
         raise ValueError(f"a mixture takes the g1 configuration, not {config.channel!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    halves, empty = [], []
-    for channel in ("g1", "g2"):
-        try:
-            halves.append(count_rates(replace(config, channel=channel)))
-        except NoCoincidenceError as exc:
-            empty.append(exc)
-            halves.append(CountRecord(0.0, 0.0, 0.0, {}))
-    g1, g2 = halves
+    try:
+        halves = [config, replace(config, channel="g2")]
+    except ValueError:
+        _raise(_tally([config])[0], NoCoincidenceError)     # the g1 half's error first
+        raise
+    rows = [_raise(row, NoCoincidenceError) for row in _tally(halves)]
+    g1, g2 = (CountRecord(0.0, 0.0, 0.0, {}) if isinstance(row, ProtocolError) else row[0]
+              for row in rows)
     record = CountRecord(
         f_parallel=(1 - p) * g1.f_parallel + p * g2.f_parallel,
         f_perp=(1 - p) * g1.f_perp + p * g2.f_perp,
@@ -620,5 +644,5 @@ def emulate_mixture(config: ProtocolConfig, p: float) -> CountRecord:
                   for k in sorted(set(g1.per_term) | set(g2.per_term))},
     )
     if not record.success_probability > 0.0:
-        raise empty[0]
+        raise next(row for row in rows if isinstance(row, ProtocolError))
     return record

@@ -129,16 +129,29 @@ def coincidence_sectors(state: PureState) -> dict:
     return {label: PureState(terms) for label, terms in sorted(sectors.items())}
 
 
-def sector_rates(params: SourceParams, config) -> dict:
-    """Four-fold rate of each coincidence sector, propagated at REFERENCE_KAPPA.
+def sector_rates(params: SourceParams, configs: dict) -> dict:
+    """Four-fold rate of each coincidence sector of each configuration, at REFERENCE_KAPPA.
 
-    Sectors are incoherent alternatives at the detection level, so each is
-    propagated on its own; only the truncation order of ``params`` counts.
+    ``configs`` maps labels to configurations that share their roles; they
+    are propagated together, and only the truncation order of ``params``
+    counts.  Sectors are incoherent alternatives at the detection level, so
+    each label maps to its rates per sector.  The error of the first
+    configuration that raises one, in the mapping's order, is raised with
+    its label as ``label``; an empty mapping, or one that mixes roles,
+    raises ValueError.
     """
-    from .protocol import count_rates
+    from .protocol import _tally
 
+    if len({config.roles for config in configs.values()}) != 1:
+        raise ValueError("sector_rates takes one or more configurations with the same roles")
     ref = replace(params, kappa_forward=REFERENCE_KAPPA, kappa_backward=REFERENCE_KAPPA)
-    return count_rates(replace(config, source=ref)).per_term
+    rates = {}
+    for label, row in zip(configs, _tally([replace(c, source=ref) for c in configs.values()])):
+        if isinstance(row, Exception):
+            row.label = label
+            raise row
+        rates[label] = row[0].per_term
+    return rates
 
 
 def _share_terms(rates: dict, forward):
@@ -191,8 +204,8 @@ def sector_shares(rates: dict, kappa_forward: complex, kappa_backward: complex) 
 
 def heralded_fraction(params: SourceParams, config) -> dict:
     """Share of four-fold coincidences caused by the double-pair terms."""
-    return sector_shares(sector_rates(params, config), params.kappa_forward,
-                         params.kappa_backward)
+    return sector_shares(sector_rates(params, {"config": config})["config"],
+                         params.kappa_forward, params.kappa_backward)
 
 
 @dataclass

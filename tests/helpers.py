@@ -31,9 +31,10 @@ copied verbatim: the bit-for-bit oracle of the shares.
 ``reference_run_protocol`` is ``protocol.run_protocol`` as it was before the
 rates and the receiver state were split over one private tally, copied
 verbatim with the module's private names read off ``protocol`` at call time
-(so a test's ``monkeypatch`` of them reaches it): it builds the receiver
-state with every run and decides that no sector leaves the receiver one
-photon from the traces it adds up.
+(so a test's ``monkeypatch`` of them reaches it), and with its optics
+matrix passed to ``_emitted`` as a stack of one: it tallies one configuration
+alone, builds the receiver state with every run and decides that no sector
+leaves the receiver one photon from the traces it adds up.
 ``ideal_source_state`` and ``two_mode_spdc`` look up ``emission_orders`` in
 this module, so a test can swap in another emission engine with
 ``monkeypatch.setattr(helpers, "emission_orders", ...)``.
@@ -499,8 +500,8 @@ def reference_run_protocol(config):
                          frame @ config.input.orthogonal_ket()]).conj()
     lin = P._optics_matrix(P._station_blocks(config) + [((wiring.receiver,), analyzer)])
     weights = P._sector_weights(config.source)
-    sectors = P._emitted(lin @ P._LAMBDA_FORWARD @ lin.T, lin @ P._LAMBDA_BACKWARD @ lin.T,
-                         weights)
+    # the engine on a stack of this configuration's optics matrix alone
+    sectors = {jk: vec[0] for jk, vec in P._emitted(lin[None], weights).items()}
     detectors = tuple(P._detector_spatials(config))
     # four-fold rates scale as kappa^4 or faster, so "no coincidence" is judged
     # against the emitted weight of the sectors (1 for the ideal source)

@@ -238,7 +238,7 @@ def test_criterion_08_source_ratio_fit():
     params = SourceParams(kappa_forward=0.1, kappa_backward=0.1 * truth)
     targets = {lbl: heralded_fraction(params, _fit_config(lbl))["undesired"]
                for lbl in labels}
-    rates = {lbl: sector_rates(SourceParams(), _fit_config(lbl)) for lbl in labels}
+    rates = sector_rates(SourceParams(), {lbl: _fit_config(lbl) for lbl in labels})
     fit = fit_source_ratio(targets, rates)
     assert abs(fit.ratio - truth) < 1e-3
 

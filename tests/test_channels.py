@@ -164,6 +164,24 @@ def test_averages_name_a_branch_state_of_the_wrong_shape(average):
 
 
 @EACH_AVERAGE
+@pytest.mark.parametrize("channel", [np.eye(4) / 4, ket_outer(bell_kets()["phi+"]),
+                                     0.7 * ket_outer(bell_kets()["psi-"]) + 0.3 * np.eye(4) / 4],
+                         ids=["mixed", "bell", "werner"])
+def test_averages_take_a_channel_written_as_nested_lists(average, channel):
+    assert average(channel.tolist()) == average(channel)
+    assert average(tuple(map(tuple, channel))) == average(channel)
+
+
+@EACH_AVERAGE
+def test_averages_reject_a_branch_list_with_other_entries(average):
+    conds = condition_on_controller(make_werner(0.5), "pm")
+    for mixed in ([conds[0], conds[1].state], (np.eye(4) / 4, *conds), [conds[0], None]):
+        with pytest.raises(ValueError, match="^a branch list must hold ConditionalChannel "
+                                             "entries only$"):
+            average(mixed)
+
+
+@EACH_AVERAGE
 def test_averages_reject_a_bare_channel_that_is_not_a_state(average):
     channel = ket_outer(bell_kets()["phi+"])
     for scale in (2.0, 0.5, 1 + 2e-9):

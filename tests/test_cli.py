@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from cqtsim import cli
 from cqtsim.cli import main
 from cqtsim.fock import KET_D, NAMED_KETS, unit_pair
 
@@ -950,6 +951,21 @@ def test_state_value_with_leading_minus_parses(sep, tmp_path, capsys):
         assert capsys.readouterr().out == attached
 
 
+@pytest.mark.parametrize("argv, attached", [
+    (["run", "--i", "-0.6,0.8"], ["run", "--i=-0.6,0.8"]),
+    (["run", "--inp", "-0.6;0.8", "--ideal"], ["run", "--inp=-0.6;0.8", "--ideal"]),
+    (["tomo", "--tar", "-0.6,0.8j"], ["tomo", "--tar=-0.6,0.8j"]),
+    (["run", "--x", "-0.6,0.8"], ["run", "--x", "-0.6,0.8"]),
+    (["run", "-i", "-0.6,0.8"], ["run", "-i", "-0.6,0.8"]),
+    (["run", "--input", "-0.6"], ["run", "--input", "-0.6"]),
+    (["run", "--input", "0.6,-0.8"], ["run", "--input", "0.6,-0.8"]),
+    (["-0.6,0.8", "--input"], ["-0.6,0.8", "--input"]),
+])
+def test_only_a_state_value_with_a_leading_minus_is_attached(argv, attached):
+    # to a state option or a prefix of one from --i on, and to nothing else
+    assert cli._attach_state_values(argv) == attached
+
+
 def test_ambiguous_abbreviation_of_a_state_option_is_a_usage_error(capsys):
     # --i could be --input or --ideal; argparse says so
     assert run_cli(["run", "--i", "-0.6,0.8"]) == 2
@@ -1242,12 +1258,13 @@ def test_fit_spdc_names_the_configuration_that_cannot_coincide(extra, config, ca
 
 
 def _count_propagations(monkeypatch):
+    """The ``(channel, action)`` of each configuration of each stacked propagation."""
     from cqtsim import protocol
 
     calls = []
-    propagate = protocol.count_rates
-    monkeypatch.setattr(protocol, "count_rates",
-                        lambda cfg: calls.append((cfg.channel, cfg.action)) or propagate(cfg))
+    propagate = protocol._tally
+    monkeypatch.setattr(protocol, "_tally", lambda configs: calls.append(
+        [(cfg.channel, cfg.action) for cfg in configs]) or propagate(configs))
     return calls
 
 
@@ -1256,7 +1273,7 @@ def _count_propagations(monkeypatch):
 def test_fit_spdc_propagates_each_configuration_once(extra, monkeypatch):
     calls = _count_propagations(monkeypatch)
     assert run_cli(["fit-spdc", *extra]) == 0
-    assert sorted(calls) == [("g1", "allow"), ("g1", "deny"), ("reference", "none")]
+    assert calls == [[("reference", "none"), ("g1", "allow"), ("g1", "deny")]]
 
 
 @pytest.mark.parametrize("extra", [["--synthetic-ratio", "6"], ["--targets", "1,2"],

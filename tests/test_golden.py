@@ -1,0 +1,60 @@
+"""Replay the golden corpus of ``tests/golden/digests.json``.
+
+Each command runs in process through ``cli.main``; its exit code, stdout and
+stderr must hash to the recorded digest (``tests/golden/record.py`` says how
+the digests are recorded).  A failure lists the argv of every command that
+differs.
+"""
+
+import json
+import os
+import shlex
+import subprocess
+import sys
+
+import pytest
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden"))
+
+import record  # noqa: E402
+
+from test_cli import OPENBLAS_CORE  # noqa: E402
+
+GOLDEN = record.load()
+
+REPLAY = OPENBLAS_CORE + """
+import json, shlex, sys
+sys.path.insert(0, sys.argv[1])
+import record
+print(json.dumps([core, {key: record.digest(shlex.split(key)) for key in record.load()}]))
+"""
+
+
+def assert_same(digests: dict):
+    changed = [key for key, want in GOLDEN.items() if digests.get(key) != want]
+    assert not changed, f"{len(changed)} commands print otherwise:\n" + "\n".join(changed)
+
+
+def test_the_corpus_is_recorded_whole():
+    assert sorted(GOLDEN) == sorted(shlex.join(argv) for argv in record.corpus())
+
+
+def test_every_command_keeps_its_digest():
+    assert_same({key: record.digest(shlex.split(key)) for key in GOLDEN})
+
+
+def test_the_digests_hold_on_a_kernel_without_fma():
+    # OpenBLAS picks its kernel at run time; Prescott has no fused multiply-add
+    import cqtsim
+
+    here = {}
+    exec(OPENBLAS_CORE, here)
+    src = os.path.dirname(os.path.dirname(cqtsim.__file__))
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", REPLAY, os.path.dirname(record.__file__)],
+                          env=env, capture_output=True, text=True, check=True)
+    core, digests = json.loads(done.stdout)
+    if here["core"] is None or core == here["core"]:
+        pytest.skip(f"numpy's BLAS does not switch kernels here (core {here['core']!r})")
+    assert_same(digests)

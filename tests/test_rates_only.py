@@ -9,6 +9,8 @@ so its rates and its errors must be those of
 every time.
 """
 
+import math
+
 import pytest
 
 from cqtsim import cli, protocol
@@ -44,8 +46,8 @@ def test_count_rates_is_the_record_of_run_protocol(config):
 
 def forbid_receiver_state(monkeypatch):
     """Make ``run_protocol`` raise, and check that each tally takes the
-    receiver blocks of its sectors only until one passes the one-photon
-    bound, as its decision needs."""
+    receiver blocks of each row's sectors only until one passes the
+    one-photon bound, as its decision needs."""
     tally, receiver_block = protocol._tally, protocol._receiver_block
     traces = []
 
@@ -57,14 +59,26 @@ def forbid_receiver_state(monkeypatch):
         traces.append(float(block.trace().real))
         return block
 
-    def checked_tally(config):
+    def checked_tally(configs):
         traces.clear()
-        result = tally(config)
-        empty_tol = result[2]
-        *failed, passed = traces
-        assert passed >= empty_tol and passed > 0.0
-        assert not any(trace >= empty_tol and trace > 0.0 for trace in failed)
-        return result
+        rows = tally(configs)
+        n_sectors = len(protocol._sector_weights(configs[0].source))
+        empty_tol = next((row[2] for row in rows if isinstance(row, tuple)), math.inf)
+
+        def passes(trace):
+            return trace >= empty_tol and trace > 0.0
+
+        for row in rows:
+            # the row's traces: up to the first that passes, or one per sector
+            taken = [traces.pop(0)]
+            while not passes(taken[-1]) and len(taken) < n_sectors:
+                taken.append(traces.pop(0))
+            if isinstance(row, tuple):
+                *failed, passed = taken
+                assert passes(passed)
+                assert not any(passes(trace) for trace in failed)
+        assert traces == []
+        return rows
 
     monkeypatch.setattr(protocol, "_tally", checked_tally)
     monkeypatch.setattr(protocol, "_receiver_block", traced_block)

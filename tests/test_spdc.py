@@ -9,7 +9,7 @@ import pytest
 
 import cqtsim
 from cqtsim.fock import H, V, occupation
-from cqtsim.protocol import InputQubit, ProtocolConfig, run_protocol
+from cqtsim.protocol import InputQubit, NoCoincidenceError, ProtocolConfig, run_protocol
 from cqtsim.spdc import (_GRID_POINTS, _ROOT_COST, PAIR_KINDS, RATIO_BOUNDS,
                          _local_minima, _share_terms,
                          REFERENCE_KAPPA, RatioFit, SourceParams, coincidence_sectors,
@@ -36,8 +36,23 @@ def fit_configs(label, eps=0.05, input_name="plus"):
 
 
 def fit_rates(eps=0.05, input_name="plus"):
-    return {label: sector_rates(SourceParams(), fit_configs(label, eps, input_name))
-            for label in ("uncontrolled", "allowed", "denied")}
+    return sector_rates(SourceParams(), {label: fit_configs(label, eps, input_name)
+                                         for label in ("uncontrolled", "allowed", "denied")})
+
+
+@pytest.mark.parametrize("configs", [{}, {"g1": ProtocolConfig(),
+                                          "swapped": ProtocolConfig(roles="swapped")}],
+                         ids=["empty", "mixed_roles"])
+def test_sector_rates_needs_configurations_that_share_their_roles(configs):
+    with pytest.raises(ValueError, match="one or more configurations with the same roles"):
+        sector_rates(SourceParams(), configs)
+
+
+def test_sector_rates_names_the_first_configuration_that_cannot_coincide():
+    configs = {label: fit_configs(label, 1.0) for label in ("uncontrolled", "allowed", "denied")}
+    with pytest.raises(NoCoincidenceError) as exc:
+        sector_rates(SourceParams(), configs)
+    assert exc.value.label == "allowed"
 
 
 def test_params_validation():
@@ -448,8 +463,9 @@ def test_sector_shares_keep_every_bit_of_the_reference():
     # "1111" and no sector of k > 0, at scalar, complex and array strengths
     rate_sets = [r for eps, name in ((0.0, "h"), (0.05, "plus"), (0.1, "r"))
                  for r in fit_rates(eps, name).values()]
-    rate_sets += [sector_rates(SourceParams(truncation_order=3), fit_configs(label, 0.025, "l"))
-                  for label in ("allowed", "denied")]
+    rate_sets += sector_rates(SourceParams(truncation_order=3),
+                              {label: fit_configs(label, 0.025, "l")
+                               for label in ("allowed", "denied")}).values()
     rate_sets += [{"0022": -0.0, "1111": 2e-5}, {"0022": 1e-6, "1111": 0.0, "2200": -0.0},
                   {"0022": 1e-6, "2200": 3e-6}, {"1111": 1e-5}, {"1111": 2e-5, "2200": 1e-6},
                   {"2200": 3e-6}, {"2200": -0.0, "4400": 1e-7},
@@ -543,9 +559,9 @@ def reference_corpus():
     rate_sets = [fit_rates(eps, name) for eps, name in
                  ((0.001, "h"), (0.05, "plus"), (0.0, "v"), (0.1, "r"), (0.025, "minus"))]
     for order in (3, 4):
-        rate_sets.append({label: sector_rates(SourceParams(truncation_order=order),
-                                              fit_configs(label, 0.05, "l"))
-                          for label in ("uncontrolled", "allowed", "denied")})
+        rate_sets.append(sector_rates(SourceParams(truncation_order=order),
+                                      {label: fit_configs(label, 0.05, "l")
+                                       for label in ("uncontrolled", "allowed", "denied")}))
     for rates in list(rate_sets):
         zeroed = {label: dict(r) for label, r in rates.items()}
         zeroed["allowed"]["2200"] = 0.0

@@ -1,0 +1,128 @@
+"""Every row of a stacked ``protocol._tally`` is the tally of its configuration alone.
+
+``fit-spdc`` propagates its three configurations (uncontrolled, allowed and
+denied) and ``run --channel mix`` its two halves (g1 and g2) as one stack.
+Each row must equal ``helpers.reference_run_protocol`` of its configuration,
+bit for bit and errors included, and hold the analyzer, the bound and the
+receiver states of a one-row tally.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cqtsim import protocol
+from cqtsim.protocol import (InputQubit, NoCoincidenceError, ProtocolConfig, ProtocolError,
+                             emulate_mixture)
+from cqtsim.spdc import SourceParams
+
+from helpers import reference_run_protocol
+
+FIT_TRIPLE = (("reference", "none"), ("g1", "allow"), ("g1", "deny"))
+
+
+def stack(kind, input_q, source, eps, action="allow"):
+    """The configurations that ``fit-spdc`` ("fit") or ``run --channel mix`` propagate together."""
+    runs = FIT_TRIPLE if kind == "fit" else (("g1", action), ("g2", action))
+    return [ProtocolConfig(channel=channel, action=act, input=input_q, source=source,
+                           pbs_epsilon=eps) for channel, act in runs]
+
+
+def reference_outcome(config):
+    try:
+        record, _ = reference_run_protocol(config)
+    except ProtocolError as exc:
+        return type(exc), str(exc)
+    return repr(record)
+
+
+def row_bits(row):
+    """Everything of a successful row but its record, as bytes."""
+    _, analyzer, empty_tol, receiver = row
+    return analyzer.tobytes(), repr(empty_tol), [tuple(a.tobytes() for a in sector)
+                                                 for sector in receiver]
+
+
+def assert_rows_are_their_own(configs) -> list:
+    rows = protocol._tally(configs)
+    assert len(rows) == len(configs)
+    for config, row in zip(configs, rows):
+        if isinstance(row, ProtocolError):
+            assert (type(row), str(row)) == reference_outcome(config)
+            continue
+        assert repr(row[0]) == reference_outcome(config)
+        alone, = protocol._tally([config])
+        assert row_bits(row) == row_bits(alone)
+    return rows
+
+
+inputs = st.one_of(
+    st.sampled_from(["h", "v", "plus", "minus", "r", "l", "linear:30"]).map(InputQubit.from_name),
+    st.tuples(st.floats(0.0, math.pi), st.floats(0.0, 2 * math.pi)).map(
+        lambda tp: InputQubit(math.cos(tp[0] / 2), math.sin(tp[0] / 2) * np.exp(1j * tp[1]))))
+strengths = st.one_of(st.just(0.0), st.floats(0.01, 0.3))
+sources = st.one_of(st.none(), st.builds(SourceParams, strengths, strengths,
+                                         st.integers(1, 3)))
+epsilons = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@given(st.sampled_from(["fit", "mix"]), inputs, sources, epsilons,
+       st.sampled_from(["allow", "deny", "none"]))
+@settings(max_examples=150, deadline=None)
+def test_each_row_of_a_stack_is_its_configuration_alone(kind, input_q, source, eps, action):
+    assert_rows_are_their_own(stack(kind, input_q, source, eps, action))
+
+
+@pytest.mark.parametrize("kind, name, source, eps, action, empty", [
+    ("fit", "plus", SourceParams(0.1, 0.1, 1), 0.05, "allow", [0, 1, 2]),   # no four photons
+    ("fit", "plus", SourceParams(), 1.0, "allow", [1]),
+    ("fit", "v", SourceParams(0.2, 0.1, 3), 1.0, "allow", []),
+    ("mix", "h", SourceParams(0.1, 0.1), 1.0, "deny", [0]),
+    ("mix", "v", SourceParams(0.1, 0.1), 1.0, "deny", [1]),
+    ("mix", "h", SourceParams(0.1, 0.0), 1.0, "deny", [0, 1]),
+    ("mix", "plus", SourceParams(0.1, 0.1, 1), 0.0, "none", [0, 1]),
+    ("mix", "plus", None, 0.0, "none", []),
+    ("mix", "r", SourceParams(0.2, 0.1, 3), 0.0, "deny", []),
+])
+def test_stacks_with_rows_that_cannot_coincide(kind, name, source, eps, action, empty):
+    rows = assert_rows_are_their_own(stack(kind, InputQubit.from_name(name), source, eps,
+                                           action))
+    assert [i for i, row in enumerate(rows) if isinstance(row, NoCoincidenceError)] == empty
+
+
+def without_four_photon_receiver(monkeypatch):
+    """Count no four-photon state as one receiver photon, so that a row whose
+    coincidences are all four-photon ones raises ProtocolError."""
+    indices = protocol._tally_indices
+
+    def patched(n, detectors, receiver):
+        clicked, par, perp, h_one, v_one = indices(n, detectors, receiver)
+        return (clicked, par, perp) + ((h_one[:0], v_one[:0]) if n == 4 else (h_one, v_one))
+
+    monkeypatch.setattr(protocol, "_tally_indices", patched)
+
+
+@pytest.mark.parametrize("kind, order, action", [("fit", 2, "allow"), ("fit", 3, "allow"),
+                                                 ("mix", 2, "deny"), ("mix", 3, "none")])
+def test_rows_that_leave_the_receiver_no_single_photon(kind, order, action, monkeypatch):
+    # an order-2 row that coincides raises ProtocolError, an order-3 row
+    # has six-photon coincidences with one receiver photon
+    without_four_photon_receiver(monkeypatch)
+    rows = assert_rows_are_their_own(stack(kind, InputQubit.from_name("plus"),
+                                           SourceParams(0.1, 0.08, order), 0.05, action))
+    errors = [type(row) for row in rows if isinstance(row, ProtocolError)]
+    assert (ProtocolError in errors) == (order == 2)
+
+
+def test_a_swapped_mixture_raises_the_g1_error_before_the_g2_one(monkeypatch):
+    # the g2 half of swapped roles is no configuration; as when the halves
+    # ran one by one, the g1 half's own ProtocolError comes first
+    config = ProtocolConfig(roles="swapped", source=SourceParams(0.1, 0.08))
+    with pytest.raises(ValueError, match="role swapping is implemented for the g1 channel"):
+        emulate_mixture(config, 0.5)
+    without_four_photon_receiver(monkeypatch)
+    with pytest.raises(ProtocolError, match="more than one photon at the receiver"):
+        emulate_mixture(config, 0.5)
