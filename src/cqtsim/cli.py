@@ -6,10 +6,12 @@ after the long options; angles are written in degrees there), ``--out``,
 ``--format {csv,json}`` and ``--full-precision``.  Relative output paths are
 resolved against $CQTSIM_OUT_DIR when it is set.  Outputs carry a schema
 version line and contain nothing non-deterministic, so identical inputs and
-seeds give byte-identical files.
+seeds give byte-identical files.  A command is parsed once, by its
+subcommand's parser (``_parse``); JSON is written with the C encoder, with
+the bytes of ``json.dumps(..., indent=2, sort_keys=True)`` (``_json_text``).
 
 Exit codes: 0 success, 1 simulation/runtime failure, 2 usage or config error
-(an output path that cannot be written among them).
+(an empty output path, or one that cannot be written, among them).
 """
 
 from __future__ import annotations
@@ -148,6 +150,40 @@ def _json_value(value, full_precision):
     return value
 
 
+# JSON scalars, and a C encoder that puts a raw NUL between items: no encoded
+# string holds one, and no scalar ends in "]", so "]\x00[" parts a table's rows
+_SCALARS = (str, int, float, type(None))
+_C_ENCODER = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii, None,
+    ": ", "\x00", True, False, True)
+
+
+def _json_text(value, newline: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` byte for byte, keys being
+    strings, with each list of scalars or table of such lists written by one
+    call of the C encoder, which ``json.dumps`` leaves out when it indents.
+    ``newline`` opens each line at the depth of ``value``."""
+    if _C_ENCODER is None:
+        return json.dumps(value, indent=2, sort_keys=True)
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return "".join(_C_ENCODER(value, 0))
+    inner = newline + "  "
+    if isinstance(value, dict):
+        items = [f"{json.encoder.encode_basestring_ascii(key)}: {_json_text(v, inner)}"
+                 for key, v in sorted(value.items())]
+    elif all(isinstance(v, _SCALARS) for v in value):
+        items = "".join(_C_ENCODER(value, 0))[1:-1].split("\x00")
+    elif all(isinstance(row, (list, tuple)) and all(isinstance(v, _SCALARS) for v in row)
+             for row in value):
+        cell = "," + inner + "  "
+        items = ["[" + inner + "  " + row.replace("\x00", cell) + inner + "]" if row else "[]"
+                 for row in "".join(_C_ENCODER(value, 0))[2:-2].split("]\x00[")]
+    else:
+        items = [_json_text(v, inner) for v in value]
+    brackets = "{}" if isinstance(value, dict) else "[]"
+    return brackets[0] + inner + ("," + inner).join(items) + newline + brackets[1]
+
+
 def _render_table(columns, rows, fmt, full_precision, comments=()):
     if fmt == "csv":
         buf = io.StringIO()
@@ -165,7 +201,7 @@ def _render_table(columns, rows, fmt, full_precision, comments=()):
         "columns": list(columns),
         "rows": [[_json_value(v, full_precision) for v in row] for row in rows],
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return _json_text(payload) + "\n"
 
 
 # --- shared argument plumbing -------------------------------------------------------
@@ -194,6 +230,7 @@ def _add_common(parser, config_action):
 
 
 def build_parser(config_action="store") -> argparse.ArgumentParser:
+    """The ``cqtsim`` parser; ``parser.commands`` maps each subcommand to its parser."""
     parser = argparse.ArgumentParser(
         prog="cqtsim",
         description="Linear-optical simulation of controlled quantum teleportation")
@@ -251,6 +288,7 @@ def build_parser(config_action="store") -> argparse.ArgumentParser:
     p_rep.add_argument("dataset", choices=("table1",))
     _add_common(p_rep, config_action)
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -295,14 +333,28 @@ def _config_prefix(command: str, path: str) -> list:
     return prefix
 
 
+def _parse_once(argv: list, stop_at_config: bool) -> argparse.Namespace:
+    """Parse ``argv`` with its subcommand's parser alone; the main parser takes
+    an ``argv`` that starts otherwise, and reports what the other leaves over."""
+    parser = _parser(stop_at_config)
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    args, extra = command.parse_known_args(argv[1:])
+    if extra:
+        parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args.command = argv[0]
+    return args
+
+
 def _parse(argv: list) -> argparse.Namespace:
     """Parse ``argv``, with the section of a ``--config`` file, in any spelling
     the subcommand's parser accepts, put in front so that flags still override."""
     try:
-        return _parser(True).parse_args(argv)
+        return _parse_once(argv, True)
     except _ConfigFound as found:
         prefix = _config_prefix(argv[0], found.args[0])
-    return _parser(False).parse_args(_attach_state_values([argv[0], *prefix]) + argv[1:])
+    return _parse_once(_attach_state_values([argv[0], *prefix]) + argv[1:], False)
 
 
 # --- subcommands -----------------------------------------------------------------------
@@ -556,7 +608,7 @@ def cmd_tomo(args) -> int:
 
     if args.fmt == "json":
         payload = {k: _json_value(v, args.full_precision) for k, v in payload.items()}
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(_json_text(payload) + "\n", args.out)
     else:
         rows = [[k, _fmt(v, args.full_precision) if isinstance(v, float) else json.dumps(v)]
                 for k, v in sorted(payload.items()) if k != "schema"]
@@ -604,6 +656,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        if args.out == "":
+            raise ValueError("--out needs a file name, not an empty string")
         return COMMANDS[args.command](args)
     except ValueError as exc:            # bad input
         print(f"error: {exc}", file=sys.stderr)

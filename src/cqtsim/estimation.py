@@ -433,10 +433,14 @@ def _check_resampling(seed, n_resamples) -> None:
 
 
 def _estimate(values: np.ndarray) -> FidelityEstimate:
-    if values.size == 0:
+    """``np.mean`` and ``np.std`` of ``values``: their own operations and bits."""
+    n = values.size
+    if n == 0:
         raise ValueError("every resample was empty")
-    return FidelityEstimate(value=float(np.mean(values)),
-                            uncertainty=float(np.std(values)))
+    mean = values.sum() / n
+    spread = values - mean
+    spread *= spread
+    return FidelityEstimate(value=float(mean), uncertainty=math.sqrt(spread.sum() / n))
 
 
 def poisson_uncertainty(data, seed: int, n_resamples: int = 10_000,
@@ -468,9 +472,10 @@ def poisson_uncertainty(data, seed: int, n_resamples: int = 10_000,
     else:
         keep = totals > 0
         values = draws[keep, 0] / totals[keep]
+    # a ratio of counts lies in [0, 1]; only the subtraction can leave it
     if background_w:
-        values = corrected_fidelity(values, background_w)
-    return _estimate(np.clip(values, 0.0, 1.0))
+        values = np.clip(corrected_fidelity(values, background_w), 0.0, 1.0)
+    return _estimate(values)
 
 
 def resampled_tomography(counts: ProjectionCounts, target, seed: int, n_resamples: int,

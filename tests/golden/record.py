@@ -4,7 +4,10 @@
 ``shlex.join(argv)``, to the sha256 of what ``cqtsim.cli.main(argv)`` does in
 process at default precision: its exit code, stdout and stderr (``digest``).
 Default-precision bytes do not follow the BLAS kernel, so the digests hold
-on every host.
+on every host.  Each command runs with this directory as its working
+directory, so it names the count tables and config files beside this file
+without a path, and with ``COLUMNS=80``, since argparse wraps its usage lines
+to ``$COLUMNS``.
 
     PYTHONPATH=src python tests/golden/record.py 'fit-spdc --input h --pbs-epsilon 0'
 
@@ -17,7 +20,15 @@ belong in CHANGES.md.
 
 writes the digests of every command with ``--full-precision`` added to PATH
 instead, and touches no committed file.  Those bytes can follow the BLAS
-kernel, so they serve only to compare two checkouts on one host.
+kernel, so they serve only to compare two checkouts on one host:
+
+    PYTHONPATH=PARENT/src python tests/golden/record.py --full-precision A.json
+    PYTHONPATH=src python tests/golden/record.py --full-precision B.json
+    python tests/golden/record.py --compare A.json B.json
+
+``--compare A B`` prints the command of every key whose digest differs
+between the two files, or that only one of them holds, then their count,
+and exits 1 if there is any.
 """
 
 import contextlib
@@ -28,8 +39,10 @@ import json
 import os
 import shlex
 import sys
+from unittest import mock
 
-DIGESTS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "digests.json")
+HERE = os.path.dirname(os.path.abspath(__file__))
+DIGESTS = os.path.join(HERE, "digests.json")
 
 FIT_INPUTS = ("h", "v", "plus", "r", "linear:30", "0.6,0.8j")
 FIT_EPSILONS = ("0", "0.025", "0.05", "0.1")
@@ -60,6 +73,52 @@ EDGES = (
     ("fit-spdc", "--pbs-epsilon", "1"),
     ("fit-spdc", "--pbs-epsilon", "1", "--input", "v"),
 )
+# every valid channel and action of a single run
+RUN_CONFIGS = (("g1", "allow"), ("g1", "deny"), ("g1", "none"), ("g2", "allow"),
+               ("g2", "deny"), ("g2", "none"), ("reference", "none"))
+SINGLE_INPUTS = ("h", "plus", "r", "0.6,0.8j")
+SINGLE_SOURCES = (
+    ("--ideal",),
+    ("--kappa-forward", "0.1", "--kappa-backward", "0.055", "--pbs-epsilon", "0.05"),
+    ("--resamples", "200", "--seed", "5", "--format", "json"),
+)
+# the count tables beside this file
+TOMO_TABLES = ("axial", "zero", "below1")
+# argument parsing, its errors and the config file
+ARGV_EDGES = (
+    (),
+    ("bogus",),
+    ("-x",),
+    ("run", "--bogus"),
+    ("run", "extra"),
+    ("run", "--", "extra"),
+    ("run", "--channel", "g3"),
+    ("run", "--kappa-forward", "abc"),
+    ("run", "--format", "xml"),
+    ("run", "--targets", "1,2,3"),
+    ("tomo",),
+    ("tomo", "--counts", "missing.csv"),
+    ("reproduce",),
+    ("reproduce", "table2"),
+    ("fit-spdc", "--targets", "1,2,3", "--synthetic-ratio", "1"),
+    ("run", "--config"),
+    ("run", "--config", "run.ini"),
+    ("run", "--config", "run.ini", "--action", "allow", "--input", "h"),
+    ("run", "--conf", "run.ini"),
+    ("run", "--config=run.ini"),
+    ("run", "--config", "unknown-key.ini"),
+    ("run", "--config", "missing.ini"),
+    ("run", "--ideal", "--conf=missing.ini"),
+    ("--config", "run.ini", "run"),
+    ("tomo", "--config", "run.ini"),
+    ("scan-werner", "--q-list", "0.5", "--config", "run.ini"),
+    ("run", "--input", "-0.6,0.8"),
+    ("run", "--input=-0.6,0.8"),
+    ("run", "--inp", "-0.6;0.8j"),
+    ("run", "--in", "-0.6,0.8", "extra"),
+    ("fit-spdc", "--input", "-0.6,0.8", "--pbs-epsilon", "0"),
+    ("tomo", "--counts", "axial.csv", "--target", "-0.6,0.8"),
+)
 
 
 def corpus() -> list:
@@ -69,7 +128,19 @@ def corpus() -> list:
     argvs += [["run", "--channel", "mix", "--action", action, "--input", name, *source]
               for action, name, source in itertools.product(("allow", "deny", "none"),
                                                             RUN_INPUTS, RUN_SOURCES)]
-    return argvs + [list(argv) for argv in EDGES]
+    argvs += [list(argv) for argv in EDGES]
+    argvs += [["run", "--channel", channel, "--action", action, "--input", name, *source]
+              for (channel, action), name, source in itertools.product(
+                  RUN_CONFIGS, SINGLE_INPUTS, SINGLE_SOURCES)]
+    argvs += [["tomo", "--counts", f"{table}.csv", "--weight", weight, *resamples,
+               "--format", fmt]
+              for table, weight, resamples, fmt in itertools.product(
+                  TOMO_TABLES, ("0", "0.2"), ((), ("--resamples", "100", "--seed", "3")),
+                  ("csv", "json"))]
+    argvs += [["scan-werner", "--q-grid", "0:1:101", "--format", fmt] for fmt in ("csv", "json")]
+    argvs += [["scan-werner", "--q-list", "0,0.25,0.5,0.6667,0.7,1"]]
+    argvs += [["reproduce", "table1", "--format", fmt] for fmt in ("csv", "json")]
+    return argvs + [list(argv) for argv in ARGV_EDGES]
 
 
 def digest(argv: list) -> str:
@@ -77,18 +148,31 @@ def digest(argv: list) -> str:
     from cqtsim import cli
 
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    with contextlib.chdir(HERE), mock.patch.dict(os.environ, COLUMNS="80"), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
     record = json.dumps([code, out.getvalue(), err.getvalue()])
     return hashlib.sha256(record.encode("utf-8")).hexdigest()
 
 
-def load() -> dict:
-    with open(DIGESTS, encoding="utf-8") as fh:
+def load(path: str = DIGESTS) -> dict:
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
+def compare(path_a: str, path_b: str) -> int:
+    """Print every command whose digest differs between two digest files."""
+    a, b = load(path_a), load(path_b)
+    differ = [key for key in dict.fromkeys([*a, *b]) if a.get(key) != b.get(key)]
+    for key in differ:
+        print(key)
+    print(f"{len(differ)} of {len(a.keys() | b.keys())} commands differ")
+    return 1 if differ else 0
+
+
 def main(args: list) -> int:
+    if args[:1] == ["--compare"] and len(args) == 3:
+        return compare(args[1], args[2])
     if args[:1] == ["--full-precision"] and len(args) == 2:
         digests = {shlex.join(argv): digest(argv + ["--full-precision"]) for argv in corpus()}
         path = args[1]

@@ -17,6 +17,10 @@ its states as (2, 2, n) stacks.
 in one kernel run, copied verbatim with ``reference_ml_kernel`` as its kernel
 (the count-pair branch is left out): the oracle of
 ``estimation.resampled_tomography``'s estimate.
+``reference_poisson_uncertainty`` is ``estimation.poisson_uncertainty`` as it
+was before it took the mean and spread in two passes and clipped only after
+the background subtraction, copied verbatim with ``np.clip``, ``np.mean`` and
+``np.std``: its bit-for-bit oracle.
 ``reference_correct_for_background`` is ``estimation.correct_for_background``
 as it was before it screened 2x2 states in closed form, copied verbatim: it
 diagonalises every matrix.
@@ -56,7 +60,8 @@ from cqtsim import protocol
 from cqtsim.channels import PAULI_X
 from cqtsim.elements import phase_matrix
 from cqtsim.estimation import (ML_MAX_ITERATIONS, ML_TOL, FidelityEstimate, NonPhysicalError,
-                               ProjectionCounts, _check_poisson_mean, correct_for_background)
+                               ProjectionCounts, _check_poisson_mean, _check_resampling,
+                               correct_for_background, corrected_fidelity)
 from cqtsim.fock import H, V, PureState, _create, spatial_counts, unit_ket
 from cqtsim.spdc import (_GRID_POINTS, _ROOT_COST, BACKWARD_MODES, FORWARD_MODES,
                          RATIO_BOUNDS, REFERENCE_KAPPA, RatioFit, _local_minima,
@@ -338,6 +343,37 @@ def reference_poisson_tomography(data, seed: int, n_resamples: int = 10_000,
         values = np.einsum("i,nij,j->n", target.conj(), rho, target).real
         values = np.clip(values, 0.0, 1.0)
 
+    if values.size == 0:
+        raise ValueError("every resample was empty")
+    return FidelityEstimate(value=float(np.mean(values)),
+                            uncertainty=float(np.std(values)))
+
+
+def reference_poisson_uncertainty(data, seed: int, n_resamples: int = 10_000,
+                                  background_w: float = 0.0) -> FidelityEstimate:
+    _check_resampling(seed, n_resamples)
+    try:
+        f_par, f_perp = data
+        valid = 0 <= f_par < math.inf and 0 <= f_perp < math.inf
+    except (TypeError, ValueError):
+        valid = False
+    if not valid:
+        raise ValueError(f"data must be a (parallel, orthogonal) pair of finite "
+                         f"non-negative counts, got {data!r}")
+    if f_par + f_perp <= 0:
+        raise ValueError("all counts are zero")
+    _check_poisson_mean(max(f_par, f_perp))
+    draws = np.random.default_rng(seed).poisson((f_par, f_perp), size=(n_resamples, 2))
+    # exact integer totals; only a run with empty resamples needs a mask
+    totals = draws[:, 0] + draws[:, 1]
+    if totals.all():
+        values = draws[:, 0] / totals
+    else:
+        keep = totals > 0
+        values = draws[keep, 0] / totals[keep]
+    if background_w:
+        values = corrected_fidelity(values, background_w)
+    values = np.clip(values, 0.0, 1.0)
     if values.size == 0:
         raise ValueError("every resample was empty")
     return FidelityEstimate(value=float(np.mean(values)),

@@ -646,6 +646,24 @@ def test_out_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
     assert "Is a directory" in captured.err and captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("out_dir", [None, "missing"], ids=["no out dir", "missing out dir"])
+@pytest.mark.parametrize("argv", [["reproduce", "table1"], ["run", "--ideal"]],
+                         ids=["reproduce", "run"])
+def test_an_empty_out_path_is_refused_before_the_command_runs(argv, out_dir, tmp_path,
+                                                              monkeypatch, capsys):
+    if out_dir:
+        monkeypatch.setenv("CQTSIM_OUT_DIR", str(tmp_path / out_dir))
+    else:
+        monkeypatch.delenv("CQTSIM_OUT_DIR", raising=False)
+    monkeypatch.setattr(cli, "count_rates", None)
+    monkeypatch.setattr(cli, "corrected_fidelity", None)
+    assert run_cli([*argv, "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --out needs a file name, not an empty string\n"
+    assert not (tmp_path / "missing").exists()
+
+
 @pytest.mark.parametrize("text, reason", [
     (b"vm\n", "MissingSectionHeaderError at line 1"),
     (b"[run]\n" + b"# padding\n" * 1000 + b"ideal = \xff\n", "UnicodeDecodeError"),
@@ -1319,6 +1337,30 @@ def test_shared_parser_matches_a_fresh_one(tmp_path):
     assert shared == fresh
     assert b"not allowed with argument" in shared[2][2]
     assert b'"rows"' in shared[3][1] and b"0.6" in shared[3][1]
+
+
+@pytest.mark.parametrize("argv, parses", [
+    (["reproduce", "table1"], ["cqtsim reproduce"]),
+    (["run", "--ideal", "--format", "json"], ["cqtsim run"]),
+    (["scan-werner", "--q-list", "0.5"], ["cqtsim scan-werner"]),
+    (["run", "--ideal", "--config", "CFG"], ["cqtsim run", "cqtsim run"]),
+    (["run", "--config=CFG", "--input", "-0.6,0.8"], ["cqtsim run", "cqtsim run"]),
+])
+def test_a_command_is_parsed_once_by_its_own_parser(argv, parses, tmp_path, monkeypatch):
+    # with --config the parse stops at the file and runs again with its section
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[run]\nchannel = g2\n", encoding="utf-8")
+    seen = []
+    parse = argparse.ArgumentParser.parse_known_args
+
+    def counting(self, *args, **kwargs):
+        seen.append(self.prog)
+        return parse(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([a.replace("CFG", str(cfg)) for a in argv]) == 0
+    assert seen == parses
 
 
 def test_main_builds_the_parser_once(monkeypatch):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cqtsim.estimation import (ML_MAX_ITERATIONS, ML_RESCALE_ABOVE, ML_TOL,
                                POISSON_MAX_MEAN, MLResult, ProjectionCounts,
-                               _ml_kernel, axial_counts, corrected_fidelity,
+                               _estimate, _ml_kernel, axial_counts, corrected_fidelity,
                                correct_for_background, fidelity_from_counts,
                                ml_oracle_bloch_search, ml_reconstruct,
                                poisson_uncertainty, read_counts_csv, resampled_tomography)
@@ -17,7 +17,7 @@ from cqtsim.fock import KET_D, KET_H, KET_R, KET_V, NAMED_KETS, fidelity, parse_
 from cqtsim.protocol import CountRecord
 
 from helpers import AXIAL_INPUT_NAMES as AXIAL
-from helpers import validate_density
+from helpers import reference_poisson_uncertainty, validate_density
 
 
 def exact_counts(rho, exposure=1.0):
@@ -287,6 +287,46 @@ def test_poisson_balanced_counts_match_error_propagation():
     est = poisson_uncertainty((n, n), seed=3, n_resamples=6000)
     assert est.value == pytest.approx(0.5, abs=0.01)
     assert est.uncertainty == pytest.approx(1 / (2 * math.sqrt(2 * n)), rel=0.1)
+
+
+@pytest.mark.parametrize("size", [1, 2, 7, 8, 9, 127, 128, 129, 10_000])
+@pytest.mark.parametrize("low, high", [(0.0, 1.0), (-3.0, 4.0), (0.999, 1.0)])
+def test_estimate_keeps_the_bits_of_numpy_mean_and_std(size, low, high):
+    # pairwise summation changes its blocking at 8 and 128 items; a fidelity
+    # estimate's mean must lie in [0, 1], its values need not
+    rng = np.random.default_rng([size, int(10 * high)])
+    for _ in range(5):
+        values = rng.uniform(low, high, size)
+        if not 0.0 <= np.mean(values) <= 1.0:
+            values -= np.mean(values) - 0.5
+        kept = values.copy()
+        est = _estimate(values)
+        assert est.value.hex() == float(np.mean(values)).hex()
+        assert est.uncertainty.hex() == float(np.std(values)).hex()
+        assert np.array_equal(values, kept)
+
+
+def test_estimate_of_no_values_raises():
+    with pytest.raises(ValueError, match="every resample was empty"):
+        _estimate(np.zeros(0))
+
+
+@given(mean=st.one_of(st.just(0.0), st.floats(0.1, 1e6)), share=st.floats(0.0, 1.0),
+       weight=st.one_of(st.just(0.0), st.floats(0.0, 0.95)),
+       seed=st.integers(0, 2**32), n_resamples=st.sampled_from([100, 129, 1000, 10_000]))
+@settings(max_examples=150, deadline=None)
+def test_poisson_uncertainty_keeps_the_bits_of_the_reference(mean, share, weight, seed,
+                                                             n_resamples):
+    data = (mean * share, mean * (1.0 - share))
+    try:
+        want = reference_poisson_uncertainty(data, seed, n_resamples, weight)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=re.escape(str(exc))):
+            poisson_uncertainty(data, seed, n_resamples, weight)
+        return
+    got = poisson_uncertainty(data, seed, n_resamples, weight)
+    assert (got.value.hex(), got.uncertainty.hex()) == (want.value.hex(),
+                                                        want.uncertainty.hex())
 
 
 def test_poisson_requires_seed_and_counts():

@@ -58,3 +58,14 @@ def test_the_digests_hold_on_a_kernel_without_fma():
     if here["core"] is None or core == here["core"]:
         pytest.skip(f"numpy's BLAS does not switch kernels here (core {here['core']!r})")
     assert_same(digests)
+
+
+def test_compare_names_every_command_that_differs(tmp_path, capsys):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    a.write_text(json.dumps({"run --ideal": "1", "tomo": "2", "reproduce table1": "3"}))
+    b.write_text(json.dumps({"run --ideal": "1", "tomo": "9", "scan-werner": "4"}))
+    assert record.main(["--compare", str(a), str(b)]) == 1
+    assert capsys.readouterr().out == ("tomo\nreproduce table1\nscan-werner\n"
+                                       "3 of 4 commands differ\n")
+    assert record.main(["--compare", str(a), str(a)]) == 0
+    assert capsys.readouterr().out == "0 of 3 commands differ\n"
