@@ -339,6 +339,9 @@ def _parse_once(argv: list, stop_at_config: bool) -> argparse.Namespace:
     parser = _parser(stop_at_config)
     command = parser.commands.get(argv[0]) if argv else None
     if command is None:
+        option = argv[0].split("=", 1)[0] if argv else ""
+        if len(option) > 2 and "--config".startswith(option):
+            raise ValueError("--config goes after the subcommand: cqtsim COMMAND --config FILE")
         return parser.parse_args(argv)
     args, extra = command.parse_known_args(argv[1:])
     if extra:

@@ -51,9 +51,12 @@ class ProjectionCounts:
         return np.array([c for _, c in self.settings])
 
     def is_informationally_complete(self) -> bool:
-        # projectors must span the 4-dimensional operator space
-        vecs = [p.ravel() for p in self.projectors()]
-        return np.linalg.matrix_rank(np.array(vecs), tol=1e-10) >= 4
+        return _spans_operators(np.array(self.projectors()))
+
+
+def _spans_operators(projectors: np.ndarray) -> bool:
+    """Whether projectors (m, 2, 2) span the 4-dimensional operator space."""
+    return np.linalg.matrix_rank(projectors.reshape(-1, 4), tol=1e-10) >= 4
 
 
 def axial_counts(counts_by_name: dict) -> ProjectionCounts:
@@ -147,11 +150,12 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
     (m, 4) @ (4, k), rounds 24 % of the probabilities differently.  The full
     step is ``r`` itself; only the diluted passes build ``alpha`` and mix in
     the identity.  When all take the full step and none stops, the
-    candidates are the next state as they are; otherwise the probabilities
-    are recomputed, because the BLAS product rounds differently on a
-    different number of rows.  Table 0 takes both products on its own row,
-    so it keeps the bits of a one-table call and the others those of a call
-    without it.
+    candidates are the next state as they are and no bookkeeping runs;
+    otherwise the probabilities are recomputed, because the BLAS product
+    rounds differently on a different number of rows.  Only a probability of
+    at most 1e-300 makes a mask, 1.0 at each such entry.  Table 0 takes both
+    products on its own row, so it keeps the bits of a one-table call and
+    the others those of a call without it.
 
     Returns ``(rho (n, 2, 2), converged (n,), iterations (n,), trace)``;
     ``trace`` holds table 0's log-likelihood after every accepted step; no
@@ -185,6 +189,10 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
         # log-likelihoods and the probabilities, 1.0 where unusable; a masked
         # entry adds counts * log(1.0) = +0.0
         probs = product(np.ascontiguousarray(rho.reshape(4, -1).T), columns, ids).real
+        if probs.min(initial=math.inf) > 1e-300:
+            # at a count of 0, 0 * log(p) is +-0.0: it sums as the mask's +0.0
+            safe = np.ascontiguousarray(probs)
+            return (counts * np.log(safe)).sum(axis=1), safe
         usable = nonzero & (probs > 1e-300)
         safe = np.where(usable, probs, 1.0)
         out = (counts * np.log(safe)).sum(axis=1)
@@ -208,7 +216,6 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
     for iteration in range(1, max_iterations + 1):
         if active.size == 0:
             break
-        iterations[active] = iteration
         if safe is None:
             _, safe = evaluate(rho, counts, nonzero, active)
         # an active table's likelihood is finite, so its masked entries have
@@ -246,16 +253,21 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
         # a table with no acceptable step stops where it is, unconverged
         delta = np.abs(new_ll - ll)
         rho, ll = new_rho, np.maximum(new_ll, ll)
-        done = accepted & (delta < tol * np.maximum(1.0, np.abs(ll)))
-        converged[active[done]] = True
+        done = delta < tol * np.maximum(1.0, np.abs(ll))
         if active[0] == 0 and accepted[0]:
             trace.append(float(ll[0]))
+        if accepted.all() and not done.any():
+            continue
+        done &= accepted
+        converged[active[done]] = True
         stay = accepted & ~done
         if not stay.all():
+            iterations[active[~stay]] = iteration
             rho_out[:, :, active[~stay]] = rho[:, :, ~stay]
             active, rho, ll = active[stay], rho.compress(stay, axis=2), ll[stay]
             counts, nonzero, totals = counts[stay], nonzero[stay], totals[stay]
             safe = None
+    iterations[active] = max_iterations
     rho_out[:, :, active] = rho
     return np.ascontiguousarray(rho_out.transpose(2, 0, 1)), converged, iterations, trace
 
@@ -279,7 +291,8 @@ def ml_reconstruct(counts: ProjectionCounts, tol: float = ML_TOL,
 def _ml_fit(counts: ProjectionCounts, resamples: np.ndarray, tol, max_iterations) -> tuple:
     """``ml_reconstruct(counts)`` and the states of the ``resamples`` (k, m),
     from one kernel run with the observed table, rescaled, as table 0."""
-    if not counts.is_informationally_complete():
+    projectors = np.array(counts.projectors())
+    if not _spans_operators(projectors):
         raise ValueError("projector set is not informationally complete")
     ns = counts.counts()
     if np.sum(ns) <= 0:
@@ -287,7 +300,7 @@ def _ml_fit(counts: ProjectionCounts, resamples: np.ndarray, tol, max_iterations
     if not 1.0 <= ns.max() <= ML_RESCALE_ABOVE:
         ns = ns / ns.max()
     rho, converged, iterations, trace = _ml_kernel(
-        np.array(counts.projectors()), np.vstack([ns, resamples]), tol, max_iterations)
+        projectors, np.vstack([ns, resamples]), tol, max_iterations)
     return MLResult(rho=rho[0], converged=bool(converged[0]), iterations=int(iterations[0]),
                     log_likelihoods=trace), rho[1:]
 

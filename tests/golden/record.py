@@ -12,7 +12,9 @@ to ``$COLUMNS``.
     PYTHONPATH=src python tests/golden/record.py 'fit-spdc --input h --pbs-epsilon 0'
 
 re-records the commands named on the command line, each as its
-``shlex.join`` key; ``--all`` records the whole corpus (``corpus()``) afresh.
+``shlex.join`` key (a key that starts with ``--``, such as
+``'--config run.ini run'``, is still a key); ``--all`` records the whole
+corpus (``corpus()``) afresh.
 Re-recording changes a check, so each re-recorded command and its reason
 belong in CHANGES.md.
 
@@ -82,8 +84,15 @@ SINGLE_SOURCES = (
     ("--kappa-forward", "0.1", "--kappa-backward", "0.055", "--pbs-epsilon", "0.05"),
     ("--resamples", "200", "--seed", "5", "--format", "json"),
 )
-# the count tables beside this file
-TOMO_TABLES = ("axial", "zero", "below1")
+# the count tables beside this file: a mixed table, one with a zero count, one
+# below 1 count; a pure table (a zero count whose probability vanishes),
+# subnormal counts, counts too large to resample, a table whose resamples are
+# sometimes empty and one that is not informationally complete
+TOMO_TABLES = ("axial", "zero", "below1", "pure", "subnormal", "huge", "sparse",
+               "incomplete")
+# the scan's edge cases: one point, both ends only, a fine grid, repeated values
+SCAN_EDGES = (("--q-grid", "0:1:1"), ("--q-grid", "0:1:2"), ("--q-grid", "0:1:10001"),
+              ("--q-list", "0.5,0.5,1,0,0.5,1"))
 # argument parsing, its errors and the config file
 ARGV_EDGES = (
     (),
@@ -139,6 +148,7 @@ def corpus() -> list:
                   ("csv", "json"))]
     argvs += [["scan-werner", "--q-grid", "0:1:101", "--format", fmt] for fmt in ("csv", "json")]
     argvs += [["scan-werner", "--q-list", "0,0.25,0.5,0.6667,0.7,1"]]
+    argvs += [["scan-werner", *edge] for edge in SCAN_EDGES]
     argvs += [["reproduce", "table1", "--format", fmt] for fmt in ("csv", "json")]
     return argvs + [list(argv) for argv in ARGV_EDGES]
 
@@ -179,7 +189,7 @@ def main(args: list) -> int:
     elif args == ["--all"]:
         digests = {shlex.join(argv): digest(argv) for argv in corpus()}
         path = DIGESTS
-    elif args and not args[0].startswith("--"):
+    elif args and (not args[0].startswith("--") or args[0] in load()):
         digests = load()
         for key in args:
             if key not in digests:

@@ -12,6 +12,18 @@ mode -> {mode: amplitude}: the bit-for-bit oracle of ``apply``.
 kept each table's state between steps, copied verbatim with the (n, 2, 2)
 ``_mul2`` it called: the bit-for-bit oracle of the kernel, which now holds
 its states as (2, 2, n) stacks.
+``reference_packed_ml_kernel`` is ``estimation._ml_kernel`` as it was before
+it skipped the mask and the per-step bookkeeping when no table needs them,
+copied verbatim with the (2, 2, n) ``_mul2`` it called as ``_stack_mul2``:
+the bit-for-bit oracle of the kernel on the same stacks.
+``reference_mc_avg_teleport_fidelity`` and ``reference_werner_rows`` are
+``channels.mc_avg_teleport_fidelity`` and ``channels._werner_rows`` as they
+were before the Monte-Carlo average took every branch in one stack, the
+scan conditioned on +, - and H in one pass and ``_condition`` ran its terms
+with the channels innermost, copied verbatim with the private
+helpers this change touched (``_teleport_branches``, ``_pauli_fidelities``,
+``_frame_fidelities``, ``_condition``, ``_werner_channels``) under a
+``_reference_`` prefix: their bit-for-bit oracles.
 ``reference_poisson_tomography`` is ``estimation.poisson_uncertainty`` on a
 ``ProjectionCounts`` as it was before the observed table joined its resamples
 in one kernel run, copied verbatim with ``reference_ml_kernel`` as its kernel
@@ -57,12 +69,15 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from cqtsim import protocol
-from cqtsim.channels import PAULI_X
+from cqtsim.channels import (_BELL, _BELL_LABELS, _PAULI_DAGGERS, PAULI_X, STANDARD_CORRECTIONS,
+                             _branches, _feedforward_sums, _four_terms, ghz_ket,
+                             ket_outer)
 from cqtsim.elements import phase_matrix
 from cqtsim.estimation import (ML_MAX_ITERATIONS, ML_TOL, FidelityEstimate, NonPhysicalError,
                                ProjectionCounts, _check_poisson_mean, _check_resampling,
                                correct_for_background, corrected_fidelity)
-from cqtsim.fock import H, V, PureState, _create, spatial_counts, unit_ket
+from cqtsim.fock import (KET_D, KET_H, H, V, PureState, _create, basis_pairs, spatial_counts,
+                        unit_ket)
 from cqtsim.spdc import (_GRID_POINTS, _ROOT_COST, BACKWARD_MODES, FORWARD_MODES,
                          RATIO_BOUNDS, REFERENCE_KAPPA, RatioFit, _local_minima,
                          emission_orders)
@@ -584,3 +599,264 @@ def reference_run_protocol(config):
     record = P.CountRecord(f_parallel=f_par, f_perp=f_perp,
                            success_probability=success, per_term=per_term)
     return record, rho
+
+
+def _stack_mul2(a, b):
+    """``a @ b`` for two stacks of 2x2 matrices held as (2, 2, n) components.
+
+    Entry (i, j) is ``a[i, 0] b[0, j] + a[i, 1] b[1, j]``: the columns of ``a``
+    times the rows of ``b``, all four entries at once by broadcasting.  The
+    stack axis is innermost, so each of the three elementwise calls loops
+    over the whole stack; numpy's complex ``*`` and ``+`` round the same in
+    this layout as on (n, 2, 2) stacks.
+    """
+    return a[:, :1] * b[None, 0] + a[:, 1:] * b[None, 1]
+
+
+def reference_packed_ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
+                               max_iterations: int):
+    """Diluted R rho R iteration on a stack of count tables.
+
+    ``projectors`` (m, 2, 2) are shared by every table, ``tables`` (n, m)
+    holds the counts.  Each table runs the fixed-point update of Rehacek,
+    Hradil, Knill and Lvovsky (PRA 75, 042108): a full step is tried first
+    and its weight ``alpha`` halved, down to 1e-6, until the likelihood does
+    not fall by more than 1e-15.  A table stops when no step is accepted or
+    when the log-likelihood changes by less than ``tol * max(1, |L|)``.
+
+    The running tables are packed into rows (state, likelihood, counts and
+    probabilities), re-packed only when one stops.  States, steps and
+    candidates are (2, 2, k) stacks, table axis innermost, so that each
+    elementwise call loops over the tables; both BLAS products still take
+    C-contiguous (k, 4) rows, since the product taken the other way round,
+    (m, 4) @ (4, k), rounds 24 % of the probabilities differently.  The full
+    step is ``r`` itself; only the diluted passes build ``alpha`` and mix in
+    the identity.  When all take the full step and none stops, the
+    candidates are the next state as they are; otherwise the probabilities
+    are recomputed, because the BLAS product rounds differently on a
+    different number of rows.  Table 0 takes both products on its own row,
+    so it keeps the bits of a one-table call and the others those of a call
+    without it.
+
+    Returns ``(rho (n, 2, 2), converged (n,), iterations (n,), trace)``;
+    ``trace`` holds table 0's log-likelihood after every accepted step; no
+    other table is traced.  A ``tol``
+    that is NaN or negative or a ``max_iterations`` that is not an integer
+    of at least 1 raises ValueError.
+    """
+    if not tol >= 0.0:
+        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
+    if not (isinstance(max_iterations, numbers.Integral) and max_iterations >= 1):
+        raise ValueError(f"max_iterations must be an integer of at least 1, "
+                         f"got {max_iterations!r}")
+    n, m = tables.shape
+    eye = np.eye(2, dtype=complex)[:, :, None]
+    # tr(p rho) = sum_ij p_ji rho_ij: one (k, 4) @ (4, m) product against the
+    # transposed, flattened projectors gives every probability of every table
+    columns = np.ascontiguousarray(projectors.transpose(0, 2, 1).reshape(m, 4).T)
+    flat = projectors.reshape(m, 4)
+
+    def product(rows, matrix, ids):
+        # rows @ matrix for the tables ``ids``, table 0's row on its own:
+        # numpy hands a one-row product to gemv, which rounds unlike gemm
+        if len(rows) < 2 or ids[0] != 0:
+            return rows @ matrix
+        out = np.empty((len(rows), matrix.shape[1]), dtype=complex)
+        np.matmul(rows[:1], matrix, out=out[:1])
+        np.matmul(rows[1:], matrix, out=out[1:])
+        return out
+
+    def evaluate(rho, counts, nonzero, ids):
+        # log-likelihoods and the probabilities, 1.0 where unusable; a masked
+        # entry adds counts * log(1.0) = +0.0
+        probs = product(np.ascontiguousarray(rho.reshape(4, -1).T), columns, ids).real
+        usable = nonzero & (probs > 1e-300)
+        safe = np.where(usable, probs, 1.0)
+        out = (counts * np.log(safe)).sum(axis=1)
+        bad = nonzero & ~usable
+        if bad.any():
+            out[bad.any(axis=1)] = -math.inf
+        return out, safe
+
+    def candidate(rho, step):
+        cand = _stack_mul2(_stack_mul2(step, rho), step.conj().transpose(1, 0, 2))
+        cand = 0.5 * (cand + cand.conj().transpose(1, 0, 2))
+        cand /= cand[0, 0].real + cand[1, 1].real
+        return cand
+
+    rho_out = np.broadcast_to(eye / 2.0, (2, 2, n)).copy()
+    converged, iterations = np.zeros(n, dtype=bool), np.zeros(n, dtype=int)
+    active, rho, counts = np.arange(n), rho_out.copy(), tables
+    nonzero, totals = counts > 0, counts.sum(axis=1)
+    ll, safe = evaluate(rho, counts, nonzero, active)
+    trace = [float(v) for v in ll[:1]]
+    for iteration in range(1, max_iterations + 1):
+        if active.size == 0:
+            break
+        iterations[active] = iteration
+        if safe is None:
+            _, safe = evaluate(rho, counts, nonzero, active)
+        # an active table's likelihood is finite, so its masked entries have
+        # count 0 and weight 0 / 1.0
+        r = np.divide(product(counts / safe, flat, active).T.reshape(2, 2, -1), totals,
+                      order="C")
+        # the full step (1 - alpha) eye + alpha r at alpha = 1 is r with its
+        # zeros made +0.0, which is what + 0.0 does
+        new_rho = candidate(rho, r + 0.0)
+        new_ll, safe = evaluate(new_rho, counts, nonzero, active)
+        accepted = new_ll >= ll - 1e-15
+        if not accepted.all():
+            # the rejected tables halve their step until one is accepted
+            safe = None
+            new_rho[:, :, ~accepted] = rho[:, :, ~accepted]
+            alpha, pending = np.ones(active.size), np.flatnonzero(~accepted)
+            while True:
+                alpha[pending] /= 2.0
+                pending = pending[alpha[pending] > 1e-6]
+                if pending.size == 0:
+                    break
+                # take() and compress() keep a selection of tables C-contiguous;
+                # an index on the last axis would put that axis outermost in memory
+                a = alpha[pending]
+                cand = candidate(rho.take(pending, axis=2),
+                                 (1 - a) * eye + a * r.take(pending, axis=2))
+                cand_ll, _ = evaluate(cand, counts[pending], nonzero[pending],
+                                      active[pending])
+                ok = cand_ll >= ll[pending] - 1e-15
+                new_rho[:, :, pending[ok]] = cand[:, :, ok]
+                new_ll[pending[ok]] = cand_ll[ok]
+                accepted[pending[ok]] = True
+                pending = pending[~ok]
+
+        # a table with no acceptable step stops where it is, unconverged
+        delta = np.abs(new_ll - ll)
+        rho, ll = new_rho, np.maximum(new_ll, ll)
+        done = accepted & (delta < tol * np.maximum(1.0, np.abs(ll)))
+        converged[active[done]] = True
+        if active[0] == 0 and accepted[0]:
+            trace.append(float(ll[0]))
+        stay = accepted & ~done
+        if not stay.all():
+            rho_out[:, :, active[~stay]] = rho[:, :, ~stay]
+            active, rho, ll = active[stay], rho.compress(stay, axis=2), ll[stay]
+            counts, nonzero, totals = counts[stay], nonzero[stay], totals[stay]
+            safe = None
+    rho_out[:, :, active] = rho
+    return np.ascontiguousarray(rho_out.transpose(2, 0, 1)), converged, iterations, trace
+
+
+def _reference_teleport_branches(channel: np.ndarray, psis: np.ndarray):
+    """Bell-outcome probabilities (..., n, 4) and receiver states (..., n, 4, 2, 2).
+
+    The sender measures (input, qubit 1) in the Bell basis, outcomes in the
+    order of ``bell_kets``; ``psis`` (n, 2) are the input kets and
+    ``channel`` is one two-qubit channel (4, 4) or a stack (..., 4, 4).  A
+    branch with probability below 1e-14 keeps its unnormalized state.
+
+    ``states`` is C-contiguous: with non-contiguous states, 14 % of the BLAS
+    products of ``_frame_fidelities`` round differently.  ``probs`` is the
+    real part of a C-contiguous complex array.
+    """
+    channel = np.asarray(channel, dtype=complex)
+    stack, n = channel.shape[:-2], len(psis)
+    rho = channel.reshape((-1, 2, 2, 2, 2))
+    # <bell_k| on (input, qubit 1) applied to |psi> on the input, as (c, k n)
+    bras = _BELL.conj().transpose(1, 2, 0)
+    u = sum(np.einsum("ck,n->ckn", bras[a], psis[:, a]) for a in (0, 1)).reshape(2, -1)
+    sub = _four_terms("p,mef,p->mefp", u, rho.transpose(1, 3, 0, 2, 4), u.conj())
+    traces = np.einsum("meep->mp", sub)
+    sub /= np.where(traces.real > 1e-14, traces.real, 1.0)[:, None, None]
+    probs = np.ascontiguousarray(traces.reshape(-1, 4, n).transpose(0, 2, 1)).real
+    states = np.ascontiguousarray(sub.reshape(-1, 2, 2, 4, n).transpose(0, 4, 3, 1, 2))
+    return probs.reshape(stack + (n, 4)), states.reshape(stack + (n, 4, 2, 2))
+
+
+def _reference_pauli_fidelities(psis: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """``<psi_n| P state_nk P^dagger |psi_n>`` (n, k, p) for the inputs ``psis``
+    (n, 2), their branch states (n, k, 2, 2) and the Paulis P in ``PAULIS``
+    order; the complex array's real view, laid out as the sums over n need."""
+    # P^dagger |psi> as (pauli, component, sample)
+    rotated = sum(np.einsum("pi,n->pin", _PAULI_DAGGERS[:, j], psis[:, j]) for j in (0, 1))
+    fids = _four_terms("pn,kn,pn->kpn", rotated.conj().transpose(1, 0, 2),
+                       states.transpose(2, 3, 1, 0), rotated.transpose(1, 0, 2))
+    return np.ascontiguousarray(fids.transpose(2, 0, 1)).real
+
+
+def reference_mc_avg_teleport_fidelity(channel, n_samples: int, seed: int) -> float:
+    """Monte-Carlo cross-check of avg_teleport_fidelity over Haar inputs, on
+    the same ``channel`` argument.
+
+    Picks, per Bell outcome, the Pauli that maximizes the sample-averaged
+    fidelity, matching the closed-form protocol.
+    """
+    if n_samples is True or not (isinstance(n_samples, numbers.Integral) and n_samples >= 1):
+        raise ValueError(f"n_samples must be an integer of at least 1, got {n_samples!r}")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValueError(f"seed must be an explicit non-negative integer, got {seed!r}")
+    branches, total_p = _branches(channel)
+    rng = np.random.default_rng(seed)
+    # per sample: two real parts, then two imaginary parts
+    draws = rng.normal(size=(n_samples, 2, 2))
+    psis = draws[:, 0] + 1j * draws[:, 1]
+    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+
+    grand = 0.0
+    for b in branches:
+        probs, states = _reference_teleport_branches(b.state, psis)
+        fids = _reference_pauli_fidelities(psis, states)
+        # summed over samples per (outcome, Pauli); then the best Pauli per outcome
+        acc = np.einsum("nk,nkp->kp", probs, fids)
+        best = float(acc.max(axis=1).sum()) / n_samples
+        grand += b.probability * best
+    return grand / total_p
+
+
+def _reference_frame_fidelities(channels: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Fidelity of teleporting ``psi`` with the ``STANDARD_CORRECTIONS`` Pauli
+    frame over each channel of a stack (m, 4, 4)."""
+    probs, states = _reference_teleport_branches(channels, psi[None, :])
+    total = np.zeros(len(channels))
+    for k, label in enumerate(_BELL_LABELS):
+        c = STANDARD_CORRECTIONS[label]
+        # psi^dag c state c^dag psi, one (1, 2) row per channel (see above)
+        fids = ((psi.conj() @ c)[None, :] @ states[:, 0, k] @ c.conj().T
+                @ psi[:, None])[:, 0, 0].real
+        prob = probs[:, 0, k]
+        total = total + np.where(prob < 1e-14, 0.0, prob * fids)
+    return total
+
+
+def _reference_condition(channels: np.ndarray, kets) -> tuple:
+    """Measure qubit 3 of a stack of channels (n, 8, 8) onto each of ``kets``.
+
+    Returns probabilities (n, k) and renormalized conditionals (n, k, 4, 4) on
+    qubits 1, 2; a conditional of probability below 1e-14 is zero.
+    """
+    n = len(channels)
+    rho = channels.reshape((n,) + (2,) * 6)
+    sub = np.stack([np.einsum("c,nabcdef,f->nabde", ket.conj(), rho, ket)
+                    for ket in kets], axis=1).reshape(n, len(kets), 4, 4)
+    probs = np.trace(sub, axis1=2, axis2=3).real
+    tiny = probs < 1e-14
+    states = np.where(tiny[..., None, None], 0j,
+                      sub / np.where(tiny, 1.0, probs)[..., None, None])
+    return probs, states
+
+
+def _reference_werner_channels(q_grid) -> np.ndarray:
+    """Werner channels (n, 8, 8); the first weight outside [0, 1] is named."""
+    qs = np.asarray(q_grid, dtype=float)
+    outside = np.flatnonzero(~((qs >= 0.0) & (qs <= 1.0)))
+    if outside.size:
+        raise ValueError(f"q={q_grid[outside[0]]} outside [0, 1]")
+    qs = qs[:, None, None]
+    return qs * ket_outer(ghz_ket(1)) + (1 - qs) * np.eye(8, dtype=complex) / 8.0
+
+
+def reference_werner_rows(q_grid) -> tuple:
+    """F_allowed and F_denied (n,) over ``q_grid`` in one pass of the kernels."""
+    channels = _reference_werner_channels(q_grid)
+    probs, states = _reference_condition(channels, [ket for ket, _ in basis_pairs("pm")])
+    allowed = _feedforward_sums(probs, states) / sum(probs.T)
+    _, denied_channels = _reference_condition(channels, [KET_H])
+    return allowed, _reference_frame_fidelities(denied_channels[:, 0], KET_D)

@@ -807,7 +807,8 @@ def test_pauli_fidelity_contraction_keeps_the_bytes_of_einsum():
     for channel, psis in contraction_cases():
         if channel.ndim == 2:
             _, states = einsum_teleport_branches(channel, psis)
-            got, want = _pauli_fidelities(psis, states), einsum_pauli_fidelities(psis, states)
+            got = _pauli_fidelities(psis, states[None])[0]
+            want = einsum_pauli_fidelities(psis, states)
             assert got.tobytes() == want.tobytes()
             assert layout(got) == layout(want)
 

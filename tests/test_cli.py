@@ -579,6 +579,23 @@ def test_config_abbreviation_that_matches_two_options_is_usage_error(tmp_path, c
     assert "ambiguous option: --co could match --counts, --config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--config", "run.ini", "run"], ["--config=run.ini", "run", "--ideal"],
+    ["--conf", "run.ini", "tomo"], ["--c", "run.ini", "scan-werner"], ["--config"],
+])
+def test_config_before_the_subcommand_is_one_line_that_says_where_it_goes(argv, capsys):
+    assert run_cli(argv) == 2
+    assert capsys.readouterr() == ("", "error: --config goes after the subcommand: "
+                                       "cqtsim COMMAND --config FILE\n")
+
+
+@pytest.mark.parametrize("argv", [["--cx", "run.ini", "run"], ["--", "run"], ["-c", "run"]])
+def test_an_option_before_the_subcommand_that_is_not_config_keeps_argparse_error(argv, capsys):
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and "cqtsim: error: " in err and "--config" not in err
+
+
 def test_config_supplies_a_required_option(tmp_path, capsys):
     counts = tmp_path / "counts.csv"
     counts.write_text("label,projector,count\nh,h,700\nv,v,300\nplus,plus,650\n"
