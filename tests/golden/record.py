@@ -90,6 +90,14 @@ SINGLE_SOURCES = (
 # sometimes empty and one that is not informationally complete
 TOMO_TABLES = ("axial", "zero", "below1", "pure", "subnormal", "huge", "sparse",
                "incomplete")
+# Poisson tables of near-pure states (Bloch length 0.98, 0.99, 0.995, 0.999,
+# 0.9995 and 0.9999; 10^3 to 10^5 counts per axis), nearpure-5 and nearpure-6
+# with a linear inversion outside the Bloch ball, each with the ket of its
+# state as target; and a table whose r/l axis holds 111 of 1.1 million counts
+NEAR_PURE_TARGETS = ("0.623023,-0.757136-0.196437j", "0.204293,0.925755+0.318184j",
+                     "0.360586,0.893151-0.268810j", "0.967059,-0.078130-0.242266j",
+                     "0.396024,0.580506+0.711462j", "0.763313,0.327756+0.556713j")
+TOMO_RESAMPLED = ("--resamples", "100", "--seed", "3", "--format", "json")
 # the scan's edge cases: one point, both ends only, a fine grid, repeated values
 SCAN_EDGES = (("--q-grid", "0:1:1"), ("--q-grid", "0:1:2"), ("--q-grid", "0:1:10001"),
               ("--q-list", "0.5,0.5,1,0,0.5,1"))
@@ -146,6 +154,11 @@ def corpus() -> list:
               for table, weight, resamples, fmt in itertools.product(
                   TOMO_TABLES, ("0", "0.2"), ((), ("--resamples", "100", "--seed", "3")),
                   ("csv", "json"))]
+    argvs += [["tomo", "--counts", f"nearpure-{i}.csv", "--target", target, *resampled]
+              for (i, target), resampled in itertools.product(
+                  enumerate(NEAR_PURE_TARGETS, 1), ((), TOMO_RESAMPLED))]
+    argvs += [["tomo", "--counts", "unbalanced.csv", *resampled]
+              for resampled in ((), TOMO_RESAMPLED)]
     argvs += [["scan-werner", "--q-grid", "0:1:101", "--format", fmt] for fmt in ("csv", "json")]
     argvs += [["scan-werner", "--q-list", "0,0.25,0.5,0.6667,0.7,1"]]
     argvs += [["scan-werner", *edge] for edge in SCAN_EDGES]
