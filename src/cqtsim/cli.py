@@ -31,9 +31,9 @@ import warnings
 import numpy as np
 
 from .channels import werner_scan
-from .estimation import (POISSON_MAX_MEAN, NonPhysicalError, corrected_fidelity,
-                         correct_for_background, ml_reconstruct,
-                         poisson_uncertainty, read_counts_csv, resampled_tomography)
+from .estimation import (POISSON_MAX_MEAN, NonPhysicalError, _resampled_fit,
+                         corrected_fidelity, correct_for_background, ml_reconstruct,
+                         poisson_uncertainty, read_counts_csv)
 from .fock import fidelity, parse_ket
 from .protocol import (InputQubit, NoCoincidenceError, ProtocolConfig, count_rates,
                        emulate_mixture)
@@ -569,22 +569,22 @@ def cmd_tomo(args) -> int:
         raise ValueError("--weight must lie in [0, 1)")
 
     failure = None
-    if not args.resamples:
-        result = ml_reconstruct(counts)
     with _warnings_to_stderr():
         if args.resamples:
             try:
-                result, est = resampled_tomography(counts, target, args.seed,
-                                                   args.resamples, args.weight)
+                result, corrected, est = _resampled_fit(counts, target, args.seed,
+                                                        args.resamples, args.weight)
             except ValueError as exc:
-                # the observed table's own errors come first: fit it alone
-                result, failure = ml_reconstruct(counts), exc
-        try:
-            corrected = correct_for_background(result.rho, args.weight)
-        except NonPhysicalError as exc:
-            raise ValueError(f"--weight {args.weight!r} is too large for these counts: "
-                             f"the corrected state has eigenvalue "
-                             f"{exc.min_eigenvalue:.2e}, below -1e-3") from None
+                failure = exc
+        if failure is not None or not args.resamples:
+            # the observed table's own errors come first: fit it alone
+            result = ml_reconstruct(counts)
+            try:
+                corrected = correct_for_background(result.rho, args.weight)
+            except NonPhysicalError as exc:
+                raise ValueError(f"--weight {args.weight!r} is too large for these counts: "
+                                 f"the corrected state has eigenvalue "
+                                 f"{exc.min_eigenvalue:.2e}, below -1e-3") from None
         if isinstance(failure, NonPhysicalError):
             raise ValueError(f"--weight {args.weight!r} is too large for these counts: "
                              f"{failure.n_bad} of {failure.n_states} resamples have a "

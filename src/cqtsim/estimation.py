@@ -93,10 +93,6 @@ def fidelity_from_counts(f_parallel: float, f_perp: float) -> float:
 
 ML_TOL = 1e-10
 ML_MAX_ITERATIONS = 100_000
-# a table whose largest count lies outside [1, ML_RESCALE_ABOVE] is divided by
-# that count: above, so that counts over probabilities stay finite; below, so
-# that the stopping test, absolute for |L| < 1, does not scale with the counts
-ML_RESCALE_ABOVE = 1e150
 
 
 @dataclass
@@ -119,49 +115,37 @@ def _log_likelihood(rho, projectors, counts) -> float:
     return out
 
 
-def _mul2(a, b):
-    """``a @ b`` for two stacks of 2x2 matrices held as (2, 2, n) components.
-
-    Entry (i, j) is ``a[i, 0] b[0, j] + a[i, 1] b[1, j]``: the columns of ``a``
-    times the rows of ``b``, all four entries at once by broadcasting.  The
-    stack axis is innermost, so each of the three elementwise calls loops
-    over the whole stack; numpy's complex ``*`` and ``+`` round the same in
-    this layout as on (n, 2, 2) stacks.
-    """
-    return a[:, :1] * b[None, 0] + a[:, 1:] * b[None, 1]
-
-
 def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
                max_iterations: int):
-    """Diluted R rho R iteration on a stack of count tables.
+    """Maximum-likelihood states of a stack of count tables, by Newton's
+    method on the Bloch vector r over the unit ball.
 
     ``projectors`` (m, 2, 2) are shared by every table, ``tables`` (n, m)
-    holds the counts.  Each table runs the fixed-point update of Rehacek,
-    Hradil, Knill and Lvovsky (PRA 75, 042108): a full step is tried first
-    and its weight ``alpha`` halved, down to 1e-6, until the likelihood does
-    not fall by more than 1e-15.  A table stops when no step is accepted or
-    when the log-likelihood changes by less than ``tol * max(1, |L|)``.
+    holds the counts, none of them all zero.  A projector Pi_j = (w_j 1 +
+    a_j.sigma) / 2 has probability p_j = (w_j + a_j.r) / 2, so the
+    log-likelihood per count, L(r) = sum_j f_j log p_j with f_j = n_j / N,
+    is concave and does not depend on the scale of the counts.  Each table
+    starts at r = 0 and takes Newton steps -H^-1 g.  A Newton point outside
+    the ball is pulled onto the sphere; there the table steps with the
+    tangent part of g and the tangent Hessian H - mu 1, mu = g.r, and goes
+    back inside when mu turns negative.  A step that lowers L by more than
+    its rounding, 1e-14 of |L|, or gives a counted projector a probability
+    of 0 or below, is halved until accepted or below 1e-6 of itself; L
+    keeps the higher value.  The Hessian, never the gradient, is shifted by
+    1e-12 of its trace: that keeps it invertible where no count bears on a
+    direction (as in ``tests/golden/sparse.csv``) and moves no fixed point.
 
-    The running tables are packed into rows (state, likelihood, counts and
-    probabilities), re-packed only when one stops.  States, steps and
-    candidates are (2, 2, k) stacks, table axis innermost, so that each
-    elementwise call loops over the tables; both BLAS products still take
-    C-contiguous (k, 4) rows, since the product taken the other way round,
-    (m, 4) @ (4, k), rounds 24 % of the probabilities differently.  The full
-    step is ``r`` itself; only the diluted passes build ``alpha`` and mix in
-    the identity.  When all take the full step and none stops, the
-    candidates are the next state as they are and no bookkeeping runs;
-    otherwise the probabilities are recomputed, because the BLAS product
-    rounds differently on a different number of rows.  Only a probability of
-    at most 1e-300 makes a mask, 1.0 at each such entry.  Table 0 takes both
-    products on its own row, so it keeps the bits of a one-table call and
-    the others those of a call without it.
+    A table converges when its Newton step is at most ``tol`` long, so the
+    KKT conditions of the ball hold to that length in r; it takes that step
+    too if the step is accepted in full.  It stops unconverged when no
+    halving of its step is accepted, or after ``max_iterations`` steps.  No
+    operation mixes the tables (einsum's loops, unlike a BLAS product over
+    the stack, round each row alike), so each table ends with its own bits.
 
-    Returns ``(rho (n, 2, 2), converged (n,), iterations (n,), trace)``;
-    ``trace`` holds table 0's log-likelihood after every accepted step; no
-    other table is traced.  A ``tol``
-    that is NaN or negative or a ``max_iterations`` that is not an integer
-    of at least 1 raises ValueError.
+    Returns ``(rho (n, 2, 2), converged (n,), iterations (n,), trace)``,
+    ``trace`` being table 0's L at r = 0 and after every accepted step.  A
+    ``tol`` that is NaN or negative or a ``max_iterations`` that is not an
+    integer of at least 1 raises ValueError.
     """
     if not tol >= 0.0:
         raise ValueError(f"tol must be a non-negative number, got {tol!r}")
@@ -169,120 +153,78 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
         raise ValueError(f"max_iterations must be an integer of at least 1, "
                          f"got {max_iterations!r}")
     n, m = tables.shape
-    eye = np.eye(2, dtype=complex)[:, :, None]
-    # tr(p rho) = sum_ij p_ji rho_ij: one (k, 4) @ (4, m) product against the
-    # transposed, flattened projectors gives every probability of every table
-    columns = np.ascontiguousarray(projectors.transpose(0, 2, 1).reshape(m, 4).T)
-    flat = projectors.reshape(m, 4)
+    w = np.trace(projectors, axis1=1, axis2=2).real
+    axes = np.stack([2 * projectors[:, 0, 1].real, -2 * projectors[:, 0, 1].imag,
+                     (projectors[:, 0, 0] - projectors[:, 1, 1]).real], axis=1)
+    outer = (axes[:, :, None] * axes[:, None, :]).reshape(m, 9)
+    eye = np.eye(3)
 
-    def product(rows, matrix, ids):
-        # rows @ matrix for the tables ``ids``, table 0's row on its own:
-        # numpy hands a one-row product to gemv, which rounds unlike gemm
-        if len(rows) < 2 or ids[0] != 0:
-            return rows @ matrix
-        out = np.empty((len(rows), matrix.shape[1]), dtype=complex)
-        np.matmul(rows[:1], matrix, out=out[:1])
-        np.matmul(rows[1:], matrix, out=out[1:])
-        return out
+    def evaluate(r, f):
+        # L and the probabilities; L is -inf where a counted probability is not positive
+        p = 0.5 * (w + np.einsum("kd,jd->kj", r, axes))
+        live = p > 0
+        ll = (f * np.log(np.where(live, p, 1.0))).sum(axis=1)
+        ll[((f > 0) & ~live).any(axis=1)] = -math.inf
+        return ll, p
 
-    def evaluate(rho, counts, nonzero, ids):
-        # log-likelihoods and the probabilities, 1.0 where unusable; a masked
-        # entry adds counts * log(1.0) = +0.0
-        probs = product(np.ascontiguousarray(rho.reshape(4, -1).T), columns, ids).real
-        if probs.min(initial=math.inf) > 1e-300:
-            # at a count of 0, 0 * log(p) is +-0.0: it sums as the mask's +0.0
-            safe = np.ascontiguousarray(probs)
-            return (counts * np.log(safe)).sum(axis=1), safe
-        usable = nonzero & (probs > 1e-300)
-        safe = np.where(usable, probs, 1.0)
-        out = (counts * np.log(safe)).sum(axis=1)
-        bad = nonzero & ~usable
-        if bad.any():
-            out[bad.any(axis=1)] = -math.inf
-        return out, safe
-
-    def candidate(rho, step):
-        cand = _mul2(_mul2(step, rho), step.conj().transpose(1, 0, 2))
-        cand = 0.5 * (cand + cand.conj().transpose(1, 0, 2))
-        cand /= cand[0, 0].real + cand[1, 1].real
-        return cand
-
-    rho_out = np.broadcast_to(eye / 2.0, (2, 2, n)).copy()
-    converged, iterations = np.zeros(n, dtype=bool), np.zeros(n, dtype=int)
-    active, rho, counts = np.arange(n), rho_out.copy(), tables
-    nonzero, totals = counts > 0, counts.sum(axis=1)
-    ll, safe = evaluate(rho, counts, nonzero, active)
-    trace = [float(v) for v in ll[:1]]
+    r, sphere = np.zeros((n, 3)), np.zeros(n, dtype=bool)
+    converged, iterations = np.zeros(n, dtype=bool), np.full(n, max_iterations)
+    running = np.ones(n, dtype=bool)
+    f = tables / tables.sum(axis=1, keepdims=True)
+    ll, p = evaluate(r, f)
+    trace = [float(ll[0])]
     for iteration in range(1, max_iterations + 1):
-        if active.size == 0:
+        if not running.any():
             break
-        if safe is None:
-            _, safe = evaluate(rho, counts, nonzero, active)
-        # an active table's likelihood is finite, so its masked entries have
-        # count 0 and weight 0 / 1.0
-        r = np.divide(product(counts / safe, flat, active).T.reshape(2, 2, -1), totals,
-                      order="C")
-        # the full step (1 - alpha) eye + alpha r at alpha = 1 is r with its
-        # zeros made +0.0, which is what + 0.0 does
-        new_rho = candidate(rho, r + 0.0)
-        new_ll, safe = evaluate(new_rho, counts, nonzero, active)
-        accepted = new_ll >= ll - 1e-15
-        if not accepted.all():
-            # the rejected tables halve their step until one is accepted
-            safe = None
-            new_rho[:, :, ~accepted] = rho[:, :, ~accepted]
-            alpha, pending = np.ones(active.size), np.flatnonzero(~accepted)
-            while True:
-                alpha[pending] /= 2.0
-                pending = pending[alpha[pending] > 1e-6]
-                if pending.size == 0:
-                    break
-                # take() and compress() keep a selection of tables C-contiguous;
-                # an index on the last axis would put that axis outermost in memory
-                a = alpha[pending]
-                cand = candidate(rho.take(pending, axis=2),
-                                 (1 - a) * eye + a * r.take(pending, axis=2))
-                cand_ll, _ = evaluate(cand, counts[pending], nonzero[pending],
-                                      active[pending])
-                ok = cand_ll >= ll[pending] - 1e-15
-                new_rho[:, :, pending[ok]] = cand[:, :, ok]
-                new_ll[pending[ok]] = cand_ll[ok]
-                accepted[pending[ok]] = True
-                pending = pending[~ok]
+        q = np.divide(f, p, out=np.zeros_like(f), where=f > 0)
+        g = 0.5 * np.einsum("kj,jd->kd", q, axes)
+        h = -0.25 * np.einsum("kj,jd->kd", np.divide(q, p, out=np.zeros_like(q), where=f > 0),
+                              outer).reshape(-1, 3, 3)
+        hess = h + 1e-12 * np.trace(h, axis1=1, axis2=2)[:, None, None] * eye
+        mu = (g * r).sum(axis=1)
+        sphere &= mu >= 0
+        # on the sphere, the tangent parts, and -1 along r to keep the step tangent
+        grad = g - np.where(sphere, mu, 0.0)[:, None] * r
+        if sphere.any():
+            normal = r[sphere, :, None] * r[sphere, None, :]
+            hess[sphere] = ((eye - normal) @ (hess[sphere] - mu[sphere, None, None] * eye)
+                            @ (eye - normal) - normal)
+        step = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+        done = np.sqrt((step * step).sum(axis=1)) <= tol
 
-        # a table with no acceptable step stops where it is, unconverged
-        delta = np.abs(new_ll - ll)
-        rho, ll = new_rho, np.maximum(new_ll, ll)
-        done = delta < tol * np.maximum(1.0, np.abs(ll))
-        if active[0] == 0 and accepted[0]:
+        # the full step, then halves of it for the tables that are not done
+        ok, rows, t = np.zeros(n, dtype=bool), np.flatnonzero(running), 1.0
+        while rows.size and t > 1e-6:
+            cand = r[rows] + t * step[rows]
+            norm = np.sqrt((cand * cand).sum(axis=1))
+            on = sphere[rows] | (norm > 1.0)
+            cand /= np.where(on, norm, 1.0)[:, None]
+            cand_ll, cand_p = evaluate(cand, f[rows])
+            up = cand_ll >= ll[rows] - 1e-14 * np.abs(ll[rows])
+            took = rows[up]
+            r[took], sphere[took], p[took], ok[took] = cand[up], on[up], cand_p[up], True
+            ll[took] = np.maximum(cand_ll[up], ll[took])
+            rows, t = rows[~up & ~done[rows]], t / 2.0
+
+        if ok[0]:
             trace.append(float(ll[0]))
-        if accepted.all() and not done.any():
-            continue
-        done &= accepted
-        converged[active[done]] = True
-        stay = accepted & ~done
-        if not stay.all():
-            iterations[active[~stay]] = iteration
-            rho_out[:, :, active[~stay]] = rho[:, :, ~stay]
-            active, rho, ll = active[stay], rho.compress(stay, axis=2), ll[stay]
-            counts, nonzero, totals = counts[stay], nonzero[stay], totals[stay]
-            safe = None
-    iterations[active] = max_iterations
-    rho_out[:, :, active] = rho
-    return np.ascontiguousarray(rho_out.transpose(2, 0, 1)), converged, iterations, trace
+        stop = running & (done | ~ok)
+        converged |= stop & done
+        iterations[stop] = iteration
+        running &= ~stop
+    x, y, z = r.T
+    rho = 0.5 * np.stack([1 + z, x - 1j * y, x + 1j * y, 1 - z], axis=1).reshape(n, 2, 2)
+    return rho, converged, iterations, trace
 
 
 def ml_reconstruct(counts: ProjectionCounts, tol: float = ML_TOL,
                    max_iterations: int = ML_MAX_ITERATIONS) -> MLResult:
-    """Iterative fixed-point maximum-likelihood estimate of a qubit state.
-
-    Runs the R rho R update, falling back to diluted steps whenever a full
-    step would lower the likelihood, so the likelihood trace is monotone by
-    construction.  Stops when the relative log-likelihood change drops below
-    ``tol``; non-convergence is flagged on the result, never raised.  A table
-    whose largest count is below 1 or above ``ML_RESCALE_ABOVE`` is iterated,
-    and its likelihoods reported, divided by that count.  A ``tol`` that is
-    NaN or negative or a ``max_iterations`` that is not an integer of at
+    """Maximum-likelihood estimate of a qubit state over the Bloch ball, by
+    Newton's method on its Bloch vector (``_ml_kernel``).  The trace of
+    log-likelihoods per count never falls, and ``converged`` certifies the
+    KKT conditions of the ball to ``tol`` in the Bloch vector;
+    non-convergence is flagged on the result, never raised.  A ``tol`` that
+    is NaN or negative or a ``max_iterations`` that is not an integer of at
     least 1 raises ValueError.
     """
     return _ml_fit(counts, np.empty((0, len(counts.settings))), tol, max_iterations)[0]
@@ -290,15 +232,13 @@ def ml_reconstruct(counts: ProjectionCounts, tol: float = ML_TOL,
 
 def _ml_fit(counts: ProjectionCounts, resamples: np.ndarray, tol, max_iterations) -> tuple:
     """``ml_reconstruct(counts)`` and the states of the ``resamples`` (k, m),
-    from one kernel run with the observed table, rescaled, as table 0."""
+    from one kernel run with the observed table as table 0."""
     projectors = np.array(counts.projectors())
     if not _spans_operators(projectors):
         raise ValueError("projector set is not informationally complete")
     ns = counts.counts()
     if np.sum(ns) <= 0:
         raise ValueError("all counts are zero")
-    if not 1.0 <= ns.max() <= ML_RESCALE_ABOVE:
-        ns = ns / ns.max()
     rho, converged, iterations, trace = _ml_kernel(
         projectors, np.vstack([ns, resamples]), tol, max_iterations)
     return MLResult(rho=rho[0], converged=bool(converged[0]), iterations=int(iterations[0]),
@@ -501,6 +441,13 @@ def resampled_tomography(counts: ProjectionCounts, target, seed: int, n_resample
     ``background_w``, the observed state first.  ``seed`` and ``n_resamples``
     are checked as ``poisson_uncertainty`` checks them.
     """
+    result, _, estimate = _resampled_fit(counts, target, seed, n_resamples, background_w)
+    return result, estimate
+
+
+def _resampled_fit(counts, target, seed, n_resamples, background_w) -> tuple:
+    """``(result, corrected, estimate)``: ``resampled_tomography``'s result
+    and estimate, and the observed state corrected for ``background_w``."""
     _check_resampling(seed, n_resamples)
     target = unit_ket(target, "target")
     means = counts.counts()
@@ -508,11 +455,11 @@ def resampled_tomography(counts: ProjectionCounts, target, seed: int, n_resample
     tables = np.random.default_rng(seed).poisson(
         means, size=(n_resamples, means.size)).astype(float)
     result, rho = _ml_fit(counts, tables[tables.sum(axis=1) > 0], ML_TOL, ML_MAX_ITERATIONS)
+    corrected = correct_for_background(result.rho, background_w)
     if background_w:
-        correct_for_background(result.rho, background_w)
         rho = correct_for_background(rho, background_w)
     values = np.einsum("i,nij,j->n", target.conj(), rho, target).real
-    return result, _estimate(np.clip(values, 0.0, 1.0))
+    return result, corrected, _estimate(np.clip(values, 0.0, 1.0))
 
 
 # --- CSV interfaces --------------------------------------------------------------------

@@ -8,14 +8,6 @@ element and ``elements.apply`` as they were before ``apply`` took the
 mode -> {mode: amplitude}: the bit-for-bit oracle of ``apply``.
 ``compose`` chains such maps: the tests use it as the oracle of
 ``protocol``'s optics matrix and of ``protocol.prepare_ghz``.
-``reference_ml_kernel`` is ``estimation._ml_kernel`` as it was before it
-kept each table's state between steps, copied verbatim with the (n, 2, 2)
-``_mul2`` it called: the bit-for-bit oracle of the kernel, which now holds
-its states as (2, 2, n) stacks.
-``reference_packed_ml_kernel`` is ``estimation._ml_kernel`` as it was before
-it skipped the mask and the per-step bookkeeping when no table needs them,
-copied verbatim with the (2, 2, n) ``_mul2`` it called as ``_stack_mul2``:
-the bit-for-bit oracle of the kernel on the same stacks.
 ``reference_mc_avg_teleport_fidelity`` and ``reference_werner_rows`` are
 ``channels.mc_avg_teleport_fidelity`` and ``channels._werner_rows`` as they
 were before the Monte-Carlo average took every branch in one stack, the
@@ -24,11 +16,6 @@ with the channels innermost, copied verbatim with the private
 helpers this change touched (``_teleport_branches``, ``_pauli_fidelities``,
 ``_frame_fidelities``, ``_condition``, ``_werner_channels``) under a
 ``_reference_`` prefix: their bit-for-bit oracles.
-``reference_poisson_tomography`` is ``estimation.poisson_uncertainty`` on a
-``ProjectionCounts`` as it was before the observed table joined its resamples
-in one kernel run, copied verbatim with ``reference_ml_kernel`` as its kernel
-(the count-pair branch is left out): the oracle of
-``estimation.resampled_tomography``'s estimate.
 ``reference_poisson_uncertainty`` is ``estimation.poisson_uncertainty`` as it
 was before it took the mean and spread in two passes and clipped only after
 the background subtraction, copied verbatim with ``np.clip``, ``np.mean`` and
@@ -73,11 +60,9 @@ from cqtsim.channels import (_BELL, _BELL_LABELS, _PAULI_DAGGERS, PAULI_X, STAND
                              _branches, _feedforward_sums, _four_terms, ghz_ket,
                              ket_outer)
 from cqtsim.elements import phase_matrix
-from cqtsim.estimation import (ML_MAX_ITERATIONS, ML_TOL, FidelityEstimate, NonPhysicalError,
-                               ProjectionCounts, _check_poisson_mean, _check_resampling,
-                               correct_for_background, corrected_fidelity)
-from cqtsim.fock import (KET_D, KET_H, H, V, PureState, _create, basis_pairs, spatial_counts,
-                        unit_ket)
+from cqtsim.estimation import (FidelityEstimate, NonPhysicalError, _check_poisson_mean,
+                               _check_resampling, corrected_fidelity)
+from cqtsim.fock import KET_D, KET_H, H, V, PureState, _create, basis_pairs, spatial_counts
 from cqtsim.spdc import (_GRID_POINTS, _ROOT_COST, BACKWARD_MODES, FORWARD_MODES,
                          RATIO_BOUNDS, REFERENCE_KAPPA, RatioFit, _local_minima,
                          emission_orders)
@@ -219,149 +204,6 @@ def phase_on(phi: float, pol: str) -> np.ndarray:
     """A phase plate that multiplies the ``pol`` component by exp(i*phi):
     ``phase_matrix`` for V, the same plate with H and V swapped for H."""
     return phase_matrix(phi) if pol == V else phase_matrix(phi)[::-1, ::-1]
-
-
-def _mul2(a, b):
-    """``a @ b`` for two stacks of 2x2 matrices, on component arrays.
-
-    Entry (i, j) is ``a[:, i, 0] b[:, 0, j] + a[:, i, 1] b[:, 1, j]``: the
-    columns of ``a`` times the rows of ``b``, all four entries at once by
-    broadcasting.  numpy's stacked ``@`` costs one BLAS call per matrix;
-    these three elementwise calls cover the whole stack.
-    """
-    return a[:, :, :1] * b[:, None, 0, :] + a[:, :, 1:] * b[:, None, 1, :]
-
-
-def reference_ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
-               max_iterations: int, keep_trace: bool = False):
-    """Diluted R rho R iteration on a stack of count tables.
-
-    ``projectors`` (m, 2, 2) are shared by every table, ``tables`` (n, m)
-    holds the counts.  Each table runs the fixed-point update of Rehacek,
-    Hradil, Knill and Lvovsky (PRA 75, 042108): a full step is tried first
-    and its weight ``alpha`` halved, down to 1e-6, until the likelihood does
-    not fall by more than 1e-15.  A table stops when no step is accepted or
-    when the log-likelihood changes by less than ``tol * max(1, |L|)``; it
-    drops out of the arrays then, so a slow table costs only its own work.
-
-    Returns ``(rho (n, 2, 2), converged (n,), iterations (n,), traces)``;
-    ``traces`` holds each table's log-likelihood after every accepted step
-    when ``keep_trace`` is set, else None.
-    """
-    n, m = tables.shape
-    nonzero = tables > 0
-    totals = tables.sum(axis=1)
-    eye = np.eye(2, dtype=complex)
-    # tr(p rho) = sum_ij p_ji rho_ij: one (k, 4) @ (4, m) product against the
-    # transposed, flattened projectors gives every probability of every table
-    columns = np.ascontiguousarray(projectors.transpose(0, 2, 1).reshape(m, 4).T)
-    flat = projectors.reshape(m, 4)
-
-    def probabilities(rho, idx):
-        # counts, the usable mask and the projector probabilities per table
-        probs = (rho.reshape(-1, 4) @ columns).real
-        counts = tables[idx]
-        usable = nonzero[idx] & (probs > 1e-300)
-        return counts, usable, probs
-
-    def loglik(rho, idx):
-        counts, usable, probs = probabilities(rho, idx)
-        terms = np.where(usable, counts * np.log(np.where(usable, probs, 1.0)), 0.0)
-        out = terms.sum(axis=1)
-        out[(nonzero[idx] & ~usable).any(axis=1)] = -math.inf
-        return out
-
-    rho_all = np.broadcast_to(eye / 2.0, (n, 2, 2)).copy()
-    ll_all = loglik(rho_all, np.arange(n))
-    converged = np.zeros(n, dtype=bool)
-    iterations = np.zeros(n, dtype=int)
-    traces = [[float(v)] for v in ll_all] if keep_trace else None
-    active = np.arange(n)
-    for iteration in range(1, max_iterations + 1):
-        if active.size == 0:
-            break
-        iterations[active] = iteration
-        rho, ll = rho_all[active], ll_all[active]
-        counts, usable, probs = probabilities(rho, active)
-        weights = np.where(usable, counts / np.where(usable, probs, 1.0), 0.0)
-        r = (weights @ flat).reshape(-1, 2, 2) / totals[active, None, None]
-
-        alpha = np.ones(active.size)
-        new_rho = np.empty_like(rho)
-        new_ll = np.full(active.size, -math.inf)
-        accepted = np.zeros(active.size, dtype=bool)
-        pending = np.arange(active.size)
-        while pending.size:
-            a = alpha[pending, None, None]
-            step = (1 - a) * eye + a * r[pending]
-            cand = _mul2(_mul2(step, rho[pending]), step.conj().transpose(0, 2, 1))
-            cand = 0.5 * (cand + cand.conj().transpose(0, 2, 1))
-            cand /= np.trace(cand, axis1=1, axis2=2).real[:, None, None]
-            cand_ll = loglik(cand, active[pending])
-            ok = cand_ll >= ll[pending] - 1e-15
-            new_rho[pending[ok]] = cand[ok]
-            new_ll[pending[ok]] = cand_ll[ok]
-            accepted[pending[ok]] = True
-            pending = pending[~ok]
-            alpha[pending] /= 2.0
-            pending = pending[alpha[pending] > 1e-6]
-
-        # a table with no acceptable step stops where it is, unconverged
-        delta = np.abs(new_ll - ll)
-        ll = np.maximum(new_ll, ll)
-        done = accepted & (delta < tol * np.maximum(1.0, np.abs(ll)))
-        moved = active[accepted]
-        rho_all[moved] = new_rho[accepted]
-        ll_all[moved] = ll[accepted]
-        converged[active[done]] = True
-        if keep_trace:
-            for i, v in zip(moved, ll[accepted]):
-                traces[i].append(float(v))
-        active = active[accepted & ~done]
-    return rho_all, converged, iterations, traces
-
-
-def reference_poisson_tomography(data, seed: int, n_resamples: int = 10_000,
-                                 background_w: float = 0.0,
-                                 target=None) -> FidelityEstimate:
-    """Poisson-resampled fidelity estimate.
-
-    ``data`` is either a pair of (parallel, orthogonal) counts, in which case
-    the downstream quantity is the count-ratio fidelity (optionally corrected
-    for the background weight), or a ProjectionCounts whose resamples are
-    pushed through the maximum-likelihood reconstruction against ``target``.
-    Deterministic for a fixed seed.
-    """
-    if n_resamples < 100:
-        raise ValueError("use at least 100 resamples")
-    if seed is None:
-        raise ValueError("an explicit seed is required")
-    rng = np.random.default_rng(seed)
-
-    if isinstance(data, ProjectionCounts):
-        if target is None:
-            raise ValueError("tomography resampling needs a target ket")
-        target = unit_ket(target, "target")
-        means = data.counts()
-        if means.sum() <= 0:
-            raise ValueError("all counts are zero")
-        # every resample shares the projectors, so one check covers them all
-        if not data.is_informationally_complete():
-            raise ValueError("projector set is not informationally complete")
-        _check_poisson_mean(means.max())
-        tables = rng.poisson(means, size=(n_resamples, means.size)).astype(float)
-        tables = tables[tables.sum(axis=1) > 0]
-        rho, _, _, _ = reference_ml_kernel(np.array(data.projectors()), tables,
-                                           ML_TOL, ML_MAX_ITERATIONS)
-        if background_w:
-            rho = correct_for_background(rho, background_w)
-        values = np.einsum("i,nij,j->n", target.conj(), rho, target).real
-        values = np.clip(values, 0.0, 1.0)
-
-    if values.size == 0:
-        raise ValueError("every resample was empty")
-    return FidelityEstimate(value=float(np.mean(values)),
-                            uncertainty=float(np.std(values)))
 
 
 def reference_poisson_uncertainty(data, seed: int, n_resamples: int = 10_000,
@@ -599,150 +441,6 @@ def reference_run_protocol(config):
     record = P.CountRecord(f_parallel=f_par, f_perp=f_perp,
                            success_probability=success, per_term=per_term)
     return record, rho
-
-
-def _stack_mul2(a, b):
-    """``a @ b`` for two stacks of 2x2 matrices held as (2, 2, n) components.
-
-    Entry (i, j) is ``a[i, 0] b[0, j] + a[i, 1] b[1, j]``: the columns of ``a``
-    times the rows of ``b``, all four entries at once by broadcasting.  The
-    stack axis is innermost, so each of the three elementwise calls loops
-    over the whole stack; numpy's complex ``*`` and ``+`` round the same in
-    this layout as on (n, 2, 2) stacks.
-    """
-    return a[:, :1] * b[None, 0] + a[:, 1:] * b[None, 1]
-
-
-def reference_packed_ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
-                               max_iterations: int):
-    """Diluted R rho R iteration on a stack of count tables.
-
-    ``projectors`` (m, 2, 2) are shared by every table, ``tables`` (n, m)
-    holds the counts.  Each table runs the fixed-point update of Rehacek,
-    Hradil, Knill and Lvovsky (PRA 75, 042108): a full step is tried first
-    and its weight ``alpha`` halved, down to 1e-6, until the likelihood does
-    not fall by more than 1e-15.  A table stops when no step is accepted or
-    when the log-likelihood changes by less than ``tol * max(1, |L|)``.
-
-    The running tables are packed into rows (state, likelihood, counts and
-    probabilities), re-packed only when one stops.  States, steps and
-    candidates are (2, 2, k) stacks, table axis innermost, so that each
-    elementwise call loops over the tables; both BLAS products still take
-    C-contiguous (k, 4) rows, since the product taken the other way round,
-    (m, 4) @ (4, k), rounds 24 % of the probabilities differently.  The full
-    step is ``r`` itself; only the diluted passes build ``alpha`` and mix in
-    the identity.  When all take the full step and none stops, the
-    candidates are the next state as they are; otherwise the probabilities
-    are recomputed, because the BLAS product rounds differently on a
-    different number of rows.  Table 0 takes both products on its own row,
-    so it keeps the bits of a one-table call and the others those of a call
-    without it.
-
-    Returns ``(rho (n, 2, 2), converged (n,), iterations (n,), trace)``;
-    ``trace`` holds table 0's log-likelihood after every accepted step; no
-    other table is traced.  A ``tol``
-    that is NaN or negative or a ``max_iterations`` that is not an integer
-    of at least 1 raises ValueError.
-    """
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
-    if not (isinstance(max_iterations, numbers.Integral) and max_iterations >= 1):
-        raise ValueError(f"max_iterations must be an integer of at least 1, "
-                         f"got {max_iterations!r}")
-    n, m = tables.shape
-    eye = np.eye(2, dtype=complex)[:, :, None]
-    # tr(p rho) = sum_ij p_ji rho_ij: one (k, 4) @ (4, m) product against the
-    # transposed, flattened projectors gives every probability of every table
-    columns = np.ascontiguousarray(projectors.transpose(0, 2, 1).reshape(m, 4).T)
-    flat = projectors.reshape(m, 4)
-
-    def product(rows, matrix, ids):
-        # rows @ matrix for the tables ``ids``, table 0's row on its own:
-        # numpy hands a one-row product to gemv, which rounds unlike gemm
-        if len(rows) < 2 or ids[0] != 0:
-            return rows @ matrix
-        out = np.empty((len(rows), matrix.shape[1]), dtype=complex)
-        np.matmul(rows[:1], matrix, out=out[:1])
-        np.matmul(rows[1:], matrix, out=out[1:])
-        return out
-
-    def evaluate(rho, counts, nonzero, ids):
-        # log-likelihoods and the probabilities, 1.0 where unusable; a masked
-        # entry adds counts * log(1.0) = +0.0
-        probs = product(np.ascontiguousarray(rho.reshape(4, -1).T), columns, ids).real
-        usable = nonzero & (probs > 1e-300)
-        safe = np.where(usable, probs, 1.0)
-        out = (counts * np.log(safe)).sum(axis=1)
-        bad = nonzero & ~usable
-        if bad.any():
-            out[bad.any(axis=1)] = -math.inf
-        return out, safe
-
-    def candidate(rho, step):
-        cand = _stack_mul2(_stack_mul2(step, rho), step.conj().transpose(1, 0, 2))
-        cand = 0.5 * (cand + cand.conj().transpose(1, 0, 2))
-        cand /= cand[0, 0].real + cand[1, 1].real
-        return cand
-
-    rho_out = np.broadcast_to(eye / 2.0, (2, 2, n)).copy()
-    converged, iterations = np.zeros(n, dtype=bool), np.zeros(n, dtype=int)
-    active, rho, counts = np.arange(n), rho_out.copy(), tables
-    nonzero, totals = counts > 0, counts.sum(axis=1)
-    ll, safe = evaluate(rho, counts, nonzero, active)
-    trace = [float(v) for v in ll[:1]]
-    for iteration in range(1, max_iterations + 1):
-        if active.size == 0:
-            break
-        iterations[active] = iteration
-        if safe is None:
-            _, safe = evaluate(rho, counts, nonzero, active)
-        # an active table's likelihood is finite, so its masked entries have
-        # count 0 and weight 0 / 1.0
-        r = np.divide(product(counts / safe, flat, active).T.reshape(2, 2, -1), totals,
-                      order="C")
-        # the full step (1 - alpha) eye + alpha r at alpha = 1 is r with its
-        # zeros made +0.0, which is what + 0.0 does
-        new_rho = candidate(rho, r + 0.0)
-        new_ll, safe = evaluate(new_rho, counts, nonzero, active)
-        accepted = new_ll >= ll - 1e-15
-        if not accepted.all():
-            # the rejected tables halve their step until one is accepted
-            safe = None
-            new_rho[:, :, ~accepted] = rho[:, :, ~accepted]
-            alpha, pending = np.ones(active.size), np.flatnonzero(~accepted)
-            while True:
-                alpha[pending] /= 2.0
-                pending = pending[alpha[pending] > 1e-6]
-                if pending.size == 0:
-                    break
-                # take() and compress() keep a selection of tables C-contiguous;
-                # an index on the last axis would put that axis outermost in memory
-                a = alpha[pending]
-                cand = candidate(rho.take(pending, axis=2),
-                                 (1 - a) * eye + a * r.take(pending, axis=2))
-                cand_ll, _ = evaluate(cand, counts[pending], nonzero[pending],
-                                      active[pending])
-                ok = cand_ll >= ll[pending] - 1e-15
-                new_rho[:, :, pending[ok]] = cand[:, :, ok]
-                new_ll[pending[ok]] = cand_ll[ok]
-                accepted[pending[ok]] = True
-                pending = pending[~ok]
-
-        # a table with no acceptable step stops where it is, unconverged
-        delta = np.abs(new_ll - ll)
-        rho, ll = new_rho, np.maximum(new_ll, ll)
-        done = accepted & (delta < tol * np.maximum(1.0, np.abs(ll)))
-        converged[active[done]] = True
-        if active[0] == 0 and accepted[0]:
-            trace.append(float(ll[0]))
-        stay = accepted & ~done
-        if not stay.all():
-            rho_out[:, :, active[~stay]] = rho[:, :, ~stay]
-            active, rho, ll = active[stay], rho.compress(stay, axis=2), ll[stay]
-            counts, nonzero, totals = counts[stay], nonzero[stay], totals[stay]
-            safe = None
-    rho_out[:, :, active] = rho
-    return np.ascontiguousarray(rho_out.transpose(2, 0, 1)), converged, iterations, trace
 
 
 def _reference_teleport_branches(channel: np.ndarray, psis: np.ndarray):

@@ -1,12 +1,13 @@
 """The batched statistical and channel kernels against the scalar loops they replaced.
 
-The oracles below are the per-table maximum-likelihood loop, the
-per-resample Poisson loop, the per-sample Monte-Carlo loop, the
+The oracles below are the per-resample Poisson loop, which fits each
+resample with ``ml_reconstruct`` alone, the per-sample Monte-Carlo loop, the
 kron/partial-trace teleportation and conditioning steps and the kron/einsum
 singlet projection of ``conditional_teleport_output``, copied from the
-implementation that ran one table, one resample or one input ket at a time.
-The batched code runs the same arithmetic on whole stacks, so iteration
-counts must agree exactly and values to 1e-12.
+implementation that ran one resample or one input ket at a time.  The
+batched code runs the same arithmetic on whole stacks, so values must agree
+to 1e-12.  Each table of the ML kernel's stack must end as a kernel call on
+that table alone ends, bit for bit, with the same flag and iteration count.
 
 The ``rowwise_`` oracles are the channel functions as they were before
 ``werner_scan`` ran as one stack, copied verbatim: one channel, one Bell ket
@@ -21,11 +22,6 @@ channel: for ``"without_controller_info"`` the library gets
 totals became integer sums, copied verbatim; the draws and every division
 are the same, so that comparison uses ``==`` too.
 
-``helpers.reference_ml_kernel`` is the stacked ML kernel as it was before it
-kept each table's state between steps, copied verbatim.  The kernel makes the
-same floating-point operations on the same rows, so states, flags, iteration
-counts and traces must agree bit for bit.
-
 ``einsum_teleport_branches`` and ``einsum_pauli_fidelities`` are the Bell
 branches and the Monte-Carlo Pauli-frame fidelities as they were before their
 sums over length-2 labels were unrolled, copied verbatim: each one summed
@@ -38,7 +34,6 @@ every matrix.  A stack the screen passes is returned as the reference returns
 it, so bytes, warnings and errors must agree.
 """
 
-import math
 import warnings
 
 import numpy as np
@@ -52,74 +47,17 @@ from cqtsim.channels import (_BELL, _BELL_LABELS, PAULI_I, PAULIS, STANDARD_CORR
                              make_ghz_mixture, make_werner, mc_avg_teleport_fidelity,
                              partial_trace, teleport_fidelity,
                              werner_point, werner_scan)
-from cqtsim.estimation import (NonPhysicalError, ProjectionCounts, _ml_kernel, _mul2,
-                               axial_counts, correct_for_background, ml_reconstruct,
-                               poisson_uncertainty, resampled_tomography)
+from cqtsim.estimation import (NonPhysicalError, ProjectionCounts, _ml_kernel, axial_counts,
+                               correct_for_background, ml_reconstruct, poisson_uncertainty,
+                               resampled_tomography)
 from cqtsim.fock import (KET_A, KET_D, KET_H, KET_L, KET_R, KET_V, basis_pairs,
                          fidelity)
 
-import cqtsim.estimation as estimation
-from helpers import _mul2 as reference_mul2
 from helpers import AXIAL_INPUT_NAMES as AXIAL
-from helpers import outcome_averaged, reference_correct_for_background, reference_ml_kernel
+from helpers import outcome_averaged, reference_correct_for_background
 
 
 # --- scalar oracles: estimation ---------------------------------------------------
-
-def _log_likelihood(rho, projectors, counts) -> float:
-    out = 0.0
-    for p, n in zip(projectors, counts):
-        if n == 0:
-            continue
-        prob = float(np.real(np.trace(p @ rho)))
-        if prob <= 1e-300:
-            return -math.inf
-        out += n * math.log(prob)
-    return out
-
-
-def scalar_ml_reconstruct(counts, tol=1e-10, max_iterations=100_000):
-    projectors = counts.projectors()
-    ns = counts.counts()
-    rho = np.eye(2, dtype=complex) / 2.0
-    loglik = _log_likelihood(rho, projectors, ns)
-    trace = [loglik]
-    total = float(np.sum(ns))
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iterations + 1):
-        r = np.zeros((2, 2), dtype=complex)
-        for p, n in zip(projectors, ns):
-            if n == 0:
-                continue
-            prob = float(np.real(np.trace(p @ rho)))
-            if prob <= 1e-300:
-                continue
-            r += (n / prob) * p
-        r /= total
-        alpha = 1.0
-        new_rho = None
-        new_loglik = -math.inf
-        while alpha > 1e-6:
-            step = (1 - alpha) * np.eye(2, dtype=complex) + alpha * r
-            cand = step @ rho @ step.conj().T
-            cand = 0.5 * (cand + cand.conj().T)
-            cand /= np.real(np.trace(cand))
-            cand_loglik = _log_likelihood(cand, projectors, ns)
-            if cand_loglik >= loglik - 1e-15:
-                new_rho, new_loglik = cand, cand_loglik
-                break
-            alpha /= 2.0
-        if new_rho is None:
-            break
-        delta = abs(new_loglik - loglik)
-        rho, loglik = new_rho, max(new_loglik, loglik)
-        trace.append(loglik)
-        if delta < tol * max(1.0, abs(loglik)):
-            converged = True
-            break
-    return rho, converged, iterations, trace
-
 
 def scalar_poisson_tomography(data, seed, n_resamples, background_w, target):
     rng = np.random.default_rng(seed)
@@ -130,8 +68,8 @@ def scalar_poisson_tomography(data, seed, n_resamples, background_w, target):
         resampled = rng.poisson(means).astype(float)
         if resampled.sum() == 0:
             continue
-        rho = scalar_ml_reconstruct(ProjectionCounts(
-            [(k, c) for (k, _), c in zip(data.settings, resampled)]))[0]
+        rho = ml_reconstruct(ProjectionCounts(
+            [(k, c) for (k, _), c in zip(data.settings, resampled)])).rho
         if background_w:
             rho = correct_for_background(rho, background_w)
         values.append(min(max(fidelity(rho, target), 0.0), 1.0))
@@ -337,7 +275,7 @@ def axial_projectors():
 def sparse_projector_tables(seed):
     """4 to 8 random projector kets and 1 to 3 tables over them, each count
     zero with probability 1/2: the estimates lie near the surface of the Bloch
-    ball, where a full step can lower the likelihood."""
+    ball."""
     rng = np.random.default_rng([5, seed])
     m = int(rng.integers(4, 9))
     kets = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
@@ -347,182 +285,70 @@ def sparse_projector_tables(seed):
     return list(kets), tables[tables.sum(axis=1) > 0]
 
 
-def axial_stacks():
-    """Seeded axial stacks of 1, 2, 7 and 300 tables, one count zeroed in
-    every fifth table; some capped at 3 iterations."""
-    for seed in range(24):
-        n = (1, 2, 7, 300)[seed % 4]
-        tables = seeded_tables(seed, n, (30, 400, 14000)[seed % 3])
-        yield axial_projectors(), tables, (3 if seed % 5 == 3 else 100_000)
-
-
 def sparse_stacks():
     for seed in range(60):
         kets, tables = sparse_projector_tables(seed)
         if tables.size:
-            projectors = np.array(ProjectionCounts([(k, 1.0) for k in kets]).projectors())
-            yield kets, projectors, tables
-
-
-def count_diluted_steps(monkeypatch):
-    """Patch ``_mul2`` to count kernel passes; returns a function of a
-    kernel run's iteration counts that gives the passes beyond one per
-    iteration, which are the diluted steps."""
-    calls = [0]
-
-    def counted(a, b):
-        calls[0] += 1
-        return _mul2(a, b)
-
-    monkeypatch.setattr(estimation, "_mul2", counted)
-
-    def diluted(iterations):
-        # two products per pass, one full pass per iteration of the longest table
-        extra = calls[0] // 2 - int(iterations.max())
-        calls[0] = 0
-        return extra
-
-    return diluted
+            yield np.array(ProjectionCounts([(k, 1.0) for k in kets]).projectors()), tables
 
 
 # --- estimation ---------------------------------------------------------------------
 
-def table_trace(projectors, tables, i, trace, cap=100_000):
-    """Table ``i``'s trace: the kernel traces table 0 only, so the trace of
-    any other table comes from a one-table call."""
-    if i == 0:
-        return trace
-    return _ml_kernel(projectors, tables[i:i + 1], 1e-10, cap)[3]
+def ml_corpus(name):
+    """``(projectors, tables)`` stacks: seeded axial tables at three
+    exposures, random projector sets with half their counts zero, and 300
+    tables as qubit_analysis resamples them (12,000-16,000 counts per axis
+    around a Bloch vector of length 0.45)."""
+    if name.startswith("seeded"):
+        exposure = int(name.split()[1])
+        yield axial_projectors(), seeded_tables(exposure, 40, exposure)
+    elif name == "sparse":
+        yield from sparse_stacks()
+    else:
+        rng = np.random.default_rng(14)
+        bloch = rng.normal(size=3)
+        bloch *= 0.45 / np.linalg.norm(bloch)
+        totals = rng.integers(12000, 16000, size=3)
+        means = np.repeat(totals / 2.0, 2) * (1 + np.array(
+            [bloch[2], -bloch[2], bloch[0], -bloch[0], bloch[1], -bloch[1]]))
+        yield axial_projectors(), rng.poisson(means, size=(300, 6)).astype(float)
 
 
-@pytest.mark.parametrize("exposure", [30, 400, 5000])
-def test_kernel_matches_scalar_loop_per_table(exposure):
-    tables = seeded_tables(exposure, 40, exposure)
-    rho, converged, iterations, trace = _ml_kernel(
-        axial_projectors(), tables, 1e-10, 100_000)
-    for i, table in enumerate(tables):
-        ref_rho, ref_conv, ref_iter, ref_trace = scalar_ml_reconstruct(
-            axial_counts(dict(zip(AXIAL, table))))
-        assert iterations[i] == ref_iter
-        assert converged[i] == ref_conv
-        assert np.max(np.abs(rho[i] - ref_rho)) <= 1e-12
-        got = table_trace(axial_projectors(), tables, i, trace)
-        assert len(got) == len(ref_trace)
-        assert np.allclose(got, ref_trace, rtol=1e-12, atol=0)
-        assert all(b >= a - 1e-12 for a, b in zip(got, got[1:]))
-
-
-def test_kernel_matches_scalar_loop_on_diluted_steps(monkeypatch):
-    diluted = count_diluted_steps(monkeypatch)
-    steps = 0
-    for kets, projectors, tables in sparse_stacks():
-        rho, converged, iterations, trace = _ml_kernel(
-            projectors, tables, 1e-10, 2000)
-        steps += diluted(iterations)
+@pytest.mark.parametrize("corpus", ["seeded 30", "seeded 400", "seeded 5000", "sparse",
+                                    "benchmark"])
+def test_kernel_rows_match_one_table_calls(corpus):
+    for projectors, tables in ml_corpus(corpus):
+        rho, converged, iterations, trace = _ml_kernel(projectors, tables, 1e-10, 100_000)
+        assert converged.all()
         for i, table in enumerate(tables):
-            ref_rho, ref_conv, ref_iter, ref_trace = scalar_ml_reconstruct(
-                ProjectionCounts(list(zip(kets, table))), max_iterations=2000)
-            assert (iterations[i], converged[i]) == (ref_iter, ref_conv)
-            assert np.max(np.abs(rho[i] - ref_rho)) <= 1e-12
-            # some estimates are pure, with a log-likelihood of 0
-            got = table_trace(projectors, tables, i, trace, cap=2000)
-            assert np.allclose(got, ref_trace, rtol=1e-12, atol=1e-12)
-        diluted(iterations)  # uncounts the one-table calls of table_trace
-    # the corpus must reach the alpha-halving branch
-    assert steps > 0
+            alone = _ml_kernel(projectors, table[None], 1e-10, 100_000)
+            assert rho[i].tobytes() == alone[0][0].tobytes()
+            assert (converged[i], iterations[i]) == (alone[1][0], alone[2][0])
+            if i == 0:
+                assert trace == alone[3]
 
 
-def test_kernel_is_bit_identical_to_the_reference_kernel(monkeypatch):
-    diluted = count_diluted_steps(monkeypatch)
-    runs = list(axial_stacks())
-    runs += [(p, t, 2000) for _, p, t in sparse_stacks()]
-    steps = 0
-    for projectors, tables, cap in runs:
-        rho, converged, iterations, trace = _ml_kernel(projectors, tables, 1e-10, cap)
-        steps += diluted(iterations)
-        # table 0 runs as the reference runs it alone, the others as the
-        # reference runs them without it
-        head = reference_ml_kernel(projectors, tables[:1], 1e-10, cap, True)
-        rest = reference_ml_kernel(projectors, tables[1:], 1e-10, cap)
-        assert rho.tobytes() == np.concatenate([head[0], rest[0]]).tobytes()
-        assert np.array_equal(converged, np.concatenate([head[1], rest[1]]))
-        assert np.array_equal(iterations, np.concatenate([head[2], rest[2]]))
-        assert trace == head[3][0]
-    assert steps > 0
-
-
-def test_ml_reconstruct_keeps_the_bytes_of_integer_tables():
-    for table in seeded_tables(22, 20, 3000):
-        counts = axial_counts(dict(zip(AXIAL, table)))
-        ref_rho, ref_conv, ref_iter, ref_traces = reference_ml_kernel(
-            axial_projectors(), table[None], 1e-10, 100_000, True)
-        res = ml_reconstruct(counts)
-        assert res.rho.tobytes() == ref_rho[0].tobytes()
-        assert (res.converged, res.iterations) == (ref_conv[0], ref_iter[0])
-        assert res.log_likelihoods == ref_traces[0]
-
-
-@pytest.mark.parametrize("n", [1, 300])
-def test_2x2_helper_matches_matmul(n):
-    rng = np.random.default_rng(n)
-    a, b = (rng.uniform(-1, 1, size=(2, n, 2, 2))
-            + 1j * rng.uniform(-1, 1, size=(2, n, 2, 2)))
-
-    def stack(x):
-        # (n, 2, 2) matrices as the kernel's (2, 2, n) component stack
-        return np.ascontiguousarray(x.transpose(1, 2, 0))
-
-    sa, sb = stack(a), stack(b)
-    assert np.max(np.abs(_mul2(sa, sb) - stack(a @ b))) <= 1e-15
-    # the kernel's use, step @ rho @ step^dagger: two roundings of products
-    # of two-term sums, so a few units of double precision of the largest entry
-    a_dagger = a.conj().transpose(0, 2, 1)
-    triple = a @ b @ a_dagger
-    got = _mul2(_mul2(sa, sb), sa.conj().transpose(1, 0, 2))
-    assert (np.max(np.abs(got - stack(triple)))
-            <= 8 * np.finfo(float).eps * np.max(np.abs(triple)))
-    # numpy's complex * and + round the same in either layout
-    assert got.tobytes() == stack(reference_mul2(reference_mul2(a, b), a_dagger)).tobytes()
-
-
-def test_kernel_matches_scalar_loop_at_the_benchmark_regime():
-    # 300 tables as qubit_analysis resamples them: 12,000-16,000 counts per
-    # axis around a Bloch vector of length 0.45
-    rng = np.random.default_rng(14)
-    bloch = rng.normal(size=3)
-    bloch *= 0.45 / np.linalg.norm(bloch)
-    totals = rng.integers(12000, 16000, size=3)
-    means = np.repeat(totals / 2.0, 2) * (1 + np.array(
-        [bloch[2], -bloch[2], bloch[0], -bloch[0], bloch[1], -bloch[1]]))
-    tables = rng.poisson(means, size=(300, 6)).astype(float)
-    rho, converged, iterations, _ = _ml_kernel(axial_projectors(), tables, 1e-10, 100_000)
-    assert converged.all()
-    for i, table in enumerate(tables):
-        ref_rho, ref_conv, ref_iter, _ = scalar_ml_reconstruct(
-            axial_counts(dict(zip(AXIAL, table))))
-        assert (iterations[i], converged[i]) == (ref_iter, ref_conv)
-        assert np.max(np.abs(rho[i] - ref_rho)) <= 1e-12
-
-
-def test_kernel_respects_max_iterations_per_table():
+@pytest.mark.parametrize("cap", [1, 2, 3])
+def test_kernel_respects_max_iterations_per_table(cap):
+    # a table that converges within the cap is not cut short, the others stop at it
     tables = seeded_tables(8, 12, 1000)
-    rho, converged, iterations, _ = _ml_kernel(axial_projectors(), tables, 1e-10, 3)
-    for i, table in enumerate(tables):
-        ref_rho, ref_conv, ref_iter, _ = scalar_ml_reconstruct(
-            axial_counts(dict(zip(AXIAL, table))), max_iterations=3)
-        assert (iterations[i], converged[i]) == (ref_iter, ref_conv)
-        assert np.max(np.abs(rho[i] - ref_rho)) <= 1e-12
+    _, converged, iterations, _ = _ml_kernel(axial_projectors(), tables, 1e-10, cap)
+    _, full_converged, full_iterations, _ = _ml_kernel(axial_projectors(), tables, 1e-10,
+                                                       100_000)
+    assert np.array_equal(iterations, np.minimum(full_iterations, cap))
+    assert np.array_equal(converged, full_converged & (full_iterations <= cap))
 
 
 def test_ml_reconstruct_is_the_single_table_case():
     for table in seeded_tables(21, 10, 800):
-        counts = axial_counts(dict(zip(AXIAL, table)))
-        res = ml_reconstruct(counts)
-        ref_rho, ref_conv, ref_iter, ref_trace = scalar_ml_reconstruct(counts)
-        assert (res.iterations, res.converged) == (ref_iter, ref_conv)
-        assert np.max(np.abs(res.rho - ref_rho)) <= 1e-12
-        assert len(res.log_likelihoods) == len(ref_trace)
+        res = ml_reconstruct(axial_counts(dict(zip(AXIAL, table))))
+        rho, converged, iterations, trace = _ml_kernel(axial_projectors(), table[None], 1e-10,
+                                                       100_000)
+        assert res.rho.tobytes() == rho[0].tobytes()
+        assert (res.converged, res.iterations) == (converged[0], iterations[0])
+        assert res.log_likelihoods == trace
         assert all(isinstance(v, float) for v in res.log_likelihoods)
+        assert all(b >= a for a, b in zip(trace, trace[1:]))
 
 
 @pytest.mark.parametrize("weight", [0.0, 0.25])

@@ -149,33 +149,33 @@ TOMO_TABLES = {
     "zero": {"h": 600, "v": 400, "plus": 0, "minus": 450, "r": 520, "l": 480},
     "below1": {"h": 0.5, "v": 0.3, "plus": 0.4, "minus": 0.2, "r": 0.3, "l": 0.3},
 }
-# default-precision `tomo --resamples` outputs, as printed when the observed
-# table and its resamples ran in two kernel calls; keyed (table, format, resamples)
+# default-precision `tomo --resamples` outputs, as printed since the solve
+# reaches the maximum of the likelihood; keyed (table, format, resamples)
 TOMO_DIGESTS = {
     ("axial", "csv", "100"):
-        "eed46a4368fe13fee993056fc8861f1a598426808f53334d701028c20bdd7c48",
+        "c1e23e36af830be90673cdc0f30aa69951447b09a1acb5e1eb818d16387d0964",
     ("axial", "csv", "300"):
-        "856fb6d98af93371b807d2925836fad581737a0a35c52d204708fc755b799642",
+        "d613ad4003ca1be3e2e5489270f2b630d0832bcc484ac359a0d9afeb5306b985",
     ("axial", "json", "100"):
-        "ec36083cf065cca6545de4d288d1ed012bf1dfa99a57a47e6361162b8ff122f2",
+        "e590d55e05e0fcb03f29d6896cc603dd03ad70a148e65a6addb0c708079291de",
     ("axial", "json", "300"):
-        "5bef9693c01776df0d0b34b2983517d67115f9c7e3c66d56853f689eb9dec294",
+        "646fb506bf024f35ddc62ca44047e0d5167ef6089d1c4ddcb385838feaf8262c",
     ("zero", "csv", "100"):
-        "71a6a92845236a413d23748d07d83c6642d9fdf19160d7855301d8cbbdd63bbc",
+        "edce50a420f91e2d22509a2f7dbadee09a17444398de1f4c938fd74831a65b3c",
     ("zero", "csv", "300"):
-        "a8f9c1d2cae9ab8e5a91c06af9fec329283a43276e4cd72471edeabce8bca79c",
+        "03be041d7c6e2e95807a08c752941b1650e33a140b1d34930971b5e76746ef85",
     ("zero", "json", "100"):
-        "23c38958164c2d69ad6f19a2a06d9d58a0240111d717df55a6456b4f7c65dc9c",
+        "e06680ff1d82ca70c2b8d3b2b77cfcabb4ec38f54ac15fdc07fba78db1c99926",
     ("zero", "json", "300"):
-        "0411db2d334b0654aba7eb682cbdebe45f99e7a510d4218dd76dafdd657158ca",
+        "552f04939089cd0c6a86a785eda276c07a9f533b866b369fb9b08f5333d8e534",
     ("below1", "csv", "100"):
-        "8987a2a0b5d89183ea5c2ccabd527e09cfc85cb0341ae5eaf3915d80f7185e29",
+        "1cfec30b1482b87ed95c0d11af5921123f561fe6b797de5417e488482c304326",
     ("below1", "csv", "300"):
-        "2716f460fb557519d43ea701a29b1cb0a82492b3bbd9225c8747d1fb89e03536",
+        "2efe1bcc099774d776939ae066d841e5dd2b558042a178ea37bf2c3ed0bf07d3",
     ("below1", "json", "100"):
-        "80ff99e2f97a0fa21c9e4946c0b3c498e58fe1922b524e45b3b9dbd2ff7162a6",
+        "3b61c0e59165e62dd244a11340beb96c3a2ba0599d8f3f0fd920306975413d13",
     ("below1", "json", "300"):
-        "4272fed0a89feb47c8f2d4a0fd2e30b7b479db16fbfb98ed360efb60a2c3ed81",
+        "ea3d32439c7523183dbb0988a315fbbc51d064c13271b1d071fda3afeba23361",
 }
 
 
@@ -294,13 +294,13 @@ def test_tomo_default_precision_ignores_last_bit_changes(tmp_path, monkeypatch, 
     ml = cli.ml_reconstruct
     monkeypatch.setattr(cli, "ml_reconstruct",
                         lambda c: replace(ml(c), rho=ml(c).rho * (1 + 4e-16)))
-    tomography = cli.resampled_tomography
+    tomography = cli._resampled_fit
 
     def nudged(*args):
-        result, estimate = tomography(*args)
-        return replace(result, rho=result.rho * (1 + 4e-16)), estimate
+        result, corrected, estimate = tomography(*args)
+        return replace(result, rho=result.rho * (1 + 4e-16)), corrected * (1 + 4e-16), estimate
 
-    monkeypatch.setattr(cli, "resampled_tomography", nudged)
+    monkeypatch.setattr(cli, "_resampled_fit", nudged)
     for (options, fmt), before in zip(runs, outputs):
         assert run_cli(options + ["--format", fmt]) == 0
         assert capsys.readouterr().out == before
@@ -864,7 +864,10 @@ def test_tomo_weight_near_1_keeps_the_corrected_state_of_unit_trace(tmp_path, ca
     payload = json.loads(capsys.readouterr().out)
     rho = payload["rho_corrected"]
     assert abs(rho[0][0][0] + rho[1][1][0] - 1.0) <= 1e-10
-    assert payload["corrected_fidelity"] == pytest.approx(0.4999, abs=1e-6)
+    # the maximum is the linear inversion, r_x = -6 / 2e11
+    raw = (1 - 6 / 2e11) / 2
+    assert payload["corrected_fidelity"] == pytest.approx((raw - 0.9999999 / 2) / 1e-7,
+                                                          abs=1e-6)
 
 
 CLIP_WARNING = ("warning: background subtraction left slightly negative eigenvalues; "
@@ -951,13 +954,14 @@ def test_tomo_resampling_errors_keep_their_text_and_order(table, weight, message
 
 def test_tomo_observed_weight_error_hides_failing_resamples(tmp_path):
     # the resamples of the first case above fail on their own as well
-    from cqtsim.estimation import NonPhysicalError, axial_counts
-    from cqtsim.fock import KET_D
+    from cqtsim.estimation import (NonPhysicalError, _ml_kernel, axial_counts,
+                                   correct_for_background)
 
-    from helpers import reference_poisson_tomography
-
+    counts = axial_counts(W554)
+    draws = np.random.default_rng(27).poisson(counts.counts(), size=(300, 6)).astype(float)
+    rho = _ml_kernel(np.array(counts.projectors()), draws, 1e-10, 100_000)[0]
     with pytest.raises(NonPhysicalError) as exc:
-        reference_poisson_tomography(axial_counts(W554), 27, 300, 0.8, KET_D)
+        correct_for_background(rho, 0.8)
     assert exc.value.n_bad > 100
 
 
@@ -1049,8 +1053,9 @@ def test_resamples_cap(tmp_path, monkeypatch, capsys):
     assert run_cli(["run", "--ideal", "--resamples", "100000", "--seed", "1"]) == 0
     assert run_cli(["run", "--ideal", "--resamples", "100001", "--seed", "1"]) == 2
     calls = []
-    monkeypatch.setattr(cli, "resampled_tomography", lambda counts, target, seed, n, w: (
-        calls.append(n) or (cli.ml_reconstruct(counts), FidelityEstimate(0.5, 0.1))))
+    monkeypatch.setattr(cli, "_resampled_fit", lambda counts, target, seed, n, w: (
+        calls.append(n) or (cli.ml_reconstruct(counts), np.eye(2) / 2,
+                            FidelityEstimate(0.5, 0.1))))
     counts = tmp_path / "counts.csv"
     write_exact_counts(counts, np.eye(2) / 2)
     tomo = ["tomo", "--counts", str(counts), "--seed", "1", "--resamples"]

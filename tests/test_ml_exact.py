@@ -84,12 +84,7 @@ def test_oracle_meets_the_kkt_conditions(kind):
             assert kkt_residual(r, AXIAL_PROJECTORS, table) <= 1e-12
 
 
-SHORT = pytest.mark.xfail(strict=True, reason="the R rho R iteration stops short of the "
-                                              "maximum")
-
-
-@pytest.mark.parametrize("kind", [kind if kind == "sparse" else pytest.param(kind, marks=SHORT)
-                                  for kind in AXIAL_KINDS])
+@pytest.mark.parametrize("kind", AXIAL_KINDS)
 def test_ml_reconstruct_is_the_exact_maximum_of_an_axial_table(kind):
     tables = axial_tables(kind, np.random.default_rng([36, len(kind)]))
     tables = tables[tables.sum(axis=1) > 0]
@@ -131,7 +126,6 @@ def ball_points(rng, centre, n):
     return np.vstack([points, near / np.maximum(norms, 1.0)])
 
 
-@SHORT
 def test_ml_reconstruct_is_the_maximum_for_random_projector_sets():
     rng = np.random.default_rng(3600)
     for _ in range(40):

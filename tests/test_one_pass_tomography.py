@@ -2,12 +2,10 @@
 in one kernel run, against the two runs it replaced.
 
 The observed table is table 0 of the stack.  Its state, flag, iteration
-count and likelihood trace must equal ``ml_reconstruct``'s bit for bit, and
-the resample tables must come out of the kernel as
-``helpers.reference_ml_kernel`` gives them on the resamples alone.  The
-estimate is compared by ``repr`` with ``helpers.reference_poisson_tomography``,
-the resampling that ran the resamples in a kernel call of their own, copied
-verbatim; so are its warnings and its errors.
+count and likelihood trace must be ``ml_reconstruct``'s, and the resample
+rows what a kernel call on the resamples alone gives, bit for bit.  The
+estimate is compared by ``repr`` with ``two_run_tomography``, which fits the
+resamples in a kernel call of their own; so are its warnings and its errors.
 """
 
 import warnings
@@ -16,17 +14,18 @@ import numpy as np
 import pytest
 
 import cqtsim.estimation as estimation
-from cqtsim.estimation import (ML_MAX_ITERATIONS, ML_TOL, NonPhysicalError, ProjectionCounts,
-                               _mul2, axial_counts, ml_reconstruct, resampled_tomography)
+from cqtsim import cli
+from cqtsim.estimation import (ML_MAX_ITERATIONS, ML_TOL, FidelityEstimate, NonPhysicalError,
+                               ProjectionCounts, _ml_kernel, axial_counts,
+                               correct_for_background, ml_reconstruct, resampled_tomography)
 from cqtsim.fock import KET_D, KET_H
 
-from helpers import reference_ml_kernel, reference_poisson_tomography
+from test_cli import write_counts
 
 
 def sparse_table(seed):
     """4 to 8 random projector kets, each count zero with probability 1/2:
-    the estimate lies near the surface of the Bloch ball, where a full step
-    can lower the likelihood."""
+    the estimate lies near the surface of the Bloch ball."""
     rng = np.random.default_rng([29, seed])
     m = int(rng.integers(4, 9))
     kets = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
@@ -48,11 +47,11 @@ FIXTURES = {
                                "r": 500000, "l": 500000}), 0.0999),
     "zero count": (axial_counts({"h": 600, "v": 400, "plus": 0, "minus": 450, "r": 520,
                                  "l": 480}), 0.0),
-    # every count below 1: the observed table is divided by its largest count,
-    # the resamples, small integers, are not; many of them are empty
+    # every count below 1: many resamples are empty
     "below 1": (axial_counts({"h": 0.5, "v": 0.3, "plus": 0.4, "minus": 0.2, "r": 0.3,
                               "l": 0.3}), 0.0),
-    "diluted": (sparse_table(279), 0.0),
+    # the observed state lies on the sphere
+    "sparse": (sparse_table(279), 0.0),
 }
 SEEDS = (1, 29)
 
@@ -75,6 +74,29 @@ def run_recorded(monkeypatch, *args):
     return result, calls, [str(w.message) for w in caught]
 
 
+def fit_alone(counts, tables):
+    """The states of ``tables`` over the projectors of ``counts``, from a
+    kernel call of their own."""
+    return _ml_kernel(np.array(counts.projectors()), tables, ML_TOL, ML_MAX_ITERATIONS)[0]
+
+
+def two_run_tomography(counts, seed, n_resamples, background_w, target):
+    """The resampled estimate with the resamples fitted apart from the
+    observed table."""
+    means = counts.counts()
+    tables = np.random.default_rng(seed).poisson(
+        means, size=(n_resamples, means.size)).astype(float)
+    tables = tables[tables.sum(axis=1) > 0]
+    if tables.size == 0:
+        raise ValueError("every resample was empty")
+    rho = fit_alone(counts, tables)
+    if background_w:
+        correct_for_background(ml_reconstruct(counts).rho, background_w)
+        rho = correct_for_background(rho, background_w)
+    values = np.clip(np.einsum("i,nij,j->n", target.conj(), rho, target).real, 0.0, 1.0)
+    return FidelityEstimate(value=float(np.mean(values)), uncertainty=float(np.std(values)))
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("name", FIXTURES)
 def test_observed_row_is_ml_reconstruct_bit_for_bit(name, seed, monkeypatch):
@@ -94,15 +116,13 @@ def test_resample_rows_match_a_kernel_call_on_the_resamples_alone(name, seed, mo
     counts, weight = FIXTURES[name]
     _, calls, _ = run_recorded(monkeypatch, counts, TARGET, seed, 300, weight)
     (projectors, tables, (rho, converged, iterations, _)), = calls
-    # row 0 is the observed table, rescaled as ml_reconstruct rescales it;
-    # the other rows are the nonempty Poisson draws, not rescaled
+    # row 0 is the observed table, the other rows are the nonempty Poisson draws
     ns = counts.counts()
-    observed = ns if 1.0 <= ns.max() else ns / ns.max()
-    assert tables[0].tobytes() == observed.tobytes()
+    assert tables[0].tobytes() == ns.tobytes()
     draws = np.random.default_rng(seed).poisson(ns, size=(300, ns.size)).astype(float)
     assert tables[1:].tobytes() == draws[draws.sum(axis=1) > 0].tobytes()
-    ref_rho, ref_conv, ref_iter, _ = reference_ml_kernel(projectors, tables[1:], ML_TOL,
-                                                         ML_MAX_ITERATIONS)
+    ref_rho, ref_conv, ref_iter, _ = _ml_kernel(projectors, tables[1:], ML_TOL,
+                                                ML_MAX_ITERATIONS)
     assert rho[1:].tobytes() == ref_rho.tobytes()
     assert np.array_equal(converged[1:], ref_conv)
     assert np.array_equal(iterations[1:], ref_iter)
@@ -115,37 +135,21 @@ def test_estimate_matches_the_resampling_of_two_kernel_runs(name, seed, monkeypa
     (_, est), _, caught = run_recorded(monkeypatch, counts, TARGET, seed, 300, weight)
     with warnings.catch_warnings(record=True) as ref_caught:
         warnings.simplefilter("always")
-        ref = reference_poisson_tomography(counts, seed, 300, weight, TARGET)
-        if weight:
-            estimation.correct_for_background(ml_reconstruct(counts).rho, weight)
+        ref = two_run_tomography(counts, seed, 300, weight, TARGET)
     assert repr(est) == repr(ref)
     assert sorted(set(caught)) == sorted({str(w.message) for w in ref_caught})
 
 
 def test_fixtures_reach_every_branch(monkeypatch):
     # the clipping fixture warns, the below-1 one drops empty resamples, and
-    # in the diluted one the observed table and the stack halve their steps
+    # the sparse one has its maximum on the sphere
     counts, weight = FIXTURES["clipping"]
     _, _, caught = run_recorded(monkeypatch, counts, TARGET, 1, 300, weight)
     assert any("clipping" in text for text in caught)
     _, calls, _ = run_recorded(monkeypatch, FIXTURES["below 1"][0], TARGET, 1, 300)
     assert 1 < len(calls[0][1]) < 301
-    passes = [0]
-
-    def counted(a, b):
-        passes[0] += 1
-        return _mul2(a, b)
-
-    def diluted_passes(iterations):
-        # two products per pass, one full pass per iteration of the longest table
-        extra, passes[0] = passes[0] // 2 - int(iterations.max()), 0
-        return extra
-
-    monkeypatch.setattr(estimation, "_mul2", counted)
-    counts = FIXTURES["diluted"][0]
-    assert diluted_passes(np.array([ml_reconstruct(counts).iterations])) > 0
-    _, calls, _ = run_recorded(monkeypatch, counts, TARGET, 1, 300)
-    assert diluted_passes(calls[0][2][2]) > 0
+    rho = ml_reconstruct(FIXTURES["sparse"][0]).rho
+    assert np.linalg.eigvalsh(rho)[0] == pytest.approx(0.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("counts, weight, seed, n, error", [
@@ -161,7 +165,7 @@ def test_resample_errors_match_the_resampling_of_two_kernel_runs(counts, weight,
     with pytest.raises(error) as got:
         resampled_tomography(counts, KET_D, seed, n, weight)
     with pytest.raises(error) as ref:
-        reference_poisson_tomography(counts, seed, n, weight, KET_D)
+        two_run_tomography(counts, seed, n, weight, KET_D)
     assert str(got.value) == str(ref.value)
 
 
@@ -169,9 +173,30 @@ def test_observed_subtraction_fails_before_the_resamples():
     # at 80 % both the observed state and many resamples go non-physical: the
     # error is the observed state's, a NonPhysicalError of one state
     counts = axial_counts({"h": 100, "v": 100, "plus": 125, "minus": 75, "r": 100, "l": 100})
+    rho = fit_alone(counts, np.random.default_rng(27).poisson(counts.counts(), (300, 6)))
     with pytest.raises(NonPhysicalError) as ref:
-        reference_poisson_tomography(counts, 27, 300, 0.8, KET_H)
+        correct_for_background(rho, 0.8)
     assert ref.value.n_states > 1
     with pytest.raises(NonPhysicalError) as got:
         resampled_tomography(counts, KET_H, 27, 300, 0.8)
     assert (got.value.n_bad, got.value.n_states) == (1, 1)
+
+
+@pytest.mark.parametrize("weight, calls", [("0.2", [(2, 2), (300, 2, 2)]), ("0", [(2, 2)])])
+def test_tomo_subtracts_the_background_once(weight, calls, tmp_path, monkeypatch, capsys):
+    # once from the observed state and once from the stack of resamples
+    shapes, subtract = [], estimation.correct_for_background
+
+    def counted(raw, w):
+        shapes.append(np.shape(raw))
+        return subtract(raw, w)
+
+    monkeypatch.setattr(estimation, "correct_for_background", counted)
+    monkeypatch.setattr(cli, "correct_for_background", counted)
+    path = tmp_path / "counts.csv"
+    write_counts(path, {"h": 8601, "v": 5290, "plus": 6107, "minus": 6466, "r": 4178,
+                        "l": 8512})
+    assert cli.main(["tomo", "--counts", str(path), "--weight", weight, "--resamples", "300",
+                     "--seed", "5"]) == 0
+    assert shapes == calls
+    assert "fidelity_std" in capsys.readouterr().out

@@ -43,8 +43,8 @@ def test_readme_has_the_four_library_examples():
 
 def test_resampled_tomography_example_prints_its_commented_values():
     block = BLOCKS[0]
-    assert "# True 12" in block and "# 0.253 +- 0.005" in block
-    assert printed_lines(block) == ["True 12", "0.253 +- 0.005"]
+    assert "# True 2" in block and "# 0.253 +- 0.005" in block
+    assert printed_lines(block) == ["True 2", "0.253 +- 0.005"]
 
 
 def test_run_protocol_example_prints_its_commented_values():
