@@ -97,14 +97,10 @@ def log_likelihood(r, projectors, counts) -> np.ndarray:
     w, m = projector_bloch(projectors)
     f = np.asarray(counts, dtype=float)
     f = f / f.sum()
-    p = (w + np.asarray(r) @ m.T) / 2
-    used = f > 0
-    if (p[..., used] <= 0).any(axis=-1).any():
-        out = np.full(p.shape[:-1], -np.inf)
-        ok = ~(p[..., used] <= 0).any(axis=-1)
-        out[ok] = (f[used] * np.log(p[ok][..., used])).sum(axis=-1)
-        return out
-    return (f[used] * np.log(p[..., used])).sum(axis=-1)
+    p = ((w + np.asarray(r) @ m.T) / 2)[..., f > 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = (f[f > 0] * np.log(p)).sum(axis=-1)
+    return np.where((p <= 0).any(axis=-1), -np.inf, out)
 
 
 def kkt_residual(r, projectors, counts) -> float:
