@@ -98,6 +98,22 @@ NEAR_PURE_TARGETS = ("0.623023,-0.757136-0.196437j", "0.204293,0.925755+0.318184
                      "0.360586,0.893151-0.268810j", "0.967059,-0.078130-0.242266j",
                      "0.396024,0.580506+0.711462j", "0.763313,0.327756+0.556713j")
 TOMO_RESAMPLED = ("--resamples", "100", "--seed", "3", "--format", "json")
+# the background subtraction's edges: the pure table's state clipped back to
+# the sphere; a table of 500 counts per axis (mixed.csv) at a weight within
+# 1e-7 of 1, whose state keeps a unit trace and whose 100 resamples all fail;
+# near-pure resamples clipped, or 44 of them too far outside; and weights on
+# a near-pure table and the unbalanced one
+RESAMPLED = ("--resamples", "100", "--seed", "3")
+WEIGHT_EDGES = (
+    ("pure.csv", "0.001"),
+    ("pure.csv", "0.001", *TOMO_RESAMPLED),
+    ("mixed.csv", "0.9999999"),
+    ("mixed.csv", "0.9999999", *RESAMPLED),
+    ("nearpure-1.csv", "0.0105", *RESAMPLED),
+    ("nearpure-1.csv", "0.02", *RESAMPLED),
+    ("nearpure-3.csv", "0.004", *RESAMPLED),
+    ("unbalanced.csv", "0.05", *RESAMPLED),
+)
 # the scan's edge cases: one point, both ends only, a fine grid, repeated values
 SCAN_EDGES = (("--q-grid", "0:1:1"), ("--q-grid", "0:1:2"), ("--q-grid", "0:1:10001"),
               ("--q-list", "0.5,0.5,1,0,0.5,1"))
@@ -159,6 +175,8 @@ def corpus() -> list:
                   enumerate(NEAR_PURE_TARGETS, 1), ((), TOMO_RESAMPLED))]
     argvs += [["tomo", "--counts", "unbalanced.csv", *resampled]
               for resampled in ((), TOMO_RESAMPLED)]
+    argvs += [["tomo", "--counts", table, "--weight", weight, *rest]
+              for table, weight, *rest in WEIGHT_EDGES]
     argvs += [["scan-werner", "--q-grid", "0:1:101", "--format", fmt] for fmt in ("csv", "json")]
     argvs += [["scan-werner", "--q-list", "0,0.25,0.5,0.6667,0.7,1"]]
     argvs += [["scan-werner", *edge] for edge in SCAN_EDGES]
