@@ -3,9 +3,9 @@ tomography, the mixed-state background subtraction and Poisson-resampled
 uncertainties.
 
 The background correction implements the subtraction procedure used for the
-higher-order emission terms: the receiver's raw density matrix is assumed to
-contain a maximally mixed admixture of weight ``w``; removing it and
-renormalizing acts on fidelities as F -> (F - w/2) / (1 - w).
+higher-order emission terms: the receiver's raw state is assumed to contain a
+maximally mixed admixture of weight ``w``; removing it takes the state's
+Bloch vector r to r / (1 - w), and fidelities to (F - w/2) / (1 - w).
 """
 
 from __future__ import annotations
@@ -115,6 +115,19 @@ def _log_likelihood(rho, projectors, counts) -> float:
     return out
 
 
+def _bloch_vector(m: np.ndarray) -> np.ndarray:
+    """The Bloch vectors r (..., 3) of Hermitian m = (tr m + r.sigma) / 2 (..., 2, 2)."""
+    return np.stack([2 * m[..., 0, 1].real, -2 * m[..., 0, 1].imag,
+                     (m[..., 0, 0] - m[..., 1, 1]).real], axis=-1)
+
+
+def _bloch_rho(r: np.ndarray) -> np.ndarray:
+    """The states (1 + r.sigma) / 2, (..., 2, 2), of Bloch vectors (..., 3)."""
+    x, y, z = np.moveaxis(r, -1, 0)
+    return 0.5 * np.stack([1 + z, x - 1j * y, x + 1j * y, 1 - z],
+                          axis=-1).reshape(*r.shape[:-1], 2, 2)
+
+
 def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
                max_iterations: int):
     """Maximum-likelihood states of a stack of count tables, by Newton's
@@ -154,8 +167,7 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
                          f"got {max_iterations!r}")
     n, m = tables.shape
     w = np.trace(projectors, axis1=1, axis2=2).real
-    axes = np.stack([2 * projectors[:, 0, 1].real, -2 * projectors[:, 0, 1].imag,
-                     (projectors[:, 0, 0] - projectors[:, 1, 1]).real], axis=1)
+    axes = _bloch_vector(projectors)
     outer = (axes[:, :, None] * axes[:, None, :]).reshape(m, 9)
     eye = np.eye(3)
 
@@ -212,9 +224,7 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
         converged |= stop & done
         iterations[stop] = iteration
         running &= ~stop
-    x, y, z = r.T
-    rho = 0.5 * np.stack([1 + z, x - 1j * y, x + 1j * y, 1 - z], axis=1).reshape(n, 2, 2)
-    return rho, converged, iterations, trace
+    return _bloch_rho(r), converged, iterations, trace
 
 
 def ml_reconstruct(counts: ProjectionCounts, tol: float = ML_TOL,
@@ -306,63 +316,38 @@ class NonPhysicalError(ValueError):
 
 
 def correct_for_background(raw: np.ndarray, w: float) -> np.ndarray:
-    """Subtract a maximally mixed admixture of weight ``w`` and renormalize.
-
-    ``raw`` is one density matrix or a stack of them, shape (..., d, d).
-    Noisy inputs can push the difference slightly outside the physical cone:
-    small negative eigenvalues are clipped to zero (with a warning) in the
-    matrices that have them; an eigenvalue below -1e-3 in any matrix raises
-    NonPhysicalError, which counts the matrices that have one.  A non-finite
-    entry or a matrix that is not Hermitian, within 1e-9 of its largest
-    entry, raises ValueError.  A matrix of unit trace, within 1e-12, keeps
-    it within 1e-10 however close ``w`` comes to 1.
-
-    Only a matrix with a negative eigenvalue changes.  For d = 2 the lowest
-    eigenvalue has a closed form, good to a few units of double precision of
-    the entries; when it exceeds 1e-9 of them in every matrix, the stack is
-    returned with no eigendecomposition.
+    """Subtract a maximally mixed admixture of weight ``w`` and renormalize:
+    the Bloch vector r of each state goes to r / (1 - w), lowest eigenvalue
+    (1 - |r|) / 2.  ``raw`` is one state or a stack, (..., 2, 2), each finite,
+    Hermitian and of unit trace within 1e-9, or ValueError.  An r that noise
+    pushes outside the ball is clipped to r / |r|, with a warning if the
+    eigenvalue is below -1e-9; one below -1e-3 raises NonPhysicalError, which
+    counts the states that have one.  Each state is rebuilt from r, so it has
+    a unit trace however close ``w`` comes to 1.
     """
     if not 0.0 <= w < 1.0:
         raise ValueError("background weight must lie in [0, 1)")
     raw = np.asarray(raw, dtype=complex)
-    if raw.ndim < 2 or raw.shape[-1] != raw.shape[-2]:
-        raise ValueError(f"density matrices must have shape (..., d, d), got {raw.shape}")
+    if raw.shape[-2:] != (2, 2):
+        raise ValueError(f"density matrices must have shape (..., 2, 2), got {raw.shape}")
     if not np.isfinite(raw).all():
         raise ValueError("density matrices must be finite")
-    skew = np.abs(raw - np.swapaxes(raw.conj(), -1, -2)).max(axis=(-2, -1), initial=0.0)
-    if np.any(skew > 1e-9 * np.abs(raw).max(axis=(-2, -1), initial=0.0)):
+    if np.any(np.abs(raw - np.swapaxes(raw.conj(), -1, -2)) > 1e-9):
         raise ValueError("density matrices must be Hermitian")
-    dim = raw.shape[-1]
-    out = (raw - w * np.eye(dim) / dim) / (1.0 - w)
-    out = 0.5 * (out + np.swapaxes(out.conj(), -1, -2))
-    # 1/(1 - w) amplifies the rounding of a unit trace; take it out where it shows
-    t_out = np.trace(out, axis1=-2, axis2=-1).real
-    drift = np.abs(t_out - 1.0) > 1e-10
-    if np.any(drift):
-        drift &= np.abs(np.trace(raw, axis1=-2, axis2=-1).real - 1.0) <= 1e-12
-        out[drift] /= t_out[drift][..., None, None]
-    if dim == 2:
-        a, d, b = out[..., 0, 0].real, out[..., 1, 1].real, np.abs(out[..., 0, 1])
-        # hypot, not the root of the squares, which underflow or overflow
-        low = (a + d) / 2 - np.hypot((a - d) / 2, b)
-        if np.all(low > 1e-9 * (np.abs(a) + np.abs(d) + b)):
-            return out
-    eigvals, eigvecs = np.linalg.eigh(out)
-    lowest = eigvals[..., 0]
+    trace = np.trace(raw, axis1=-2, axis2=-1)
+    if np.any(off := np.abs(trace - 1.0) > 1e-9):
+        raise ValueError(f"density matrices must have unit trace, got "
+                         f"{float(trace[off][0].real)!r}")
+    r = _bloch_vector(raw) / (1.0 - w)
+    length = np.hypot(np.hypot(r[..., 0], r[..., 1]), r[..., 2])
+    lowest = (1.0 - length) / 2
     severe = lowest < -1e-3
     if np.any(severe):
         raise NonPhysicalError(int(np.sum(severe)), lowest.size, float(np.min(lowest)))
     if np.any(lowest < -1e-9):
         warnings.warn("background subtraction left slightly negative "
                       "eigenvalues; clipping to the physical cone")
-    clip = lowest < 0
-    if np.any(clip):
-        vals = np.clip(eigvals[clip], 0.0, None)
-        vecs = eigvecs[clip]
-        fixed = (vecs * vals[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
-        fixed /= np.trace(fixed, axis1=-2, axis2=-1).real[..., None, None]
-        out[clip] = fixed
-    return out
+    return _bloch_rho(r / np.maximum(length, 1.0)[..., None])
 
 
 # --- Poisson resampling --------------------------------------------------------------

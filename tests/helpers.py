@@ -20,9 +20,6 @@ helpers this change touched (``_teleport_branches``, ``_pauli_fidelities``,
 was before it took the mean and spread in two passes and clipped only after
 the background subtraction, copied verbatim with ``np.clip``, ``np.mean`` and
 ``np.std``: its bit-for-bit oracle.
-``reference_correct_for_background`` is ``estimation.correct_for_background``
-as it was before it screened 2x2 states in closed form, copied verbatim: it
-diagonalises every matrix.
 ``reference_undesired_shares`` and ``reference_fit_source_ratio`` are
 ``spdc._undesired_shares`` and ``spdc.fit_source_ratio`` as they were before
 the zoom kept its bracket in Python floats and the shares skipped the
@@ -50,7 +47,6 @@ tests alone, moved here unchanged.
 import math
 import numbers
 import operator
-import warnings
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -60,8 +56,8 @@ from cqtsim.channels import (_BELL, _BELL_LABELS, _PAULI_DAGGERS, PAULI_X, STAND
                              _branches, _feedforward_sums, _four_terms, ghz_ket,
                              ket_outer)
 from cqtsim.elements import phase_matrix
-from cqtsim.estimation import (FidelityEstimate, NonPhysicalError, _check_poisson_mean,
-                               _check_resampling, corrected_fidelity)
+from cqtsim.estimation import (FidelityEstimate, _check_poisson_mean, _check_resampling,
+                               corrected_fidelity)
 from cqtsim.fock import KET_D, KET_H, H, V, PureState, _create, basis_pairs, spatial_counts
 from cqtsim.spdc import (_GRID_POINTS, _ROOT_COST, BACKWARD_MODES, FORWARD_MODES,
                          RATIO_BOUNDS, REFERENCE_KAPPA, RatioFit, _local_minima,
@@ -235,39 +231,6 @@ def reference_poisson_uncertainty(data, seed: int, n_resamples: int = 10_000,
         raise ValueError("every resample was empty")
     return FidelityEstimate(value=float(np.mean(values)),
                             uncertainty=float(np.std(values)))
-
-
-def reference_correct_for_background(raw: np.ndarray, w: float) -> np.ndarray:
-    """Subtract a maximally mixed admixture of weight ``w`` and renormalize.
-
-    ``raw`` is one density matrix or a stack of them, shape (..., d, d).
-    Noisy inputs can push the difference slightly outside the physical cone:
-    small negative eigenvalues are clipped to zero (with a warning) in the
-    matrices that have them; an eigenvalue below -1e-3 in any matrix raises
-    NonPhysicalError, which counts the matrices that have one.
-    """
-    if not 0.0 <= w < 1.0:
-        raise ValueError("background weight must lie in [0, 1)")
-    raw = np.asarray(raw, dtype=complex)
-    dim = raw.shape[-1]
-    out = (raw - w * np.eye(dim) / dim) / (1.0 - w)
-    out = 0.5 * (out + np.swapaxes(out.conj(), -1, -2))
-    eigvals, eigvecs = np.linalg.eigh(out)
-    lowest = eigvals[..., 0]
-    severe = lowest < -1e-3
-    if np.any(severe):
-        raise NonPhysicalError(int(np.sum(severe)), lowest.size, float(np.min(lowest)))
-    if np.any(lowest < -1e-9):
-        warnings.warn("background subtraction left slightly negative "
-                      "eigenvalues; clipping to the physical cone")
-    clip = lowest < 0
-    if np.any(clip):
-        vals = np.clip(eigvals[clip], 0.0, None)
-        vecs = eigvecs[clip]
-        fixed = (vecs * vals[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
-        fixed /= np.trace(fixed, axis1=-2, axis2=-1).real[..., None, None]
-        out[clip] = fixed
-    return out
 
 
 def reference_sector_shares(rates: dict, kappa_forward: complex, kappa_backward: complex) -> dict:

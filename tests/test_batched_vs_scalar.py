@@ -28,10 +28,12 @@ sums over length-2 labels were unrolled, copied verbatim: each one summed
 einsum.  The unrolled terms add the same einsum products in the same order,
 so those comparisons are by bytes.
 
-``helpers.reference_correct_for_background`` is the background subtraction
-as it was before its closed-form screen, copied verbatim: it diagonalises
-every matrix.  A stack the screen passes is returned as the reference returns
-it, so bytes, warnings and errors must agree.
+``eigendecomposed_correction`` is the background subtraction done on the
+matrices: subtract, diagonalise, clip negative eigenvalues to 0 and
+renormalise.  The subtraction on the Bloch vector must give the same warnings
+and errors, the same lowest eigenvalue to 1e-12 and every entry to
+1e-14 / (1 - w).  Each matrix of a stack must end as it does alone, bit for
+bit.
 """
 
 import warnings
@@ -54,7 +56,7 @@ from cqtsim.fock import (KET_A, KET_D, KET_H, KET_L, KET_R, KET_V, basis_pairs,
                          fidelity)
 
 from helpers import AXIAL_INPUT_NAMES as AXIAL
-from helpers import outcome_averaged, reference_correct_for_background
+from helpers import outcome_averaged
 
 
 # --- scalar oracles: estimation ---------------------------------------------------
@@ -440,8 +442,8 @@ BOUNDARY_KINDS = ("pure", "near", "mixed", "margin", "edge")
 def boundary_states(rng, kind, n, d, w):
     """n random d x d states of one kind: pure, within 1e-16 to 1e-6 of pure,
     mixed, or with the lowest eigenvalue after subtracting weight ``w``
-    within 1e-7 of 0 ("margin", either sign) or of 1e-9 ("edge", the
-    screen's margin, from above)."""
+    within 1e-7 of 0 ("margin", either sign) or of 1e-9 ("edge", from
+    above)."""
     a = rng.normal(size=(n, d, d)) + 1j * rng.normal(size=(n, d, d))
     u, _ = np.linalg.qr(a)
     top = np.zeros((n, d))
@@ -466,88 +468,53 @@ def boundary_states(rng, kind, n, d, w):
 
 def boundary_case(seed):
     """Stacks of 1, 2, 7 and 300 states of one kind or of mixed kinds, at
-    w = 0, 1e-9, U(0, 0.2), U(0, 0.6) and 0.44; one case in 13 is 3 x 3, and
-    half the single states come as a bare matrix."""
+    w = 0, 1e-9, U(0, 0.2), U(0, 0.6) and 0.44; half the single states come
+    as a bare matrix."""
     rng = np.random.default_rng([23, seed])
     w = [0.0, 1e-9, rng.uniform(0, 0.2), rng.uniform(0, 0.6), 0.44][seed % 5]
     n = (1, 2, 7, 300)[(seed // 5) % 4]
-    d = 3 if seed % 13 == 0 else 2
     kind = (BOUNDARY_KINDS + ("any",))[(seed // 20) % 6]
     if kind == "any":
-        every = np.array([boundary_states(rng, k, n, d, w) for k in BOUNDARY_KINDS])
+        every = np.array([boundary_states(rng, k, n, 2, w) for k in BOUNDARY_KINDS])
         stack = every[rng.integers(len(BOUNDARY_KINDS), size=n), np.arange(n)]
     else:
-        stack = boundary_states(rng, kind, n, d, w)
+        stack = boundary_states(rng, kind, n, 2, w)
     return (stack[0] if n == 1 and seed % 2 else stack), w
 
 
-def correction_outcome(correct, stack, w):
-    """The bytes or the NonPhysicalError fields, and every warning given."""
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        try:
-            result = correct(stack, w).tobytes()
-        except NonPhysicalError as exc:
-            result = (exc.n_bad, exc.n_states, exc.min_eigenvalue)
-    return result, [(c.category, str(c.message)) for c in caught]
+def eigendecomposed_correction(raw, w):
+    """``(states, lowest)``: each matrix less w I/2, over 1 - w, with its
+    negative eigenvalues clipped to 0 and renormalised, and its lowest
+    eigenvalue before the clip."""
+    vals, vecs = np.linalg.eigh((raw - w * np.eye(2) / 2) / (1.0 - w))
+    out = (vecs * np.clip(vals, 0.0, None)[..., None, :]) @ np.swapaxes(vecs.conj(), -1, -2)
+    return out / np.trace(out, axis1=-2, axis2=-1).real[..., None, None], vals[..., 0]
 
 
-def count_eigh_calls(monkeypatch):
-    calls = [0]
-    eigh = np.linalg.eigh
-
-    def counted(a):
-        calls[0] += 1
-        return eigh(a)
-
-    monkeypatch.setattr(np.linalg, "eigh", counted)
-    return calls
-
-
-def test_background_screen_is_bit_identical_to_the_reference(monkeypatch):
-    calls = count_eigh_calls(monkeypatch)
-    n_cases, screened, seen = 720, 0, set()
-    for seed in range(n_cases):
+def test_background_correction_matches_an_eigendecomposition():
+    clipping = [(UserWarning, "background subtraction left slightly negative "
+                              "eigenvalues; clipping to the physical cone")]
+    seen = set()
+    for seed in range(720):
         stack, w = boundary_case(seed)
-        ref = correction_outcome(reference_correct_for_background, stack, w)
-        before = calls[0]
-        assert correction_outcome(correct_for_background, stack, w) == ref, seed
-        screened += calls[0] == before
-        seen.add("raised" if isinstance(ref[0], tuple) else ("warned" if ref[1] else "ok"))
-    # the corpus takes both paths and reaches every outcome
-    assert 0 < screened < n_cases
+        want, lowest = eigendecomposed_correction(stack, w)
+        severe = lowest < -1e-3
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                got = correct_for_background(stack, w)
+            except NonPhysicalError as exc:
+                assert (exc.n_bad, exc.n_states) == (np.sum(severe), lowest.size), seed
+                assert exc.min_eigenvalue == pytest.approx(np.min(lowest), rel=0, abs=1e-12)
+                seen.add("raised")
+                continue
+        assert not np.any(severe), seed
+        warned = [(c.category, str(c.message)) for c in caught]
+        assert warned == (clipping if np.any(lowest < -1e-9) else []), seed
+        assert np.abs(got - want).max() <= 1e-14 / (1 - w), seed
+        seen.add("warned" if warned else "ok")
+    # the corpus reaches every outcome
     assert seen == {"ok", "warned", "raised"}
-
-
-@pytest.mark.parametrize("scale", [1e-310, 1e-200, 1e150, 1e300])
-def test_background_screen_matches_the_reference_at_extreme_scales(scale):
-    # squares of entries near 1e-200 underflow and near 1e300 overflow; at
-    # w = 0 the subtraction keeps the scale
-    rng = np.random.default_rng(31)
-    stacks = [boundary_states(rng, kind, 7, 2, 0.0) for kind in BOUNDARY_KINDS]
-    stacks.append(np.array([[[1.0, 2.0], [2.0, 1.0]], [[1.0, 0.5], [0.5, 1.0]]]))
-    for stack in stacks:
-        for rows in (stack, stack[1:2]):
-            assert (correction_outcome(correct_for_background, scale * rows, 0.0)
-                    == correction_outcome(reference_correct_for_background,
-                                          scale * rows, 0.0))
-
-
-def test_background_screen_diagonalises_only_near_the_boundary(monkeypatch):
-    calls = count_eigh_calls(monkeypatch)
-    rng = np.random.default_rng(8)
-    bloch = rng.normal(size=(300, 3))
-    bloch *= rng.uniform(0.1, 0.6, size=(300, 1)) / np.linalg.norm(bloch, axis=1)[:, None]
-    paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
-    stack = 0.5 * (np.eye(2) + np.einsum("nk,kij->nij", bloch, paulis))
-    correct_for_background(stack, 0.2)
-    correct_for_background(stack[0], 0.2)
-    assert calls[0] == 0
-    # one state that the subtraction takes to the boundary: 0.1 - w / 2 = 0
-    stack[17] = np.diag([0.9, 0.1])
-    out = correct_for_background(stack, 0.2)
-    assert calls[0] == 1
-    assert out.tobytes() == reference_correct_for_background(stack, 0.2).tobytes()
 
 
 # --- channels -----------------------------------------------------------------------

@@ -131,10 +131,10 @@ def test_correction_rejects_a_non_finite_matrix(bad):
             correct_for_background(rho, 0.1)
 
 
-@pytest.mark.parametrize("shape", [(2, 3), (3,), (), (4, 2, 3)])
+@pytest.mark.parametrize("shape", [(2, 3), (3,), (), (4, 2, 3), (3, 3)])
 def test_correction_names_the_shape_it_needs(shape):
     with pytest.raises(ValueError, match=re.escape(
-            f"density matrices must have shape (..., d, d), got {shape}")):
+            f"density matrices must have shape (..., 2, 2), got {shape}")):
         correct_for_background(np.ones(shape), 0.1)
 
 
@@ -144,19 +144,33 @@ def test_correction_rejects_a_non_hermitian_matrix():
         correct_for_background([[0.5, 0.5j], [0.5j, 0.5]], 0.1)
 
 
-@pytest.mark.parametrize("scale", [1e-200, 1.0, 1e200])
-def test_correction_measures_hermiticity_per_matrix_against_its_largest_entry(scale):
-    # one skewed matrix in a stack of matrices of other scales is found; a
-    # skew within 1e-9 of a matrix's largest entry passes (at w = 0, which
-    # takes a matrix of any trace)
-    stack = np.array([np.diag([0.6, 0.4])] * 3, dtype=complex) * np.array(
-        [1e-200, 1.0, 1e200])[:, None, None]
-    i = [1e-200, 1.0, 1e200].index(scale)
-    stack[i, 0, 1] = 0.3e-9 * scale
+@pytest.mark.parametrize("i", range(3))
+def test_correction_holds_every_matrix_hermitian_within_1e_9(i):
+    # one skewed state in a stack is found; a skew of 1e-9 passes, as
+    # fock.fidelity lets it pass
+    stack = np.array([np.diag([0.6, 0.4]), np.eye(2) / 2, np.diag([1.0, 0.0])], dtype=complex)
+    stack[i, 0, 1] = 1e-9
     correct_for_background(stack, 0.0)
-    stack[i, 0, 1] = 1e-9 * scale
+    stack[i, 0, 1] = 1.1e-9
     with pytest.raises(ValueError, match="^density matrices must be Hermitian$"):
         correct_for_background(stack, 0.0)
+    stack[i, 0, 1] = 0.0
+    stack[i, 1, 0] = 1.1e-9j
+    with pytest.raises(ValueError, match="^density matrices must be Hermitian$"):
+        correct_for_background(stack[i], 0.2)
+
+
+@pytest.mark.parametrize("scale", [2.0, 1e-200, 1e200])
+def test_correction_names_a_trace_other_than_1(scale):
+    # a trace within 1e-9 of 1 passes, as fock.fidelity lets it pass
+    stack = np.array([np.eye(2) / 2, np.diag([0.6, 0.4 + 0.9e-9])], dtype=complex)
+    correct_for_background(stack, 0.2)
+    stack[1] *= scale
+    trace = float(np.trace(stack[1]).real)
+    for raw, w in ((stack, 0.0), (stack[1], 0.2)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"density matrices must have unit trace, got {trace!r}") + "$"):
+            correct_for_background(raw, w)
 
 
 def test_correction_rejects_a_stack_with_one_non_finite_matrix():
@@ -166,9 +180,9 @@ def test_correction_rejects_a_stack_with_one_non_finite_matrix():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="density matrices must be finite"):
             correct_for_background(stack, 0.0)
-        # the same check holds where the closed-form screen does not apply
+        # and in a stack with no finite entry
         with pytest.raises(ValueError, match="density matrices must be finite"):
-            correct_for_background(np.full((3, 3), math.inf), 0.2)
+            correct_for_background(np.full((4, 2, 2), math.inf), 0.2)
 
 
 @given(st.floats(min_value=0, max_value=0.8),
