@@ -123,7 +123,7 @@ def _bloch_vector(m: np.ndarray) -> np.ndarray:
 
 def _bloch_rho(r: np.ndarray) -> np.ndarray:
     """The states (1 + r.sigma) / 2, (..., 2, 2), of Bloch vectors (..., 3)."""
-    x, y, z = np.moveaxis(r, -1, 0)
+    x, y, z = r[..., 0], r[..., 1], r[..., 2]
     return 0.5 * np.stack([1 + z, x - 1j * y, x + 1j * y, 1 - z],
                           axis=-1).reshape(*r.shape[:-1], 2, 2)
 
@@ -332,19 +332,19 @@ def correct_for_background(raw: np.ndarray, w: float) -> np.ndarray:
         raise ValueError(f"density matrices must have shape (..., 2, 2), got {raw.shape}")
     if not np.isfinite(raw).all():
         raise ValueError("density matrices must be finite")
-    if np.any(np.abs(raw - np.swapaxes(raw.conj(), -1, -2)) > 1e-9):
+    if (np.abs(raw - raw.conj().swapaxes(-1, -2)) > 1e-9).any():
         raise ValueError("density matrices must be Hermitian")
-    trace = np.trace(raw, axis1=-2, axis2=-1)
-    if np.any(off := np.abs(trace - 1.0) > 1e-9):
+    trace = raw[..., 0, 0] + raw[..., 1, 1]
+    if (off := np.abs(trace - 1.0) > 1e-9).any():
         raise ValueError(f"density matrices must have unit trace, got "
                          f"{float(trace[off][0].real)!r}")
     r = _bloch_vector(raw) / (1.0 - w)
     length = np.hypot(np.hypot(r[..., 0], r[..., 1]), r[..., 2])
     lowest = (1.0 - length) / 2
     severe = lowest < -1e-3
-    if np.any(severe):
+    if severe.any():
         raise NonPhysicalError(int(np.sum(severe)), lowest.size, float(np.min(lowest)))
-    if np.any(lowest < -1e-9):
+    if (lowest < -1e-9).any():
         warnings.warn("background subtraction left slightly negative "
                       "eigenvalues; clipping to the physical cone")
     return _bloch_rho(r / np.maximum(length, 1.0)[..., None])
