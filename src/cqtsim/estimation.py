@@ -116,7 +116,7 @@ def _log_likelihood(rho, projectors, counts) -> float:
 
 
 def _bloch_vector(m: np.ndarray) -> np.ndarray:
-    """The Bloch vectors r (..., 3) of Hermitian m = (tr m + r.sigma) / 2 (..., 2, 2)."""
+    """The Bloch vectors r (..., 3) of Hermitian 2x2 matrices m = (tr m + r.sigma) / 2."""
     return np.stack([2 * m[..., 0, 1].real, -2 * m[..., 0, 1].imag,
                      (m[..., 0, 0] - m[..., 1, 1]).real], axis=-1)
 
@@ -335,9 +335,9 @@ def correct_for_background(raw: np.ndarray, w: float) -> np.ndarray:
     if (np.abs(raw - raw.conj().swapaxes(-1, -2)) > 1e-9).any():
         raise ValueError("density matrices must be Hermitian")
     trace = raw[..., 0, 0] + raw[..., 1, 1]
-    if (off := np.abs(trace - 1.0) > 1e-9).any():
-        raise ValueError(f"density matrices must have unit trace, got "
-                         f"{float(trace[off][0].real)!r}")
+    wrong = trace[np.abs(trace - 1.0) > 1e-9]
+    if wrong.size:
+        raise ValueError(f"density matrices must have unit trace, got {float(wrong[0].real)!r}")
     r = _bloch_vector(raw) / (1.0 - w)
     length = np.hypot(np.hypot(r[..., 0], r[..., 1]), r[..., 2])
     lowest = (1.0 - length) / 2
