@@ -160,7 +160,7 @@ def test_correction_holds_every_matrix_hermitian_within_1e_9(i):
         correct_for_background(stack[i], 0.2)
 
 
-@pytest.mark.parametrize("scale", [2.0, 1e-200, 1e200])
+@pytest.mark.parametrize("scale", [2.0, 1 + 1e-9, 1e-200, 1e200])
 def test_correction_names_a_trace_other_than_1(scale):
     # a trace within 1e-9 of 1 passes, as fock.fidelity lets it pass
     stack = np.array([np.eye(2) / 2, np.diag([0.6, 0.4 + 0.9e-9])], dtype=complex)
