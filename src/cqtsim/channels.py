@@ -10,6 +10,9 @@ and the Pauli-frame fidelity (``_frame_fidelities``).  The public functions
 on one channel are the n = 1 case of the same kernels, and ``werner_scan``
 computes all its rows in one pass through them, so a row of the scan is
 bit-identical to ``werner_point`` at the same q.
+
+Teleportation fidelities are one quadratic form <v|rho|v> per Bell outcome
+(see ``_sender_kets``); no receiver state is formed or normalized for them.
 """
 
 from __future__ import annotations
@@ -157,10 +160,8 @@ def bell_kets() -> dict:
 
 
 _BELL_LABELS = tuple(bell_kets())
-# Bell kets as (outcome, input qubit, qubit 1)
+# Bell kets as (outcome, input qubit, qubit 1); rows and columns for stacked products
 _BELL = np.array(list(bell_kets().values())).reshape(4, 2, 2)
-# Bell bras as (input, qubit 1, outcome); rows and columns for stacked products
-_BELL_BRAS = _BELL.conj().transpose(1, 2, 0)
 _BELL_ROWS = _BELL.reshape(4, 1, 1, 4).conj()
 _BELL_COLUMNS = _BELL.reshape(4, 1, 4, 1)
 
@@ -177,72 +178,34 @@ def _entangled_fractions(rhos: np.ndarray) -> np.ndarray:
     return ((_BELL_ROWS @ rhos) @ _BELL_COLUMNS)[..., 0, 0].real.max(axis=0)
 
 
-# The sums over length-2 labels below are unrolled into one reduction-free
-# einsum per term, with the points (channel, input, outcome or sample) on the
-# innermost axis, so that each loop runs over the whole stack instead of a
-# length-2 axis.  Each keeps the bits of the one einsum that sums over the
-# same labels (the tests' oracle), which forms each term in einsum's own
-# complex arithmetic and adds the terms to a zeroed output in label order, as
-# ``sum`` over the terms does from 0:
-# - numpy's complex ``*`` does not round like einsum's products: on the
-#   terms of ``_teleport_branches`` 70 % of the entries differ.
-# - One einsum on transposed, contiguous operands also loops over the points,
-#   2-6x faster than the summed one, and kept the bits on every shape tried;
-#   but the order of its additions is the loop order einsum derives from the
-#   operands' strides, which no label fixes.
-# - The one einsum of ``_condition``, over c and f, adds its terms in pairs,
-#   (t00 + t01) + (t10 + t11), so ``_condition`` adds them so.
+# Teleporting |psi> over a two-qubit channel rho: the sender projects (input,
+# qubit 1) onto the Bell ket B_k, read as a 2x2 matrix (input, qubit 1).  Its
+# qubit-1 ket s_k = B_k^T conj(psi) leaves the receiver the unnormalized state
+# sigma_k = (s_k (x) 1)^dag rho (s_k (x) 1), of trace the branch probability,
+# and the fidelity of the corrected state C sigma_k C^dag to psi, times that
+# probability, is <v|rho|v> with v = s_k (x) C^dag psi: linear in rho.  Every
+# correction here is a Pauli, its own dagger.
 
-def _four_terms(spec: str, left, middle, right) -> np.ndarray:
-    """``sum_cd left[c] middle[c, d] right[d]`` over c, d in {0, 1}, each
-    term the reduction-free ``np.einsum(spec, left[c], middle[c, d], right[d])``."""
-    return sum(np.einsum(spec, left[c], middle[c, d], right[d])
-               for c in (0, 1) for d in (0, 1))
-
-
-def _teleport_branches(channel: np.ndarray, psis: np.ndarray):
-    """Bell-outcome probabilities (..., n, 4) and receiver states (..., n, 4, 2, 2).
-
-    The sender measures (input, qubit 1) in the Bell basis, outcomes in the
-    order of ``bell_kets``; ``psis`` (n, 2) are the input kets and
-    ``channel`` is one two-qubit channel (4, 4) or a stack (..., 4, 4).  A
-    branch with probability below 1e-14 keeps its unnormalized state.
-
-    ``states`` is C-contiguous: with non-contiguous states, 14 % of the BLAS
-    products of ``_frame_fidelities`` round differently.  ``probs`` is the
-    real part of a C-contiguous complex array.
-    """
-    channel = np.asarray(channel, dtype=complex)
-    stack, n = channel.shape[:-2], len(psis)
-    rho = channel.reshape((-1, 2, 2, 2, 2))
-    # <bell_k| on (input, qubit 1) applied to |psi> on the input, as (c, k n)
-    u = sum(np.einsum("ck,n->ckn", _BELL_BRAS[a], psis[:, a]) for a in (0, 1)).reshape(2, -1)
-    sub = _four_terms("p,mef,p->mefp", u, rho.transpose(1, 3, 0, 2, 4), u.conj())
-    traces = np.einsum("meep->mp", sub)
-    sub /= np.where(traces.real > 1e-14, traces.real, 1.0)[:, None, None]
-    probs = np.ascontiguousarray(traces.reshape(-1, 4, n).transpose(0, 2, 1)).real
-    states = np.ascontiguousarray(sub.reshape(-1, 2, 2, 4, n).transpose(0, 4, 3, 1, 2))
-    return probs.reshape(stack + (n, 4)), states.reshape(stack + (n, 4, 2, 2))
+def _sender_kets(psis: np.ndarray) -> np.ndarray:
+    """s_k = B_k^T conj(psi) (4, n, 2) for the input kets ``psis`` (n, 2)."""
+    return np.einsum("kac,na->knc", _BELL, psis.conj())
 
 
 # Pauli frame that inverts teleportation over the (|HH>+|VV>)/sqrt2 channel,
 # one correction per Bell outcome
 STANDARD_CORRECTIONS = {"phi+": PAULI_I, "phi-": PAULI_Z, "psi+": PAULI_X, "psi-": PAULI_Y}
+_CORRECTIONS = np.array([STANDARD_CORRECTIONS[label] for label in _BELL_LABELS])
 
 
 def _frame_fidelities(channels: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Fidelity of teleporting ``psi`` with the ``STANDARD_CORRECTIONS`` Pauli
-    frame over each channel of a stack (m, 4, 4)."""
-    probs, states = _teleport_branches(channels, psi[None, :])
-    total = np.zeros(len(channels))
-    for k, label in enumerate(_BELL_LABELS):
-        c = STANDARD_CORRECTIONS[label]
-        # psi^dag c state c^dag psi, one (1, 2) row per channel (see above)
-        fids = ((psi.conj() @ c)[None, :] @ states[:, 0, k] @ c.conj().T
-                @ psi[:, None])[:, 0, 0].real
-        prob = probs[:, 0, k]
-        total = total + np.where(prob < 1e-14, 0.0, prob * fids)
-    return total
+    frame over each channel of a stack (m, 4, 4): sum_k <v_k|rho|v_k>.
+
+    einsum sums each channel's terms in the same order whatever the stack's
+    length, since the channels' axis, of the largest stride, is never its
+    inner loop: a row of ``werner_scan`` equals ``werner_point``."""
+    v = np.einsum("kc,ke->kce", _sender_kets(psi[None])[:, 0], _CORRECTIONS @ psi).reshape(4, 4)
+    return np.einsum("ki,mij,kj->m", v.conj(), channels, v).real
 
 
 def teleport_fidelity(channel: np.ndarray, psi: np.ndarray) -> float:
@@ -315,20 +278,8 @@ def _feedforward_sums(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
     return sum((probs * (2 * fractions + 1) / 3.0).T)
 
 
-_PAULI_DAGGERS = np.array(list(PAULIS.values())).conj()
-
-
-def _pauli_fidelities(psis: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """``<psi_n| P state_bnk P^dagger |psi_n>`` (b, n, k, p) for the inputs ``psis``
-    (n, 2), the branch states (b, n, k, 2, 2) of b channels and the Paulis P in
-    ``PAULIS`` order; the complex array's real view, laid out as the sums over n need."""
-    # P^dagger |psi> as (pauli, component, sample)
-    rotated = sum(np.einsum("pi,n->pin", _PAULI_DAGGERS[:, j], psis[:, j]) for j in (0, 1))
-    # contiguous states: einsum then runs its contiguous loop, 1.3x faster
-    fids = _four_terms("pn,bkn,pn->bkpn", rotated.conj().transpose(1, 0, 2),
-                       np.ascontiguousarray(states.transpose(3, 4, 0, 2, 1)),
-                       rotated.transpose(1, 0, 2))
-    return np.ascontiguousarray(fids.transpose(0, 3, 1, 2)).real
+# 1 (x) P on (qubit 1, qubit 2), for the Paulis P in ``PAULIS`` order
+_LOCAL_PAULIS = np.array([np.kron(PAULI_I, p) for p in PAULIS.values()])
 
 
 def mc_avg_teleport_fidelity(channel, n_samples: int, seed: int) -> float:
@@ -349,13 +300,15 @@ def mc_avg_teleport_fidelity(channel, n_samples: int, seed: int) -> float:
     psis = draws[:, 0] + 1j * draws[:, 1]
     psis /= np.linalg.norm(psis, axis=1, keepdims=True)
 
-    # every branch in one stack; the sums over the samples stay per branch
-    probs, states = _teleport_branches(np.array([b.state for b in branches]), psis)
-    fids = _pauli_fidelities(psis, states)
+    # M_kp = sum_n v v^dag, v = s_k (x) P^dag psi_n, is (1 (x) P) N_k (1 (x) P)
+    # with N_k = sum_n u u^dag, u = s_k (x) psi_n: one matmul over the outcomes
+    u = np.einsum("knc,ne->knce", _sender_kets(psis), psis).reshape(4, n_samples, 4)
+    moments = _LOCAL_PAULIS @ (u.transpose(0, 2, 1) @ u.conj())[:, None] @ _LOCAL_PAULIS
     grand = 0.0
-    for b, prob, fid in zip(branches, probs, fids):
-        # summed over samples per (outcome, Pauli); then the best Pauli per outcome
-        acc = np.einsum("nk,nkp->kp", prob, fid)
+    for b in branches:
+        # Tr[rho M_kp], summed over the samples per (outcome, Pauli); then the
+        # best Pauli per outcome
+        acc = np.einsum("ij,kpji->kp", b.state, moments).real
         best = float(acc.max(axis=1).sum()) / n_samples
         grand += b.probability * best
     return grand / total_p
@@ -411,9 +364,9 @@ def conditional_teleport_output(channel: np.ndarray, input_ket: np.ndarray,
     """
     input_ket = unit_ket(input_ket, "input_ket")
     cond = condition_on_controller(channel, controller_basis, outcome=controller_outcome)
-    probs, states = _teleport_branches(cond.state, input_ket[None, :])
-    psi_m = _BELL_LABELS.index("psi-")
-    branch_prob = float(probs[0, psi_m])
+    s = _sender_kets(input_ket[None])[_BELL_LABELS.index("psi-"), 0]
+    sigma = np.einsum("c,cedf,d->ef", s.conj(), cond.state.reshape(2, 2, 2, 2), s)
+    branch_prob = float(np.trace(sigma).real)
     if branch_prob <= 1e-14:
         raise ValueError("singlet projection never succeeds for this branch")
-    return states[0, psi_m], cond.probability * branch_prob
+    return sigma / branch_prob, cond.probability * branch_prob

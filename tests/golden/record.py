@@ -13,8 +13,9 @@ to ``$COLUMNS``.
 
 re-records the commands named on the command line, each as its
 ``shlex.join`` key (a key that starts with ``--``, such as
-``'--config run.ini run'``, is still a key); ``--all`` records the whole
-corpus (``corpus()``) afresh.
+``'--config run.ini run'``, is still a key); a command of ``corpus()`` that
+``digests.json`` lacks is recorded the same way.  ``--all`` records the whole
+corpus afresh.
 Re-recording changes a check, so each re-recorded command and its reason
 belong in CHANGES.md.
 
@@ -188,10 +189,14 @@ def digest(argv: list) -> str:
     """sha256 of the exit code, stdout and stderr of ``cli.main(argv)``."""
     from cqtsim import cli
 
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.chdir(HERE), mock.patch.dict(os.environ, COLUMNS="80"), \
-            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(list(argv))
+    out, err, cwd = io.StringIO(), io.StringIO(), os.getcwd()
+    os.chdir(HERE)  # contextlib.chdir needs Python 3.11
+    try:
+        with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            code = cli.main(list(argv))
+    finally:
+        os.chdir(cwd)
     record = json.dumps([code, out.getvalue(), err.getvalue()])
     return hashlib.sha256(record.encode("utf-8")).hexdigest()
 
@@ -212,6 +217,7 @@ def compare(path_a: str, path_b: str) -> int:
 
 
 def main(args: list) -> int:
+    keys = {shlex.join(argv) for argv in corpus()}
     if args[:1] == ["--compare"] and len(args) == 3:
         return compare(args[1], args[2])
     if args[:1] == ["--full-precision"] and len(args) == 2:
@@ -220,10 +226,10 @@ def main(args: list) -> int:
     elif args == ["--all"]:
         digests = {shlex.join(argv): digest(argv) for argv in corpus()}
         path = DIGESTS
-    elif args and (not args[0].startswith("--") or args[0] in load()):
-        digests = load()
+    elif args and (not args[0].startswith("--") or args[0] in keys):
+        digests = load(DIGESTS)
         for key in args:
-            if key not in digests:
+            if key not in keys:
                 print(f"not in the corpus: {key}", file=sys.stderr)
                 return 2
             digests[key] = digest(shlex.split(key))

@@ -8,14 +8,11 @@ element and ``elements.apply`` as they were before ``apply`` took the
 mode -> {mode: amplitude}: the bit-for-bit oracle of ``apply``.
 ``compose`` chains such maps: the tests use it as the oracle of
 ``protocol``'s optics matrix and of ``protocol.prepare_ghz``.
-``reference_mc_avg_teleport_fidelity`` and ``reference_werner_rows`` are
-``channels.mc_avg_teleport_fidelity`` and ``channels._werner_rows`` as they
-were before the Monte-Carlo average took every branch in one stack, the
-scan conditioned on +, - and H in one pass and ``_condition`` ran its terms
-with the channels innermost, copied verbatim with the private
-helpers this change touched (``_teleport_branches``, ``_pauli_fidelities``,
-``_frame_fidelities``, ``_condition``, ``_werner_channels``) under a
-``_reference_`` prefix: their bit-for-bit oracles.
+``reference_werner_rows`` is the F_allowed column of ``channels._werner_rows``
+as it was before the scan conditioned on +, - and H in one pass and
+``_condition`` ran its terms with the channels innermost, copied verbatim
+with the private helpers it uses (``_condition``, ``_werner_channels``)
+under a ``_reference_`` prefix: their bit-for-bit oracle.
 ``reference_poisson_uncertainty`` is ``estimation.poisson_uncertainty`` as it
 was before it took the mean and spread in two passes and clipped only after
 the background subtraction, copied verbatim with ``np.clip``, ``np.mean`` and
@@ -52,13 +49,11 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from cqtsim import protocol
-from cqtsim.channels import (_BELL, _BELL_LABELS, _PAULI_DAGGERS, PAULI_X, STANDARD_CORRECTIONS,
-                             _branches, _feedforward_sums, _four_terms, ghz_ket,
-                             ket_outer)
+from cqtsim.channels import PAULI_X, _feedforward_sums, ghz_ket, ket_outer
 from cqtsim.elements import phase_matrix
 from cqtsim.estimation import (FidelityEstimate, _check_poisson_mean, _check_resampling,
                                corrected_fidelity)
-from cqtsim.fock import KET_D, KET_H, H, V, PureState, _create, basis_pairs, spatial_counts
+from cqtsim.fock import H, V, PureState, _create, basis_pairs, spatial_counts
 from cqtsim.spdc import (_GRID_POINTS, _ROOT_COST, BACKWARD_MODES, FORWARD_MODES,
                          RATIO_BOUNDS, REFERENCE_KAPPA, RatioFit, _local_minima,
                          emission_orders)
@@ -406,87 +401,6 @@ def reference_run_protocol(config):
     return record, rho
 
 
-def _reference_teleport_branches(channel: np.ndarray, psis: np.ndarray):
-    """Bell-outcome probabilities (..., n, 4) and receiver states (..., n, 4, 2, 2).
-
-    The sender measures (input, qubit 1) in the Bell basis, outcomes in the
-    order of ``bell_kets``; ``psis`` (n, 2) are the input kets and
-    ``channel`` is one two-qubit channel (4, 4) or a stack (..., 4, 4).  A
-    branch with probability below 1e-14 keeps its unnormalized state.
-
-    ``states`` is C-contiguous: with non-contiguous states, 14 % of the BLAS
-    products of ``_frame_fidelities`` round differently.  ``probs`` is the
-    real part of a C-contiguous complex array.
-    """
-    channel = np.asarray(channel, dtype=complex)
-    stack, n = channel.shape[:-2], len(psis)
-    rho = channel.reshape((-1, 2, 2, 2, 2))
-    # <bell_k| on (input, qubit 1) applied to |psi> on the input, as (c, k n)
-    bras = _BELL.conj().transpose(1, 2, 0)
-    u = sum(np.einsum("ck,n->ckn", bras[a], psis[:, a]) for a in (0, 1)).reshape(2, -1)
-    sub = _four_terms("p,mef,p->mefp", u, rho.transpose(1, 3, 0, 2, 4), u.conj())
-    traces = np.einsum("meep->mp", sub)
-    sub /= np.where(traces.real > 1e-14, traces.real, 1.0)[:, None, None]
-    probs = np.ascontiguousarray(traces.reshape(-1, 4, n).transpose(0, 2, 1)).real
-    states = np.ascontiguousarray(sub.reshape(-1, 2, 2, 4, n).transpose(0, 4, 3, 1, 2))
-    return probs.reshape(stack + (n, 4)), states.reshape(stack + (n, 4, 2, 2))
-
-
-def _reference_pauli_fidelities(psis: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """``<psi_n| P state_nk P^dagger |psi_n>`` (n, k, p) for the inputs ``psis``
-    (n, 2), their branch states (n, k, 2, 2) and the Paulis P in ``PAULIS``
-    order; the complex array's real view, laid out as the sums over n need."""
-    # P^dagger |psi> as (pauli, component, sample)
-    rotated = sum(np.einsum("pi,n->pin", _PAULI_DAGGERS[:, j], psis[:, j]) for j in (0, 1))
-    fids = _four_terms("pn,kn,pn->kpn", rotated.conj().transpose(1, 0, 2),
-                       states.transpose(2, 3, 1, 0), rotated.transpose(1, 0, 2))
-    return np.ascontiguousarray(fids.transpose(2, 0, 1)).real
-
-
-def reference_mc_avg_teleport_fidelity(channel, n_samples: int, seed: int) -> float:
-    """Monte-Carlo cross-check of avg_teleport_fidelity over Haar inputs, on
-    the same ``channel`` argument.
-
-    Picks, per Bell outcome, the Pauli that maximizes the sample-averaged
-    fidelity, matching the closed-form protocol.
-    """
-    if n_samples is True or not (isinstance(n_samples, numbers.Integral) and n_samples >= 1):
-        raise ValueError(f"n_samples must be an integer of at least 1, got {n_samples!r}")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
-        raise ValueError(f"seed must be an explicit non-negative integer, got {seed!r}")
-    branches, total_p = _branches(channel)
-    rng = np.random.default_rng(seed)
-    # per sample: two real parts, then two imaginary parts
-    draws = rng.normal(size=(n_samples, 2, 2))
-    psis = draws[:, 0] + 1j * draws[:, 1]
-    psis /= np.linalg.norm(psis, axis=1, keepdims=True)
-
-    grand = 0.0
-    for b in branches:
-        probs, states = _reference_teleport_branches(b.state, psis)
-        fids = _reference_pauli_fidelities(psis, states)
-        # summed over samples per (outcome, Pauli); then the best Pauli per outcome
-        acc = np.einsum("nk,nkp->kp", probs, fids)
-        best = float(acc.max(axis=1).sum()) / n_samples
-        grand += b.probability * best
-    return grand / total_p
-
-
-def _reference_frame_fidelities(channels: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Fidelity of teleporting ``psi`` with the ``STANDARD_CORRECTIONS`` Pauli
-    frame over each channel of a stack (m, 4, 4)."""
-    probs, states = _reference_teleport_branches(channels, psi[None, :])
-    total = np.zeros(len(channels))
-    for k, label in enumerate(_BELL_LABELS):
-        c = STANDARD_CORRECTIONS[label]
-        # psi^dag c state c^dag psi, one (1, 2) row per channel (see above)
-        fids = ((psi.conj() @ c)[None, :] @ states[:, 0, k] @ c.conj().T
-                @ psi[:, None])[:, 0, 0].real
-        prob = probs[:, 0, k]
-        total = total + np.where(prob < 1e-14, 0.0, prob * fids)
-    return total
-
-
 def _reference_condition(channels: np.ndarray, kets) -> tuple:
     """Measure qubit 3 of a stack of channels (n, 8, 8) onto each of ``kets``.
 
@@ -514,10 +428,8 @@ def _reference_werner_channels(q_grid) -> np.ndarray:
     return qs * ket_outer(ghz_ket(1)) + (1 - qs) * np.eye(8, dtype=complex) / 8.0
 
 
-def reference_werner_rows(q_grid) -> tuple:
-    """F_allowed and F_denied (n,) over ``q_grid`` in one pass of the kernels."""
+def reference_werner_rows(q_grid) -> np.ndarray:
+    """F_allowed (n,) over ``q_grid`` in one pass of the kernels."""
     channels = _reference_werner_channels(q_grid)
     probs, states = _reference_condition(channels, [ket for ket, _ in basis_pairs("pm")])
-    allowed = _feedforward_sums(probs, states) / sum(probs.T)
-    _, denied_channels = _reference_condition(channels, [KET_H])
-    return allowed, _reference_frame_fidelities(denied_channels[:, 0], KET_D)
+    return _feedforward_sums(probs, states) / sum(probs.T)

@@ -69,3 +69,27 @@ def test_compare_names_every_command_that_differs(tmp_path, capsys):
                                        "3 of 4 commands differ\n")
     assert record.main(["--compare", str(a), str(a)]) == 0
     assert capsys.readouterr().out == "0 of 3 commands differ\n"
+
+
+@pytest.fixture
+def temporary_digests(tmp_path, monkeypatch):
+    """A digests file of one entry in place of the committed one."""
+    path = tmp_path / "digests.json"
+    path.write_text(json.dumps({"reproduce table1 --format csv": "0"}))
+    monkeypatch.setattr(record, "DIGESTS", str(path))
+    return path
+
+
+def test_a_command_the_corpus_gained_is_recorded(temporary_digests, monkeypatch):
+    gained, corpus = ["scan-werner", "--q-list", "0.25"], record.corpus
+    monkeypatch.setattr(record, "corpus", lambda: corpus() + [gained])
+    assert record.main([shlex.join(gained)]) == 0
+    assert json.loads(temporary_digests.read_text()) == {
+        "reproduce table1 --format csv": "0", shlex.join(gained): record.digest(gained)}
+
+
+@pytest.mark.parametrize("key", ["scan-werner --q-list 0.25", "--config missing.ini run"])
+def test_a_command_outside_the_corpus_is_not_recorded(temporary_digests, capsys, key):
+    assert record.main(["reproduce table1 --format csv", key]) == 2
+    assert capsys.readouterr().err == f"not in the corpus: {key}\n"
+    assert json.loads(temporary_digests.read_text()) == {"reproduce table1 --format csv": "0"}
