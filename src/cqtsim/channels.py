@@ -291,7 +291,7 @@ def mc_avg_teleport_fidelity(channel, n_samples: int, seed: int) -> float:
     """
     if n_samples is True or not (isinstance(n_samples, numbers.Integral) and n_samples >= 1):
         raise ValueError(f"n_samples must be an integer of at least 1, got {n_samples!r}")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ValueError(f"seed must be an explicit non-negative integer, got {seed!r}")
     branches, total_p = _branches(channel)
     rng = np.random.default_rng(seed)

@@ -31,9 +31,9 @@ import warnings
 import numpy as np
 
 from .channels import werner_scan
-from .estimation import (POISSON_MAX_MEAN, NonPhysicalError, _resampled_fit,
-                         corrected_fidelity, correct_for_background, ml_reconstruct,
-                         poisson_uncertainty, read_counts_csv)
+from .estimation import (POISSON_MAX_MEAN, NonPhysicalError, corrected_fidelity,
+                         correct_for_background, ml_reconstruct, poisson_uncertainty,
+                         read_counts_csv, resampled_tomography)
 from .fock import fidelity, parse_ket
 from .protocol import (InputQubit, NoCoincidenceError, ProtocolConfig, count_rates,
                        emulate_mixture)
@@ -572,8 +572,8 @@ def cmd_tomo(args) -> int:
     with _warnings_to_stderr():
         if args.resamples:
             try:
-                result, corrected, est = _resampled_fit(counts, target, args.seed,
-                                                        args.resamples, args.weight)
+                result, corrected, est = resampled_tomography(counts, target, args.seed,
+                                                              args.resamples, args.weight)
             except ValueError as exc:
                 failure = exc
         if failure is not None or not args.resamples:

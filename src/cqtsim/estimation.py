@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fock import parse_ket, unit_ket, unit_pair
+from .fock import check_density, parse_ket, unit_ket, unit_pair
 
 
 @dataclass
@@ -49,14 +49,6 @@ class ProjectionCounts:
 
     def counts(self) -> np.ndarray:
         return np.array([c for _, c in self.settings])
-
-    def is_informationally_complete(self) -> bool:
-        return _spans_operators(np.array(self.projectors()))
-
-
-def _spans_operators(projectors: np.ndarray) -> bool:
-    """Whether projectors (m, 2, 2) span the 4-dimensional operator space."""
-    return np.linalg.matrix_rank(projectors.reshape(-1, 4), tol=1e-10) >= 4
 
 
 def axial_counts(counts_by_name: dict) -> ProjectionCounts:
@@ -128,8 +120,7 @@ def _bloch_rho(r: np.ndarray) -> np.ndarray:
                           axis=-1).reshape(*r.shape[:-1], 2, 2)
 
 
-def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
-               max_iterations: int):
+def _ml_kernel(projectors: np.ndarray, tables: np.ndarray):
     """Maximum-likelihood states of a stack of count tables, by Newton's
     method on the Bloch vector r over the unit ball.
 
@@ -148,23 +139,16 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
     1e-12 of its trace: that keeps it invertible where no count bears on a
     direction (as in ``tests/golden/sparse.csv``) and moves no fixed point.
 
-    A table converges when its Newton step is at most ``tol`` long, so the
-    KKT conditions of the ball hold to that length in r; it takes that step
-    too if the step is accepted in full.  It stops unconverged when no
-    halving of its step is accepted, or after ``max_iterations`` steps.  No
+    A table converges when its Newton step is at most ``ML_TOL`` long, so
+    the KKT conditions of the ball hold to that length in r; it takes that
+    step too if the step is accepted in full.  It stops unconverged when no
+    halving of its step is accepted, or after ``ML_MAX_ITERATIONS`` steps.  No
     operation mixes the tables (einsum's loops, unlike a BLAS product over
     the stack, round each row alike), so each table ends with its own bits.
 
     Returns ``(rho (n, 2, 2), converged (n,), iterations (n,), trace)``,
-    ``trace`` being table 0's L at r = 0 and after every accepted step.  A
-    ``tol`` that is NaN or negative or a ``max_iterations`` that is not an
-    integer of at least 1 raises ValueError.
+    ``trace`` being table 0's L at r = 0 and after every accepted step.
     """
-    if not tol >= 0.0:
-        raise ValueError(f"tol must be a non-negative number, got {tol!r}")
-    if not (isinstance(max_iterations, numbers.Integral) and max_iterations >= 1):
-        raise ValueError(f"max_iterations must be an integer of at least 1, "
-                         f"got {max_iterations!r}")
     n, m = tables.shape
     w = np.trace(projectors, axis1=1, axis2=2).real
     axes = _bloch_vector(projectors)
@@ -180,12 +164,12 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
         return ll, p
 
     r, sphere = np.zeros((n, 3)), np.zeros(n, dtype=bool)
-    converged, iterations = np.zeros(n, dtype=bool), np.full(n, max_iterations)
+    converged, iterations = np.zeros(n, dtype=bool), np.full(n, ML_MAX_ITERATIONS)
     running = np.ones(n, dtype=bool)
     f = tables / tables.sum(axis=1, keepdims=True)
     ll, p = evaluate(r, f)
     trace = [float(ll[0])]
-    for iteration in range(1, max_iterations + 1):
+    for iteration in range(1, ML_MAX_ITERATIONS + 1):
         if not running.any():
             break
         q = np.divide(f, p, out=np.zeros_like(f), where=f > 0)
@@ -202,7 +186,7 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
             hess[sphere] = ((eye - normal) @ (hess[sphere] - mu[sphere, None, None] * eye)
                             @ (eye - normal) - normal)
         step = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
-        done = np.sqrt((step * step).sum(axis=1)) <= tol
+        done = np.sqrt((step * step).sum(axis=1)) <= ML_TOL
 
         # the full step, then halves of it for the tables that are not done
         ok, rows, t = np.zeros(n, dtype=bool), np.flatnonzero(running), 1.0
@@ -227,30 +211,27 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray, tol: float,
     return _bloch_rho(r), converged, iterations, trace
 
 
-def ml_reconstruct(counts: ProjectionCounts, tol: float = ML_TOL,
-                   max_iterations: int = ML_MAX_ITERATIONS) -> MLResult:
+def ml_reconstruct(counts: ProjectionCounts) -> MLResult:
     """Maximum-likelihood estimate of a qubit state over the Bloch ball, by
     Newton's method on its Bloch vector (``_ml_kernel``).  The trace of
     log-likelihoods per count never falls, and ``converged`` certifies the
-    KKT conditions of the ball to ``tol`` in the Bloch vector;
-    non-convergence is flagged on the result, never raised.  A ``tol`` that
-    is NaN or negative or a ``max_iterations`` that is not an integer of at
-    least 1 raises ValueError.
+    KKT conditions of the ball to ``ML_TOL`` in the Bloch vector;
+    non-convergence is flagged on the result, never raised.
     """
-    return _ml_fit(counts, np.empty((0, len(counts.settings))), tol, max_iterations)[0]
+    return _ml_fit(counts, np.empty((0, len(counts.settings))))[0]
 
 
-def _ml_fit(counts: ProjectionCounts, resamples: np.ndarray, tol, max_iterations) -> tuple:
+def _ml_fit(counts: ProjectionCounts, resamples: np.ndarray) -> tuple:
     """``ml_reconstruct(counts)`` and the states of the ``resamples`` (k, m),
     from one kernel run with the observed table as table 0."""
     projectors = np.array(counts.projectors())
-    if not _spans_operators(projectors):
+    # the projectors must span the 4-dimensional operator space
+    if np.linalg.matrix_rank(projectors.reshape(-1, 4), tol=1e-10) < 4:
         raise ValueError("projector set is not informationally complete")
     ns = counts.counts()
     if np.sum(ns) <= 0:
         raise ValueError("all counts are zero")
-    rho, converged, iterations, trace = _ml_kernel(
-        projectors, np.vstack([ns, resamples]), tol, max_iterations)
+    rho, converged, iterations, trace = _ml_kernel(projectors, np.vstack([ns, resamples]))
     return MLResult(rho=rho[0], converged=bool(converged[0]), iterations=int(iterations[0]),
                     log_likelihoods=trace), rho[1:]
 
@@ -293,15 +274,13 @@ def ml_oracle_bloch_search(counts: ProjectionCounts) -> np.ndarray:
 # --- background subtraction ------------------------------------------------------
 
 def corrected_fidelity(f_raw: float, w: float) -> float:
-    """Fidelity after removing a maximally mixed admixture of weight ``w``;
-    ``f_raw`` is one raw fidelity or an array of them, each in [0, 1]."""
+    """Fidelity after removing a maximally mixed admixture of weight ``w``
+    from one raw fidelity ``f_raw`` in [0, 1]."""
     if not 0.0 <= w < 1.0:
         raise ValueError("background weight must lie in [0, 1)")
-    raw = np.asarray(f_raw)
-    outside = ~((raw >= 0.0) & (raw <= 1.0))
-    if outside.any():
+    if not 0.0 <= f_raw <= 1.0:
         raise ValueError(f"raw fidelity f_raw must be finite and lie in [0, 1], got "
-                         f"{float(raw[outside].flat[0])!r}")
+                         f"{float(f_raw)!r}")
     return (f_raw - w / 2.0) / (1.0 - w)
 
 
@@ -330,14 +309,7 @@ def correct_for_background(raw: np.ndarray, w: float) -> np.ndarray:
     raw = np.asarray(raw, dtype=complex)
     if raw.shape[-2:] != (2, 2):
         raise ValueError(f"density matrices must have shape (..., 2, 2), got {raw.shape}")
-    if not np.isfinite(raw).all():
-        raise ValueError("density matrices must be finite")
-    if (np.abs(raw - raw.conj().swapaxes(-1, -2)) > 1e-9).any():
-        raise ValueError("density matrices must be Hermitian")
-    trace = raw[..., 0, 0] + raw[..., 1, 1]
-    wrong = trace[np.abs(trace - 1.0) > 1e-9]
-    if wrong.size:
-        raise ValueError(f"density matrices must have unit trace, got {float(wrong[0].real)!r}")
+    check_density(raw, "density matrices")
     r = _bloch_vector(raw) / (1.0 - w)
     length = np.hypot(np.hypot(r[..., 0], r[..., 1]), r[..., 2])
     lowest = (1.0 - length) / 2
@@ -366,7 +338,7 @@ def _check_poisson_mean(largest: float) -> None:
 def _check_resampling(seed, n_resamples) -> None:
     if not (isinstance(n_resamples, numbers.Integral) and n_resamples >= 100):
         raise ValueError(f"n_resamples must be an integer of at least 100, got {n_resamples!r}")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+    if isinstance(seed, bool) or not (isinstance(seed, numbers.Integral) and seed >= 0):
         raise ValueError(f"seed must be an explicit non-negative integer, got {seed!r}")
 
 
@@ -381,14 +353,12 @@ def _estimate(values: np.ndarray) -> FidelityEstimate:
     return FidelityEstimate(value=float(mean), uncertainty=math.sqrt(spread.sum() / n))
 
 
-def poisson_uncertainty(data, seed: int, n_resamples: int = 10_000,
-                        background_w: float = 0.0) -> FidelityEstimate:
+def poisson_uncertainty(data, seed: int, n_resamples: int = 10_000) -> FidelityEstimate:
     """Poisson-resampled count-ratio fidelity of a (parallel, orthogonal)
-    pair of counts ``data``, optionally corrected for the background weight;
-    deterministic for a fixed seed.  A ``data`` that is not a pair of finite
-    non-negative numbers or is all zero, a ``seed`` that is not a non-negative
-    integer or an ``n_resamples`` that is not an integer of at least 100
-    raises ValueError.
+    pair of counts ``data``; deterministic for a fixed seed.  A ``data`` that
+    is not a pair of finite non-negative numbers or is all zero, a ``seed``
+    that is not a non-negative integer or an ``n_resamples`` that is not an
+    integer of at least 100 raises ValueError.
     """
     _check_resampling(seed, n_resamples)
     try:
@@ -410,36 +380,28 @@ def poisson_uncertainty(data, seed: int, n_resamples: int = 10_000,
     else:
         keep = totals > 0
         values = draws[keep, 0] / totals[keep]
-    # a ratio of counts lies in [0, 1]; only the subtraction can leave it
-    if background_w:
-        values = np.clip(corrected_fidelity(values, background_w), 0.0, 1.0)
     return _estimate(values)
 
 
 def resampled_tomography(counts: ProjectionCounts, target, seed: int, n_resamples: int,
                          background_w: float = 0.0) -> tuple:
     """The maximum-likelihood fit of ``counts`` and a Poisson-resampled
-    fidelity with ``target``: ``(ml_reconstruct(counts), estimate)``.
+    fidelity with ``target``: ``(ml_reconstruct(counts), corrected,
+    estimate)``, ``corrected`` being the fitted state corrected for
+    ``background_w`` (``correct_for_background``).
 
     The nonempty of ``n_resamples`` tables drawn around ``counts`` are fitted
     in one kernel run, with the observed table as table 0, and corrected for
     ``background_w``, the observed state first.  ``seed`` and ``n_resamples``
     are checked as ``poisson_uncertainty`` checks them.
     """
-    result, _, estimate = _resampled_fit(counts, target, seed, n_resamples, background_w)
-    return result, estimate
-
-
-def _resampled_fit(counts, target, seed, n_resamples, background_w) -> tuple:
-    """``(result, corrected, estimate)``: ``resampled_tomography``'s result
-    and estimate, and the observed state corrected for ``background_w``."""
     _check_resampling(seed, n_resamples)
     target = unit_ket(target, "target")
     means = counts.counts()
     _check_poisson_mean(means.max(initial=0.0))
     tables = np.random.default_rng(seed).poisson(
         means, size=(n_resamples, means.size)).astype(float)
-    result, rho = _ml_fit(counts, tables[tables.sum(axis=1) > 0], ML_TOL, ML_MAX_ITERATIONS)
+    result, rho = _ml_fit(counts, tables[tables.sum(axis=1) > 0])
     corrected = correct_for_background(result.rho, background_w)
     if background_w:
         rho = correct_for_background(rho, background_w)

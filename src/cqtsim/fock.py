@@ -320,6 +320,19 @@ def to_qubit_density(state: PureState, spatials: Sequence[int]) -> np.ndarray:
     return rho / tr
 
 
+def check_density(rho: np.ndarray, what: str) -> None:
+    """ValueError naming ``what`` unless each matrix of the complex array
+    ``rho`` (..., d, d) is finite, and Hermitian and of unit trace within 1e-9."""
+    if not np.isfinite(rho).all():
+        raise ValueError(f"{what} must be finite")
+    if (np.abs(rho - rho.conj().swapaxes(-1, -2)) > 1e-9).any():
+        raise ValueError(f"{what} must be Hermitian")
+    trace = np.trace(rho, axis1=-2, axis2=-1)
+    wrong = trace[np.abs(trace - 1.0) > 1e-9]
+    if wrong.size:
+        raise ValueError(f"{what} must have unit trace, got {float(wrong[0].real)!r}")
+
+
 def fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
     """Overlap <psi|rho|psi> of a unit ket with ``rho``, which must be a finite,
     Hermitian 2x2 matrix of unit trace, each within 1e-9, or ValueError."""
@@ -327,12 +340,7 @@ def fidelity(rho: np.ndarray, psi: np.ndarray) -> float:
     psi = unit_ket(psi, "psi")
     if rho.shape != (2, 2):
         raise ValueError(f"dimension mismatch: rho {rho.shape}, psi {psi.shape}")
-    if not np.isfinite(rho).all():
-        raise ValueError("rho must be finite")
-    if np.abs(rho - rho.conj().T).max() > 1e-9:
-        raise ValueError("rho must be Hermitian")
-    if abs(np.trace(rho) - 1.0) > 1e-9:
-        raise ValueError(f"rho must have unit trace, got {float(np.trace(rho).real)!r}")
+    check_density(rho, "rho")
     val = complex(psi.conj() @ rho @ psi)
     if abs(val.imag) > 1e-12:
         raise ValueError(f"fidelity has non-negligible imaginary part {val.imag:g}")

@@ -68,7 +68,7 @@ class SourceParams:
                              f"|kappa_backward| = {kb:.4g} are too weak for double precision: "
                              f"the stronger must be at least {MIN_KAPPA:.4g}, or both 0")
         order = self.truncation_order
-        if not (isinstance(order, numbers.Integral) and order >= 1):
+        if isinstance(order, bool) or not (isinstance(order, numbers.Integral) and order >= 1):
             raise ValueError(f"truncation_order must be an integer >= 1, got {order!r}")
 
 

@@ -16,7 +16,8 @@ under a ``_reference_`` prefix: their bit-for-bit oracle.
 ``reference_poisson_uncertainty`` is ``estimation.poisson_uncertainty`` as it
 was before it took the mean and spread in two passes and clipped only after
 the background subtraction, copied verbatim with ``np.clip``, ``np.mean`` and
-``np.std``: its bit-for-bit oracle.
+``np.std`` but without the background branch, which left with
+``background_w``: its bit-for-bit oracle.
 ``reference_undesired_shares`` and ``reference_fit_source_ratio`` are
 ``spdc._undesired_shares`` and ``spdc.fit_source_ratio`` as they were before
 the zoom kept its bracket in Python floats and the shares skipped the
@@ -51,8 +52,7 @@ import numpy as np
 from cqtsim import protocol
 from cqtsim.channels import PAULI_X, _feedforward_sums, ghz_ket, ket_outer
 from cqtsim.elements import phase_matrix
-from cqtsim.estimation import (FidelityEstimate, _check_poisson_mean, _check_resampling,
-                               corrected_fidelity)
+from cqtsim.estimation import FidelityEstimate, _check_poisson_mean, _check_resampling
 from cqtsim.fock import H, V, PureState, _create, basis_pairs, spatial_counts
 from cqtsim.spdc import (_GRID_POINTS, _ROOT_COST, BACKWARD_MODES, FORWARD_MODES,
                          RATIO_BOUNDS, REFERENCE_KAPPA, RatioFit, _local_minima,
@@ -197,8 +197,7 @@ def phase_on(phi: float, pol: str) -> np.ndarray:
     return phase_matrix(phi) if pol == V else phase_matrix(phi)[::-1, ::-1]
 
 
-def reference_poisson_uncertainty(data, seed: int, n_resamples: int = 10_000,
-                                  background_w: float = 0.0) -> FidelityEstimate:
+def reference_poisson_uncertainty(data, seed: int, n_resamples: int = 10_000) -> FidelityEstimate:
     _check_resampling(seed, n_resamples)
     try:
         f_par, f_perp = data
@@ -219,8 +218,6 @@ def reference_poisson_uncertainty(data, seed: int, n_resamples: int = 10_000,
     else:
         keep = totals > 0
         values = draws[keep, 0] / totals[keep]
-    if background_w:
-        values = corrected_fidelity(values, background_w)
     values = np.clip(values, 0.0, 1.0)
     if values.size == 0:
         raise ValueError("every resample was empty")

@@ -278,7 +278,7 @@ def test_criterion_09_tomography():
         vec /= np.linalg.norm(vec)
         purity = rng.uniform(0.2, 1.0)
         rho_true = purity * np.outer(vec, vec.conj()) + (1 - purity) * np.eye(2) / 2
-        res = ml_reconstruct(_exact_counts(rho_true), tol=1e-13)
+        res = ml_reconstruct(_exact_counts(rho_true))
         ll = res.log_likelihoods
         assert all(b >= a - 1e-12 for a, b in zip(ll, ll[1:]))
         worst_fid = min(worst_fid, _qubit_uhlmann(res.rho, rho_true))
@@ -291,7 +291,7 @@ def test_criterion_09_tomography():
         purity = rng.uniform(0.2, 0.9)
         rho_true = purity * np.outer(vec, vec.conj()) + (1 - purity) * np.eye(2) / 2
         counts = _exact_counts(rho_true)
-        res = ml_reconstruct(counts, tol=1e-13)
+        res = ml_reconstruct(counts)
         oracle = ml_oracle_bloch_search(counts)
         dist = 0.5 * float(np.abs(np.linalg.eigvalsh(res.rho - oracle)).sum())
         worst_dist = max(worst_dist, dist)

@@ -21,8 +21,9 @@ through its channel: for ``"without_controller_info"`` the library gets
 Each row of ``werner_scan`` must equal ``werner_point`` at its q, bit for bit.
 
 ``float_count_pair`` is the count-pair resampling as it was before its
-totals became integer sums, copied verbatim; the draws and every division
-are the same, so that comparison uses ``==`` too.
+totals became integer sums, copied verbatim without the background branch
+that left ``poisson_uncertainty``; the draws and every division are the
+same, so that comparison uses ``==`` too.
 
 ``eigendecomposed_correction`` is the background subtraction done on the
 matrices: subtract, diagonalise, clip negative eigenvalues to 0 and
@@ -37,6 +38,7 @@ import warnings
 import numpy as np
 import pytest
 
+from cqtsim import estimation
 from cqtsim.channels import (PAULI_I, PAULIS, STANDARD_CORRECTIONS, ConditionalChannel,
                              _sender_kets, avg_teleport_fidelity, bell_kets,
                              condition_on_controller, conditional_teleport_output,
@@ -268,10 +270,10 @@ def ml_corpus(name):
                                     "benchmark"])
 def test_kernel_rows_match_one_table_calls(corpus):
     for projectors, tables in ml_corpus(corpus):
-        rho, converged, iterations, trace = _ml_kernel(projectors, tables, 1e-10, 100_000)
+        rho, converged, iterations, trace = _ml_kernel(projectors, tables)
         assert converged.all()
         for i, table in enumerate(tables):
-            alone = _ml_kernel(projectors, table[None], 1e-10, 100_000)
+            alone = _ml_kernel(projectors, table[None])
             assert rho[i].tobytes() == alone[0][0].tobytes()
             assert (converged[i], iterations[i]) == (alone[1][0], alone[2][0])
             if i == 0:
@@ -279,12 +281,12 @@ def test_kernel_rows_match_one_table_calls(corpus):
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
-def test_kernel_respects_max_iterations_per_table(cap):
+def test_kernel_respects_max_iterations_per_table(cap, monkeypatch):
     # a table that converges within the cap is not cut short, the others stop at it
     tables = seeded_tables(8, 12, 1000)
-    _, converged, iterations, _ = _ml_kernel(axial_projectors(), tables, 1e-10, cap)
-    _, full_converged, full_iterations, _ = _ml_kernel(axial_projectors(), tables, 1e-10,
-                                                       100_000)
+    _, full_converged, full_iterations, _ = _ml_kernel(axial_projectors(), tables)
+    monkeypatch.setattr(estimation, "ML_MAX_ITERATIONS", cap)
+    _, converged, iterations, _ = _ml_kernel(axial_projectors(), tables)
     assert np.array_equal(iterations, np.minimum(full_iterations, cap))
     assert np.array_equal(converged, full_converged & (full_iterations <= cap))
 
@@ -292,8 +294,7 @@ def test_kernel_respects_max_iterations_per_table(cap):
 def test_ml_reconstruct_is_the_single_table_case():
     for table in seeded_tables(21, 10, 800):
         res = ml_reconstruct(axial_counts(dict(zip(AXIAL, table))))
-        rho, converged, iterations, trace = _ml_kernel(axial_projectors(), table[None], 1e-10,
-                                                       100_000)
+        rho, converged, iterations, trace = _ml_kernel(axial_projectors(), table[None])
         assert res.rho.tobytes() == rho[0].tobytes()
         assert (res.converged, res.iterations) == (converged[0], iterations[0])
         assert res.log_likelihoods == trace
@@ -306,8 +307,8 @@ def test_poisson_tomography_matches_scalar_resampling(weight):
     counts = axial_counts({"h": 1200, "v": 800, "plus": 1500, "minus": 500,
                            "r": 1100, "l": 900})
     target = np.array([0.6, 0.8j])
-    _, est = resampled_tomography(counts, target, seed=17, n_resamples=150,
-                                  background_w=weight)
+    _, _, est = resampled_tomography(counts, target, seed=17, n_resamples=150,
+                                     background_w=weight)
     mean, std = scalar_poisson_tomography(counts, 17, 150, weight, target)
     assert est.value == pytest.approx(mean, abs=1e-12)
     assert est.uncertainty == pytest.approx(std, abs=1e-12)
@@ -318,21 +319,19 @@ def test_poisson_tomography_with_empty_resamples_matches_scalar():
     # must be dropped by both implementations
     counts = ProjectionCounts([(KET_H, 0.5), (KET_V, 0.3), (KET_D, 0.4),
                                (KET_A, 0.2), (KET_R, 0.3), (KET_L, 0.3)])
-    _, est = resampled_tomography(counts, KET_D, seed=3, n_resamples=200)
+    _, _, est = resampled_tomography(counts, KET_D, seed=3, n_resamples=200)
     mean, std = scalar_poisson_tomography(counts, 3, 200, 0.0, KET_D)
     assert est.value == pytest.approx(mean, abs=1e-12)
     assert est.uncertainty == pytest.approx(std, abs=1e-12)
 
 
-def float_count_pair(data, seed, n_resamples, background_w=0.0):
+def float_count_pair(data, seed, n_resamples):
     rng = np.random.default_rng(seed)
     f_par, f_perp = data
     draws = rng.poisson((f_par, f_perp), size=(n_resamples, 2)).astype(float)
     totals = draws.sum(axis=1)
     keep = totals > 0
     values = draws[keep, 0] / totals[keep]
-    if background_w:
-        values = (values - background_w / 2.0) / (1.0 - background_w)
     values = np.clip(values, 0.0, 1.0)
     return float(np.mean(values)), float(np.std(values))
 
@@ -340,14 +339,13 @@ def float_count_pair(data, seed, n_resamples, background_w=0.0):
 @pytest.mark.parametrize("seed", [1, 7, 42, 2026])
 @pytest.mark.parametrize("means", [(6000.0, 4000.0), (80.0, 20.0), (0.5, 0.3),
                                    (0.02, 0.01)])
-@pytest.mark.parametrize("weight", [0.0, 0.2])
-def test_count_pair_resampling_is_bit_identical(means, seed, weight):
+def test_count_pair_resampling_is_bit_identical(means, seed):
     rng = np.random.default_rng(seed)
     empty = int((rng.poisson(means, size=(2000, 2)).sum(axis=1) == 0).sum())
     # the two small means leave empty resamples, so the masked branch runs
     assert (empty > 0) == (sum(means) < 1.0)
-    est = poisson_uncertainty(means, seed=seed, n_resamples=2000, background_w=weight)
-    assert (est.value, est.uncertainty) == float_count_pair(means, seed, 2000, weight)
+    est = poisson_uncertainty(means, seed=seed, n_resamples=2000)
+    assert (est.value, est.uncertainty) == float_count_pair(means, seed, 2000)
 
 
 def test_count_pair_resampling_with_every_resample_empty_raises():

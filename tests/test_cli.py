@@ -294,13 +294,13 @@ def test_tomo_default_precision_ignores_last_bit_changes(tmp_path, monkeypatch, 
     ml = cli.ml_reconstruct
     monkeypatch.setattr(cli, "ml_reconstruct",
                         lambda c: replace(ml(c), rho=ml(c).rho * (1 + 4e-16)))
-    tomography = cli._resampled_fit
+    tomography = cli.resampled_tomography
 
     def nudged(*args):
         result, corrected, estimate = tomography(*args)
         return replace(result, rho=result.rho * (1 + 4e-16)), corrected * (1 + 4e-16), estimate
 
-    monkeypatch.setattr(cli, "_resampled_fit", nudged)
+    monkeypatch.setattr(cli, "resampled_tomography", nudged)
     for (options, fmt), before in zip(runs, outputs):
         assert run_cli(options + ["--format", fmt]) == 0
         assert capsys.readouterr().out == before
@@ -717,7 +717,7 @@ def test_tomo_full_precision_prints_the_spread_as_computed(tmp_path, capsys):
     write_counts(counts, PURE_PLUS)
     assert run_cli(["tomo", "--counts", str(counts), "--target=plus", "--weight", "0",
                     "--resamples", "100", "--seed", "6", "--full-precision"]) == 0
-    _, estimate = resampled_tomography(read_counts_csv(counts), KET_D, 6, 100)
+    _, _, estimate = resampled_tomography(read_counts_csv(counts), KET_D, 6, 100)
     assert 0.0 < estimate.uncertainty < 1e-15
     assert f"fidelity_std,{estimate.uncertainty!r}" in capsys.readouterr().out.splitlines()
 
@@ -959,7 +959,7 @@ def test_tomo_observed_weight_error_hides_failing_resamples(tmp_path):
 
     counts = axial_counts(W554)
     draws = np.random.default_rng(27).poisson(counts.counts(), size=(300, 6)).astype(float)
-    rho = _ml_kernel(np.array(counts.projectors()), draws, 1e-10, 100_000)[0]
+    rho = _ml_kernel(np.array(counts.projectors()), draws)[0]
     with pytest.raises(NonPhysicalError) as exc:
         correct_for_background(rho, 0.8)
     assert exc.value.n_bad > 100
@@ -1053,7 +1053,7 @@ def test_resamples_cap(tmp_path, monkeypatch, capsys):
     assert run_cli(["run", "--ideal", "--resamples", "100000", "--seed", "1"]) == 0
     assert run_cli(["run", "--ideal", "--resamples", "100001", "--seed", "1"]) == 2
     calls = []
-    monkeypatch.setattr(cli, "_resampled_fit", lambda counts, target, seed, n, w: (
+    monkeypatch.setattr(cli, "resampled_tomography", lambda counts, target, seed, n, w: (
         calls.append(n) or (cli.ml_reconstruct(counts), np.eye(2) / 2,
                             FidelityEstimate(0.5, 0.1))))
     counts = tmp_path / "counts.csv"

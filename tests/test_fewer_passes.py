@@ -86,11 +86,14 @@ KINDS = ("poisson", "zeros", "below1", "pure", "vanishing", "sparse")
 
 
 def assert_rows_run_alone(projectors, tables, tol, cap):
-    """Every table of a kernel run ends as it does alone, within its cap;
-    the trace, table 0's, never falls."""
-    rho, converged, iterations, trace = _ml_kernel(projectors, tables, tol, cap)
-    for i, table in enumerate(tables):
-        alone = _ml_kernel(projectors, table[None], tol, cap)
+    """Every table of a kernel run with the stopping rule (tol, cap) ends as
+    it does alone, within its cap; the trace, table 0's, never falls."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(estimation, "ML_TOL", tol)
+        patch.setattr(estimation, "ML_MAX_ITERATIONS", cap)
+        rho, converged, iterations, trace = _ml_kernel(projectors, tables)
+        alones = [_ml_kernel(projectors, table[None]) for table in tables]
+    for i, alone in enumerate(alones):
         assert rho[i].tobytes() == alone[0][0].tobytes()
         assert (converged[i], iterations[i]) == (alone[1][0], alone[2][0])
         if i == 0:
@@ -124,8 +127,9 @@ def test_kernel_corpus_reaches_every_path(monkeypatch):
         n = (1, 2, 57)[seed % 3]
         projectors, tables = stack_of(kind, rng, n)
         cap = 2 if seed % 5 == 3 else 2000
+        monkeypatch.setattr(estimation, "ML_MAX_ITERATIONS", cap)
         logs[0] = 0
-        rho, converged, iterations, _ = _ml_kernel(projectors, tables, 1e-10, cap)
+        rho, converged, iterations, _ = _ml_kernel(projectors, tables)
         # one evaluation at r = 0 and one full step per iteration of the longest table
         if logs[0] > 1 + iterations.max():
             seen.add("halved")

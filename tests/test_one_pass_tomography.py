@@ -3,21 +3,23 @@ in one kernel run, against the two runs it replaced.
 
 The observed table is table 0 of the stack.  Its state, flag, iteration
 count and likelihood trace must be ``ml_reconstruct``'s, and the resample
-rows what a kernel call on the resamples alone gives, bit for bit.  The
+rows what a kernel call on the resamples alone gives, bit for bit; so must
+the corrected state be ``correct_for_background`` of ``ml_reconstruct``'s.  The
 estimate is compared by ``repr`` with ``two_run_tomography``, which fits the
 resamples in a kernel call of their own; so are its warnings and its errors.
 """
 
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cqtsim.estimation as estimation
 from cqtsim import cli
-from cqtsim.estimation import (ML_MAX_ITERATIONS, ML_TOL, FidelityEstimate, NonPhysicalError,
-                               ProjectionCounts, _ml_kernel, axial_counts,
-                               correct_for_background, ml_reconstruct, resampled_tomography)
+from cqtsim.estimation import (FidelityEstimate, NonPhysicalError, ProjectionCounts,
+                               _ml_kernel, axial_counts, correct_for_background,
+                               ml_reconstruct, read_counts_csv, resampled_tomography)
 from cqtsim.fock import KET_D, KET_H
 
 from test_cli import write_counts
@@ -77,7 +79,7 @@ def run_recorded(monkeypatch, *args):
 def fit_alone(counts, tables):
     """The states of ``tables`` over the projectors of ``counts``, from a
     kernel call of their own."""
-    return _ml_kernel(np.array(counts.projectors()), tables, ML_TOL, ML_MAX_ITERATIONS)[0]
+    return _ml_kernel(np.array(counts.projectors()), tables)[0]
 
 
 def two_run_tomography(counts, seed, n_resamples, background_w, target):
@@ -101,13 +103,27 @@ def two_run_tomography(counts, seed, n_resamples, background_w, target):
 @pytest.mark.parametrize("name", FIXTURES)
 def test_observed_row_is_ml_reconstruct_bit_for_bit(name, seed, monkeypatch):
     counts, weight = FIXTURES[name]
-    (result, _), calls, _ = run_recorded(monkeypatch, counts, TARGET, seed, 300, weight)
+    (result, _, _), calls, _ = run_recorded(monkeypatch, counts, TARGET, seed, 300, weight)
     assert len(calls) == 1
     ref = ml_reconstruct(counts)
     assert result.rho.tobytes() == ref.rho.tobytes()
     assert (result.converged, result.iterations) == (ref.converged, ref.iterations)
     assert result.log_likelihoods == ref.log_likelihoods
     assert all(isinstance(v, float) for v in result.log_likelihoods)
+
+
+@pytest.mark.parametrize("table, weight", [("axial", 0.0), ("axial", 0.2),
+                                           ("nearpure-1", 0.0105), ("pure", 0.001)])
+def test_corrected_state_is_the_observed_fit_corrected_bit_for_bit(table, weight):
+    # nearpure-1's resamples at 0.0105 and pure's observed state at 0.001 are
+    # clipped back into the physical cone
+    counts = read_counts_csv(Path(__file__).parent / "golden" / f"{table}.csv")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, corrected, _ = resampled_tomography(counts, TARGET, 3, 100, weight)
+        want = correct_for_background(ml_reconstruct(counts).rho, weight)
+    assert corrected.tobytes() == want.tobytes()
+    assert bool(caught) == (table != "axial")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -121,8 +137,7 @@ def test_resample_rows_match_a_kernel_call_on_the_resamples_alone(name, seed, mo
     assert tables[0].tobytes() == ns.tobytes()
     draws = np.random.default_rng(seed).poisson(ns, size=(300, ns.size)).astype(float)
     assert tables[1:].tobytes() == draws[draws.sum(axis=1) > 0].tobytes()
-    ref_rho, ref_conv, ref_iter, _ = _ml_kernel(projectors, tables[1:], ML_TOL,
-                                                ML_MAX_ITERATIONS)
+    ref_rho, ref_conv, ref_iter, _ = _ml_kernel(projectors, tables[1:])
     assert rho[1:].tobytes() == ref_rho.tobytes()
     assert np.array_equal(converged[1:], ref_conv)
     assert np.array_equal(iterations[1:], ref_iter)
@@ -132,7 +147,7 @@ def test_resample_rows_match_a_kernel_call_on_the_resamples_alone(name, seed, mo
 @pytest.mark.parametrize("name", FIXTURES)
 def test_estimate_matches_the_resampling_of_two_kernel_runs(name, seed, monkeypatch):
     counts, weight = FIXTURES[name]
-    (_, est), _, caught = run_recorded(monkeypatch, counts, TARGET, seed, 300, weight)
+    (_, _, est), _, caught = run_recorded(monkeypatch, counts, TARGET, seed, 300, weight)
     with warnings.catch_warnings(record=True) as ref_caught:
         warnings.simplefilter("always")
         ref = two_run_tomography(counts, seed, 300, weight, TARGET)
