@@ -14,7 +14,7 @@ from cqtsim.estimation import (POISSON_MAX_MEAN, MLResult, ProjectionCounts,
                                ml_oracle_bloch_search, ml_reconstruct,
                                poisson_uncertainty, read_counts_csv, resampled_tomography)
 from cqtsim.channels import condition_on_controller, make_werner, mc_avg_teleport_fidelity
-from cqtsim.fock import KET_D, KET_H, KET_R, KET_V, NAMED_KETS, fidelity, parse_ket
+from cqtsim.fock import KET_A, KET_D, KET_H, KET_R, KET_V, NAMED_KETS, fidelity, parse_ket
 from cqtsim.protocol import CountRecord
 from cqtsim.spdc import SourceParams
 
@@ -105,6 +105,32 @@ def test_corrected_fidelity_rejects_a_raw_fidelity_outside_0_1(f_raw, shown):
 def test_corrected_fidelity_keeps_its_bits_on_the_unit_interval():
     for f_raw in (0.0, 0.624, 1.0):
         assert repr(corrected_fidelity(f_raw, 0.554)) == repr((f_raw - 0.277) / (1.0 - 0.554))
+
+
+@pytest.mark.parametrize("rho, suffix", [
+    ([[0.5, math.nan], [0.0, 0.5]], "be finite"),
+    ([[0.5, 0.0], [math.inf, 0.5]], "be finite"),
+    ([[0.5, 0.5], [0.5 + 1.1e-9, 0.5]], "be Hermitian"),
+    ([[0.5 + 1.1e-9j, 0.0], [0.0, 0.5]], "be Hermitian"),
+    ([[0.5 + 1.1e-9, 0.0], [0.0, 0.5]], "have unit trace, got 1.0000000011"),
+    ([[1.0, 0.0], [0.0, 1.0]], "have unit trace, got 2.0"),
+    ([[0.5, 0.5], [0.5 + 1e-9, 0.5]], None),
+    ([[0.5 + 0.9e-9, 0.0], [0.0, 0.5]], None)],
+    ids=["nan", "inf", "skew-over", "complex-diagonal", "trace-over", "identity",
+         "skew-at-1e-9", "trace-within-1e-9"])
+def test_fidelity_and_correction_hold_one_density_rule(rho, suffix):
+    # fock.fidelity and correct_for_background accept and reject the same
+    # matrices, each naming what it was given
+    rho = np.array(rho, dtype=complex)
+    if suffix is None:
+        assert 0.0 <= fidelity(rho, KET_H) <= 1.0 + 1e-9
+        assert correct_for_background(rho, 0.0).shape == (2, 2)
+        return
+    with pytest.raises(ValueError, match=f"^rho must {re.escape(suffix)}$"):
+        fidelity(rho, KET_H)
+    for w in (0.0, 0.2):
+        with pytest.raises(ValueError, match=f"^density matrices must {re.escape(suffix)}$"):
+            correct_for_background(rho, w)
 
 
 def test_correction_hard_error_on_nonphysical():
@@ -271,6 +297,30 @@ def test_ml_requires_informational_completeness():
         ml_reconstruct(counts)
 
 
+@pytest.mark.parametrize("kets, complete", [
+    ((KET_H, KET_V), False),
+    ((KET_H, KET_V, KET_D, KET_A), False),
+    ((KET_H, KET_D, KET_R), False),
+    ((KET_H, KET_V, KET_D, np.array([1.0, np.exp(1e-12j)]) / math.sqrt(2.0)), False),
+    ((KET_H, KET_V, KET_D, KET_R), True),
+    ((KET_H, KET_V, KET_D, np.array([1.0, np.exp(1e-3j)]) / math.sqrt(2.0)), True)],
+    ids=["h-v", "x-z-plane", "three", "tilted-1e-12", "h-v-d-r", "tilted-1e-3"])
+def test_every_fit_checks_informational_completeness(kets, complete):
+    # the projectors must span the operator space within a rank tolerance of
+    # 1e-10, for the plain fit and the resampled one alike
+    rho = 0.8 * np.outer(KET_R, KET_R.conj()) + 0.2 * np.eye(2) / 2
+    counts = ProjectionCounts([(k, 1000 * float(np.real(k.conj() @ rho @ k))) for k in kets])
+    fits = (lambda: ml_reconstruct(counts),
+            lambda: resampled_tomography(counts, KET_R, 5, 100)[0])
+    for fit in fits:
+        if complete:
+            assert fit().converged
+        else:
+            with pytest.raises(ValueError, match="^projector set is not informationally "
+                                                 "complete$"):
+                fit()
+
+
 def test_ml_non_convergence_is_flagged_not_raised(monkeypatch):
     # the first Newton step from I/2 reaches this table's maximum, and only
     # the second, a step of rounding size, shows it
@@ -283,6 +333,31 @@ def test_ml_non_convergence_is_flagged_not_raised(monkeypatch):
     validate_density(res.rho)
     monkeypatch.setattr(estimation, "ML_MAX_ITERATIONS", 2)
     assert ml_reconstruct(counts).converged
+
+
+@pytest.mark.parametrize("cap", [1, 2])
+def test_resampled_tomography_reads_the_stopping_rule_when_it_runs(cap, monkeypatch):
+    # the kernel reads ML_MAX_ITERATIONS when it runs, so the observed row of
+    # the resampled fit stops where ml_reconstruct stops
+    rho_true = 0.7 * np.outer(KET_R, KET_R.conj()) + 0.3 * np.eye(2) / 2
+    counts = exact_counts(rho_true, exposure=1000)
+    monkeypatch.setattr(estimation, "ML_MAX_ITERATIONS", cap)
+    result, _, _ = resampled_tomography(counts, KET_R, 4, 100)
+    alone = ml_reconstruct(counts)
+    assert (result.converged, result.iterations) == (cap == 2, cap)
+    assert (alone.converged, alone.iterations) == (result.converged, result.iterations)
+    assert result.rho.tobytes() == alone.rho.tobytes()
+
+
+def test_ml_takes_a_zero_tolerance(monkeypatch):
+    # only a step of length exactly 0 converges at a zero tolerance, so the
+    # fit may run to the cap; it still ends, flagged, with a state
+    counts = axial_counts(dict(h=60, v=40, plus=70, minus=30, r=55, l=45))
+    monkeypatch.setattr(estimation, "ML_TOL", 0.0)
+    monkeypatch.setattr(estimation, "ML_MAX_ITERATIONS", 50)
+    res = ml_reconstruct(counts)
+    assert 1 <= res.iterations <= 50
+    validate_density(res.rho)
 
 
 # --- Poisson uncertainties ---------------------------------------------------------
