@@ -45,12 +45,12 @@ reads two amplitudes off each, so a run builds no sparse state.
 ``count_rates`` returns the four-fold rates of a run and ``run_protocol``
 those rates with the receiver's conditional state.  Both take them from one
 private propagation and tally, ``_tally``, which takes a list of
-configurations and, per configuration, the trace of the receiver's 2x2
-block sector by sector only until one leaves him a photon.  The callers
-that need only the rates build no receiver state; ``emulate_mixture``
-passes its g1 and g2 halves to one ``_tally`` and ``spdc.sector_rates``
-every configuration it is given (``fit-spdc``'s three), and ``run_protocol``
-alone adds up every block and rotates the sum out of his analyzer frame.
+configurations and forms no receiver block; ``emulate_mixture`` passes its
+g1 and g2 halves to one ``_tally`` and ``spdc.sector_rates`` every
+configuration it is given (``fit-spdc``'s three).  ``run_protocol`` alone
+forms the receiver's 2x2 blocks, raises ``ProtocolError`` when every
+coincidence leaves him more than one photon, and rotates their sum out of
+his analyzer frame.
 
 The stage operations ``prepare_ghz`` and ``singlet_projection`` hand the
 same kind of block to ``elements.apply``, which applies it to a sparse
@@ -462,12 +462,12 @@ def _tally(configs) -> list:
     """Propagate runs that share ``source`` and ``roles`` as one stack and tally each.
 
     Returns, per configuration, ``(record, analyzer, empty_tol, receiver)`` or
-    the error ``count_rates`` names for it.  ``analyzer`` holds the rows of the
-    receiver's analyzer rotation, ``empty_tol`` the weight below which a
-    probability counts as no event, and ``receiver`` per sector in label order
-    ``(state, h_one, v_one)`` for ``_receiver_block``.  The rows share each
-    step up to the pruned probabilities; the sums and the receiver blocks are
-    taken row by row, so each row keeps the bits of a stack of its own.
+    its ``NoCoincidenceError``.  ``analyzer`` holds the rows of the receiver's
+    analyzer rotation, ``empty_tol`` the weight below which a probability
+    counts as no event, and ``receiver`` per sector in label order
+    ``(state, h_one, v_one)`` for ``run_protocol``'s ``_receiver_block``.  The
+    rows share each step up to the pruned probabilities; the sums are taken
+    row by row, so each row keeps the bits of a stack of its own.
     """
     wiring = WIRINGS[configs[0].roles]
     analyzers, lins = [], []
@@ -497,7 +497,7 @@ def _tally(configs) -> list:
     rows = []
     for r, (config, analyzer) in enumerate(zip(configs, analyzers)):
         f_par = f_perp = success = 0.0
-        per_term, receiver, one_photon = {}, [], False
+        per_term, receiver = {}, []
         for label, states, probs, (clicked, par, perp, h_one, v_one) in tallied:
             state, prob = states[r], probs[r]
             success += float(prob[clicked].sum())
@@ -507,28 +507,21 @@ def _tally(configs) -> list:
             f_perp += p_perp
             per_term[label] = p_par + p_perp
             receiver.append((state, h_one, v_one))
-            if not one_photon:
-                # run_protocol adds a block of trace >= empty_tol to a weight that must be > 0
-                p_cond = float(_receiver_block(state, h_one, v_one).trace().real)
-                one_photon = p_cond >= empty_tol and p_cond > 0.0
         if not success > empty_tol:
             rows.append(NoCoincidenceError(
                 f"channel {config.channel}, action {config.action}, input "
                 f"({config.input.alpha:.4g}, {config.input.beta:.4g}), roles {config.roles}: "
                 "cannot produce a four-fold coincidence; no configuration of the source "
                 "terms clicks all four detectors"))
-        elif not one_photon:
-            rows.append(ProtocolError("every coincidence leaves more than one photon at "
-                                      "the receiver; no qubit state to report"))
         else:
             rows.append((CountRecord(f_parallel=f_par, f_perp=f_perp, success_probability=success,
                                      per_term=per_term), analyzer, empty_tol, receiver))
     return rows
 
 
-def _raise(row, *tolerated):
-    """A row of ``_tally``; raises it if it is an error of no type in ``tolerated``."""
-    if isinstance(row, ProtocolError) and not isinstance(row, tolerated):
+def _raise(row):
+    """A row of ``_tally``; raises it if it is an error."""
+    if isinstance(row, ProtocolError):
         raise row
     return row
 
@@ -543,9 +536,8 @@ def count_rates(config: ProtocolConfig) -> CountRecord:
     calibrated images of the input ket and of its orthogonal complement to H
     and V, so ``f_parallel`` / ``f_perp`` are the four-fold probabilities with
     no V / no H photon at the receiver.  A run that clicks no four-fold
-    coincidence raises ``NoCoincidenceError``, and one in which every
-    coincidence leaves the receiver more than one photon ``ProtocolError``,
-    as in ``run_protocol``; no receiver state is built.
+    coincidence raises ``NoCoincidenceError``, as in ``run_protocol``; any
+    other run returns its rates, and no receiver state is built.
     """
     return _raise(_tally([config])[0])[0]
 
@@ -556,7 +548,8 @@ def run_protocol(config: ProtocolConfig):
     The receiver's conditional density operator is reported in his analyzer
     frame (for g2 including the pi/4 analyzer rotation), over events where
     his arm carries exactly one photon, which at the default emission
-    truncation is every four-fold event.
+    truncation is every four-fold event.  A run with no such event raises
+    ``ProtocolError`` (after the ``NoCoincidenceError`` of ``count_rates``).
     """
     record, analyzer, empty_tol, receiver = _raise(_tally([config])[0])
     rho_acc = np.zeros((2, 2), dtype=complex)
@@ -567,6 +560,9 @@ def run_protocol(config: ProtocolConfig):
         if p_cond >= empty_tol:
             rho_acc += block
             rho_weight += p_cond
+    if not rho_weight > 0.0:
+        raise ProtocolError("every coincidence leaves more than one photon at "
+                            "the receiver; no qubit state to report")
     # back from the analyzer's (parallel, orthogonal) basis to H/V
     rho = analyzer.conj().T @ (rho_acc / rho_weight) @ analyzer
     if config.channel == "g2":
@@ -628,12 +624,7 @@ def emulate_mixture(config: ProtocolConfig, p: float) -> CountRecord:
         raise ValueError(f"a mixture takes the g1 configuration, not {config.channel!r}")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
-    try:
-        halves = [config, replace(config, channel="g2")]
-    except ValueError:
-        _raise(_tally([config])[0], NoCoincidenceError)     # the g1 half's error first
-        raise
-    rows = [_raise(row, NoCoincidenceError) for row in _tally(halves)]
+    rows = _tally([config, replace(config, channel="g2")])
     g1, g2 = (CountRecord(0.0, 0.0, 0.0, {}) if isinstance(row, ProtocolError) else row[0]
               for row in rows)
     record = CountRecord(

@@ -118,6 +118,14 @@ WEIGHT_EDGES = (
 # the scan's edge cases: one point, both ends only, a fine grid, repeated values
 SCAN_EDGES = (("--q-grid", "0:1:1"), ("--q-grid", "0:1:2"), ("--q-grid", "0:1:10001"),
               ("--q-list", "0.5,0.5,1,0,0.5,1"))
+# scans of a fine grid, a coarse one and points around the 2/3 threshold,
+# written --format first: their last bits follow the BLAS kernel, and every
+# kernel must round them to the same default-precision bytes
+SCAN_POINTS = (("--q-grid", "0:1:10001"), ("--q-grid", "0:1:58"), ("--q-grid", "0:1:101"),
+               ("--q-list", "0,0.05,0.2,0.3333333333333333,0.5,0.77,1e-3,1"))
+# resampled tomography of three tables, whose ML states are fitted in one
+# stack and whose last bits may follow the BLAS kernel too
+STACKED_TOMO = (("axial.csv", "0.2"), ("zero.csv", "0"), ("below1.csv", "0"))
 # argument parsing, its errors and the config file
 ARGV_EDGES = (
     (),
@@ -181,6 +189,12 @@ def corpus() -> list:
     argvs += [["scan-werner", "--q-grid", "0:1:101", "--format", fmt] for fmt in ("csv", "json")]
     argvs += [["scan-werner", "--q-list", "0,0.25,0.5,0.6667,0.7,1"]]
     argvs += [["scan-werner", *edge] for edge in SCAN_EDGES]
+    argvs += [["scan-werner", "--format", fmt, *points]
+              for fmt, points in itertools.product(("csv", "json"), SCAN_POINTS)]
+    argvs += [["tomo", "--counts", table, "--target=0.6,0.8j", "--weight", weight,
+               "--resamples", resamples, "--seed", "3", "--format", fmt]
+              for (table, weight), fmt, resamples in itertools.product(
+                  STACKED_TOMO, ("csv", "json"), ("100", "300"))]
     argvs += [["reproduce", "table1", "--format", fmt] for fmt in ("csv", "json")]
     return argvs + [list(argv) for argv in ARGV_EDGES]
 

@@ -340,7 +340,10 @@ def reference_fit_source_ratio(targets: dict, rates: dict) -> RatioFit:
 
 def reference_run_protocol(config):
     """``(CountRecord, rho_receiver)`` of ``config``: the bit-for-bit oracle of
-    ``protocol.count_rates`` and ``protocol.run_protocol``, errors included."""
+    ``protocol.count_rates`` and ``protocol.run_protocol``, errors included.
+    ``count_rates`` shares its ``NoCoincidenceError`` only: it returns the
+    record where the ``ProtocolError`` of a receiver with no single photon
+    is raised here."""
     P = protocol
     wiring = P.WIRINGS[config.roles]
     frame = P.analyzer_frame(config.channel, config.roles)

@@ -1,8 +1,8 @@
 import argparse
 import contextlib
-import hashlib
 import io
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +12,8 @@ from cqtsim.cli import main
 from cqtsim.fock import KET_D, NAMED_KETS, unit_pair
 
 from helpers import AXIAL_INPUT_NAMES as AXIAL
+
+GOLDEN_AXIAL = str(Path(__file__).parent / "golden" / "axial.csv")
 
 
 def run_cli(args):
@@ -87,32 +89,9 @@ def test_scan_werner_single_point(tmp_path):
     assert float(rows[1].split(",")[1]) == pytest.approx(1.0)
 
 
-# sha256 of the default-precision stdout of ``cqtsim scan-werner`` with these
-# flags.  Recorded from the row-by-row implementation that the stacked scan
-# replaced; the two 0:1:10001 digests were recorded again when default
-# precision began to round to 12 significant digits before ``.4g``, which
-# changed 2,123 of their 10,001 rows, the ones within a few ulp of a tie.
-SCAN_Q_LIST = "0,0.05,0.2,0.3333333333333333,0.5,0.77,1e-3,1"
-SCAN_DIGESTS = {
-    ("csv", "--q-grid", "0:1:10001"):
-        "e235b2a8154277501982327bf7eea36e82dd85d70e37c0b2956329540a7f4038",
-    ("csv", "--q-grid", "0:1:58"):
-        "b551e5e594a7b1a965dc290e04c80bdbae680a39dd0f9b4cf175cdae4a797027",
-    ("csv", "--q-grid", "0:1:101"):
-        "649d9879bd70eac404ad0c6343382768a81fbada5e0ecfb33dc536b9773f605c",
-    ("csv", "--q-list", SCAN_Q_LIST):
-        "20b4fd0a0912e767b62259d3488ab26cd5eacd174d0efa625c41fe9673544281",
-    ("json", "--q-grid", "0:1:10001"):
-        "c5a38159733bb72451a5cd0fc3f7117ee232c5405e0f124d74277b1ccd500df8",
-    ("json", "--q-grid", "0:1:58"):
-        "10045c7795ea7722f6ab35cc9a3807f3b6e041572d58e807dcd7a2a1aeb2378f",
-    ("json", "--q-grid", "0:1:101"):
-        "43679e65de2bdf68f81272f899ad427399e15357b7baad26b138d32e7b47de69",
-    ("json", "--q-list", SCAN_Q_LIST):
-        "25f4403624ecb0a76cbb74d7fd2de4e59a669b8c2de6dd26c97482644218b535",
-}
-SCAN_KEYS = [(fmt, full, option, value) for fmt in ("csv", "json") for full in (False, True)
-             for fmt_, option, value in SCAN_DIGESTS if fmt_ == fmt]
+# the scans whose default-precision bytes tests/golden/record.py pins
+SCAN_POINTS = [("--q-grid", "0:1:10001"), ("--q-grid", "0:1:58"), ("--q-grid", "0:1:101"),
+               ("--q-list", "0,0.05,0.2,0.3333333333333333,0.5,0.77,1e-3,1")]
 
 
 def scan_rows(out, fmt):
@@ -122,128 +101,21 @@ def scan_rows(out, fmt):
     return [[float(v) for v in line.split(",")] for line in lines]
 
 
-@pytest.mark.parametrize("key", SCAN_KEYS, ids=lambda key: " ".join(map(str, key)))
-def test_scan_werner_output_is_pinned(key, capsys):
-    fmt, full, option, value = key
-    argv = ["scan-werner", "--format", fmt, option, value]
-    assert run_cli(argv + ["--full-precision"] * full) == 0
-    out = capsys.readouterr().out
-    if not full:
-        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == SCAN_DIGESTS[
-            (fmt, option, value)]
-        return
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("option, value", SCAN_POINTS, ids=" ".join)
+def test_scan_werner_full_precision_prints_the_scan_rows(fmt, option, value, capsys):
     # full precision is exact on one machine only (its last bits follow the
     # BLAS kernel), so it is checked against the scan run in this process
     from cqtsim.channels import werner_scan
     from cqtsim.cli import _parse_grid
 
+    assert run_cli(["scan-werner", "--format", fmt, option, value, "--full-precision"]) == 0
+    out = capsys.readouterr().out
     args = argparse.Namespace(q_grid=None, q_list=None)
     setattr(args, option[2:].replace("-", "_"), value)
     expected = werner_scan(_parse_grid(args))
     assert f"crosses 2/3 at q={expected.threshold_q:.9f}" in out
     assert scan_rows(out, fmt) == [list(row) for row in expected.rows]
-
-
-TOMO_TABLES = {
-    "axial": {"h": 8601, "v": 5290, "plus": 6107, "minus": 6466, "r": 4178, "l": 8512},
-    "zero": {"h": 600, "v": 400, "plus": 0, "minus": 450, "r": 520, "l": 480},
-    "below1": {"h": 0.5, "v": 0.3, "plus": 0.4, "minus": 0.2, "r": 0.3, "l": 0.3},
-}
-# default-precision `tomo --resamples` outputs, as printed since the solve
-# reaches the maximum of the likelihood; keyed (table, format, resamples)
-TOMO_DIGESTS = {
-    ("axial", "csv", "100"):
-        "c1e23e36af830be90673cdc0f30aa69951447b09a1acb5e1eb818d16387d0964",
-    ("axial", "csv", "300"):
-        "d613ad4003ca1be3e2e5489270f2b630d0832bcc484ac359a0d9afeb5306b985",
-    ("axial", "json", "100"):
-        "e590d55e05e0fcb03f29d6896cc603dd03ad70a148e65a6addb0c708079291de",
-    ("axial", "json", "300"):
-        "646fb506bf024f35ddc62ca44047e0d5167ef6089d1c4ddcb385838feaf8262c",
-    ("zero", "csv", "100"):
-        "edce50a420f91e2d22509a2f7dbadee09a17444398de1f4c938fd74831a65b3c",
-    ("zero", "csv", "300"):
-        "03be041d7c6e2e95807a08c752941b1650e33a140b1d34930971b5e76746ef85",
-    ("zero", "json", "100"):
-        "e06680ff1d82ca70c2b8d3b2b77cfcabb4ec38f54ac15fdc07fba78db1c99926",
-    ("zero", "json", "300"):
-        "552f04939089cd0c6a86a785eda276c07a9f533b866b369fb9b08f5333d8e534",
-    ("below1", "csv", "100"):
-        "1cfec30b1482b87ed95c0d11af5921123f561fe6b797de5417e488482c304326",
-    ("below1", "csv", "300"):
-        "2efe1bcc099774d776939ae066d841e5dd2b558042a178ea37bf2c3ed0bf07d3",
-    ("below1", "json", "100"):
-        "3b61c0e59165e62dd244a11340beb96c3a2ba0599d8f3f0fd920306975413d13",
-    ("below1", "json", "300"):
-        "ea3d32439c7523183dbb0988a315fbbc51d064c13271b1d071fda3afeba23361",
-}
-
-
-def tomo_argv(tmp_path, table, fmt, resamples):
-    counts = tmp_path / f"{table}.csv"
-    write_counts(counts, TOMO_TABLES[table])
-    return ["tomo", "--counts", str(counts), "--target=0.6,0.8j",
-            "--weight", "0.2" if table == "axial" else "0", "--resamples", resamples,
-            "--seed", "3", "--format", fmt]
-
-
-@pytest.mark.parametrize("key", TOMO_DIGESTS, ids=" ".join)
-def test_tomo_resampled_output_is_pinned(key, tmp_path, capsys):
-    assert run_cli(tomo_argv(tmp_path, *key)) == 0
-    out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == TOMO_DIGESTS[key]
-
-
-OPENBLAS_CORE = """
-import ctypes, glob, os, numpy
-libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
-names = ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
-         "openblas_get_corename")
-core = None
-for path in glob.glob(os.path.join(libs, "*openblas*")):
-    lib = ctypes.CDLL(path)
-    for name in names:
-        if hasattr(lib, name):
-            getattr(lib, name).restype = ctypes.c_char_p
-            core = getattr(lib, name)().decode()
-"""
-PRESCOTT_DIGESTS = OPENBLAS_CORE + """
-import contextlib, hashlib, io, json, sys
-from cqtsim.cli import main
-digests = []
-for argv in json.loads(sys.argv[1]):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        main(argv)
-    digests.append(hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest())
-print(json.dumps([core, digests]))
-"""
-
-
-def test_default_precision_digests_hold_on_a_kernel_without_fma(tmp_path):
-    # OpenBLAS picks its kernel at run time; Prescott has no fused multiply-add,
-    # so the scan's last bits differ from those of an FMA kernel, and so may
-    # those of the ML states that the resampled tomography fits in one stack
-    import os
-    import subprocess
-    import sys
-
-    import cqtsim
-
-    here = {}
-    exec(OPENBLAS_CORE, here)
-    src = os.path.dirname(os.path.dirname(cqtsim.__file__))
-    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott",
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argvs = [["scan-werner", "--format", fmt, option, value]
-             for fmt, option, value in SCAN_DIGESTS]
-    argvs += [tomo_argv(tmp_path, *key) for key in TOMO_DIGESTS]
-    done = subprocess.run([sys.executable, "-c", PRESCOTT_DIGESTS, json.dumps(argvs)],
-                          env=env, capture_output=True, text=True, check=True)
-    core, digests = json.loads(done.stdout)
-    if here["core"] is None or core == here["core"]:
-        pytest.skip(f"numpy's BLAS does not switch kernels here (core {here['core']!r})")
-    assert digests == list(SCAN_DIGESTS.values()) + list(TOMO_DIGESTS.values())
 
 
 @pytest.mark.parametrize("q_list, bad", [("0.3,1.2,-0.1", "1.2"), ("0.5,-0.1,1.2", "-0.1"),
@@ -726,7 +598,8 @@ def test_tomo_full_precision_prints_the_spread_as_computed(tmp_path, capsys):
                                        ("json", '  "fidelity_std": 0.004805,')])
 def test_tomo_prints_a_real_spread_as_before(fmt, line, tmp_path, capsys):
     # the line as printed before the spread took a fixed resolution
-    assert run_cli(tomo_argv(tmp_path, "axial", fmt, "100")) == 0
+    assert run_cli(["tomo", "--counts", GOLDEN_AXIAL, "--target=0.6,0.8j", "--weight", "0.2",
+                    "--resamples", "100", "--seed", "3", "--format", fmt]) == 0
     assert line in capsys.readouterr().out.splitlines()
 
 

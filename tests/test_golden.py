@@ -18,10 +18,22 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "gol
 
 import record  # noqa: E402
 
-from test_cli import OPENBLAS_CORE  # noqa: E402
-
 GOLDEN = record.load()
 
+# sets ``core`` to the name of the kernel that numpy's OpenBLAS runs, or None
+OPENBLAS_CORE = """
+import ctypes, glob, os, numpy
+libs = os.path.join(os.path.dirname(numpy.__file__), os.pardir, "numpy.libs")
+names = ("scipy_openblas_get_corename64_", "openblas_get_corename64_",
+         "openblas_get_corename")
+core = None
+for path in glob.glob(os.path.join(libs, "*openblas*")):
+    lib = ctypes.CDLL(path)
+    for name in names:
+        if hasattr(lib, name):
+            getattr(lib, name).restype = ctypes.c_char_p
+            core = getattr(lib, name)().decode()
+"""
 REPLAY = OPENBLAS_CORE + """
 import json, shlex, sys
 sys.path.insert(0, sys.argv[1])

@@ -2,21 +2,19 @@
 receiver state.
 
 ``count_rates`` and ``run_protocol`` share one propagation and tally;
-``run_protocol`` alone adds up the receiver's 2x2 blocks.  The tally takes
-the trace of the blocks only until one sector leaves the receiver a photon,
-so its rates and its errors must be those of
+``run_protocol`` alone forms and adds up the receiver's 2x2 blocks, and
+alone raises the error of a run that leaves the receiver no single photon.
+The rates and the errors of both must be those of
 ``helpers.reference_run_protocol``, the earlier run that built the state
 every time.
 """
-
-import math
 
 import pytest
 
 from cqtsim import cli, protocol
 from cqtsim.protocol import (NoCoincidenceError, ProtocolConfig, ProtocolError, count_rates,
                              emulate_mixture, run_protocol)
-from cqtsim.spdc import SourceParams
+from cqtsim.spdc import SourceParams, sector_rates
 
 from helpers import reference_run_protocol
 from test_composed_vs_sequential import grid
@@ -45,44 +43,11 @@ def test_count_rates_is_the_record_of_run_protocol(config):
 
 
 def forbid_receiver_state(monkeypatch):
-    """Make ``run_protocol`` raise, and check that each tally takes the
-    receiver blocks of each row's sectors only until one passes the
-    one-photon bound, as its decision needs."""
-    tally, receiver_block = protocol._tally, protocol._receiver_block
-    traces = []
-
+    """Make forming a receiver block raise."""
     def forbidden(*args):
         raise AssertionError("assembled a receiver state")
 
-    def traced_block(*args):
-        block = receiver_block(*args)
-        traces.append(float(block.trace().real))
-        return block
-
-    def checked_tally(configs):
-        traces.clear()
-        rows = tally(configs)
-        n_sectors = len(protocol._sector_weights(configs[0].source))
-        empty_tol = next((row[2] for row in rows if isinstance(row, tuple)), math.inf)
-
-        def passes(trace):
-            return trace >= empty_tol and trace > 0.0
-
-        for row in rows:
-            # the row's traces: up to the first that passes, or one per sector
-            taken = [traces.pop(0)]
-            while not passes(taken[-1]) and len(taken) < n_sectors:
-                taken.append(traces.pop(0))
-            if isinstance(row, tuple):
-                *failed, passed = taken
-                assert passes(passed)
-                assert not any(passes(trace) for trace in failed)
-        assert traces == []
-        return rows
-
-    monkeypatch.setattr(protocol, "_tally", checked_tally)
-    monkeypatch.setattr(protocol, "_receiver_block", traced_block)
-    monkeypatch.setattr(protocol, "run_protocol", forbidden)
+    monkeypatch.setattr(protocol, "_receiver_block", forbidden)
 
 
 @pytest.mark.parametrize("argv", [
@@ -104,3 +69,12 @@ def test_emulate_mixture_assembles_no_receiver_state(monkeypatch):
     assert emulate_mixture(config, 0.5).success_probability > 0.0
     with pytest.raises(AssertionError, match="assembled a receiver state"):
         protocol.run_protocol(config)
+
+
+def test_count_rates_and_sector_rates_assemble_no_receiver_state(monkeypatch):
+    forbid_receiver_state(monkeypatch)
+    config = ProtocolConfig(source=SourceParams(0.1, 0.055))
+    assert count_rates(config).success_probability > 0.0
+    rates = sector_rates(SourceParams(), {"allowed": config,
+                                          "denied": ProtocolConfig(action="deny")})
+    assert all(sum(per_term.values()) > 0.0 for per_term in rates.values())

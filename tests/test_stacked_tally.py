@@ -3,8 +3,8 @@
 ``fit-spdc`` propagates its three configurations (uncontrolled, allowed and
 denied) and ``run --channel mix`` its two halves (g1 and g2) as one stack.
 Each row must equal ``helpers.reference_run_protocol`` of its configuration,
-bit for bit and errors included, and hold the analyzer, the bound and the
-receiver states of a one-row tally.
+bit for bit and its ``NoCoincidenceError`` included, and hold the analyzer,
+the bound and the receiver states of a one-row tally.
 """
 
 import math
@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from cqtsim import protocol
 from cqtsim.protocol import (InputQubit, NoCoincidenceError, ProtocolConfig, ProtocolError,
-                             emulate_mixture)
+                             emulate_mixture, run_protocol)
 from cqtsim.spdc import SourceParams
 
 from helpers import reference_run_protocol
@@ -31,9 +31,9 @@ def stack(kind, input_q, source, eps, action="allow"):
                            pbs_epsilon=eps) for channel, act in runs]
 
 
-def reference_outcome(config):
+def record_or_error(config, run=reference_run_protocol):
     try:
-        record, _ = reference_run_protocol(config)
+        record, _ = run(config)
     except ProtocolError as exc:
         return type(exc), str(exc)
     return repr(record)
@@ -51,9 +51,9 @@ def assert_rows_are_their_own(configs) -> list:
     assert len(rows) == len(configs)
     for config, row in zip(configs, rows):
         if isinstance(row, ProtocolError):
-            assert (type(row), str(row)) == reference_outcome(config)
+            assert (type(row), str(row)) == record_or_error(config)
             continue
-        assert repr(row[0]) == reference_outcome(config)
+        assert repr(row[0]) == record_or_error(config)
         alone, = protocol._tally([config])
         assert row_bits(row) == row_bits(alone)
     return rows
@@ -108,21 +108,32 @@ def without_four_photon_receiver(monkeypatch):
 @pytest.mark.parametrize("kind, order, action", [("fit", 2, "allow"), ("fit", 3, "allow"),
                                                  ("mix", 2, "deny"), ("mix", 3, "none")])
 def test_rows_that_leave_the_receiver_no_single_photon(kind, order, action, monkeypatch):
-    # an order-2 row that coincides raises ProtocolError, an order-3 row
-    # has six-photon coincidences with one receiver photon
+    # the tally keeps every record; run_protocol raises ProtocolError for an
+    # order-2 row, and not for an order-3 row, which has six-photon
+    # coincidences with one receiver photon
+    configs = stack(kind, InputQubit.from_name("plus"), SourceParams(0.1, 0.08, order), 0.05,
+                    action)
+    records = [repr(row[0]) for row in assert_rows_are_their_own(configs)]
     without_four_photon_receiver(monkeypatch)
-    rows = assert_rows_are_their_own(stack(kind, InputQubit.from_name("plus"),
-                                           SourceParams(0.1, 0.08, order), 0.05, action))
-    errors = [type(row) for row in rows if isinstance(row, ProtocolError)]
-    assert (ProtocolError in errors) == (order == 2)
+    assert [repr(row[0]) for row in protocol._tally(configs)] == records
+    error = (ProtocolError, "every coincidence leaves more than one photon at the receiver; "
+             "no qubit state to report")
+    for config, record in zip(configs, records):
+        outcome = record_or_error(config, run_protocol)
+        assert outcome == record_or_error(config)
+        assert outcome == (error if order == 2 else record)
 
 
-def test_a_swapped_mixture_raises_the_g1_error_before_the_g2_one(monkeypatch):
-    # the g2 half of swapped roles is no configuration; as when the halves
-    # ran one by one, the g1 half's own ProtocolError comes first
+def test_a_swapped_mixture_raises_the_roles_error_before_any_tally(monkeypatch):
+    # the g2 half of swapped roles is no configuration, so no half is tallied
     config = ProtocolConfig(roles="swapped", source=SourceParams(0.1, 0.08))
+
+    def forbidden(configs):
+        raise AssertionError("tallied a half")
+
+    monkeypatch.setattr(protocol, "_tally", forbidden)
     with pytest.raises(ValueError, match="role swapping is implemented for the g1 channel"):
         emulate_mixture(config, 0.5)
     without_four_photon_receiver(monkeypatch)
-    with pytest.raises(ProtocolError, match="more than one photon at the receiver"):
+    with pytest.raises(ValueError, match="role swapping is implemented for the g1 channel"):
         emulate_mixture(config, 0.5)
