@@ -2,6 +2,8 @@ import argparse
 import contextlib
 import io
 import json
+import shlex
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +15,13 @@ from cqtsim.fock import KET_D, NAMED_KETS, unit_pair
 
 from helpers import AXIAL_INPUT_NAMES as AXIAL
 
-GOLDEN_AXIAL = str(Path(__file__).parent / "golden" / "axial.csv")
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_AXIAL = str(GOLDEN_DIR / "axial.csv")
+sys.path.insert(0, str(GOLDEN_DIR))
+
+import record  # noqa: E402
+
+GOLDEN = record.load()
 
 
 def run_cli(args):
@@ -92,6 +100,13 @@ def test_scan_werner_single_point(tmp_path):
 # the scans whose default-precision bytes tests/golden/record.py pins
 SCAN_POINTS = [("--q-grid", "0:1:10001"), ("--q-grid", "0:1:58"), ("--q-grid", "0:1:101"),
                ("--q-list", "0,0.05,0.2,0.3333333333333333,0.5,0.77,1e-3,1")]
+SCAN_KEYS = [(fmt, full, option, value) for fmt in ("csv", "json") for full in (False, True)
+             for option, value in SCAN_POINTS]
+
+
+def assert_golden(argv):
+    """The command is in the golden corpus and keeps its recorded digest."""
+    assert record.digest(argv) == GOLDEN[shlex.join(argv)]
 
 
 def scan_rows(out, fmt):
@@ -101,21 +116,39 @@ def scan_rows(out, fmt):
     return [[float(v) for v in line.split(",")] for line in lines]
 
 
-@pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("option, value", SCAN_POINTS, ids=" ".join)
-def test_scan_werner_full_precision_prints_the_scan_rows(fmt, option, value, capsys):
+@pytest.mark.parametrize("key", SCAN_KEYS, ids=lambda key: " ".join(map(str, key)))
+def test_scan_werner_output_is_pinned(key, capsys):
+    fmt, full, option, value = key
+    argv = ["scan-werner", "--format", fmt, option, value]
+    if not full:
+        assert_golden(argv)
+        return
     # full precision is exact on one machine only (its last bits follow the
     # BLAS kernel), so it is checked against the scan run in this process
     from cqtsim.channels import werner_scan
     from cqtsim.cli import _parse_grid
 
-    assert run_cli(["scan-werner", "--format", fmt, option, value, "--full-precision"]) == 0
+    assert run_cli(argv + ["--full-precision"]) == 0
     out = capsys.readouterr().out
     args = argparse.Namespace(q_grid=None, q_list=None)
     setattr(args, option[2:].replace("-", "_"), value)
     expected = werner_scan(_parse_grid(args))
     assert f"crosses 2/3 at q={expected.threshold_q:.9f}" in out
     assert scan_rows(out, fmt) == [list(row) for row in expected.rows]
+
+
+# resampled tomography of the golden tables, whose ML states are fitted in one
+# stack; keyed (table, format, resamples)
+TOMO_KEYS = [(table, fmt, resamples) for table in ("axial", "zero", "below1")
+             for fmt in ("csv", "json") for resamples in ("100", "300")]
+
+
+@pytest.mark.parametrize("key", TOMO_KEYS, ids=" ".join)
+def test_tomo_resampled_output_is_pinned(key):
+    table, fmt, resamples = key
+    assert_golden(["tomo", "--counts", f"{table}.csv", "--target=0.6,0.8j",
+                   "--weight", "0.2" if table == "axial" else "0", "--resamples", resamples,
+                   "--seed", "3", "--format", fmt])
 
 
 @pytest.mark.parametrize("q_list, bad", [("0.3,1.2,-0.1", "1.2"), ("0.5,-0.1,1.2", "-0.1"),
