@@ -9,6 +9,8 @@ version line and contain nothing non-deterministic, so identical inputs and
 seeds give byte-identical files.  A command is parsed once, by its
 subcommand's parser (``_parse``); JSON is written with the C encoder, with
 the bytes of ``json.dumps(..., indent=2, sort_keys=True)`` (``_json_text``).
+A subcommand imports its layers when it runs, so ``tomo`` loads no photon
+engine and ``run`` no ``channels``; ``configparser`` loads for ``--config``.
 
 Exit codes: 0 success, 1 simulation/runtime failure, 2 usage or config error
 (an empty output path, or one that cannot be written, among them).
@@ -17,7 +19,6 @@ Exit codes: 0 success, 1 simulation/runtime failure, 2 usage or config error
 from __future__ import annotations
 
 import argparse
-import configparser
 import contextlib
 import csv
 import functools
@@ -30,15 +31,10 @@ import warnings
 
 import numpy as np
 
-from .channels import werner_scan
 from .estimation import (POISSON_MAX_MEAN, NonPhysicalError, corrected_fidelity,
                          correct_for_background, ml_reconstruct, poisson_uncertainty,
                          read_counts_csv, resampled_tomography)
 from .fock import fidelity, parse_ket
-from .protocol import (InputQubit, NoCoincidenceError, ProtocolConfig, count_rates,
-                       emulate_mixture)
-from .spdc import (RATIO_BOUNDS, SourceParams, fit_source_ratio, sector_rates,
-                   sector_shares)
 
 SCHEMA_VERSION = "cqtsim.v1"
 
@@ -313,6 +309,8 @@ def _config_prefix(command: str, path: str) -> list:
     """The ``[command]`` section of the INI file at ``path`` as arguments.
 
     Values are literal: a ``%`` does not interpolate."""
+    import configparser
+
     cp = configparser.ConfigParser(interpolation=None)
     try:
         with open(path, encoding="utf-8") as fh:
@@ -363,6 +361,8 @@ def _parse(argv: list) -> argparse.Namespace:
 # --- subcommands -----------------------------------------------------------------------
 
 def _source_from_args(args):
+    from .spdc import SourceParams
+
     if not 1 <= args.truncation_order <= MAX_TRUNCATION_ORDER:
         raise ValueError(f"--truncation-order must lie between 1 and {MAX_TRUNCATION_ORDER}")
     if args.ideal:
@@ -385,7 +385,9 @@ def _check_resamples(args):
 
 
 def cmd_run(args) -> int:
-    input_q = InputQubit.from_name(args.input)
+    from . import protocol
+
+    input_q = protocol.InputQubit.from_name(args.input)
     source = _source_from_args(args)
     _check_resamples(args)
     if not (math.isfinite(args.exposure) and args.exposure > 0):
@@ -395,10 +397,10 @@ def cmd_run(args) -> int:
         raise ValueError("--mix-p must lie in [0, 1]")
     if args.channel == "reference" and args.action != "none":
         raise ValueError("--channel reference requires --action none")
-    cfg = ProtocolConfig(channel="g1" if mix else args.channel, action=args.action,
-                         input=input_q, source=source, pbs_epsilon=args.pbs_epsilon,
-                         roles=args.roles)
-    record = emulate_mixture(cfg, args.mix_p) if mix else count_rates(cfg)
+    cfg = protocol.ProtocolConfig(channel="g1" if mix else args.channel, action=args.action,
+                                  input=input_q, source=source, pbs_epsilon=args.pbs_epsilon,
+                                  roles=args.roles)
+    record = protocol.emulate_mixture(cfg, args.mix_p) if mix else protocol.count_rates(cfg)
     fid = record.fidelity()
     row = [args.channel, args.action, args.input,
            record.f_parallel, record.f_perp, fid, record.success_probability,
@@ -460,8 +462,9 @@ def _parse_grid(args):
 
 
 def cmd_scan_werner(args) -> int:
-    grid = _parse_grid(args)
-    result = werner_scan(grid)
+    from . import channels
+
+    result = channels.werner_scan(_parse_grid(args))
     comments = [f"f_allowed crosses 2/3 at q={result.threshold_q:.9f}"]
     columns = ["q", "f_allowed", "f_denied"]
     _emit(_render_table(columns, result.rows, args.fmt, args.full_precision,
@@ -470,20 +473,19 @@ def cmd_scan_werner(args) -> int:
 
 
 def cmd_fit_spdc(args) -> int:
-    input_q = InputQubit.from_name(args.input)
+    from . import protocol, spdc
+
+    input_q = protocol.InputQubit.from_name(args.input)
     eps = args.pbs_epsilon
-    configs = {
-        "uncontrolled": ProtocolConfig(channel="reference", action="none",
-                                       input=input_q, pbs_epsilon=eps),
-        "allowed": ProtocolConfig(channel="g1", action="allow",
-                                  input=input_q, pbs_epsilon=eps),
-        "denied": ProtocolConfig(channel="g1", action="deny",
-                                 input=input_q, pbs_epsilon=eps),
-    }
+    configs = {label: protocol.ProtocolConfig(channel=channel, action=action,
+                                              input=input_q, pbs_epsilon=eps)
+               for label, channel, action in (("uncontrolled", "reference", "none"),
+                                              ("allowed", "g1", "allow"),
+                                              ("denied", "g1", "deny"))}
 
     targets = DEFAULT_FIT_TARGETS
     if args.synthetic_ratio is not None:
-        lo, hi = RATIO_BOUNDS
+        lo, hi = spdc.RATIO_BOUNDS
         if not lo < args.synthetic_ratio <= hi:
             raise ValueError(f"--synthetic-ratio must lie in ({lo:g}, {hi:g}]")
     elif args.targets is not None:
@@ -502,20 +504,20 @@ def cmd_fit_spdc(args) -> int:
     # the three configurations are propagated together; their rates feed the
     # targets and the fit
     try:
-        rates = sector_rates(SourceParams(), configs)
-    except NoCoincidenceError as exc:
+        rates = spdc.sector_rates(spdc.SourceParams(), configs)
+    except protocol.NoCoincidenceError as exc:
         cfg = configs[exc.label]
-        raise NoCoincidenceError(
+        raise protocol.NoCoincidenceError(
             f"the {exc.label} configuration ({cfg.channel} {cfg.action}) cannot produce a "
             f"four-fold coincidence at --pbs-epsilon {eps:g} and input {args.input}"
         ) from None
     if args.synthetic_ratio is not None:
         # at truncation order 2 the shares depend on the ratio alone, up to
         # rounding; a forward strength of 0.05 fixes that rounding
-        targets = {label: sector_shares(rates[label], 0.05,
-                                        0.05 * args.synthetic_ratio)["undesired"]
+        targets = {label: spdc.sector_shares(rates[label], 0.05,
+                                             0.05 * args.synthetic_ratio)["undesired"]
                    for label in DEFAULT_FIT_TARGETS}
-    fit = fit_source_ratio(targets, rates)
+    fit = spdc.fit_source_ratio(targets, rates)
     fp = args.full_precision
     rows = [[label, targets[label] * 100.0, fit.achieved[label] * 100.0,
              _fixed(fit.residuals[label] * 100.0, RESIDUAL_PP_DIGITS, fp)]

@@ -66,7 +66,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .channels import PAULI_X
 from .elements import (apply, balanced_bs_matrix, hwp_matrix, pbs_matrix, phase_matrix,
                        polarizer_matrix)
 from .estimation import fidelity_from_counts
@@ -566,6 +565,8 @@ def run_protocol(config: ProtocolConfig):
     # back from the analyzer's (parallel, orthogonal) basis to H/V
     rho = analyzer.conj().T @ (rho_acc / rho_weight) @ analyzer
     if config.channel == "g2":
+        from .channels import PAULI_X
+
         rho = PAULI_X @ rho @ PAULI_X
     return record, rho
 

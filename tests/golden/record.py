@@ -59,6 +59,16 @@ RUN_SOURCES = (
      "--format", "json"),
     ("--resamples", "200", "--seed", "5"),
 )
+# orders 3 to 5, which the other slices do not reach with a single
+# configuration: input plus converges to 0.613, 0.5202 and 0.996 for g1 allow,
+# g1 deny and reference; and a backward pair stronger than the forward one
+HIGH_ORDER_CONFIGS = (("g1", "allow"), ("g1", "deny"), ("reference", "none"))
+HIGH_ORDER_SOURCES = (
+    ("--input", "plus", "--kappa-forward", "0.1", "--kappa-backward", "0.055",
+     "--pbs-epsilon", "0.05"),
+    ("--input", "r", "--kappa-forward", "0.05", "--kappa-backward", "0.2",
+     "--pbs-epsilon", "0.025", "--format", "json"),
+)
 # the exits of the mixture and the fit that the grids above do not reach
 EDGES = (
     # one empty half: g1 deny of h, and g2 deny of v, cannot coincide at eps = 1
@@ -174,6 +184,10 @@ def corpus() -> list:
     argvs += [["run", "--channel", channel, "--action", action, "--input", name, *source]
               for (channel, action), name, source in itertools.product(
                   RUN_CONFIGS, SINGLE_INPUTS, SINGLE_SOURCES)]
+    argvs += [["run", "--channel", channel, "--action", action, *source,
+               "--truncation-order", order]
+              for (channel, action), source, order in itertools.product(
+                  HIGH_ORDER_CONFIGS, HIGH_ORDER_SOURCES, ("3", "4", "5"))]
     argvs += [["tomo", "--counts", f"{table}.csv", "--weight", weight, *resamples,
                "--format", fmt]
               for table, weight, resamples, fmt in itertools.product(

@@ -220,11 +220,11 @@ def test_fit_spdc_warns_of_a_second_exact_root(capsys):
 
 
 def test_fit_spdc_full_precision_prints_the_fit_unrounded(monkeypatch, capsys):
-    from cqtsim import cli
+    from cqtsim import spdc
 
     fits = []
-    fit_source_ratio = cli.fit_source_ratio
-    monkeypatch.setattr(cli, "fit_source_ratio",
+    fit_source_ratio = spdc.fit_source_ratio
+    monkeypatch.setattr(spdc, "fit_source_ratio",
                         lambda targets, rates: fits.append(fit_source_ratio(targets, rates))
                         or fits[-1])
     argv = ["fit-spdc", "--input", "h", "--synthetic-ratio", "4", "--pbs-epsilon", "0.001",
@@ -358,12 +358,11 @@ def test_mixture_half_without_coincidence_adds_no_events(name, capsys):
 
 @pytest.mark.parametrize("p", ["2", "-1", "nan"])
 def test_bad_mix_p_exits_2_before_propagating(p, monkeypatch, capsys):
-    from cqtsim import cli, protocol
+    from cqtsim import protocol
 
     def forbidden(cfg):
         raise AssertionError("propagated before checking --mix-p")
 
-    monkeypatch.setattr(cli, "count_rates", forbidden)
     monkeypatch.setattr(protocol, "count_rates", forbidden)
     assert run_cli(["run", "--channel", "mix", "--mix-p", p, "--kappa-forward", "0.1",
                     "--truncation-order", "5"]) == 2
@@ -573,11 +572,13 @@ def test_out_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
                          ids=["reproduce", "run"])
 def test_an_empty_out_path_is_refused_before_the_command_runs(argv, out_dir, tmp_path,
                                                               monkeypatch, capsys):
+    from cqtsim import protocol
+
     if out_dir:
         monkeypatch.setenv("CQTSIM_OUT_DIR", str(tmp_path / out_dir))
     else:
         monkeypatch.delenv("CQTSIM_OUT_DIR", raising=False)
-    monkeypatch.setattr(cli, "count_rates", None)
+    monkeypatch.setattr(protocol, "count_rates", None)
     monkeypatch.setattr(cli, "corrected_fidelity", None)
     assert run_cli([*argv, "--out", ""]) == 2
     captured = capsys.readouterr()
@@ -973,11 +974,11 @@ def test_resamples_cap(tmp_path, monkeypatch, capsys):
 
 @pytest.mark.parametrize("form", ["grid", "list"])
 def test_q_points_cap(form, monkeypatch, capsys):
-    from cqtsim import cli
+    from cqtsim import channels
     from cqtsim.channels import WernerScanResult
 
     sizes = []
-    monkeypatch.setattr(cli, "werner_scan", lambda grid: (
+    monkeypatch.setattr(channels, "werner_scan", lambda grid: (
         sizes.append(len(grid)) or WernerScanResult([(0.5, 0.75, 0.5)], 1.0 / 3.0)))
 
     def argv(n):
@@ -992,12 +993,12 @@ def test_q_points_cap(form, monkeypatch, capsys):
 
 
 def test_truncation_order_cap(monkeypatch, capsys):
-    from cqtsim import cli
+    from cqtsim import protocol
     from cqtsim.protocol import CountRecord
 
     orders = []
     record = CountRecord(0.75, 0.25, 1.0, {})
-    monkeypatch.setattr(cli, "count_rates", lambda cfg: (
+    monkeypatch.setattr(protocol, "count_rates", lambda cfg: (
         orders.append(cfg.source.truncation_order) or record))
     argv = ["run", "--kappa-forward", "0.1", "--truncation-order"]
     assert run_cli(argv + ["5"]) == 0
@@ -1054,21 +1055,21 @@ def test_run_emission_bytes_pinned(settings, row, capsys):
 def test_run_full_precision_prints_the_record(extra, monkeypatch, capsys):
     # a numpy scalar would print as np.float64(...): every value must be a
     # Python float that reads back as the record's value
-    from cqtsim import cli
+    from cqtsim import protocol
     from cqtsim.protocol import ProtocolConfig
     from cqtsim.spdc import SourceParams
 
     records = []
-    count_rates = cli.count_rates
-    monkeypatch.setattr(cli, "count_rates", lambda cfg: records.append(
+    count_rates = protocol.count_rates
+    monkeypatch.setattr(protocol, "count_rates", lambda cfg: records.append(
         count_rates(cfg)) or records[-1])
     assert run_cli(["run", "--kappa-forward", "0.1", "--kappa-backward", "0.055",
                     "--pbs-epsilon", "0.05", "--full-precision", *extra]) == 0
     row = capsys.readouterr().out.splitlines()[-1].split(",")
     values = [float(v) for v in row[3:] if v]
     if "mix" in extra:
-        record = cli.emulate_mixture(ProtocolConfig(source=SourceParams(0.1, 0.055),
-                                                    pbs_epsilon=0.05), 0.5)
+        record = protocol.emulate_mixture(ProtocolConfig(source=SourceParams(0.1, 0.055),
+                                                         pbs_epsilon=0.05), 0.5)
     else:
         (record,) = records
     expected = [record.f_parallel, record.f_perp, record.fidelity(),

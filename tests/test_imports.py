@@ -2,13 +2,22 @@
 private module-level name it defines is used somewhere in the package, and
 every public function and class it defines has a user outside the tests.
 
-The package's ``__init__`` is exempt from the first check, as it imports
-names to re-export them, and its re-exports do not count as uses in the
-third.  The checks read the source with ``ast`` alone, so they need no linter.
+The package's ``__init__`` is exempt from the first check, as it only
+re-exports names, and its re-exports do not count as uses in the third.  The checks read the source with ``ast`` alone, so they need no linter.
+
+The last checks pin the import graph in fresh interpreters: ``import
+cqtsim`` loads no module of the package, and each command loads only the
+layers it runs.
 """
 
 import ast
+import functools
+import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -55,9 +64,8 @@ def references(tree):
             yield from (alias.name for alias in node.names)
 
 
-def private_definitions(tree):
-    """``(name, node)`` of each module-level function, class or assignment named
-    ``_name``, dunders excluded."""
+def definitions(tree):
+    """``(name, node)`` of each module-level function, class or assignment."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -67,8 +75,13 @@ def private_definitions(tree):
         else:
             continue
         for name in names:
-            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
-                yield name, node
+            yield name, node
+
+
+def private_definitions(tree):
+    """``definitions`` named ``_name``, dunders excluded."""
+    return ((name, node) for name, node in definitions(tree)
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")))
 
 
 def unused_private_names(sources: dict) -> list:
@@ -172,3 +185,66 @@ def test_module_naming_a_name_is_reported():
                "estimation.py": "from . import fock\nfock.NAMED_KETS['h']\n",
                "protocol.py": "named_kets = 'NAMED_KETS'\n"}
     assert modules_naming("NAMED_KETS", sources) == ["cli.py", "estimation.py", "fock.py"]
+
+
+# Prints the package's modules (and configparser) loaded after ``import
+# cqtsim``, then after each command of argv[1] (a JSON list of argv) has run.
+LOADED = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("cqtsim.") or m == "configparser")
+
+import cqtsim
+after_import = loaded()
+from cqtsim import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+print(json.dumps([after_import, loaded()]))
+"""
+
+
+@functools.lru_cache(maxsize=None)
+def loaded_after(*commands: str) -> list:
+    """``[after import cqtsim, after the commands]``: the package's modules and
+    configparser that a fresh interpreter has loaded, the commands run in
+    ``tests/golden`` through ``cli.main``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED, json.dumps([c.split() for c in commands])],
+        cwd=ROOT / "tests" / "golden", env=env, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout)
+
+
+QUBIT_COMMANDS = ("tomo --counts axial.csv", "scan-werner --q-list 0.5")
+PHOTON_COMMANDS = ("run --kappa-forward 0.1", "fit-spdc --synthetic-ratio 0.8")
+
+
+def test_import_cqtsim_loads_no_module_of_the_package():
+    assert loaded_after(*QUBIT_COMMANDS)[0] == loaded_after(*PHOTON_COMMANDS)[0] == []
+
+
+def test_tomo_and_scan_werner_load_no_photon_engine():
+    loaded = loaded_after(*QUBIT_COMMANDS)[1]
+    assert {"cqtsim.cli", "cqtsim.estimation", "cqtsim.channels"} <= set(loaded)
+    assert not {"cqtsim.protocol", "cqtsim.spdc", "cqtsim.elements"} & set(loaded)
+
+
+def test_run_and_fit_spdc_load_neither_channels_nor_configparser():
+    loaded = loaded_after(*PHOTON_COMMANDS)[1]
+    assert {"cqtsim.protocol", "cqtsim.spdc"} <= set(loaded)
+    assert not {"cqtsim.channels", "configparser"} & set(loaded)
+
+
+def test_every_export_is_the_object_its_module_defines():
+    import cqtsim
+
+    defined = {p.stem: {name for name, _ in definitions(ast.parse(p.read_text(encoding="utf-8")))}
+               for p in MODULES}
+    assert cqtsim.__all__
+    for name in cqtsim.__all__:
+        (home,) = [module for module, names in defined.items() if name in names]
+        assert getattr(cqtsim, name) is getattr(importlib.import_module(f"cqtsim.{home}"), name)
+    assert not hasattr(cqtsim, "nope")
