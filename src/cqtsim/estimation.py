@@ -120,6 +120,18 @@ def _bloch_rho(r: np.ndarray) -> np.ndarray:
                           axis=-1).reshape(*r.shape[:-1], 2, 2)
 
 
+def _newton_steps(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """-H^-1 g per row of H (n, 3, 3), negative definite: L D L^T of its upper triangle."""
+    (h00, h01, h02), (_, h11, h12), (_, _, h22) = hess.transpose(1, 2, 0)
+    g0, g1, g2 = grad.T
+    l10, l20 = h01 / h00, h02 / h00
+    d1, e12 = h11 - l10 * h01, h12 - l20 * h01
+    l21, y1 = e12 / d1, g1 - l10 * g0
+    x2 = (g2 - l20 * g0 - l21 * y1) / (h22 - l20 * h02 - l21 * e12)
+    x1 = y1 / d1 - l21 * x2
+    return -np.stack([g0 / h00 - l10 * x1 - l20 * x2, x1, x2], axis=1)
+
+
 def _ml_kernel(projectors: np.ndarray, tables: np.ndarray):
     """Maximum-likelihood states of a stack of count tables, by Newton's
     method on the Bloch vector r over the unit ball.
@@ -129,15 +141,15 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray):
     a_j.sigma) / 2 has probability p_j = (w_j + a_j.r) / 2, so the
     log-likelihood per count, L(r) = sum_j f_j log p_j with f_j = n_j / N,
     is concave and does not depend on the scale of the counts.  Each table
-    starts at r = 0 and takes Newton steps -H^-1 g.  A Newton point outside
-    the ball is pulled onto the sphere; there the table steps with the
-    tangent part of g and the tangent Hessian H - mu 1, mu = g.r, and goes
-    back inside when mu turns negative.  A step that lowers L by more than
-    its rounding, 1e-14 of |L|, or gives a counted projector a probability
-    of 0 or below, is halved until accepted or below 1e-6 of itself; L
-    keeps the higher value.  The Hessian, never the gradient, is shifted by
-    1e-12 of its trace: that keeps it invertible where no count bears on a
-    direction (as in ``tests/golden/sparse.csv``) and moves no fixed point.
+    starts at r = 0 and takes Newton steps -H^-1 g (H = L D L^T in closed
+    form, no LAPACK).  A Newton point outside the ball is pulled onto the
+    sphere; there the table steps with the tangent part of g and the tangent
+    Hessian H - mu 1, mu = g.r, and goes back inside when mu turns negative.
+    A step that lowers L by more than its rounding, 1e-14 of |L|, or gives a
+    counted projector a probability of 0 or below, is halved until accepted
+    or below 1e-6 of itself; L keeps the higher value.  The Hessian, not the
+    gradient, is shifted by 1e-12 of its trace; that moves no fixed point and
+    keeps H invertible where no count bears on a direction (golden sparse.csv).
 
     A table converges when its Newton step is at most ``ML_TOL`` long, so
     the KKT conditions of the ball hold to that length in r; it takes that
@@ -146,8 +158,8 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray):
     operation mixes the tables (einsum's loops, unlike a BLAS product over
     the stack, round each row alike), so each table ends with its own bits.
 
-    Returns ``(rho (n, 2, 2), converged (n,), iterations (n,), trace)``,
-    ``trace`` being table 0's L at r = 0 and after every accepted step.
+    Returns ``(r (n, 3), converged (n,), iterations (n,), trace)``, r the
+    Bloch vectors, ``trace`` table 0's L at r = 0 and after every accepted step.
     """
     n, m = tables.shape
     w = np.trace(projectors, axis1=1, axis2=2).real
@@ -159,6 +171,8 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray):
         # L and the probabilities; L is -inf where a counted probability is not positive
         p = 0.5 * (w + np.einsum("kd,jd->kj", r, axes))
         live = p > 0
+        if live.all():
+            return (f * np.log(p)).sum(axis=1), p
         ll = (f * np.log(np.where(live, p, 1.0))).sum(axis=1)
         ll[((f > 0) & ~live).any(axis=1)] = -math.inf
         return ll, p
@@ -167,36 +181,42 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray):
     converged, iterations = np.zeros(n, dtype=bool), np.full(n, ML_MAX_ITERATIONS)
     running = np.ones(n, dtype=bool)
     f = tables / tables.sum(axis=1, keepdims=True)
+    masked = not (f > 0).all()  # only an uncounted probability can vanish
     ll, p = evaluate(r, f)
     trace = [float(ll[0])]
     for iteration in range(1, ML_MAX_ITERATIONS + 1):
         if not running.any():
             break
-        q = np.divide(f, p, out=np.zeros_like(f), where=f > 0)
+        counted_p = np.where(f > 0, p, 1.0) if masked else p
+        q = f / counted_p
         g = 0.5 * np.einsum("kj,jd->kd", q, axes)
-        h = -0.25 * np.einsum("kj,jd->kd", np.divide(q, p, out=np.zeros_like(q), where=f > 0),
-                              outer).reshape(-1, 3, 3)
+        h = -0.25 * np.einsum("kj,jd->kd", q / counted_p, outer).reshape(-1, 3, 3)
         hess = h + 1e-12 * np.trace(h, axis1=1, axis2=2)[:, None, None] * eye
-        mu = (g * r).sum(axis=1)
-        sphere &= mu >= 0
-        # on the sphere, the tangent parts, and -1 along r to keep the step tangent
-        grad = g - np.where(sphere, mu, 0.0)[:, None] * r
         if sphere.any():
+            mu = (g * r).sum(axis=1)
+            sphere &= mu >= 0
+            # on the sphere, the tangent parts, and -1 along r to keep the step tangent
+            g = g - np.where(sphere, mu, 0.0)[:, None] * r
             normal = r[sphere, :, None] * r[sphere, None, :]
             hess[sphere] = ((eye - normal) @ (hess[sphere] - mu[sphere, None, None] * eye)
                             @ (eye - normal) - normal)
-        step = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+        step = _newton_steps(hess, g)
         done = np.sqrt((step * step).sum(axis=1)) <= ML_TOL
 
         # the full step, then halves of it for the tables that are not done
         ok, rows, t = np.zeros(n, dtype=bool), np.flatnonzero(running), 1.0
         while rows.size and t > 1e-6:
-            cand = r[rows] + t * step[rows]
+            sel = slice(None) if rows.size == n else rows  # a slice gathers no row
+            cand = r[sel] + t * step[sel]
             norm = np.sqrt((cand * cand).sum(axis=1))
-            on = sphere[rows] | (norm > 1.0)
+            on = sphere[sel] | (norm > 1.0)
             cand /= np.where(on, norm, 1.0)[:, None]
-            cand_ll, cand_p = evaluate(cand, f[rows])
-            up = cand_ll >= ll[rows] - 1e-14 * np.abs(ll[rows])
+            cand_ll, cand_p = evaluate(cand, f[sel])
+            up = cand_ll >= ll[sel] - 1e-14 * np.abs(ll[sel])
+            if up.all():  # and none is scattered
+                r[sel], sphere[sel], p[sel], ok[sel] = cand, on, cand_p, True
+                ll[sel] = np.maximum(cand_ll, ll[sel])
+                break
             took = rows[up]
             r[took], sphere[took], p[took], ok[took] = cand[up], on[up], cand_p[up], True
             ll[took] = np.maximum(cand_ll[up], ll[took])
@@ -208,7 +228,7 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray):
         converged |= stop & done
         iterations[stop] = iteration
         running &= ~stop
-    return _bloch_rho(r), converged, iterations, trace
+    return r, converged, iterations, trace
 
 
 def ml_reconstruct(counts: ProjectionCounts) -> MLResult:
@@ -222,8 +242,8 @@ def ml_reconstruct(counts: ProjectionCounts) -> MLResult:
 
 
 def _ml_fit(counts: ProjectionCounts, resamples: np.ndarray) -> tuple:
-    """``ml_reconstruct(counts)`` and the states of the ``resamples`` (k, m),
-    from one kernel run with the observed table as table 0."""
+    """``ml_reconstruct(counts)`` and the Bloch vectors of the ``resamples``
+    (k, m), from one kernel run with the observed table as table 0."""
     projectors = np.array(counts.projectors())
     # the projectors must span the 4-dimensional operator space
     if np.linalg.matrix_rank(projectors.reshape(-1, 4), tol=1e-10) < 4:
@@ -231,9 +251,8 @@ def _ml_fit(counts: ProjectionCounts, resamples: np.ndarray) -> tuple:
     ns = counts.counts()
     if np.sum(ns) <= 0:
         raise ValueError("all counts are zero")
-    rho, converged, iterations, trace = _ml_kernel(projectors, np.vstack([ns, resamples]))
-    return MLResult(rho=rho[0], converged=bool(converged[0]), iterations=int(iterations[0]),
-                    log_likelihoods=trace), rho[1:]
+    r, converged, iterations, trace = _ml_kernel(projectors, np.vstack([ns, resamples]))
+    return MLResult(_bloch_rho(r[0]), bool(converged[0]), int(iterations[0]), trace), r[1:]
 
 
 def ml_oracle_bloch_search(counts: ProjectionCounts) -> np.ndarray:
@@ -310,7 +329,12 @@ def correct_for_background(raw: np.ndarray, w: float) -> np.ndarray:
     if raw.shape[-2:] != (2, 2):
         raise ValueError(f"density matrices must have shape (..., 2, 2), got {raw.shape}")
     check_density(raw, "density matrices")
-    r = _bloch_vector(raw) / (1.0 - w)
+    return _bloch_rho(_subtract_background(_bloch_vector(raw), w))
+
+
+def _subtract_background(r: np.ndarray, w: float) -> np.ndarray:
+    """``correct_for_background`` on Bloch vectors r (..., 3), for a ``w`` in [0, 1)."""
+    r = r / (1.0 - w)
     length = np.hypot(np.hypot(r[..., 0], r[..., 1]), r[..., 2])
     lowest = (1.0 - length) / 2
     severe = lowest < -1e-3
@@ -319,7 +343,7 @@ def correct_for_background(raw: np.ndarray, w: float) -> np.ndarray:
     if (lowest < -1e-9).any():
         warnings.warn("background subtraction left slightly negative "
                       "eigenvalues; clipping to the physical cone")
-    return _bloch_rho(r / np.maximum(length, 1.0)[..., None])
+    return r / np.maximum(length, 1.0)[..., None]
 
 
 # --- Poisson resampling --------------------------------------------------------------
@@ -392,8 +416,9 @@ def resampled_tomography(counts: ProjectionCounts, target, seed: int, n_resample
 
     The nonempty of ``n_resamples`` tables drawn around ``counts`` are fitted
     in one kernel run, with the observed table as table 0, and corrected for
-    ``background_w``, the observed state first.  ``seed`` and ``n_resamples``
-    are checked as ``poisson_uncertainty`` checks them.
+    ``background_w``, the observed state first; the resamples stay Bloch
+    vectors r, of fidelity (1 + r.t) / 2 with a target of Bloch vector t.
+    ``seed`` and ``n_resamples`` are checked as ``poisson_uncertainty`` checks them.
     """
     _check_resampling(seed, n_resamples)
     target = unit_ket(target, "target")
@@ -401,11 +426,11 @@ def resampled_tomography(counts: ProjectionCounts, target, seed: int, n_resample
     _check_poisson_mean(means.max(initial=0.0))
     tables = np.random.default_rng(seed).poisson(
         means, size=(n_resamples, means.size)).astype(float)
-    result, rho = _ml_fit(counts, tables[tables.sum(axis=1) > 0])
+    result, r = _ml_fit(counts, tables[tables.sum(axis=1) > 0])
     corrected = correct_for_background(result.rho, background_w)
     if background_w:
-        rho = correct_for_background(rho, background_w)
-    values = np.einsum("i,nij,j->n", target.conj(), rho, target).real
+        r = _subtract_background(r, background_w)
+    values = (1.0 + np.einsum("nd,d->n", r, _bloch_vector(np.outer(target, target.conj())))) / 2
     return result, corrected, _estimate(np.clip(values, 0.0, 1.0))
 
 

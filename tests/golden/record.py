@@ -136,6 +136,12 @@ SCAN_POINTS = (("--q-grid", "0:1:10001"), ("--q-grid", "0:1:58"), ("--q-grid", "
 # resampled tomography of three tables, whose ML states are fitted in one
 # stack and whose last bits may follow the BLAS kernel too
 STACKED_TOMO = (("axial.csv", "0.2"), ("zero.csv", "0"), ("below1.csv", "0"))
+# test_cli_boundary's HUGE table (h 1e19) and its 1e100 and 1e300 variants:
+# axial tables whose maximum is a pure state near the h pole, where the ML fit
+# stops unconverged after 16, 2 and 2 steps; no count of 1e19 or more can be
+# resampled, so the resampled commands fit the observed table and exit 2
+POLE_TABLES = ("pole-1e19", "pole-1e100", "pole-1e300")
+POLE_RESAMPLES = (("--resamples", "0"), ("--resamples", "100", "--seed", "1"))
 # argument parsing, its errors and the config file
 ARGV_EDGES = (
     (),
@@ -209,6 +215,8 @@ def corpus() -> list:
                "--resamples", resamples, "--seed", "3", "--format", fmt]
               for (table, weight), fmt, resamples in itertools.product(
                   STACKED_TOMO, ("csv", "json"), ("100", "300"))]
+    argvs += [["tomo", "--counts", f"{table}.csv", *resamples]
+              for table, resamples in itertools.product(POLE_TABLES, POLE_RESAMPLES)]
     argvs += [["reproduce", "table1", "--format", fmt] for fmt in ("csv", "json")]
     return argvs + [list(argv) for argv in ARGV_EDGES]
 

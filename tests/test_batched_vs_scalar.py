@@ -246,16 +246,27 @@ def sparse_stacks():
 
 # --- estimation ---------------------------------------------------------------------
 
+# test_cli_boundary's HUGE table with h at 1e100: its first Newton step ends
+# on the sphere, and its second halves 19 times and stops it unconverged
+# (ROADMAP direction 4); and tests/golden/zero.csv, which has a zero count
+POLE_1E100 = [1e100, 300.0, 650.0, 350.0, 520.0, 480.0]
+ZERO_COUNT = [600.0, 400.0, 0.0, 450.0, 520.0, 480.0]
+
+
 def ml_corpus(name):
     """``(projectors, tables)`` stacks: seeded axial tables at three
-    exposures, random projector sets with half their counts zero, and 300
+    exposures, random projector sets with half their counts zero, 300
     tables as qubit_analysis resamples them (12,000-16,000 counts per axis
-    around a Bloch vector of length 0.45)."""
+    around a Bloch vector of length 0.45), and those 300 with
+    ``POLE_1E100`` and ``ZERO_COUNT``."""
     if name.startswith("seeded"):
         exposure = int(name.split()[1])
         yield axial_projectors(), seeded_tables(exposure, 40, exposure)
     elif name == "sparse":
         yield from sparse_stacks()
+    elif name == "mixed":
+        projectors, tables = next(ml_corpus("benchmark"))
+        yield projectors, np.vstack([tables, POLE_1E100, ZERO_COUNT])
     else:
         rng = np.random.default_rng(14)
         bloch = rng.normal(size=3)
@@ -267,17 +278,36 @@ def ml_corpus(name):
 
 
 @pytest.mark.parametrize("corpus", ["seeded 30", "seeded 400", "seeded 5000", "sparse",
-                                    "benchmark"])
-def test_kernel_rows_match_one_table_calls(corpus):
+                                    "benchmark", "mixed"])
+def test_kernel_rows_match_one_table_calls(corpus, monkeypatch):
+    # each pass evaluates the likelihood, which takes one log
+    passes, log = [], np.log
+
+    def counted(x, *args, **kwargs):
+        passes.append(len(x))
+        return log(x, *args, **kwargs)
+
+    monkeypatch.setattr(estimation.np, "log", counted)
     for projectors, tables in ml_corpus(corpus):
-        rho, converged, iterations, trace = _ml_kernel(projectors, tables)
-        assert converged.all()
+        passes.clear()
+        r, converged, iterations, trace = _ml_kernel(projectors, tables)
+        if corpus == "mixed":
+            # the pole table halves its second step, which the interior tables
+            # take in full: those rows are gathered; it alone does not converge
+            assert len(passes) > 1 + iterations.max()
+            assert converged.sum() == len(tables) - 1 and not converged[-2]
+        else:
+            assert converged.all()
         for i, table in enumerate(tables):
+            passes.clear()
             alone = _ml_kernel(projectors, table[None])
-            assert rho[i].tobytes() == alone[0][0].tobytes()
+            assert r[i].tobytes() == alone[0][0].tobytes()
             assert (converged[i], iterations[i]) == (alone[1][0], alone[2][0])
             if i == 0:
                 assert trace == alone[3]
+            if corpus == "mixed" and i < 300:
+                # alone, an interior table takes each step in full, as a slice
+                assert passes == [1] * (1 + iterations[i])
 
 
 @pytest.mark.parametrize("cap", [1, 2, 3])
@@ -294,8 +324,8 @@ def test_kernel_respects_max_iterations_per_table(cap, monkeypatch):
 def test_ml_reconstruct_is_the_single_table_case():
     for table in seeded_tables(21, 10, 800):
         res = ml_reconstruct(axial_counts(dict(zip(AXIAL, table))))
-        rho, converged, iterations, trace = _ml_kernel(axial_projectors(), table[None])
-        assert res.rho.tobytes() == rho[0].tobytes()
+        r, converged, iterations, trace = _ml_kernel(axial_projectors(), table[None])
+        assert res.rho.tobytes() == estimation._bloch_rho(r[0]).tobytes()
         assert (res.converged, res.iterations) == (converged[0], iterations[0])
         assert res.log_likelihoods == trace
         assert all(isinstance(v, float) for v in res.log_likelihoods)

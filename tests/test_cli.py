@@ -618,12 +618,16 @@ def test_tomo_prints_a_spread_of_rounding_noise_as_zero(fmt, line, tmp_path, cap
 
 def test_tomo_full_precision_prints_the_spread_as_computed(tmp_path, capsys):
     from cqtsim.estimation import read_counts_csv, resampled_tomography
+    from cqtsim.fock import parse_ket
 
+    # every resample fits the same state, and so the same fidelity with
+    # linear:30; their mean is rounded, which leaves a spread of 1.1e-16
     counts = tmp_path / "pure.csv"
     write_counts(counts, PURE_PLUS)
-    assert run_cli(["tomo", "--counts", str(counts), "--target=plus", "--weight", "0",
+    assert run_cli(["tomo", "--counts", str(counts), "--target=linear:30", "--weight", "0",
                     "--resamples", "100", "--seed", "6", "--full-precision"]) == 0
-    _, _, estimate = resampled_tomography(read_counts_csv(counts), KET_D, 6, 100)
+    _, _, estimate = resampled_tomography(read_counts_csv(counts),
+                                          np.array(parse_ket("linear:30", "target")), 6, 100)
     assert 0.0 < estimate.uncertainty < 1e-15
     assert f"fidelity_std,{estimate.uncertainty!r}" in capsys.readouterr().out.splitlines()
 
@@ -861,12 +865,12 @@ def test_tomo_resampling_errors_keep_their_text_and_order(table, weight, message
 
 def test_tomo_observed_weight_error_hides_failing_resamples(tmp_path):
     # the resamples of the first case above fail on their own as well
-    from cqtsim.estimation import (NonPhysicalError, _ml_kernel, axial_counts,
+    from cqtsim.estimation import (NonPhysicalError, _bloch_rho, _ml_kernel, axial_counts,
                                    correct_for_background)
 
     counts = axial_counts(W554)
     draws = np.random.default_rng(27).poisson(counts.counts(), size=(300, 6)).astype(float)
-    rho = _ml_kernel(np.array(counts.projectors()), draws)[0]
+    rho = _bloch_rho(_ml_kernel(np.array(counts.projectors()), draws)[0])
     with pytest.raises(NonPhysicalError) as exc:
         correct_for_background(rho, 0.8)
     assert exc.value.n_bad > 100

@@ -1,6 +1,7 @@
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -358,6 +359,81 @@ def test_ml_takes_a_zero_tolerance(monkeypatch):
     res = ml_reconstruct(counts)
     assert 1 <= res.iterations <= 50
     validate_density(res.rho)
+
+
+# --- the closed-form Newton solve ---------------------------------------------------
+
+EPS = np.finfo(float).eps
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def random_negative_definite(rng, n, log_cond):
+    """n symmetric 3x3 matrices -Q diag(lam) Q^T, each with a random rotation Q
+    and eigenvalues lam spread over 10^-log_cond to 1."""
+    q = np.linalg.qr(rng.normal(size=(n, 3, 3)))[0]
+    lam = 10.0 ** rng.uniform(-log_cond, 0.0, size=(n, 1, 3))
+    hess = -(q * lam) @ q.transpose(0, 2, 1)
+    return (hess + hess.transpose(0, 2, 1)) / 2
+
+
+def tangent_hessians(rng, n):
+    """Tangent Hessians as the ML kernel builds them for tables on the
+    sphere: (1 - rr^T)(H - mu 1)(1 - rr^T) - rr^T, |r| = 1, mu >= 0."""
+    hess, r = random_negative_definite(rng, n, 6), rng.normal(size=(n, 3))
+    r /= np.linalg.norm(r, axis=1, keepdims=True)
+    mu, eye = 10.0 ** rng.uniform(-8.0, 0.0, size=n), np.eye(3)
+    normal = r[:, :, None] * r[:, None, :]
+    return (eye - normal) @ (hess - mu[:, None, None] * eye) @ (eye - normal) - normal
+
+
+def first_newton_system(counts: ProjectionCounts):
+    """The shifted Hessian and the gradient of the log-likelihood per count
+    at r = 0, as the kernel forms them for its first step."""
+    projectors = np.array(counts.projectors())
+    axes = estimation._bloch_vector(projectors)
+    f = counts.counts() / counts.counts().sum()
+    p = 0.5 * np.trace(projectors, axis1=1, axis2=2).real
+    q = np.divide(f, p, out=np.zeros_like(f), where=f > 0)
+    h = -0.25 * np.einsum("j,jd,je->de", q / p, axes, axes)
+    return h + 1e-12 * np.trace(h) * np.eye(3), 0.5 * q @ axes
+
+
+def one_count_systems(rng, n):
+    """First Newton systems of tables with a single nonzero count over 4 to 8
+    random projectors: a rank-one Hessian plus its 1e-12 shift, whose
+    cofactors cancel to 1e-12 of its entries."""
+    systems = []
+    for _ in range(n):
+        m = int(rng.integers(4, 9))
+        kets = rng.normal(size=(m, 2)) + 1j * rng.normal(size=(m, 2))
+        counts = np.zeros(m)
+        counts[rng.integers(m)] = rng.integers(1, 100)
+        systems.append(first_newton_system(ProjectionCounts(list(zip(kets, counts)))))
+    hess, grad = zip(*systems)
+    return np.array(hess), np.array(grad)
+
+
+def newton_cases(case):
+    rng = np.random.default_rng(42)
+    if case == "negative definite":
+        return random_negative_definite(rng, 400, 12), rng.normal(size=(400, 3))
+    if case == "tangent":
+        return tangent_hessians(rng, 400), rng.normal(size=(400, 3))
+    if case == "sparse.csv":
+        hess, grad = first_newton_system(read_counts_csv(GOLDEN / "sparse.csv"))
+        return hess[None], grad[None]
+    return one_count_systems(rng, 100)
+
+
+@pytest.mark.parametrize("case", ["negative definite", "tangent", "sparse.csv", "one count"])
+def test_newton_steps_match_lapack_within_the_condition_number(case):
+    hess, grad = newton_cases(case)
+    step = estimation._newton_steps(hess, grad)
+    want = -np.linalg.solve(hess, grad[:, :, None])[:, :, 0]
+    error = np.linalg.norm(step - want, axis=1) / np.linalg.norm(want, axis=1)
+    assert (error <= 8 * np.linalg.cond(hess) * EPS).all()
+    # the conditions reach the 1e-12 shift, as the kernel's do
+    assert np.linalg.cond(hess).max() > (1e11 if case != "tangent" else 1e5)
 
 
 # --- Poisson uncertainties ---------------------------------------------------------

@@ -129,7 +129,8 @@ def test_kernel_corpus_reaches_every_path(monkeypatch):
         cap = 2 if seed % 5 == 3 else 2000
         monkeypatch.setattr(estimation, "ML_MAX_ITERATIONS", cap)
         logs[0] = 0
-        rho, converged, iterations, _ = _ml_kernel(projectors, tables)
+        r, converged, iterations, _ = _ml_kernel(projectors, tables)
+        rho = estimation._bloch_rho(r)
         # one evaluation at r = 0 and one full step per iteration of the longest table
         if logs[0] > 1 + iterations.max():
             seen.add("halved")

@@ -7,6 +7,12 @@ rows what a kernel call on the resamples alone gives, bit for bit; so must
 the corrected state be ``correct_for_background`` of ``ml_reconstruct``'s.  The
 estimate is compared by ``repr`` with ``two_run_tomography``, which fits the
 resamples in a kernel call of their own; so are its warnings and its errors.
+
+The resamples stay Bloch vectors r, and each fidelity is (1 + r.t) / 2.
+``density_matrix_tomography`` takes the route through 2x2 states instead:
+each r becomes a state, is corrected by ``correct_for_background`` and gives
+<t|rho|t>.  The estimates of the two routes must agree to 4e-16, and their
+warnings and errors must be the same.
 """
 
 import warnings
@@ -18,8 +24,9 @@ import pytest
 import cqtsim.estimation as estimation
 from cqtsim import cli
 from cqtsim.estimation import (FidelityEstimate, NonPhysicalError, ProjectionCounts,
-                               _ml_kernel, axial_counts, correct_for_background,
-                               ml_reconstruct, read_counts_csv, resampled_tomography)
+                               _bloch_rho, _bloch_vector, _ml_kernel, axial_counts,
+                               correct_for_background, ml_reconstruct, read_counts_csv,
+                               resampled_tomography)
 from cqtsim.fock import KET_D, KET_H
 
 from test_cli import write_counts
@@ -77,13 +84,13 @@ def run_recorded(monkeypatch, *args):
 
 
 def fit_alone(counts, tables):
-    """The states of ``tables`` over the projectors of ``counts``, from a
-    kernel call of their own."""
+    """The Bloch vectors of the states of ``tables`` over the projectors of
+    ``counts``, from a kernel call of their own."""
     return _ml_kernel(np.array(counts.projectors()), tables)[0]
 
 
-def two_run_tomography(counts, seed, n_resamples, background_w, target):
-    """The resampled estimate with the resamples fitted apart from the
+def resample_fits(counts, seed, n_resamples):
+    """The Bloch vectors of the nonempty resamples, fitted apart from the
     observed table."""
     means = counts.counts()
     tables = np.random.default_rng(seed).poisson(
@@ -91,7 +98,24 @@ def two_run_tomography(counts, seed, n_resamples, background_w, target):
     tables = tables[tables.sum(axis=1) > 0]
     if tables.size == 0:
         raise ValueError("every resample was empty")
-    rho = fit_alone(counts, tables)
+    return fit_alone(counts, tables)
+
+
+def two_run_tomography(counts, seed, n_resamples, background_w, target):
+    """The resampled estimate with the resamples fitted apart from the
+    observed table."""
+    r = resample_fits(counts, seed, n_resamples)
+    if background_w:
+        correct_for_background(ml_reconstruct(counts).rho, background_w)
+        r = estimation._subtract_background(r, background_w)
+    values = (1.0 + np.einsum("nd,d->n", r, _bloch_vector(np.outer(target, target.conj())))) / 2
+    values = np.clip(values, 0.0, 1.0)
+    return FidelityEstimate(value=float(np.mean(values)), uncertainty=float(np.std(values)))
+
+
+def density_matrix_tomography(counts, seed, n_resamples, background_w, target):
+    """The resampled estimate from the 2x2 states of the resamples."""
+    rho = _bloch_rho(resample_fits(counts, seed, n_resamples))
     if background_w:
         correct_for_background(ml_reconstruct(counts).rho, background_w)
         rho = correct_for_background(rho, background_w)
@@ -131,14 +155,14 @@ def test_corrected_state_is_the_observed_fit_corrected_bit_for_bit(table, weight
 def test_resample_rows_match_a_kernel_call_on_the_resamples_alone(name, seed, monkeypatch):
     counts, weight = FIXTURES[name]
     _, calls, _ = run_recorded(monkeypatch, counts, TARGET, seed, 300, weight)
-    (projectors, tables, (rho, converged, iterations, _)), = calls
+    (projectors, tables, (r, converged, iterations, _)), = calls
     # row 0 is the observed table, the other rows are the nonempty Poisson draws
     ns = counts.counts()
     assert tables[0].tobytes() == ns.tobytes()
     draws = np.random.default_rng(seed).poisson(ns, size=(300, ns.size)).astype(float)
     assert tables[1:].tobytes() == draws[draws.sum(axis=1) > 0].tobytes()
-    ref_rho, ref_conv, ref_iter, _ = _ml_kernel(projectors, tables[1:])
-    assert rho[1:].tobytes() == ref_rho.tobytes()
+    ref_r, ref_conv, ref_iter, _ = _ml_kernel(projectors, tables[1:])
+    assert r[1:].tobytes() == ref_r.tobytes()
     assert np.array_equal(converged[1:], ref_conv)
     assert np.array_equal(iterations[1:], ref_iter)
 
@@ -152,6 +176,19 @@ def test_estimate_matches_the_resampling_of_two_kernel_runs(name, seed, monkeypa
         warnings.simplefilter("always")
         ref = two_run_tomography(counts, seed, 300, weight, TARGET)
     assert repr(est) == repr(ref)
+    assert sorted(set(caught)) == sorted({str(w.message) for w in ref_caught})
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("name", FIXTURES)
+def test_bloch_estimate_matches_the_density_matrix_route(name, seed, monkeypatch):
+    counts, weight = FIXTURES[name]
+    (_, _, est), _, caught = run_recorded(monkeypatch, counts, TARGET, seed, 300, weight)
+    with warnings.catch_warnings(record=True) as ref_caught:
+        warnings.simplefilter("always")
+        ref = density_matrix_tomography(counts, seed, 300, weight, TARGET)
+    assert est.value == pytest.approx(ref.value, rel=0, abs=4e-16)
+    assert est.uncertainty == pytest.approx(ref.uncertainty, rel=0, abs=4e-16)
     assert sorted(set(caught)) == sorted({str(w.message) for w in ref_caught})
 
 
@@ -179,16 +216,18 @@ def test_resample_errors_match_the_resampling_of_two_kernel_runs(counts, weight,
     counts = axial_counts(counts)
     with pytest.raises(error) as got:
         resampled_tomography(counts, KET_D, seed, n, weight)
-    with pytest.raises(error) as ref:
-        two_run_tomography(counts, seed, n, weight, KET_D)
-    assert str(got.value) == str(ref.value)
+    for route in (two_run_tomography, density_matrix_tomography):
+        with pytest.raises(error) as ref:
+            route(counts, seed, n, weight, KET_D)
+        assert str(got.value) == str(ref.value)
 
 
 def test_observed_subtraction_fails_before_the_resamples():
     # at 80 % both the observed state and many resamples go non-physical: the
     # error is the observed state's, a NonPhysicalError of one state
     counts = axial_counts({"h": 100, "v": 100, "plus": 125, "minus": 75, "r": 100, "l": 100})
-    rho = fit_alone(counts, np.random.default_rng(27).poisson(counts.counts(), (300, 6)))
+    rho = _bloch_rho(fit_alone(counts, np.random.default_rng(27).poisson(counts.counts(),
+                                                                         (300, 6))))
     with pytest.raises(NonPhysicalError) as ref:
         correct_for_background(rho, 0.8)
     assert ref.value.n_states > 1
@@ -197,17 +236,17 @@ def test_observed_subtraction_fails_before_the_resamples():
     assert (got.value.n_bad, got.value.n_states) == (1, 1)
 
 
-@pytest.mark.parametrize("weight, calls", [("0.2", [(2, 2), (300, 2, 2)]), ("0", [(2, 2)])])
+@pytest.mark.parametrize("weight, calls", [("0.2", [(3,), (300, 3)]), ("0", [(3,)])])
 def test_tomo_subtracts_the_background_once(weight, calls, tmp_path, monkeypatch, capsys):
-    # once from the observed state and once from the stack of resamples
-    shapes, subtract = [], estimation.correct_for_background
+    # once from the observed state's Bloch vector, through correct_for_background,
+    # and once from the stack of the resamples' Bloch vectors
+    shapes, subtract = [], estimation._subtract_background
 
-    def counted(raw, w):
-        shapes.append(np.shape(raw))
-        return subtract(raw, w)
+    def counted(r, w):
+        shapes.append(np.shape(r))
+        return subtract(r, w)
 
-    monkeypatch.setattr(estimation, "correct_for_background", counted)
-    monkeypatch.setattr(cli, "correct_for_background", counted)
+    monkeypatch.setattr(estimation, "_subtract_background", counted)
     path = tmp_path / "counts.csv"
     write_counts(path, {"h": 8601, "v": 5290, "plus": 6107, "minus": 6466, "r": 4178,
                         "l": 8512})
