@@ -35,7 +35,8 @@ _GRID_POINTS = 401
 # A fit cost below this is an exact root: round trips reach about 1e-19, a
 # second basin that does not fit stays above 1e-4.
 _ROOT_COST = 1e-12
-_ZOOM_STEPS = np.arange(21.0)
+# the polish stops at a step this short in log R, or after this many steps
+_POLISH_TOLERANCE, _POLISH_STEPS = 1e-12, 64
 # the sector signature "jjkk" of j forward and k backward pairs -> (j, k)
 _SECTORS = {f"{j}{j}{k}{k}": (j, k) for j in range(10) for k in range(10)}
 
@@ -216,7 +217,7 @@ class RatioFit:
     achieved: dict
     residuals: dict
     sum_squared_residual: float
-    converged: bool             # always True: the zoom always reaches its tolerance
+    converged: bool             # always True: every polish ends inside its bracket
     constrained: bool = True    # False when the targets leave the ratio free
     other_roots: tuple = ()     # ratios in other basins that fit as exactly
     reachable: dict = field(default_factory=dict)   # label -> (min, max) share
@@ -229,6 +230,36 @@ def _local_minima(costs: np.ndarray) -> np.ndarray:
     return np.flatnonzero(falls & holds)
 
 
+def _polish(polys: list, lo: float, x: float, hi: float) -> tuple:
+    """``(log R, steps)`` at the bottom of the cost's basin in [lo, hi], from x.
+
+    ``polys``: per configuration its target t and p -> (a, b), its total and
+    undesired rate of R^p, so T = sum a e^(pl) at l = log R, each d/dl brings a
+    factor p, and s = U/T, s' = (U' - s T')/T, s'' = (U'' - 2 s' T' - s T'')/T."""
+    for steps in range(1, _POLISH_STEPS + 1):
+        slope = curve = 0.0     # half the cost's: sum (s - t) s', sum (s'^2 + (s - t) s'')
+        for target, terms in polys:
+            t0 = t1 = t2 = u0 = u1 = u2 = 0.0
+            for p, (a, b) in terms.items():
+                w = math.exp(p * x)
+                t0, t1, t2 = t0 + a * w, t1 + p * a * w, t2 + p * p * a * w
+                u0, u1, u2 = u0 + b * w, u1 + p * b * w, u2 + p * p * b * w
+            s = u0 / t0
+            s1 = (u1 - s * t1) / t0
+            s2 = (u2 - 2.0 * s1 * t1 - s * t2) / t0
+            slope += (s - target) * s1
+            curve += s1 * s1 + (s - target) * s2
+        lo, hi = (lo, x) if slope > 0.0 else (x, hi)     # the end the cost rises to
+        # Newton (x at zero slope, NaN at curvature <= 0); a step leaving the bracket halves it
+        step = x - slope / curve if curve > 0.0 else x if slope == 0.0 else math.nan
+        if not (lo < step < hi or step == x):
+            step = 0.5 * (lo + hi)
+        if abs(step - x) <= _POLISH_TOLERANCE:     # never longer than the bracket
+            return step, steps
+        x = step
+    return x, _POLISH_STEPS
+
+
 def fit_source_ratio(targets: dict, rates: dict) -> RatioFit:
     """Least-squares fit of kappa_backward/kappa_forward to target undesired shares.
 
@@ -238,17 +269,16 @@ def fit_source_ratio(targets: dict, rates: dict) -> RatioFit:
     with two basins at some settings, is scanned on a log-spaced grid over
     ``RATIO_BOUNDS``; each evaluation computes the share of every
     configuration as one stacked array in ``_share_terms``, the kernel of
-    ``sector_shares``.  Each grid minimum is refined by zooming: a 21-point
-    grid over the bracket of its two neighbours gives the next, down to a
-    bracket of 1e-12 in log R, every basin at once and each on the bits of a
-    zoom of its own (``refine``).  Other minima whose cost also reaches zero
-    (below ``_ROOT_COST``) are reported as ``other_roots``: the targets then
-    cannot tell those ratios apart.  ``reachable`` gives, per label, the
-    smallest and largest share over the grid and the fitted ratio; a target
-    outside it is one that no ratio in ``RATIO_BOUNDS`` reaches.  A target
-    set that is empty, or a target that has no rates or is not a real number
-    in [0, 1], or a rate label that is not a sector signature raises
-    ValueError.
+    ``sector_shares``.  Each grid minimum is polished in the bracket of its
+    grid neighbours by Newton steps on the cost's closed-form slope and
+    curvature in log R, safeguarded by bisection (``_polish``).  Other minima
+    whose cost also reaches zero (below ``_ROOT_COST``) are reported as
+    ``other_roots``: the targets then cannot tell those ratios apart.
+    ``reachable`` gives, per label, the smallest and largest share over the
+    grid and the fitted ratio; a target outside it is one that no ratio in
+    ``RATIO_BOUNDS`` reaches.  A target set that is empty, or a target that
+    has no rates or is not a real number in [0, 1], or a rate label that is
+    not a sector signature raises ValueError.
     """
     if not targets:
         raise ValueError("the fit needs at least one target")
@@ -281,32 +311,17 @@ def fit_source_ratio(targets: dict, rates: dict) -> RatioFit:
     # minimizer free: detect a flat cost and flag the fit as unconstrained
     constrained = bool(costs.max() - costs.min() > 1e-18)
 
-    def refine(starts: list) -> list:
-        """``(log R, cost)`` at the bottom of the basin of each grid index in
-        ``starts``, zoomed together: each step evaluates the 21-point grids
-        of every live bracket in one call, and a basin leaves once its
-        bracket is 1e-12 wide."""
-        found = [None] * len(starts)
-        live = [(n, grid, costs, i) for n, i in enumerate(starts)]
-        while True:
-            brackets = []
-            for n, xs, zoom, i in live:
-                lo, hi = xs.item(max(i - 1, 0)), xs.item(min(i + 1, xs.size - 1))
-                if hi - lo <= 1e-12:
-                    found[n] = xs.item(i), zoom.item(i)
-                    continue
-                # the points of np.linspace(lo, hi, 21), with Python float ends
-                xs = _ZOOM_STEPS * ((hi - lo) / 20) + lo
-                xs[-1] = hi
-                brackets.append((n, xs))
-            if not brackets:
-                return found
-            zooms = cost(shares(np.concatenate([xs for _, xs in brackets])))
-            live = [(n, xs, zoom, int(zoom.argmin()))
-                    for (n, xs), zoom in zip(brackets, zooms.reshape(len(brackets), -1))]
-
+    # per configuration its target and p -> (a, b): its total and undesired rate of R^p
+    polys = [(float(targets[k]), {}) for k in labels]
+    for k, (_, poly) in zip(labels, polys):
+        for (j, n), rate in ((_SECTORS[sector], float(r)) for sector, r in rates[k].items()):
+            a, b = poly.get(2 * n, (0.0, 0.0))
+            poly[2 * n] = a + rate, b + rate * ((j, n) != (1, 1))
     minima = [int(i) for i in _local_minima(costs) if i != best] if constrained else []
-    (log_ratio, _), *others = refine([best] + minima)
+    log_ratio, *others = [_polish(polys, grid.item(max(i - 1, 0)), grid.item(i),
+                                  grid.item(min(i + 1, _GRID_POINTS - 1)))[0]
+                          for i in [best] + minima]
+    other_costs = cost(shares(np.array(others))) if others else []
     ratio = math.exp(log_ratio)
     achieved = {k: sector_shares(rates[k], REFERENCE_KAPPA, REFERENCE_KAPPA * ratio)["undesired"]
                 for k in labels}
@@ -318,7 +333,7 @@ def fit_source_ratio(targets: dict, rates: dict) -> RatioFit:
         sum_squared_residual=float(sum(r ** 2 for r in residuals.values())),
         converged=True,
         constrained=constrained,
-        other_roots=tuple(math.exp(x) for x, c in others if c < _ROOT_COST),
+        other_roots=tuple(math.exp(x) for x, c in zip(others, other_costs) if c < _ROOT_COST),
         reachable={k: (min(float(row.min()), achieved[k]), max(float(row.max()), achieved[k]))
                    for k, row in zip(labels, grid_shares)},
     )

@@ -18,14 +18,9 @@ was before it took the mean and spread in two passes and clipped only after
 the background subtraction, copied verbatim with ``np.clip``, ``np.mean`` and
 ``np.std`` but without the background branch, which left with
 ``background_w``: its bit-for-bit oracle.
-``reference_undesired_shares`` and ``reference_fit_source_ratio`` are
-``spdc._undesired_shares`` and ``spdc.fit_source_ratio`` as they were before
-the zoom kept its bracket in Python floats and the shares skipped the
-operations that cannot change a bit, copied verbatim with
-``reference_sector_shares`` for the fit's achieved shares: the bit-for-bit
-oracle of the fit.  ``reference_sector_shares`` is ``spdc.sector_shares`` as
-it was before it became the one-configuration case of ``spdc._share_terms``,
-copied verbatim: the bit-for-bit oracle of the shares.
+``reference_sector_shares`` is ``spdc.sector_shares`` as it was before it
+became the one-configuration case of ``spdc._share_terms``, copied verbatim:
+the bit-for-bit oracle of the shares.
 ``reference_run_protocol`` is ``protocol.run_protocol`` as it was before the
 rates and the receiver state were split over one private tally, copied
 verbatim with the module's private names read off ``protocol`` at call time
@@ -54,9 +49,7 @@ from cqtsim.channels import PAULI_X, _feedforward_sums, ghz_ket, ket_outer
 from cqtsim.elements import phase_matrix
 from cqtsim.estimation import FidelityEstimate, _check_poisson_mean, _check_resampling
 from cqtsim.fock import H, V, PureState, _create, basis_pairs, spatial_counts
-from cqtsim.spdc import (_GRID_POINTS, _ROOT_COST, BACKWARD_MODES, FORWARD_MODES,
-                         RATIO_BOUNDS, REFERENCE_KAPPA, RatioFit, _local_minima,
-                         emission_orders)
+from cqtsim.spdc import BACKWARD_MODES, FORWARD_MODES, REFERENCE_KAPPA, emission_orders
 
 AXIAL_INPUT_NAMES = ("h", "v", "plus", "minus", "r", "l")
 
@@ -241,101 +234,6 @@ def reference_sector_shares(rates: dict, kappa_forward: complex, kappa_backward:
     undesired = sum(p for label, p in per_term.items() if label != "1111")
     return {"desired": (total - undesired) / total, "undesired": undesired / total,
             "per_term": {label: p / total for label, p in per_term.items()}}
-
-
-def reference_undesired_shares(rates: list):
-    """The undesired share of each of ``rates`` (``sector_rates`` of one
-    configuration each) as one function of log R, R = kappa_b/kappa_f.
-
-    ``shares(log_r)`` returns a (configuration, point) array.  Every element
-    comes from the same float operations, in the same order, as
-    ``sector_shares(rates[i], REFERENCE_KAPPA, REFERENCE_KAPPA * exp(log_r))``:
-    at kappa_f = REFERENCE_KAPPA the forward factor is 1.0, so sector "jjkk"
-    contributes rate * x ** 2k, summed from 0 in label order.  A label that a
-    configuration lacks contributes 0.0; ``sector_rates`` gives every
-    configuration the same labels in the same order.
-    """
-    labels = list(dict.fromkeys(label for r in rates for label in r))
-    coeffs = np.array([[r.get(label, 0.0) for label in labels] for r in rates])
-    powers = [2 * int(label[2]) for label in labels]
-
-    def shares(log_r: np.ndarray) -> np.ndarray:
-        x = abs(REFERENCE_KAPPA * np.exp(log_r) / REFERENCE_KAPPA)
-        # one power call per exponent, with an int exponent: numpy takes
-        # x ** 2 as x * x, which an array of exponents would not
-        x_to = {p: x ** p for p in set(powers)}
-        total = undesired = 0
-        for j, (label, p) in enumerate(zip(labels, powers)):
-            term = coeffs[:, j, None] * x_to[p]
-            total = total + term
-            if label != "1111":
-                undesired = undesired + term
-        if not np.all(total > 0.0):
-            raise ValueError("no emission term produces a four-fold coincidence")
-        return undesired / total
-
-    return shares
-
-
-def reference_fit_source_ratio(targets: dict, rates: dict) -> RatioFit:
-    """Least-squares fit of kappa_backward/kappa_forward to target undesired shares.
-
-    ``targets`` maps configuration labels to target fractions (0..1);
-    ``rates`` maps each of those labels to its ``sector_rates``, so the fit
-    propagates nothing itself.  The cost, a rational function of the ratio
-    with two basins at some settings, is scanned on a log-spaced grid over
-    ``RATIO_BOUNDS``; each evaluation computes the share of every
-    configuration as one stacked array, with the same bits as
-    ``sector_shares``.  Each grid minimum is refined by zooming: a 21-point
-    grid over the bracket of its two neighbours gives the next, down to a
-    bracket of 1e-12 in log R.  Other minima whose cost also reaches zero
-    (below ``_ROOT_COST``) are reported as ``other_roots``: the targets then
-    cannot tell those ratios apart.  ``reachable`` gives, per label, the smallest and largest share
-    over the grid and the fitted ratio; a target outside it is one that no
-    ratio in ``RATIO_BOUNDS`` reaches.
-    """
-    labels = list(targets)
-    shares = reference_undesired_shares([rates[k] for k in labels])
-    goal = np.array([targets[k] for k in labels])[:, None]
-
-    def cost(log_r: np.ndarray) -> np.ndarray:
-        return sum((shares(log_r) - goal) ** 2)
-
-    grid = np.linspace(math.log(RATIO_BOUNDS[0]), math.log(RATIO_BOUNDS[1]), _GRID_POINTS)
-    grid_shares = shares(grid)
-    costs = sum((grid_shares - goal) ** 2)
-    best = int(np.argmin(costs))
-    # a degenerate target set (shares insensitive to the ratio) leaves the
-    # minimizer free: detect a flat cost and flag the fit as unconstrained
-    constrained = bool(costs.max() - costs.min() > 1e-18)
-
-    def refine(i: int) -> tuple:
-        xs, zoom = grid, costs
-        while True:
-            lo, hi = xs[max(i - 1, 0)], xs[min(i + 1, len(xs) - 1)]
-            if hi - lo <= 1e-12:
-                return float(xs[i]), float(zoom[i])
-            xs = np.linspace(lo, hi, 21)
-            zoom = cost(xs)
-            i = int(np.argmin(zoom))
-
-    ratio = math.exp(refine(best)[0])
-    others = [refine(i) for i in _local_minima(costs) if i != best] if constrained else []
-    achieved = {k: reference_sector_shares(rates[k], REFERENCE_KAPPA,
-                                           REFERENCE_KAPPA * ratio)["undesired"]
-                for k in labels}
-    residuals = {k: achieved[k] - targets[k] for k in labels}
-    return RatioFit(
-        ratio=ratio,
-        achieved=achieved,
-        residuals=residuals,
-        sum_squared_residual=float(sum(r ** 2 for r in residuals.values())),
-        converged=True,
-        constrained=constrained,
-        other_roots=tuple(math.exp(x) for x, c in others if c < _ROOT_COST),
-        reachable={k: (min(float(row.min()), achieved[k]), max(float(row.max()), achieved[k]))
-                   for k, row in zip(labels, grid_shares)},
-    )
 
 
 def reference_run_protocol(config):

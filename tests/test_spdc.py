@@ -10,15 +10,14 @@ import pytest
 import cqtsim
 from cqtsim.fock import H, V, occupation
 from cqtsim.protocol import InputQubit, NoCoincidenceError, ProtocolConfig, run_protocol
-from cqtsim.spdc import (_GRID_POINTS, _ROOT_COST, PAIR_KINDS, RATIO_BOUNDS,
+from cqtsim.spdc import (_GRID_POINTS, _POLISH_STEPS, _ROOT_COST, PAIR_KINDS, RATIO_BOUNDS,
                          _local_minima, _share_terms,
                          REFERENCE_KAPPA, RatioFit, SourceParams, coincidence_sectors,
                          emission_orders, fit_source_ratio, four_mode_source,
                          heralded_fraction, sector_rates, sector_shares,
                          signature_label)
 
-from helpers import (reference_fit_source_ratio, reference_sector_shares,
-                     reference_undesired_shares, two_mode_spdc)
+from helpers import reference_sector_shares, two_mode_spdc
 
 _SQ2 = math.sqrt(2.0)
 
@@ -548,8 +547,8 @@ def test_fit_raises_for_a_label_without_four_fold_rate():
         fit_source_ratio({"dark": 0.1}, {"dark": {}})
 
 
-def reference_corpus():
-    """(targets, rates) of fits whose every field the zoom must keep.
+def fit_corpus():
+    """(targets, rates) of fits over the kinds of cost the polish meets.
 
     Orders 2 to 4, the input-h two-root case at eps 1e-3, rates with one
     sector zeroed or dropped, rates with no sector of k > 0 or only "1111",
@@ -584,14 +583,6 @@ def reference_corpus():
     yield from oracle_cases()
 
 
-def test_fit_keeps_every_bit_of_the_reference_zoom():
-    cases = list(reference_corpus())
-    assert len(cases) == 184
-    for targets, rates in cases:
-        assert repr(fit_source_ratio(targets, rates)) == repr(
-            reference_fit_source_ratio(targets, rates))
-
-
 def ratio_targets(eps, input_name, ratio):
     rates = fit_rates(eps, input_name)
     return {label: sector_shares(r, 0.05, 0.05 * ratio)["undesired"]
@@ -604,29 +595,48 @@ def exact_root_targets():
              for label in ("uncontrolled", "allowed", "denied")}, fit_rates(0.001, "h"))
 
 
-# target sets, the grid indices of their cost's local minima with the best
-# first, and the shares evaluations of the fit: the grid's and one per zoom
-# step of the basin that zooms longest (11 steps inside the grid, 8 at its
-# ends, where the first bracket is one grid step wide, not two)
+def both_ends_targets():
+    # every share at 1: the cost falls towards both ends of the grid
+    return {label: 1.0 for label in fit_rates()}, fit_rates()
+
+
+def grid_costs(targets, rates):
+    grid = np.linspace(math.log(RATIO_BOUNDS[0]), math.log(RATIO_BOUNDS[1]), _GRID_POINTS)
+    return grid, sum((sector_shares(rates[k], REFERENCE_KAPPA, REFERENCE_KAPPA * np.exp(grid))
+                      ["undesired"] - target) ** 2 for k, target in targets.items())
+
+
+def record_polishes(monkeypatch) -> list:
+    """The list to which each later ``spdc._polish`` call appends
+    (lo, x, hi, log R, steps): its bracket, start and result."""
+    from cqtsim import spdc
+
+    polishes, polish = [], spdc._polish
+
+    def recorded(polys, lo, x, hi):
+        found = polish(polys, lo, x, hi)
+        polishes.append((lo, x, hi, *found))
+        return found
+
+    monkeypatch.setattr(spdc, "_polish", recorded)
+    return polishes
+
+
+# target sets and the grid indices of their cost's local minima, the best first
 BASIN_CASES = {
-    "one basin": (lambda: ratio_targets(0.05, "plus", 0.3), [268], 12),
-    "two basins": (lambda: ratio_targets(0.05, "plus", 2.0), [357, 229], 12),
-    "minimum at index 400": (lambda: ratio_targets(0.05, "plus", 0.01), [108, 400], 12),
-    "minima at both ends": (lambda: ({label: 1.0 for label in fit_rates()}, fit_rates()),
-                            [0, 400], 9),
-    "second exact root": (exact_root_targets, [243, 390], 12),
+    "one basin": (lambda: ratio_targets(0.05, "plus", 0.3), [268]),
+    "two basins": (lambda: ratio_targets(0.05, "plus", 2.0), [357, 229]),
+    "minimum at index 400": (lambda: ratio_targets(0.05, "plus", 0.01), [108, 400]),
+    "minima at both ends": (both_ends_targets, [0, 400]),
+    "second exact root": (exact_root_targets, [243, 390]),
 }
 
 
 @pytest.mark.parametrize("case", BASIN_CASES)
-def test_joint_zoom_keeps_every_bit_of_the_reference(case, monkeypatch):
-    make, minima, evaluations = BASIN_CASES[case]
+def test_each_basin_is_polished_once_without_a_shares_call(case, monkeypatch):
+    make, minima = BASIN_CASES[case]
     targets, rates = make()
-    labels = list(targets)
-    grid = np.linspace(math.log(RATIO_BOUNDS[0]), math.log(RATIO_BOUNDS[1]), _GRID_POINTS)
-    goal = np.array([targets[k] for k in labels])[:, None]
-    costs = ((reference_undesired_shares([rates[k] for k in labels])(grid) - goal) ** 2
-             ).sum(axis=0)
+    grid, costs = grid_costs(targets, rates)
     best = int(costs.argmin())
     assert [best] + [int(i) for i in _local_minima(costs) if i != best] == minima
 
@@ -640,13 +650,81 @@ def test_joint_zoom_keeps_every_bit_of_the_reference(case, monkeypatch):
         return lambda x: calls.append(np.size(x)) or terms(x)
 
     monkeypatch.setattr(spdc, "_share_terms", counted)
+    polishes = record_polishes(monkeypatch)
     fit = fit_source_ratio(targets, rates)
-    assert repr(fit) == repr(reference_fit_source_ratio(targets, rates))
-    # the fit's evaluations, then one scalar ``sector_shares`` per achieved share
-    assert len(calls) == evaluations + len(labels)
-    assert calls[0] == _GRID_POINTS and calls[1] == 21 * len(minima)
-    assert calls[evaluations:] == [1] * len(labels)
+    # the grid, the other basins' polished points in one call, then one
+    # scalar ``sector_shares`` per achieved share
+    assert calls == [_GRID_POINTS] + [len(minima) - 1] * (len(minima) > 1) + [1] * len(targets)
+    assert [x for _, x, *_ in polishes] == [grid[i] for i in minima]
     assert len(fit.other_roots) == (case == "second exact root")
+
+
+def unconstrained_targets():
+    # the bundled targets at --pbs-epsilon 1 --input v: no share moves with R
+    return {"uncontrolled": 0.130, "allowed": 0.554, "denied": 0.301}, fit_rates(1.0, "v")
+
+
+def flat_basin_targets():
+    # a round trip to R = 0.002, where every share is nearly saturated: the
+    # cost's curvature in log R is about 6e-9, so the slope's rounding (about
+    # 2e-20) moves a Newton step by about 3e-12, past the tolerance, and the
+    # steps would swing between the bracket's ends without the bisection
+    return ratio_targets(0.025, "r", 0.002)
+
+
+# target sets, the most steps any of their polishes may take, and the grid
+# indices each polish must end on exactly, where it ends on the grid
+POLISH_CASES = {
+    # both basins end at the grid's ends, where the bracket is one-sided
+    "minima at both ends": (lambda: [both_ends_targets()], 1, [0, 400]),
+    "unconstrained": (lambda: [unconstrained_targets()], 1, [0]),
+    "flat basin": (lambda: [flat_basin_targets()], 8, None),
+    # a ratio_fit round trip whose fourth Newton step rounds to x itself, which
+    # the slope's sign has just made the bracket's end: it has converged there
+    "step onto the bracket's end": (
+        lambda: [ratio_targets(0.07248353269851104, "plus", 0.40807165106357995)], 4, None),
+    "fit corpus": (lambda: list(fit_corpus()), _POLISH_STEPS - 1, None),
+}
+
+
+@pytest.mark.parametrize("case", POLISH_CASES)
+def test_every_polish_stays_in_its_bracket_under_the_cap(case, monkeypatch):
+    make, most_steps, on_grid = POLISH_CASES[case]
+    polishes = record_polishes(monkeypatch)
+    for targets, rates in make():
+        fit_source_ratio(targets, rates)
+    assert polishes
+    for lo, x, hi, end, steps in polishes:
+        assert lo <= x <= hi and lo <= end <= hi
+        assert 1 <= steps <= most_steps < _POLISH_STEPS
+    if on_grid is not None:
+        grid = grid_costs(*make()[0])[0]
+        assert [end for *_, end, _ in polishes] == [grid[i] for i in on_grid]
+
+
+def test_a_flat_basin_still_finds_its_root():
+    fit = fit_source_ratio(*flat_basin_targets())
+    assert fit.ratio == pytest.approx(0.002, rel=1e-11)
+    assert fit.constrained and fit.other_roots == ()
+
+
+FIT_ROUND_TRIP_RATIOS = np.geomspace(0.05, 4.0, 16)
+
+
+@pytest.mark.parametrize("eps", [0.001, 0.025, 0.05, 0.1])
+@pytest.mark.parametrize("input_name", ["plus", "minus", "r", "l"])
+def test_round_trips_recover_the_ratio_to_1e_13(input_name, eps, monkeypatch):
+    # 256 round trips in all: each lands in the right basin, and the polish
+    # takes R back to within 1e-13 (the zoom it replaced reached 1.02e-13);
+    # Newton's quadratic convergence ends every polish within 5 steps
+    polishes = record_polishes(monkeypatch)
+    rates = fit_rates(eps, input_name)
+    for ratio in FIT_ROUND_TRIP_RATIOS:
+        targets = {label: sector_shares(r, 0.05, 0.05 * ratio)["undesired"]
+                   for label, r in rates.items()}
+        fit = fit_source_ratio(targets, rates)
+        assert abs(fit.ratio / ratio - 1) <= 1e-13, (ratio, fit.ratio)
+    assert max(steps for *_, steps in polishes) <= 5
 
 
 @pytest.mark.parametrize("targets, message", [
