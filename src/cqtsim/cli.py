@@ -514,9 +514,8 @@ def cmd_fit_spdc(args) -> int:
     if args.synthetic_ratio is not None:
         # at truncation order 2 the shares depend on the ratio alone, up to
         # rounding; a forward strength of 0.05 fixes that rounding
-        targets = {label: spdc.sector_shares(rates[label], 0.05,
-                                             0.05 * args.synthetic_ratio)["undesired"]
-                   for label in DEFAULT_FIT_TARGETS}
+        shares = spdc.sector_shares(spdc.stack_rates(rates), 0.05, 0.05 * args.synthetic_ratio)
+        targets = dict(zip(rates, shares["undesired"][:, 0].tolist()))
     fit = spdc.fit_source_ratio(targets, rates)
     fp = args.full_precision
     rows = [[label, targets[label] * 100.0, fit.achieved[label] * 100.0,

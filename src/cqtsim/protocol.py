@@ -25,9 +25,9 @@ matrix)`` blocks (``_station_blocks``): the circular preparation, the g2
 half-wave plate, the PBS, the compensation plates, the encoder, the fiber
 beam splitter and the controller's polarizer.  A run multiplies them, and
 the receiver's analyzer rotation, into one 8x8 matrix L over the modes
-1H ... 4V, starting from the identity and replacing the rows of each
-block's modes by the block times those rows.  It then propagates the
-emission as dense photon-number vectors: each pair-creation operator
+1H ... 4V, the product of the blocks embedded in the identity, those that
+no setting changes embedded once (``_EMBEDDED``).  It then propagates
+the emission as dense photon-number vectors: each pair-creation operator
 1/2 a^T Lambda a becomes the quadratic form L Lambda L^T on the output
 modes, and a sector of j forward and k backward pairs is j + k such pair
 creations on vacuum.  A dense vector holds one complex amplitude per
@@ -36,11 +36,11 @@ occupation of the eight modes with N photons in all, C(N + 7, 7) of them
 ``_create_pairs`` applies a quadratic form of creation operators to it in
 one ``np.bincount``; its index tables are built with numpy on first use,
 once per photon number and stack height.  The engine has a leading
-configuration axis: runs that share the source and the roles go through
-it as one stack of L, of forms and of vectors, and every row keeps the
-bits of a stack of its own.  The analyzer calibration propagates the ideal source, sector
-(1, 1), through the same blocks for its four probe inputs in one stack and
-reads two amplitudes off each, so a run builds no sparse state.
+configuration axis: runs that share the source and the roles go through it
+as one stack of L, of forms and of vectors, and every row keeps the bits of
+a stack of its own.  The analyzer calibration propagates the ideal source,
+sector (1, 1), through the same blocks for its four probe inputs in one
+stack and reads two amplitudes off each, so a run builds no sparse state.
 
 ``count_rates`` returns the four-fold rates of a run and ``run_protocol``
 those rates with the receiver's conditional state.  Both take them from one
@@ -179,9 +179,9 @@ class CountRecord:
 
 # --- stations ------------------------------------------------------------------
 
-def _encoder_exact(input_q: InputQubit) -> np.ndarray:
-    # phase-free unitary taking |H> to the input ket
-    return np.column_stack([input_q.ket(), input_q.orthogonal_ket()])
+def _encoder_exact(q: InputQubit) -> np.ndarray:
+    # phase-free unitary taking |H> to the input ket: columns ket, orthogonal_ket
+    return np.array([[q.alpha, -q.beta.conjugate()], [q.beta, q.alpha.conjugate()]], dtype=complex)
 
 
 def _ghz_blocks(channel: str, pbs_epsilon: float) -> list:
@@ -273,6 +273,8 @@ def _calibrated_frame(channel: str, roles: str) -> np.ndarray:
 # the modes of the dense engine, in the order of its vectors and matrices
 _DENSE_MODES = tuple((spatial, pol) for spatial in (1, 2, 3, 4) for pol in (H, V))
 _MODE_INDEX = {m: i for i, m in enumerate(_DENSE_MODES)}
+_EYE = np.eye(len(_DENSE_MODES), dtype=complex)
+_EYE.flags.writeable = False     # ``_optics_matrix`` starts from it, and returns it for []
 
 
 _COUNT_BITS = 4     # bits per mode in an occupation code: up to 15 photons
@@ -359,20 +361,33 @@ _LAMBDA_BACKWARD = _pair_matrix("hh", BACKWARD_MODES)
 
 
 @functools.cache
-def _block_rows(spatials: tuple):
-    """The rows of L that a block on ``spatials`` acts on, as a slice if contiguous."""
-    rows = [_MODE_INDEX[(s, pol)] for s in spatials for pol in (H, V)]
-    if rows == list(range(rows[0], rows[0] + len(rows))):
-        return slice(rows[0], rows[0] + len(rows))
-    return np.array(rows)
+def _block_slots(spatials: tuple) -> np.ndarray:
+    """Flat indices into L of the square block on the H and V modes of ``spatials``."""
+    rows = np.array([_MODE_INDEX[(s, pol)] for s in spatials for pol in (H, V)])
+    return rows[:, None] * len(_DENSE_MODES) + rows
+
+
+def _embedded(spatials: tuple, block: np.ndarray) -> np.ndarray:
+    """The 8x8 identity with ``block`` on the H and V modes of ``spatials``."""
+    lin = _EYE.copy()
+    lin.put(_block_slots(spatials), block)
+    return lin
+
+
+# the blocks that no setting changes, embedded once, by spatials and identity
+_EMBEDDED = {(spatials, id(block)): _embedded(spatials, block) for spatials, block in (
+    ((3,), R_PREP), ((2,), _G2_HWP), ((1,), _COMPENSATION), ((3,), _COMPENSATION),
+    ((1, 4), _FIBER_BS), ((2, 4), _FIBER_BS), ((1,), _DENY_POLARIZER), ((3,), _DENY_POLARIZER),
+    ((1,), _ALLOW_POLARIZER[1]), ((3,), _ALLOW_POLARIZER[3]))}
 
 
 def _optics_matrix(blocks) -> np.ndarray:
-    """Matrix L of the blocks applied in order: a_m^dag becomes sum_k L[k, m] b_k^dag."""
-    lin = np.eye(len(_DENSE_MODES), dtype=complex)
+    """Matrix L of the blocks applied in order: a_m^dag becomes sum_k L[k, m] b_k^dag;
+    the product of the blocks embedded in the identity, the last leftmost."""
+    lin = _EYE
     for spatials, block in blocks:
-        rows = _block_rows(spatials)
-        lin[rows] = block @ lin[rows]
+        step = _EMBEDDED.get((spatials, id(block)))
+        lin = (_embedded(spatials, block) if step is None else step).dot(lin)
     return lin
 
 
@@ -584,8 +599,7 @@ def prepare_ghz(source_state: PureState, pbs_epsilon: float = 0.0,
     applied as one element.
     """
     lin = _optics_matrix(_ghz_blocks("g2" if g2 else "g1", pbs_epsilon))
-    rows = _block_rows((1, 2, 3))
-    out = apply(((1, 2, 3), lin[rows][:, rows]), source_state)
+    out = apply(((1, 2, 3), lin.take(_block_slots((1, 2, 3)))), source_state)
 
     def one_each(occ):
         counts = spatial_counts(occ)

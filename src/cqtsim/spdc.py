@@ -31,7 +31,7 @@ REFERENCE_KAPPA = 0.1
 # smallest-normal / epsilon: four-fold rates turn subnormal and the state NaN
 MIN_KAPPA = (np.finfo(float).tiny / np.finfo(float).eps) ** 0.25
 RATIO_BOUNDS = (1e-3, 5.0)
-_GRID_POINTS = 401
+_LOG_GRID = np.linspace(math.log(RATIO_BOUNDS[0]), math.log(RATIO_BOUNDS[1]), 401)
 # A fit cost below this is an exact root: round trips reach about 1e-19, a
 # second basin that does not fit stays above 1e-4.
 _ROOT_COST = 1e-12
@@ -188,6 +188,15 @@ def _share_terms(rates: dict, forward):
     return terms
 
 
+def stack_rates(rates: dict) -> dict:
+    """The ``sector_rates`` of each label of ``rates`` as one (configuration, 1) column per
+    sector, in the labels' joint order, for ``sector_shares`` and the fit: a missing sector
+    is 0.0, and + 0.0 makes -0.0 the +0.0 a sum from 0 gives."""
+    sectors = dict.fromkeys(sector for r in rates.values() for sector in r)
+    return {sector: np.array([[r.get(sector, 0.0)] for r in rates.values()]) + 0.0
+            for sector in sectors}
+
+
 def sector_shares(rates: dict, kappa_forward: complex, kappa_backward: complex) -> dict:
     """Shares at scalar or array strengths: "jjkk" scales as |kappa_f|^2j |kappa_b|^2k;
     the one-configuration case of ``_share_terms``."""
@@ -288,9 +297,7 @@ def fit_source_ratio(targets: dict, rates: dict) -> RatioFit:
         if not (isinstance(target, numbers.Real) and 0.0 <= target <= 1.0):
             raise ValueError(f"target {label!r} must be a share in [0, 1], got {target!r}")
     labels = list(targets)
-    # a (configuration, 1) column per sector; + 0.0 makes -0.0 the +0.0 a sum from 0 gives
-    terms = _share_terms({sector: np.array([[rates[k].get(sector, 0.0)] for k in labels]) + 0.0
-                          for sector in dict.fromkeys(s for k in labels for s in rates[k])}, 1.0)
+    terms = _share_terms(stack_rates({k: rates[k] for k in labels}), 1.0)
 
     def shares(log_r: np.ndarray) -> np.ndarray:
         _, total, undesired = terms(REFERENCE_KAPPA * np.exp(log_r) / REFERENCE_KAPPA)
@@ -303,8 +310,7 @@ def fit_source_ratio(targets: dict, rates: dict) -> RatioFit:
         squares *= squares
         return sum(squares[1:], squares[0])
 
-    grid = np.linspace(math.log(RATIO_BOUNDS[0]), math.log(RATIO_BOUNDS[1]), _GRID_POINTS)
-    grid_shares = shares(grid)
+    grid_shares = shares(_LOG_GRID)
     costs = cost(grid_shares)
     best = int(np.argmin(costs))
     # a degenerate target set (shares insensitive to the ratio) leaves the
@@ -318,13 +324,13 @@ def fit_source_ratio(targets: dict, rates: dict) -> RatioFit:
             a, b = poly.get(2 * n, (0.0, 0.0))
             poly[2 * n] = a + rate, b + rate * ((j, n) != (1, 1))
     minima = [int(i) for i in _local_minima(costs) if i != best] if constrained else []
-    log_ratio, *others = [_polish(polys, grid.item(max(i - 1, 0)), grid.item(i),
-                                  grid.item(min(i + 1, _GRID_POINTS - 1)))[0]
+    log_ratio, *others = [_polish(polys, _LOG_GRID.item(max(i - 1, 0)), _LOG_GRID.item(i),
+                                  _LOG_GRID.item(min(i + 1, len(_LOG_GRID) - 1)))[0]
                           for i in [best] + minima]
     other_costs = cost(shares(np.array(others))) if others else []
     ratio = math.exp(log_ratio)
-    achieved = {k: sector_shares(rates[k], REFERENCE_KAPPA, REFERENCE_KAPPA * ratio)["undesired"]
-                for k in labels}
+    _, total, undesired = terms(abs(REFERENCE_KAPPA * ratio / REFERENCE_KAPPA))
+    achieved = dict(zip(labels, (undesired / total)[:, 0].tolist()))
     residuals = {k: achieved[k] - targets[k] for k in labels}
     return RatioFit(
         ratio=ratio,

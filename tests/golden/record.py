@@ -95,6 +95,16 @@ SINGLE_SOURCES = (
     ("--kappa-forward", "0.1", "--kappa-backward", "0.055", "--pbs-epsilon", "0.05"),
     ("--resamples", "200", "--seed", "5", "--format", "json"),
 )
+# the swapped roles, whose fiber beam splitter acts on the non-adjacent modes 2
+# and 4 and whose controller's polarizer sits on mode 1, with both actions
+SWAPPED_SOURCES = (
+    ("--ideal",),
+    ("--kappa-forward", "0.1", "--kappa-backward", "0.055", "--pbs-epsilon", "0.05"),
+)
+# the PBS at epsilon = 1, which reflects H as it reflects V: g1 allow of plus,
+# g1 deny of h and g2 allow of plus exit 1 with no four-fold coincidence
+EPSILON_ONE_CONFIGS = (("g1", "allow"), ("g1", "deny"), ("g2", "allow"), ("g2", "deny"),
+                       ("reference", "none"))
 # the count tables beside this file: a mixed table, one with a zero count, one
 # below 1 count; a pure table (a zero count whose probability vanishes),
 # subnormal counts, counts too large to resample, a table whose resamples are
@@ -190,6 +200,14 @@ def corpus() -> list:
     argvs += [["run", "--channel", channel, "--action", action, "--input", name, *source]
               for (channel, action), name, source in itertools.product(
                   RUN_CONFIGS, SINGLE_INPUTS, SINGLE_SOURCES)]
+    argvs += [["run", "--channel", "g1", "--action", action, "--roles", "swapped",
+               "--input", name, *source]
+              for action, name, source in itertools.product(
+                  ("allow", "deny"), SINGLE_INPUTS, SWAPPED_SOURCES)]
+    argvs += [["run", "--channel", channel, "--action", action, "--input", name,
+               "--kappa-forward", "0.1", "--kappa-backward", "0.055", "--pbs-epsilon", "1"]
+              for (channel, action), name in itertools.product(EPSILON_ONE_CONFIGS,
+                                                               ("h", "plus"))]
     argvs += [["run", "--channel", channel, "--action", action, *source,
                "--truncation-order", order]
               for (channel, action), source, order in itertools.product(

@@ -28,6 +28,12 @@ verbatim with the module's private names read off ``protocol`` at call time
 matrix passed to ``_emitted`` as a stack of one: it tallies one configuration
 alone, builds the receiver state with every run and decides that no sector
 leaves the receiver one photon from the traces it adds up.
+``reference_optics_matrix`` is ``protocol._optics_matrix`` as it was before
+L became a product of blocks embedded in the identity: it starts from the
+identity and replaces the rows of each block's modes by the block times
+those rows.  It is copied verbatim with the private helper it uses
+(``_block_rows``, under a ``_reference_`` prefix): the bit-for-bit oracle of
+the optics matrix.
 ``ideal_source_state`` and ``two_mode_spdc`` look up ``emission_orders`` in
 this module, so a test can swap in another emission engine with
 ``monkeypatch.setattr(helpers, "emission_orders", ...)``.
@@ -37,6 +43,7 @@ outcome, in the expression the teleportation averages' docstring gives.
 tests alone, moved here unchanged.
 """
 
+import functools
 import math
 import numbers
 import operator
@@ -297,6 +304,24 @@ def reference_run_protocol(config):
     record = P.CountRecord(f_parallel=f_par, f_perp=f_perp,
                            success_probability=success, per_term=per_term)
     return record, rho
+
+
+@functools.cache
+def _reference_block_rows(spatials: tuple):
+    """The rows of L that a block on ``spatials`` acts on, as a slice if contiguous."""
+    rows = [protocol._MODE_INDEX[(s, pol)] for s in spatials for pol in (H, V)]
+    if rows == list(range(rows[0], rows[0] + len(rows))):
+        return slice(rows[0], rows[0] + len(rows))
+    return np.array(rows)
+
+
+def reference_optics_matrix(blocks) -> np.ndarray:
+    """Matrix L of the blocks applied in order: a_m^dag becomes sum_k L[k, m] b_k^dag."""
+    lin = np.eye(len(protocol._DENSE_MODES), dtype=complex)
+    for spatials, block in blocks:
+        rows = _reference_block_rows(spatials)
+        lin[rows] = block @ lin[rows]
+    return lin
 
 
 def _reference_condition(channels: np.ndarray, kets) -> tuple:

@@ -1,12 +1,13 @@
 """The optics matrix of ``run_protocol`` against the composed substitution map.
 
-``run_protocol`` builds the 8x8 matrix L of a run by multiplying the
-station blocks, and the receiver's analyzer rotation, into the identity
-block by block.  The oracle is the construction it replaced: every element
-built as a substitution dict mode -> {mode: amplitude}, as the constructors
-built them before they became local matrices, the dicts composed by
-``helpers.compose``, and the composite read back into a matrix by
-``linear_map``.
+``run_protocol`` builds the 8x8 matrix L of a run as the product of the
+station blocks, and the receiver's analyzer rotation, each embedded in the
+identity.  One oracle is the construction that came before the blocks:
+every element built as a substitution dict mode -> {mode: amplitude}, as
+the constructors built them before they became local matrices, the dicts
+composed by ``helpers.compose``, and the composite read back into a matrix
+by ``linear_map``.  The other, ``helpers.reference_optics_matrix``, is the
+row-update build that the embedded product replaced; L keeps its bits.
 """
 
 import math
@@ -19,7 +20,7 @@ from cqtsim.elements import hwp_matrix
 from cqtsim.fock import H, V, KET_D, KET_H, KET_R, unit_pair
 from cqtsim.protocol import (COMPENSATION_PHASE, INPUT_MODE, R_PREP, WIRINGS,
                              InputQubit, ProtocolConfig, ProtocolError, run_protocol)
-from helpers import block_maps, compose
+from helpers import block_maps, compose, reference_optics_matrix
 from test_composed_vs_sequential import RUNS
 
 DENSE_MODES = tuple((spatial, pol) for spatial in (1, 2, 3, 4) for pol in (H, V))
@@ -155,3 +156,46 @@ def test_substitution_maps_of_the_blocks_equal_the_substitution_dicts(channel, a
     for got, want in zip(blocks, dicts):
         assert got == {m: {k: u for k, u in outs.items() if u != 0}
                        for m, outs in want.items()}
+
+
+# every (channel, action, roles) that ProtocolConfig accepts
+STATION_LISTS = ([(channel, action, "standard") for channel in ("g1", "g2")
+                  for action in ("allow", "deny", "none")]
+                 + [("reference", "none", "standard")]
+                 + [("g1", action, "swapped") for action in ("allow", "deny", "none")])
+
+
+def assert_same_bits(blocks):
+    got, want = protocol._optics_matrix(blocks), reference_optics_matrix(blocks)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("channel, action, roles", STATION_LISTS)
+def test_optics_matrix_has_the_bits_of_the_row_updates(channel, action, roles, epsilon):
+    # the station list of a run, with and without the analyzer block, and the
+    # analyzer block alone, for named and Haar inputs: no tolerance, signed zeros too
+    receiver = WIRINGS[roles].receiver
+    frame = protocol.analyzer_frame(channel, roles)
+    for input_q in inputs():
+        config = ProtocolConfig(channel=channel, action=action, roles=roles,
+                                input=input_q, pbs_epsilon=epsilon)
+        stations = protocol._station_blocks(config)
+        analyzer = ((receiver,), np.array([frame @ input_q.ket(),
+                                           frame @ input_q.orthogonal_ket()]).conj())
+        for blocks in (stations, stations + [analyzer], [analyzer]):
+            assert_same_bits(blocks)
+
+
+@pytest.mark.parametrize("epsilon", [0.0, 0.05, 1.0])
+@pytest.mark.parametrize("channel", ["g1", "g2", "reference"])
+def test_prepare_ghz_optics_have_the_bits_of_the_row_updates(channel, epsilon):
+    assert_same_bits(protocol._ghz_blocks(channel, epsilon))
+
+
+def test_the_encoder_has_the_bits_of_the_input_kets():
+    # built from alpha and beta at once, it is still the columns ket, orthogonal_ket
+    for input_q in inputs() + [InputQubit(1, 0), InputQubit(0.0, -1.0), InputQubit(-0.0, 1j)]:
+        encoder = np.column_stack([input_q.ket(), input_q.orthogonal_ket()])
+        assert protocol._encoder_exact(input_q).tobytes() == encoder.tobytes()

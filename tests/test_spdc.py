@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -10,14 +11,16 @@ import pytest
 import cqtsim
 from cqtsim.fock import H, V, occupation
 from cqtsim.protocol import InputQubit, NoCoincidenceError, ProtocolConfig, run_protocol
-from cqtsim.spdc import (_GRID_POINTS, _POLISH_STEPS, _ROOT_COST, PAIR_KINDS, RATIO_BOUNDS,
+from cqtsim.spdc import (_LOG_GRID, _POLISH_STEPS, _ROOT_COST, PAIR_KINDS, RATIO_BOUNDS,
                          _local_minima, _share_terms,
                          REFERENCE_KAPPA, RatioFit, SourceParams, coincidence_sectors,
                          emission_orders, fit_source_ratio, four_mode_source,
                          heralded_fraction, sector_rates, sector_shares,
-                         signature_label)
+                         signature_label, stack_rates)
 
 from helpers import reference_sector_shares, two_mode_spdc
+
+GRID_POINTS = len(_LOG_GRID)
 
 _SQ2 = math.sqrt(2.0)
 
@@ -306,7 +309,7 @@ def brent_fit_source_ratio(targets: dict, rates: dict, bounds=RATIO_BOUNDS) -> R
         achieved = undesired(math.exp(log_r))
         return sum((achieved[k] - targets[k]) ** 2 for k in labels)
 
-    grid = np.linspace(math.log(bounds[0]), math.log(bounds[1]), _GRID_POINTS)
+    grid = np.linspace(math.log(bounds[0]), math.log(bounds[1]), GRID_POINTS)
     costs = [cost(x) for x in grid]
     best = int(np.argmin(costs))
     # a degenerate target set (shares insensitive to the ratio) leaves the
@@ -376,7 +379,7 @@ def test_sector_shares_reject_a_non_finite_strength(kappas, name):
 
 def test_sector_shares_of_an_array_match_each_scalar():
     ratios = np.exp(np.linspace(math.log(RATIO_BOUNDS[0]), math.log(RATIO_BOUNDS[1]),
-                                _GRID_POINTS))
+                                GRID_POINTS))
     for eps in (0.001, 0.05):
         for name in ("plus", "h", "r"):
             for rates in fit_rates(eps, name).values():
@@ -403,12 +406,12 @@ def stacked_undesired(rate_list: list, log_r: np.ndarray) -> np.ndarray:
 
 
 def test_stacked_shares_have_the_bits_of_sector_shares():
-    grid = np.linspace(math.log(RATIO_BOUNDS[0]), math.log(RATIO_BOUNDS[1]), _GRID_POINTS)
+    grid = np.linspace(math.log(RATIO_BOUNDS[0]), math.log(RATIO_BOUNDS[1]), GRID_POINTS)
     for eps in (0.0, 0.025, 0.1):
         for name in ("plus", "h", "v", "r"):
             rates = fit_rates(eps, name)
             stacked = stacked_undesired(list(rates.values()), grid)
-            assert stacked.shape == (len(rates), _GRID_POINTS)
+            assert stacked.shape == (len(rates), GRID_POINTS)
             for row, r in zip(stacked, rates.values()):
                 each = reference_sector_shares(r, REFERENCE_KAPPA, REFERENCE_KAPPA * np.exp(grid))
                 assert np.array_equal(row, each["undesired"])
@@ -454,7 +457,7 @@ STRENGTHS = [(0.1, 0.1), (0.05, 0.2), (0.2j, 0.03 + 0.04j), (np.float64(0.07), 0
              (np.array([[0.02], [0.3]]), np.array([0.01, 0.1, 0.4])),
              (0.1, REFERENCE_KAPPA * np.exp(np.linspace(math.log(RATIO_BOUNDS[0]),
                                                         math.log(RATIO_BOUNDS[1]),
-                                                        _GRID_POINTS)))]
+                                                        GRID_POINTS)))]
 
 
 def test_sector_shares_keep_every_bit_of_the_reference():
@@ -601,7 +604,7 @@ def both_ends_targets():
 
 
 def grid_costs(targets, rates):
-    grid = np.linspace(math.log(RATIO_BOUNDS[0]), math.log(RATIO_BOUNDS[1]), _GRID_POINTS)
+    grid = np.linspace(math.log(RATIO_BOUNDS[0]), math.log(RATIO_BOUNDS[1]), GRID_POINTS)
     return grid, sum((sector_shares(rates[k], REFERENCE_KAPPA, REFERENCE_KAPPA * np.exp(grid))
                       ["undesired"] - target) ** 2 for k, target in targets.items())
 
@@ -652,9 +655,9 @@ def test_each_basin_is_polished_once_without_a_shares_call(case, monkeypatch):
     monkeypatch.setattr(spdc, "_share_terms", counted)
     polishes = record_polishes(monkeypatch)
     fit = fit_source_ratio(targets, rates)
-    # the grid, the other basins' polished points in one call, then one
-    # scalar ``sector_shares`` per achieved share
-    assert calls == [_GRID_POINTS] + [len(minima) - 1] * (len(minima) > 1) + [1] * len(targets)
+    # the grid, the other basins' polished points in one call, then the
+    # achieved shares in one call at the fitted ratio
+    assert calls == [GRID_POINTS] + [len(minima) - 1] * (len(minima) > 1) + [1]
     assert [x for _, x, *_ in polishes] == [grid[i] for i in minima]
     assert len(fit.other_roots) == (case == "second exact root")
 
@@ -725,6 +728,65 @@ def test_round_trips_recover_the_ratio_to_1e_13(input_name, eps, monkeypatch):
         fit = fit_source_ratio(targets, rates)
         assert abs(fit.ratio / ratio - 1) <= 1e-13, (ratio, fit.ratio)
     assert max(steps for *_, steps in polishes) <= 5
+
+
+def same_bits(got: dict, want: dict) -> bool:
+    """Whether two label -> share mappings hold the same labels and float bits."""
+    return list(got) == list(want) and all(
+        type(g) is float and np.float64(g).tobytes() == np.float64(w).tobytes()
+        for g, w in zip(got.values(), want.values()))
+
+
+def scalar_undesired(rates: dict, kappa_forward, kappa_backward) -> dict:
+    return {label: sector_shares(r, kappa_forward, kappa_backward)["undesired"]
+            for label, r in rates.items()}
+
+
+def synthetic_targets(rates: dict, kappa_forward, kappa_backward) -> dict:
+    # fit-spdc's synthetic targets: one sector_shares call on the stacked rates
+    shares = sector_shares(stack_rates(rates), kappa_forward, kappa_backward)
+    return dict(zip(rates, shares["undesired"][:, 0].tolist()))
+
+
+def test_stacked_targets_and_achieved_shares_have_the_bits_of_sector_shares():
+    # fit-spdc's synthetic targets (``synthetic_targets``) and the fit's
+    # ``achieved`` are each one stacked _share_terms call; every share keeps the
+    # bits of sector_shares on its configuration alone, over the fit corpus and
+    # the 256 round trips of test_round_trips_recover_the_ratio_to_1e_13
+    cases = list(fit_corpus())
+    for eps, input_name in itertools.product([0.001, 0.025, 0.05, 0.1],
+                                             ["plus", "minus", "r", "l"]):
+        rates = fit_rates(eps, input_name)
+        for ratio in FIT_ROUND_TRIP_RATIOS:
+            targets = synthetic_targets(rates, 0.05, 0.05 * ratio)
+            assert same_bits(targets, scalar_undesired(rates, 0.05, 0.05 * ratio))
+            cases.append((targets, rates))
+    assert len(cases) > 256
+    for targets, rates in cases:
+        fit = fit_source_ratio(targets, rates)
+        fitted = {label: rates[label] for label in targets}
+        kb = REFERENCE_KAPPA * fit.ratio
+        assert same_bits(fit.achieved, scalar_undesired(fitted, REFERENCE_KAPPA, kb))
+        assert same_bits(synthetic_targets(fitted, 0.05, 0.05 * fit.ratio),
+                         scalar_undesired(fitted, 0.05, 0.05 * fit.ratio))
+
+
+def test_stacked_shares_sum_in_the_joint_sector_order():
+    # a configuration whose sectors come in another order sums them in the
+    # first one's: within rounding of sector_shares, not always its bits
+    rates = fit_rates()
+    rates["denied"] = dict(reversed(rates["denied"].items()))
+    for ratio in FIT_ROUND_TRIP_RATIOS:
+        got = synthetic_targets(rates, 0.05, 0.05 * ratio)
+        want = scalar_undesired(rates, 0.05, 0.05 * ratio)
+        assert same_bits({k: got[k] for k in ("uncontrolled", "allowed")},
+                         {k: want[k] for k in ("uncontrolled", "allowed")})
+        assert got["denied"] == pytest.approx(want["denied"], rel=4e-16, abs=0.0)
+
+
+def test_the_fit_grid_is_401_points_even_in_log_ratio():
+    assert np.array_equal(_LOG_GRID, np.linspace(math.log(RATIO_BOUNDS[0]),
+                                                 math.log(RATIO_BOUNDS[1]), 401))
 
 
 @pytest.mark.parametrize("targets, message", [
