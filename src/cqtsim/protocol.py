@@ -32,10 +32,12 @@ the emission as dense photon-number vectors: each pair-creation operator
 modes, and a sector of j forward and k backward pairs is j + k such pair
 creations on vacuum.  A dense vector holds one complex amplitude per
 occupation of the eight modes with N photons in all, C(N + 7, 7) of them
-(``_number_basis``, whose occupation codes no other module reads), and
-``_create_pairs`` applies a quadratic form of creation operators to it in
-one ``np.bincount``; its index tables are built with numpy on first use,
-once per photon number and stack height.  The engine has a leading
+(``_number_basis``), and ``_create_pairs`` applies a quadratic form of
+creation operators to it in one ``np.bincount``, with index tables built
+on first use.  Only a photon in each detector's mode clicks, so a run's
+last pair creations, those to the most photons, add up only the terms that
+reach such an occupation (16 of 330 at four photons, 344 of 1,716 at six);
+the prune still cuts against the whole vector.  The engine has a leading
 configuration axis: runs that share the source and the roles go through it
 as one stack of L, of forms and of vectors, and every row keeps the bits of
 a stack of its own.  The analyzer calibration propagates the ideal source,
@@ -307,41 +309,54 @@ def _number_basis(n: int) -> tuple:
 
 
 @functools.cache
-def _pair_table(n: int, rows: int) -> tuple:
+def _clicked(n: int, detectors: tuple) -> np.ndarray:
+    """The ``n``-photon states with a photon in each spatial mode of ``detectors``."""
+    occ = _number_basis(n)[0]
+    spatial = occ.reshape(len(occ), -1, 2).sum(axis=2)     # column s - 1: spatial mode s
+    return np.flatnonzero(np.all(spatial[:, [s - 1 for s in detectors]] >= 1, axis=1))
+
+
+@functools.cache
+def _pair_table(n: int, rows: int, detectors: tuple = ()) -> tuple:
     """Index table of the pairs b_k^dag b_l^dag, k <= l, from ``n`` to ``n + 2`` photons.
 
-    Returns ``(pairs, slots, coef, size)`` for a stack of ``rows`` vectors,
-    ``pairs`` the flat indices 8k + l of the pairs into an 8x8 matrix.
-    Source state s and pair p of row r send ``coef[s, p]`` times the
-    amplitude to target state t, whose real and imaginary parts sit at
-    ``slots[r, s, p] = (2t, 2t + 1)`` of the float view of row r of a
-    complex (rows, ``size``) stack.  ``coef`` holds the bosonic factors
+    Returns ``(sources, pairs, slots, coef, size)`` for a stack of ``rows``
+    vectors whose targets are the ``size`` states ``_clicked(n + 2,
+    detectors)``, numbered in basis order.  Term i sends ``coef[i]`` times
+    the amplitude of source state ``sources[i]`` times entry ``pairs[i]`` =
+    8k + l of an 8x8 matrix to target t, whose real and imaginary parts sit
+    at ``slots[r, i] = (2t, 2t + 1)`` of the float view of row r of a
+    complex (rows, ``size``) stack.  The terms come in (source, pair) order
+    with those to other targets left out, so a target sums the same terms in
+    the same order for any ``detectors``.  ``coef`` holds the bosonic factors
     sqrt(n_k + 1) sqrt(n_l + 1), or sqrt((n_k + 1)(n_k + 2)) / 2 for k = l,
     the 1/2 of the quadratic form's diagonal.
     """
     occ, codes = _number_basis(n)
-    _, out_codes = _number_basis(n + 2)
     k, l = np.array(list(itertools.combinations_with_replacement(
         range(len(_DENSE_MODES)), 2))).T
-    target = np.searchsorted(out_codes, codes[:, None] + (_UNITS[k] + _UNITS[l]))
+    target = np.searchsorted(_number_basis(n + 2)[1], codes[:, None] + (_UNITS[k] + _UNITS[l]))
     same = k == l
     coef = np.sqrt((occ[:, k] + 1.0) * (occ[:, l] + 1.0 + same)) * np.where(same, 0.5, 1.0)
-    slots = np.stack([2 * target, 2 * target + 1], axis=-1)
-    slots = slots + 2 * len(out_codes) * np.arange(rows)[:, None, None, None]
-    return k * len(_DENSE_MODES) + l, slots.ravel(), coef, len(out_codes)
+    kept = _clicked(n + 2, detectors)
+    sources, p = np.nonzero(np.isin(target, kept))
+    target = np.searchsorted(kept, target[sources, p]) + len(kept) * np.arange(rows)[:, None]
+    slots = (2 * target[..., None] + [0, 1]).ravel()
+    return sources, (k * len(_DENSE_MODES) + l)[p], slots, coef[sources, p], len(kept)
 
 
-def _create_pairs(vecs: np.ndarray, n: int, q: np.ndarray) -> np.ndarray:
+def _create_pairs(vecs: np.ndarray, n: int, q: np.ndarray, detectors: tuple = ()) -> np.ndarray:
     """Apply 1/2 sum_kl q[r, k, l] b_k^dag b_l^dag to row r of ``n``-photon vectors.
 
     Each row of the stack ``vecs`` is indexed by ``_number_basis(n)``, and
-    each ``q[r]`` is symmetric; the result is indexed by the basis of
-    ``n + 2`` photons.  One ``np.bincount`` serves every row, and each bin
+    each ``q[r]`` is symmetric; the result holds the amplitudes of the
+    states ``_clicked(n + 2, detectors)``, the whole basis of ``n + 2``
+    photons for ``()``.  One ``np.bincount`` serves every row, and each bin
     adds its terms in the order of a row of its own.
     """
     rows = len(vecs)
-    pairs, slots, coef, size = _pair_table(n, rows)
-    terms = vecs[:, :, None] * q.reshape(rows, -1).take(pairs, axis=1)[:, None]
+    sources, pairs, slots, coef, size = _pair_table(n, rows, detectors)
+    terms = vecs.take(sources, axis=1) * q.reshape(rows, -1).take(pairs, axis=1)
     terms *= coef
     return np.bincount(slots, terms.view(np.float64).ravel(),
                        minlength=2 * size * rows).view(complex).reshape(rows, size)
@@ -391,26 +406,32 @@ def _optics_matrix(blocks) -> np.ndarray:
     return lin
 
 
-def _emitted(lin: np.ndarray, sectors) -> dict:
+def _emitted(lin: np.ndarray, sectors, detectors: tuple = ()) -> dict:
     """(A^dag)^j (B^dag)^k |0> / (j! k!) for each (j, k) in ``sectors``, behind
     each optics matrix L of the (c, 8, 8) stack ``lin``.
 
     A^dag and B^dag leave L as the quadratic forms L Lambda L^T, formed for
     the whole stack at once; the sectors that share k share the B^dag steps.
     Each value is a (c, size) stack of vectors, one row per L, indexed by
-    the basis of 2(j + k) photons.
+    the basis of 2(j + k) photons.  With ``detectors``, the sectors of the
+    most photons hold only the states ``_clicked`` by those spatial modes:
+    their last pair creation adds up only the terms that reach such a
+    state, each with the bits of the whole vector's amplitude.
     """
     lin_t = lin.transpose(0, 2, 1)
     q_forward, q_backward = lin @ _LAMBDA_FORWARD @ lin_t, lin @ _LAMBDA_BACKWARD @ lin_t
+    top = 2 * max((j + k for j, k in sectors), default=0)
     out = {}
     backward = np.ones((len(lin), 1), dtype=complex)
     for k in range(max((kk for _, kk in sectors), default=-1) + 1):
         if k:
-            backward = _create_pairs(backward, 2 * k - 2, q_backward) / k
+            backward = _create_pairs(backward, 2 * k - 2, q_backward,
+                                     detectors if 2 * k == top else ()) / k
         vec = backward
         for j in range(max((jj for jj, kk in sectors if kk == k), default=-1) + 1):
             if j:
-                vec = _create_pairs(vec, 2 * (j + k - 1), q_forward) / j
+                vec = _create_pairs(vec, 2 * (j + k - 1), q_forward,
+                                    detectors if 2 * (j + k) == top else ()) / j
             if (j, k) in sectors:
                 out[(j, k)] = vec
     return out
@@ -455,13 +476,12 @@ def _tally_indices(n: int, detectors: tuple, receiver: int) -> tuple:
     """
     occ, codes = _number_basis(n)
     at = [_MODE_INDEX[(receiver, pol)] for pol in (H, V)]
-    spatial = occ.reshape(len(occ), -1, 2).sum(axis=2)     # column s - 1: spatial mode s
-    clicked = np.all(spatial[:, [s - 1 for s in detectors]] >= 1, axis=1)
-    h_one = clicked & (occ[:, at[0]] == 1) & (occ[:, at[1]] == 0)
+    clicked = _clicked(n, detectors)
+    h, v = occ[clicked][:, at].T
+    h_one = clicked[(h == 1) & (v == 0)]
     unit = _UNITS[at]
     v_one = np.searchsorted(codes, codes[h_one] - unit[0] + unit[1])
-    return (np.flatnonzero(clicked), np.flatnonzero(clicked & (occ[:, at[1]] == 0)),
-            np.flatnonzero(clicked & (occ[:, at[0]] == 0)), np.flatnonzero(h_one), v_one)
+    return clicked, clicked[v == 0], clicked[h == 0], h_one, v_one
 
 
 # --- main pipeline ----------------------------------------------------------------
@@ -479,9 +499,10 @@ def _tally(configs) -> list:
     its ``NoCoincidenceError``.  ``analyzer`` holds the rows of the receiver's
     analyzer rotation, ``empty_tol`` the weight below which a probability
     counts as no event, and ``receiver`` per sector in label order
-    ``(state, h_one, v_one)`` for ``run_protocol``'s ``_receiver_block``.  The
-    rows share each step up to the pruned probabilities; the sums are taken
-    row by row, so each row keeps the bits of a stack of its own.
+    ``(state, h_one, v_one)`` for ``run_protocol``'s ``_receiver_block``, the
+    state over the clicked occupations and the indices into it.  The rows
+    share each step up to the pruned probabilities; the sums are taken row
+    by row, so each row keeps the bits of a stack of its own.
     """
     wiring = WIRINGS[configs[0].roles]
     analyzers, lins = [], []
@@ -492,29 +513,45 @@ def _tally(configs) -> list:
         lins.append(_optics_matrix(_station_blocks(config)
                                    + [((wiring.receiver,), analyzers[-1])]))
     weights = _sector_weights(configs[0].source)
-    sectors = _emitted(np.array(lins), weights)
     detectors = tuple(_detector_spatials(configs[0]))
+    sectors = _emitted(np.array(lins), weights, detectors)
+    top = max((j + k for j, k in weights), default=0)
     # four-fold rates scale as kappa^4 or faster, so "no coincidence" is judged
     # against the emitted weight of the sectors (1 for the ideal source)
     empty_tol = 1e-14 * sum(abs(w) ** 2 * n for w, n in weights.values())
 
-    tallied = []
+    tallied, positions = [], {}
     for label, (j, k) in sorted((f"{j}{j}{k}{k}", (j, k)) for j, k in weights):
-        states = weights[(j, k)][0] * sectors[(j, k)]
-        # the relative cut of the sparse states drops rounding residue
+        weight, norm = weights[(j, k)]
+        clicked, *indices = _tally_indices(2 * (j + k), detectors, wiring.receiver)
+        if j + k not in positions:     # the tally's indices among the clicked states
+            positions[j + k] = [clicked.searchsorted(at) for at in indices]
+        states = weight * sectors[(j, k)]
+        # the relative cut of the sparse states drops rounding residue, against
+        # the largest amplitude of the whole sector
         absolute = np.abs(states)
         dropped = absolute <= PRUNE_THRESHOLD * absolute.max(axis=1, keepdims=True)
+        if j + k < top:
+            states, absolute, dropped = (a[:, clicked] for a in (states, absolute, dropped))
+        else:
+            # a top sector holds its clicked states alone.  L is a contraction, so
+            # no amplitude of the whole sector exceeds |weight| sqrt(norm) (1e-9 for
+            # rounding); a row keeping one within the cut of that needs the whole
+            bound = PRUNE_THRESHOLD * abs(weight) * math.sqrt(norm) * (1.0 + 1e-9)
+            unsure = (absolute <= bound) > dropped
+            for r in unsure.any(axis=1).nonzero()[0] if unsure.any() else ():
+                whole = np.abs(weight * _emitted(np.array(lins[r:r + 1]), {(j, k)})[(j, k)])
+                dropped[r] = absolute[r] <= PRUNE_THRESHOLD * whole.max()
         states[dropped] = absolute[dropped] = 0.0
-        tallied.append((label, states, absolute ** 2,
-                        _tally_indices(2 * (j + k), detectors, wiring.receiver)))
+        tallied.append((label, states, absolute ** 2, positions[j + k]))
 
     rows = []
     for r, (config, analyzer) in enumerate(zip(configs, analyzers)):
         f_par = f_perp = success = 0.0
         per_term, receiver = {}, []
-        for label, states, probs, (clicked, par, perp, h_one, v_one) in tallied:
+        for label, states, probs, (par, perp, h_one, v_one) in tallied:
             state, prob = states[r], probs[r]
-            success += float(prob[clicked].sum())
+            success += float(prob.sum())
             p_par = float(prob[par].sum())
             p_perp = float(prob[perp].sum())
             f_par += p_par

@@ -105,6 +105,14 @@ SWAPPED_SOURCES = (
 # g1 deny of h and g2 allow of plus exit 1 with no four-fold coincidence
 EPSILON_ONE_CONFIGS = (("g1", "allow"), ("g1", "deny"), ("g2", "allow"), ("g2", "deny"),
                        ("reference", "none"))
+# the prune of the rounding residue: g2 deny of v and g1 deny of h at epsilon
+# = 0 click only amplitudes far below each sector's largest, so a prune taken
+# against the clicked amplitudes alone leaves g2 an f_perp of about 1e-38
+# where the whole sector's prune prints 0; and the swapped roles at epsilon =
+# 1, whose last pair creations reach six and eight photons at orders 3 and 4
+PRUNE_CONFIGS = (("g2", "v"), ("g1", "h"))
+PRUNE_SOURCES = (("--kappa-forward", "0.1", "--kappa-backward", "0.055"),
+                 ("--kappa-forward", "0.05", "--kappa-backward", "0.2"))
 # the count tables beside this file: a mixed table, one with a zero count, one
 # below 1 count; a pure table (a zero count whose probability vanishes),
 # subnormal counts, counts too large to resample, a table whose resamples are
@@ -208,6 +216,13 @@ def corpus() -> list:
                "--kappa-forward", "0.1", "--kappa-backward", "0.055", "--pbs-epsilon", "1"]
               for (channel, action), name in itertools.product(EPSILON_ONE_CONFIGS,
                                                                ("h", "plus"))]
+    argvs += [["run", "--channel", channel, "--action", "deny", "--input", name, *source,
+               "--pbs-epsilon", "0"]
+              for (channel, name), source in itertools.product(PRUNE_CONFIGS, PRUNE_SOURCES)]
+    argvs += [["run", "--channel", "g1", "--action", action, "--roles", "swapped",
+               "--input", "r", "--kappa-forward", "0.1", "--kappa-backward", "0.055",
+               "--pbs-epsilon", "1", "--truncation-order", order]
+              for action, order in itertools.product(("allow", "deny"), ("3", "4"))]
     argvs += [["run", "--channel", channel, "--action", action, *source,
                "--truncation-order", order]
               for (channel, action), source, order in itertools.product(

@@ -34,6 +34,11 @@ identity and replaces the rows of each block's modes by the block times
 those rows.  It is copied verbatim with the private helper it uses
 (``_block_rows``, under a ``_reference_`` prefix): the bit-for-bit oracle of
 the optics matrix.
+``reference_create_pairs`` is ``protocol._create_pairs`` as it was before its
+index table could leave targets out and it gathered each term's amplitude,
+copied verbatim with its ``_pair_table`` (under a ``_reference_`` prefix,
+uncached): the bit-for-bit oracle of the whole pair creation, whose bins
+add their terms in (source, pair) order.
 ``ideal_source_state`` and ``two_mode_spdc`` look up ``emission_orders`` in
 this module, so a test can swap in another emission engine with
 ``monkeypatch.setattr(helpers, "emission_orders", ...)``.
@@ -44,6 +49,7 @@ tests alone, moved here unchanged.
 """
 
 import functools
+import itertools
 import math
 import numbers
 import operator
@@ -322,6 +328,30 @@ def reference_optics_matrix(blocks) -> np.ndarray:
         rows = _reference_block_rows(spatials)
         lin[rows] = block @ lin[rows]
     return lin
+
+
+def _reference_pair_table(n: int, rows: int) -> tuple:
+    """Index table of the pairs b_k^dag b_l^dag, k <= l, from ``n`` to ``n + 2`` photons."""
+    occ, codes = protocol._number_basis(n)
+    _, out_codes = protocol._number_basis(n + 2)
+    k, l = np.array(list(itertools.combinations_with_replacement(
+        range(len(protocol._DENSE_MODES)), 2))).T
+    target = np.searchsorted(out_codes, codes[:, None] + (protocol._UNITS[k] + protocol._UNITS[l]))
+    same = k == l
+    coef = np.sqrt((occ[:, k] + 1.0) * (occ[:, l] + 1.0 + same)) * np.where(same, 0.5, 1.0)
+    slots = np.stack([2 * target, 2 * target + 1], axis=-1)
+    slots = slots + 2 * len(out_codes) * np.arange(rows)[:, None, None, None]
+    return k * len(protocol._DENSE_MODES) + l, slots.ravel(), coef, len(out_codes)
+
+
+def reference_create_pairs(vecs: np.ndarray, n: int, q: np.ndarray) -> np.ndarray:
+    """Apply 1/2 sum_kl q[r, k, l] b_k^dag b_l^dag to row r of ``n``-photon vectors."""
+    rows = len(vecs)
+    pairs, slots, coef, size = _reference_pair_table(n, rows)
+    terms = vecs[:, :, None] * q.reshape(rows, -1).take(pairs, axis=1)[:, None]
+    terms *= coef
+    return np.bincount(slots, terms.view(np.float64).ravel(),
+                       minlength=2 * size * rows).view(complex).reshape(rows, size)
 
 
 def _reference_condition(channels: np.ndarray, kets) -> tuple:

@@ -356,6 +356,23 @@ def test_mixture_half_without_coincidence_adds_no_events(name, capsys):
     assert "cannot produce a four-fold coincidence" in captured.err
 
 
+@pytest.mark.parametrize("argv, named", [
+    # both halves have no four-photon sector at order 1
+    (["--kappa-forward", "0.1", "--truncation-order", "1"],
+     "--mix-p 0.5, action allow, input plus"),
+    # all the weight on the g1 half, which never coincides for h
+    (["--ideal", "--action", "deny", "--input", "h", "--mix-p", "0"],
+     "--mix-p 0, action deny, input h"),
+])
+def test_a_mixture_without_coincidence_is_named(argv, named, capsys):
+    assert run_cli(["run", "--channel", "mix", *argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"simulation error: the g1/g2 mixture at {named}: cannot produce a "
+                            "four-fold coincidence; no configuration of the source terms clicks "
+                            "all four detectors\n")
+
+
 @pytest.mark.parametrize("p", ["2", "-1", "nan"])
 def test_bad_mix_p_exits_2_before_propagating(p, monkeypatch, capsys):
     from cqtsim import protocol
@@ -1087,7 +1104,8 @@ def test_run_full_precision_prints_the_record(extra, monkeypatch, capsys):
 @pytest.mark.parametrize("action", ["allow", "deny", "none"])
 def test_mixture_row_is_the_library_mixture(action, source, capsys):
     # the CLI's mix row is emulate_mixture of the g1 configuration, bit for
-    # bit; where the CLI exits 1, the library raises the same message
+    # bit; where the CLI exits 1, the library raises NoCoincidenceError, and
+    # the CLI names the mixture, not the half whose error the library raises
     from cqtsim.protocol import (InputQubit, NoCoincidenceError, ProtocolConfig,
                                  emulate_mixture)
     from cqtsim.spdc import SourceParams
@@ -1105,9 +1123,12 @@ def test_mixture_row_is_the_library_mixture(action, source, capsys):
             captured = capsys.readouterr()
             exits.add(code)
             if code == 1:
-                with pytest.raises(NoCoincidenceError) as caught:
+                with pytest.raises(NoCoincidenceError):
                     emulate_mixture(cfg, float(p))
-                assert captured.err == f"simulation error: {caught.value}\n"
+                assert captured.err == (
+                    f"simulation error: the g1/g2 mixture at --mix-p {p}, action {action}, "
+                    f"input {name}: cannot produce a four-fold coincidence; no configuration "
+                    "of the source terms clicks all four detectors\n")
                 continue
             assert code == 0, captured.err
             record = emulate_mixture(cfg, float(p))
