@@ -356,21 +356,15 @@ def test_mixture_half_without_coincidence_adds_no_events(name, capsys):
     assert "cannot produce a four-fold coincidence" in captured.err
 
 
-@pytest.mark.parametrize("argv, named", [
-    # both halves have no four-photon sector at order 1
-    (["--kappa-forward", "0.1", "--truncation-order", "1"],
-     "--mix-p 0.5, action allow, input plus"),
-    # all the weight on the g1 half, which never coincides for h
-    (["--ideal", "--action", "deny", "--input", "h", "--mix-p", "0"],
-     "--mix-p 0, action deny, input h"),
-])
-def test_a_mixture_without_coincidence_is_named(argv, named, capsys):
-    assert run_cli(["run", "--channel", "mix", *argv]) == 1
+def test_a_mixture_without_coincidence_is_named(capsys):
+    # at order 1 neither half has a four-photon sector
+    assert run_cli(["run", "--channel", "mix", "--kappa-forward", "0.1",
+                    "--truncation-order", "1"]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (f"simulation error: the g1/g2 mixture at {named}: cannot produce a "
-                            "four-fold coincidence; no configuration of the source terms clicks "
-                            "all four detectors\n")
+    assert captured.err == ("simulation error: the g1/g2 mixture at --mix-p 0.5, action allow, "
+                            "input plus: cannot produce a four-fold coincidence; no configuration "
+                            "of the source terms clicks all four detectors\n")
 
 
 @pytest.mark.parametrize("p", ["2", "-1", "nan"])
