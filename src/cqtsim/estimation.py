@@ -383,6 +383,10 @@ def poisson_uncertainty(data, seed: int, n_resamples: int = 10_000) -> FidelityE
     is not a pair of finite non-negative numbers or is all zero, a ``seed``
     that is not a non-negative integer or an ``n_resamples`` that is not an
     integer of at least 100 raises ValueError.
+
+    numpy's sampler draws nothing for a mean of 0, so with one count 0 every
+    nonempty resample has the ratio 1 (or 0 for f_par 0): a positive first draw
+    of the other count returns it with spread 0, the full draw's bits.
     """
     _check_resampling(seed, n_resamples)
     try:
@@ -396,6 +400,8 @@ def poisson_uncertainty(data, seed: int, n_resamples: int = 10_000) -> FidelityE
     if f_par + f_perp <= 0:
         raise ValueError("all counts are zero")
     _check_poisson_mean(max(f_par, f_perp))
+    if not (f_par and f_perp) and np.random.default_rng(seed).poisson(f_par or f_perp):
+        return FidelityEstimate(float(f_par > 0), 0.0)
     draws = np.random.default_rng(seed).poisson((f_par, f_perp), size=(n_resamples, 2))
     # exact integer totals; only a run with empty resamples needs a mask
     totals = draws[:, 0] + draws[:, 1]

@@ -49,10 +49,13 @@ those rates with the receiver's conditional state.  Both take them from one
 private propagation and tally, ``_tally``, which takes a list of
 configurations and forms no receiver block; ``emulate_mixture`` passes its
 g1 and g2 halves to one ``_tally`` and ``spdc.sector_rates`` every
-configuration it is given (``fit-spdc``'s three).  ``run_protocol`` alone
-forms the receiver's 2x2 blocks, raises ``ProtocolError`` when every
-coincidence leaves him more than one photon, and rotates their sum out of
-his analyzer frame.
+configuration it is given (``fit-spdc``'s three).  The tally takes the
+sectors of one photon number as one (sectors, rows, states) array; each sum
+runs over its contiguous last axis, gathered with ``take``, with the bits of
+the row's own ``.sum()``, and rows add them in label order.  ``run_protocol``
+alone forms the receiver's 2x2 blocks, raises ``ProtocolError`` when every
+coincidence leaves him more than one photon, and rotates their sum out of his
+analyzer frame.
 
 The stage operations ``prepare_ghz`` and ``singlet_projection`` hand the
 same kind of block to ``elements.apply``, which applies it to a sparse
@@ -424,14 +427,18 @@ def _emitted(lin: np.ndarray, sectors, detectors: tuple = ()) -> dict:
     out = {}
     backward = np.ones((len(lin), 1), dtype=complex)
     for k in range(max((kk for _, kk in sectors), default=-1) + 1):
-        if k:
+        if k:   # x / 1 is x, so only k > 1 divides
             backward = _create_pairs(backward, 2 * k - 2, q_backward,
-                                     detectors if 2 * k == top else ()) / k
+                                     detectors if 2 * k == top else ())
+            if k > 1:
+                backward /= k
         vec = backward
         for j in range(max((jj for jj, kk in sectors if kk == k), default=-1) + 1):
             if j:
                 vec = _create_pairs(vec, 2 * (j + k - 1), q_forward,
-                                    detectors if 2 * (j + k) == top else ()) / j
+                                    detectors if 2 * (j + k) == top else ())
+                if j > 1:
+                    vec /= j
             if (j, k) in sectors:
                 out[(j, k)] = vec
     return out
@@ -501,8 +508,8 @@ def _tally(configs) -> list:
     counts as no event, and ``receiver`` per sector in label order
     ``(state, h_one, v_one)`` for ``run_protocol``'s ``_receiver_block``, the
     state over the clicked occupations and the indices into it.  The rows
-    share each step up to the pruned probabilities; the sums are taken row
-    by row, so each row keeps the bits of a stack of its own.
+    and the sectors of a photon number share each step up to the sums, and
+    each row keeps the bits of a stack of its own.
     """
     wiring = WIRINGS[configs[0].roles]
     analyzers, lins = [], []
@@ -520,54 +527,64 @@ def _tally(configs) -> list:
     # against the emitted weight of the sectors (1 for the ideal source)
     empty_tol = 1e-14 * sum(abs(w) ** 2 * n for w, n in weights.values())
 
-    tallied, positions = [], {}
-    for label, (j, k) in sorted((f"{j}{j}{k}{k}", (j, k)) for j, k in weights):
-        weight, norm = weights[(j, k)]
-        clicked, *indices = _tally_indices(2 * (j + k), detectors, wiring.receiver)
-        if j + k not in positions:     # the tally's indices among the clicked states
-            positions[j + k] = [clicked.searchsorted(at) for at in indices]
-        states = weight * sectors[(j, k)]
+    labelled, tallied = sorted((f"{j}{j}{k}{k}", (j, k)) for j, k in weights), {}
+    for n in {j + k for j, k in weights}:
+        layer = [jk for jk in weights if sum(jk) == n]
+        clicked, *indices = _tally_indices(2 * n, detectors, wiring.receiver)
+        par, perp, h_one, v_one = (clicked.searchsorted(at) for at in indices)
+        # weight times amplitude, in that order: numpy's complex product fuses a multiply-add
+        states = np.array([sectors[jk] for jk in layer])
+        np.multiply(np.array([weights[jk][0] for jk in layer])[:, None, None], states, out=states)
         # the relative cut of the sparse states drops rounding residue, against
         # the largest amplitude of the whole sector
         absolute = np.abs(states)
-        dropped = absolute <= PRUNE_THRESHOLD * absolute.max(axis=1, keepdims=True)
-        if j + k < top:
-            states, absolute, dropped = (a[:, clicked] for a in (states, absolute, dropped))
+        dropped = absolute <= PRUNE_THRESHOLD * absolute.max(axis=-1, keepdims=True)
+        if n < top:
+            states, absolute, dropped = (a.take(clicked, axis=-1)
+                                         for a in (states, absolute, dropped))
         else:
             # a top sector holds its clicked states alone.  L is a contraction, so
             # no amplitude of the whole sector exceeds |weight| sqrt(norm) (1e-9 for
             # rounding); a row keeping one within the cut of that needs the whole
-            bound = PRUNE_THRESHOLD * abs(weight) * math.sqrt(norm) * (1.0 + 1e-9)
+            bound = np.array([PRUNE_THRESHOLD * abs(weight) * math.sqrt(norm) * (1.0 + 1e-9)
+                              for weight, norm in map(weights.get, layer)])[:, None, None]
             unsure = (absolute <= bound) > dropped
-            for r in unsure.any(axis=1).nonzero()[0] if unsure.any() else ():
-                whole = np.abs(weight * _emitted(np.array(lins[r:r + 1]), {(j, k)})[(j, k)])
-                dropped[r] = absolute[r] <= PRUNE_THRESHOLD * whole.max()
+            for i, r in np.argwhere(unsure.any(axis=-1)) if unsure.any() else ():
+                jk = layer[i]
+                whole = np.abs(weights[jk][0] * _emitted(np.array(lins[r:r + 1]), {jk})[jk])
+                dropped[i, r] = absolute[i, r] <= PRUNE_THRESHOLD * whole.max()
         states[dropped] = absolute[dropped] = 0.0
-        tallied.append((label, states, absolute ** 2, positions[j + k]))
+        # sums over the contiguous last axis: each row's bits, as its own .sum()
+        probs = absolute ** 2
+        sums = [probs.sum(axis=-1)] + [probs.take(at, axis=-1).sum(axis=-1) for at in (par, perp)]
+        for jk, state, *row_sums in zip(layer, states, *np.array(sums).tolist()):
+            tallied[jk] = state, row_sums, h_one, v_one
 
     rows = []
     for r, (config, analyzer) in enumerate(zip(configs, analyzers)):
         f_par = f_perp = success = 0.0
         per_term, receiver = {}, []
-        for label, states, probs, (par, perp, h_one, v_one) in tallied:
-            state, prob = states[r], probs[r]
-            success += float(prob.sum())
-            p_par = float(prob[par].sum())
-            p_perp = float(prob[perp].sum())
-            f_par += p_par
-            f_perp += p_perp
-            per_term[label] = p_par + p_perp
-            receiver.append((state, h_one, v_one))
+        for label, jk in labelled:
+            state, (total, p_par, p_perp), h_one, v_one = tallied[jk]
+            success += total[r]
+            f_par += p_par[r]
+            f_perp += p_perp[r]
+            per_term[label] = p_par[r] + p_perp[r]
+            receiver.append((state[r], h_one, v_one))
         if not success > empty_tol:
-            rows.append(NoCoincidenceError(
-                f"channel {config.channel}, action {config.action}, input "
-                f"({config.input.alpha:.4g}, {config.input.beta:.4g}), roles {config.roles}: "
-                "cannot produce a four-fold coincidence; no configuration of the source "
-                "terms clicks all four detectors"))
+            rows.append(_no_coincidence(f"channel {config.channel}", config))
         else:
             rows.append((CountRecord(f_parallel=f_par, f_perp=f_perp, success_probability=success,
                                      per_term=per_term), analyzer, empty_tol, receiver))
     return rows
+
+
+def _no_coincidence(run: str, config: ProtocolConfig) -> NoCoincidenceError:
+    """The error of ``run`` of ``config``, a channel or the mixture, which never coincides."""
+    return NoCoincidenceError(
+        f"{run}, action {config.action}, input ({config.input.alpha:.4g}, "
+        f"{config.input.beta:.4g}), roles {config.roles}: cannot produce a four-fold "
+        "coincidence; no configuration of the source terms clicks all four detectors")
 
 
 def _raise(row):
@@ -669,8 +686,8 @@ def emulate_mixture(config: ProtocolConfig, p: float) -> CountRecord:
 
     With p = 1/2 this reproduces summing the coincidence counts of the two
     GHZ runs (up to the irrelevant overall factor 2).  A half that cannot
-    coincide adds no events; its ``NoCoincidenceError`` is raised only when
-    the mixture has none either, the g1 half's first.
+    coincide adds no events; a mixture with none raises a ``NoCoincidenceError``
+    of its own, naming p, the action, the input and the roles.
     """
     if config.channel != "g1":
         raise ValueError(f"a mixture takes the g1 configuration, not {config.channel!r}")
@@ -687,5 +704,5 @@ def emulate_mixture(config: ProtocolConfig, p: float) -> CountRecord:
                   for k in sorted(set(g1.per_term) | set(g2.per_term))},
     )
     if not record.success_probability > 0.0:
-        raise next(row for row in rows if isinstance(row, ProtocolError))
+        raise _no_coincidence(f"the g1/g2 mixture at p = {p:g}", config)
     return record

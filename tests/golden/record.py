@@ -113,6 +113,18 @@ EPSILON_ONE_CONFIGS = (("g1", "allow"), ("g1", "deny"), ("g2", "allow"), ("g2", 
 PRUNE_CONFIGS = (("g2", "v"), ("g1", "h"))
 PRUNE_SOURCES = (("--kappa-forward", "0.1", "--kappa-backward", "0.055"),
                  ("--kappa-forward", "0.05", "--kappa-backward", "0.2"))
+# resampled runs whose orthogonal rate is exactly 0: the ideal allowed run,
+# the ideal g1 denial of v and the uncontrolled reference run; at an exposure
+# of 0.01 the first draw of the parallel count is 0, and at 1e-9 every
+# resample is empty (exit 2)
+ZERO_RATE_RUNS = (
+    ("--ideal", "--resamples", "10000", "--seed", "1"),
+    ("--ideal", "--action", "deny", "--input", "v", "--resamples", "10000", "--seed", "1"),
+    ("--channel", "reference", "--action", "none", "--kappa-forward", "0.1",
+     "--resamples", "10000", "--seed", "2"),
+    ("--ideal", "--exposure", "0.01", "--resamples", "10000", "--seed", "1"),
+    ("--ideal", "--exposure", "1e-9", "--resamples", "100", "--seed", "1"),
+)
 # the count tables beside this file: a mixed table, one with a zero count, one
 # below 1 count; a pure table (a zero count whose probability vanishes),
 # subnormal counts, counts too large to resample, a table whose resamples are
@@ -219,6 +231,7 @@ def corpus() -> list:
     argvs += [["run", "--channel", channel, "--action", "deny", "--input", name, *source,
                "--pbs-epsilon", "0"]
               for (channel, name), source in itertools.product(PRUNE_CONFIGS, PRUNE_SOURCES)]
+    argvs += [["run", *argv] for argv in ZERO_RATE_RUNS]
     argvs += [["run", "--channel", "g1", "--action", action, "--roles", "swapped",
                "--input", "r", "--kappa-forward", "0.1", "--kappa-backward", "0.055",
                "--pbs-epsilon", "1", "--truncation-order", order]

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 import warnings
@@ -495,6 +496,69 @@ def test_poisson_uncertainty_keeps_the_bits_of_the_reference(mean, share, seed, 
     got = poisson_uncertainty(data, seed, n_resamples)
     assert (got.value.hex(), got.uncertainty.hex()) == (want.value.hex(),
                                                         want.uncertainty.hex())
+
+
+ZERO_RATE_MEANS = (1e-12, 1e-6, 1e-3, 0.01, 0.1, 0.5, 1.0, 2.0, 9.99, 10.0, 30.0, 1e3, 1e6)
+
+
+def test_a_pair_with_a_zero_count_keeps_the_bits_of_the_reference():
+    # numpy draws nothing for a zero mean, so every nonempty resample has the
+    # ratio 1 (or 0); the means run from 1e-12, whose resamples are all empty,
+    # through the inversion sampler below 10 to the PTRS sampler above it
+    outcomes = set()
+    for mean, zero, seed, n_resamples in itertools.product(
+            ZERO_RATE_MEANS, (0.0, -0.0), range(6), (100, 1000)):
+        shortcut = np.random.default_rng(seed).poisson(mean) > 0
+        for data in ((mean, zero), (zero, mean)):
+            try:
+                want = reference_poisson_uncertainty(data, seed, n_resamples)
+            except ValueError as exc:
+                with pytest.raises(ValueError, match=re.escape(str(exc))):
+                    poisson_uncertainty(data, seed, n_resamples)
+                outcomes.add("empty")
+                continue
+            got = poisson_uncertainty(data, seed, n_resamples)
+            assert (got.value.hex(), got.uncertainty.hex()) == (want.value.hex(),
+                                                                want.uncertainty.hex())
+            outcomes.add("shortcut" if shortcut else "full draw")
+    assert outcomes == {"empty", "shortcut", "full draw"}
+
+
+def spy_on_default_rng(monkeypatch) -> list:
+    """Record the ``(lam, size)`` of every Poisson draw of a generator made by
+    ``np.random.default_rng``, as ``(generator number, lam, size)``."""
+    draws, real, made = [], np.random.default_rng, []
+
+    class Spy:
+        def __init__(self, seed):
+            self.rng, self.number = real(seed), len(made)
+            made.append(self)
+
+        def poisson(self, lam, size=None):
+            draws.append((self.number, lam, size))
+            return self.rng.poisson(lam, size)
+
+    monkeypatch.setattr(np.random, "default_rng", Spy)
+    return draws
+
+
+@pytest.mark.parametrize("data, seed, want", [
+    # the first draw of a count of mean 5 is positive: one scalar draw
+    ((5.0, 0.0), 1, [(0, 5.0, None)]),
+    ((-0.0, 5.0), 1, [(0, 5.0, None)]),
+    # that of mean 0.01 is 0 at seed 1: the whole table follows from a fresh stream
+    ((0.01, 0.0), 1, [(0, 0.01, None), (1, (0.01, 0.0), (200, 2))]),
+    ((0.0, 0.01), 1, [(0, 0.01, None), (1, (0.0, 0.01), (200, 2))]),
+    # no count zero: the whole table alone
+    ((3.0, 2.0), 1, [(0, (3.0, 2.0), (200, 2))]),
+])
+def test_a_zero_count_draws_once_unless_that_draw_is_empty(data, seed, want, monkeypatch):
+    expected = reference_poisson_uncertainty(data, seed, 200)
+    draws = spy_on_default_rng(monkeypatch)
+    got = poisson_uncertainty(data, seed, 200)
+    assert draws == want
+    assert (got.value.hex(), got.uncertainty.hex()) == (expected.value.hex(),
+                                                        expected.uncertainty.hex())
 
 
 def test_poisson_requires_seed_and_counts():

@@ -400,6 +400,25 @@ def test_emulate_mixture_takes_only_the_g1_configuration(channel, action):
         emulate_mixture(ProtocolConfig(channel=channel, action=action), 0.5)
 
 
+@pytest.mark.parametrize("name, p, source, ket", [
+    # g1 deny never coincides for h, g2 deny never for v
+    ("h", 0.0, None, "(1+0j, 0+0j)"),
+    ("v", 1.0, None, "(0+0j, 1+0j)"),
+    # at order 1 neither half has a four-photon sector
+    ("plus", 0.3, SourceParams(0.1, 0.1, truncation_order=1), "(0.7071+0j, 0.7071+0j)"),
+])
+def test_a_mixture_without_coincidence_raises_its_own_error(name, p, source, ket):
+    # not the error of one half: the mixture, with p, action, input and roles
+    config = ProtocolConfig(channel="g1", action="deny", input=InputQubit.from_name(name),
+                            source=source)
+    with pytest.raises(protocol.NoCoincidenceError) as raised:
+        emulate_mixture(config, p)
+    assert str(raised.value) == (
+        f"the g1/g2 mixture at p = {p:g}, action deny, input {ket}, roles standard: cannot "
+        "produce a four-fold coincidence; no configuration of the source terms clicks all "
+        "four detectors")
+
+
 @pytest.mark.parametrize("p", [-0.1, 1.5, math.nan, math.inf])
 def test_emulate_mixture_rejects_a_weight_outside_0_1(p):
     with pytest.raises(ValueError, match=r"p must lie in \[0, 1\]"):
@@ -417,7 +436,7 @@ def test_emulate_mixture_adds_no_events_for_a_half_that_cannot_coincide():
     half = emulate_mixture(cfg, 0.5)
     assert (half.f_parallel, half.f_perp, half.success_probability) == pytest.approx(
         (0.0625, 0.0, 0.0625), abs=1e-15)
-    with pytest.raises(protocol.NoCoincidenceError, match="channel g1, action deny"):
+    with pytest.raises(protocol.NoCoincidenceError, match="the g1/g2 mixture at p = 0, "):
         emulate_mixture(cfg, 0.0)
 
 

@@ -8,6 +8,7 @@ the bound and the receiver states of a one-row tally.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -25,7 +26,11 @@ FIT_TRIPLE = (("reference", "none"), ("g1", "allow"), ("g1", "deny"))
 
 
 def stack(kind, input_q, source, eps, action="allow"):
-    """The configurations that ``fit-spdc`` ("fit") or ``run --channel mix`` propagate together."""
+    """The configurations that ``fit-spdc`` ("fit") or ``run --channel mix`` propagate
+    together, or the swapped roles' allowed and denied runs ("swapped")."""
+    if kind == "swapped":
+        return [ProtocolConfig(action=act, input=input_q, source=source, pbs_epsilon=eps,
+                               roles="swapped") for act in ("allow", "deny")]
     runs = FIT_TRIPLE if kind == "fit" else (("g1", action), ("g2", action))
     return [ProtocolConfig(channel=channel, action=act, input=input_q, source=source,
                            pbs_epsilon=eps) for channel, act in runs]
@@ -74,6 +79,48 @@ epsilons = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 @settings(max_examples=150, deadline=None)
 def test_each_row_of_a_stack_is_its_configuration_alone(kind, input_q, source, eps, action):
     assert_rows_are_their_own(stack(kind, input_q, source, eps, action))
+
+
+@pytest.mark.parametrize("source", [None] + [SourceParams(0.1, 0.055, order)
+                                            for order in (1, 2, 3, 4)]
+                         + [SourceParams(0.08 + 0.06j, 0.05 - 0.02j, 3)],
+                         ids=["ideal", "order-1", "order-2", "order-3", "order-4", "complex"])
+@pytest.mark.parametrize("kind", ["fit", "mix", "swapped"])
+def test_the_layered_tally_keeps_the_bits_of_the_reference(kind, source):
+    # _tally sums each photon-number layer's sectors at once; every record,
+    # error and receiver state is still the reference's, bit for bit.  Complex
+    # strengths give complex sector weights, whose product with the amplitudes
+    # fuses a multiply-add: weight times amplitude, in that order, as here
+    for name, eps, action in (("plus", 0.05, "allow"), ("0.6,0.8j", 0.0, "deny"),
+                              ("v", 1.0, "deny"), ("r", 0.3, "allow")):
+        configs = stack(kind, InputQubit.from_name(name), source, eps, action)
+        assert_rows_are_their_own(configs)
+        for config in configs:
+            try:
+                want = reference_run_protocol(config)
+            except ProtocolError as exc:
+                with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                    run_protocol(config)
+                continue
+            record, rho = run_protocol(config)
+            assert (repr(record), rho.tobytes()) == (repr(want[0]), want[1].tobytes())
+
+
+@pytest.mark.parametrize("n", [16, 330, 344, 1716])
+def test_layer_sums_keep_the_bits_of_each_rows_own_sum(n):
+    # a layer's (sectors, rows, states) probabilities summed over the contiguous
+    # last axis, whole or gathered with take, as _tally sums them: each row
+    # with the bits of its own .sum()
+    rng = np.random.default_rng(n)
+    for sectors, rows in ((1, 1), (2, 3), (3, 2), (4, 9)):
+        shape = (sectors, rows, n)
+        probs = (rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 1, shape)) ** 2
+        probs[rng.random(shape) < 0.3] = 0.0
+        at = np.sort(rng.choice(n, rng.integers(1, n + 1), replace=False))
+        whole, gathered = probs.sum(axis=-1), probs.take(at, axis=-1).sum(axis=-1)
+        for s, r in np.ndindex(sectors, rows):
+            assert whole[s, r].tobytes() == probs[s, r].sum().tobytes()
+            assert gathered[s, r].tobytes() == probs[s, r][at].sum().tobytes()
 
 
 @pytest.mark.parametrize("kind, name, source, eps, action, empty", [
