@@ -95,18 +95,6 @@ class MLResult:
     log_likelihoods: list = field(repr=False, default_factory=list)
 
 
-def _log_likelihood(rho, projectors, counts) -> float:
-    out = 0.0
-    for p, n in zip(projectors, counts):
-        if n == 0:
-            continue
-        prob = float(np.real(np.trace(p @ rho)))
-        if prob <= 1e-300:
-            return -math.inf
-        out += n * math.log(prob)
-    return out
-
-
 def _bloch_vector(m: np.ndarray) -> np.ndarray:
     """The Bloch vectors r (..., 3) of Hermitian 2x2 matrices m = (tr m + r.sigma) / 2."""
     return np.stack([2 * m[..., 0, 1].real, -2 * m[..., 0, 1].imag,
@@ -255,39 +243,68 @@ def _ml_fit(counts: ProjectionCounts, resamples: np.ndarray) -> tuple:
     return MLResult(_bloch_rho(r[0]), bool(converged[0]), int(iterations[0]), trace), r[1:]
 
 
+# --- the exact maximum of an axial table -----------------------------------------
+
+# the + and the - columns of the Bloch axes x, y, z in a table h, v, plus, minus, r, l
+_PLUS_COLUMNS, _MINUS_COLUMNS = [2, 4, 0], [3, 5, 1]
+
+
 def ml_oracle_bloch_search(counts: ProjectionCounts) -> np.ndarray:
-    """Likelihood maximization over the Bloch ball (reference; needs the ``dev`` extra)."""
-    from scipy import optimize
+    """The exact maximum-likelihood state of counts over projectors on the
+    Bloch axes, each row placed by its projector, not by its position: a
+    reference for ``ml_reconstruct`` that shares none of its solver
+    (``_axial_ml_bloch``).  ValueError for a projector off the axes or counts
+    all zero."""
+    m = _bloch_vector(np.array(counts.projectors()))
+    axis = np.abs(m).argmax(axis=1)
+    off = np.flatnonzero(np.abs(np.abs(m) - np.eye(3)[axis]).max(axis=1) > 1e-12)
+    if off.size:
+        alpha, beta = counts.settings[off[0]][0]
+        raise ValueError(f"projector {off[0] + 1} ({alpha:.4g}, {beta:.4g}) lies off the "
+                         "Bloch axes")
+    minus = m[np.arange(len(m)), axis] < 0
+    columns = np.where(minus, np.take(_MINUS_COLUMNS, axis), np.take(_PLUS_COLUMNS, axis))
+    table = np.bincount(columns, weights=counts.counts(), minlength=6)
+    if not table.sum() > 0:
+        raise ValueError("all counts are zero")
+    return _bloch_rho(_axial_ml_bloch(table[None])[0])
 
-    projectors = counts.projectors()
-    ns = counts.counts()
-    paulis = [np.array([[0, 1], [1, 0]]), np.array([[0, -1j], [1j, 0]]),
-              np.array([[1, 0], [0, -1]])]
 
-    def rho_of(r):
-        out = np.eye(2, dtype=complex) / 2
-        for ri, p in zip(r, paulis):
-            out = out + 0.5 * ri * p.astype(complex)
-        return out
+def _axial_ml_bloch(tables: np.ndarray) -> np.ndarray:
+    """The maximum-likelihood Bloch vectors (n, 3) of axial tables (n, 6) of
+    floats, none all zero.  With a_k and b_k the frequencies of axis k's +
+    and - projectors, L(r) = sum_k a_k log(1 + r_k) + b_k log(1 - r_k) is
+    largest at r_k = (a_k - b_k) / (a_k + b_k), 0 on an axis without counts,
+    when that lies in the ball.  Otherwise the maximum is on the sphere, where
+    a_k / (1 + r_k) - b_k / (1 - r_k) = mu r_k: each r_k(mu) is the one sign
+    change of a_k (1 - r) - b_k (1 + r) - mu r (1 - r^2) on [-1, 1], and
+    |r(mu)| falls from above 1 at mu = 0 towards 0, so mu and each r_k(mu)
+    are bisected to the last bit."""
+    tables = tables / tables.sum(axis=1, keepdims=True)
+    a, b = tables[:, _PLUS_COLUMNS], tables[:, _MINUS_COLUMNS]
+    out = np.divide(a - b, a + b, out=np.zeros_like(a), where=a + b > 0)
+    outside = (out ** 2).sum(axis=1) > 1.0
+    if outside.any():
+        a, b = a[outside], b[outside]
+        # frequencies sum to 1, so |r_k(mu)| <= |a_k - b_k| / mu: at mu = 2, |r(mu)| <= 1/2
+        lo, hi = np.zeros((len(a), 1)), np.full((len(a), 1), 2.0)
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            far = (_axis_roots(a, b, mid) ** 2).sum(axis=1, keepdims=True) > 1.0
+            lo, hi = np.where(far, mid, lo), np.where(far, hi, mid)
+        r = _axis_roots(a, b, hi)
+        out[outside] = r / np.linalg.norm(r, axis=1, keepdims=True)
+    return out
 
-    def negloglik(r):
-        if np.dot(r, r) > 1.0:
-            r = r / math.sqrt(np.dot(r, r))
-        return -_log_likelihood(rho_of(r), projectors, ns)
 
-    best = None
-    starts = [np.zeros(3)] + [0.7 * np.eye(3)[i] * s for i in range(3) for s in (1, -1)]
-    for x0 in starts:
-        res = optimize.minimize(
-            negloglik, x0, method="SLSQP",
-            constraints=[{"type": "ineq", "fun": lambda r: 1.0 - np.dot(r, r)}],
-            options={"maxiter": 2000, "ftol": 1e-14})
-        if best is None or res.fun < best.fun:
-            best = res
-    r = best.x
-    if np.dot(r, r) > 1.0:
-        r = r / math.sqrt(np.dot(r, r))
-    return rho_of(r)
+def _axis_roots(a, b, mu) -> np.ndarray:
+    """r_k(mu), bisected on [-1, 1]; the function is positive at -1 (or 0 when a = 0)."""
+    lo, hi = -np.ones_like(a), np.ones_like(a)
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        up = a * (1 - mid) - b * (1 + mid) - mu * mid * (1 - mid) * (1 + mid) > 0
+        lo, hi = np.where(up, mid, lo), np.where(up, hi, mid)
+    return 0.5 * (lo + hi)
 
 
 # --- background subtraction ------------------------------------------------------

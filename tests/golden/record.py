@@ -96,7 +96,7 @@ SINGLE_SOURCES = (
     ("--resamples", "200", "--seed", "5", "--format", "json"),
 )
 # the swapped roles, whose fiber beam splitter acts on the non-adjacent modes 2
-# and 4 and whose controller's polarizer sits on mode 1, with both actions
+# and 4 and whose controller's polarizer sits on mode 1, with every action
 SWAPPED_SOURCES = (
     ("--ideal",),
     ("--kappa-forward", "0.1", "--kappa-backward", "0.055", "--pbs-epsilon", "0.05"),
@@ -124,6 +124,13 @@ ZERO_RATE_RUNS = (
      "--resamples", "10000", "--seed", "2"),
     ("--ideal", "--exposure", "0.01", "--resamples", "10000", "--seed", "1"),
     ("--ideal", "--exposure", "1e-9", "--resamples", "100", "--seed", "1"),
+)
+# strengths off the grids above; and the floor of the source, where both
+# strengths at 1.001e-73 give rates near 1e-293 and both at 1e-73 exit 2
+KAPPA_EDGES = (
+    ("--kappa-forward", "0.137", "--kappa-backward", "0.02", "--pbs-epsilon", "0.01"),
+    ("--kappa-forward", "1.001e-73", "--kappa-backward", "1.001e-73"),
+    ("--kappa-forward", "1e-73", "--kappa-backward", "1e-73"),
 )
 # the count tables beside this file: a mixed table, one with a zero count, one
 # below 1 count; a pure table (a zero count whose probability vanishes),
@@ -223,7 +230,7 @@ def corpus() -> list:
     argvs += [["run", "--channel", "g1", "--action", action, "--roles", "swapped",
                "--input", name, *source]
               for action, name, source in itertools.product(
-                  ("allow", "deny"), SINGLE_INPUTS, SWAPPED_SOURCES)]
+                  ("allow", "deny", "none"), SINGLE_INPUTS, SWAPPED_SOURCES)]
     argvs += [["run", "--channel", channel, "--action", action, "--input", name,
                "--kappa-forward", "0.1", "--kappa-backward", "0.055", "--pbs-epsilon", "1"]
               for (channel, action), name in itertools.product(EPSILON_ONE_CONFIGS,
@@ -232,6 +239,7 @@ def corpus() -> list:
                "--pbs-epsilon", "0"]
               for (channel, name), source in itertools.product(PRUNE_CONFIGS, PRUNE_SOURCES)]
     argvs += [["run", *argv] for argv in ZERO_RATE_RUNS]
+    argvs += [["run", *argv] for argv in KAPPA_EDGES]
     argvs += [["run", "--channel", "g1", "--action", action, "--roles", "swapped",
                "--input", "r", "--kappa-forward", "0.1", "--kappa-backward", "0.055",
                "--pbs-epsilon", "1", "--truncation-order", order]

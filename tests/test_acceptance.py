@@ -295,7 +295,7 @@ def test_criterion_09_tomography():
         oracle = ml_oracle_bloch_search(counts)
         dist = 0.5 * float(np.abs(np.linalg.eigvalsh(res.rho - oracle)).sum())
         worst_dist = max(worst_dist, dist)
-    assert worst_dist < 1e-4
+    assert worst_dist < 1e-12
     _report(9, f"20 noiseless reconstructions at fidelity >= {worst_fid:.6f}, "
                f"monotone likelihood, oracle agreement {worst_dist:.1e}")
 

@@ -1,11 +1,12 @@
 """``ml_reconstruct`` against the exact maximum of the likelihood.
 
-``ml_exact`` gives the maximum of an axial table in closed form, with a 1-D
-equation in the Lagrange multiplier when it lies on the Bloch sphere.  The
-estimate must match it to 1e-9 in every entry of rho, far below the 1e-6
-that ``tomo`` prints.  For other complete sets of projectors no closed form
-exists, so the estimate must meet the KKT conditions of the ball to 1e-9,
-and no point of the ball may have a higher likelihood.
+``ml_oracle_bloch_search`` gives the maximum of an axial table in closed
+form, with a 1-D equation in the Lagrange multiplier when it lies on the
+Bloch sphere, and ``ml_exact`` checks it from outside.  The estimate must
+match it to 1e-9 in every entry of rho, far below the 1e-6 that ``tomo``
+prints.  For other complete sets of projectors no closed form exists, so
+the estimate must meet the KKT conditions of the ball to 1e-9, and no
+point of the ball may have a higher likelihood.
 """
 
 from pathlib import Path
@@ -13,12 +14,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cqtsim.estimation import (ProjectionCounts, axial_counts, ml_oracle_bloch_search,
-                               ml_reconstruct, read_counts_csv)
+from cqtsim.estimation import (ProjectionCounts, _axial_ml_bloch, axial_counts,
+                               ml_oracle_bloch_search, ml_reconstruct, read_counts_csv)
 
 from helpers import AXIAL_INPUT_NAMES as AXIAL
-from ml_exact import (axial_ml_bloch, bloch_of_rho, kkt_residual, log_likelihood,
-                      projector_bloch, rho_of_bloch)
+from ml_exact import bloch_of_rho, kkt_residual, log_likelihood, projector_bloch, rho_of_bloch
+
+GOLDEN = Path(__file__).parent / "golden"
 
 AXIAL_PROJECTORS = np.array(axial_counts(dict.fromkeys(AXIAL, 1.0)).projectors())
 # h 464878, v 439035, plus 81422, minus 78331, r 52, l 59: the r/l axis holds
@@ -51,7 +53,9 @@ def axial_tables(kind, rng):
     if kind == "pure":
         bloch = random_bloch(rng, 30, 1, 1)
         bloch[:6] = np.vstack([np.eye(3), -np.eye(3)])
-        return axial_means(bloch, np.full((30, 3), 1000.0))
+        # and h, whose v count is 0, with 50 counts on each other projector
+        return np.vstack([axial_means(bloch, np.full((30, 3), 1000.0)),
+                          [100, 0, 50, 50, 50, 50]])
     if kind == "zero count":
         means = axial_means(random_bloch(rng, 60, 0, 0.99), np.full((60, 3), 500.0))
         tables = rng.poisson(means).astype(float)
@@ -81,17 +85,17 @@ AXIAL_KINDS = ("poisson", "near pure", "pure", "zero count", "below 1", "sparse"
 def test_oracle_meets_the_kkt_conditions(kind):
     # the oracle's own check: a maximum of the ball to the last bits
     tables = axial_tables(kind, np.random.default_rng([36, len(kind)]))
-    for table, r in zip(tables, axial_ml_bloch(tables)):
-        if table.sum() > 0:
-            assert np.linalg.norm(r) <= 1 + 1e-15
-            assert kkt_residual(r, AXIAL_PROJECTORS, table) <= 1e-12
+    tables = tables[tables.sum(axis=1) > 0]
+    for table, r in zip(tables, _axial_ml_bloch(tables)):
+        assert np.linalg.norm(r) <= 1 + 1e-15
+        assert kkt_residual(r, AXIAL_PROJECTORS, table) <= 1e-12
 
 
 @pytest.mark.parametrize("kind", AXIAL_KINDS)
 def test_ml_reconstruct_is_the_exact_maximum_of_an_axial_table(kind):
     tables = axial_tables(kind, np.random.default_rng([36, len(kind)]))
     tables = tables[tables.sum(axis=1) > 0]
-    exact = rho_of_bloch(axial_ml_bloch(tables))
+    exact = rho_of_bloch(_axial_ml_bloch(tables))
     for table, want in zip(tables, exact):
         res = ml_reconstruct(axial_counts(dict(zip(AXIAL, table))))
         assert res.converged
@@ -99,22 +103,45 @@ def test_ml_reconstruct_is_the_exact_maximum_of_an_axial_table(kind):
 
 
 def test_unbalanced_table_gives_the_linear_inversion():
-    r = axial_ml_bloch([UNBALANCED])[0]
+    r = _axial_ml_bloch(np.array([UNBALANCED], dtype=float))[0]
     assert np.linalg.norm(r) < 1
     assert rho_of_bloch(r)[0, 1].imag == pytest.approx(0.031532, abs=5e-7)
 
 
-# the reference search misses the exact maximum by 1.1e-3 (zero), 0.21 (huge)
-# and 0.36 (subnormal) in rho, while ml_reconstruct is within 1e-16 of it
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the SLSQP search stops short of the maximum of a table "
-                          "with a zero count or with counts far from 1")
+# a table with a zero count, and tables of counts far from 1
 @pytest.mark.parametrize("table", ["zero", "huge", "subnormal"])
 def test_the_reference_search_is_the_exact_maximum(table):
-    counts = read_counts_csv(Path(__file__).parent / "golden" / f"{table}.csv")
-    exact = rho_of_bloch(axial_ml_bloch([counts.counts()])[0])
-    # cqtbench's TOMO_RHO_TOLERANCE
-    assert np.max(np.abs(ml_oracle_bloch_search(counts) - exact)) <= 1e-4
+    counts = read_counts_csv(GOLDEN / f"{table}.csv")
+    rho = ml_oracle_bloch_search(counts)
+    projectors = np.array(counts.projectors())
+    assert kkt_residual(bloch_of_rho(rho), projectors, counts.counts()) <= 1e-12
+    assert np.max(np.abs(ml_reconstruct(counts).rho - rho)) <= 1e-9
+
+
+@pytest.mark.parametrize("table", ["zero", "unbalanced"])
+def test_the_oracle_reads_each_row_by_its_projector(table):
+    counts = read_counts_csv(GOLDEN / f"{table}.csv")
+    want = ml_oracle_bloch_search(counts).tobytes()
+    rng = np.random.default_rng(48)
+    # cqtbench's order plus, minus, r, l, h, v, then random ones
+    for order in [[2, 3, 4, 5, 0, 1], *(rng.permutation(6) for _ in range(3))]:
+        shuffled = ProjectionCounts([counts.settings[j] for j in order])
+        assert ml_oracle_bloch_search(shuffled).tobytes() == want
+
+
+@pytest.mark.parametrize("ket, name", [
+    ((0.6, 0.8j), r"0\.6\+0j, 0\+0\.8j"),
+    ((1.0, 1e-6), r"1\+0j, 1e-06\+0j")], ids=["tilted", "near-h"])
+def test_the_oracle_names_a_projector_off_the_axes(ket, name):
+    settings = axial_counts(dict.fromkeys(AXIAL, 10.0)).settings
+    settings[4] = (ket, 0.0)
+    with pytest.raises(ValueError, match=rf"^projector 5 \({name}\) lies off the Bloch axes"):
+        ml_oracle_bloch_search(ProjectionCounts(settings))
+
+
+def test_the_oracle_rejects_a_table_without_counts():
+    with pytest.raises(ValueError, match="all counts are zero"):
+        ml_oracle_bloch_search(axial_counts(dict.fromkeys(AXIAL, 0.0)))
 
 
 def random_projector_table(rng):

@@ -830,8 +830,13 @@ def test_import_leaves_scipy_optimize_unloaded(tmp_path):
         ["tomo", "--counts", str(counts), "--resamples", "200", "--seed", "1"],
         ["reproduce", "table1"],
     ]
+    # the benchmark's reference for a table whose linear inversion, r = (0.9,
+    # 0.9, 0), leaves the Bloch ball (cqtbench/test_oracles.py)
+    outside = {"plus": 9500, "minus": 500, "r": 9500, "l": 500, "h": 5000, "v": 5000}
     runs = ["import cqtsim"] + [
-        f"from cqtsim.cli import main; sys.exit(main({argv!r}))" for argv in commands]
+        f"from cqtsim.cli import main; sys.exit(main({argv!r}))" for argv in commands] + [
+        "from cqtsim.estimation import axial_counts, ml_oracle_bloch_search; "
+        f"ml_oracle_bloch_search(axial_counts({outside!r}))"]
     for run in runs:
         out = subprocess.run([sys.executable, "-c", BLOCK_SCIPY + run], capture_output=True,
                              text=True, env={**os.environ, "PYTHONPATH": src})
