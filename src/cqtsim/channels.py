@@ -7,9 +7,12 @@ with the receiver and qubit 3 with the controller.  |H> maps to basis 0.
 The algebra runs in private kernels over stacks of channels: conditioning
 on the controller (``_condition``), the Bell overlaps (``_entangled_fractions``)
 and the Pauli-frame fidelity (``_frame_fidelities``).  The public functions
-on one channel are the n = 1 case of the same kernels, and ``werner_scan``
-computes all its rows in one pass through them, so a row of the scan is
-bit-identical to ``werner_point`` at the same q.
+on one channel are the n = 1 case of the same kernels.  ``werner_scan``
+forms no conditional state: each row is a function of twelve linear
+functionals Tr[rho M] of its channel (``_scan_rows``), the controller's
+branch probabilities, the Bell overlaps of the +/- branches and the frame sum
+of the H branch, one gemv per channel.  ``werner_point`` is its one-row
+case, so a row of the scan is bit-identical to ``werner_point`` at the same q.
 
 Teleportation fidelities are one quadratic form <v|rho|v> per Bell outcome
 (see ``_sender_kets``); no receiver state is formed or normalized for them.
@@ -82,8 +85,17 @@ def make_werner(q: float) -> np.ndarray:
 
 
 def _werner_channels(q_grid) -> np.ndarray:
-    """Werner channels (n, 8, 8); the first weight outside [0, 1] is named."""
-    qs = np.asarray(q_grid, dtype=float)
+    """Werner channels (n, 8, 8) of a flat sequence of real weights; the first
+    weight that is not a real number, or lies outside [0, 1], is named."""
+    try:
+        qs = np.asarray(q_grid)
+    except ValueError:      # a ragged sequence
+        qs = np.asarray(q_grid, dtype=object)
+    if qs.ndim != 1 or qs.dtype.kind not in "biuf":
+        bad = [q for q in q_grid if not isinstance(q, numbers.Real)]
+        if bad:
+            raise ValueError(f"q={bad[0]!r} is not a real number")
+    qs = qs.astype(float)
     outside = np.flatnonzero(~((qs >= 0.0) & (qs <= 1.0)))
     if outside.size:
         raise ValueError(f"q={q_grid[outside[0]]} outside [0, 1]")
@@ -188,7 +200,9 @@ def _entangled_fractions(rhos: np.ndarray) -> np.ndarray:
 
 def _sender_kets(psis: np.ndarray) -> np.ndarray:
     """s_k = B_k^T conj(psi) (4, n, 2) for the input kets ``psis`` (n, 2)."""
-    return np.einsum("kac,na->knc", _BELL, psis.conj())
+    # two broadcast products added to 0 in einsum's order: its bits, signed zeros too
+    conj = psis.conj()[:, :, None]
+    return 0.0 + _BELL[:, None, 0] * conj[:, 0] + _BELL[:, None, 1] * conj[:, 1]
 
 
 # Pauli frame that inverts teleportation over the (|HH>+|VV>)/sqrt2 channel,
@@ -197,14 +211,15 @@ STANDARD_CORRECTIONS = {"phi+": PAULI_I, "phi-": PAULI_Z, "psi+": PAULI_X, "psi-
 _CORRECTIONS = np.array([STANDARD_CORRECTIONS[label] for label in _BELL_LABELS])
 
 
+def _frame_kets(psi: np.ndarray) -> np.ndarray:
+    """v_k = s_k (x) C_k^dag psi (4, 4) of the ``STANDARD_CORRECTIONS`` frame."""
+    return np.einsum("kc,ke->kce", _sender_kets(psi[None])[:, 0], _CORRECTIONS @ psi).reshape(4, 4)
+
+
 def _frame_fidelities(channels: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Fidelity of teleporting ``psi`` with the ``STANDARD_CORRECTIONS`` Pauli
-    frame over each channel of a stack (m, 4, 4): sum_k <v_k|rho|v_k>.
-
-    einsum sums each channel's terms in the same order whatever the stack's
-    length, since the channels' axis, of the largest stride, is never its
-    inner loop: a row of ``werner_scan`` equals ``werner_point``."""
-    v = np.einsum("kc,ke->kce", _sender_kets(psi[None])[:, 0], _CORRECTIONS @ psi).reshape(4, 4)
+    frame over each channel of a stack (m, 4, 4): sum_k <v_k|rho|v_k>."""
+    v = _frame_kets(psi)
     return np.einsum("ki,mij,kj->m", v.conj(), channels, v).real
 
 
@@ -322,12 +337,33 @@ class WernerScanResult:
     threshold_q: float    # where F_allowed crosses 2/3
 
 
-def _werner_rows(q_grid) -> tuple:
-    """F_allowed and F_denied (n,) over ``q_grid``, conditioned on +, - and H at once."""
-    probs, states = _condition(_werner_channels(q_grid),
-                               [ket for ket, _ in basis_pairs("pm")] + [KET_H])
-    allowed = _feedforward_sums(probs[:, :2], states[:, :2]) / sum(probs[:, :2].T)
-    return allowed, _frame_fidelities(states[:, 2], KET_D)
+# A scan row takes twelve traces Tr[rho M] of its channel, each M Hermitian:
+# for + and - (``basis_pairs("pm")`` order) the probability p_b (M = 1 (x) |b><b|)
+# and the Bell overlaps o_bj (|B_j><B_j| (x) |b><b|), then H's probability p_H
+# and frame sum of teleporting |+> (sum_k |v_k><v_k| (x) |H><H|).  Tr[rho M]
+# is the dot product of the two real views, so the table holds M's as columns.
+_FRAME_D = _frame_kets(KET_D)
+_SCAN_TERMS = np.array([np.eye(4), *map(ket_outer, bell_kets().values())] * 2
+                       + [np.eye(4), _FRAME_D.T @ _FRAME_D.conj()])
+_SCAN_CONTROLLER = np.repeat([ket_outer(ket) for ket, _ in basis_pairs("pm")]
+                             + [ket_outer(KET_H)], [5, 5, 2], axis=0)
+_SCAN_FUNCTIONALS = np.ascontiguousarray(
+    (_SCAN_TERMS[:, :, None, :, None] * _SCAN_CONTROLLER[:, None, :, None, :])
+    .reshape(12, 64).view(float).T)
+
+
+def _scan_rows(channels: np.ndarray) -> tuple:
+    """F_allowed and F_denied (n,) of a stack of channels (n, 8, 8), each row
+    from its channel's twelve traces in one gemv (a singleton-row product, see
+    above ``_entangled_fractions``): F_allowed = sum_b (2 max_j o_bj + p_b)/3
+    / sum_b p_b and F_denied = frame sum / p_H; no conditional state is formed."""
+    n = len(channels)
+    traces = (channels.reshape(n, 1, 64).view(float) @ _SCAN_FUNCTIONALS)[:, 0]
+    branches = traces[:, :10].reshape(n, 2, 5)
+    probs = branches[:, :, 0]
+    allowed = (2 * branches[:, :, 1:].max(axis=2) + probs) / 3
+    return ((allowed[:, 0] + allowed[:, 1]) / (probs[:, 0] + probs[:, 1]),
+            traces[:, 11] / traces[:, 10])
 
 
 def werner_point(q: float) -> tuple:
@@ -338,7 +374,7 @@ def werner_point(q: float) -> tuple:
     teleporting |+> over the H-conditioned channel with the standard frame.
     One row of ``werner_scan``.
     """
-    allowed, denied = _werner_rows([q])
+    allowed, denied = _scan_rows(_werner_channels([q]))
     return float(allowed[0]), float(denied[0])
 
 
@@ -349,7 +385,7 @@ def werner_scan(q_grid: Sequence[float]) -> WernerScanResult:
     q_grid = list(q_grid)
     if not q_grid:
         raise ValueError("empty q grid")
-    allowed, denied = _werner_rows(q_grid)
+    allowed, denied = _scan_rows(_werner_channels(q_grid))
     rows = list(zip(map(float, q_grid), allowed.tolist(), denied.tolist()))
     return WernerScanResult(rows=rows, threshold_q=1.0 / 3.0)
 

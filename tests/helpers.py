@@ -8,11 +8,9 @@ element and ``elements.apply`` as they were before ``apply`` took the
 mode -> {mode: amplitude}: the bit-for-bit oracle of ``apply``.
 ``compose`` chains such maps: the tests use it as the oracle of
 ``protocol``'s optics matrix and of ``protocol.prepare_ghz``.
-``reference_werner_rows`` is the F_allowed column of ``channels._werner_rows``
-as it was before the scan conditioned on +, - and H in one pass and
-``_condition`` ran its terms with the channels innermost, copied verbatim
-with the private helpers it uses (``_condition``, ``_werner_channels``)
-under a ``_reference_`` prefix: their bit-for-bit oracle.
+``_reference_condition`` is ``channels._condition`` as it was before it ran
+its terms with the channels innermost, copied verbatim: its bit-for-bit
+oracle.
 ``reference_poisson_uncertainty`` is ``estimation.poisson_uncertainty`` as it
 was before it took the mean and spread in two passes and clipped only after
 the background subtraction, copied verbatim with ``np.clip``, ``np.mean`` and
@@ -58,10 +56,10 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from cqtsim import protocol
-from cqtsim.channels import PAULI_X, _feedforward_sums, ghz_ket, ket_outer
+from cqtsim.channels import PAULI_X
 from cqtsim.elements import phase_matrix
 from cqtsim.estimation import FidelityEstimate, _check_poisson_mean, _check_resampling
-from cqtsim.fock import H, V, PureState, _create, basis_pairs, spatial_counts
+from cqtsim.fock import H, V, PureState, _create, spatial_counts
 from cqtsim.spdc import BACKWARD_MODES, FORWARD_MODES, REFERENCE_KAPPA, emission_orders
 
 AXIAL_INPUT_NAMES = ("h", "v", "plus", "minus", "r", "l")
@@ -369,20 +367,3 @@ def _reference_condition(channels: np.ndarray, kets) -> tuple:
     states = np.where(tiny[..., None, None], 0j,
                       sub / np.where(tiny, 1.0, probs)[..., None, None])
     return probs, states
-
-
-def _reference_werner_channels(q_grid) -> np.ndarray:
-    """Werner channels (n, 8, 8); the first weight outside [0, 1] is named."""
-    qs = np.asarray(q_grid, dtype=float)
-    outside = np.flatnonzero(~((qs >= 0.0) & (qs <= 1.0)))
-    if outside.size:
-        raise ValueError(f"q={q_grid[outside[0]]} outside [0, 1]")
-    qs = qs[:, None, None]
-    return qs * ket_outer(ghz_ket(1)) + (1 - qs) * np.eye(8, dtype=complex) / 8.0
-
-
-def reference_werner_rows(q_grid) -> np.ndarray:
-    """F_allowed (n,) over ``q_grid`` in one pass of the kernels."""
-    channels = _reference_werner_channels(q_grid)
-    probs, states = _reference_condition(channels, [ket for ket, _ in basis_pairs("pm")])
-    return _feedforward_sums(probs, states) / sum(probs.T)

@@ -275,6 +275,22 @@ def test_werner_scan_rejects_bad_grid():
         werner_scan([1.2])
 
 
+# a Werner weight is one real number: each of these names the weight it got
+def test_werner_point_rejects_a_complex_weight():
+    with pytest.raises(ValueError, match=r"^q=\(0\.5\+0j\) is not a real number$"):
+        werner_point(0.5 + 0j)
+
+
+def test_werner_scan_rejects_a_nested_grid():
+    with pytest.raises(ValueError, match=r"^q=\[0\.1, 0\.2\] is not a real number$"):
+        werner_scan([[0.1, 0.2]])
+
+
+def test_make_werner_rejects_a_sequence_of_weights():
+    with pytest.raises(ValueError, match=r"^q=\[0\.5\] is not a real number$"):
+        make_werner([0.5])
+
+
 def test_werner_threshold_matches_root_search():
     # oracle: a numerical root of the generic werner_point against the closed form
     from scipy.optimize import brentq

@@ -4,13 +4,15 @@ against the code they replaced or the one-row runs they stack.
 Each table of ``estimation._ml_kernel``'s stack must end where a call on
 that table alone ends, bit for bit, with the same flag and iteration count;
 each branch of ``channels.mc_avg_teleport_fidelity`` must add what the
-average of that branch alone gives, bit for bit; ``channels._werner_rows``
-conditions on +, - and H in one pass, and ``channels._condition`` runs its
-terms with the channels innermost.  The channel oracles in ``helpers`` are
-the code before these changes, copied verbatim, and those comparisons are
-of bytes or of ``float.hex``.  The denied column has a closed form on a
-Werner channel: conditioned on H it is q |HH><HH| + (1 - q) I/4, and the
-standard frame teleports |+> over either term with fidelity 1/2.
+average of that branch alone gives, bit for bit; ``channels._condition``
+runs its terms with the channels innermost, against its former code in
+``helpers``, copied verbatim, and those comparisons are of bytes or of
+``float.hex``.  The Werner scan takes each row from twelve traces of its
+channel and forms no conditional state.  Its rows are checked against the
+closed forms, which the library never evaluates: each +/- branch has
+fully entangled fraction (1 + 3q)/4, so F_allowed = (1 + q)/2, and
+conditioned on H the channel is q |HH><HH| + (1 - q) I/4, over either term
+of which the standard frame teleports |+> with fidelity 1/2.
 """
 
 import numpy as np
@@ -19,13 +21,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cqtsim import channels, estimation
-from cqtsim.channels import (ConditionalChannel, _condition, _werner_rows,
+from cqtsim.channels import (ConditionalChannel, _condition, avg_teleport_fidelity,
                              condition_on_controller, make_ghz_mixture, make_werner,
-                             mc_avg_teleport_fidelity, werner_scan)
+                             mc_avg_teleport_fidelity, teleport_fidelity, werner_point,
+                             werner_scan)
 from cqtsim.estimation import ProjectionCounts, _ml_kernel, axial_counts, ml_reconstruct
-from cqtsim.fock import parse_ket
+from cqtsim.fock import KET_D, parse_ket
 
-from helpers import AXIAL_INPUT_NAMES, _reference_condition, reference_werner_rows
+from helpers import AXIAL_INPUT_NAMES, _reference_condition
 
 AXIAL_PROJECTORS = np.array(axial_counts({name: 1.0 for name in AXIAL_INPUT_NAMES})
                             .projectors())
@@ -248,23 +251,53 @@ def test_condition_keeps_the_bits_of_the_reference(n, seed, rounded, kets):
     assert states.flags.c_contiguous
 
 
+ULP = 2.0 ** -52
+
+
+def assert_rows_lie_on_the_closed_form(qs):
+    """Each row equals ``werner_point`` at its q and lies within 4 x 2^-52 of
+    F_allowed = (1 + q)/2 and F_denied = 1/2."""
+    rows = werner_scan(qs).rows
+    assert rows == [(float(q), *werner_point(q)) for q in qs]
+    q, allowed, denied = np.array(rows).T
+    assert np.abs(allowed - (1 + q) / 2).max() <= 4 * ULP
+    assert np.abs(denied - 0.5).max() <= 4 * ULP
+
+
 @settings(max_examples=150, deadline=None)
 @given(qs=st.lists(st.one_of(st.floats(0, 1), st.sampled_from([0.0, 1.0, 1 / 3, 0.5])),
                    min_size=1, max_size=60))
-def test_werner_rows_keep_the_bits_of_the_reference(qs):
-    allowed, denied = _werner_rows(qs)
-    assert allowed.tobytes() == reference_werner_rows(qs).tobytes()
-    assert np.abs(denied - 0.5).max() <= 1e-15
-    rows = werner_scan(qs).rows
-    assert rows == list(zip(qs, allowed.tolist(), denied.tolist()))
+def test_werner_rows_lie_on_the_closed_form(qs):
+    assert_rows_lie_on_the_closed_form(qs)
 
 
 @pytest.mark.parametrize("qs", [[0.0], [1.0], [0.25], [0.5, 0.5, 0.5],
                                 list(np.linspace(0, 1, 10001))])
-def test_werner_scan_edges_keep_the_bits_of_the_reference(qs):
-    allowed, denied = _werner_rows(qs)
-    assert allowed.tobytes() == reference_werner_rows(qs).tobytes()
-    assert np.abs(denied - 0.5).max() <= 1e-15
+def test_werner_scan_edges_lie_on_the_closed_form(qs):
+    assert_rows_lie_on_the_closed_form(qs)
+
+
+def test_werner_scan_forms_no_conditional_state(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the scan formed a conditional state")
+
+    for name in ("_condition", "_feedforward_sums", "_entangled_fractions"):
+        monkeypatch.setattr(channels, name, forbidden)
+    assert len(werner_scan(np.linspace(0, 1, 101)).rows) == 101
+
+
+def test_scan_rows_are_the_conditioned_averages_on_any_channel():
+    """The twelve traces give what conditioning on the controller and the
+    Bell overlaps give, on channels that are not Werner channels."""
+    rng = np.random.default_rng(49)
+    stack = np.array([random_density(rng, 8) for _ in range(40)]
+                     + [make_ghz_mixture(p) for p in (0.0, 0.3, 1.0)])
+    allowed, denied = channels._scan_rows(stack)
+    for rho, got_allowed, got_denied in zip(stack, allowed, denied):
+        want_allowed = avg_teleport_fidelity(condition_on_controller(rho, "pm"))
+        state = condition_on_controller(rho, "hv", "H").state
+        assert got_allowed == pytest.approx(want_allowed, abs=1e-14)
+        assert got_denied == pytest.approx(teleport_fidelity(state, KET_D), abs=1e-14)
 
 
 def test_werner_channels_keep_their_terms():
