@@ -77,7 +77,8 @@ def make_ghz_mixture(p: float) -> np.ndarray:
     return (1 - p) * ket_outer(ghz_ket(1)) + p * ket_outer(ghz_ket(2))
 
 
-_GHZ1, _MIXED8 = ket_outer(ghz_ket(1)), np.eye(8, dtype=complex) / 8.0
+# both Werner terms are real: real products and one cast give the complex products' bytes
+_GHZ1, _MIXED8 = ket_outer(ghz_ket(1)).real.copy(), np.eye(8) / 8.0
 
 
 def make_werner(q: float) -> np.ndarray:
@@ -100,7 +101,7 @@ def _werner_channels(q_grid) -> np.ndarray:
     if outside.size:
         raise ValueError(f"q={q_grid[outside[0]]} outside [0, 1]")
     qs = qs[:, None, None]
-    return qs * _GHZ1 + (1 - qs) * _MIXED8
+    return (qs * _GHZ1 + (1 - qs) * _MIXED8).astype(complex)
 
 
 @dataclass

@@ -154,6 +154,10 @@ _C_ENCODER = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
     ": ", "\x00", True, False, True)
 
 
+class _ScalarRows(list):
+    """A table whose rows hold JSON scalars only, so ``_json_text`` checks none."""
+
+
 def _json_text(value, newline: str = "\n") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` byte for byte, keys being
     strings, with each list of scalars or table of such lists written by one
@@ -168,12 +172,13 @@ def _json_text(value, newline: str = "\n") -> str:
         items = [f"{json.encoder.encode_basestring_ascii(key)}: {_json_text(v, inner)}"
                  for key, v in sorted(value.items())]
     elif all(isinstance(v, _SCALARS) for v in value):
-        items = "".join(_C_ENCODER(value, 0))[1:-1].split("\x00")
-    elif all(isinstance(row, (list, tuple)) and all(isinstance(v, _SCALARS) for v in row)
-             for row in value):
-        cell = "," + inner + "  "
-        items = ["[" + inner + "  " + row.replace("\x00", cell) + inner + "]" if row else "[]"
-                 for row in "".join(_C_ENCODER(value, 0))[2:-2].split("]\x00[")]
+        items = ["".join(_C_ENCODER(value, 0))[1:-1].replace("\x00", "," + inner)]
+    elif isinstance(value, _ScalarRows) or all(isinstance(row, (list, tuple)) and all(
+            isinstance(v, _SCALARS) for v in row) for row in value):
+        # rows part at "]\x00[", cells at "\x00"; an empty row leaves an empty line
+        text = "".join(_C_ENCODER(value, 0))[2:-2].replace(
+            "]\x00[", f"{inner}],{inner}[{inner}  ").replace("\x00", f",{inner}  ")
+        items = [f"[{inner}  {text}{inner}]".replace(f"[{inner}  {inner}]", "[]")]
     else:
         items = [_json_text(v, inner) for v in value]
     brackets = "{}" if isinstance(value, dict) else "[]"
@@ -195,7 +200,8 @@ def _render_table(columns, rows, fmt, full_precision, comments=()):
         "schema": SCHEMA_VERSION,
         "comments": list(comments),
         "columns": list(columns),
-        "rows": [[_json_value(v, full_precision) for v in row] for row in rows],
+        "rows": _ScalarRows(rows if full_precision else
+                            [[_json_value(v, False) for v in row] for row in rows]),
     }
     return _json_text(payload) + "\n"
 
@@ -457,7 +463,10 @@ def _parse_grid(args):
             raise ValueError(f"bad grid {args.q_grid!r}") from None
         if not 1 <= num <= MAX_Q_POINTS:
             raise ValueError(f"grid needs between 1 and {MAX_Q_POINTS} points")
-        return list(np.linspace(start, stop, num))
+        bad = [bound for bound in (start, stop) if not 0.0 <= bound <= 1.0]
+        if bad:     # before np.linspace warns of a non-finite or overflowing span
+            raise ValueError(f"grid bound q={bad[0]!r} outside [0, 1]")
+        return np.linspace(start, stop, num).tolist()
     raise ValueError("scan-werner needs --q-grid or --q-list")
 
 

@@ -38,14 +38,16 @@ class ProjectionCounts:
                 raise ValueError(f"counts must be finite, got {count!r}")
             if count < 0:
                 raise ValueError("counts must be non-negative")
-            cleaned.append((np.array(unit_pair(*ket, "projector")), count))
+            # Python complex: on numpy scalars unit_pair takes twice as long
+            cleaned.append((np.array(unit_pair(*ket.tolist(), "projector")), count))
         # the ML iteration works with the total count, which must stay finite
         if not math.isfinite(sum(c for _, c in cleaned)):
             raise ValueError("counts must sum to a finite number")
         self.settings = cleaned
 
-    def projectors(self) -> list:
-        return [np.outer(k, k.conj()) for k, _ in self.settings]
+    def projectors(self) -> np.ndarray:
+        kets = np.array([k for k, _ in self.settings]).reshape(-1, 2)
+        return kets[:, :, None] * kets[:, None, :].conj()
 
     def counts(self) -> np.ndarray:
         return np.array([c for _, c in self.settings])
@@ -109,8 +111,8 @@ def _bloch_rho(r: np.ndarray) -> np.ndarray:
 
 
 def _newton_steps(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
-    """-H^-1 g per row of H (n, 3, 3), negative definite: L D L^T of its upper triangle."""
-    (h00, h01, h02), (_, h11, h12), (_, _, h22) = hess.transpose(1, 2, 0)
+    """-H^-1 g by L D L^T per negative definite H, (n, 6) entries 00, 11, 22, 01, 02, 12."""
+    h00, h11, h22, h01, h02, h12 = hess.T
     g0, g1, g2 = grad.T
     l10, l20 = h01 / h00, h02 / h00
     d1, e12 = h11 - l10 * h01, h12 - l20 * h01
@@ -149,28 +151,29 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray):
     Returns ``(r (n, 3), converged (n,), iterations (n,), trace)``, r the
     Bloch vectors, ``trace`` table 0's L at r = 0 and after every accepted step.
     """
-    n, m = tables.shape
+    n, _ = tables.shape
     w = np.trace(projectors, axis1=1, axis2=2).real
     axes = _bloch_vector(projectors)
-    outer = (axes[:, :, None] * axes[:, None, :]).reshape(m, 9)
+    # entries 00, 11, 22, 01, 02, 12 of a_j a_j^T, C-ordered by take: einsum sums by layout
+    outer = axes.take([0, 1, 2, 0, 0, 1], axis=1) * axes.take([0, 1, 2, 1, 2, 2], axis=1)
     eye = np.eye(3)
 
-    def evaluate(r, f):
-        # L and the probabilities; L is -inf where a counted probability is not positive
-        p = 0.5 * (w + np.einsum("kd,jd->kj", r, axes))
+    def evaluate(p, f):
+        # L at the probabilities p; -inf where a counted probability is not positive
         live = p > 0
         if live.all():
-            return (f * np.log(p)).sum(axis=1), p
+            return (f * np.log(p)).sum(axis=1)
         ll = (f * np.log(np.where(live, p, 1.0))).sum(axis=1)
         ll[((f > 0) & ~live).any(axis=1)] = -math.inf
-        return ll, p
+        return ll
 
     r, sphere = np.zeros((n, 3)), np.zeros(n, dtype=bool)
     converged, iterations = np.zeros(n, dtype=bool), np.full(n, ML_MAX_ITERATIONS)
     running = np.ones(n, dtype=bool)
     f = tables / tables.sum(axis=1, keepdims=True)
     masked = not (f > 0).all()  # only an uncounted probability can vanish
-    ll, p = evaluate(r, f)
+    p = np.tile(0.5 * (w + 0.0), (n, 1))  # at r = 0, as einsum's sum of zeros is +0.0
+    ll = evaluate(p, f)
     trace = [float(ll[0])]
     for iteration in range(1, ML_MAX_ITERATIONS + 1):
         if not running.any():
@@ -178,16 +181,17 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray):
         counted_p = np.where(f > 0, p, 1.0) if masked else p
         q = f / counted_p
         g = 0.5 * np.einsum("kj,jd->kd", q, axes)
-        h = -0.25 * np.einsum("kj,jd->kd", q / counted_p, outer).reshape(-1, 3, 3)
-        hess = h + 1e-12 * np.trace(h, axis1=1, axis2=2)[:, None, None] * eye
+        hess = -0.25 * np.einsum("kj,jd->kd", q / counted_p, outer)
+        hess[:, :3] += 1e-12 * (hess[:, 0] + hess[:, 1] + hess[:, 2])[:, None]
         if sphere.any():
             mu = (g * r).sum(axis=1)
             sphere &= mu >= 0
             # on the sphere, the tangent parts, and -1 along r to keep the step tangent
             g = g - np.where(sphere, mu, 0.0)[:, None] * r
             normal = r[sphere, :, None] * r[sphere, None, :]
-            hess[sphere] = ((eye - normal) @ (hess[sphere] - mu[sphere, None, None] * eye)
-                            @ (eye - normal) - normal)
+            square = hess[sphere][:, [0, 3, 4, 3, 1, 5, 4, 5, 2]].reshape(-1, 3, 3)
+            hess[sphere] = ((eye - normal) @ (square - mu[sphere, None, None] * eye)
+                            @ (eye - normal) - normal).reshape(-1, 9)[:, [0, 4, 8, 1, 2, 5]]
         step = _newton_steps(hess, g)
         done = np.sqrt((step * step).sum(axis=1)) <= ML_TOL
 
@@ -199,11 +203,11 @@ def _ml_kernel(projectors: np.ndarray, tables: np.ndarray):
             norm = np.sqrt((cand * cand).sum(axis=1))
             on = sphere[sel] | (norm > 1.0)
             cand /= np.where(on, norm, 1.0)[:, None]
-            cand_ll, cand_p = evaluate(cand, f[sel])
+            cand_p = 0.5 * (w + np.einsum("kd,jd->kj", cand, axes))
+            cand_ll = evaluate(cand_p, f[sel])
             up = cand_ll >= ll[sel] - 1e-14 * np.abs(ll[sel])
-            if up.all():  # and none is scattered
-                r[sel], sphere[sel], p[sel], ok[sel] = cand, on, cand_p, True
-                ll[sel] = np.maximum(cand_ll, ll[sel])
+            if rows.size == n and up.all():  # the whole stack: its candidates, with no copy
+                r, sphere, p, ok, ll = cand, on, cand_p, up, np.maximum(cand_ll, ll)
                 break
             took = rows[up]
             r[took], sphere[took], p[took], ok[took] = cand[up], on[up], cand_p[up], True

@@ -37,6 +37,10 @@ index table could leave targets out and it gathered each term's amplitude,
 copied verbatim with its ``_pair_table`` (under a ``_reference_`` prefix,
 uncached): the bit-for-bit oracle of the whole pair creation, whose bins
 add their terms in (source, pair) order.
+``reference_ml_kernel`` is ``estimation._ml_kernel`` as it was before it
+formed its Hessians as six entries, with ``_newton_steps`` under a
+``_reference_`` prefix, copied verbatim but for the docstring: the
+bit-for-bit oracle of the kernel's states, flags, iteration counts and trace.
 ``ideal_source_state`` and ``two_mode_spdc`` look up ``emission_orders`` in
 this module, so a test can swap in another emission engine with
 ``monkeypatch.setattr(helpers, "emission_orders", ...)``.
@@ -58,7 +62,8 @@ import numpy as np
 from cqtsim import protocol
 from cqtsim.channels import PAULI_X
 from cqtsim.elements import phase_matrix
-from cqtsim.estimation import FidelityEstimate, _check_poisson_mean, _check_resampling
+from cqtsim.estimation import (ML_MAX_ITERATIONS, ML_TOL, FidelityEstimate, _bloch_vector,
+                               _check_poisson_mean, _check_resampling)
 from cqtsim.fock import H, V, PureState, _create, spatial_counts
 from cqtsim.spdc import BACKWARD_MODES, FORWARD_MODES, REFERENCE_KAPPA, emission_orders
 
@@ -367,3 +372,87 @@ def _reference_condition(channels: np.ndarray, kets) -> tuple:
     states = np.where(tiny[..., None, None], 0j,
                       sub / np.where(tiny, 1.0, probs)[..., None, None])
     return probs, states
+
+
+def _reference_newton_steps(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    """-H^-1 g per row of H (n, 3, 3), negative definite: L D L^T of its upper triangle."""
+    (h00, h01, h02), (_, h11, h12), (_, _, h22) = hess.transpose(1, 2, 0)
+    g0, g1, g2 = grad.T
+    l10, l20 = h01 / h00, h02 / h00
+    d1, e12 = h11 - l10 * h01, h12 - l20 * h01
+    l21, y1 = e12 / d1, g1 - l10 * g0
+    x2 = (g2 - l20 * g0 - l21 * y1) / (h22 - l20 * h02 - l21 * e12)
+    x1 = y1 / d1 - l21 * x2
+    return -np.stack([g0 / h00 - l10 * x1 - l20 * x2, x1, x2], axis=1)
+
+
+def reference_ml_kernel(projectors: np.ndarray, tables: np.ndarray):
+    """``(r, converged, iterations, trace)`` of ``estimation._ml_kernel``."""
+    n, m = tables.shape
+    w = np.trace(projectors, axis1=1, axis2=2).real
+    axes = _bloch_vector(projectors)
+    outer = (axes[:, :, None] * axes[:, None, :]).reshape(m, 9)
+    eye = np.eye(3)
+
+    def evaluate(r, f):
+        # L and the probabilities; L is -inf where a counted probability is not positive
+        p = 0.5 * (w + np.einsum("kd,jd->kj", r, axes))
+        live = p > 0
+        if live.all():
+            return (f * np.log(p)).sum(axis=1), p
+        ll = (f * np.log(np.where(live, p, 1.0))).sum(axis=1)
+        ll[((f > 0) & ~live).any(axis=1)] = -math.inf
+        return ll, p
+
+    r, sphere = np.zeros((n, 3)), np.zeros(n, dtype=bool)
+    converged, iterations = np.zeros(n, dtype=bool), np.full(n, ML_MAX_ITERATIONS)
+    running = np.ones(n, dtype=bool)
+    f = tables / tables.sum(axis=1, keepdims=True)
+    masked = not (f > 0).all()  # only an uncounted probability can vanish
+    ll, p = evaluate(r, f)
+    trace = [float(ll[0])]
+    for iteration in range(1, ML_MAX_ITERATIONS + 1):
+        if not running.any():
+            break
+        counted_p = np.where(f > 0, p, 1.0) if masked else p
+        q = f / counted_p
+        g = 0.5 * np.einsum("kj,jd->kd", q, axes)
+        h = -0.25 * np.einsum("kj,jd->kd", q / counted_p, outer).reshape(-1, 3, 3)
+        hess = h + 1e-12 * np.trace(h, axis1=1, axis2=2)[:, None, None] * eye
+        if sphere.any():
+            mu = (g * r).sum(axis=1)
+            sphere &= mu >= 0
+            # on the sphere, the tangent parts, and -1 along r to keep the step tangent
+            g = g - np.where(sphere, mu, 0.0)[:, None] * r
+            normal = r[sphere, :, None] * r[sphere, None, :]
+            hess[sphere] = ((eye - normal) @ (hess[sphere] - mu[sphere, None, None] * eye)
+                            @ (eye - normal) - normal)
+        step = _reference_newton_steps(hess, g)
+        done = np.sqrt((step * step).sum(axis=1)) <= ML_TOL
+
+        # the full step, then halves of it for the tables that are not done
+        ok, rows, t = np.zeros(n, dtype=bool), np.flatnonzero(running), 1.0
+        while rows.size and t > 1e-6:
+            sel = slice(None) if rows.size == n else rows  # a slice gathers no row
+            cand = r[sel] + t * step[sel]
+            norm = np.sqrt((cand * cand).sum(axis=1))
+            on = sphere[sel] | (norm > 1.0)
+            cand /= np.where(on, norm, 1.0)[:, None]
+            cand_ll, cand_p = evaluate(cand, f[sel])
+            up = cand_ll >= ll[sel] - 1e-14 * np.abs(ll[sel])
+            if up.all():  # and none is scattered
+                r[sel], sphere[sel], p[sel], ok[sel] = cand, on, cand_p, True
+                ll[sel] = np.maximum(cand_ll, ll[sel])
+                break
+            took = rows[up]
+            r[took], sphere[took], p[took], ok[took] = cand[up], on[up], cand_p[up], True
+            ll[took] = np.maximum(cand_ll[up], ll[took])
+            rows, t = rows[~up & ~done[rows]], t / 2.0
+
+        if ok[0]:
+            trace.append(float(ll[0]))
+        stop = running & (done | ~ok)
+        converged |= stop & done
+        iterations[stop] = iteration
+        running &= ~stop
+    return r, converged, iterations, trace

@@ -209,6 +209,26 @@ def test_non_finite_state_is_a_usage_error(state, tmp_path):
         assert err.startswith("error: bad ") and state in err
 
 
+@pytest.mark.parametrize("grid, bound", [("0:inf:3", "inf"), ("inf:inf:2", "inf"),
+                                         ("nan:1:2", "nan"), ("-1e308:1e308:3", "-1e+308"),
+                                         ("0:2:5", "2.0")])
+def test_grid_bound_outside_the_unit_interval_is_one_line(grid, bound):
+    # numpy's linspace warns on a non-finite or overflowing span: no warning may reach stderr
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_main(["scan-werner", f"--q-grid={grid}"])
+    assert (code, out, err) == (2, "", f"error: grid bound q={bound} outside [0, 1]\n")
+
+
+def test_grid_points_are_python_floats():
+    from argparse import Namespace
+
+    from cqtsim.cli import _parse_grid
+
+    points = _parse_grid(Namespace(q_list=None, q_grid="0:1:5"))
+    assert points == [0.0, 0.25, 0.5, 0.75, 1.0] and {type(q) for q in points} == {float}
+
+
 @pytest.mark.parametrize("exposure", ["1e-300", "1e-320"])
 def test_exposure_too_small_for_any_count_is_a_usage_error(exposure):
     code, out, err = run_main(["run", "--kappa-forward", "0.1", "--exposure", exposure,

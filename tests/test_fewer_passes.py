@@ -15,6 +15,8 @@ conditioned on H the channel is q |HH><HH| + (1 - q) I/4, over either term
 of which the standard frame teleports |+> with fidelity 1/2.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -25,10 +27,13 @@ from cqtsim.channels import (ConditionalChannel, _condition, avg_teleport_fideli
                              condition_on_controller, make_ghz_mixture, make_werner,
                              mc_avg_teleport_fidelity, teleport_fidelity, werner_point,
                              werner_scan)
-from cqtsim.estimation import ProjectionCounts, _ml_kernel, axial_counts, ml_reconstruct
+from cqtsim.estimation import (ProjectionCounts, _ml_kernel, axial_counts, ml_reconstruct,
+                               read_counts_csv)
 from cqtsim.fock import KET_D, parse_ket
 
-from helpers import AXIAL_INPUT_NAMES, _reference_condition
+from helpers import AXIAL_INPUT_NAMES, _reference_condition, reference_ml_kernel
+
+GOLDEN = Path(__file__).parent / "golden"
 
 AXIAL_PROJECTORS = np.array(axial_counts({name: 1.0 for name in AXIAL_INPUT_NAMES})
                             .projectors())
@@ -146,6 +151,35 @@ def test_kernel_corpus_reaches_every_path(monkeypatch):
         seen.add("zero counts" if (tables == 0).any() else "no zero count")
     assert seen == {"halved", "on the sphere", "different stops", "cap exhausted",
                     "zero counts", "no zero count"}
+
+
+def assert_kernel_bits(projectors, tables):
+    """``_ml_kernel``'s states, flags, iteration counts and trace are those of
+    its former code, which formed each Hessian as a 3x3 matrix."""
+    got, want = _ml_kernel(projectors, tables), reference_ml_kernel(projectors, tables)
+    for mine, theirs in zip(got[:3], want[:3]):
+        assert (mine.dtype, mine.tobytes()) == (theirs.dtype, theirs.tobytes())
+    assert [v.hex() for v in got[3]] == [v.hex() for v in want[3]]
+
+
+@pytest.mark.parametrize("name", sorted(path.name for path in GOLDEN.glob("*.csv")))
+def test_kernel_keeps_the_bits_of_the_reference_on_golden_tables(name):
+    # pole, zero, pure, sparse, subnormal and nearpure among them; with 300
+    # Poisson resamples where the sampler takes the counts
+    counts = read_counts_csv(GOLDEN / name)
+    table = counts.counts()
+    tables = table[None]
+    if table.max() <= 1e12:
+        draws = np.random.default_rng(50).poisson(table, size=(300, table.size))
+        tables = np.vstack([table, draws[draws.sum(axis=1) > 0]])
+    assert_kernel_bits(np.array(counts.projectors()), tables)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(kind=st.sampled_from(KINDS), n=st.integers(1, 120), seed=st.integers(0, 2**32 - 1))
+def test_kernel_keeps_the_bits_of_the_reference_on_random_stacks(kind, n, seed):
+    # axial stacks, and random projectors off the axes ("sparse")
+    assert_kernel_bits(*stack_of(kind, np.random.default_rng(seed), n))
 
 
 def test_ml_fit_builds_the_projectors_once(monkeypatch):
@@ -301,7 +335,8 @@ def test_scan_rows_are_the_conditioned_averages_on_any_channel():
 
 
 def test_werner_channels_keep_their_terms():
-    qs = np.linspace(0, 1, 101)
+    # built from real products with one cast; the complex products give the same bytes
+    qs = [*np.linspace(0, 1, 101), 1 / 3, 5e-324, 1e-320, 1 - 2**-53]
     want = [q * channels.ket_outer(channels.ghz_ket(1))
             + (1 - q) * np.eye(8, dtype=complex) / 8.0 for q in qs]
     assert channels._werner_channels(qs).tobytes() == np.array(want).tobytes()

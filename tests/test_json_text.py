@@ -2,7 +2,8 @@
 sort_keys=True)`` for the values the CLI prints and for the edge cases of the
 C encoder it calls: strings that hold its raw-NUL item separator or the "]"
 of a row's end, extreme and non-finite floats, large integers, and empty or
-uneven rows."""
+uneven rows.  So does ``cli._render_table``'s JSON, whose rows it writes
+without checking each value, at both precisions."""
 
 import json
 
@@ -60,3 +61,28 @@ def test_without_the_c_encoder_the_text_is_json_dumps(monkeypatch):
 def test_an_object_json_cannot_write_raises_as_json_dumps_does():
     with pytest.raises(TypeError, match="not JSON serializable"):
         cli._json_text({"rows": [[object()]]})
+
+
+@given(columns=st.lists(STRINGS, max_size=4), rows=ROWS, comments=st.lists(STRINGS, max_size=3),
+       full_precision=st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_render_table_writes_the_bytes_of_json_dumps(columns, rows, comments, full_precision):
+    # empty and uneven rows among them; default precision rounds each float first
+    payload = {"schema": cli.SCHEMA_VERSION, "comments": comments, "columns": columns,
+               "rows": [[cli._json_value(v, full_precision) for v in row] for row in rows]}
+    text = cli._render_table(columns, [tuple(row) for row in rows], "json", full_precision,
+                             comments=comments)
+    assert text == dumps(payload) + "\n"
+
+
+@pytest.mark.parametrize("full_precision", [False, True])
+@pytest.mark.parametrize("rows", [
+    [], [[]], [[], []], [[], [1.5]], [[0.25], [], []], [["a\x00b", "]\x00["], ["[", "]"]],
+    [["x]", 1], [], [2**63, -(2**64) - 1, True, None]], [list(EDGE_FLOATS)],
+    [[1.0, 0.5, 0.25]] * 3, [["]"], ["\x00"], []],
+])
+def test_render_table_keeps_the_bytes_of_edge_rows(rows, full_precision):
+    payload = {"schema": cli.SCHEMA_VERSION, "comments": ["c"], "columns": ["q"],
+               "rows": [[cli._json_value(v, full_precision) for v in row] for row in rows]}
+    text = cli._render_table(["q"], rows, "json", full_precision, comments=["c"])
+    assert text == dumps(payload) + "\n"
