@@ -9,8 +9,9 @@ version line and contain nothing non-deterministic, so identical inputs and
 seeds give byte-identical files.  A command is parsed once, by its
 subcommand's parser (``_parse``); JSON is written with the C encoder, with
 the bytes of ``json.dumps(..., indent=2, sort_keys=True)`` (``_json_text``).
-A subcommand imports its layers when it runs, so ``tomo`` loads no photon
-engine and ``run`` no ``channels``; ``configparser`` loads for ``--config``.
+A subcommand imports its layers when it runs: ``tomo`` loads no photon engine,
+``run`` no ``channels``, ``fit-spdc`` and ``scan-werner`` no ``estimation``;
+``configparser`` loads for ``--config`` and ``csv`` for CSV input or output.
 
 Exit codes: 0 success, 1 simulation/runtime failure, 2 usage or config error
 (an empty output path, or one that cannot be written, among them).
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import io
 import json
@@ -30,11 +30,6 @@ import sys
 import warnings
 
 import numpy as np
-
-from .estimation import (POISSON_MAX_MEAN, NonPhysicalError, corrected_fidelity,
-                         correct_for_background, ml_reconstruct, poisson_uncertainty,
-                         read_counts_csv, resampled_tomography)
-from .fock import fidelity, parse_ket
 
 SCHEMA_VERSION = "cqtsim.v1"
 
@@ -187,6 +182,8 @@ def _json_text(value, newline: str = "\n") -> str:
 
 def _render_table(columns, rows, fmt, full_precision, comments=()):
     if fmt == "csv":
+        import csv
+
         buf = io.StringIO()
         buf.write(f"# schema={SCHEMA_VERSION}\n")
         for c in comments:
@@ -219,6 +216,15 @@ class _StopAtConfig(argparse.Action):
 
     def __call__(self, parser, namespace, values, option_string=None):
         raise _ConfigFound(values)
+
+
+class _ConfigOnce(argparse.Action):
+    """Stores ``--config PATH``; a second, even a ``config`` key in the file, is an error."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if namespace.config is not None:
+            raise ValueError(f"--config given twice: {namespace.config} and {values}")
+        namespace.config = values
 
 
 def _add_common(parser, config_action):
@@ -298,7 +304,7 @@ def build_parser(config_action="store") -> argparse.ArgumentParser:
 def _parser(stop_at_config: bool) -> argparse.ArgumentParser:
     """A parser of ``main``, built on first use: parsing leaves it unchanged,
     so one parser of each kind serves every call in the process."""
-    return build_parser(_StopAtConfig if stop_at_config else "store")
+    return build_parser(_StopAtConfig if stop_at_config else _ConfigOnce)
 
 
 def _config_error(exc: Exception) -> str:
@@ -392,6 +398,7 @@ def _check_resamples(args):
 
 def cmd_run(args) -> int:
     from . import protocol
+    from .estimation import POISSON_MAX_MEAN, poisson_uncertainty
 
     input_q = protocol.InputQubit.from_name(args.input)
     source = _source_from_args(args)
@@ -431,6 +438,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    from .estimation import corrected_fidelity
+
     rows = []
     for channel, action, raw_pct, weight_pct, expected_pct in REFERENCE_TABLE:
         corrected = 100.0 * corrected_fidelity(raw_pct / 100.0, weight_pct / 100.0)
@@ -569,6 +578,10 @@ def _warnings_to_stderr():
 
 
 def cmd_tomo(args) -> int:
+    from .estimation import (NonPhysicalError, correct_for_background, ml_reconstruct,
+                             read_counts_csv, resampled_tomography)
+    from .fock import fidelity, parse_ket
+
     try:
         counts = read_counts_csv(args.counts)
     except (OSError, ValueError) as exc:

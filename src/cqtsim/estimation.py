@@ -10,7 +10,6 @@ Bloch vector r to r / (1 - w), and fidelities to (F - w/2) / (1 - w).
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 import warnings
@@ -465,6 +464,8 @@ def resampled_tomography(counts: ProjectionCounts, target, seed: int, n_resample
 
 def read_counts_csv(path) -> ProjectionCounts:
     """Counts table: columns ``label, projector, count`` with a header row."""
+    import csv
+
     settings = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(row for row in fh if not row.startswith("#"))

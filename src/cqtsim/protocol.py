@@ -73,7 +73,6 @@ import numpy as np
 
 from .elements import (apply, balanced_bs_matrix, hwp_matrix, pbs_matrix, phase_matrix,
                        polarizer_matrix)
-from .estimation import fidelity_from_counts
 from .fock import (H, V, KET_D, KET_H, KET_R, PRUNE_THRESHOLD, PureState, SectorError,
                    parse_ket, project, spatial_counts, unit_ket)
 from .spdc import BACKWARD_MODES, FORWARD_MODES, PAIR_KINDS, SourceParams
@@ -179,6 +178,8 @@ class CountRecord:
     per_term: dict
 
     def fidelity(self) -> float:
+        from .estimation import fidelity_from_counts
+
         return fidelity_from_counts(self.f_parallel, self.f_perp)
 
 

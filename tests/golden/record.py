@@ -132,6 +132,11 @@ KAPPA_EDGES = (
     ("--kappa-forward", "1.001e-73", "--kappa-backward", "1.001e-73"),
     ("--kappa-forward", "1e-73", "--kappa-backward", "1e-73"),
 )
+# spellings of an input state that the grids above do not write: names in
+# other cases, the 'a;b' form, and components near the ends of the float range,
+# which the photon engine also meets rescaled to a unit ket
+INPUT_SPELLINGS = ("PLUS", "H", "Linear:30", "0.6;0.8j", "1e-300,1e-300j", "1e300,-1e300",
+                   "5e-324,0")
 # the count tables beside this file: a mixed table, one with a zero count, one
 # below 1 count; a pure table (a zero count whose probability vanishes),
 # subnormal counts, counts too large to resample, a table whose resamples are
@@ -204,6 +209,11 @@ ARGV_EDGES = (
     ("run", "--config", "unknown-key.ini"),
     ("run", "--config", "missing.ini"),
     ("run", "--ideal", "--conf=missing.ini"),
+    # a second config file, in each spelling, is a usage error, even one that is missing
+    ("run", "--ideal", "--config", "run.ini", "--config", "unknown-key.ini"),
+    ("run", "--ideal", "--config", "run.ini", "--conf", "unknown-key.ini"),
+    ("run", "--ideal", "--config=run.ini", "--config", "unknown-key.ini"),
+    ("run", "--ideal", "--config", "run.ini", "--config", "missing.ini"),
     ("--config", "run.ini", "run"),
     ("tomo", "--config", "run.ini"),
     ("scan-werner", "--q-list", "0.5", "--config", "run.ini"),
@@ -240,6 +250,9 @@ def corpus() -> list:
               for (channel, name), source in itertools.product(PRUNE_CONFIGS, PRUNE_SOURCES)]
     argvs += [["run", *argv] for argv in ZERO_RATE_RUNS]
     argvs += [["run", *argv] for argv in KAPPA_EDGES]
+    argvs += [["run", "--ideal", "--input", name] for name in INPUT_SPELLINGS]
+    argvs += [["run", "--ideal", "--input=-0.6;0.8"],
+              ["run", "--kappa-forward", "0.1", "--input", "1e300,-1e300"]]
     argvs += [["run", "--channel", "g1", "--action", action, "--roles", "swapped",
                "--input", "r", "--kappa-forward", "0.1", "--kappa-backward", "0.055",
                "--pbs-epsilon", "1", "--truncation-order", order]

@@ -183,7 +183,7 @@ def test_fit_spdc_default_precision_prints_no_rounding_noise(capsys):
 def test_tomo_default_precision_ignores_last_bit_changes(tmp_path, monkeypatch, capsys):
     from dataclasses import replace
 
-    from cqtsim import cli
+    from cqtsim import estimation
 
     rho = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, 0.4]])
     counts = tmp_path / "counts.csv"
@@ -196,16 +196,16 @@ def test_tomo_default_precision_ignores_last_bit_changes(tmp_path, monkeypatch, 
     for options, fmt in runs:
         assert run_cli(options + ["--format", fmt]) == 0
         outputs.append(capsys.readouterr().out)
-    ml = cli.ml_reconstruct
-    monkeypatch.setattr(cli, "ml_reconstruct",
+    ml = estimation.ml_reconstruct
+    monkeypatch.setattr(estimation, "ml_reconstruct",
                         lambda c: replace(ml(c), rho=ml(c).rho * (1 + 4e-16)))
-    tomography = cli.resampled_tomography
+    tomography = estimation.resampled_tomography
 
     def nudged(*args):
         result, corrected, estimate = tomography(*args)
         return replace(result, rho=result.rho * (1 + 4e-16)), corrected * (1 + 4e-16), estimate
 
-    monkeypatch.setattr(cli, "resampled_tomography", nudged)
+    monkeypatch.setattr(estimation, "resampled_tomography", nudged)
     for (options, fmt), before in zip(runs, outputs):
         assert run_cli(options + ["--format", fmt]) == 0
         assert capsys.readouterr().out == before
@@ -584,14 +584,14 @@ def test_out_path_that_is_a_directory_is_a_usage_error(tmp_path, capsys):
                          ids=["reproduce", "run"])
 def test_an_empty_out_path_is_refused_before_the_command_runs(argv, out_dir, tmp_path,
                                                               monkeypatch, capsys):
-    from cqtsim import protocol
+    from cqtsim import estimation, protocol
 
     if out_dir:
         monkeypatch.setenv("CQTSIM_OUT_DIR", str(tmp_path / out_dir))
     else:
         monkeypatch.delenv("CQTSIM_OUT_DIR", raising=False)
     monkeypatch.setattr(protocol, "count_rates", None)
-    monkeypatch.setattr(cli, "corrected_fidelity", None)
+    monkeypatch.setattr(estimation, "corrected_fidelity", None)
     assert run_cli([*argv, "--out", ""]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -970,14 +970,14 @@ def test_internal_consistency_failure_exits_1(breaker, message, monkeypatch, cap
 # --- caps on statistical work ---------------------------------------------------------------
 
 def test_resamples_cap(tmp_path, monkeypatch, capsys):
-    from cqtsim import cli
+    from cqtsim import estimation
     from cqtsim.estimation import FidelityEstimate
 
     assert run_cli(["run", "--ideal", "--resamples", "100000", "--seed", "1"]) == 0
     assert run_cli(["run", "--ideal", "--resamples", "100001", "--seed", "1"]) == 2
     calls = []
-    monkeypatch.setattr(cli, "resampled_tomography", lambda counts, target, seed, n, w: (
-        calls.append(n) or (cli.ml_reconstruct(counts), np.eye(2) / 2,
+    monkeypatch.setattr(estimation, "resampled_tomography", lambda counts, target, seed, n, w: (
+        calls.append(n) or (estimation.ml_reconstruct(counts), np.eye(2) / 2,
                             FidelityEstimate(0.5, 0.1))))
     counts = tmp_path / "counts.csv"
     write_exact_counts(counts, np.eye(2) / 2)

@@ -321,3 +321,26 @@ def test_negative_seed_is_a_usage_error(seed, tmp_path):
     for argv in (["run", "--kappa-forward", "0.1", "--resamples", "100", "--seed", seed],
                  ["tomo", "--counts", str(counts), "--resamples", "100", "--seed", seed]):
         assert run_main(argv) == (2, "", "error: --seed must be a non-negative integer\n")
+
+
+# --- one config file per command ------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["run", "scan-werner", "fit-spdc", "tomo"])
+@pytest.mark.parametrize("spelling, name", [
+    (["--config", "{second}"], "second"), (["--conf", "{second}"], "second"),
+    (["--config={second}"], "second"), (["--config", "{missing}"], "missing"),
+])
+def test_a_second_config_file_is_one_usage_error_line(command, spelling, name, tmp_path):
+    paths = {stem: tmp_path / f"{stem}.ini" for stem in ("first", "second", "missing")}
+    for path in (paths["first"], paths["second"]):
+        path.write_text(FILES["CONFIG"], encoding="utf-8")
+    argv = [command, "--config", str(paths["first"]), *(a.format(**paths) for a in spelling)]
+    assert run_main(argv) == (2, "", f"error: --config given twice: "
+                                     f"{paths['first']} and {paths[name]}\n")
+
+
+def test_a_config_key_in_the_config_file_is_a_second_file(tmp_path):
+    cfg = tmp_path / "nested.ini"
+    cfg.write_text(f"[run]\nconfig = {cfg}\nideal = true\n", encoding="utf-8")
+    assert run_main(["run", "--config", str(cfg)]) == (
+        2, "", f"error: --config given twice: {cfg} and {cfg}\n")

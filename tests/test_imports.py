@@ -187,13 +187,15 @@ def test_module_naming_a_name_is_reported():
     assert modules_naming("NAMED_KETS", sources) == ["cli.py", "estimation.py", "fock.py"]
 
 
-# Prints the package's modules (and configparser) loaded after ``import
-# cqtsim``, then after each command of argv[1] (a JSON list of argv) has run.
+# Prints the package's modules (and configparser and csv) loaded after
+# ``import cqtsim``, then after each command of argv[1] (a JSON list of argv)
+# has run.
 LOADED = """
 import contextlib, io, json, sys
 
 def loaded():
-    return sorted(m for m in sys.modules if m.startswith("cqtsim.") or m == "configparser")
+    return sorted(m for m in sys.modules
+                  if m.startswith("cqtsim.") or m in ("configparser", "csv"))
 
 import cqtsim
 after_import = loaded()
@@ -207,9 +209,9 @@ print(json.dumps([after_import, loaded()]))
 
 @functools.lru_cache(maxsize=None)
 def loaded_after(*commands: str) -> list:
-    """``[after import cqtsim, after the commands]``: the package's modules and
-    configparser that a fresh interpreter has loaded, the commands run in
-    ``tests/golden`` through ``cli.main``."""
+    """``[after import cqtsim, after the commands]``: the package's modules,
+    configparser and csv that a fresh interpreter has loaded, the commands run
+    in ``tests/golden`` through ``cli.main``."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
@@ -236,6 +238,18 @@ def test_run_and_fit_spdc_load_neither_channels_nor_configparser():
     loaded = loaded_after(*PHOTON_COMMANDS)[1]
     assert {"cqtsim.protocol", "cqtsim.spdc"} <= set(loaded)
     assert not {"cqtsim.channels", "configparser"} & set(loaded)
+
+
+def test_json_fit_spdc_and_scan_werner_load_neither_estimation_nor_csv():
+    loaded = loaded_after("fit-spdc --synthetic-ratio 0.8 --format json",
+                          "scan-werner --q-list 0.5 --format json")[1]
+    assert {"cqtsim.protocol", "cqtsim.channels"} <= set(loaded)
+    assert not {"cqtsim.estimation", "csv"} & set(loaded)
+
+
+def test_json_run_loads_no_csv_and_tomo_loads_estimation():
+    assert "csv" not in loaded_after("run --kappa-forward 0.1 --format json")[1]
+    assert "cqtsim.estimation" in loaded_after("tomo --counts axial.csv --format json")[1]
 
 
 def test_every_export_is_the_object_its_module_defines():
