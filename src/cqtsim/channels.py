@@ -4,15 +4,13 @@ Everything here works on dense numpy density operators with the fixed
 ordering (qubit 1, qubit 2, qubit 3): qubit 1 sits with the sender, qubit 2
 with the receiver and qubit 3 with the controller.  |H> maps to basis 0.
 
-The algebra runs in private kernels over stacks of channels: conditioning
-on the controller (``_condition``), the Bell overlaps (``_entangled_fractions``)
-and the Pauli-frame fidelity (``_frame_fidelities``).  The public functions
-on one channel are the n = 1 case of the same kernels.  ``werner_scan``
-forms no conditional state: each row is a function of twelve linear
-functionals Tr[rho M] of its channel (``_scan_rows``), the controller's
-branch probabilities, the Bell overlaps of the +/- branches and the frame sum
-of the H branch, one gemv per channel.  ``werner_point`` is its one-row
-case, so a row of the scan is bit-identical to ``werner_point`` at the same q.
+The public functions take one channel; only the scan takes a stack.
+``werner_scan`` forms no conditional state: each row is a function of twelve
+linear functionals Tr[rho M] of its channel (``_scan_rows``), the
+controller's branch probabilities, the Bell overlaps of the +/- branches and
+the frame sum of the H branch, one gemv per channel.  ``werner_point`` is its
+one-row case, so a row of the scan is bit-identical to ``werner_point`` at
+the same q.
 
 Teleportation fidelities are one quadratic form <v|rho|v> per Bell outcome
 (see ``_sender_kets``); no receiver state is formed or normalized for them.
@@ -120,41 +118,25 @@ def _operator(channel, d: int, what: str = "channel") -> np.ndarray:
     return channel
 
 
-def _condition(channels: np.ndarray, kets) -> tuple:
-    """Measure qubit 3 of a stack of channels (n, 8, 8) onto each of ``kets``.
-
-    Returns probabilities (n, k) and renormalized conditionals (n, k, 4, 4) on
-    qubits 1, 2; a conditional of probability below 1e-14 is zero.
-    """
-    n, k, kets = len(channels), len(kets), np.array(kets)
-    # channels innermost, each term the reduction-free einsum (see below)
-    rho = np.ascontiguousarray(channels.reshape(n, 64).T).reshape((2,) * 6 + (n,))
-    t = [np.einsum("k,abden,k->kabden", kets[:, c].conj(), rho[:, :, c, :, :, f], kets[:, f])
-         for c in (0, 1) for f in (0, 1)]
-    sub = ((t[0] + t[1]) + (t[2] + t[3])).reshape(k, 16, n).transpose(2, 0, 1)
-    sub = np.ascontiguousarray(sub).reshape(n, k, 4, 4)
-    probs = np.trace(sub, axis1=2, axis2=3).real
-    tiny = probs < 1e-14
-    states = np.where(tiny[..., None, None], 0j,
-                      sub / np.where(tiny, 1.0, probs)[..., None, None])
-    return probs, states
-
-
 def condition_on_controller(channel: np.ndarray, basis="pm", outcome=None):
     """Measure qubit 3 and return the renormalized two-qubit conditional(s).
 
     ``basis`` names one of the bases "hv", "pm" or "rl", and ``outcome`` one
     of its labels ("H", "V", "+", "-", "R", "L").  With ``outcome`` given,
-    returns a single ConditionalChannel; otherwise one per basis outcome.
+    returns a single ConditionalChannel; otherwise one per basis outcome.  A
+    conditional of probability below 1e-14 is the zero state.
     """
     pairs = [(ket, label) for ket, label in basis_pairs(basis)
              if outcome is None or label == outcome]
     if not pairs:
         raise ValueError(f"{outcome!r} is not an outcome of basis {basis!r}")
-    channel = _operator(channel, 8)
-    probs, states = _condition(channel[None], [ket for ket, _ in pairs])
-    results = [ConditionalChannel(label, float(prob), state)
-               for (_, label), prob, state in zip(pairs, probs[0], states[0])]
+    rho = _operator(channel, 8).reshape((2,) * 6)
+    results = []
+    for ket, label in pairs:
+        sub = np.einsum("c,abcdef,f->abde", ket.conj(), rho, ket).reshape(4, 4)
+        prob = float(np.trace(sub).real)
+        state = sub / prob if prob >= 1e-14 else np.zeros((4, 4), dtype=complex)
+        results.append(ConditionalChannel(label, prob, state))
     if outcome is not None:
         if results[0].probability < 1e-14:
             raise ValueError(f"controller outcome {outcome!r} has zero probability")
@@ -173,22 +155,8 @@ def bell_kets() -> dict:
 
 
 _BELL_LABELS = tuple(bell_kets())
-# Bell kets as (outcome, input qubit, qubit 1); rows and columns for stacked products
+# Bell kets as (outcome, input qubit, qubit 1)
 _BELL = np.array(list(bell_kets().values())).reshape(4, 2, 2)
-_BELL_ROWS = _BELL.reshape(4, 1, 1, 4).conj()
-_BELL_COLUMNS = _BELL.reshape(4, 1, 4, 1)
-
-# Stacked products below keep a singleton row or column, (1, d) @ (d, d) and
-# (1, d) @ (d, 1) per matrix, so that numpy's matmul makes for each matrix the
-# BLAS gemv and dot calls of the one-matrix ``b.conj() @ rho @ b``: a row of a
-# stack is then bit-identical to one channel.  An einsum, one product over the
-# flattened stack or an elementwise sum rounds differently (BLAS fuses
-# multiply-adds), and one ulp changes the printed scan at rounding ties.
-
-
-def _entangled_fractions(rhos: np.ndarray) -> np.ndarray:
-    """Largest overlap with the four Bell states, for a stack (n, 4, 4)."""
-    return ((_BELL_ROWS @ rhos) @ _BELL_COLUMNS)[..., 0, 0].real.max(axis=0)
 
 
 # Teleporting |psi> over a two-qubit channel rho: the sender projects (input,
@@ -217,19 +185,13 @@ def _frame_kets(psi: np.ndarray) -> np.ndarray:
     return np.einsum("kc,ke->kce", _sender_kets(psi[None])[:, 0], _CORRECTIONS @ psi).reshape(4, 4)
 
 
-def _frame_fidelities(channels: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """Fidelity of teleporting ``psi`` with the ``STANDARD_CORRECTIONS`` Pauli
-    frame over each channel of a stack (m, 4, 4): sum_k <v_k|rho|v_k>."""
-    v = _frame_kets(psi)
-    return np.einsum("ki,mij,kj->m", v.conj(), channels, v).real
-
-
 def teleport_fidelity(channel: np.ndarray, psi: np.ndarray) -> float:
     """Fidelity of teleporting the unit ket ``psi`` with the ``STANDARD_CORRECTIONS``
-    Pauli frame over ``channel``, a finite (4, 4) operator of unit trace."""
-    psi = unit_ket(psi, "psi")
+    Pauli frame over ``channel``, a finite (4, 4) operator of unit trace:
+    sum_k <v_k|rho|v_k>."""
+    v = _frame_kets(unit_ket(psi, "psi"))
     (branch,), _ = _branches(np.asarray(channel, dtype=complex))
-    return float(_frame_fidelities(branch.state[None], psi)[0])
+    return float(np.einsum("ki,ij,kj->", v.conj(), branch.state, v).real)
 
 
 def _branches(channel):
@@ -277,21 +239,14 @@ def avg_teleport_fidelity(channel) -> float:
     without the outcome teleports over the outcome-averaged channel
     ``sum(b.probability * b.state for b in branches) / total``, passed as one
     operator.  Uses the closed form (2 f + 1)/3 with f the channel's
-    maximally-entangled-state overlap.
+    maximally-entangled-state overlap, max_k <B_k|rho|B_k>.
     """
     branches, total_p = _branches(channel)
-    probs = np.array([[b.probability for b in branches]])
-    states = np.array([[b.state for b in branches]], dtype=complex)
-    return float(_feedforward_sums(probs, states)[0]) / total_p
-
-
-def _feedforward_sums(probs: np.ndarray, states: np.ndarray) -> np.ndarray:
-    """Probability-weighted (2 f + 1)/3 summed over the branches of each row:
-    ``probs`` (n, b) and conditional states (n, b, 4, 4); divide by the total."""
-    n, b = probs.shape
-    fractions = _entangled_fractions(states.reshape(n * b, 4, 4)).reshape(n, b)
-    # sum() over the branch columns adds them in order, as for one channel
-    return sum((probs * (2 * fractions + 1) / 3.0).T)
+    total = 0.0
+    for b in branches:
+        fraction = max(float((bell.conj() @ b.state @ bell).real) for bell in _BELL.reshape(4, 4))
+        total += b.probability * (2 * fraction + 1) / 3.0
+    return total / total_p
 
 
 # 1 (x) P on (qubit 1, qubit 2), for the Paulis P in ``PAULIS`` order
@@ -355,9 +310,11 @@ _SCAN_FUNCTIONALS = np.ascontiguousarray(
 
 def _scan_rows(channels: np.ndarray) -> tuple:
     """F_allowed and F_denied (n,) of a stack of channels (n, 8, 8), each row
-    from its channel's twelve traces in one gemv (a singleton-row product, see
-    above ``_entangled_fractions``): F_allowed = sum_b (2 max_j o_bj + p_b)/3
-    / sum_b p_b and F_denied = frame sum / p_H; no conditional state is formed."""
+    from its channel's twelve traces: F_allowed = sum_b (2 max_j o_bj + p_b)/3
+    / sum_b p_b and F_denied = frame sum / p_H; no conditional state is formed.
+    Each channel is a singleton row, (1, 64) @ (64, 12): one BLAS gemv per row,
+    so a row keeps its channel's bits (a product over the flattened stack fuses
+    multiply-adds differently, and one ulp moves the printed scan at ties)."""
     n = len(channels)
     traces = (channels.reshape(n, 1, 64).view(float) @ _SCAN_FUNCTIONALS)[:, 0]
     branches = traces[:, :10].reshape(n, 2, 5)

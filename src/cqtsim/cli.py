@@ -578,9 +578,9 @@ def _warnings_to_stderr():
 
 
 def cmd_tomo(args) -> int:
-    from .estimation import (NonPhysicalError, correct_for_background, ml_reconstruct,
-                             read_counts_csv, resampled_tomography)
-    from .fock import fidelity, parse_ket
+    from .estimation import (NonPhysicalError, _bloch_vector, _corrected, _fidelities,
+                             ml_reconstruct, read_counts_csv, resampled_tomography)
+    from .fock import parse_ket
 
     try:
         counts = read_counts_csv(args.counts)
@@ -603,7 +603,7 @@ def cmd_tomo(args) -> int:
             # the observed table's own errors come first: fit it alone
             result = ml_reconstruct(counts)
             try:
-                corrected = correct_for_background(result.rho, args.weight)
+                corrected = _corrected(result.rho, args.weight)
             except NonPhysicalError as exc:
                 raise ValueError(f"--weight {args.weight!r} is too large for these counts: "
                                  f"the corrected state has eigenvalue "
@@ -615,6 +615,9 @@ def cmd_tomo(args) -> int:
                              f"{failure.min_eigenvalue:.2e})") from None
         if failure is not None:
             raise ValueError(f"cannot resample these counts: {failure}") from None
+    # scored like the resamples: (1 + r.t) / 2 of the printed states' Bloch vectors
+    raw_fidelity, corrected_fidelity = _fidelities(
+        _bloch_vector(np.array([result.rho, corrected])), target).tolist()
 
     payload = {
         "schema": SCHEMA_VERSION,
@@ -624,8 +627,8 @@ def cmd_tomo(args) -> int:
         "rho_corrected": _matrix(corrected, args.full_precision),
         "target": args.target,
         "background_weight": args.weight,
-        "raw_fidelity": fidelity(result.rho, target),
-        "corrected_fidelity": fidelity(corrected, target),
+        "raw_fidelity": raw_fidelity,
+        "corrected_fidelity": corrected_fidelity,
     }
     if args.resamples:
         payload["fidelity_mean"] = est.value

@@ -349,7 +349,19 @@ def correct_for_background(raw: np.ndarray, w: float) -> np.ndarray:
     if raw.shape[-2:] != (2, 2):
         raise ValueError(f"density matrices must have shape (..., 2, 2), got {raw.shape}")
     check_density(raw, "density matrices")
-    return _bloch_rho(_subtract_background(_bloch_vector(raw), w))
+    return _corrected(raw, w)
+
+
+def _corrected(rho: np.ndarray, w: float) -> np.ndarray:
+    """``correct_for_background`` unchecked, for a fitted state and a ``w`` in [0, 1)."""
+    return _bloch_rho(_subtract_background(_bloch_vector(rho), w))
+
+
+def _fidelities(r: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """(1 + r.t) / 2, clipped to [0, 1], of Bloch vectors r (n, 3) with the
+    unit ket ``target``, of Bloch vector t."""
+    t = _bloch_vector(np.outer(target, target.conj()))
+    return np.clip((1.0 + np.einsum("nd,d->n", r, t)) / 2, 0.0, 1.0)
 
 
 def _subtract_background(r: np.ndarray, w: float) -> np.ndarray:
@@ -444,7 +456,8 @@ def resampled_tomography(counts: ProjectionCounts, target, seed: int, n_resample
     in one kernel run, with the observed table as table 0, and corrected for
     ``background_w``, the observed state first; the resamples stay Bloch
     vectors r, of fidelity (1 + r.t) / 2 with a target of Bloch vector t.
-    ``seed`` and ``n_resamples`` are checked as ``poisson_uncertainty`` checks them.
+    ``seed`` and ``n_resamples`` are checked as ``poisson_uncertainty`` checks
+    them, and ``background_w`` after the fit.
     """
     _check_resampling(seed, n_resamples)
     target = unit_ket(target, "target")
@@ -453,11 +466,12 @@ def resampled_tomography(counts: ProjectionCounts, target, seed: int, n_resample
     tables = np.random.default_rng(seed).poisson(
         means, size=(n_resamples, means.size)).astype(float)
     result, r = _ml_fit(counts, tables[tables.sum(axis=1) > 0])
-    corrected = correct_for_background(result.rho, background_w)
+    if not 0.0 <= background_w < 1.0:
+        raise ValueError("background weight must lie in [0, 1)")
+    corrected = _corrected(result.rho, background_w)
     if background_w:
         r = _subtract_background(r, background_w)
-    values = (1.0 + np.einsum("nd,d->n", r, _bloch_vector(np.outer(target, target.conj())))) / 2
-    return result, corrected, _estimate(np.clip(values, 0.0, 1.0))
+    return result, corrected, _estimate(_fidelities(r, target))
 
 
 # --- CSV interfaces --------------------------------------------------------------------

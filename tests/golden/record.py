@@ -154,8 +154,10 @@ TOMO_RESAMPLED = ("--resamples", "100", "--seed", "3", "--format", "json")
 # the background subtraction's edges: the pure table's state clipped back to
 # the sphere; a table of 500 counts per axis (mixed.csv) at a weight within
 # 1e-7 of 1, whose state keeps a unit trace and whose 100 resamples all fail;
-# near-pure resamples clipped, or 44 of them too far outside; and weights on
-# a near-pure table and the unbalanced one
+# near-pure resamples clipped, or 44 of them too far outside; weights on a
+# near-pure table and the unbalanced one; and the observed state's subtraction
+# failing first, before counts too large to resample (huge.csv) and before
+# resamples that fail too (below1.csv)
 RESAMPLED = ("--resamples", "100", "--seed", "3")
 WEIGHT_EDGES = (
     ("pure.csv", "0.001"),
@@ -166,6 +168,8 @@ WEIGHT_EDGES = (
     ("nearpure-1.csv", "0.02", *RESAMPLED),
     ("nearpure-3.csv", "0.004", *RESAMPLED),
     ("unbalanced.csv", "0.05", *RESAMPLED),
+    ("huge.csv", "0.9", *RESAMPLED),
+    ("below1.csv", "0.9", *RESAMPLED),
 )
 # the scan's edge cases: one point, both ends only, a fine grid, repeated values
 SCAN_EDGES = (("--q-grid", "0:1:1"), ("--q-grid", "0:1:2"), ("--q-grid", "0:1:10001"),

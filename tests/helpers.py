@@ -8,9 +8,6 @@ element and ``elements.apply`` as they were before ``apply`` took the
 mode -> {mode: amplitude}: the bit-for-bit oracle of ``apply``.
 ``compose`` chains such maps: the tests use it as the oracle of
 ``protocol``'s optics matrix and of ``protocol.prepare_ghz``.
-``_reference_condition`` is ``channels._condition`` as it was before it ran
-its terms with the channels innermost, copied verbatim: its bit-for-bit
-oracle.
 ``reference_poisson_uncertainty`` is ``estimation.poisson_uncertainty`` as it
 was before it took the mean and spread in two passes and clipped only after
 the background subtraction, copied verbatim with ``np.clip``, ``np.mean`` and
@@ -355,23 +352,6 @@ def reference_create_pairs(vecs: np.ndarray, n: int, q: np.ndarray) -> np.ndarra
     terms *= coef
     return np.bincount(slots, terms.view(np.float64).ravel(),
                        minlength=2 * size * rows).view(complex).reshape(rows, size)
-
-
-def _reference_condition(channels: np.ndarray, kets) -> tuple:
-    """Measure qubit 3 of a stack of channels (n, 8, 8) onto each of ``kets``.
-
-    Returns probabilities (n, k) and renormalized conditionals (n, k, 4, 4) on
-    qubits 1, 2; a conditional of probability below 1e-14 is zero.
-    """
-    n = len(channels)
-    rho = channels.reshape((n,) + (2,) * 6)
-    sub = np.stack([np.einsum("c,nabcdef,f->nabde", ket.conj(), rho, ket)
-                    for ket in kets], axis=1).reshape(n, len(kets), 4, 4)
-    probs = np.trace(sub, axis1=2, axis2=3).real
-    tiny = probs < 1e-14
-    states = np.where(tiny[..., None, None], 0j,
-                      sub / np.where(tiny, 1.0, probs)[..., None, None])
-    return probs, states
 
 
 def _reference_newton_steps(hess: np.ndarray, grad: np.ndarray) -> np.ndarray:

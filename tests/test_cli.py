@@ -300,6 +300,53 @@ def test_tomo_background_correction_golden(tmp_path):
     assert payload["corrected_fidelity"] == pytest.approx(0.830, abs=1.5e-3)
 
 
+def bloch_vector(matrix):
+    """The Bloch vector of a printed 2x2 state, [[[re, im], ...], ...], or of a matrix."""
+    m = np.array(matrix, dtype=float).view(complex)[..., 0] if np.ndim(matrix) == 3 else matrix
+    return [2 * m[0, 1].real, -2 * m[0, 1].imag, (m[0, 0] - m[1, 1]).real]
+
+
+@pytest.mark.parametrize("table, target, weight", [
+    ("axial.csv", "plus", "0"), ("axial.csv", "plus", "0.2"), ("axial.csv", "h", "0.2"),
+    ("zero.csv", "plus", "0"), ("sparse.csv", "r", "0"), ("pure.csv", "plus", "0.001")])
+@pytest.mark.parametrize("resamples", [(), ("--resamples", "100", "--seed", "3")])
+def test_tomo_scores_the_printed_states_like_its_resamples(table, target, weight, resamples,
+                                                          capsys):
+    # (1 + r.t) / 2 of the state it corrects and of the state it prints corrected;
+    # t lies on an axis, so r.t has one nonzero term whatever the order of the sum
+    assert run_cli(["tomo", "--counts", str(GOLDEN_DIR / table), "--target", target,
+                    "--weight", weight, *resamples, "--format", "json",
+                    "--full-precision"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    ket = NAMED_KETS[target]
+    t = bloch_vector(np.outer(ket, ket.conj()))
+    assert sorted(map(abs, t))[:2] == [0.0, 0.0]
+    for state, key in (("rho", "raw_fidelity"), ("rho_corrected", "corrected_fidelity")):
+        r = bloch_vector(payload[state])
+        assert payload[key] == min(max((1 + sum(a * b for a, b in zip(r, t))) / 2, 0.0), 1.0)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["--counts", GOLDEN_AXIAL, "--weight", "0.2"], 0),
+    (["--counts", GOLDEN_AXIAL, "--weight", "0.2", "--resamples", "100", "--seed", "3"], 0),
+    # too large to resample: the observed table is fitted and corrected alone
+    (["--counts", str(GOLDEN_DIR / "huge.csv"), "--resamples", "100", "--seed", "3"], 2)])
+def test_tomo_checks_no_state_the_kernel_built(argv, code, monkeypatch, capsys):
+    from cqtsim import estimation, fock
+
+    checked = []
+    check_density = fock.check_density
+
+    def counted(rho, what):
+        checked.append(what)
+        check_density(rho, what)
+
+    for module in (fock, estimation):
+        monkeypatch.setattr(module, "check_density", counted)
+    assert run_cli(["tomo", *argv]) == code
+    assert checked == []
+
+
 def test_tomo_malformed_counts_is_usage_error(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("label,projector,count\nh,notastate,12\n", encoding="utf-8")

@@ -605,6 +605,16 @@ def test_a_background_weight_outside_the_range_is_rejected(weight):
             call()
 
 
+@pytest.mark.parametrize("counts, message", [
+    ({"h": 60, "v": 40, "plus": 70, "minus": 30}, "not informationally complete"),
+    ({"h": 1e19, "v": 40, "plus": 70, "minus": 30, "r": 55, "l": 45}, "too large to resample"),
+    ({"h": 0, "v": 0, "plus": 0, "minus": 0, "r": 0, "l": 0}, "all counts are zero")])
+def test_resampled_tomography_checks_the_weight_after_the_fit(counts, message):
+    # the resampling and fit errors come first, then the weight
+    with pytest.raises(ValueError, match=message):
+        resampled_tomography(axial_counts(counts), KET_H, 5, 100, 1.5)
+
+
 def test_poisson_tomography_path():
     rho = 0.9 * np.outer(KET_D, KET_D.conj()) + 0.1 * np.eye(2) / 2
     counts = exact_counts(rho, exposure=500)

@@ -4,11 +4,10 @@ against the code they replaced or the one-row runs they stack.
 Each table of ``estimation._ml_kernel``'s stack must end where a call on
 that table alone ends, bit for bit, with the same flag and iteration count;
 each branch of ``channels.mc_avg_teleport_fidelity`` must add what the
-average of that branch alone gives, bit for bit; ``channels._condition``
-runs its terms with the channels innermost, against its former code in
-``helpers``, copied verbatim, and those comparisons are of bytes or of
-``float.hex``.  The Werner scan takes each row from twelve traces of its
-channel and forms no conditional state.  Its rows are checked against the
+average of that branch alone gives, bit for bit, and those comparisons are
+of bytes or of ``float.hex``.  The Werner scan takes each row from twelve
+traces of its channel and forms no conditional state: it calls none of the
+public one-channel functions.  Its rows are checked against the
 closed forms, which the library never evaluates: each +/- branch has
 fully entangled fraction (1 + 3q)/4, so F_allowed = (1 + q)/2, and
 conditioned on H the channel is q |HH><HH| + (1 - q) I/4, over either term
@@ -23,15 +22,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from cqtsim import channels, estimation
-from cqtsim.channels import (ConditionalChannel, _condition, avg_teleport_fidelity,
+from cqtsim.channels import (ConditionalChannel, avg_teleport_fidelity,
                              condition_on_controller, make_ghz_mixture, make_werner,
                              mc_avg_teleport_fidelity, teleport_fidelity, werner_point,
                              werner_scan)
 from cqtsim.estimation import (ProjectionCounts, _ml_kernel, axial_counts, ml_reconstruct,
                                read_counts_csv)
-from cqtsim.fock import KET_D, parse_ket
+from cqtsim.fock import KET_D
 
-from helpers import AXIAL_INPUT_NAMES, _reference_condition, reference_ml_kernel
+from helpers import AXIAL_INPUT_NAMES, reference_ml_kernel
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -267,24 +266,6 @@ def test_mc_average_of_random_branches_adds_each_branch_alone(branches):
 
 # --- the Werner scan -------------------------------------------------------------------
 
-@settings(max_examples=100, deadline=None)
-@given(n=st.integers(1, 300), seed=st.integers(0, 2**32 - 1), rounded=st.booleans(),
-       kets=st.lists(st.sampled_from(AXIAL_INPUT_NAMES), min_size=1, max_size=6))
-def test_condition_keeps_the_bits_of_the_reference(n, seed, rounded, kets):
-    rng = np.random.default_rng(seed)
-    stack = rng.normal(size=(n, 8, 8)) + 1j * rng.normal(size=(n, 8, 8))
-    if rounded:
-        # many zeros, and conditionals of probability 0
-        stack = np.round(stack, 0) * (rng.random((n, 1, 1)) < 0.7)
-    kets = [np.array(parse_ket(name, "ket")) for name in kets]
-    kets.append(rng.normal(size=2) + 1j * rng.normal(size=2))
-    probs, states = _condition(stack, kets)
-    want_probs, want_states = _reference_condition(stack, kets)
-    assert probs.tobytes() == want_probs.tobytes()
-    assert states.tobytes() == want_states.tobytes()
-    assert states.flags.c_contiguous
-
-
 ULP = 2.0 ** -52
 
 
@@ -315,7 +296,7 @@ def test_werner_scan_forms_no_conditional_state(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the scan formed a conditional state")
 
-    for name in ("_condition", "_feedforward_sums", "_entangled_fractions"):
+    for name in ("condition_on_controller", "avg_teleport_fidelity", "teleport_fidelity"):
         monkeypatch.setattr(channels, name, forbidden)
     assert len(werner_scan(np.linspace(0, 1, 101)).rows) == 101
 

@@ -211,9 +211,12 @@ print(json.dumps([after_import, loaded()]))
 def loaded_after(*commands: str) -> list:
     """``[after import cqtsim, after the commands]``: the package's modules,
     configparser and csv that a fresh interpreter has loaded, the commands run
-    in ``tests/golden`` through ``cli.main``."""
+    in ``tests/golden`` through ``cli.main``, on the ``cqtsim`` these tests imported."""
+    import cqtsim
+
+    src = os.path.dirname(os.path.dirname(cqtsim.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     done = subprocess.run(
         [sys.executable, "-c", LOADED, json.dumps([c.split() for c in commands])],
         cwd=ROOT / "tests" / "golden", env=env, capture_output=True, text=True, check=True)

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cqtsim
 from cqtsim import protocol
 from cqtsim.channels import conditional_teleport_output, make_ghz_mixture
 from cqtsim.elements import apply
@@ -383,7 +384,8 @@ def test_emulate_mixture_orders_its_labels_whatever_the_hash_seed():
             "from cqtsim.spdc import SourceParams\n"
             "cfg = ProtocolConfig(channel='g1', action='deny', source=SourceParams())\n"
             "print(list(emulate_mixture(cfg, 0.3).per_term))\n")
-    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    # the cqtsim these tests imported, not necessarily this checkout's
+    src = os.path.dirname(os.path.dirname(cqtsim.__file__))
     orders = set()
     for seed in ("1", "2", "3"):
         out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
