@@ -189,6 +189,9 @@ def teleport_fidelity(channel: np.ndarray, psi: np.ndarray) -> float:
     """Fidelity of teleporting the unit ket ``psi`` with the ``STANDARD_CORRECTIONS``
     Pauli frame over ``channel``, a finite (4, 4) operator of unit trace:
     sum_k <v_k|rho|v_k>."""
+    if any(isinstance(b, ConditionalChannel) for b in (
+            channel if isinstance(channel, (list, tuple)) else [channel])):
+        raise ValueError("teleport_fidelity takes one (4, 4) channel, not controller branches")
     v = _frame_kets(unit_ket(psi, "psi"))
     (branch,), _ = _branches(np.asarray(channel, dtype=complex))
     return float(np.einsum("ki,ij,kj->", v.conj(), branch.state, v).real)

@@ -30,7 +30,7 @@ H = "H"
 V = "V"
 POLARIZATIONS = (H, V)
 
-PRUNE_THRESHOLD = 1e-15     # relative to a state's largest amplitude
+PRUNE_THRESHOLD = 1e-15     # of a state's largest amplitude; squared, of a run's emitted weight
 
 # Single-qubit polarization kets (column vectors of length 2).
 KET_H = np.array([1.0, 0.0], dtype=complex)

@@ -36,13 +36,13 @@ occupation of the eight modes with N photons in all, C(N + 7, 7) of them
 creation operators to it in one ``np.bincount``, with index tables built
 on first use.  Only a photon in each detector's mode clicks, so a run's
 last pair creations, those to the most photons, add up only the terms that
-reach such an occupation (16 of 330 at four photons, 344 of 1,716 at six);
-the prune still cuts against the whole vector.  The engine has a leading
-configuration axis: runs that share the source and the roles go through it
-as one stack of L, of forms and of vectors, and every row keeps the bits of
-a stack of its own.  The analyzer calibration propagates the ideal source,
-sector (1, 1), through the same blocks for its four probe inputs in one
-stack and reads two amplitudes off each, so a run builds no sparse state.
+reach such an occupation (16 of 330 at four photons, 344 of 1,716 at six).
+The engine has a leading configuration axis: runs that share the source and
+the roles go through it as one stack of L, of forms and of vectors, and
+every row keeps the bits of a stack of its own.  The analyzer calibration
+propagates the ideal source, sector (1, 1), through the same blocks for its
+four probe inputs in one stack and reads two amplitudes off each, so a run
+builds no sparse state.
 
 ``count_rates`` returns the four-fold rates of a run and ``run_protocol``
 those rates with the receiver's conditional state.  Both take them from one
@@ -52,10 +52,12 @@ g1 and g2 halves to one ``_tally`` and ``spdc.sector_rates`` every
 configuration it is given (``fit-spdc``'s three).  The tally takes the
 sectors of one photon number as one (sectors, rows, states) array; each sum
 runs over its contiguous last axis, gathered with ``take``, with the bits of
-the row's own ``.sum()``, and rows add them in label order.  ``run_protocol``
-alone forms the receiver's 2x2 blocks, raises ``ProtocolError`` when every
-coincidence leaves him more than one photon, and rotates their sum out of his
-analyzer frame.
+the row's own ``.sum()``, and rows add them in label order.  A sector's rate
+at most ``PRUNE_THRESHOLD ** 2`` of the emitted weight is rounding residue,
+and counts as 0; no amplitude is pruned.  ``run_protocol`` alone forms the
+receiver's 2x2 blocks, raises ``ProtocolError`` when every coincidence
+leaves him more than one photon, and rotates their sum out of his analyzer
+frame.
 
 The stage operations ``prepare_ghz`` and ``singlet_projection`` hand the
 same kind of block to ``elements.apply``, which applies it to a sparse
@@ -510,7 +512,8 @@ def _tally(configs) -> list:
     ``(state, h_one, v_one)`` for ``run_protocol``'s ``_receiver_block``, the
     state over the clicked occupations and the indices into it.  The rows
     and the sectors of a photon number share each step up to the sums, and
-    each row keeps the bits of a stack of its own.
+    each row keeps the bits of a stack of its own.  A sum at most ``cut``,
+    1e-30 of the emitted weight, is 0; the states keep every amplitude.
     """
     wiring = WIRINGS[configs[0].roles]
     analyzers, lins = [], []
@@ -523,10 +526,10 @@ def _tally(configs) -> list:
     weights = _sector_weights(configs[0].source)
     detectors = tuple(_detector_spatials(configs[0]))
     sectors = _emitted(np.array(lins), weights, detectors)
-    top = max((j + k for j, k in weights), default=0)
-    # four-fold rates scale as kappa^4 or faster, so "no coincidence" is judged
-    # against the emitted weight of the sectors (1 for the ideal source)
-    empty_tol = 1e-14 * sum(abs(w) ** 2 * n for w, n in weights.values())
+    # four-fold rates scale as kappa^4 or faster, so "no coincidence" and rounding
+    # residue are judged against the emitted weight (1 for the ideal source)
+    emitted = sum(abs(w) ** 2 * n for w, n in weights.values())
+    empty_tol, cut = 1e-14 * emitted, PRUNE_THRESHOLD ** 2 * emitted
 
     labelled, tallied = sorted((f"{j}{j}{k}{k}", (j, k)) for j, k in weights), {}
     for n in {j + k for j, k in weights}:
@@ -536,29 +539,14 @@ def _tally(configs) -> list:
         # weight times amplitude, in that order: numpy's complex product fuses a multiply-add
         states = np.array([sectors[jk] for jk in layer])
         np.multiply(np.array([weights[jk][0] for jk in layer])[:, None, None], states, out=states)
-        # the relative cut of the sparse states drops rounding residue, against
-        # the largest amplitude of the whole sector
-        absolute = np.abs(states)
-        dropped = absolute <= PRUNE_THRESHOLD * absolute.max(axis=-1, keepdims=True)
-        if n < top:
-            states, absolute, dropped = (a.take(clicked, axis=-1)
-                                         for a in (states, absolute, dropped))
-        else:
-            # a top sector holds its clicked states alone.  L is a contraction, so
-            # no amplitude of the whole sector exceeds |weight| sqrt(norm) (1e-9 for
-            # rounding); a row keeping one within the cut of that needs the whole
-            bound = np.array([PRUNE_THRESHOLD * abs(weight) * math.sqrt(norm) * (1.0 + 1e-9)
-                              for weight, norm in map(weights.get, layer)])[:, None, None]
-            unsure = (absolute <= bound) > dropped
-            for i, r in np.argwhere(unsure.any(axis=-1)) if unsure.any() else ():
-                jk = layer[i]
-                whole = np.abs(weights[jk][0] * _emitted(np.array(lins[r:r + 1]), {jk})[jk])
-                dropped[i, r] = absolute[i, r] <= PRUNE_THRESHOLD * whole.max()
-        states[dropped] = absolute[dropped] = 0.0
+        if states.shape[-1] > len(clicked):     # a top sector holds only its clicked states
+            states = states.take(clicked, axis=-1)
         # sums over the contiguous last axis: each row's bits, as its own .sum()
-        probs = absolute ** 2
-        sums = [probs.sum(axis=-1)] + [probs.take(at, axis=-1).sum(axis=-1) for at in (par, perp)]
-        for jk, state, *row_sums in zip(layer, states, *np.array(sums).tolist()):
+        probs = np.abs(states) ** 2
+        sums = np.array([probs.sum(axis=-1)]
+                        + [probs.take(at, axis=-1).sum(axis=-1) for at in (par, perp)])
+        sums[sums <= cut] = 0.0
+        for jk, state, *row_sums in zip(layer, states, *sums.tolist()):
             tallied[jk] = state, row_sums, h_one, v_one
 
     rows = []

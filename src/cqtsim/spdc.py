@@ -226,7 +226,7 @@ class RatioFit:
     achieved: dict
     residuals: dict
     sum_squared_residual: float
-    converged: bool             # always True: every polish ends inside its bracket
+    converged: bool             # whether every polish stopped within _POLISH_TOLERANCE
     constrained: bool = True    # False when the targets leave the ratio free
     other_roots: tuple = ()     # ratios in other basins that fit as exactly
     reachable: dict = field(default_factory=dict)   # label -> (min, max) share
@@ -240,7 +240,7 @@ def _local_minima(costs: np.ndarray) -> np.ndarray:
 
 
 def _polish(polys: list, lo: float, x: float, hi: float) -> tuple:
-    """``(log R, steps)`` at the bottom of the cost's basin in [lo, hi], from x.
+    """``(log R, steps, converged)`` at the bottom of the cost's basin in [lo, hi], from x.
 
     ``polys``: per configuration its target t and p -> (a, b), its total and
     undesired rate of R^p, so T = sum a e^(pl) at l = log R, each d/dl brings a
@@ -264,9 +264,9 @@ def _polish(polys: list, lo: float, x: float, hi: float) -> tuple:
         if not (lo < step < hi or step == x):
             step = 0.5 * (lo + hi)
         if abs(step - x) <= _POLISH_TOLERANCE:     # never longer than the bracket
-            return step, steps
+            return step, steps, True
         x = step
-    return x, _POLISH_STEPS
+    return x, _POLISH_STEPS, False
 
 
 def fit_source_ratio(targets: dict, rates: dict) -> RatioFit:
@@ -324,9 +324,9 @@ def fit_source_ratio(targets: dict, rates: dict) -> RatioFit:
             a, b = poly.get(2 * n, (0.0, 0.0))
             poly[2 * n] = a + rate, b + rate * ((j, n) != (1, 1))
     minima = [int(i) for i in _local_minima(costs) if i != best] if constrained else []
-    log_ratio, *others = [_polish(polys, _LOG_GRID.item(max(i - 1, 0)), _LOG_GRID.item(i),
-                                  _LOG_GRID.item(min(i + 1, len(_LOG_GRID) - 1)))[0]
-                          for i in [best] + minima]
+    (log_ratio, *others), _, stops = zip(*[
+        _polish(polys, _LOG_GRID.item(max(i - 1, 0)), _LOG_GRID.item(i),
+                _LOG_GRID.item(min(i + 1, len(_LOG_GRID) - 1))) for i in [best] + minima])
     other_costs = cost(shares(np.array(others))) if others else []
     ratio = math.exp(log_ratio)
     _, total, undesired = terms(abs(REFERENCE_KAPPA * ratio / REFERENCE_KAPPA))
@@ -337,7 +337,7 @@ def fit_source_ratio(targets: dict, rates: dict) -> RatioFit:
         achieved=achieved,
         residuals=residuals,
         sum_squared_residual=float(sum(r ** 2 for r in residuals.values())),
-        converged=True,
+        converged=all(stops),
         constrained=constrained,
         other_roots=tuple(math.exp(x) for x, c in zip(others, other_costs) if c < _ROOT_COST),
         reachable={k: (min(float(row.min()), achieved[k]), max(float(row.max()), achieved[k]))

@@ -188,6 +188,9 @@ STACKED_TOMO = (("axial.csv", "0.2"), ("zero.csv", "0"), ("below1.csv", "0"))
 # resampled, so the resampled commands fit the observed table and exit 2
 POLE_TABLES = ("pole-1e19", "pole-1e100", "pole-1e300")
 POLE_RESAMPLES = (("--resamples", "0"), ("--resamples", "100", "--seed", "1"))
+# count tables that tomo refuses, or reads around: an empty file, a header
+# alone and a count of -1 exit 2, and the blank rows of an axial table are skipped
+COUNTS_EDGES = ("empty", "header-only", "negative", "blank-rows")
 # argument parsing, its errors and the config file
 ARGV_EDGES = (
     (),
@@ -288,6 +291,7 @@ def corpus() -> list:
                   STACKED_TOMO, ("csv", "json"), ("100", "300"))]
     argvs += [["tomo", "--counts", f"{table}.csv", *resamples]
               for table, resamples in itertools.product(POLE_TABLES, POLE_RESAMPLES)]
+    argvs += [["tomo", "--counts", f"{table}.csv"] for table in COUNTS_EDGES]
     argvs += [["reproduce", "table1", "--format", fmt] for fmt in ("csv", "json")]
     return argvs + [list(argv) for argv in ARGV_EDGES]
 

@@ -123,6 +123,15 @@ def test_teleport_fidelity_rejects_a_channel_that_is_not_a_state():
     assert teleport_fidelity(channel * (1 + 1e-10), KET_D) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_teleport_fidelity_names_the_channel_it_takes_for_branches():
+    # the averages take a branch list; the fidelity of one input takes one channel
+    branches = condition_on_controller(make_werner(0.5), "pm")
+    for channel in (branches, tuple(branches), branches[0]):
+        with pytest.raises(ValueError, match=re.escape(
+                "teleport_fidelity takes one (4, 4) channel, not controller branches")):
+            teleport_fidelity(channel, KET_D)
+
+
 EACH_AVERAGE = pytest.mark.parametrize("average", [
     lambda channel: mc_avg_teleport_fidelity(channel, n_samples=10, seed=1),
     avg_teleport_fidelity], ids=["mc", "closed_form"])
@@ -365,3 +374,16 @@ def test_unknown_basis_name_is_value_error():
         condition_on_controller(make_werner(0.5), "xy")
     with pytest.raises(ValueError, match="unknown basis"):
         basis_pairs("xy")
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: ghz_ket(3), "variant must be 1 or 2"),
+    (lambda: werner_scan([0.1, [0.2, 0.3]]), "q=[0.2, 0.3] is not a real number"),
+    (lambda: condition_on_controller(make_werner(0.5), "pm", "H"),
+     "'H' is not an outcome of basis 'pm'"),
+    (lambda: condition_on_controller(ket_outer(np.eye(8)[0]), "hv", "V"),
+     "controller outcome 'V' has zero probability"),
+], ids=["ghz variant", "ragged weights", "outcome of another basis", "impossible outcome"])
+def test_channels_names_each_input_it_refuses(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()

@@ -2,20 +2,21 @@
 
 ``protocol._emitted`` with ``detectors`` builds the sectors of the most
 photons over ``protocol._clicked`` alone: each kept amplitude must be the
-whole vector's, bit for bit.  ``protocol._tally`` still prunes those sectors
-against the whole sector's largest amplitude.  It bounds that amplitude by
-|weight| sqrt(norm), since every block of the optics is unitary or a
-projector, and takes it from the whole vector of a row only when a kept
-amplitude lies within the cut of the bound (the fallback).
+whole vector's, bit for bit.  ``protocol._tally`` cuts rounding residue off
+the rates, not off the amplitudes: a sector's total, parallel or
+perpendicular rate at most ``PRUNE_THRESHOLD ** 2`` of the emitted weight
+counts as 0.  So no tally propagates a whole sector.
 """
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cqtsim import protocol, spdc
+from cqtsim.fock import PRUNE_THRESHOLD
 from cqtsim.protocol import WIRINGS, InputQubit, ProtocolConfig
 from cqtsim.spdc import SourceParams
 
@@ -103,7 +104,8 @@ def optics_matrices(configs) -> np.ndarray:
 
 @pytest.mark.parametrize("source", [None, SourceParams(0.1, 0.055), SourceParams(0.05, 0.2, 3),
                                     SourceParams(0.2, 0.1, 4)])
-def test_no_amplitude_of_a_whole_sector_exceeds_the_bound_of_the_prune(source):
+def test_no_amplitude_of_a_whole_sector_exceeds_its_weight_times_its_norm(source):
+    # every block of the optics is unitary or a projector, so L is a contraction
     weights = protocol._sector_weights(source)
     for (channel, action, roles), eps in ((c, e) for c in CONFIGS for e in EPSILONS):
         configs = [ProtocolConfig(channel=channel, action=action, input=q, source=source,
@@ -115,8 +117,13 @@ def test_no_amplitude_of_a_whole_sector_exceeds_the_bound_of_the_prune(source):
                                                                        eps, jk)
 
 
-def whole_vectors(monkeypatch) -> list:
-    """The stack height and sectors of each ``_emitted`` call for whole vectors."""
+def whole_vectors(monkeypatch, warm=()) -> list:
+    """The stack height and sectors of each later ``_emitted`` call for whole
+    vectors, after the cached calibration and norms of the configurations
+    ``warm``, which propagate whole vectors once, are in place."""
+    for config in warm:
+        protocol.analyzer_frame(config.channel, config.roles)
+        protocol._sector_weights(config.source)
     calls = []
     emitted = protocol._emitted
 
@@ -129,18 +136,22 @@ def whole_vectors(monkeypatch) -> list:
     return calls
 
 
-@pytest.mark.parametrize("kappas", [(0.1, 0.055), (0.05, 0.2)])
-def test_g2_deny_of_v_takes_its_cut_from_the_whole_vector(kappas, monkeypatch):
-    # its clicked amplitudes of sector (1, 1) are far below the sector's
-    # largest; against the clicked ones alone, rounding residue of about 1e-19
-    # would survive the cut and print as an f_perp of about 1e-38
+@pytest.mark.parametrize("kappas, order", [((0.1, 0.055), order) for order in (2, 3, 4, 5)]
+                         + [((0.05, 0.2), 2)],
+                         ids=["order-2", "order-3", "order-4", "order-5", "strong-backward"])
+def test_g2_deny_of_v_prints_no_residue_of_sector_1111(kappas, order, monkeypatch):
+    # sector (1, 1) never clicks four-fold, but its clicked amplitudes hold
+    # rounding residue of about 1e-19, which would print as a rate of about
+    # 1e-38, far below the cut of the rates.  At order 2 it is all of f_perp;
+    # from order 3 the sectors of more pairs add a real one
     config = ProtocolConfig(channel="g2", action="deny", input=InputQubit.from_name("v"),
-                            source=SourceParams(*kappas), pbs_epsilon=0.0)
+                            source=SourceParams(*kappas, order), pbs_epsilon=0.0)
     want = repr(reference_run_protocol(config)[0])
     calls = whole_vectors(monkeypatch)
     record = protocol.count_rates(config)
-    assert calls == [(1, [(1, 1)])]
-    assert record.f_perp == 0.0
+    assert calls == []
+    assert record.per_term["1111"] == 0.0
+    assert (record.f_perp == 0.0) == (order == 2)
     assert repr(record) == want
 
 
@@ -151,10 +162,9 @@ def test_no_fit_of_the_benchmark_takes_the_whole_vector(monkeypatch):
     import workloads
 
     specs = [op.spec for r in range(20) for op in workloads.fit_round(7, r)]
-    for channel in ("g1", "reference"):
-        protocol.analyzer_frame(channel)
-    protocol._sector_weights(SourceParams())
-    calls = whole_vectors(monkeypatch)
+    calls = whole_vectors(monkeypatch, [ProtocolConfig(channel="reference", action="none",
+                                                       source=SourceParams()),
+                                        ProtocolConfig(source=SourceParams())])
     for spec in specs:
         q = InputQubit.from_name(spec["input"])
         spdc.sector_rates(SourceParams(), {
@@ -167,39 +177,60 @@ def test_no_fit_of_the_benchmark_takes_the_whole_vector(monkeypatch):
     assert calls == []
 
 
-ROOT_NORM = math.sqrt(protocol._emitted_norms(2)[(2, 0)])     # sqrt(3/4), up to rounding
+@pytest.mark.parametrize("source", [None, SourceParams(0.1, 0.055), SourceParams(0.05, 0.2, 3)])
+def test_no_run_mixture_or_stack_takes_the_whole_vector(source, monkeypatch):
+    # single runs of every accepted configuration, the mixtures of the g1
+    # ones, and the swapped roles' allowed and denied runs as one stack
+    configs = [ProtocolConfig(channel=channel, action=action, input=q, source=source,
+                              pbs_epsilon=eps, roles=roles)
+               for (channel, action, roles), eps in ((c, e) for c in CONFIGS for e in EPSILONS)
+               for q in inputs()[::3]]
+    calls = whole_vectors(monkeypatch, configs)
+    for config in configs:
+        stacks = [[config]]
+        if config.channel == "g1" and config.roles == "standard":
+            stacks.append([config, replace(config, channel="g2")])
+        if config.roles == "swapped":
+            stacks.append([replace(config, action=action) for action in ("allow", "deny")])
+        for stack in stacks:
+            rows = protocol._tally(stack)
+            assert all(isinstance(row, (tuple, protocol.NoCoincidenceError)) for row in rows)
+    assert calls == []
 
 
-@pytest.mark.parametrize("largest, small, kept", [
-    # the whole sector's largest, 0.8, sits where no four-fold pattern clicks;
-    # a clicked amplitude at most 1e-15 of it falls to the cut, one above stays
-    (0.8, 0.79e-15, False),
-    (0.8, 0.81e-15, True),
-    # a largest above the bound by rounding, here 1e-12 of it; the cut of the
-    # bound (1e-15 sqrt(3/4)) keeps the clicked amplitude, the whole sector's not
-    (ROOT_NORM * (1 + 1e-12), 1e-15 * ROOT_NORM * (1 + 0.5e-12), False),
-])
-def test_a_clicked_amplitude_takes_the_cut_of_the_whole_sector(largest, small, kept,
-                                                                 monkeypatch):
-    # a stand-in for the vector of sector (2, 0), whose unit-strength norm is
-    # 3/4: every amplitude lies above 1e-15 of the clicked largest, 0.1
-    source = SourceParams(0.1, 0.055)
-    config = ProtocolConfig(source=source)
-    weight = protocol._sector_weights(source)[(2, 0)][0]
-    clicked = protocol._clicked(4, tuple(protocol._detector_spatials(config)))
-    size = len(protocol._number_basis(4)[1])
-    whole = np.zeros(size, dtype=complex)
-    whole[np.setdiff1d(np.arange(size), clicked)[0]] = largest
-    whole[clicked[:2]] = 0.1, small
+@pytest.mark.parametrize("where, other", [("par", "perp"), ("perp", "par")])
+@pytest.mark.parametrize("factor", [1 - 1e-9, 1 + 1e-9])
+def test_a_rate_at_most_the_cut_counts_as_zero(where, other, factor, monkeypatch):
+    # stand-ins for the clicked amplitudes of order 2, zero but for one each:
+    # sector (2, 0)'s gives a rate just below or just above PRUNE_THRESHOLD ** 2
+    # of the emitted weight, and sector (1, 1)'s keeps the run's success above
+    # the bound of no coincidence
+    config = ProtocolConfig(source=SourceParams(0.1, 0.055))
+    weights = protocol._sector_weights(config.source)
+    cut = PRUNE_THRESHOLD ** 2 * sum(abs(w) ** 2 * n for w, n in weights.values())
+    weight = weights[(2, 0)][0]
+    small = math.sqrt(cut * factor) / abs(weight)
+    detectors = tuple(protocol._detector_spatials(config))
+    clicked, par, perp, *_ = protocol._tally_indices(4, detectors, WIRINGS["standard"].receiver)
+    at = {"par": clicked.searchsorted(par[0]), "perp": clicked.searchsorted(perp[0])}
     emitted = protocol._emitted
 
     def stand_in(lin, sectors, detectors=()):
         out = emitted(lin, sectors, detectors)
-        if (2, 0) in out:
-            out[(2, 0)] = np.tile(whole[clicked] if detectors else whole, (len(lin), 1))
+        if detectors:   # the tally's call, not the calibration's or the norms'
+            out = {jk: np.zeros_like(vec) for jk, vec in out.items()}
+            out[(1, 1)][:, at[other]] = 0.5
+            out[(2, 0)][:, at[where]] = small
         return out
 
     monkeypatch.setattr(protocol, "_emitted", stand_in)
-    (_, _, _, receiver), = protocol._tally([config])
+    (record, _, _, receiver), = protocol._tally([config])
+    rate = abs(weight * small) ** 2 if factor > 1 else 0.0
+    assert rate == 0.0 or rate > cut
+    assert record.per_term["2200"] == rate
+    rates = {"par": record.f_parallel, "perp": record.f_perp}
+    assert rates[where] == rate
+    assert rates[other] == abs(weights[(1, 1)][0] * 0.5) ** 2
+    # the cut leaves the amplitudes, and the receiver state, alone
     state = receiver[-1][0]     # labels in order: 0022, 1111, 2200
-    assert state[:3].tolist() == [weight * 0.1, weight * small if kept else 0.0, 0.0]
+    assert np.count_nonzero(state) == 1 and weight * small in state

@@ -729,3 +729,35 @@ def test_read_counts_csv(tmp_path):
     counts = read_counts_csv(path)
     res = ml_reconstruct(counts)
     assert res.converged
+
+
+def written(tmp_path, text: str) -> Path:
+    path = tmp_path / "counts.csv"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda tmp: ProjectionCounts([([1, 0, 0], 1.0)]), "projector kets must be single-qubit"),
+    (lambda tmp: ProjectionCounts([([1, 0], -1.0)]), "counts must be non-negative"),
+    (lambda tmp: estimation.FidelityEstimate(1.5, 0.1), "fidelity outside [0, 1]"),
+    (lambda tmp: estimation.FidelityEstimate(0.5, -0.1), "negative uncertainty"),
+    (lambda tmp: fidelity_from_counts(1.0, -1e-300), "rates must be non-negative"),
+    (lambda tmp: read_counts_csv(GOLDEN / "empty.csv"), "empty counts file"),
+    (lambda tmp: read_counts_csv(GOLDEN / "header-only.csv"), "no counts rows found"),
+    (lambda tmp: read_counts_csv(GOLDEN / "negative.csv"), "counts must be non-negative"),
+    (lambda tmp: read_counts_csv(written(tmp, "label,projector,count\n\nh,h\n")),
+     "malformed counts row: ['h', 'h']"),
+], ids=["three-component ket", "negative count", "fidelity above 1", "negative uncertainty",
+        "negative rate", "empty file", "header alone", "count of -1", "short row"])
+def test_estimation_names_each_input_it_refuses(make, message, tmp_path):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make(tmp_path)
+
+
+def test_a_counts_table_skips_its_blank_rows():
+    # blank-rows.csv is axial.csv with an empty line, a line of commas and a
+    # line of spaces among its rows
+    got, want = (read_counts_csv(GOLDEN / name) for name in ("blank-rows.csv", "axial.csv"))
+    assert np.array_equal(got.counts(), want.counts())
+    assert np.array_equal(got.projectors(), want.projectors())

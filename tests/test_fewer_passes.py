@@ -33,6 +33,8 @@ from cqtsim.fock import KET_D
 from helpers import AXIAL_INPUT_NAMES, reference_ml_kernel
 
 GOLDEN = Path(__file__).parent / "golden"
+# the golden tables that read_counts_csv refuses: an empty file, a header alone, a count of -1
+REFUSED = ("empty.csv", "header-only.csv", "negative.csv")
 
 AXIAL_PROJECTORS = np.array(axial_counts({name: 1.0 for name in AXIAL_INPUT_NAMES})
                             .projectors())
@@ -161,7 +163,8 @@ def assert_kernel_bits(projectors, tables):
     assert [v.hex() for v in got[3]] == [v.hex() for v in want[3]]
 
 
-@pytest.mark.parametrize("name", sorted(path.name for path in GOLDEN.glob("*.csv")))
+@pytest.mark.parametrize("name", sorted(path.name for path in GOLDEN.glob("*.csv")
+                                         if path.name not in REFUSED))
 def test_kernel_keeps_the_bits_of_the_reference_on_golden_tables(name):
     # pole, zero, pure, sparse, subnormal and nearpure among them; with 300
     # Poisson resamples where the sampler takes the counts

@@ -358,3 +358,14 @@ def test_overlap_hermitian():
     a = single_photon(1, KET_D)
     b = single_photon(1, KET_R)
     assert overlap(a, b) == pytest.approx(np.conj(overlap(b, a)))
+
+
+@pytest.mark.parametrize("make, message", [
+    (lambda: occupation({(1, H): -1}), "photon counts must be non-negative"),
+    (lambda: PureState({}).normalized(), "cannot normalize the zero state"),
+    (lambda: to_qubit_density(PureState({}), [1]),
+     "state has zero weight on the requested qubit sector"),
+], ids=["negative count", "normalized zero state", "qubits of the zero state"])
+def test_fock_names_each_input_it_refuses(make, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        make()

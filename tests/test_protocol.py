@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -528,3 +529,14 @@ def test_chained_post_selections_do_not_conflict():
     bad = apply(ctrl, apply_map(compose(block_maps(rest)), failed))
     _, p_bad = project(bad, clicks_at(detectors))
     assert p_bad < 1e-14
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("channel", "g3", "unknown channel variant 'g3'"),
+    ("action", "block", "unknown controller action 'block'"),
+    ("roles", "bogus", "unknown role assignment 'bogus'"),
+])
+def test_protocol_config_names_an_unknown_setting(field, value, message):
+    # the CLI's choices never pass these; a library caller can
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ProtocolConfig(**{field: value})

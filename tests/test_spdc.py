@@ -611,7 +611,7 @@ def grid_costs(targets, rates):
 
 def record_polishes(monkeypatch) -> list:
     """The list to which each later ``spdc._polish`` call appends
-    (lo, x, hi, log R, steps): its bracket, start and result."""
+    (lo, x, hi, log R, steps, converged): its bracket, start and result."""
     from cqtsim import spdc
 
     polishes, polish = [], spdc._polish
@@ -697,12 +697,22 @@ def test_every_polish_stays_in_its_bracket_under_the_cap(case, monkeypatch):
     for targets, rates in make():
         fit_source_ratio(targets, rates)
     assert polishes
-    for lo, x, hi, end, steps in polishes:
+    for lo, x, hi, end, steps, converged in polishes:
         assert lo <= x <= hi and lo <= end <= hi
-        assert 1 <= steps <= most_steps < _POLISH_STEPS
+        assert 1 <= steps <= most_steps < _POLISH_STEPS and converged
     if on_grid is not None:
         grid = grid_costs(*make()[0])[0]
-        assert [end for *_, end, _ in polishes] == [grid[i] for i in on_grid]
+        assert [end for *_, end, _, _ in polishes] == [grid[i] for i in on_grid]
+
+
+def test_a_polish_cut_short_reports_an_unconverged_fit(monkeypatch, capsys):
+    # one step takes no polish from its grid point to within the tolerance
+    from cqtsim import cli, spdc
+
+    monkeypatch.setattr(spdc, "_POLISH_STEPS", 1)
+    assert fit_source_ratio(*ratio_targets(0.05, "plus", 0.3)).converged is False
+    assert cli.main(["fit-spdc", "--synthetic-ratio", "0.8"]) == 0
+    assert "# converged=False\n" in capsys.readouterr().out
 
 
 def test_a_flat_basin_still_finds_its_root():
@@ -727,7 +737,7 @@ def test_round_trips_recover_the_ratio_to_1e_13(input_name, eps, monkeypatch):
                    for label, r in rates.items()}
         fit = fit_source_ratio(targets, rates)
         assert abs(fit.ratio / ratio - 1) <= 1e-13, (ratio, fit.ratio)
-    assert max(steps for *_, steps in polishes) <= 5
+    assert max(steps for *_, steps, _ in polishes) <= 5
 
 
 def same_bits(got: dict, want: dict) -> bool:

@@ -12,7 +12,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cqtsim import protocol
@@ -76,6 +76,9 @@ epsilons = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
 
 @given(st.sampled_from(["fit", "mix"]), inputs, sources, epsilons,
        st.sampled_from(["allow", "deny", "none"]))
+# a leak far below the rest of its run: a cut of rounding residue off the
+# amplitudes, not off the rates, prints other last digits of its sector's rate
+@example("fit", InputQubit(1.0, 5e-10), SourceParams(0.25, 0.25, 2), 0.25, "allow")
 @settings(max_examples=150, deadline=None)
 def test_each_row_of_a_stack_is_its_configuration_alone(kind, input_q, source, eps, action):
     assert_rows_are_their_own(stack(kind, input_q, source, eps, action))
