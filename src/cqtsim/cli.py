@@ -266,10 +266,9 @@ def build_parser(config_action="store") -> argparse.ArgumentParser:
     _add_common(p_run, config_action)
 
     p_scan = sub.add_parser("scan-werner", help="scan the noisy-channel family")
-    p_scan.add_argument("--q-grid", default=None,
-                        help="grid as start:stop:num, e.g. 0:1:101")
-    p_scan.add_argument("--q-list", default=None,
-                        help="comma-separated q values")
+    p_q = p_scan.add_mutually_exclusive_group()
+    p_q.add_argument("--q-grid", default=None, help="grid as start:stop:num, e.g. 0:1:101")
+    p_q.add_argument("--q-list", default=None, help="comma-separated q values")
     _add_common(p_scan, config_action)
 
     p_fit = sub.add_parser("fit-spdc",
@@ -378,6 +377,8 @@ def _source_from_args(args):
     if not 1 <= args.truncation_order <= MAX_TRUNCATION_ORDER:
         raise ValueError(f"--truncation-order must lie between 1 and {MAX_TRUNCATION_ORDER}")
     if args.ideal:
+        if args.kappa_forward is not None or args.kappa_backward is not None:
+            raise ValueError("--ideal takes no --kappa-forward or --kappa-backward")
         return None
     if args.kappa_forward is None and args.kappa_backward is None:
         return None
@@ -591,30 +592,24 @@ def cmd_tomo(args) -> int:
     if not 0.0 <= args.weight < 1.0:
         raise ValueError("--weight must lie in [0, 1)")
 
-    failure = None
     with _warnings_to_stderr():
-        if args.resamples:
-            try:
+        try:
+            if args.resamples:
                 result, corrected, est = resampled_tomography(counts, target, args.seed,
                                                               args.resamples, args.weight)
-            except ValueError as exc:
-                failure = exc
-        if failure is not None or not args.resamples:
-            # the observed table's own errors come first: fit it alone
-            result = ml_reconstruct(counts)
-            try:
+            else:
+                result = ml_reconstruct(counts)
                 corrected = _corrected(result.rho, args.weight)
-            except NonPhysicalError as exc:
-                raise ValueError(f"--weight {args.weight!r} is too large for these counts: "
-                                 f"the corrected state has eigenvalue "
-                                 f"{exc.min_eigenvalue:.2e}, below -1e-3") from None
-        if isinstance(failure, NonPhysicalError):
-            raise ValueError(f"--weight {args.weight!r} is too large for these counts: "
-                             f"{failure.n_bad} of {failure.n_states} resamples have a "
-                             f"corrected eigenvalue below -1e-3 (lowest "
-                             f"{failure.min_eigenvalue:.2e})") from None
-        if failure is not None:
-            raise ValueError(f"cannot resample these counts: {failure}") from None
+        except ValueError as exc:   # the observed table's errors come before the resamples'
+            resampling = getattr(exc, "resampling", False)
+            if isinstance(exc, NonPhysicalError):
+                raise ValueError(f"--weight {args.weight!r} is too large for these counts: " + (
+                    f"{exc.n_bad} of {exc.n_states} resamples have a corrected eigenvalue below "
+                    f"-1e-3 (lowest {exc.min_eigenvalue:.2e})" if resampling else "the corrected "
+                    f"state has eigenvalue {exc.min_eigenvalue:.2e}, below -1e-3")) from None
+            if resampling:
+                raise ValueError(f"cannot resample these counts: {exc}") from None
+            raise
     # scored like the resamples: (1 + r.t) / 2 of the printed states' Bloch vectors
     raw_fidelity, corrected_fidelity = _fidelities(
         _bloch_vector(np.array([result.rho, corrected])), target).tolist()

@@ -454,24 +454,32 @@ def resampled_tomography(counts: ProjectionCounts, target, seed: int, n_resample
 
     The nonempty of ``n_resamples`` tables drawn around ``counts`` are fitted
     in one kernel run, with the observed table as table 0, and corrected for
-    ``background_w``, the observed state first; the resamples stay Bloch
-    vectors r, of fidelity (1 + r.t) / 2 with a target of Bloch vector t.
-    ``seed`` and ``n_resamples`` are checked as ``poisson_uncertainty`` checks
-    them, and ``background_w`` after the fit.
+    ``background_w``; the resamples stay Bloch vectors r, of fidelity
+    (1 + r.t) / 2 with a target of Bloch vector t.  ``seed`` and ``n_resamples``
+    are checked as ``poisson_uncertainty`` checks them.  The observed table's
+    errors come first, then the resampling stage's, marked ``resampling = True``:
+    a count past the sampler's limit (no draw; it precedes a bad ``background_w``),
+    a NonPhysicalError of the resamples, or every resample empty.
     """
     _check_resampling(seed, n_resamples)
     target = unit_ket(target, "target")
     means = counts.counts()
-    _check_poisson_mean(means.max(initial=0.0))
-    tables = np.random.default_rng(seed).poisson(
+    large = means.max(initial=0.0) > POISSON_MAX_MEAN
+    tables = np.empty((0, means.size)) if large else np.random.default_rng(seed).poisson(
         means, size=(n_resamples, means.size)).astype(float)
     result, r = _ml_fit(counts, tables[tables.sum(axis=1) > 0])
-    if not 0.0 <= background_w < 1.0:
+    valid = 0.0 <= background_w < 1.0
+    if not (valid or large):
         raise ValueError("background weight must lie in [0, 1)")
-    corrected = _corrected(result.rho, background_w)
-    if background_w:
-        r = _subtract_background(r, background_w)
-    return result, corrected, _estimate(_fidelities(r, target))
+    corrected = _corrected(result.rho, background_w) if valid else None
+    try:
+        _check_poisson_mean(means.max(initial=0.0))
+        if background_w:
+            r = _subtract_background(r, background_w)
+        return result, corrected, _estimate(_fidelities(r, target))
+    except ValueError as exc:
+        exc.resampling = True
+        raise
 
 
 # --- CSV interfaces --------------------------------------------------------------------

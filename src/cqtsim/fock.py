@@ -30,7 +30,7 @@ H = "H"
 V = "V"
 POLARIZATIONS = (H, V)
 
-PRUNE_THRESHOLD = 1e-15     # of a state's largest amplitude; squared, of a run's emitted weight
+PRUNE_THRESHOLD = 1e-15     # of a photon number's largest amplitude; squared, of emitted weight
 
 # Single-qubit polarization kets (column vectors of length 2).
 KET_H = np.array([1.0, 0.0], dtype=complex)
@@ -192,10 +192,10 @@ class PureState:
     ``PureState(terms)`` canonicalises every key through ``occupation``, so a
     key may be any mode -> count mapping or pair list, and terms whose keys
     coincide add up.  It drops amplitudes below ``prune`` times the largest
-    one as rounding residue.  The cut is relative, so a weak term survives at
-    any overall scale of the state; ``prune=0`` drops exact zeros only.  No
-    photon number is capped: the elements are passive, so applying one never
-    adds photons.
+    one of their photon number as rounding residue, so a weak term survives at
+    any overall scale and beside a stronger vacuum; ``prune=0`` drops exact
+    zeros only.  No photon number is capped: the elements are passive, so
+    applying one never adds photons.
     """
 
     def __init__(self, terms: Mapping, prune: float = PRUNE_THRESHOLD):
@@ -209,8 +209,11 @@ class PureState:
             raise ValueError("amplitudes must be finite") from None
         if not math.isfinite(sum(sizes)):  # a NaN or inf modulus carries into the sum
             raise ValueError("amplitudes must be finite")
-        cut = prune * max(sizes, default=0.0)
-        self.terms = {k: a for (k, a), s in zip(data.items(), sizes) if s > cut}
+        numbers, top = list(map(total_photons, data)), {}  # top: largest per photon number
+        for n, s in zip(numbers, sizes):
+            top[n] = max(top.get(n, 0.0), s)
+        self.terms = {k: a for (k, a), n, s in zip(data.items(), numbers, sizes)
+                      if s > prune * top[n]}
 
     def __len__(self) -> int:
         return len(self.terms)

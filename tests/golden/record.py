@@ -105,11 +105,12 @@ SWAPPED_SOURCES = (
 # g1 deny of h and g2 allow of plus exit 1 with no four-fold coincidence
 EPSILON_ONE_CONFIGS = (("g1", "allow"), ("g1", "deny"), ("g2", "allow"), ("g2", "deny"),
                        ("reference", "none"))
-# the prune of the rounding residue: g2 deny of v and g1 deny of h at epsilon
-# = 0 click only amplitudes far below each sector's largest, so a prune taken
-# against the clicked amplitudes alone leaves g2 an f_perp of about 1e-38
-# where the whole sector's prune prints 0; and the swapped roles at epsilon =
-# 1, whose last pair creations reach six and eight photons at orders 3 and 4
+# the rate cut of the rounding residue: at epsilon = 0 the f_perp of g2 deny
+# of v is rounding residue alone (2e-38 and 1.5e-36 for these sources), and it
+# prints 0 since a rate at most PRUNE_THRESHOLD ** 2 (1e-30) of the emitted
+# weight counts as 0; that of g1 deny of h is exactly 0 without the cut; and the
+# swapped roles at epsilon = 1, whose last pair creations reach six and eight
+# photons at orders 3 and 4
 PRUNE_CONFIGS = (("g2", "v"), ("g1", "h"))
 PRUNE_SOURCES = (("--kappa-forward", "0.1", "--kappa-backward", "0.055"),
                  ("--kappa-forward", "0.05", "--kappa-backward", "0.2"))
@@ -221,6 +222,16 @@ ARGV_EDGES = (
     ("run", "--ideal", "--config", "run.ini", "--conf", "unknown-key.ini"),
     ("run", "--ideal", "--config=run.ini", "--config", "unknown-key.ini"),
     ("run", "--ideal", "--config", "run.ini", "--config", "missing.ini"),
+    # options that exclude each other, given together on the command line or
+    # one of them in a config file: --ideal and a strength; --q-grid and --q-list
+    ("run", "--ideal", "--kappa-forward", "0.1"),
+    ("run", "--kappa-backward", "0.055", "--ideal"),
+    ("run", "--ideal", "--config", "run.ini"),
+    ("run", "--config", "conflicts.ini", "--kappa-forward", "0.1"),
+    ("scan-werner", "--q-grid", "0:1:3", "--q-list", "0.5"),
+    ("scan-werner", "--q-list", "0.5", "--q-grid", "0:1:3"),
+    ("scan-werner", "--config", "conflicts.ini", "--q-list", "0.5"),
+    ("scan-werner", "--config", "conflicts.ini"),
     ("--config", "run.ini", "run"),
     ("tomo", "--config", "run.ini"),
     ("scan-werner", "--q-list", "0.5", "--config", "run.ini"),

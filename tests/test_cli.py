@@ -589,7 +589,8 @@ def test_config_false_flag_is_left_off(tmp_path, capsys):
     assert from_config.err == ""
     assert run_cli(["run", "--kappa-forward", "0.1"]) == 0
     assert capsys.readouterr() == from_config
-    assert run_cli(["run", "--ideal", "--kappa-forward", "0.1"]) == 0
+    # with the flag on, the strength would conflict with it; the ideal run differs
+    assert run_cli(["run", "--ideal"]) == 0
     assert capsys.readouterr().out != from_config.out
 
 
@@ -913,13 +914,55 @@ HUGE = {"h": 1e19, "v": 10, "plus": 10, "minus": 10, "r": 10, "l": 10}
      "cannot resample these counts: every resample was empty"),
 ], ids=["observed-and-resamples", "observed-and-too-large", "resamples", "too-large", "empty"])
 def test_tomo_resampling_errors_keep_their_text_and_order(table, weight, message, tmp_path,
-                                                           capsys):
+                                                           capsys, monkeypatch):
+    from cqtsim import estimation
+
+    calls, kernel = [], estimation._ml_kernel
+    monkeypatch.setattr(estimation, "_ml_kernel", lambda *a: calls.append(len(a[1])) or kernel(*a))
     counts = tmp_path / "counts.csv"
     write_counts(counts, table)
     assert run_cli(["tomo", "--counts", str(counts), "--weight", weight,
                     "--resamples", "300", "--seed", "27"]) == 2
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", f"error: {message}\n")
+    # one fit of the observed table and its resamples, whichever error follows it
+    assert len(calls) == 1
+
+
+# the cases above in the library: the resampling stage's errors carry resampling = True,
+# and the observed table is fitted with its nonempty resamples, or alone when a count
+# is too large to resample or every resample is empty
+@pytest.mark.parametrize("table, weight, error, resampling, fitted", [
+    (W554, 0.8, "NonPhysicalError", False, 301),
+    ({"h": 2e19, "v": 0, "plus": 1e19, "minus": 1e19, "r": 1e19, "l": 1e19}, 0.8,
+     "NonPhysicalError", False, 1),
+    (W554, 0.554, "NonPhysicalError", True, 301),
+    (HUGE, 0.0, "ValueError", True, 1),
+    # a bad weight comes after the sampler's limit
+    (HUGE, 1.5, "ValueError", True, 1),
+    (dict.fromkeys(AXIAL, 1e-300), 0.0, "ValueError", True, 1),
+], ids=["observed-and-resamples", "observed-and-too-large", "resamples", "too-large",
+        "too-large-and-bad-weight", "empty"])
+def test_resampled_tomography_marks_the_errors_of_its_resampling_stage(
+        table, weight, error, resampling, fitted, monkeypatch):
+    from cqtsim import estimation
+
+    calls, kernel = [], estimation._ml_kernel
+    monkeypatch.setattr(estimation, "_ml_kernel", lambda *a: calls.append(len(a[1])) or kernel(*a))
+    with pytest.raises(ValueError) as exc:
+        estimation.resampled_tomography(estimation.axial_counts(table), KET_D, 27, 300, weight)
+    assert type(exc.value).__name__ == error
+    assert getattr(exc.value, "resampling", False) is resampling
+    assert calls == [fitted]
+
+
+def test_an_incomplete_table_fails_before_the_sampler_limit():
+    from cqtsim.estimation import axial_counts, resampled_tomography
+
+    counts = axial_counts({"h": 1e19, "v": 10, "plus": 10, "minus": 10})
+    with pytest.raises(ValueError, match="not informationally complete") as exc:
+        resampled_tomography(counts, KET_D, 27, 300, 0.0)
+    assert not hasattr(exc.value, "resampling")
 
 
 def test_tomo_observed_weight_error_hides_failing_resamples(tmp_path):

@@ -344,3 +344,37 @@ def test_a_config_key_in_the_config_file_is_a_second_file(tmp_path):
     cfg.write_text(f"[run]\nconfig = {cfg}\nideal = true\n", encoding="utf-8")
     assert run_main(["run", "--config", str(cfg)]) == (
         2, "", f"error: --config given twice: {cfg} and {cfg}\n")
+
+
+# --- options that exclude each other ---------------------------------------------------------
+
+@pytest.mark.parametrize("strengths", [
+    {"kappa_forward": "0.1"}, {"kappa_backward": "0.055"},
+    {"kappa_backward": "0.055", "kappa_forward": "0.1"},
+])
+def test_an_ideal_run_with_a_strength_is_one_usage_error_line(strengths, tmp_path):
+    # on the command line in either order, or either side in a config file
+    ideal, kappas = tmp_path / "ideal.ini", tmp_path / "kappas.ini"
+    ideal.write_text("[run]\nideal = true\n", encoding="utf-8")
+    kappas.write_text("[run]\n" + "".join(f"{k} = {v}\n" for k, v in strengths.items()),
+                      encoding="utf-8")
+    flags = [a for k, v in strengths.items() for a in ("--" + k.replace("_", "-"), v)]
+    for argv in (["--ideal", *flags], [*flags, "--ideal"], ["--config", str(ideal), *flags],
+                 ["--ideal", "--config", str(kappas)]):
+        assert run_main(["run", *argv]) == (
+            2, "", "error: --ideal takes no --kappa-forward or --kappa-backward\n")
+
+
+@pytest.mark.parametrize("first, second", [("--q-grid", "--q-list"), ("--q-list", "--q-grid")])
+def test_a_q_grid_with_a_q_list_is_a_usage_error(first, second, tmp_path):
+    # on the command line, or the first in a config file
+    values = {"--q-grid": "0:1:3", "--q-list": "0.5"}
+    cfg = tmp_path / "scan.ini"
+    cfg.write_text(f"[scan-werner]\n{first[2:].replace('-', '_')} = {values[first]}\n",
+                   encoding="utf-8")
+    for argv in ([first, values[first], second, values[second]],
+                 ["--config", str(cfg), second, values[second]]):
+        code, out, err = run_main(["scan-werner", *argv])
+        assert (code, out) == (2, "")
+        assert [line for line in err.splitlines() if "error" in line] == [
+            f"cqtsim scan-werner: error: argument {second}: not allowed with argument {first}"]

@@ -9,7 +9,7 @@ from cqtsim.elements import (apply, balanced_bs_matrix, hwp_matrix, pbs_matrix,
                              phase_matrix, polarizer_matrix, qwp_matrix)
 from cqtsim.fock import (H, V, KET_D, KET_H, KET_R, KET_V, PureState, basis_state,
                          occupation, overlap, project, spatial_counts, total_photons)
-from cqtsim.spdc import coincidence_sectors, signature_label
+from cqtsim.spdc import SourceParams, coincidence_sectors, four_mode_source, signature_label
 
 from helpers import (apply_map, assert_same_bits, block_maps, clicks_at, compose, phase_on,
                      single_photon, substitution_map)
@@ -313,3 +313,14 @@ def test_derived_states_keep_keys_canonical(els, state, spatial):
             below.setdefault(signature_label(occ), {})[occ] = amp
     for terms in below.values():
         assert_canonical(PureState(terms))
+
+
+@pytest.mark.parametrize("kappa", [1e-9, 1e-30])
+def test_a_weak_source_keeps_its_pair_terms_beside_the_vacuum(kappa):
+    # the vacuum's amplitude is about 1 and the pair terms' kappa and kappa^2:
+    # each term is cut against the largest amplitude of its own photon number
+    source = four_mode_source(SourceParams(kappa, kappa))
+    out = apply(((1,), hwp_matrix(0.0)), source)
+    assert {k: abs(a) for k, a in out.items()} == {k: abs(a) for k, a in source.items()}
+    assert len(out) == 10
+    assert sorted(coincidence_sectors(out)) == ["0022", "1111", "2200"]

@@ -144,6 +144,14 @@ def test_zero_counts_absent_and_prune():
     assert len(s) == 1
 
 
+def test_the_prune_is_taken_per_photon_number():
+    # a weak photon beside the vacuum stays, and a residue far below it goes
+    one, two, three = ({(1, H): 1}, {(2, H): 1}, {(1, H): 1, (2, V): 2})
+    s = PureState({(): 1.0, occupation(one): 1e-20, occupation(two): 1e-36,
+                   occupation(three): 1e-300})
+    assert set(s.terms) == {(), occupation(one), occupation(three)}
+
+
 def test_tensor_vacuum_identity():
     out = tensor(PureState({(): 1.0}), PureState({(): 1.0}))
     assert out.terms == PureState({(): 1.0}).terms

@@ -105,3 +105,26 @@ def test_a_command_outside_the_corpus_is_not_recorded(temporary_digests, capsys,
     assert record.main(["reproduce table1 --format csv", key]) == 2
     assert capsys.readouterr().err == f"not in the corpus: {key}\n"
     assert json.loads(temporary_digests.read_text()) == {"reproduce table1 --format csv": "0"}
+
+
+# the count tables that tomo stops at before any fit: unreadable, or not complete
+UNFITTED = ("missing.csv", "empty.csv", "header-only.csv", "negative.csv", "incomplete.csv")
+
+
+def test_every_tomo_command_fits_its_tables_in_one_kernel_run(monkeypatch):
+    # the observed table and its resamples share one _ml_kernel call, whichever
+    # error follows the fit; no command fits the observed table a second time
+    from cqtsim import estimation
+
+    calls, kernel, counted = [], estimation._ml_kernel, {}
+    monkeypatch.setattr(estimation, "_ml_kernel", lambda *a: calls.append(1) or kernel(*a))
+    for key in GOLDEN:
+        argv = shlex.split(key)
+        if argv[:1] == ["tomo"]:
+            calls.clear()
+            record.digest(argv)
+            counted[key] = len(calls)
+    unfitted = {key for key in counted
+                if key == "tomo" or any(name in key.split() for name in UNFITTED)}
+    assert len(counted) > 100 and len(unfitted) < 20
+    assert {key: n for key, n in counted.items() if n != (key not in unfitted)} == {}
